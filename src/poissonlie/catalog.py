@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import ALGEBRAIC_TOL, P_CAP
 from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, trace_pairing
+from .linalg import worst
 from .matched import MatchedPair
 
 
@@ -173,18 +174,18 @@ def _validate_entry(entry: CatalogEntry):
     # the realization satisfies the defining relation x* eta + eta x = 0
     for m in g.realization:
         resid = np.max(np.abs(np.conj(m.T) @ entry.eta + entry.eta @ m))
-        if resid > ALGEBRAIC_TOL:
+        if not resid <= ALGEBRAIC_TOL:
             raise ValueError(f"realization matrix violates the signature relation ({resid:.3e})")
     # dual basis against the displayed matrix representatives
     for i, psi_mat in enumerate(entry.psi_mats):
         coords = np.array([trace_pairing(psi_mat, m, IM_TRACE) for m in g.realization])
-        if np.max(np.abs(coords - mp.psi_basis[i])) > ALGEBRAIC_TOL:
+        if not np.max(np.abs(coords - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
             raise ValueError(f"dual basis {i} disagrees with its matrix representative")
     # z normalization: ad(z)^2 = -1 on the Cartan complement
     ad_z = g.ad_matrix_coords(entry.z)
     for row in entry.cartan.parts["p"]:
         resid = np.max(np.abs(ad_z @ ad_z @ row + row))
-        if resid > ALGEBRAIC_TOL:
+        if not resid <= ALGEBRAIC_TOL:
             raise ValueError(f"z normalization failed (residual {resid:.3e})")
     # restricted root grading: ad(y_a) acts with eigenvalue 1 on the simple
     # root space and 2 on the double one
@@ -192,7 +193,7 @@ def _validate_entry(entry: CatalogEntry):
     for weight, rows in ((1.0, entry.root_spaces["f1"]), (2.0, entry.root_spaces["2f1"])):
         for row in rows:
             resid = np.max(np.abs(g.bracket_coords(a_row, row) - weight * row))
-            if resid > ALGEBRAIC_TOL:
+            if not resid <= ALGEBRAIC_TOL:
                 raise ValueError(f"root-space grading failed (residual {resid:.3e})")
 
 
@@ -249,10 +250,10 @@ def rho_intertwiner_residual(s: float = 1.0, rho_sign: float = 1.0) -> float:
     """Max residual of rho([x, y]_1) = [rho(x), rho(y)]_3 over basis pairs."""
     bracket1, bracket3, rho = e2_dual_bracket_tables(s)
     rho = rho_sign * rho
-    worst = 0.0
+    out = 0.0
     for i in range(3):
         for j in range(3):
             lhs = rho @ bracket1[i, j]
             rhs = np.einsum("i,j,ijk->k", rho[:, i], rho[:, j], bracket3)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+            out = worst(out, np.max(np.abs(lhs - rhs)))
+    return out

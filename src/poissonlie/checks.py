@@ -1,12 +1,16 @@
-"""Named verification suites with per-check corruption knobs, plus the
-machine-generated conventions report comparing this package's tables against
-the published displays.
+"""Named verification checks, plus the machine-generated conventions report
+comparing this package's tables against the published displays.
 
-Every check returns {check, samples, max_residual, tolerance, pass, details}.
-Corruption knobs deliberately break exactly one ingredient so the suites are
-demonstrably non-vacuous; each knob is documented next to its check."""
+Each check is registered once, next to its function, with its name, its scope
+and a corruption knob that breaks exactly one ingredient, so the suites are
+demonstrably non-vacuous.  `run_check` alone decides a verdict: PASS means a
+finite residual within tolerance."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -14,88 +18,93 @@ from . import bialgebra as bi
 from . import manin as mn
 from . import poisson as po
 from . import quantize as qu
-from .catalog import CatalogEntry, rho_intertwiner_residual
+from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
 from .lie import jacobi_residual
-from .linalg import Rng
+from .linalg import Rng, worst
 from .matched import MatchedPair
-from .group import exp_b, sample_group_element
+from .group import adjoint_matrix, exp_b, sample_group_element
 
-CHECK_NAMES = (
-    "jacobi", "invariance", "cocycle", "delta_consistency", "bialgebra_axioms",
-    "coboundary", "uniqueness", "manin", "deform", "twist", "semiclassical",
-    "dual_families",
-)
+#: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
+#: realization (the check exponentiates).  ENTRY: a catalog pair with its
+#: Iwasawa/Cartan decoration.  CIRCLE: the catalog circle pair (p = 1).
+PAIR, REALIZATION, ENTRY, CIRCLE = "pair", "realization", "entry", "circle"
 
-#: knob -> check it corrupts
-CORRUPTION_KNOBS = {
-    "jacobi_perturb_constant": "jacobi",
-    "invariance_flip_action": "invariance",
-    "eta_b_sign": "cocycle",
-    "delta_b0_sign": "delta_consistency",
-    "delta_sign_one_basis": "bialgebra_axioms",
-    "r_scale_2": "coboundary",
-    "uniqueness_drop_b0_rows": "uniqueness",
-    "gstar_complex_diagonal": "manin",
-    "deform_cocycle_scale_2": "deform",
-    "twist_scale_2": "twist",
-    "drop_reorder_correction": "semiclassical",
-    "rho_sign": "dual_families",
-}
 
-#: checks that need the full catalog decoration (Cartan data, gstar, z)
-ENTRY_ONLY_CHECKS = ("coboundary", "uniqueness", "manin", "deform", "twist",
-                     "semiclassical", "dual_families")
-#: checks that exponentiate, so they need a matrix realization
-REALIZATION_CHECKS = ("invariance", "cocycle", "delta_consistency")
+@dataclass(frozen=True)
+class Check:
+    """A named identity: the function computing its residual, the knob that
+    corrupts it, its scope and the tolerance its residual is held to."""
+
+    name: str
+    knob: str
+    scope: str
+    tolerance: Callable[[Tolerances], float]
+    fn: Callable[..., dict]
+
+    def applies(self, target) -> bool:
+        if isinstance(target, CatalogEntry):
+            return self.scope != CIRCLE or target.p == 1
+        return self.scope == PAIR or (self.scope == REALIZATION
+                                      and target.g.realization is not None)
+
+
+#: check name -> Check, in report order
+REGISTRY: dict[str, Check] = {}
+
+
+def _register(name: str, knob: str, scope: str,
+              tolerance: Callable[[Tolerances], float] = lambda tol: tol.algebraic):
+    """Register the decorated function as check `name`, corrupted by `knob`."""
+    def register(fn):
+        REGISTRY[name] = Check(name, knob, scope, tolerance, fn)
+        return fn
+    return register
 
 
 def applicable_checks(target) -> list[str]:
-    if isinstance(target, CatalogEntry):
-        names = list(CHECK_NAMES)
-        if target.p != 1:
-            names.remove("semiclassical")
-            names.remove("dual_families")
-        return names
-    names = [n for n in CHECK_NAMES if n not in ENTRY_ONLY_CHECKS]
-    if target.g.realization is None:
-        names = [n for n in names if n not in REALIZATION_CHECKS]
-    return names
-
-
-def _mp_of(target) -> MatchedPair:
-    return target.mp if isinstance(target, CatalogEntry) else target
+    return [c.name for c in REGISTRY.values() if c.applies(target)]
 
 
 def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
               corrupt: str | None = None) -> dict:
-    if name not in CHECK_NAMES:
+    """Run one check on a matched pair or catalog entry and decide its verdict.
+
+    A check function returns a dict with `max_residual` and `details`, plus
+    `samples` when it covered any and `veto` when a side condition failed; a
+    veto can turn a pass into a failure, never the reverse.  The verdict keys
+    are written here."""
+    check = REGISTRY.get(name)
+    if check is None:
         raise ValueError(f"unknown check {name!r}")
-    corrupted = corrupt is not None and CORRUPTION_KNOBS.get(corrupt) == name
-    fn = globals()[f"_check_{name}"]
-    out = fn(target, samples, rng, tol, corrupted)
-    out["check"] = name
-    out.setdefault("samples", samples)
-    out["corrupted"] = corrupted
+    if not check.applies(target):
+        raise ValueError(f"check {name!r} does not apply to this pair (scope {check.scope!r})")
+    if check.scope in (PAIR, REALIZATION) and isinstance(target, CatalogEntry):
+        target = target.mp
+    corrupted = corrupt == check.knob
+    out = check.fn(target, samples, rng, tol, corrupted)
+    vetoed = out.pop("veto", False)
+    residual = out["max_residual"]
+    tolerance = check.tolerance(tol)
+    out.update({"check": name, "samples": out.get("samples", 0), "corrupted": corrupted,
+                "tolerance": tolerance,
+                "pass": bool(not vetoed and math.isfinite(residual) and residual <= tolerance)})
     return out
 
 
-def _check_jacobi(target, samples, rng, tol, corrupted) -> dict:
-    mp = _mp_of(target)
+@_register("jacobi", "jacobi_perturb_constant", PAIR)
+def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     structure = mp.g.structure
     if corrupted:
         structure = structure.copy()
         structure[0, 1, :] += 1e-3
         structure[1, 0, :] -= 1e-3
-    resid = jacobi_residual(structure)
-    return {"max_residual": resid, "tolerance": tol.algebraic,
-            "pass": bool(resid <= tol.algebraic), "samples": 0,
-            "details": {"dim": mp.g.dim}}
+    return {"max_residual": jacobi_residual(structure), "details": {"dim": mp.g.dim}}
 
 
-def _check_invariance(target, samples, rng, tol, corrupted) -> dict:
-    mp = _mp_of(target)
-    worst = 0.0
+@_register("invariance", "invariance_flip_action", REALIZATION)
+def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+    inv = 0.0
     hom_worst = 0.0
     for _ in range(samples):
         a = sample_group_element(mp, rng)
@@ -103,103 +112,91 @@ def _check_invariance(target, samples, rng, tol, corrupted) -> dict:
         if corrupted:
             k_mat = mp.coadjoint_on_b0(a)
             c_mat = mp.action_on_c(a.inverse())
-            worst = max(worst, float(np.max(np.abs(k_mat @ c_mat.T - np.eye(mp.dim_c)))))
+            inv = worst(inv, np.max(np.abs(k_mat @ c_mat.T - np.eye(mp.dim_c))))
         else:
-            worst = max(worst, mp.invariance_residual(a))
+            inv = worst(inv, mp.invariance_residual(a))
         hom = mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b)
-        hom_worst = max(hom_worst, float(np.max(np.abs(hom))))
-    resid = max(worst, hom_worst)
-    return {"max_residual": resid, "tolerance": tol.algebraic,
-            "pass": bool(resid <= tol.algebraic),
-            "details": {"invariance": worst, "action_homomorphism": hom_worst}}
+        hom_worst = worst(hom_worst, np.max(np.abs(hom)))
+    return {"max_residual": worst(inv, hom_worst), "samples": samples,
+            "details": {"invariance": inv, "action_homomorphism": hom_worst}}
 
 
-def _check_cocycle(target, samples, rng, tol, corrupted) -> dict:
-    mp = _mp_of(target)
-    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic,
-                            eta_b_sign=-1.0 if corrupted else 1.0)
-    rep["details"] = {"eta_b_sign": -1.0 if corrupted else 1.0}
-    return rep
+@_register("cocycle", "eta_b_sign", REALIZATION)
+def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+    sign = -1.0 if corrupted else 1.0
+    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign)
+    # the pair name and seed stay in the report so the run can be reproduced
+    return {"max_residual": rep["max_residual"], "samples": samples,
+            "pair": rep["pair"], "seed": rep["seed"], "details": {"eta_b_sign": sign}}
 
 
-def _check_delta_consistency(target, samples, rng, tol, corrupted) -> dict:
-    mp = _mp_of(target)
+@_register("delta_consistency", "delta_b0_sign", REALIZATION,
+           tolerance=lambda tol: tol.fd)
+def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(mp)
-    resid = bi.delta_consistency_residual(ea, b0_sign=-1.0 if corrupted else 1.0)
-    return {"max_residual": resid, "tolerance": tol.fd,
-            "pass": bool(resid <= tol.fd), "samples": 0,
-            "details": {"basis_vectors": ea.e.dim}}
+    resid = bi.delta_consistency_residual(ea, b0_sign=-1.0 if corrupted else 1.0,
+                                          step=tol.fd_step)
+    return {"max_residual": resid, "details": {"basis_vectors": ea.e.dim}}
 
 
-def _check_bialgebra_axioms(target, samples, rng, tol, corrupted) -> dict:
-    mp = _mp_of(target)
+@_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
+def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(mp)
     delta = bi.delta_direct(ea)
     if corrupted:
         delta = list(delta)
         delta[ea.k] = (-1.0) * delta[ea.k]
     rep = bi.check_cobracket_axioms(ea, delta)
-    resid = max(rep["co_jacobi_residual"], rep["cocycle_residual"])
-    return {"max_residual": resid, "tolerance": tol.algebraic,
-            "pass": bool(resid <= tol.algebraic), "samples": 0, "details": rep}
+    return {"max_residual": worst(rep["co_jacobi_residual"], rep["cocycle_residual"]),
+            "details": rep}
 
 
-def _require_entry(target, name):
-    if not isinstance(target, CatalogEntry):
-        raise ValueError(f"check {name!r} needs a catalog pair with Iwasawa/Cartan data")
-    return target
-
-
-def _check_coboundary(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "coboundary")
+@_register("coboundary", "r_scale_2", ENTRY)
+def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(entry.mp)
     delta = bi.delta_direct(ea)
     rm = bi.r_matrix(entry, ea)
     rep = bi.check_coboundary(ea, delta, rm["route_b"],
                               scale=2.0 if corrupted else 1.0)
-    return {"max_residual": rep["max_residual"], "tolerance": tol.algebraic,
-            "pass": bool(rep["max_residual"] <= tol.algebraic), "samples": 0,
+    return {"max_residual": rep["max_residual"],
             "details": {"route_difference": rm["difference"],
                         "route_sign": rm["relative_sign"],
                         "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]}}
 
 
-def _check_uniqueness(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "uniqueness")
+@_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
+def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(entry.mp)
     rep = bi.check_r_uniqueness(ea, svd_tol=tol.svd, drop_b0_rows=corrupted)
-    return {"max_residual": float(rep["kernel_dim"]), "tolerance": 0.0,
-            "pass": rep["pass"], "samples": 0, "details": rep}
+    return {"max_residual": float(rep["kernel_dim"]), "details": rep}
 
 
-def _check_manin(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "manin")
+@_register("manin", "gstar_complex_diagonal", ENTRY)
+def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     details = {}
-    ok = True
-    worst = 0.0
+    resid = 0.0
+    complementary = True
     for which in ("g", "gprime"):
         mt = mn.manin_triple(entry, which, corrupt_gstar=corrupted)
         rep = mn.check_manin(mt, tol=tol.algebraic)
         details[which] = rep
-        ok = ok and rep["pass"]
-        worst = max(worst, rep["isotropy_half_a"], rep["isotropy_half_b"],
-                    rep["closure_half_a"], rep["closure_half_b"], rep["form_invariance"])
+        resid = worst(resid, rep["isotropy_half_a"], rep["isotropy_half_b"],
+                      rep["closure_half_a"], rep["closure_half_b"], rep["form_invariance"])
         if not rep["complementarity_ok"]:
-            worst = max(worst, 1.0)
+            complementary = False
+            resid = worst(resid, 1.0)
     k0_resid = mn.gstar_k0_abelian_residual(entry)
     ea = bi.build_e(entry.mp)
     transport, sign = mn.gprime_transport_residual(entry, ea.e.structure)
     details["k0_abelian"] = k0_resid
     details["gprime_transport"] = {"residual": transport, "sign": sign}
     details["gprime_block"] = mn.gprime_block_residual(entry)
-    worst = max(worst, k0_resid, transport, details["gprime_block"])
-    return {"max_residual": worst, "tolerance": tol.algebraic,
-            "pass": bool(ok and worst <= tol.algebraic), "samples": 0,
-            "details": details}
+    resid = worst(resid, k0_resid, transport, details["gprime_block"])
+    return {"max_residual": resid, "veto": not complementary, "details": details}
 
 
-def _check_deform(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "deform")
+@_register("deform", "deform_cocycle_scale_2", ENTRY)
+def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     scale = 2.0 if corrupted else 1.0
     plus = mn.deform_bracket(entry, +1.0, cocycle_scale=scale)
     g_model = mn.g_structure_in_model_basis(entry)
@@ -210,17 +207,15 @@ def _check_deform(target, samples, rng, tol, corrupted) -> dict:
     zero = mn.deform_bracket(entry, 0.0)
     ea = bi.build_e(entry.mp)
     resid_zero = float(np.max(np.abs(zero.structure - ea.e.structure)))
-    worst = max(resid_plus, resid_zero, 0.0 if neg_def else 1.0)
-    return {"max_residual": worst, "tolerance": tol.algebraic,
-            "pass": bool(worst <= tol.algebraic), "samples": 0,
+    return {"max_residual": worst(resid_plus, resid_zero, 0.0 if neg_def else 1.0),
             "details": {"plus_reproduces_g": resid_plus,
                         "zero_reproduces_e": resid_zero,
                         "minus_killing_max_eig": float(np.max(eigs)),
                         "minus_negative_definite": neg_def}}
 
 
-def _check_twist(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "twist")
+@_register("twist", "twist_scale_2", ENTRY)
+def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
                          s_scale=2.0 if corrupted else 1.0)
     dg = mn.cobracket_on_gstar(entry, list(entry.g.realization))
@@ -228,11 +223,9 @@ def _check_twist(target, samples, rng, tol, corrupted) -> dict:
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
-    co_j = max(bi.co_jacobi_residual(d) for d in (dg, dgp, dgc))
-    worst = max(rep["maurer_cartan_residual"], rep["twist_relation_residual"],
-                cprime_g, cprime_gc, co_j)
-    return {"max_residual": worst, "tolerance": tol.algebraic,
-            "pass": bool(worst <= tol.algebraic), "samples": 0,
+    co_j = worst(*(bi.co_jacobi_residual(d) for d in (dg, dgp, dgc)))
+    return {"max_residual": worst(rep["maurer_cartan_residual"],
+                                  rep["twist_relation_residual"], cprime_g, cprime_gc, co_j),
             "details": {"maurer_cartan": rep["maurer_cartan_residual"],
                         "twist_relation": rep["twist_relation_residual"],
                         "cprime_g_minus_gprime": cprime_g,
@@ -241,20 +234,18 @@ def _check_twist(target, samples, rng, tol, corrupted) -> dict:
                         "inner_scale": tol.twist_inner_scale}}
 
 
-def _check_semiclassical(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "semiclassical")
+@_register("semiclassical", "drop_reorder_correction", CIRCLE)
+def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     alg = qu.CrossedAlgebra(entry.mp,
                             reorder_correction=0.0 if corrupted else 1.0)
     maxdeg, maxmode = (2, 2) if corrupted else (4, 6)
     rep = qu.verify_semiclassical(alg, maxdeg, maxmode, tol=1e-12)
-    resid = max(rep["max_h0_residual"], rep["max_exact_case_residual"])
     cop = qu.Coproduct(alg)
     gens = [alg.t_a(), alg.t_2(), alg.monomial(0, 0, 1), alg.monomial(0, 0, -1)]
-    coassoc = max(cop.coassociativity_residual(x) for x in gens)
-    hom = max(cop.homomorphism_residual(x, y) for x in gens for y in gens)
-    resid = max(resid, coassoc, hom)
-    return {"max_residual": resid, "tolerance": tol.algebraic,
-            "pass": bool(resid <= tol.algebraic),
+    coassoc = worst(*(cop.coassociativity_residual(x) for x in gens))
+    hom = worst(*(cop.homomorphism_residual(x, y) for x in gens for y in gens))
+    return {"max_residual": worst(rep["max_h0_residual"], rep["max_exact_case_residual"],
+                                  coassoc, hom),
             "samples": rep["pairs"],
             "details": {"h0": rep["max_h0_residual"],
                         "exact_cases": rep["max_exact_case_residual"],
@@ -263,8 +254,8 @@ def _check_semiclassical(target, samples, rng, tol, corrupted) -> dict:
                         "coproduct_homomorphism": hom}}
 
 
-def _check_dual_families(target, samples, rng, tol, corrupted) -> dict:
-    entry = _require_entry(target, "dual_families")
+@_register("dual_families", "rho_sign", CIRCLE)
+def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     resid_rho = rho_intertwiner_residual(s=1.0, rho_sign=-1.0 if corrupted else 1.0)
     ea = bi.build_e(entry.mp)
     delta = bi.delta_direct(ea)
@@ -272,14 +263,10 @@ def _check_dual_families(target, samples, rng, tol, corrupted) -> dict:
     # e-basis is (psi_a = P1, psi_2 = P2, J); reorder duals to (J*, P1*, P2*)
     perm = [2, 0, 1]
     reordered = dual[np.ix_(perm, perm, perm)]
-    from .catalog import e2_dual_bracket_tables
-
     _, bracket3, _ = e2_dual_bracket_tables()
     scale = 2.0
     resid_scale = float(np.max(np.abs(reordered - scale * bracket3)))
-    worst = max(resid_rho, resid_scale)
-    return {"max_residual": worst, "tolerance": tol.algebraic,
-            "pass": bool(worst <= tol.algebraic), "samples": 0,
+    return {"max_residual": worst(resid_rho, resid_scale),
             "details": {"rho_intertwiner": resid_rho,
                         "dual_vs_family3_scale": scale,
                         "dual_vs_family3_residual": resid_scale}}
@@ -314,15 +301,6 @@ def _su_p1_displayed_bracket_table(entry) -> np.ndarray:
     return out
 
 
-def _computed_c_structure(mp: MatchedPair) -> np.ndarray:
-    k = mp.dim_c
-    out = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = mp.c_coords(mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
-    return out
-
-
 def _displayed_delta_table(entry, corrected: bool) -> list[np.ndarray]:
     """Published delta table on k0 as bivector matrices over the psi basis.
 
@@ -353,7 +331,7 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
     """Ad*_U on k0 ~ C^p equals multiplication by det(U) U."""
     mp = entry.mp
     p = entry.p
-    worst = 0.0
+    out = 0.0
     # complex coordinates: w_k = psi^I_k + i psi^R_k for k < p, w_p from (psi_a, psi_2)
     def to_complex(v):
         w = np.zeros(p, dtype=complex)
@@ -369,8 +347,8 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
         for i in range(2 * p):
             img = to_complex(k_mat @ np.eye(2 * p)[i])
             expect = np.linalg.det(u) * (u @ to_complex(np.eye(2 * p)[i]))
-            worst = max(worst, float(np.max(np.abs(img - expect))))
-    return worst
+            out = worst(out, np.max(np.abs(img - expect)))
+    return out
 
 
 def _r_display_matrices(entry) -> float:
@@ -388,12 +366,12 @@ def _r_display_matrices(entry) -> float:
     for kk in range(p - 1):
         displayed[2 + 2 * kk] = unit(p - 1, kk) - unit(kk, p - 1)
         displayed[3 + 2 * kk] = 1j * unit(kk, p - 1) + 1j * unit(p - 1, kk)
-    worst = 0.0
+    out = 0.0
     for i in range(mp.dim_c):
         proj = entry.g.matrix_of(entry.cartan.project("k", mp.y_basis[i]))
         expect = displayed.get(i, np.zeros((n, n), dtype=complex))
-        worst = max(worst, float(np.max(np.abs(proj - expect))))
-    return worst
+        out = worst(out, np.max(np.abs(proj - expect)))
+    return out
 
 
 def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
@@ -402,8 +380,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
     mp = entry.mp
     out = []
 
-    computed_c = _computed_c_structure(mp)
-    sign, resid = _best_sign(computed_c, _su_p1_displayed_bracket_table(entry))
+    sign, resid = _best_sign(mp.c_structure, _su_p1_displayed_bracket_table(entry))
     out.append({"table": "solvable bracket table", "sign": sign, "residual": resid,
                 "note": "brackets of (ya, y2, yR_k, yI_k)"})
 
@@ -467,11 +444,9 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
 def _xtilde_table_residual(entry) -> float:
     """Check ytilde(v, a) = <v, Ad_{a^{-1}} y> reproduces the displayed planar table."""
     mp = entry.mp
-    worst = 0.0
+    out = 0.0
     for phi in (0.3, 1.1, 2.5):
         a_inv = exp_b(mp, np.array([1.0]), -phi)
-        from .group import adjoint_matrix
-
         ad = adjoint_matrix(mp, a_inv)
         vals = {}
         for (vi, name_v) in ((0, "P1"), (1, "P2")):
@@ -480,5 +455,5 @@ def _xtilde_table_residual(entry) -> float:
             vals[("2", name_v)] = float(w @ (ad @ mp.y_basis[1]))
         expect = {("a", "P1"): np.cos(2 * phi), ("a", "P2"): np.sin(2 * phi),
                   ("2", "P1"): -np.sin(2 * phi), ("2", "P2"): np.cos(2 * phi)}
-        worst = max(worst, max(abs(vals[k] - expect[k]) for k in expect))
-    return worst
+        out = worst(out, *(abs(vals[k] - expect[k]) for k in expect))
+    return out

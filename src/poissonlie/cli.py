@@ -1,23 +1,28 @@
 """Command-line front end: build catalog pairs or import user pairs, run named
 verification suites with seeds and tolerances, and emit JSON plus a text summary.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 import parse
-error, 64 invalid configuration.  Reports are byte-identical across runs with
-the same configuration and seed, apart from the timestamp field."""
+A check passes when its residual is finite and within its tolerance.  Exit
+codes: 0 all checks pass, 1 at least one check failed, 2 the imported pair
+could not be parsed or holds a NaN or inf, 64 invalid configuration (unknown
+check, knob or pair, inapplicable check, negative seed, or a NaN, infinite or
+negative tolerance), 70 internal error (traceback on stderr).  Reports are
+byte-identical across runs with the same configuration and seed, apart from
+the timestamp field."""
 
 from __future__ import annotations
 
 import argparse
 import datetime
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from . import bialgebra as bi
 from .catalog import CatalogEntry, catalog_names, get_entry, supq1
-from .checks import (CHECK_NAMES, CORRUPTION_KNOBS, applicable_checks,
-                     conventions_report, run_check)
+from .checks import REGISTRY, applicable_checks, conventions_report, run_check
 from .config import DEFAULT_TOL, EXP_METHOD, PRNG_NAME, Tolerances
 from .linalg import Rng
 from .matched import MatchedPair
@@ -26,9 +31,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IMPORT_ERROR = 2
 EXIT_BAD_CONFIG = 64
+EXIT_INTERNAL = 70
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class PairImportError(ValueError):
     pass
 
 
@@ -45,15 +55,22 @@ class RunConfig:
 
     def validate(self):
         for name in self.checks:
-            if name not in CHECK_NAMES:
+            if name not in REGISTRY:
                 raise ConfigError(
-                    f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        if self.corrupt is not None and self.corrupt not in CORRUPTION_KNOBS:
+                    f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
+        knobs = [c.knob for c in REGISTRY.values()]
+        if self.corrupt is not None and self.corrupt not in knobs:
             raise ConfigError(
-                f"unknown corruption knob {self.corrupt!r}; known: "
-                + ", ".join(CORRUPTION_KNOBS))
+                f"unknown corruption knob {self.corrupt!r}; known: " + ", ".join(knobs))
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        for f in fields(self.tol):
+            value = getattr(self.tol, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"tolerance {f.name} must be finite and nonnegative, "
+                                  f"got {value}")
 
 
 def _load_target(config: RunConfig):
@@ -78,7 +95,7 @@ def _load_target(config: RunConfig):
     try:
         return MatchedPair.from_json(text)
     except Exception as exc:
-        raise ImportError(f"could not parse matched-pair JSON: {exc}") from exc
+        raise PairImportError(f"could not parse matched-pair JSON: {exc}") from exc
 
 
 def run(config: RunConfig) -> tuple[int, dict, str]:
@@ -157,7 +174,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
     k = mp.dim_c
     for ii, i in enumerate(order):
         for j in order[ii + 1:]:
-            vec = mp.c_coords(mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
+            vec = mp.c_structure[i, j]
             terms = [f"{vec[lidx]:+g} {labels[order.index(lidx)]}"
                      for lidx in range(k) if abs(vec[lidx]) > 1e-12]
             rhs = " ".join(terms) if terms else "0"
@@ -211,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("pair", help="catalog name (su11, su21, su31, su41, supq1) "
                                   "or path to a matched-pair JSON file")
     ver.add_argument("--checks", default=None,
-                     help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
+                     help="comma-separated subset of: " + ", ".join(REGISTRY))
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--tol-algebraic", type=float, default=None)
     ver.add_argument("--tol-fd", type=float, default=None)
     ver.add_argument("--out", default=None, help="report path, '-' for stdout")
     ver.add_argument("--corrupt", default=None,
-                     help="negative-control knob: " + ", ".join(CORRUPTION_KNOBS))
+                     help="negative-control knob: "
+                     + ", ".join(c.knob for c in REGISTRY.values()))
     ver.add_argument("--p", type=int, default=None, help="family parameter for supq1")
 
     cat = sub.add_parser("catalog", help="list or export catalog pairs")
@@ -271,9 +289,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG
-    except ImportError as exc:
+    except PairImportError as exc:
         sys.stderr.write(f"import error: {exc}\n")
         return EXIT_IMPORT_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _dump_report(report, config.out, summary)
     return code
 

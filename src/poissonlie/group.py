@@ -26,7 +26,7 @@ class GroupElement:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("group element must be a square matrix")
-        if abs(np.linalg.det(m)) < 1e-12:
+        if not abs(np.linalg.det(m)) >= 1e-12:
             raise ValueError("group element matrix is singular")
         object.__setattr__(self, "matrix", m)
         self._ad = None
@@ -63,10 +63,10 @@ def adjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
     inv = np.linalg.inv(a.matrix)
     conjugated = np.einsum("ij,njk,kl->nil", a.matrix, np.array(g.realization), inv)
     ad, resid = g._solver.solve_many(conjugated)
-    if resid > 1e-7:
+    if not resid <= 1e-7:
         raise ValueError(f"element conjugation leaves the algebra (residual {resid:.3e})")
     leak = np.max(np.abs((mp._T_inv @ ad @ mp._B)[mp.dim_b:]))
-    if leak > 1e-7:
+    if not leak <= 1e-7:
         raise ValueError(f"element does not normalize b (leak {leak:.3e}); not in B")
     a._ad = ad
     return ad

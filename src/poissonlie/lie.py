@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .linalg import BasedSpace, SpaceMismatchError, Vec
+from .linalg import BasedSpace, SpaceMismatchError, Vec, finite_array, worst
 
 IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
@@ -94,7 +94,7 @@ class LieAlgebra:
             raise ValueError("structure constants are not exactly antisymmetric")
         self.structure = c
         res = jacobi_residual(c)
-        if res > ALGEBRAIC_TOL:
+        if not res <= ALGEBRAIC_TOL:
             raise ValueError(f"Jacobi identity violated: residual {res:.3e}")
         if self.realization is not None:
             self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
@@ -102,7 +102,7 @@ class LieAlgebra:
                 raise ValueError("realization must provide one matrix per basis element")
             self._solver = MatrixBasisSolver(self.realization)
             err = self.realization_residual()
-            if err > ALGEBRAIC_TOL:
+            if not err <= ALGEBRAIC_TOL:
                 raise ValueError(f"realization inconsistent with structure constants: {err:.3e}")
 
     # -- basic operations -------------------------------------------------
@@ -123,17 +123,9 @@ class LieAlgebra:
         """Matrix of y -> [x, y]."""
         return np.einsum("i,ijk->kj", x, self.structure)
 
-    def ad_matrix(self, x: Vec) -> np.ndarray:
-        if x.space != self.space:
-            raise SpaceMismatchError("vector not over this algebra's space")
-        return self.ad_matrix_coords(x.coords)
-
     def coad_matrix_coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad*(x) on dual coordinates: <ad*(x)phi, y> = phi([y, x])."""
         return -self.ad_matrix_coords(x).T
-
-    def coad_matrix(self, x: Vec) -> np.ndarray:
-        return -self.ad_matrix(x).T
 
     def check_jacobi(self) -> float:
         return jacobi_residual(self.structure)
@@ -149,21 +141,21 @@ class LieAlgebra:
         if self.realization is None:
             raise ValueError("algebra has no matrix realization")
         coords, resid = self._solver.solve(mat)
-        if resid > tol:
+        if not resid <= tol:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
         return coords
 
     def realization_residual(self) -> float:
         """Max mismatch between matrix commutators and stored structure constants."""
-        worst = 0.0
+        out = 0.0
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 comm = (self.realization[i] @ self.realization[j]
                         - self.realization[j] @ self.realization[i])
                 coords, resid = self._solver.solve(comm)
-                worst = max(worst, resid, float(np.max(np.abs(coords - self.structure[i, j]))))
-        return worst
+                out = worst(out, resid, np.max(np.abs(coords - self.structure[i, j])))
+        return out
 
     def invariant_pairing(self, x: Vec, y: Vec) -> float:
         if self.pairing is None:
@@ -187,11 +179,11 @@ class LieAlgebra:
     @staticmethod
     def from_json_dict(doc: dict) -> "LieAlgebra":
         labels = doc["labels"]
-        structure = np.asarray(doc["structure"], dtype=float)
+        structure = finite_array(doc["structure"], "structure")
         realization = None
         if doc.get("realization") is not None:
             realization = [
-                np.asarray(m["re"], dtype=float) + 1j * np.asarray(m["im"], dtype=float)
+                finite_array(m["re"], "realization") + 1j * finite_array(m["im"], "realization")
                 for m in doc["realization"]
             ]
         return LieAlgebra(BasedSpace.make(labels), structure,
@@ -215,7 +207,7 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
         for j in range(i + 1, n):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             coords, resid = solver.solve(comm)
-            if resid > ALGEBRAIC_TOL:
+            if not resid <= ALGEBRAIC_TOL:
                 raise ValueError(
                     f"commutator [{labels[i]}, {labels[j]}] leaves the span (residual {resid:.3e})")
             structure[i, j] = coords
@@ -269,34 +261,28 @@ class SubspaceDecomposition:
     def projector_residual(self) -> float:
         """Max deviation from P_i P_j = delta_ij P_i and sum P = 1."""
         names = list(self.parts.keys())
-        worst = float(np.max(np.abs(sum(self.projections[n] for n in names)
-                                    - np.eye(self.parent.dim))))
+        out = float(np.max(np.abs(sum(self.projections[n] for n in names)
+                                  - np.eye(self.parent.dim))))
         for a in names:
             for b in names:
                 prod = self.projections[a] @ self.projections[b]
                 expect = self.projections[a] if a == b else 0.0
-                worst = max(worst, float(np.max(np.abs(prod - expect))))
-        return worst
+                out = worst(out, np.max(np.abs(prod - expect)))
+        return out
 
     def closure_residual(self, name: str) -> float:
         """How far the named part is from being a subalgebra."""
         basis = self.parts[name]
         p = self.projections[name]
-        worst = 0.0
+        out = 0.0
         for i in range(basis.shape[0]):
             for j in range(basis.shape[0]):
                 br = self.parent.bracket_coords(basis[i], basis[j])
-                worst = max(worst, float(np.max(np.abs(br - p @ br))))
-        return worst
+                out = worst(out, np.max(np.abs(br - p @ br)))
+        return out
 
     def project(self, name: str, coords: np.ndarray) -> np.ndarray:
         return self.projections[name] @ coords
-
-    def part_coords(self, name: str, coords: np.ndarray) -> np.ndarray:
-        """Coefficients of (the projection of) `coords` in the part's own basis."""
-        basis = self.parts[name]
-        sol, *_ = np.linalg.lstsq(basis.T, self.project(name, coords), rcond=None)
-        return sol
 
 
 def dual_basis(algebra: LieAlgebra, annihilated: np.ndarray, dualized: np.ndarray,

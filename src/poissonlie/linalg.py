@@ -11,6 +11,7 @@ with a 2-tensor is full coefficient contraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -106,10 +107,6 @@ def wedge(x: Vec, y: Vec) -> Bivector:
     return Bivector(x.space, np.outer(x.coords, y.coords) - np.outer(y.coords, x.coords))
 
 
-def wedge_coords(space: BasedSpace, x: np.ndarray, y: np.ndarray) -> Bivector:
-    return Bivector(space, np.outer(x, y) - np.outer(y, x))
-
-
 def pair_tensor(t: Bivector | Tensor2, f: Tensor2) -> float:
     """Full contraction sum_ij t_ij f_ij under the duality pairing."""
     if t.coeffs.shape != f.coeffs.shape:
@@ -118,9 +115,33 @@ def pair_tensor(t: Bivector | Tensor2, f: Tensor2) -> float:
     return float(np.sum(t.coeffs * f.coeffs))
 
 
+def worst(*residuals: float) -> float:
+    """The largest residual, NaN if any residual is NaN, 0.0 if there are none.
+
+    Python's max drops a NaN that is not its first argument (max(0.0, nan) is
+    0.0), which would let a broken computation pass; every residual
+    accumulator goes through this function instead."""
+    out = 0.0
+    for r in residuals:
+        r = float(r)
+        if math.isnan(r):
+            return r
+        if r > out:
+            out = r
+    return out
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """`values` as a float array; outside input with a NaN or inf is rejected."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains a non-finite number")
+    return arr
+
+
 def finite_diff(curve: Callable[[float], np.ndarray], t0: float, h: float) -> np.ndarray:
     """Central difference with one Richardson extrapolation step: (4 D_{h/2} - D_h)/3."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
 
     def central(step):

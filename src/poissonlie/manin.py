@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bialgebra import _alt3, normalize_z
 from .config import ALGEBRAIC_TOL, TWIST_INNER_SCALE
 from .lie import IM_TRACE, LieAlgebra, MatrixBasisSolver, from_realization, trace_pairing
-from .linalg import BasedSpace, Bivector
+from .linalg import BasedSpace, Bivector, worst
 
 
 def sigma_conj(entry, m: np.ndarray) -> np.ndarray:
@@ -92,16 +93,15 @@ def check_manin(mt: ManinTriple, tol: float = ALGEBRAIC_TOL) -> dict:
     """All triple axioms: isotropy, closure, complementarity, form invariance."""
     res = {}
     for name, half in (("half_a", mt.half_a), ("half_b", mt.half_b)):
-        worst = max(abs(trace_pairing(x, y, mt.form))
-                    for x in half for y in half)
-        res[f"isotropy_{name}"] = worst
+        res[f"isotropy_{name}"] = worst(*(abs(trace_pairing(x, y, mt.form))
+                                          for x in half for y in half))
         closure = 0.0
         solver = MatrixBasisSolver(half)
         for i in range(len(half)):
             for j in range(i + 1, len(half)):
                 comm = half[i] @ half[j] - half[j] @ half[i]
                 _, resid = solver.solve(comm)
-                closure = max(closure, resid)
+                closure = worst(closure, resid)
         res[f"closure_{name}"] = closure
 
     dim_ok = len(mt.half_a) + len(mt.half_b) == mt.big.dim
@@ -132,7 +132,7 @@ def check_manin(mt: ManinTriple, tol: float = ALGEBRAIC_TOL) -> dict:
 def gstar_k0_abelian_residual(entry) -> float:
     """Pairwise brackets of the last-column block of gstar: exactly zero."""
     mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]
-    return max(float(np.max(np.abs(x @ y - y @ x))) for x in mats for y in mats)
+    return worst(*(np.max(np.abs(x @ y - y @ x)) for x in mats for y in mats))
 
 
 def gprime_transport_residual(entry, e_structure: np.ndarray) -> tuple[float, float]:
@@ -156,12 +156,12 @@ def gprime_block_residual(entry) -> float:
     lower = [sigma_conj(entry, m) for m in entry.psi_mats]
     solver = MatrixBasisSolver(lower)
     k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
-    worst = 0.0
+    out = 0.0
     for x in k_mats:
         for l in lower:
             _, resid = solver.solve(x @ l - l @ x)
-            worst = max(worst, resid)
-    return worst
+            out = worst(out, resid)
+    return out
 
 
 # -- Cartan-cocycle deformations ------------------------------------------------
@@ -199,7 +199,7 @@ def deform_bracket(entry, sign: float, cocycle_scale: float = 1.0) -> LieAlgebra
     for i in range(k):
         for j in range(i + 1, k):
             w = g.bracket_coords(u_rows[i], u_rows[j])
-            if np.max(np.abs(entry.cartan.project("p", w))) > 1e-9:
+            if not np.max(np.abs(entry.cartan.project("p", w))) <= 1e-9:
                 raise ValueError("[p, p] leaves k")
             c[i, j, k:] = sign * cocycle_scale * entry.mp.b_coords(w)
             c[j, i, k:] = -c[i, j, k:]
@@ -275,7 +275,7 @@ def cprime_residual(entry, delta_g: list[Bivector], delta_other: list[Bivector],
     pair_gs_g = np.array([[trace_pairing(gs.realization[a], g.realization[x], IM_TRACE)
                            for x in range(n)] for a in range(n)])
     p_parts = [entry.cartan.project("p", np.eye(n)[x]) for x in range(n)]
-    worst = 0.0
+    out = 0.0
     for idx in range(n):
         diff = (delta_g[idx] - delta_other[idx]).coeffs
         lhs = pair_gs_g.T @ diff @ pair_gs_g
@@ -286,15 +286,8 @@ def cprime_residual(entry, delta_g: list[Bivector], delta_other: list[Bivector],
                 val = trace_pairing(gs.realization[idx], g.matrix_of(br), IM_TRACE)
                 rhs[x, y] = val
                 rhs[y, x] = -val
-        worst = max(worst, float(np.max(np.abs(lhs - expected_sign * rhs))))
-    return worst
-
-
-def _wedge3(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-    t = np.einsum("p,q,r->pqr", v1, v2, v3)
-    return (t - np.transpose(t, (1, 0, 2)) + np.transpose(t, (1, 2, 0))
-            - np.transpose(t, (2, 1, 0)) + np.transpose(t, (2, 0, 1))
-            - np.transpose(t, (0, 2, 1)))
+        out = worst(out, np.max(np.abs(lhs - expected_sign * rhs)))
+    return out
 
 
 def _wedge2_1(c: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -311,13 +304,17 @@ def schouten_square(alg: LieAlgebra, s: Bivector) -> np.ndarray:
     out = np.zeros((n, n, n))
     nz = [(a, b) for a in range(n) for b in range(n) if sm[a, b] != 0.0]
     eye = np.eye(n)
+
+    def wedge3(v1, v2, v3):
+        return _alt3(np.einsum("p,q,r->pqr", v1, v2, v3))
+
     for a, b in nz:
         for c, d in nz:
             coef = 0.25 * sm[a, b] * sm[c, d]
-            out += coef * (_wedge3(alg.structure[a, c], eye[b], eye[d])
-                           - _wedge3(alg.structure[a, d], eye[b], eye[c])
-                           - _wedge3(alg.structure[b, c], eye[a], eye[d])
-                           + _wedge3(alg.structure[b, d], eye[a], eye[c]))
+            out += coef * (wedge3(alg.structure[a, c], eye[b], eye[d])
+                           - wedge3(alg.structure[a, d], eye[b], eye[c])
+                           - wedge3(alg.structure[b, c], eye[a], eye[d])
+                           + wedge3(alg.structure[b, d], eye[a], eye[c]))
     return out
 
 
@@ -355,8 +352,6 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
     onb = np.linalg.solve(chol, p_rows)          # rows: orthonormal basis of p
     if rotate is not None:
         onb = rotate @ onb
-    from .bialgebra import normalize_z
-
     z = normalize_z(entry)
     ad_z = g.ad_matrix_coords(z)
     n = g.dim
@@ -375,7 +370,7 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
     for j in range(k):
         s_mat += np.outer(flat(ad_z @ onb[j]), flat(onb[j]))
     asym = float(np.max(np.abs(s_mat + s_mat.T)))
-    if asym > 1e-9:
+    if not asym <= 1e-9:
         raise ValueError(f"twist element not antisymmetric (residual {asym:.3e})")
     return Bivector(gs.space, s_mat)
 
@@ -394,14 +389,14 @@ def twist_check(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0,
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(gs.dim, delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))
 
-    worst = 0.0
+    relation = 0.0
     n = gs.dim
     for idx in range(n):
         a = gs.ad_matrix_coords(np.eye(n)[idx])
         twisted = delta_gp[idx].coeffs + a @ s.coeffs + s.coeffs @ a.T
-        worst = max(worst, float(np.max(np.abs(delta_g[idx].coeffs - twisted))))
+        relation = worst(relation, np.max(np.abs(delta_g[idx].coeffs - twisted)))
     return {
         "maurer_cartan_residual": mc_residual,
-        "twist_relation_residual": worst,
-        "pass": bool(max(mc_residual, worst) <= ALGEBRAIC_TOL),
+        "twist_relation_residual": relation,
+        "pass": bool(worst(mc_residual, relation) <= ALGEBRAIC_TOL),
     }

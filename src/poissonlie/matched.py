@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
 from .lie import LieAlgebra, SubspaceDecomposition, dual_basis
-from .linalg import BasedSpace, Tensor2
+from .linalg import BasedSpace, Tensor2, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import GroupElement
@@ -32,7 +33,7 @@ class MatchedPair:
             raise ValueError("decomposition must have parts 'b' and 'c'")
         for part in ("b", "c"):
             res = self.decomp.closure_residual(part)
-            if res > ALGEBRAIC_TOL:
+            if not res <= ALGEBRAIC_TOL:
                 raise ValueError(f"part {part!r} is not a subalgebra (residual {res:.3e})")
         self.y_basis = np.atleast_2d(np.asarray(self.y_basis, dtype=float))
         self.psi_basis = dual_basis(self.g, self.decomp.parts["b"], self.y_basis)
@@ -103,6 +104,24 @@ class MatchedPair:
 
     # -- operations -----------------------------------------------------------
 
+    @cached_property
+    def c_brackets(self) -> np.ndarray:
+        """Brackets [y_i, y_j] in g-coordinates, shape (k, k, n)."""
+        k = self.dim_c
+        out = np.zeros((k, k, self.g.dim))
+        for i in range(k):
+            for j in range(i + 1, k):
+                br = self.g.bracket_coords(self.y_basis[i], self.y_basis[j])
+                out[i, j] = br
+                out[j, i] = -br
+        out.setflags(write=False)
+        return out
+
+    @property
+    def c_structure(self) -> np.ndarray:
+        """Structure constants of c in the y-basis: c_brackets in c-coordinates."""
+        return (self.c_brackets @ self._T_inv.T)[..., self.dim_b:]
+
     def canonical_tensor(self) -> Tensor2:
         """t = sum_i psi^i (x) y_i in (psi, y) coordinates: the identity matrix."""
         k = self.dim_c
@@ -129,7 +148,7 @@ class MatchedPair:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.g.dim,):
             raise ValueError("y must be given in g-coordinates")
-        if np.max(np.abs(self.decomp.project("c", y) - y)) > ALGEBRAIC_TOL:
+        if not np.max(np.abs(self.decomp.project("c", y) - y)) <= ALGEBRAIC_TOL:
             raise ValueError("y is not in the c-part")
         return self.b_coords(adjoint_matrix(self, a) @ y)
 
@@ -153,8 +172,8 @@ class MatchedPair:
     @staticmethod
     def from_json_dict(doc: dict) -> "MatchedPair":
         g = LieAlgebra.from_json_dict(doc["algebra"])
-        b_rows = np.asarray(doc["b"], dtype=float)
-        c_rows = np.asarray(doc["c"], dtype=float)
+        b_rows = finite_array(doc["b"], "b")
+        c_rows = finite_array(doc["c"], "c")
         if b_rows.ndim == 1:  # allow index lists for the basis vectors
             b_rows = np.eye(g.dim)[np.asarray(doc["b"], dtype=int)]
         if c_rows.ndim == 1:

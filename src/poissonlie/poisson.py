@@ -14,30 +14,14 @@ import numpy as np
 
 from .config import ALGEBRAIC_TOL
 from .group import EElement, adE, adjoint_matrix, e_mul, exp_b, sample_e_element
-from .linalg import Bivector, Rng
+from .linalg import Bivector, Rng, worst
 from .matched import MatchedPair
 from .trig import TrigPoly, fit_trig
 
 
-def _c_bracket_table(mp: MatchedPair) -> np.ndarray:
-    """brackets [y_i, y_j] in g-coordinates, shape (k, k, n), cached per pair."""
-    table = getattr(mp, "_c_brackets", None)
-    if table is not None:
-        return table
-    k = mp.dim_c
-    out = np.zeros((k, k, mp.g.dim))
-    for i in range(k):
-        for j in range(i + 1, k):
-            br = mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j])
-            out[i, j] = br
-            out[j, i] = -br
-    mp._c_brackets = out
-    return out
-
-
 def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j."""
-    table = _c_bracket_table(mp)
+    table = mp.c_brackets
     k, m = mp.dim_c, mp.dim_b
     ad = adjoint_matrix(mp, g.a)
     w = mp.b0_to_gstar(g.v)
@@ -67,7 +51,7 @@ def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> Bivector:
 def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
     """Expansion of eta0 without group translation of the wedge frame:
     (1/2) <v, [y_i, y_j]> psi^i ^ psi^j  -  Ad*_a psi^i ^ ad*(P_b Ad_a y_i)(v)."""
-    table = _c_bracket_table(mp)
+    table = mp.c_brackets
     k, m = mp.dim_c, mp.dim_b
     w = mp.b0_to_gstar(g.v)
     val = np.einsum("p,ijp->ij", w, table)
@@ -89,7 +73,7 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
     """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h)."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    worst = 0.0
+    out = 0.0
     for _ in range(samples):
         g = sample_e_element(mp, rng, radius)
         h = sample_e_element(mp, rng, radius)
@@ -98,16 +82,16 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
         pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign).coeffs @ a.T
         base = eta(mp, g, eta_b_sign=eta_b_sign).coeffs
         resid = np.max(np.abs(lhs - base - pushed))
-        scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(base)), np.max(np.abs(pushed)))
-        worst = max(worst, float(resid / scale))
+        scale = 1.0 + worst(np.max(np.abs(lhs)), np.max(np.abs(base)), np.max(np.abs(pushed)))
+        out = worst(out, resid / scale)
     return {
         "pair": mp.name,
         "check": "eta_cocycle",
         "samples": samples,
         "seed": rng.seed,
-        "max_residual": worst,
+        "max_residual": out,
         "tolerance": tol,
-        "pass": bool(worst <= tol),
+        "pass": bool(out <= tol),
     }
 
 

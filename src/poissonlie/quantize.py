@@ -478,9 +478,6 @@ class Coproduct:
                 terms[key] = terms.get(key, 0) + c
         return TensorElement(self.alg, 2, terms)
 
-    def one2(self) -> TensorElement:
-        return TensorElement(self.alg, 2, {((0, 0, 0), (0, 0, 0)): 1.0})
-
     def _delta_monomial(self, key: Key) -> TensorElement:
         if key in self._mono_cache:
             return TensorElement(self.alg, 2, self._mono_cache[key])

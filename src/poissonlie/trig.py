@@ -56,20 +56,11 @@ class TrigPoly:
         """d/dphi."""
         return TrigPoly({n: 1j * n * c for n, c in self.coeffs.items()})
 
-    def chop(self, eps: float = _CHOP) -> "TrigPoly":
-        return TrigPoly({n: c for n, c in self.coeffs.items() if abs(c) > eps})
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def residual(self, other: "TrigPoly") -> float:
         return (self - other).max_abs()
-
-    def is_zero(self, eps: float = _CHOP) -> bool:
-        return self.max_abs() <= eps
-
-    def evaluate(self, phi: float) -> complex:
-        return sum(c * np.exp(1j * n * phi) for n, c in self.coeffs.items())
 
     def halve_modes(self) -> "TrigPoly":
         """Reindex e^{2i k phi} -> e^{i k theta}; requires purely even support."""

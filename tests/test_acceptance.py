@@ -14,7 +14,7 @@ from poissonlie.bialgebra import (build_e, check_coboundary, check_r_uniqueness,
                                   delta_consistency_residual, delta_direct,
                                   r_matrix)
 from poissonlie.catalog import get_entry, su11, supq1
-from poissonlie.checks import CORRUPTION_KNOBS, applicable_checks, run_check
+from poissonlie.checks import REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import adE, adE_fd, sample_e_element
 from poissonlie.linalg import Rng
@@ -133,14 +133,14 @@ def test_criterion_06_delta_two_routes_all_pairs():
 
 def test_criterion_07_su_p1_reproduction():
     from poissonlie.checks import (_adstar_u_residual, _best_sign,
-                                   _computed_c_structure, _displayed_delta_table,
+                                   _displayed_delta_table,
                                    _su_p1_displayed_bracket_table)
 
     worst = 0.0
     erratum_confirmed = True
     for p in (2, 3):
         entry = supq1(p)
-        sign_b, resid_b = _best_sign(_computed_c_structure(entry.mp),
+        sign_b, resid_b = _best_sign(entry.mp.c_structure,
                                      _su_p1_displayed_bracket_table(entry))
         worst = max(worst, resid_b)
         # dual-basis display: matrix representatives against solved coordinates
@@ -242,10 +242,10 @@ def test_criterion_10_semiclassical_and_coproduct():
 def test_criterion_11_negative_controls():
     entry = su11()
     failures = {}
-    for knob, check in CORRUPTION_KNOBS.items():
-        assert check in applicable_checks(entry)
-        rep = run_check(check, entry, 20, Rng(1), DEFAULT_TOL, corrupt=knob)
-        failures[knob] = (not rep["pass"]) and rep["max_residual"] > 1e-3
+    for check in REGISTRY.values():
+        assert check.name in applicable_checks(entry)
+        rep = run_check(check.name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=check.knob)
+        failures[check.knob] = (not rep["pass"]) and rep["max_residual"] > 1e-3
     report(11, all(failures.values()),
            "every suite fails (residual > 1e-3) under its documented corruption "
            f"knob: {sum(failures.values())}/{len(failures)} knobs effective")

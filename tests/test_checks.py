@@ -1,0 +1,47 @@
+import math
+
+import pytest
+
+from poissonlie.catalog import get_entry
+from poissonlie.checks import REGISTRY, applicable_checks, run_check
+from poissonlie.config import DEFAULT_TOL
+from poissonlie.linalg import Rng
+from poissonlie.matched import MatchedPair
+
+
+def test_registry_scopes():
+    su11, su21 = get_entry("su11"), get_entry("su21")
+    assert applicable_checks(su11) == list(REGISTRY)
+    assert applicable_checks(su21) == [n for n in REGISTRY
+                                       if n not in ("semiclassical", "dual_families")]
+    assert applicable_checks(su21.mp) == ["jacobi", "invariance", "cocycle",
+                                          "delta_consistency", "bialgebra_axioms"]
+    knobs = {c.knob for c in REGISTRY.values()}
+    assert len(knobs) == len(REGISTRY)
+
+
+def test_run_check_refuses_inapplicable_target():
+    doc = get_entry("su11").mp.to_json_dict()
+    del doc["algebra"]["realization"]
+    bare = MatchedPair.from_json_dict(doc)
+    with pytest.raises(ValueError, match="does not apply"):
+        run_check("cocycle", bare, 1, Rng(0), DEFAULT_TOL)
+    with pytest.raises(ValueError, match="does not apply"):
+        run_check("coboundary", get_entry("su11").mp, 1, Rng(0), DEFAULT_TOL)
+
+
+def test_nan_sample_residual_fails_the_check(monkeypatch):
+    # max(0.0, nan) is 0.0: a plain max accumulator would report a pass
+    monkeypatch.setattr(MatchedPair, "invariance_residual", lambda self, a: float("nan"))
+    rep = run_check("invariance", get_entry("su21"), 3, Rng(0), DEFAULT_TOL)
+    assert math.isnan(rep["max_residual"])
+    assert rep["pass"] is False
+
+
+def test_fd_step_reaches_delta_consistency():
+    entry = get_entry("su11")
+    base = run_check("delta_consistency", entry, 1, Rng(0), DEFAULT_TOL)
+    coarse = run_check("delta_consistency", entry, 1, Rng(0),
+                       DEFAULT_TOL.override(fd_step=1e-2))
+    assert base["pass"]
+    assert coarse["max_residual"] != base["max_residual"]

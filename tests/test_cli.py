@@ -1,6 +1,17 @@
+import copy
 import json
 import subprocess
 import sys
+import tempfile
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonlie import checks, cli
+from poissonlie.catalog import get_entry
 
 RUN = [sys.executable, "-m", "poissonlie.cli"]
 
@@ -163,3 +174,86 @@ def test_tolerance_override_is_live(tmp_path):
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["meta"]["tolerances"]["algebraic"] == 1e-20
     assert not doc["results"][0]["pass"]
+
+
+@pytest.mark.parametrize("flag", [
+    "--seed=-1",
+    "--tol-algebraic=nan", "--tol-algebraic=inf", "--tol-algebraic=-inf",
+    "--tol-algebraic=-1e-9",
+    "--tol-fd=nan", "--tol-fd=inf", "--tol-fd=-inf", "--tol-fd=-1e-6",
+])
+def test_bad_seed_or_tolerance_exit_64(flag, capsys):
+    code = cli.main(["verify", "su11", "--checks", "jacobi", flag, "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.count("\n") == 1 and err.startswith("invalid configuration")
+
+
+def test_internal_error_exit_70(monkeypatch, capsys, tmp_path):
+    def broken(structure):
+        raise RuntimeError("broken residual")
+
+    monkeypatch.setattr(checks, "jacobi_residual", broken)
+    code = cli.main(["verify", "su11", "--checks", "jacobi",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: broken residual" in err
+
+
+def test_nan_realization_import_exit_2(tmp_path, capsys):
+    doc = get_entry("su21").mp.to_json_dict()
+    doc["algebra"]["realization"][0]["re"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--checks", "jacobi",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@cache
+def _su11_doc() -> dict:
+    return get_entry("su11").mp.to_json_dict()
+
+
+def _number_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _number_paths(value, path + (i,))
+    elif isinstance(node, (int, float)):
+        yield path
+
+
+#: keys whose loss makes the file unreadable as a matched pair
+REQUIRED_KEYS = [("algebra",), ("b",), ("c",), ("algebra", "labels"),
+                 ("algebra", "structure"), ("algebra", "realization", 0, "re"),
+                 ("algebra", "realization", 2, "im")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_import_exits_2_or_64(data):
+    doc = copy.deepcopy(_su11_doc())
+    if data.draw(st.booleans(), label="inject"):
+        *parent, last = data.draw(st.sampled_from(sorted(_number_paths(doc), key=str)))
+        value = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    else:
+        *parent, last = data.draw(st.sampled_from(REQUIRED_KEYS))
+        value = None
+    node = doc
+    for key in parent:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify", str(path), "--checks", "jacobi",
+                         "--out", str(Path(tmp) / "r.json")])
+    assert code in (2, 64)

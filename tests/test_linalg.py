@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from poissonlie.linalg import (BasedSpace, Bivector, Rng, SpaceMismatchError,
                                Tensor2, Vec, finite_diff, pair_tensor,
-                               sample_vec, wedge)
+                               sample_vec, wedge, worst)
 
 V3 = BasedSpace.make(["e1", "e2", "e3"])
 
@@ -132,3 +134,10 @@ def test_sample_vec_mean_near_zero():
     for _ in range(n):
         total += sample_vec(rng, V3, 1.0).coords
     assert np.max(np.abs(total / n)) < 0.05
+
+
+def test_worst_propagates_nan():
+    assert worst() == 0.0
+    assert worst(1e-3, 2, np.float64(0.5)) == 2.0
+    assert math.isnan(worst(0.0, float("nan"), 1.0))
+    assert worst(0.0, float("inf")) == float("inf")
