@@ -255,6 +255,31 @@ def check_coboundary(ea: EAlgebra, delta: list[Bivector], r: Bivector,
     return {"max_residual": out, "pass": bool(out <= ALGEBRAIC_TOL)}
 
 
+def _uniqueness_operator(ea: EAlgebra, drop_b0_rows: bool = False) -> np.ndarray:
+    """The invariance equations on the candidates, one column per candidate.
+
+    Candidates are the unit tensors x_a (x) psi_b and psi_b (x) x_a as n x n
+    matrices t; the rows for basis vector X hold vec(A t + t A^T), A = ad_e(X).
+    `drop_b0_rows` is the negative control of `check_r_uniqueness`."""
+    e = ea.e
+    k, m = ea.k, ea.m
+    n = e.dim
+    cands = np.zeros((m, k, 2, n, n))
+    a, b = np.arange(m)[:, None], np.arange(k)[None, :]
+    cands[a, b, 0, k + a, b] = 1.0
+    cands[a, b, 1, b, k + a] = 1.0
+    cands = cands.reshape(2 * k * m, n, n)
+    basis_range = range(k, n) if drop_b0_rows else range(n)
+    stacked = np.empty((len(basis_range), n * n, len(cands)))
+    for row, x in enumerate(basis_range):
+        ad = e.ad_matrix_coords(np.eye(n)[x])
+        if drop_b0_rows:
+            ad[:k, :] = 0.0
+            ad[:, :k] = 0.0
+        stacked[row] = (ad @ cands + cands @ ad.T).reshape(len(cands), n * n).T
+    return stacked.reshape(-1, len(cands))
+
+
 def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
                        drop_b0_rows: bool = False) -> dict:
     """Dimension of invariant elements of (k (x) k0) (+) (k0 (x) k).
@@ -263,32 +288,9 @@ def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
     basis vector X is ad_e(X) on both tensor legs.  With `drop_b0_rows` the
     equations for X in b0 are removed and the action on the k0 legs is dropped
     (the documented negative control; central elements then survive)."""
-    e = ea.e
-    k, m = ea.k, ea.m
-    n = e.dim
-    cands = []
-    for a in range(m):
-        for b in range(k):
-            t = np.zeros((n, n))
-            t[k + a, b] = 1.0
-            cands.append(t.ravel())
-            t = np.zeros((n, n))
-            t[b, k + a] = 1.0
-            cands.append(t.ravel())
-    cand_mat = np.column_stack(cands)
-    rows = []
-    basis_range = range(k, n) if drop_b0_rows else range(n)
-    for x in basis_range:
-        a = e.ad_matrix_coords(np.eye(n)[x])
-        if drop_b0_rows:
-            a = a.copy()
-            a[:k, :] = 0.0
-            a[:, :k] = 0.0
-        op = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
-        rows.append(op @ cand_mat)
-    stacked = np.vstack(rows)
+    stacked = _uniqueness_operator(ea, drop_b0_rows)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    kernel_dim = int(cand_mat.shape[1] - np.sum(svals > svd_tol))
+    kernel_dim = int(stacked.shape[1] - np.sum(svals > svd_tol))
     return {
         "kernel_dim": kernel_dim,
         "svd_threshold": svd_tol,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ALGEBRAIC_TOL, P_CAP
-from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, trace_pairing
+from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, trace_gram
 from .linalg import worst
 from .matched import MatchedPair
 
@@ -139,7 +139,7 @@ def supq1(p: int) -> CatalogEntry:
     for k in range(p):
         p_mats.append(_unit(n, k, n - 1) + _unit(n, n - 1, k))
         p_mats.append(1j * (_unit(n, k, n - 1) - _unit(n, n - 1, k)))
-    p_rows = np.array([g.coords_of(m) for m in p_mats])
+    p_rows = g.coords_of(p_mats)
     cartan = SubspaceDecomposition(g, {"k": b_rows, "p": p_rows})
 
     z_mat = np.diag([1j] * p + [-1j * p]).astype(complex) / (p + 1)
@@ -177,9 +177,9 @@ def _validate_entry(entry: CatalogEntry):
         if not resid <= ALGEBRAIC_TOL:
             raise ValueError(f"realization matrix violates the signature relation ({resid:.3e})")
     # dual basis against the displayed matrix representatives
-    for i, psi_mat in enumerate(entry.psi_mats):
-        coords = np.array([trace_pairing(psi_mat, m, IM_TRACE) for m in g.realization])
-        if not np.max(np.abs(coords - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
+    coords = trace_gram(entry.psi_mats, g.realization, IM_TRACE)
+    for i in range(len(entry.psi_mats)):
+        if not np.max(np.abs(coords[i] - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
             raise ValueError(f"dual basis {i} disagrees with its matrix representative")
     # z normalization: ad(z)^2 = -1 on the Cartan complement
     ad_z = g.ad_matrix_coords(entry.z)

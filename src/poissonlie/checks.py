@@ -176,8 +176,9 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     details = {}
     resid = 0.0
     complementary = True
+    big = mn.build_gc_algebra(entry)
     for which in ("g", "gprime"):
-        mt = mn.manin_triple(entry, which, corrupt_gstar=corrupted)
+        mt = mn.manin_triple(entry, which, corrupt_gstar=corrupted, big=big)
         rep = mn.check_manin(mt, tol=tol.algebraic)
         details[which] = rep
         resid = worst(resid, rep["isotropy_half_a"], rep["isotropy_half_b"],
@@ -216,10 +217,10 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
-                         s_scale=2.0 if corrupted else 1.0)
     dg = mn.cobracket_on_gstar(entry, list(entry.g.realization))
     dgp = mn.cobracket_on_gstar(entry, mn.gprime_half(entry))
+    rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
+                         s_scale=2.0 if corrupted else 1.0, delta_g=dg, delta_gp=dgp)
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)

@@ -3,9 +3,10 @@ verification suites with seeds and tolerances, and emit JSON plus a text summary
 
 A check passes when its residual is finite and within its tolerance.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 the imported pair
-could not be parsed or holds a NaN or inf, 64 invalid configuration (unknown
-check, knob or pair, inapplicable check, negative seed, or a NaN, infinite or
-negative tolerance), 70 internal error (traceback on stderr).  Reports are
+could not be parsed or holds a NaN or inf, 64 invalid configuration (a usage
+error, unknown check, knob or pair, inapplicable check, negative seed, a NaN,
+infinite or negative tolerance, or an unwritable --out path), 70 internal
+error (traceback on stderr).  Reports are
 byte-identical across runs with the same configuration and seed, apart from
 the timestamp field."""
 
@@ -40,6 +41,15 @@ class ConfigError(ValueError):
 
 class PairImportError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64, invalid configuration; argparse's own 2 is the
+    bad-import code here.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -205,6 +215,14 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
     return lines
 
 
+def _write_file(path: str, payload: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _dump_report(report: dict, out: str | None, summary: str):
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out == "-":
@@ -212,14 +230,13 @@ def _dump_report(report: dict, out: str | None, summary: str):
         sys.stderr.write(summary)
     else:
         path = out or "poissonlie-report.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(path, payload)
         sys.stdout.write(summary)
         sys.stdout.write(f"report written to {path}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poissonlie",
         description="verify Poisson-Lie structures built from matched pairs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,16 +273,15 @@ def main(argv=None) -> int:
                 print(name)
             return EXIT_OK
         try:
-            entry = get_entry(args.name)
-        except KeyError as exc:
+            payload = json.dumps(get_entry(args.name).mp.to_json_dict(),
+                                 sort_keys=True, indent=2) + "\n"
+            if args.out == "-":
+                sys.stdout.write(payload)
+            else:
+                _write_file(args.out, payload)
+        except (KeyError, ConfigError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_BAD_CONFIG
-        payload = json.dumps(entry.mp.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        if args.out == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
         return EXIT_OK
 
     tol = DEFAULT_TOL
@@ -286,6 +302,7 @@ def main(argv=None) -> int:
     )
     try:
         code, report, summary = run(config)
+        _dump_report(report, config.out, summary)
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG
@@ -295,7 +312,6 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
-    _dump_report(report, config.out, summary)
     return code
 
 

@@ -23,24 +23,46 @@ IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
 
 
+def _trace_part(t, spec: str):
+    if spec == IM_TRACE:
+        return np.imag(t)
+    if spec == RE_TRACE:
+        return np.real(t)
+    raise ValueError(f"unknown pairing spec {spec!r}")
+
+
 def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
     """Invariant pairing of two complex matrices: Im tr(xy) or Re tr(xy)."""
-    t = np.trace(x @ y)
-    if spec == IM_TRACE:
-        return float(np.imag(t))
-    if spec == RE_TRACE:
-        return float(np.real(t))
-    raise ValueError(f"unknown pairing spec {spec!r}")
+    return float(_trace_part(np.trace(x @ y), spec))
+
+
+def trace_gram(xs, ys, spec: str) -> np.ndarray:
+    """Gram matrix G[a, b] = trace_pairing(xs[a], ys[b], spec) of two matrix stacks."""
+    t = np.einsum("aij,bji->ab", np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
+    return _trace_part(t, spec)
+
+
+def commutators(xs, ys) -> np.ndarray:
+    """Table of all commutators: out[a, b] = xs[a] ys[b] - ys[b] xs[a]."""
+    xs = np.asarray(xs, dtype=complex)[:, None]
+    ys = np.asarray(ys, dtype=complex)[None, :]
+    return xs @ ys - ys @ xs
+
+
+def pair_commutators(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (i, j) over all pairs i < j and the commutators [mats[i], mats[j]]."""
+    m = np.asarray(mats, dtype=complex)
+    i, j = np.triu_indices(len(m), 1)
+    return i, j, m[i] @ m[j] - m[j] @ m[i]
 
 
 class MatrixBasisSolver:
     """Least-squares re-expansion of complex matrices in a fixed real-span basis."""
 
     def __init__(self, mats: Sequence[np.ndarray]):
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
-        self.shape = self.mats[0].shape
-        cols = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in self.mats]
-        self._basis = np.column_stack(cols)
+        self.stack = np.array(mats, dtype=complex)
+        flat = self.stack.reshape(len(self.stack), -1)
+        self._basis = np.concatenate([flat.real, flat.imag], axis=1).T
         # economy QR gives a stable repeated solver for tiny systems
         self._q, self._r = np.linalg.qr(self._basis)
 
@@ -55,26 +77,30 @@ class MatrixBasisSolver:
     def solve_many(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
         """Batch re-expansion: mats has shape (count, m, m); returns
         (coords with shape (n, count), worst residual)."""
-        stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+        coords, resids = self.solve_each(mats)
+        return coords, float(np.max(resids, initial=0.0))
+
+    def solve_each(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Like `solve_many`, with the residual of each matrix separately."""
+        stack = np.asarray(mats, dtype=complex).reshape(len(mats), self.stack[0].size)
         v = np.concatenate([stack.real, stack.imag], axis=1).T
         coords = np.linalg.solve(self._r, self._q.T @ v)
-        resid = float(np.max(np.abs(self._basis @ coords - v)))
-        return coords, resid
+        return coords, np.max(np.abs(self._basis @ coords - v), axis=0)
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        for c, m in zip(coords, self.mats):
-            out = out + c * m
-        return out
+        """sum_i coords[..., i] * mats[i]; a stack of coordinate rows gives a stack."""
+        return np.tensordot(coords, self.stack, axes=1)
 
 
 def jacobi_residual(structure: np.ndarray) -> float:
-    """Max over basis triples of the Jacobi identity residual."""
+    """Max over basis triples of the Jacobi identity residual.
+
+    Computed one slice of the first index at a time, so no n^4 array is held."""
     c = structure
-    term = (np.einsum("ijl,lkm->ijkm", c, c)
-            + np.einsum("jkl,lim->ijkm", c, c)
-            + np.einsum("kil,ljm->ijkm", c, c))
-    return float(np.max(np.abs(term)))
+    return worst(*(np.max(np.abs(np.tensordot(c[i], c, axes=1)
+                                 + np.tensordot(c, c[:, i], axes=1)
+                                 + np.tensordot(c[:, i], c, axes=1).swapaxes(0, 1)))
+                   for i in range(c.shape[0])))
 
 
 @dataclass(eq=False)
@@ -138,24 +164,24 @@ class LieAlgebra:
         return self._solver.combine(np.asarray(coords, dtype=float))
 
     def coords_of(self, mat: np.ndarray, tol: float = ALGEBRAIC_TOL) -> np.ndarray:
+        """Coordinates of a matrix; a stack of matrices gives one row each."""
         if self.realization is None:
             raise ValueError("algebra has no matrix realization")
-        coords, resid = self._solver.solve(mat)
+        mat = np.asarray(mat, dtype=complex)
+        if mat.ndim == 3:
+            coords, resid = self._solver.solve_many(mat)
+            coords = coords.T
+        else:
+            coords, resid = self._solver.solve(mat)
         if not resid <= tol:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
         return coords
 
     def realization_residual(self) -> float:
         """Max mismatch between matrix commutators and stored structure constants."""
-        out = 0.0
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = (self.realization[i] @ self.realization[j]
-                        - self.realization[j] @ self.realization[i])
-                coords, resid = self._solver.solve(comm)
-                out = worst(out, resid, np.max(np.abs(coords - self.structure[i, j])))
-        return out
+        i, j, comms = pair_commutators(self.realization)
+        coords, resid = self._solver.solve_many(comms)
+        return worst(resid, np.max(np.abs(coords.T - self.structure[i, j]), initial=0.0))
 
     def invariant_pairing(self, x: Vec, y: Vec) -> float:
         if self.pairing is None:
@@ -202,16 +228,15 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
     """Build a LieAlgebra by re-expanding matrix commutators in the given basis."""
     solver = MatrixBasisSolver(mats)
     n = len(mats)
+    i, j, comms = pair_commutators(mats)
+    coords, resids = solver.solve_each(comms)
+    if not np.max(resids, initial=0.0) <= ALGEBRAIC_TOL:
+        bad = int(np.argmax(resids))   # the first NaN, if any
+        raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
+                         f"(residual {resids[bad]:.3e})")
     structure = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords, resid = solver.solve(comm)
-            if not resid <= ALGEBRAIC_TOL:
-                raise ValueError(
-                    f"commutator [{labels[i]}, {labels[j]}] leaves the span (residual {resid:.3e})")
-            structure[i, j] = coords
-            structure[j, i] = -coords
+    structure[i, j] = coords.T
+    structure[j, i] = -coords.T
     return LieAlgebra(BasedSpace.make(labels), structure,
                       realization=list(mats), pairing=pairing)
 

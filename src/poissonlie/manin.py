@@ -17,7 +17,8 @@ import numpy as np
 
 from .bialgebra import _alt3, normalize_z
 from .config import ALGEBRAIC_TOL, TWIST_INNER_SCALE
-from .lie import IM_TRACE, LieAlgebra, MatrixBasisSolver, from_realization, trace_pairing
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, MatrixBasisSolver, commutators,
+                  from_realization, pair_commutators, trace_gram)
 from .linalg import BasedSpace, Bivector, worst
 
 
@@ -75,8 +76,10 @@ def gc_compact_half(entry) -> list[np.ndarray]:
     return k_mats + [1j * m for m in p_mats]
 
 
-def manin_triple(entry, which: str, corrupt_gstar: bool = False) -> ManinTriple:
-    big = build_gc_algebra(entry)
+def manin_triple(entry, which: str, corrupt_gstar: bool = False,
+                 big: LieAlgebra | None = None) -> ManinTriple:
+    """The triple (gC, half, gstar); `big` reuses an already built gC algebra."""
+    big = build_gc_algebra(entry) if big is None else big
     gs = gstar_half(entry, complex_diagonal=corrupt_gstar)
     if which == "g":
         half_a = list(entry.g.realization)
@@ -93,30 +96,21 @@ def check_manin(mt: ManinTriple, tol: float = ALGEBRAIC_TOL) -> dict:
     """All triple axioms: isotropy, closure, complementarity, form invariance."""
     res = {}
     for name, half in (("half_a", mt.half_a), ("half_b", mt.half_b)):
-        res[f"isotropy_{name}"] = worst(*(abs(trace_pairing(x, y, mt.form))
-                                          for x in half for y in half))
-        closure = 0.0
-        solver = MatrixBasisSolver(half)
-        for i in range(len(half)):
-            for j in range(i + 1, len(half)):
-                comm = half[i] @ half[j] - half[j] @ half[i]
-                _, resid = solver.solve(comm)
-                closure = worst(closure, resid)
-        res[f"closure_{name}"] = closure
+        res[f"isotropy_{name}"] = float(np.max(np.abs(trace_gram(half, half, mt.form))))
+        _, _, comms = pair_commutators(half)
+        res[f"closure_{name}"] = MatrixBasisSolver(half).solve_many(comms)[1]
 
     dim_ok = len(mt.half_a) + len(mt.half_b) == mt.big.dim
     res["dimension_sum_ok"] = bool(dim_ok)
     if dim_ok:
-        cols = [mt.big.coords_of(m) for m in mt.half_a + mt.half_b]
-        t = np.column_stack(cols)
+        t = mt.big.coords_of(mt.half_a + mt.half_b).T
         cond = float(np.linalg.cond(t))
         res["complement_condition"] = cond
         res["complementarity_ok"] = bool(np.isfinite(cond) and cond < 1e8)
     else:
         res["complementarity_ok"] = False
 
-    gram = np.array([[trace_pairing(x, y, mt.form) for y in mt.big.realization]
-                     for x in mt.big.realization])
+    gram = trace_gram(mt.big.realization, mt.big.realization, mt.form)
     inv = (np.einsum("abd,dc->abc", mt.big.structure, gram)
            + np.einsum("acd,bd->abc", mt.big.structure, gram))
     res["form_invariance"] = float(np.max(np.abs(inv)))
@@ -154,14 +148,8 @@ def gprime_transport_residual(entry, e_structure: np.ndarray) -> tuple[float, fl
 def gprime_block_residual(entry) -> float:
     """[k, sigma(k0)] stays inside sigma(k0)."""
     lower = [sigma_conj(entry, m) for m in entry.psi_mats]
-    solver = MatrixBasisSolver(lower)
-    k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
-    out = 0.0
-    for x in k_mats:
-        for l in lower:
-            _, resid = solver.solve(x @ l - l @ x)
-            out = worst(out, resid)
-    return out
+    comms = commutators(entry.g.realization[:entry.mp.dim_b], lower)
+    return MatrixBasisSolver(lower).solve_many(comms.reshape(-1, *comms.shape[2:]))[1]
 
 
 # -- Cartan-cocycle deformations ------------------------------------------------
@@ -172,11 +160,9 @@ def phi_identification(entry) -> np.ndarray:
 
     Returns the p-basis coefficient matrix, columns indexed by the psi basis."""
     g = entry.g
-    p_rows = entry.cartan.parts["p"]
-    y_rows = entry.mp.y_basis
-    k = y_rows.shape[0]
-    gram = np.array([[trace_pairing(g.matrix_of(p_rows[a]), g.matrix_of(y_rows[b]), "RE_TRACE")
-                      for b in range(k)] for a in range(k)])
+    k = entry.mp.y_basis.shape[0]
+    gram = trace_gram(g.matrix_of(entry.cartan.parts["p"]), g.matrix_of(entry.mp.y_basis),
+                      RE_TRACE)
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > 1e8:
         raise ValueError("Re-trace form is degenerate on p x s")
@@ -222,20 +208,11 @@ def g_structure_in_model_basis(entry) -> np.ndarray:
     phi = phi_identification(entry)
     u_rows = (entry.cartan.parts["p"].T @ phi).T
     t = np.column_stack([u_rows.T, entry.mp._B])
-    t_inv = np.linalg.inv(t)
-    n = g.dim
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = t_inv @ g.bracket_coords(t[:, i], t[:, j])
-            c[i, j] = br
-            c[j, i] = -br
-    return c
+    return np.einsum("ai,bj,abr,sr->ijs", t, t, g.structure, np.linalg.inv(t), optimize=True)
 
 
 def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:
-    n = alg.dim
-    ad = np.array([alg.ad_matrix_coords(np.eye(n)[i]) for i in range(n)])
+    ad = np.transpose(alg.structure, (0, 2, 1))      # ad(e_i) = structure[i]^T
     killing = np.einsum("aij,bji->ab", ad, ad)
     return np.linalg.eigvalsh(killing)
 
@@ -246,9 +223,13 @@ def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:
 def _gstar_dual_basis(entry, half: list[np.ndarray]) -> np.ndarray:
     """Columns: gstar-coordinates of the form-dual basis of `half`."""
     gs = entry.gstar
-    pair = np.array([[trace_pairing(gs.realization[a], h, IM_TRACE)
-                      for h in half] for a in range(gs.dim)])
+    pair = trace_gram(gs.realization, half, IM_TRACE)
     return np.linalg.solve(pair.T, np.eye(gs.dim))
+
+
+def _pair_gs_g(entry) -> np.ndarray:
+    """Im-trace pairing of the gstar basis (rows) with the g basis (columns)."""
+    return trace_gram(entry.gstar.realization, entry.g.realization, IM_TRACE)
 
 
 def cobracket_on_gstar(entry, half: list[np.ndarray]) -> list[Bivector]:
@@ -256,83 +237,48 @@ def cobracket_on_gstar(entry, half: list[np.ndarray]) -> list[Bivector]:
     gs = entry.gstar
     n = gs.dim
     w = _gstar_dual_basis(entry, half)
-    brackets = [[half[a] @ half[b] - half[b] @ half[a] for b in range(n)] for a in range(n)]
-    out = []
-    for b_idx in range(n):
-        h = np.array([[trace_pairing(gs.realization[b_idx], brackets[a][b], IM_TRACE)
-                       for b in range(n)] for a in range(n)])
-        out.append(Bivector(gs.space, w @ h @ w.T))
-    return out
+    brackets = commutators(half, half).reshape(n * n, *half[0].shape)
+    h = trace_gram(gs.realization, brackets, IM_TRACE).reshape(n, n, n)
+    return [Bivector(gs.space, c) for c in w @ h @ w.T]
 
 
 def cprime_residual(entry, delta_g: list[Bivector], delta_other: list[Bivector],
                     expected_sign: float) -> float:
     """Residual of (delta_g - delta_other)(xi) = sign * c'(xi) with
     <c'(xi), X ^ Y> = <xi, [P_p X, P_p Y]_g> for X, Y in the g basis."""
-    g = entry.g
-    gs = entry.gstar
-    n = g.dim
-    pair_gs_g = np.array([[trace_pairing(gs.realization[a], g.realization[x], IM_TRACE)
-                           for x in range(n)] for a in range(n)])
-    p_parts = [entry.cartan.project("p", np.eye(n)[x]) for x in range(n)]
-    out = 0.0
-    for idx in range(n):
-        diff = (delta_g[idx] - delta_other[idx]).coeffs
-        lhs = pair_gs_g.T @ diff @ pair_gs_g
-        rhs = np.zeros((n, n))
-        for x in range(n):
-            for y in range(x + 1, n):
-                br = g.bracket_coords(p_parts[x], p_parts[y])
-                val = trace_pairing(gs.realization[idx], g.matrix_of(br), IM_TRACE)
-                rhs[x, y] = val
-                rhs[y, x] = -val
-        out = worst(out, np.max(np.abs(lhs - expected_sign * rhs)))
-    return out
-
-
-def _wedge2_1(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(antisymmetric 2-tensor) ^ (vector) in the unnormalized embedding."""
-    t = np.einsum("pq,r->pqr", c, w)
-    return (t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1)))
+    pair = _pair_gs_g(entry)
+    p_proj = entry.cartan.projections["p"]       # column x: P_p of basis vector x
+    # rhs[idx, x, y] = Im tr(xi_idx [P_p x, P_p y]_g)
+    rhs = np.einsum("ax,by,abr,ir->ixy", p_proj, p_proj, entry.g.structure, pair,
+                    optimize=True)
+    diff = np.array([dg.coeffs - do.coeffs for dg, do in zip(delta_g, delta_other)])
+    lhs = pair.T @ diff @ pair
+    return float(np.max(np.abs(lhs - expected_sign * rhs)))
 
 
 def schouten_square(alg: LieAlgebra, s: Bivector) -> np.ndarray:
-    """[s, s] as a Lambda^3 coefficient tensor, via the decomposable rule
-    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c."""
-    n = alg.dim
+    """[s, s] as a Lambda^3 coefficient tensor.
+
+    The decomposable rule [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c
+    summed over the antisymmetric coefficients of s collapses to the
+    antisymmetrization of s^{ap} s^{bq} [e_a, e_b]^r."""
     sm = s.coeffs
-    out = np.zeros((n, n, n))
-    nz = [(a, b) for a in range(n) for b in range(n) if sm[a, b] != 0.0]
-    eye = np.eye(n)
+    return _alt3(np.einsum("ap,bq,abr->rpq", sm, sm, alg.structure, optimize=True))
 
-    def wedge3(v1, v2, v3):
-        return _alt3(np.einsum("p,q,r->pqr", v1, v2, v3))
 
-    for a, b in nz:
-        for c, d in nz:
-            coef = 0.25 * sm[a, b] * sm[c, d]
-            out += coef * (wedge3(alg.structure[a, c], eye[b], eye[d])
-                           - wedge3(alg.structure[a, d], eye[b], eye[c])
-                           - wedge3(alg.structure[b, c], eye[a], eye[d])
-                           + wedge3(alg.structure[b, d], eye[a], eye[c]))
-    return out
+def _cyclic(t: np.ndarray) -> np.ndarray:
+    """t_pqr + t_rpq + t_qrp."""
+    return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))
 
 
 def gerstenhaber_d(alg_dim: int, delta: list[Bivector], s: Bivector) -> np.ndarray:
     """d s for d extending delta as a degree-1 derivation: d(a^b) = delta(a)^b - a^delta(b)."""
-    n = alg_dim
     sm = s.coeffs
-    eye = np.eye(n)
-    out = np.zeros((n, n, n))
+    stack = np.array([d.coeffs for d in delta]).reshape(alg_dim, alg_dim, alg_dim)
     # a ^ delta(b) = delta(b) ^ a for a 1-form against a 2-form, so
-    # d(a^b) = delta(a)^b - delta(b)^a
-    for a in range(n):
-        for b in range(n):
-            if sm[a, b] == 0.0:
-                continue
-            out += 0.5 * sm[a, b] * (_wedge2_1(delta[a].coeffs, eye[b])
-                                     - _wedge2_1(delta[b].coeffs, eye[a]))
-    return out
+    # d(a^b) = delta(a)^b - delta(b)^a, each wedge a cyclic sum of C_pq w_r
+    return 0.5 * (_cyclic(np.einsum("ab,apq->pqb", sm, stack))
+                  - _cyclic(np.einsum("ab,bpq->pqa", sm, stack)))
 
 
 def twist_element(entry, scale: float = TWIST_INNER_SCALE,
@@ -342,59 +288,53 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
     (y_j) is an orthonormal basis of p for inner(u, v) = scale * Re tr(uv);
     `rotate` replaces it by another orthonormal basis (basis-independence tests)."""
     g = entry.g
-    gs = entry.gstar
     p_rows = entry.cartan.parts["p"]
-    k = p_rows.shape[0]
-    gram = scale * np.array(
-        [[trace_pairing(g.matrix_of(p_rows[a]), g.matrix_of(p_rows[b]), "RE_TRACE")
-          for b in range(k)] for a in range(k)])
+    p_mats = g.matrix_of(p_rows)
+    gram = scale * trace_gram(p_mats, p_mats, RE_TRACE)
     chol = np.linalg.cholesky(gram)
     onb = np.linalg.solve(chol, p_rows)          # rows: orthonormal basis of p
     if rotate is not None:
         onb = rotate @ onb
-    z = normalize_z(entry)
-    ad_z = g.ad_matrix_coords(z)
-    n = g.dim
-    pair_gs_g = np.array([[trace_pairing(gs.realization[a], g.realization[x], IM_TRACE)
-                           for x in range(n)] for a in range(n)])
+    ad_z = g.ad_matrix_coords(normalize_z(entry))
+    p_of_basis = g.matrix_of(entry.cartan.projections["p"].T)   # P_p x for each basis x
+    pair = _pair_gs_g(entry)
 
-    def flat(u_coords: np.ndarray) -> np.ndarray:
-        # xi in gstar with Im tr(xi x) = inner(u, P_p x) for all x in g
-        rhs = scale * np.array(
-            [trace_pairing(g.matrix_of(u_coords),
-                           g.matrix_of(entry.cartan.project("p", np.eye(n)[x])), "RE_TRACE")
-             for x in range(n)])
-        return np.linalg.solve(pair_gs_g.T, rhs)
+    def flat(u_rows: np.ndarray) -> np.ndarray:
+        # columns: xi in gstar with Im tr(xi x) = inner(u, P_p x) for all x in g
+        rhs = scale * trace_gram(g.matrix_of(u_rows), p_of_basis, RE_TRACE)
+        return np.linalg.solve(pair.T, rhs.T)
 
-    s_mat = np.zeros((gs.dim, gs.dim))
-    for j in range(k):
-        s_mat += np.outer(flat(ad_z @ onb[j]), flat(onb[j]))
+    # s = sum_j flat(ad_z y_j) (x) flat(y_j)
+    s_mat = flat(onb @ ad_z.T) @ flat(onb).T
     asym = float(np.max(np.abs(s_mat + s_mat.T)))
     if not asym <= 1e-9:
         raise ValueError(f"twist element not antisymmetric (residual {asym:.3e})")
-    return Bivector(gs.space, s_mat)
+    return Bivector(entry.gstar.space, s_mat)
 
 
 def twist_check(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0,
-                rotate: np.ndarray | None = None) -> dict:
+                rotate: np.ndarray | None = None, delta_g: list[Bivector] | None = None,
+                delta_gp: list[Bivector] | None = None) -> dict:
     """(i) antisymmetry of s, (ii) (1/2)[s, s] + d s = 0 with d from delta_gprime,
-    (iii) delta_g = delta_gprime + xi.s."""
+    (iii) delta_g = delta_gprime + xi.s.  The two cobrackets on gstar are
+    computed here unless the caller already has them."""
     gs = entry.gstar
     s = twist_element(entry, scale=scale, rotate=rotate)
     if s_scale != 1.0:
         s = s_scale * s
-    delta_g = cobracket_on_gstar(entry, list(entry.g.realization))
-    delta_gp = cobracket_on_gstar(entry, gprime_half(entry))
+    if delta_g is None:
+        delta_g = cobracket_on_gstar(entry, list(entry.g.realization))
+    if delta_gp is None:
+        delta_gp = cobracket_on_gstar(entry, gprime_half(entry))
 
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(gs.dim, delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))
 
-    relation = 0.0
-    n = gs.dim
-    for idx in range(n):
-        a = gs.ad_matrix_coords(np.eye(n)[idx])
-        twisted = delta_gp[idx].coeffs + a @ s.coeffs + s.coeffs @ a.T
-        relation = worst(relation, np.max(np.abs(delta_g[idx].coeffs - twisted)))
+    # the action of each basis vector: ad matrices a_idx = structure[idx]^T
+    ad = np.transpose(gs.structure, (0, 2, 1))
+    twisted = (np.array([d.coeffs for d in delta_gp])
+               + ad @ s.coeffs + s.coeffs @ gs.structure)
+    relation = float(np.max(np.abs(np.array([d.coeffs for d in delta_g]) - twisted)))
     return {
         "maurer_cartan_residual": mc_residual,
         "twist_relation_residual": relation,

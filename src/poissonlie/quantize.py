@@ -21,6 +21,7 @@ from math import comb
 
 import numpy as np
 
+from .linalg import worst
 from .matched import MatchedPair
 from .poisson import anchor_trig, circle_parameter_checks
 from .trig import TrigPoly
@@ -336,20 +337,17 @@ def semiclassical_pair_residuals(alg: CrossedAlgebra, a_key: Key, b_key: Key) ->
     comm = qa.commutator(qb)
     expected = poisson_sym(alg, SymElement({a_key: 1.0}), SymElement({b_key: 1.0}))
     d_top = a_key[0] + a_key[1] + b_key[0] + b_key[1] - 1
-    lead = 0.0
-    tail = 0.0
-    keys = set(comm.terms) | set(expected.terms)
-    for key in keys:
-        deg = key[0] + key[1]
+    lead, tail = [], []
+    for key in set(comm.terms) | set(expected.terms):
         got = comm.terms.get(key, {}).get(0, 0)
         want = expected.terms.get(key, 0)
-        if deg == d_top:
-            lead = max(lead, abs(got - want))
+        if key[0] + key[1] == d_top:
+            lead.append(abs(got - want))
         else:
             if want != 0:
-                lead = max(lead, abs(want))  # bracket must be homogeneous of top degree
-            tail = max(tail, abs(got))
-    return lead, tail
+                lead.append(abs(want))  # bracket must be homogeneous of top degree
+            tail.append(abs(got))
+    return worst(*lead), worst(*tail)
 
 
 def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int,
@@ -376,9 +374,9 @@ def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int,
                 continue
             pairs += 1
             lead, tail = semiclassical_pair_residuals(alg, a_key, b_key)
-            worst_lead = max(worst_lead, lead)
+            worst_lead = worst(worst_lead, lead)
             if (da, db) in ((1, 1), (1, 0), (0, 1)):
-                worst_exact = max(worst_exact, lead, tail)
+                worst_exact = worst(worst_exact, lead, tail)
     return {
         "degrees": maxdeg,
         "modes": maxmode,
@@ -386,7 +384,7 @@ def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int,
         "max_h0_residual": worst_lead,
         "max_exact_case_residual": worst_exact,
         "tolerance": tol,
-        "pass": bool(max(worst_lead, worst_exact) <= tol),
+        "pass": bool(worst(worst_lead, worst_exact) <= tol),
     }
 
 

@@ -189,6 +189,29 @@ def test_bad_seed_or_tolerance_exit_64(flag, capsys):
     assert err.count("\n") == 1 and err.startswith("invalid configuration")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "su11", "--tol-algebraic", "-inf"],   # argparse takes -inf for a flag
+    ["verify"],                                      # missing pair
+    ["bogus"],                                       # unknown subcommand
+])
+def test_usage_error_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "su11", "--checks", "jacobi"],
+    ["catalog", "export", "su11"],
+])
+def test_unwritable_out_exit_64(argv, capsys, tmp_path):
+    code = cli.main(argv + ["--out", str(tmp_path / "missing" / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
+
+
 def test_internal_error_exit_70(monkeypatch, capsys, tmp_path):
     def broken(structure):
         raise RuntimeError("broken residual")

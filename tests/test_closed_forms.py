@@ -1,0 +1,224 @@
+"""The closed-form tensor contractions against index-loop references.
+
+Each reference below is the term-by-term definition the contraction replaces.
+On the catalog data several of these tensors vanish ([s, s] and d s for the
+twist element), so the comparisons run on dense random inputs, where every
+index contributes."""
+
+import numpy as np
+import pytest
+
+from poissonlie.bialgebra import _alt3, _uniqueness_operator, build_e
+from poissonlie.catalog import get_entry
+from poissonlie.lie import (IM_TRACE, RE_TRACE, from_realization, jacobi_residual,
+                            trace_gram, trace_pairing)
+from poissonlie.linalg import Bivector
+from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
+                              gprime_half, schouten_square)
+
+PAIRS = ["su21", "su31"]
+
+
+@pytest.fixture(scope="module", params=PAIRS)
+def entry(request):
+    return get_entry(request.param)
+
+
+def _rng(entry):
+    return np.random.default_rng(entry.g.dim)
+
+
+def _dense_bivector(entry) -> Bivector:
+    n = entry.gstar.dim
+    return Bivector(entry.gstar.space, _rng(entry).standard_normal((n, n)))
+
+
+def _dense_cobracket(entry, seed: int) -> list[Bivector]:
+    n = entry.gstar.dim
+    rng = np.random.default_rng(seed)
+    return [Bivector(entry.gstar.space, rng.standard_normal((n, n))) for _ in range(n)]
+
+
+def _close(got, want):
+    scale = np.max(np.abs(want))
+    assert scale > 1e-3        # the input is not degenerate
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+# -- index-loop references -------------------------------------------------------
+
+
+def schouten_square_loop(alg, s: Bivector) -> np.ndarray:
+    """[s, s] term by term, s = sum_{a<b} s_ab a^b, from the decomposable rule
+    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  The
+    antisymmetrization is linear, so it is applied once at the end."""
+    n = alg.dim
+    c = alg.structure
+    sm = s.coeffs
+    t = np.zeros((n, n, n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for a, b in pairs:
+        for cc, d in pairs:
+            coef = sm[a, b] * sm[cc, d]
+            t[:, b, d] += coef * c[a, cc]
+            t[:, b, cc] -= coef * c[a, d]
+            t[:, a, d] -= coef * c[b, cc]
+            t[:, a, cc] += coef * c[b, d]
+    return _alt3(t)
+
+
+def gerstenhaber_d_loop(n: int, delta: list[Bivector], s: Bivector) -> np.ndarray:
+    """d s = sum_ab (1/2) s_ab (delta(a)^b - delta(b)^a), one basis pair at a time."""
+    def wedge2_1(c, w):
+        t = np.einsum("pq,r->pqr", c, w)
+        return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))
+
+    eye = np.eye(n)
+    out = np.zeros((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            out += 0.5 * s.coeffs[a, b] * (wedge2_1(delta[a].coeffs, eye[b])
+                                           - wedge2_1(delta[b].coeffs, eye[a]))
+    return out
+
+
+def jacobi_tensor(c: np.ndarray) -> np.ndarray:
+    """The full n^4 Jacobi tensor [[i,j],k] + [[j,k],i] + [[k,i],j]."""
+    return (np.einsum("ijl,lkm->ijkm", c, c) + np.einsum("jkl,lim->ijkm", c, c)
+            + np.einsum("kil,ljm->ijkm", c, c))
+
+
+def cobracket_on_gstar_loop(entry, half) -> list[np.ndarray]:
+    gs = entry.gstar
+    n = gs.dim
+    pair = np.array([[trace_pairing(gs.realization[a], h, IM_TRACE) for h in half]
+                     for a in range(n)])
+    w = np.linalg.solve(pair.T, np.eye(n))
+    out = []
+    for idx in range(n):
+        h = np.array([[trace_pairing(gs.realization[idx], half[a] @ half[b] - half[b] @ half[a],
+                                     IM_TRACE) for b in range(n)] for a in range(n)])
+        out.append(w @ h @ w.T)
+    return out
+
+
+def cprime_residual_loop(entry, delta_g, delta_other, sign) -> float:
+    g, gs = entry.g, entry.gstar
+    n = g.dim
+    pair = np.array([[trace_pairing(gs.realization[a], g.realization[x], IM_TRACE)
+                      for x in range(n)] for a in range(n)])
+    p_parts = [entry.cartan.project("p", np.eye(n)[x]) for x in range(n)]
+    out = 0.0
+    for idx in range(n):
+        lhs = pair.T @ (delta_g[idx] - delta_other[idx]).coeffs @ pair
+        rhs = np.zeros((n, n))
+        for x in range(n):
+            for y in range(x + 1, n):
+                br = g.matrix_of(g.bracket_coords(p_parts[x], p_parts[y]))
+                rhs[x, y] = trace_pairing(gs.realization[idx], br, IM_TRACE)
+                rhs[y, x] = -rhs[x, y]
+        out = max(out, np.max(np.abs(lhs - sign * rhs)))
+    return out
+
+
+def uniqueness_operator_kron(ea, drop_b0_rows: bool) -> np.ndarray:
+    """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n)."""
+    k, m, n = ea.k, ea.m, ea.e.dim
+    cands = []
+    for a in range(m):
+        for b in range(k):
+            for i, j in ((k + a, b), (b, k + a)):
+                t = np.zeros((n, n))
+                t[i, j] = 1.0
+                cands.append(t.ravel())
+    cand_mat = np.column_stack(cands)
+    rows = []
+    for x in (range(k, n) if drop_b0_rows else range(n)):
+        a = ea.e.ad_matrix_coords(np.eye(n)[x])
+        if drop_b0_rows:
+            a[:k, :] = 0.0
+            a[:, :k] = 0.0
+        rows.append((np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)) @ cand_mat)
+    return np.vstack(rows)
+
+
+# -- comparisons ---------------------------------------------------------------------
+
+
+def test_schouten_square_matches_loop(entry):
+    s = _dense_bivector(entry)
+    _close(schouten_square(entry.gstar, s), schouten_square_loop(entry.gstar, s))
+
+
+def test_gerstenhaber_d_matches_loop(entry):
+    s = _dense_bivector(entry)
+    delta = _dense_cobracket(entry, 5)
+    n = entry.gstar.dim
+    _close(gerstenhaber_d(n, delta, s), gerstenhaber_d_loop(n, delta, s))
+
+
+def test_jacobi_residual_matches_full_tensor(entry):
+    # a dense antisymmetric table is far from a Lie algebra
+    n = entry.g.dim
+    c = _rng(entry).standard_normal((n, n, n))
+    c = c - np.swapaxes(c, 0, 1)
+    want = float(np.max(np.abs(jacobi_tensor(c))))
+    assert want > 1.0
+    assert jacobi_residual(c) == pytest.approx(want, rel=1e-13)
+    assert jacobi_residual(entry.g.structure) <= 1e-12
+
+
+def test_jacobi_residual_propagates_nan(entry):
+    c = entry.g.structure.copy()
+    c[-1, -2, 0] = np.nan
+    assert np.isnan(jacobi_residual(c))
+
+
+@pytest.mark.parametrize("spec", [IM_TRACE, RE_TRACE])
+def test_trace_gram_matches_trace_pairing(entry, spec):
+    rng = _rng(entry)
+    d = entry.p + 1
+    xs = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    ys = list(entry.gstar.realization)
+    want = np.array([[trace_pairing(x, y, spec) for y in ys] for x in xs])
+    _close(trace_gram(xs, ys, spec), want)
+
+
+def test_cobracket_on_gstar_matches_loop(entry):
+    # a dense random basis of g as the half, so every pairing entry is nonzero
+    coeffs = _rng(entry).standard_normal((entry.g.dim, entry.g.dim))
+    half = list(entry.g.matrix_of(coeffs))
+    got = np.array([d.coeffs for d in cobracket_on_gstar(entry, half)])
+    _close(got, np.array(cobracket_on_gstar_loop(entry, half)))
+
+
+def test_cprime_residual_matches_loop(entry):
+    # the catalog cobrackets plus a dense perturbation: both sides of the
+    # relation are of the same size, so the sign of either one shows
+    dg = cobracket_on_gstar(entry, list(entry.g.realization))
+    do = [d + 0.1 * r for d, r in zip(cobracket_on_gstar(entry, gprime_half(entry)),
+                                      _dense_cobracket(entry, 12))]
+    for sign in (+1.0, -1.0):
+        want = cprime_residual_loop(entry, dg, do, sign)
+        assert cprime_residual(entry, dg, do, sign) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_uniqueness_operator_matches_kron(entry, drop_b0_rows):
+    ea = build_e(entry.mp)
+    got = _uniqueness_operator(ea, drop_b0_rows)
+    want = uniqueness_operator_kron(ea, drop_b0_rows)
+    assert got.shape == want.shape == ((ea.e.dim - (ea.k if drop_b0_rows else 0))
+                                       * ea.e.dim ** 2, 2 * ea.k * ea.m)
+    assert np.array_equal(got, want)
+
+
+def test_from_realization_names_the_bad_commutator():
+    def unit(i, j):
+        m = np.zeros((2, 2), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    # [E11, E12] and [E11, E21] stay in the span, [E12, E21] = E11 - E22 leaves it
+    with pytest.raises(ValueError, match=r"commutator \[e12, e21\] leaves the span"):
+        from_realization(["e11", "e12", "e21"], [unit(0, 0), unit(0, 1), unit(1, 0)])

@@ -182,6 +182,25 @@ def test_verify_semiclassical_negative_control():
     assert rep["max_h0_residual"] > 1e-3
 
 
+def test_verify_semiclassical_propagates_nan(alg, monkeypatch):
+    # a NaN pair residual must reach the sweep's maximum and fail it, not be
+    # dropped by max(); the first pair is left finite so NaN is not the first value
+    from poissonlie import quantize
+
+    real = quantize.semiclassical_pair_residuals
+    calls = []
+
+    def one_nan(alg_, a_key, b_key):
+        calls.append((a_key, b_key))
+        return (float("nan"), 0.0) if len(calls) == 2 else real(alg_, a_key, b_key)
+
+    monkeypatch.setattr(quantize, "semiclassical_pair_residuals", one_nan)
+    rep = verify_semiclassical(alg, 1, 1)
+    assert len(calls) > 2
+    assert np.isnan(rep["max_h0_residual"])
+    assert not rep["pass"]
+
+
 def test_pretty_printer(alg):
     x = alg.monomial(1, 1, 2).add(alg.monomial(0, 0, 0, coeff=3.0, h_power=1))
     s = x.pretty()
