@@ -21,9 +21,9 @@ from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
 from .lie import jacobi_residual
-from .linalg import Rng, worst
+from .linalg import Rng, worst, worst_at
 from .matched import MatchedPair
-from .group import adjoint_matrix, exp_b, sample_group_element
+from .group import SAMPLE_BLOCK, GroupStack, adjoint_matrix, exp_b, sample_group_matrices
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -104,30 +104,38 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 
 @_register("invariance", "invariance_flip_action", REALIZATION)
 def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    inv = 0.0
-    hom_worst = 0.0
-    for _ in range(samples):
-        a = sample_group_element(mp, rng)
-        b = sample_group_element(mp, rng)
-        if corrupted:
-            k_mat = mp.coadjoint_on_b0(a)
-            c_mat = mp.action_on_c(a.inverse())
-            inv = worst(inv, np.max(np.abs(k_mat @ c_mat.T - np.eye(mp.dim_c))))
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    inv, hom = [], []
+    for start in range(0, samples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, samples - start)
+        ab = GroupStack(mp, sample_group_matrices(mp, rng, 2 * count))  # a, b, a, b, ... as drawn
+        a, b = ab[0::2], ab[1::2]
+        if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
+            prod = mp.coadjoint_on_b0(a) @ np.swapaxes(mp.action_on_c(a.inverse()), 1, 2)
+            inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))
         else:
-            inv = worst(inv, mp.invariance_residual(a))
-        hom = mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b)
-        hom_worst = worst(hom_worst, np.max(np.abs(hom)))
-    return {"max_residual": worst(inv, hom_worst), "samples": samples,
-            "details": {"invariance": inv, "action_homomorphism": hom_worst}}
+            inv.append(mp.invariance_residual(a))
+        hom.append(np.abs(mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b))
+                   .max(axis=(1, 2)))
+    inv_worst, inv_at = worst_at(np.hstack(inv))
+    hom_worst, hom_at = worst_at(np.hstack(hom))
+    resid, part = worst_at([inv_worst, hom_worst])
+    return {"max_residual": resid, "samples": samples,
+            "details": {"invariance": inv_worst, "action_homomorphism": hom_worst,
+                        "worst_sample": (inv_at, hom_at)[part],
+                        "worst_part": ("invariance", "action_homomorphism")[part]}}
 
 
 @_register("cocycle", "eta_b_sign", REALIZATION)
 def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     sign = -1.0 if corrupted else 1.0
-    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign)
-    # the pair name and seed stay in the report so the run can be reproduced
+    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign,
+                           witness=True)
+    # the pair name, seed and witness elements make the run reproducible from the report
     return {"max_residual": rep["max_residual"], "samples": samples,
-            "pair": rep["pair"], "seed": rep["seed"], "details": {"eta_b_sign": sign}}
+            "pair": rep["pair"], "seed": rep["seed"],
+            "details": {"eta_b_sign": sign, **rep["witness"]}}
 
 
 @_register("delta_consistency", "delta_b0_sign", REALIZATION,
@@ -332,24 +340,18 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
     """Ad*_U on k0 ~ C^p equals multiplication by det(U) U."""
     mp = entry.mp
     p = entry.p
-    out = 0.0
     # complex coordinates: w_k = psi^I_k + i psi^R_k for k < p, w_p from (psi_a, psi_2)
-    def to_complex(v):
-        w = np.zeros(p, dtype=complex)
-        for kk in range(p - 1):
-            w[kk] = v[3 + 2 * kk] + 1j * v[2 + 2 * kk]
-        w[p - 1] = v[1] + 1j * v[0]
-        return w
-
-    for _ in range(samples):
-        a = sample_group_element(mp, rng)
-        u = a.matrix[:p, :p]
-        k_mat = mp.coadjoint_on_b0(a)
-        for i in range(2 * p):
-            img = to_complex(k_mat @ np.eye(2 * p)[i])
-            expect = np.linalg.det(u) * (u @ to_complex(np.eye(2 * p)[i]))
-            out = worst(out, np.max(np.abs(img - expect)))
-    return out
+    to_complex = np.zeros((p, 2 * p), dtype=complex)
+    for kk in range(p - 1):
+        to_complex[kk, 3 + 2 * kk] = 1.0
+        to_complex[kk, 2 + 2 * kk] = 1j
+    to_complex[p - 1, 1] = 1.0
+    to_complex[p - 1, 0] = 1j
+    a = GroupStack(mp, sample_group_matrices(mp, rng, samples))
+    k_mats = mp.coadjoint_on_b0(a)
+    u = a.matrices[:, :p, :p]
+    expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
+    return worst_at(np.abs(to_complex @ k_mats - expect))[0]
 
 
 def _r_display_matrices(entry) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .config import ALGEBRAIC_TOL
 from .linalg import BasedSpace, SpaceMismatchError, Vec, finite_array, worst
@@ -84,7 +85,7 @@ class MatrixBasisSolver:
         """Like `solve_many`, with the residual of each matrix separately."""
         stack = np.asarray(mats, dtype=complex).reshape(len(mats), self.stack[0].size)
         v = np.concatenate([stack.real, stack.imag], axis=1).T
-        coords = np.linalg.solve(self._r, self._q.T @ v)
+        coords = scipy.linalg.solve_triangular(self._r, self._q.T @ v, check_finite=False)
         return coords, np.max(np.abs(self._basis @ coords - v), axis=0)
 
     def combine(self, coords: np.ndarray) -> np.ndarray:

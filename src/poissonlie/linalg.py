@@ -131,6 +131,14 @@ def worst(*residuals: float) -> float:
     return out
 
 
+def worst_at(residuals: np.ndarray) -> tuple[float, int]:
+    """`worst` of a nonempty array of nonnegative residuals, with the index of
+    the value returned: the first NaN if there is one, else the first largest."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    i = int(np.argmax(r))   # argmax stops at the first NaN
+    return float(r[i]), i
+
+
 def finite_array(values, what: str) -> np.ndarray:
     """`values` as a float array; outside input with a NaN or inf is rejected."""
     arr = np.asarray(values, dtype=float)

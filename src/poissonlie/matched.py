@@ -15,7 +15,7 @@ from .lie import LieAlgebra, SubspaceDecomposition, dual_basis
 from .linalg import BasedSpace, Tensor2, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .group import GroupElement
+    from .group import GroupElement, GroupStack
 
 
 @dataclass(eq=False)
@@ -99,21 +99,17 @@ class MatchedPair:
         return (self._T_inv @ np.asarray(x, dtype=float))[self.dim_b:]
 
     def b_matrix_of(self, xb: np.ndarray) -> np.ndarray:
-        """Realization matrix of a b-part coordinate vector."""
-        return self.g.matrix_of(self._B @ np.asarray(xb, dtype=float))
+        """Realization matrix of a b-part coordinate vector; rows of a stack give a stack."""
+        return self.g.matrix_of(np.asarray(xb, dtype=float) @ self._B.T)
 
     # -- operations -----------------------------------------------------------
 
     @cached_property
     def c_brackets(self) -> np.ndarray:
         """Brackets [y_i, y_j] in g-coordinates, shape (k, k, n)."""
-        k = self.dim_c
-        out = np.zeros((k, k, self.g.dim))
-        for i in range(k):
-            for j in range(i + 1, k):
-                br = self.g.bracket_coords(self.y_basis[i], self.y_basis[j])
-                out[i, j] = br
-                out[j, i] = -br
+        y = self.y_basis
+        out = np.einsum("ip,jq,pqr->ijr", y, y, self.g.structure, optimize=True)
+        out = 0.5 * (out - out.swapaxes(0, 1))   # exactly antisymmetric, zero diagonal
         out.setflags(write=False)
         return out
 
@@ -128,18 +124,15 @@ class MatchedPair:
         space = BasedSpace.make([f"t_{i}" for i in range(k)])
         return Tensor2(space, np.eye(k))
 
-    def action_on_c(self, a: "GroupElement") -> np.ndarray:
-        """Matrix of P_c Ad_a restricted to c, in the y-basis."""
-        from .group import adjoint_matrix
+    def action_on_c(self, a: "GroupElement | GroupStack") -> np.ndarray:
+        """Matrix of P_c Ad_a restricted to c, in the y-basis; one per element
+        of a GroupStack."""
+        return self._Psi.T @ a.ad @ self._Y
 
-        ad = adjoint_matrix(self, a)
-        return self._Psi.T @ ad @ self._Y
-
-    def coadjoint_on_b0(self, a: "GroupElement") -> np.ndarray:
-        """Matrix of Ad*_a restricted to b0, in the psi-basis."""
-        from .group import coadjoint_matrix
-
-        return self._Y.T @ coadjoint_matrix(self, a) @ self._Psi
+    def coadjoint_on_b0(self, a: "GroupElement | GroupStack") -> np.ndarray:
+        """Matrix of Ad*_a restricted to b0, in the psi-basis; one per element
+        of a GroupStack."""
+        return self._Y.T @ np.swapaxes(a.ad_inv, -1, -2) @ self._Psi
 
     def anchor(self, y: np.ndarray, a: "GroupElement") -> np.ndarray:
         """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates."""
@@ -152,11 +145,12 @@ class MatchedPair:
             raise ValueError("y is not in the c-part")
         return self.b_coords(adjoint_matrix(self, a) @ y)
 
-    def invariance_residual(self, a: "GroupElement") -> float:
-        """Residual of sum_i Ad*_a psi^i (x) P_c Ad_a y_i = sum_i psi^i (x) y_i."""
-        k_mat = self.coadjoint_on_b0(a)
-        c_mat = self.action_on_c(a)
-        return float(np.max(np.abs(k_mat @ c_mat.T - np.eye(self.dim_c))))
+    def invariance_residual(self, a: "GroupElement | GroupStack") -> "float | np.ndarray":
+        """Residual of sum_i Ad*_a psi^i (x) P_c Ad_a y_i = sum_i psi^i (x) y_i;
+        an array of one residual per element for a GroupStack."""
+        prod = self.coadjoint_on_b0(a) @ np.swapaxes(self.action_on_c(a), -1, -2)
+        resid = np.abs(prod - np.eye(self.dim_c)).max(axis=(-2, -1))
+        return resid if resid.ndim else float(resid)
 
     # -- serialization ----------------------------------------------------------
 

@@ -13,39 +13,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .group import EElement, adE, adjoint_matrix, e_mul, exp_b, sample_e_element
-from .linalg import Bivector, Rng, worst
+from .group import (SAMPLE_BLOCK, EElement, EStack, adE, adjoint_matrix,
+                    e_element_to_json_dict, e_mul, exp_b, sample_e_elements)
+from .linalg import Bivector, Rng, worst_at
 from .matched import MatchedPair
 from .trig import TrigPoly, fit_trig
 
 
-def eta0(mp: MatchedPair, g: EElement) -> Bivector:
-    """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j."""
-    table = mp.c_brackets
+def _bivectors(mp: MatchedPair, g: EElement | EStack, coeffs: np.ndarray):
+    """Antisymmetrized coefficient stack for a stack `g`, a Bivector for one element."""
+    coeffs = 0.5 * (coeffs - np.swapaxes(coeffs, -1, -2))
+    return coeffs if isinstance(g, EStack) else Bivector(mp.e_space, coeffs[0])
+
+
+def eta0(mp: MatchedPair, g: EElement | EStack) -> Bivector | np.ndarray:
+    """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j.
+
+    `g` is an EElement, or an EStack for a (count, N, N) coefficient stack."""
+    s = EStack.of(g)
     k, m = mp.dim_c, mp.dim_b
-    ad = adjoint_matrix(mp, g.a)
-    w = mp.b0_to_gstar(g.v)
-    val = np.einsum("p,ijp->ij", w, np.einsum("pq,ijq->ijp", ad, table))
-    k_mat = mp.coadjoint_on_b0(g.a)
-    coeffs = np.zeros((k + m, k + m))
-    coeffs[:k, :k] = k_mat @ val @ k_mat.T
-    return Bivector(mp.e_space, coeffs)
+    u = (s.v @ mp._Psi.T)[:, None, :] @ s.a.ad      # <v, Ad_a e_q> per element
+    val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(len(s), k, k)
+    k_mat = mp.coadjoint_on_b0(s.a)
+    coeffs = np.zeros((len(s), k + m, k + m))
+    coeffs[:, :k, :k] = k_mat @ val @ np.swapaxes(k_mat, 1, 2)
+    return _bivectors(mp, g, coeffs)
 
 
-def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
-    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i."""
+def eta_b(mp: MatchedPair, g: EElement | EStack) -> Bivector | np.ndarray:
+    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; a stack gives a stack, as `eta0`."""
+    s = EStack.of(g)
     k, m = mp.dim_c, mp.dim_b
-    ad = adjoint_matrix(mp, g.a)
-    k_mat = mp.coadjoint_on_b0(g.a)
-    z = np.column_stack([mp.b_coords(ad @ mp.y_basis[i]) for i in range(k)])
-    coeffs = np.zeros((k + m, k + m))
-    coeffs[:k, k:] = k_mat @ z.T
-    coeffs[k:, :k] = -z @ k_mat.T
-    return Bivector(mp.e_space, coeffs)
+    k_mat = mp.coadjoint_on_b0(s.a)
+    z = (mp._T_inv @ s.a.ad @ mp._Y)[:, :m]         # columns: b-coordinates of Ad_a y_i
+    coeffs = np.zeros((len(s), k + m, k + m))
+    coeffs[:, :k, k:] = k_mat @ np.swapaxes(z, 1, 2)
+    coeffs[:, k:, :k] = -(z @ np.swapaxes(k_mat, 1, 2))
+    return _bivectors(mp, g, coeffs)
 
 
-def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> Bivector:
-    return eta0(mp, g) + eta_b_sign * eta_b(mp, g)
+def eta(mp: MatchedPair, g: EElement | EStack, *,
+        eta_b_sign: float = 1.0) -> Bivector | np.ndarray:
+    """eta0 + eta_b_sign * eta_b; a stack gives a stack, as `eta0`."""
+    s = EStack.of(g)
+    return _bivectors(mp, g, eta0(mp, s) + eta_b_sign * eta_b(mp, s))
 
 
 def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
@@ -69,22 +80,33 @@ def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
 
 def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
                    tol: float = ALGEBRAIC_TOL, radius: float = 1.0,
-                   eta_b_sign: float = 1.0) -> dict:
-    """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h)."""
+                   eta_b_sign: float = 1.0, witness: bool = False) -> dict:
+    """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h).
+
+    Samples run in stacks of SAMPLE_BLOCK (g, h) pairs.  With `witness` the
+    record also names the sample with the worst residual (the first NaN, if
+    any): its index, the e-basis wedge of its largest entry, g and h."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    out = 0.0
-    for _ in range(samples):
-        g = sample_e_element(mp, rng, radius)
-        h = sample_e_element(mp, rng, radius)
-        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign).coeffs
+    labels = mp.e_space.labels
+    resids, witnesses = [], []
+    for start in range(0, samples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, samples - start)
+        gh = sample_e_elements(mp, rng, 2 * count, radius)   # g, h, g, h, ... as drawn
+        g, h = gh[0::2], gh[1::2]
+        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign)
         a = adE(g)
-        pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign).coeffs @ a.T
-        base = eta(mp, g, eta_b_sign=eta_b_sign).coeffs
-        resid = np.max(np.abs(lhs - base - pushed))
-        scale = 1.0 + worst(np.max(np.abs(lhs)), np.max(np.abs(base)), np.max(np.abs(pushed)))
-        out = worst(out, resid / scale)
-    return {
+        pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign) @ np.swapaxes(a, 1, 2)
+        base = eta(mp, g, eta_b_sign=eta_b_sign)
+        diff = np.abs(lhs - base - pushed).reshape(count, -1)
+        scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
+        block = diff.max(axis=1) / scale
+        _, i = worst_at(block)
+        row, col = divmod(int(np.argmax(diff[i])), len(labels))
+        witnesses.append((start + i, f"{labels[row]}^{labels[col]}", g.element(i), h.element(i)))
+        resids.append(block)
+    out, at = worst_at(np.concatenate(resids))
+    record = {
         "pair": mp.name,
         "check": "eta_cocycle",
         "samples": samples,
@@ -93,6 +115,17 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
         "tolerance": tol,
         "pass": bool(out <= tol),
     }
+    if witness:
+        sample, part, g_worst, h_worst = witnesses[at // SAMPLE_BLOCK]
+        record["witness"] = {"worst_sample": sample, "worst_part": part,
+                             "g": e_element_to_json_dict(g_worst),
+                             "h": e_element_to_json_dict(h_worst)}
+    return record
+
+
+def _abs_max(stack: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix of a stack; NaN if it holds one."""
+    return np.abs(stack).reshape(len(stack), -1).max(axis=1)
 
 
 def lambda2_b_block_residual(mp: MatchedPair, g: EElement) -> float:

@@ -128,7 +128,6 @@ class CrossedAlgebra:
         # only, leaving the classical bracket intact (negative control)
         self.lam_rewrite = self.lam * reorder_correction
         self._push_cache: dict[tuple[int, int, int], dict[Key, complex]] = {}
-        self._mono_cache: dict[tuple[Key, Key], "CrossedElement"] = {}
         self._pair_cache: dict[tuple[Key, Key], list] = {}
 
     # -- constructors ------------------------------------------------------
@@ -199,15 +198,11 @@ class CrossedAlgebra:
         cache_key = (left, right)
         hit = self._pair_cache.get(cache_key)
         if hit is None:
-            prod = self._mul_monomials(left, right)
-            hit = [(key, hp[0]) for key, hp in prod.terms.items()]
+            hit = self._mul_monomials(left, right)
             self._pair_cache[cache_key] = hit
         return hit
 
-    def _mul_monomials(self, left: Key, right: Key) -> CrossedElement:
-        cache_key = (left, right)
-        if cache_key in self._mono_cache:
-            return self._mono_cache[cache_key]
+    def _mul_monomials(self, left: Key, right: Key) -> list[tuple[Key, complex]]:
         m1, k1, n1 = left
         m2, k2, n2 = right
         # step 1: e^{in1} t_a^{m2} t_2^{k2} -> normal form
@@ -224,10 +219,7 @@ class CrossedAlgebra:
                     nxt[key] = nxt.get(key, 0) + coef
             acc = nxt
         # step 3: multiply by t_a^{m1} on the left
-        out = {(mm + m1, kk, nn): {0: c} for (mm, kk, nn), c in acc.items() if abs(c) > _EPS}
-        result = CrossedElement(self, out)
-        self._mono_cache[cache_key] = result
-        return result
+        return [((mm + m1, kk, nn), c) for (mm, kk, nn), c in acc.items() if abs(c) > _EPS]
 
     def mul(self, a: CrossedElement, b: CrossedElement) -> CrossedElement:
         acc: dict[Key, HPoly] = {}
