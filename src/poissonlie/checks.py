@@ -23,7 +23,7 @@ from .config import Tolerances
 from .lie import jacobi_residual
 from .linalg import Rng, worst, worst_at
 from .matched import MatchedPair
-from .group import SAMPLE_BLOCK, GroupStack, adjoint_matrix, exp_b, sample_group_matrices
+from .group import SAMPLE_BLOCK, GroupElement, adjoint_matrix, exp_b, sample_group_matrices
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -109,8 +109,8 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     inv, hom = [], []
     for start in range(0, samples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, samples - start)
-        ab = GroupStack(mp, sample_group_matrices(mp, rng, 2 * count))  # a, b, a, b, ... as drawn
-        a, b = ab[0::2], ab[1::2]
+        ab = GroupElement(mp, sample_group_matrices(mp, rng, 2 * count))
+        a, b = ab[0::2], ab[1::2]    # drawn as a, b, a, b, ...
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
             prod = mp.coadjoint_on_b0(a) @ np.swapaxes(mp.action_on_c(a.inverse()), 1, 2)
             inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))
@@ -130,8 +130,7 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 @_register("cocycle", "eta_b_sign", REALIZATION)
 def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     sign = -1.0 if corrupted else 1.0
-    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign,
-                           witness=True)
+    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign)
     # the pair name, seed and witness elements make the run reproducible from the report
     return {"max_residual": rep["max_residual"], "samples": samples,
             "pair": rep["pair"], "seed": rep["seed"],
@@ -347,9 +346,9 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
         to_complex[kk, 2 + 2 * kk] = 1j
     to_complex[p - 1, 1] = 1.0
     to_complex[p - 1, 0] = 1j
-    a = GroupStack(mp, sample_group_matrices(mp, rng, samples))
+    a = GroupElement(mp, sample_group_matrices(mp, rng, samples))
     k_mats = mp.coadjoint_on_b0(a)
-    u = a.matrices[:, :p, :p]
+    u = a.matrix[:, :p, :p]
     expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
     return worst_at(np.abs(to_complex @ k_mats - expect))[0]
 

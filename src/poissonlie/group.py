@@ -4,20 +4,22 @@ E = b0 x| B with its product, inverse and adjoint representation.
 Elements of B are produced as short words of exponentials of b, which keeps all
 sampling in the identity component where the algebraic identities are global.
 
+A `GroupElement` holds one matrix or a stack of them, and an `EElement` one
+point or a stack of points.  Every operation acts elementwise on a stack; a
+single element runs the same code without the leading stack axis.
+
 Sampling is stacked: `sample_group_matrices` and `sample_e_elements` draw a
-whole stack of elements, exponentiate all word factors in one `expm` call and
-return the stack; `adjoint_matrices` conjugates the realization by every
-matrix of a stack and re-expands all of it in one least-squares solve.  The
-random numbers are drawn in the order of one-at-a-time sampling (per element:
-v, then the word length, then the factors), so a seed selects the same
-elements either way.  Every element of a stack passes the same membership and
+whole stack of elements and exponentiate all word factors in one `expm` call;
+`adjoint_matrices` conjugates the realization by every matrix of a stack and
+re-expands all of it in one least-squares solve.  The random numbers are drawn
+in the order of one-at-a-time sampling (per element: v, then the word length,
+then the factors), so a seed selects the same elements either way.  Every element of a stack passes the same membership and
 leak validation as a single element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,92 +36,49 @@ SAMPLE_BLOCK = 16
 #: Largest re-expansion residual and b-leak of Ad(a) for a in B.
 _MEMBERSHIP_TOL = 1e-7
 
+#: Smallest |det| of a group element's matrix; anything closer to singular
+#: (or NaN) is rejected when the element is made, before Ad is computed.
+_SINGULAR_DET = 1e-12
+
 
 @dataclass(eq=False)
 class GroupElement:
+    """An element a of B as a (d, d) matrix, or a stack of elements as a
+    (count, d, d) array.  Products, inverses and Ad act elementwise on a
+    stack; Ad of a whole stack is one `adjoint_matrices` call, cached."""
+
     pair: MatchedPair
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("group element must be a square matrix")
-        if not abs(np.linalg.det(m)) >= 1e-12:
-            raise ValueError("group element matrix is singular")
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+            raise ValueError("group element must be a square matrix or a stack of them")
+        with np.errstate(invalid="ignore"):   # a NaN determinant is rejected just below
+            dets = np.abs(np.linalg.det(m))
+        _require(dets >= _SINGULAR_DET, dets, "is singular or not finite", "|det|")
         object.__setattr__(self, "matrix", m)
         self._ad = None
         self._inv = None
 
+    def __getitem__(self, idx) -> "GroupElement":
+        """The element or sub-stack of a stack at `idx`; its Ad is not carried over."""
+        return GroupElement(self.pair, self.matrix[idx])
+
     def inverse(self) -> "GroupElement":
+        # no link back from the inverse: that reference cycle would keep each
+        # sampled stack's arrays alive until the cyclic garbage collector runs
         if self._inv is None:
             self._inv = GroupElement(self.pair, np.linalg.inv(self.matrix))
-            self._inv._inv = self
         return self._inv
 
     @property
     def ad(self) -> np.ndarray:
-        """Ad(a) on g-coordinates, validated; see `adjoint_matrix`."""
+        """Ad(a) on g-coordinates, one per element of a stack; see `adjoint_matrix`."""
         return adjoint_matrix(self.pair, self)
-
-    @property
-    def ad_inv(self) -> np.ndarray:
-        """Ad(a^{-1}), by conjugation with the inverse matrix."""
-        return self.inverse().ad
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.pair, self.matrix @ other.matrix)
-
-
-@dataclass(eq=False)
-class GroupStack:
-    """A (count, d, d) stack of matrices of B, the stacked twin of GroupElement:
-    Ad of every element is computed by one `adjoint_matrices` call, which
-    validates every element, and cached."""
-
-    pair: MatchedPair
-    matrices: np.ndarray
-    _ad: Optional[np.ndarray] = field(default=None, repr=False)
-    _inv: Optional["GroupStack"] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=complex)
-
-    @staticmethod
-    def of(a: GroupElement) -> "GroupStack":
-        """The stack of the one element `a`; its Ad and Ad of its inverse are
-        computed (or taken from the caches of `a`) now."""
-        inv = a.inverse()
-        return GroupStack(a.pair, a.matrix[None], _ad=a.ad[None],
-                          _inv=GroupStack(a.pair, inv.matrix[None], _ad=inv.ad[None]))
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __getitem__(self, idx) -> "GroupStack":
-        """The sub-stack at a slice or index array (adjoint matrices not carried over)."""
-        return GroupStack(self.pair, self.matrices[idx])
-
-    def inverse(self) -> "GroupStack":
-        # no link back from the inverse: a reference cycle would keep every
-        # block's arrays alive until the cyclic garbage collector runs
-        if self._inv is None:
-            self._inv = GroupStack(self.pair, np.linalg.inv(self.matrices))
-        return self._inv
-
-    @property
-    def ad(self) -> np.ndarray:
-        """Ad of every element, shape (count, n, n); see `adjoint_matrices`."""
-        if self._ad is None:
-            self._ad = adjoint_matrices(self.pair, self.matrices)
-        return self._ad
-
-    @property
-    def ad_inv(self) -> np.ndarray:
-        """Ad of every inverse, by conjugation with the inverse matrix."""
-        return self.inverse().ad
-
-    def __matmul__(self, other: "GroupStack") -> "GroupStack":
-        return GroupStack(self.pair, self.matrices @ other.matrices)
 
 
 def identity_element(mp: MatchedPair) -> GroupElement:
@@ -136,57 +95,62 @@ def exp_b(mp: MatchedPair, xb: np.ndarray, t: float = 1.0) -> GroupElement:
 
 
 def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> None:
-    """Reject a stack unless `ok` holds for every element; name the first offender.
+    """Reject an element or a stack unless `ok` holds for every element; name
+    the first offender of a stack.
 
     `ok` comes from comparisons such as `resid <= tol`, which are False for NaN."""
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~np.atleast_1d(ok))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"element {i} of the stack {problem} ({what} {values[i]:.3e})")
+        where = f"element {i} of the stack" if np.ndim(values) else "group element"
+        raise ValueError(f"{where} {problem} ({what} {np.atleast_1d(values)[i]:.3e})")
 
 
 def adjoint_matrices(mp: MatchedPair, mats: np.ndarray) -> np.ndarray:
-    """Ad(a) on g-coordinates for each matrix a of a (count, d, d) stack.
+    """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
+    (count, d, d) stack, as an (n, n) or (count, n, n) array.
 
-    Every element is validated: it must be invertible, its conjugation of the
-    realization must stay in the algebra and Ad(a) must preserve b.  All
-    conjugated matrices are re-expanded by one least-squares solve."""
+    Every element is validated: its conjugation of the realization must stay
+    in the algebra and Ad(a) must preserve b; a NaN matrix fails the first
+    test.  All conjugated matrices are re-expanded by one least-squares solve."""
     g = mp.g
     mats = np.asarray(mats, dtype=complex)
-    count, n = len(mats), g.dim
-    with np.errstate(invalid="ignore"):   # a NaN determinant is rejected just below
-        dets = np.abs(np.linalg.det(mats))
-    _require(dets >= 1e-12, dets, "is singular or not finite", "|det|")
-    d = mats.shape[-1]
+    lead, d, n = mats.shape[:-2], mats.shape[-1], g.dim
+    flat = mats.reshape(-1, d, d)
+    count = len(flat)
     # a R_j a^{-1} for every j as two matmuls per element: rows (i, j) of a [R_0 .. R_n-1]
     wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
-    conjugated = ((mats @ wide).reshape(count, d * n, d) @ np.linalg.inv(mats))
+    conjugated = (flat @ wide).reshape(count, d * n, d) @ np.linalg.inv(flat)
     conjugated = conjugated.reshape(count, d, n, d).transpose(0, 2, 1, 3)
     coords, resids = g._solver.solve_each(conjugated.reshape(count * n, d, d))
-    resid = resids.reshape(count, n).max(axis=1)
+    resid = resids.reshape(count, n).max(axis=1).reshape(lead)
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
     ad = np.ascontiguousarray(coords.reshape(n, count, n).transpose(1, 0, 2))
-    leak = np.abs(mp._T_inv @ ad @ mp._B)[:, mp.dim_b:].max(axis=(1, 2))
+    ad = ad.reshape(lead + (n, n))
+    leak = np.abs(mp._T_inv @ ad @ mp._B)[..., mp.dim_b:, :].max(axis=(-2, -1))
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
     return ad
 
 
 def adjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
-    """Ad(a) on g-coordinates, validated as in `adjoint_matrices`; cached on `a`."""
+    """Ad(a), one per element of a stack, validated as in `adjoint_matrices`;
+    cached on `a`."""
     if a._ad is None:
-        a._ad = adjoint_matrices(mp, a.matrix[None])[0]
+        a._ad = adjoint_matrices(mp, a.matrix)
     return a._ad
 
 
 def coadjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
-    """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action."""
-    return adjoint_matrix(mp, a.inverse()).T
+    """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action; Ad(a^{-1}) is
+    conjugation by the inverse matrix."""
+    return np.swapaxes(adjoint_matrix(mp, a.inverse()), -1, -2)
 
 
 @dataclass(eq=False)
 class EElement:
-    """Point (v, a) of E = b0 x| B: v in psi-coordinates, a in B."""
+    """Point (v, a) of E = b0 x| B: v in psi-coordinates, a in B.  For a stack
+    of points, v is (count, k) and a is a stack of count elements."""
 
     pair: MatchedPair
     v: np.ndarray
@@ -194,11 +158,15 @@ class EElement:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        if v.shape != (self.pair.dim_c,):
-            raise ValueError("v must be a b0-coordinate vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("v coordinates must be finite")
+        if v.shape != self.a.matrix.shape[:-2] + (self.pair.dim_c,):
+            raise ValueError("v must be a b0-coordinate vector, one per element of a")
+        size = np.max(np.abs(v), axis=-1, initial=0.0)
+        _require(np.isfinite(size), size, "has a non-finite v coordinate", "max |v|")
         object.__setattr__(self, "v", v)
+
+    def __getitem__(self, idx) -> "EElement":
+        """The point or sub-stack of a stack at `idx`."""
+        return EElement(self.pair, self.v[idx], self.a[idx])
 
 
 def e_identity(mp: MatchedPair) -> EElement:
@@ -219,74 +187,44 @@ def e_element_from_json_dict(mp: MatchedPair, doc: dict) -> EElement:
     return EElement(mp, np.asarray(doc["v"], dtype=float), GroupElement(mp, mat))
 
 
-def e_mul(g: EElement | EStack, h: EElement | EStack) -> EElement | EStack:
-    """(v, a)(v', a') = (v + Ad*_a v', a a'); two EStacks multiply elementwise."""
+def _act(k_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k_mat @ v for one matrix and vector, or elementwise for stacks."""
+    return (k_mat @ v[..., None])[..., 0]
+
+
+def e_mul(g: EElement, h: EElement) -> EElement:
+    """(v, a)(v', a') = (v + Ad*_a v', a a'); two stacks multiply elementwise."""
     if g.pair is not h.pair:
         raise ValueError("elements belong to different pairs")
     mp = g.pair
-    v = g.v + (mp.coadjoint_on_b0(g.a) @ h.v[..., None])[..., 0]
-    return type(g)(mp, v, g.a @ h.a)
+    return EElement(mp, g.v + _act(mp.coadjoint_on_b0(g.a), h.v), g.a @ h.a)
 
 
 def e_inv(g: EElement) -> EElement:
     mp = g.pair
     a_inv = g.a.inverse()
-    return EElement(mp, -(mp.coadjoint_on_b0(a_inv) @ g.v), a_inv)
+    return EElement(mp, -_act(mp.coadjoint_on_b0(a_inv), g.v), a_inv)
 
 
-@dataclass(eq=False)
-class EStack:
-    """A stack of points (v[i], a[i]) of E: v holds (count, k) psi-coordinates
-    and a is a GroupStack, validated when its Ad is computed."""
-
-    pair: MatchedPair
-    v: np.ndarray
-    a: GroupStack
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (len(self.a), self.pair.dim_c):
-            raise ValueError("v must be a stack of b0-coordinate vectors, one per matrix")
-        size = np.max(np.abs(v), axis=1, initial=0.0)
-        _require(np.isfinite(size), size, "has a non-finite v coordinate", "max |v|")
-        self.v = v
-
-    @staticmethod
-    def of(g: EElement | EStack) -> EStack:
-        """`g` itself, or the stack of the one element `g`."""
-        if isinstance(g, EStack):
-            return g
-        return EStack(g.pair, g.v[None], GroupStack.of(g.a))
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-    def __getitem__(self, idx) -> "EStack":
-        return EStack(self.pair, self.v[idx], self.a[idx])
-
-    def element(self, i: int) -> EElement:
-        return EElement(self.pair, self.v[i], GroupElement(self.pair, self.a.matrices[i]))
-
-
-def adE(g: EElement | EStack) -> np.ndarray:
-    """Adjoint matrix of E on e = b0 (+) b coordinates; a stack gives a stack.
+def adE(g: EElement) -> np.ndarray:
+    """Adjoint matrix of E on e = b0 (+) b coordinates, one per point of a stack.
 
     Block form [[Ad*_a|b0, x -> -ad*(Ad_a x)(v)], [0, Ad_a|b]]; the mixed block
     realizes the conjugated-curve parametrization and is pinned by
     the finite-difference conjugation oracle.
     """
-    s = EStack.of(g)
-    mp = s.pair
+    mp = g.pair
     k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
-    z = s.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
-    w = s.v @ mp._Psi.T                       # v in dual coordinates on g
+    lead = g.v.shape[:-1]
+    z = g.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
+    w = g.v @ mp._Psi.T                       # v in dual coordinates on g
     # <ad*(z)(w), y> = w([y, z]) = y^T cw z with cw[i, j] = w([e_i, e_j])
-    cw = (w @ mp.g.structure.reshape(n * n, n).T).reshape(len(s), n, n)
-    out = np.zeros((len(s), k + m, k + m))
-    out[:, :k, :k] = mp.coadjoint_on_b0(s.a)
-    out[:, :k, k:] = -(mp._Y.T @ cw @ z)
-    out[:, k:, k:] = (mp._T_inv @ z)[:, :m]
-    return out if isinstance(g, EStack) else out[0]
+    cw = (w @ mp.g.structure.reshape(n * n, n).T).reshape(lead + (n, n))
+    out = np.zeros(lead + (k + m, k + m))
+    out[..., :k, :k] = mp.coadjoint_on_b0(g.a)
+    out[..., :k, k:] = -(mp._Y.T @ cw @ z)
+    out[..., k:, k:] = (mp._T_inv @ z)[..., :m, :]
+    return out
 
 
 def _draw(mp: MatchedPair, rng: Rng, count: int, max_word: int,
@@ -325,14 +263,14 @@ def sample_group_element(mp: MatchedPair, rng: Rng, max_word: int = 3) -> GroupE
     return GroupElement(mp, sample_group_matrices(mp, rng, 1, max_word)[0])
 
 
-def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0) -> EStack:
-    """`count` random points of E, v uniform in [-radius, radius]."""
+def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0) -> EElement:
+    """A stack of `count` random points of E, v uniform in [-radius, radius]."""
     v, mats = _draw(mp, rng, count, 3, radius)
-    return EStack(mp, v, GroupStack(mp, mats))
+    return EElement(mp, v, GroupElement(mp, mats))
 
 
 def sample_e_element(mp: MatchedPair, rng: Rng, radius: float = 1.0) -> EElement:
-    return sample_e_elements(mp, rng, 1, radius).element(0)
+    return sample_e_elements(mp, rng, 1, radius)[0]
 
 
 def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:

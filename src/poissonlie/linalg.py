@@ -72,7 +72,9 @@ class Tensor2:
 
 @dataclass(frozen=True, eq=False)
 class Bivector:
-    """Element of the exterior square, stored as an antisymmetric coefficient matrix."""
+    """Element of the exterior square, stored as an antisymmetric coefficient
+    matrix; a (count, n, n) stack of coefficient matrices holds one per point
+    of a stack of group elements, and the arithmetic acts elementwise."""
 
     space: BasedSpace
     coeffs: np.ndarray
@@ -80,10 +82,10 @@ class Bivector:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         n = self.space.dim
-        if c.shape != (n, n):
+        if c.ndim not in (2, 3) or c.shape[-2:] != (n, n):
             raise ValueError(f"coeffs shape {c.shape} does not match ({n}, {n})")
         # antisymmetrize at construction so the invariant holds exactly
-        c = 0.5 * (c - c.T)
+        c = 0.5 * (c - np.swapaxes(c, -1, -2))
         object.__setattr__(self, "coeffs", c)
 
     def __add__(self, other: "Bivector") -> "Bivector":

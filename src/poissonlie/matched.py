@@ -15,7 +15,7 @@ from .lie import LieAlgebra, SubspaceDecomposition, dual_basis
 from .linalg import BasedSpace, Tensor2, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .group import GroupElement, GroupStack
+    from .group import GroupElement
 
 
 @dataclass(eq=False)
@@ -124,15 +124,17 @@ class MatchedPair:
         space = BasedSpace.make([f"t_{i}" for i in range(k)])
         return Tensor2(space, np.eye(k))
 
-    def action_on_c(self, a: "GroupElement | GroupStack") -> np.ndarray:
+    def action_on_c(self, a: "GroupElement") -> np.ndarray:
         """Matrix of P_c Ad_a restricted to c, in the y-basis; one per element
-        of a GroupStack."""
+        of a stack."""
         return self._Psi.T @ a.ad @ self._Y
 
-    def coadjoint_on_b0(self, a: "GroupElement | GroupStack") -> np.ndarray:
+    def coadjoint_on_b0(self, a: "GroupElement") -> np.ndarray:
         """Matrix of Ad*_a restricted to b0, in the psi-basis; one per element
-        of a GroupStack."""
-        return self._Y.T @ np.swapaxes(a.ad_inv, -1, -2) @ self._Psi
+        of a stack."""
+        from .group import coadjoint_matrix
+
+        return self._Y.T @ coadjoint_matrix(self, a) @ self._Psi
 
     def anchor(self, y: np.ndarray, a: "GroupElement") -> np.ndarray:
         """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates."""
@@ -145,12 +147,11 @@ class MatchedPair:
             raise ValueError("y is not in the c-part")
         return self.b_coords(adjoint_matrix(self, a) @ y)
 
-    def invariance_residual(self, a: "GroupElement | GroupStack") -> "float | np.ndarray":
+    def invariance_residual(self, a: "GroupElement") -> "float | np.ndarray":
         """Residual of sum_i Ad*_a psi^i (x) P_c Ad_a y_i = sum_i psi^i (x) y_i;
-        an array of one residual per element for a GroupStack."""
+        one per element of a stack."""
         prod = self.coadjoint_on_b0(a) @ np.swapaxes(self.action_on_c(a), -1, -2)
-        resid = np.abs(prod - np.eye(self.dim_c)).max(axis=(-2, -1))
-        return resid if resid.ndim else float(resid)
+        return np.abs(prod - np.eye(self.dim_c)).max(axis=(-2, -1))
 
     # -- serialization ----------------------------------------------------------
 

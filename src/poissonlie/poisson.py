@@ -13,50 +13,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .group import (SAMPLE_BLOCK, EElement, EStack, adE, adjoint_matrix,
-                    e_element_to_json_dict, e_mul, exp_b, sample_e_elements)
+from .group import (SAMPLE_BLOCK, EElement, adE, adjoint_matrix, e_element_to_json_dict,
+                    e_mul, exp_b, sample_e_elements)
 from .linalg import Bivector, Rng, worst_at
 from .matched import MatchedPair
 from .trig import TrigPoly, fit_trig
 
 
-def _bivectors(mp: MatchedPair, g: EElement | EStack, coeffs: np.ndarray):
-    """Antisymmetrized coefficient stack for a stack `g`, a Bivector for one element."""
-    coeffs = 0.5 * (coeffs - np.swapaxes(coeffs, -1, -2))
-    return coeffs if isinstance(g, EStack) else Bivector(mp.e_space, coeffs[0])
-
-
-def eta0(mp: MatchedPair, g: EElement | EStack) -> Bivector | np.ndarray:
+def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j.
 
-    `g` is an EElement, or an EStack for a (count, N, N) coefficient stack."""
-    s = EStack.of(g)
+    For a stack of points `g` the Bivector holds one coefficient matrix per point."""
     k, m = mp.dim_c, mp.dim_b
-    u = (s.v @ mp._Psi.T)[:, None, :] @ s.a.ad      # <v, Ad_a e_q> per element
-    val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(len(s), k, k)
-    k_mat = mp.coadjoint_on_b0(s.a)
-    coeffs = np.zeros((len(s), k + m, k + m))
-    coeffs[:, :k, :k] = k_mat @ val @ np.swapaxes(k_mat, 1, 2)
-    return _bivectors(mp, g, coeffs)
+    lead = g.v.shape[:-1]
+    u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
+    val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
+    k_mat = mp.coadjoint_on_b0(g.a)
+    coeffs = np.zeros(lead + (k + m, k + m))
+    coeffs[..., :k, :k] = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
+    return Bivector(mp.e_space, coeffs)
 
 
-def eta_b(mp: MatchedPair, g: EElement | EStack) -> Bivector | np.ndarray:
-    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; a stack gives a stack, as `eta0`."""
-    s = EStack.of(g)
+def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
+    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; one per point of a stack, as `eta0`."""
     k, m = mp.dim_c, mp.dim_b
-    k_mat = mp.coadjoint_on_b0(s.a)
-    z = (mp._T_inv @ s.a.ad @ mp._Y)[:, :m]         # columns: b-coordinates of Ad_a y_i
-    coeffs = np.zeros((len(s), k + m, k + m))
-    coeffs[:, :k, k:] = k_mat @ np.swapaxes(z, 1, 2)
-    coeffs[:, k:, :k] = -(z @ np.swapaxes(k_mat, 1, 2))
-    return _bivectors(mp, g, coeffs)
+    k_mat = mp.coadjoint_on_b0(g.a)
+    z = (mp._T_inv @ g.a.ad @ mp._Y)[..., :m, :]      # columns: b-coordinates of Ad_a y_i
+    coeffs = np.zeros(g.v.shape[:-1] + (k + m, k + m))
+    coeffs[..., :k, k:] = k_mat @ np.swapaxes(z, -1, -2)
+    coeffs[..., k:, :k] = -(z @ np.swapaxes(k_mat, -1, -2))
+    return Bivector(mp.e_space, coeffs)
 
 
-def eta(mp: MatchedPair, g: EElement | EStack, *,
-        eta_b_sign: float = 1.0) -> Bivector | np.ndarray:
-    """eta0 + eta_b_sign * eta_b; a stack gives a stack, as `eta0`."""
-    s = EStack.of(g)
-    return _bivectors(mp, g, eta0(mp, s) + eta_b_sign * eta_b(mp, s))
+def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> Bivector:
+    """eta0 + eta_b_sign * eta_b; one per point of a stack, as `eta0`."""
+    return eta0(mp, g) + eta_b_sign * eta_b(mp, g)
 
 
 def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
@@ -80,12 +71,12 @@ def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
 
 def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
                    tol: float = ALGEBRAIC_TOL, radius: float = 1.0,
-                   eta_b_sign: float = 1.0, witness: bool = False) -> dict:
+                   eta_b_sign: float = 1.0) -> dict:
     """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h).
 
-    Samples run in stacks of SAMPLE_BLOCK (g, h) pairs.  With `witness` the
-    record also names the sample with the worst residual (the first NaN, if
-    any): its index, the e-basis wedge of its largest entry, g and h."""
+    Samples run in stacks of SAMPLE_BLOCK (g, h) pairs.  The record's witness
+    names the sample with the worst residual (the first NaN, if any): its
+    index, the e-basis wedge of its largest entry, g and h."""
     if samples < 1:
         raise ValueError("need at least one sample")
     labels = mp.e_space.labels
@@ -94,19 +85,20 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
         count = min(SAMPLE_BLOCK, samples - start)
         gh = sample_e_elements(mp, rng, 2 * count, radius)   # g, h, g, h, ... as drawn
         g, h = gh[0::2], gh[1::2]
-        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign)
+        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign).coeffs
         a = adE(g)
-        pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign) @ np.swapaxes(a, 1, 2)
-        base = eta(mp, g, eta_b_sign=eta_b_sign)
+        pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign).coeffs @ np.swapaxes(a, 1, 2)
+        base = eta(mp, g, eta_b_sign=eta_b_sign).coeffs
         diff = np.abs(lhs - base - pushed).reshape(count, -1)
         scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
         block = diff.max(axis=1) / scale
         _, i = worst_at(block)
         row, col = divmod(int(np.argmax(diff[i])), len(labels))
-        witnesses.append((start + i, f"{labels[row]}^{labels[col]}", g.element(i), h.element(i)))
+        witnesses.append((start + i, f"{labels[row]}^{labels[col]}", g[i], h[i]))
         resids.append(block)
     out, at = worst_at(np.concatenate(resids))
-    record = {
+    sample, part, g_worst, h_worst = witnesses[at // SAMPLE_BLOCK]
+    return {
         "pair": mp.name,
         "check": "eta_cocycle",
         "samples": samples,
@@ -114,13 +106,10 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
         "max_residual": out,
         "tolerance": tol,
         "pass": bool(out <= tol),
+        "witness": {"worst_sample": sample, "worst_part": part,
+                    "g": e_element_to_json_dict(g_worst),
+                    "h": e_element_to_json_dict(h_worst)},
     }
-    if witness:
-        sample, part, g_worst, h_worst = witnesses[at // SAMPLE_BLOCK]
-        record["witness"] = {"worst_sample": sample, "worst_part": part,
-                             "g": e_element_to_json_dict(g_worst),
-                             "h": e_element_to_json_dict(h_worst)}
-    return record
 
 
 def _abs_max(stack: np.ndarray) -> np.ndarray:

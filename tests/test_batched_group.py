@@ -12,11 +12,10 @@ import pytest
 from poissonlie.catalog import get_entry, su11
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import (SAMPLE_BLOCK, EElement, EStack, GroupElement, GroupStack,
-                              adE, adjoint_matrices, adjoint_matrix,
-                              e_element_from_json_dict, e_mul, exp_b, identity_element,
-                              sample_e_element, sample_e_elements, sample_group_element,
-                              sample_group_matrices)
+from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, adE, adjoint_matrices,
+                              adjoint_matrix, coadjoint_matrix, e_element_from_json_dict,
+                              e_inv, e_mul, exp_b, identity_element, sample_e_element,
+                              sample_e_elements, sample_group_element, sample_group_matrices)
 from poissonlie.linalg import Bivector, Rng
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
@@ -120,8 +119,8 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
            for _ in range(40)]
     assert np.array_equal(stack.v, np.array([g.v for g in seq]))
     assert np.array_equal(stack.v, np.array([v for v, _ in ref]))
-    assert np.max(np.abs(stack.a.matrices - np.array([g.a.matrix for g in seq]))) <= 1e-15
-    assert np.max(np.abs(stack.a.matrices - np.array([a for _, a in ref]))) <= 1e-15
+    assert np.max(np.abs(stack.a.matrix - np.array([g.a.matrix for g in seq]))) <= 1e-15
+    assert np.max(np.abs(stack.a.matrix - np.array([a for _, a in ref]))) <= 1e-15
     nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_rng.uniform(0, 1)}
     assert len(nxt) == 1
 
@@ -140,9 +139,11 @@ def test_adjoint_matrices_match_per_element(mp):
 def test_stacked_eta_and_adE_match_per_element(mp):
     stack = sample_e_elements(mp, Rng(8), 23)
     k = mp.dim_c
-    eta_s, eta0_s, eta_b_s, adE_s = eta(mp, stack), eta0(mp, stack), eta_b(mp, stack), adE(stack)
-    for i in range(len(stack)):
-        g = stack.element(i)
+    eta_s, eta0_s, eta_b_s = (eta(mp, stack).coeffs, eta0(mp, stack).coeffs,
+                              eta_b(mp, stack).coeffs)
+    adE_s = adE(stack)
+    for i in range(len(stack.v)):
+        g = stack[i]
         assert isinstance(eta(mp, g), Bivector)
         assert np.max(np.abs(eta_s[i] - eta(mp, g).coeffs)) <= 1e-13
         assert np.max(np.abs(eta0_s[i] - eta0(mp, g).coeffs)) <= 1e-13
@@ -155,20 +156,25 @@ def test_stacked_eta_and_adE_match_per_element(mp):
 def test_stacked_product_matches_e_mul(mp):
     gh = sample_e_elements(mp, Rng(9), 10)
     g, h = gh[0::2], gh[1::2]
-    prod = e_mul(g, h)
-    assert isinstance(prod, EStack)
-    for i in range(len(prod)):
-        one = e_mul(g.element(i), h.element(i))
+    prod, inv = e_mul(g, h), e_inv(g)
+    assert prod.v.shape == (5, mp.dim_c) and prod.a.matrix.ndim == 3
+    coad = coadjoint_matrix(mp, g.a)
+    for i in range(5):
+        one = e_mul(g[i], h[i])
         assert np.max(np.abs(prod.v[i] - one.v)) <= 1e-13
-        assert np.max(np.abs(prod.a.matrices[i] - one.a.matrix)) <= 1e-13
+        assert np.max(np.abs(prod.a.matrix[i] - one.a.matrix)) <= 1e-13
+        assert np.max(np.abs(inv.v[i] - e_inv(g[i]).v)) <= 1e-13
+        assert np.max(np.abs(coad[i] - coadjoint_matrix(mp, g.a[i]))) <= 1e-13
 
 
-def test_stack_of_one_shares_the_element_cache(mp):
+def test_single_element_is_a_stack_without_its_axis(mp):
     g = sample_e_element(mp, Rng(10))
-    stack = EStack.of(g)
-    assert np.shares_memory(stack.a.ad, g.a._ad)
-    assert np.array_equal(stack.a.ad[0], adjoint_matrix(mp, g.a))
-    assert np.array_equal(stack.a.ad_inv[0], adjoint_matrix(mp, g.a.inverse()))
+    assert g.v.shape == (mp.dim_c,) and g.a.matrix.ndim == 2
+    assert adjoint_matrix(mp, g.a).shape == (mp.g.dim, mp.g.dim)
+    assert isinstance(mp.invariance_residual(g.a), float)
+    one = sample_e_elements(mp, Rng(10), 1)
+    assert np.array_equal(adE(one)[0], adE(g))
+    assert np.array_equal(eta(mp, one).coeffs[0], eta(mp, g).coeffs)
 
 
 # -- the sampled checks against per-sample loops ------------------------------------
@@ -193,7 +199,8 @@ def test_invariance_matches_per_sample_loop(mp):
 
 
 def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):
-    monkeypatch.setattr(MatchedPair, "invariance_residual", lambda self, a: np.zeros(len(a)))
+    monkeypatch.setattr(MatchedPair, "invariance_residual",
+                        lambda self, a: np.zeros(a.matrix.shape[:-2]))
     rep = run_check("invariance", mp, 40, Rng(42), DEFAULT_TOL)
     details = rep["details"]
     assert details["invariance"] == 0.0
@@ -271,15 +278,24 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         adjoint_matrices(mp, mats)
     with pytest.raises(ValueError, match="element 3 of the stack"):
-        GroupStack(mp, mats).ad
+        GroupElement(mp, mats).ad
 
 
 def test_stack_with_a_nan_matrix_raises(e11):
     mp = e11.mp
     mats = sample_group_matrices(mp, Rng(2), 5)
     mats[2, 0, 1] = np.nan
-    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
+    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(residual nan\)"):
         adjoint_matrices(mp, mats)
+    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
+        GroupElement(mp, mats)
+
+
+def test_stack_with_a_near_singular_matrix_names_its_index(e11):
+    mats = sample_group_matrices(e11.mp, Rng(2), 5)
+    mats[4] = np.diag([1e-7, 1e-7])
+    with pytest.raises(ValueError, match=r"element 4 of the stack is singular"):
+        GroupElement(e11.mp, mats)
 
 
 def test_stack_with_a_non_finite_v_raises(e11):
@@ -287,7 +303,7 @@ def test_stack_with_a_non_finite_v_raises(e11):
     v = stack.v.copy()
     v[1, 0] = np.inf
     with pytest.raises(ValueError, match="element 1 of the stack has a non-finite v"):
-        EStack(e11.mp, v, stack.a)
+        EElement(e11.mp, v, stack.a)
 
 
 def test_single_element_outside_b_still_rejected(e11):

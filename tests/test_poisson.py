@@ -102,7 +102,7 @@ def test_verify_cocycle_record_schema(e11):
     assert rep["check"] == "eta_cocycle"
     assert rep["seed"] == 6
     assert set(rep) == {"pair", "check", "samples", "seed", "max_residual",
-                        "tolerance", "pass"}
+                        "tolerance", "pass", "witness"}
 
 
 def test_anchor_trig_values(e11):
