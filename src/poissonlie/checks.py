@@ -247,7 +247,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
     alg = qu.CrossedAlgebra(entry.mp,
                             reorder_correction=0.0 if corrupted else 1.0)
     maxdeg, maxmode = (2, 2) if corrupted else (4, 6)
-    rep = qu.verify_semiclassical(alg, maxdeg, maxmode, tol=1e-12)
+    rep = qu.verify_semiclassical(alg, maxdeg, maxmode)
     cop = qu.Coproduct(alg)
     gens = [alg.t_a(), alg.t_2(), alg.monomial(0, 0, 1), alg.monomial(0, 0, -1)]
     coassoc = worst(*(cop.coassociativity_residual(x) for x in gens))
@@ -258,6 +258,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
             "details": {"h0": rep["max_h0_residual"],
                         "exact_cases": rep["max_exact_case_residual"],
                         "maxdeg": maxdeg, "maxmode": maxmode,
+                        "worst_pair": rep["worst_pair"],
                         "coproduct_coassociativity": coassoc,
                         "coproduct_homomorphism": hom}}
 

@@ -1,12 +1,18 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonlie import quantize
 from poissonlie.catalog import su11
+from poissonlie.checks import run_check
+from poissonlie.config import DEFAULT_TOL
+from poissonlie.linalg import worst
 from poissonlie.quantize import (Coproduct, CrossedAlgebra, CrossedElement,
                                  SymElement, poisson_sym, q_plain, qh,
-                                 qh_inverse_units, semiclassical_pair_residuals,
+                                 qh_inverse_units, semiclassical_residuals,
                                  verify_semiclassical)
 from poissonlie.trig import TrigPoly, fit_trig
 
@@ -14,6 +20,55 @@ from poissonlie.trig import TrigPoly, fit_trig
 @pytest.fixture(scope="module")
 def alg():
     return CrossedAlgebra(su11().mp)
+
+
+def reference_product(alg, left, right):
+    """Monomial product by term rewriting: push e^{in1} through t_a^{m2} t_2^{k2}
+    one generator at a time, then move t_2 left one factor at a time with
+    t_2 t_a^m = (t_a - lam')^m t_2."""
+    def push(q, m, k):
+        if q == 0 or m == k == 0:
+            return {(m, k, q): 1.0}
+        gen, sub, step = (0, (m - 1, k), (1, 0)) if m else (1, (0, k - 1), (0, 1))
+        out = {}
+        for (mm, kk, nn), c in push(q, *sub).items():
+            key = (mm + step[0], kk + step[1], nn)
+            out[key] = out.get(key, 0) + c
+        for mode, c in alg.xprime_mode(gen, q).items():
+            for key, d in push(mode, *sub).items():
+                out[key] = out.get(key, 0) - c * d
+        return {key: c for key, c in out.items() if abs(c) > 1e-12}
+
+    m1, k1, n1 = left
+    m2, k2, n2 = right
+    acc = {(mm, kk, nn + n2): c for (mm, kk, nn), c in push(n1, m2, k2).items()}
+    for _ in range(k1):
+        nxt = {}
+        for (mm, kk, nn), c in acc.items():
+            for j in range(mm + 1):
+                key = (j, kk + 1, nn)
+                nxt[key] = nxt.get(key, 0) + c * comb(mm, j) * (-alg.lam_rewrite) ** (mm - j)
+        acc = nxt
+    return {(mm + m1, kk, nn): c for (mm, kk, nn), c in acc.items() if abs(c) > 1e-12}
+
+
+def reference_pair_residuals(alg, a_key, b_key):
+    """(leading-order residual, sub-leading mass) of one monomial pair, from
+    the element commutator and the symmetric Poisson bracket."""
+    comm = alg.monomial(*a_key).commutator(alg.monomial(*b_key))
+    expected = poisson_sym(alg, SymElement({a_key: 1.0}), SymElement({b_key: 1.0}))
+    d_top = a_key[0] + a_key[1] + b_key[0] + b_key[1] - 1
+    lead, tail = [], []
+    for key in set(comm.terms) | set(expected.terms):
+        got = comm.terms.get(key, {}).get(0, 0)
+        want = expected.terms.get(key, 0)
+        if key[0] + key[1] == d_top:
+            lead.append(abs(got - want))
+        else:
+            if want != 0:
+                lead.append(abs(want))  # bracket must be homogeneous of top degree
+            tail.append(abs(got))
+    return worst(*lead), worst(*tail)
 
 
 def test_trigpoly_arithmetic():
@@ -150,55 +205,103 @@ def test_poisson_sym_leibniz_and_jacobi(alg):
             poisson_sym(alg, b, c).max_abs(), 1.0)))
 
 
+def test_mono_pairs_match_rewriting_reference():
+    # the product blocks (dense push, closed-form t_2 shift) against term rewriting
+    keys = [(m, k, n) for m in range(3) for k in range(4 - m) for n in range(-3, 4)]
+    for correction in (1.0, 0.0):
+        alg_ = CrossedAlgebra(su11().mp, reorder_correction=correction)
+        for left in keys:
+            for right in keys:
+                got = dict(alg_.mono_pairs(left, right))
+                want = reference_product(alg_, left, right)
+                scale = 1.0 + max(abs(c) for c in want.values())
+                for key in set(got) | set(want):
+                    assert abs(got.get(key, 0) - want.get(key, 0)) <= 1e-14 * scale
+
+
 def test_semiclassical_linear_cases_exact(alg):
-    lead, tail = semiclassical_pair_residuals(alg, (1, 0, 0), (0, 1, 0))
+    lead, tail = reference_pair_residuals(alg, (1, 0, 0), (0, 1, 0))
     assert lead == 0.0 and tail == 0.0
-    lead, tail = semiclassical_pair_residuals(alg, (1, 0, 0), (0, 0, 1))
+    lead, tail = reference_pair_residuals(alg, (1, 0, 0), (0, 0, 1))
     assert lead == 0.0 and tail == 0.0
 
 
 def test_semiclassical_quadratic_has_tail(alg):
     # ((y_a)^2, y_2): leading order vanishes, higher orders are genuinely there
-    lead, tail = semiclassical_pair_residuals(alg, (2, 0, 0), (0, 1, 0))
+    lead, tail = reference_pair_residuals(alg, (2, 0, 0), (0, 1, 0))
     assert lead <= 1e-12
     assert tail > 0.1
 
 
+@pytest.mark.parametrize("correction, maxdeg, maxmode", [(1.0, 4, 6), (0.0, 2, 2)])
+def test_sweep_matches_per_pair_reference(correction, maxdeg, maxmode):
+    alg_ = CrossedAlgebra(su11().mp, reorder_correction=correction)
+    a, b, lead, tail = semiclassical_residuals(alg_, maxdeg, maxmode)
+    keys = [(m, k, n) for m in range(maxdeg + 1) for k in range(maxdeg + 1 - m)
+            for n in range(-maxmode, maxmode + 1)]
+    pairs = [(ka, kb) for i, ka in enumerate(keys) for kb in keys[i:]
+             if ka[0] + ka[1] + kb[0] + kb[1] >= 1]
+    assert [(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())] == pairs
+    for i, (ka, kb) in enumerate(pairs):
+        ref_lead, ref_tail = reference_pair_residuals(alg_, ka, kb)
+        assert lead[i] == ref_lead, (ka, kb)
+        assert abs(tail[i] - ref_tail) <= 1e-13 * max(ref_tail, 1.0), (ka, kb)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+def test_sweep_independent_of_chunk(alg, monkeypatch, chunk):
+    # 1000 does not divide the 19,019 pairs of the (4, 6) grid
+    full = semiclassical_residuals(alg, 4, 6)
+    monkeypatch.setattr(quantize, "PAIR_CHUNK", chunk)
+    for got, want in zip(semiclassical_residuals(alg, 4, 6), full):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_verify_semiclassical_small(alg):
     rep = verify_semiclassical(alg, 2, 2)
-    assert rep["pass"]
+    assert worst(rep["max_h0_residual"], rep["max_exact_case_residual"]) <= 1e-12
     assert rep["max_exact_case_residual"] == 0.0
+    assert set(rep) == {"degrees", "modes", "pairs", "max_h0_residual",
+                        "max_exact_case_residual", "worst_pair"}
 
 
 def test_verify_semiclassical_rejects_bad_degree(alg):
     with pytest.raises(ValueError):
         verify_semiclassical(alg, 0, 2)
+    with pytest.raises(ValueError):   # an empty grid has no worst pair
+        verify_semiclassical(alg, 2, -1)
 
 
 def test_verify_semiclassical_negative_control():
     bad = CrossedAlgebra(su11().mp, reorder_correction=0.0)
     rep = verify_semiclassical(bad, 2, 2)
-    assert not rep["pass"]
+    assert not worst(rep["max_h0_residual"], rep["max_exact_case_residual"]) <= 1e-12
     assert rep["max_h0_residual"] > 1e-3
+    # the witness is the first pair with the largest leading-order residual
+    a_key, b_key = map(tuple, rep["worst_pair"])
+    assert reference_pair_residuals(bad, a_key, b_key)[0] == rep["max_h0_residual"]
+    a, b, lead, _ = semiclassical_residuals(bad, 2, 2)
+    first = int(np.flatnonzero(lead == rep["max_h0_residual"])[0])
+    assert (tuple(a[first]), tuple(b[first])) == (a_key, b_key)
 
 
-def test_verify_semiclassical_propagates_nan(alg, monkeypatch):
-    # a NaN pair residual must reach the sweep's maximum and fail it, not be
-    # dropped by max(); the first pair is left finite so NaN is not the first value
-    from poissonlie import quantize
+def test_verify_semiclassical_propagates_nan(monkeypatch):
+    # a NaN in one push, e^{i phi} t_a, must pass the 1e-12 zeroing of the
+    # product blocks and reach the sweep's maximum, not be dropped by max(), and
+    # fail the check; the first pairs of the sweep do not read it, so NaN is not
+    # the first value
+    real = CrossedAlgebra._push
 
-    real = quantize.semiclassical_pair_residuals
-    calls = []
+    def nan_push(self, q, m, k):
+        out = real(self, q, m, k)
+        return np.full_like(out, np.nan) if (q, m, k) == (1, 1, 0) else out
 
-    def one_nan(alg_, a_key, b_key):
-        calls.append((a_key, b_key))
-        return (float("nan"), 0.0) if len(calls) == 2 else real(alg_, a_key, b_key)
-
-    monkeypatch.setattr(quantize, "semiclassical_pair_residuals", one_nan)
-    rep = verify_semiclassical(alg, 1, 1)
-    assert len(calls) > 2
+    monkeypatch.setattr(CrossedAlgebra, "_push", nan_push)
+    rep = verify_semiclassical(CrossedAlgebra(su11().mp), 1, 1)
     assert np.isnan(rep["max_h0_residual"])
-    assert not rep["pass"]
+    assert rep["worst_pair"][0] == [0, 0, 1]
+    out = run_check("semiclassical", su11(), 0, None, DEFAULT_TOL)
+    assert np.isnan(out["max_residual"]) and not out["pass"]
 
 
 def test_pretty_printer(alg):
