@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .config import ALGEBRAIC_TOL, FD_STEP, SVD_TOL
 from .group import EElement, exp_b, identity_element
 from .lie import LieAlgebra
-from .linalg import Bivector, finite_diff, worst
+from .linalg import BasedSpace, Bivector, finite_diff, worst
 from .matched import MatchedPair
 from .poisson import eta
 
@@ -35,10 +36,16 @@ class EAlgebra:
 
 
 def build_e(mp: MatchedPair, perturb: float = 0.0) -> EAlgebra:
+    """The algebra e = b0 x| b of the pair.  The unperturbed algebra is built
+    and validated once per pair (`MatchedPair.e_algebra`) and shared read-only;
+    a nonzero `perturb` builds a fresh, corrupted one (negative control)."""
+    return EAlgebra(semidirect_algebra(mp, perturb) if perturb else mp.e_algebra, mp)
+
+
+def semidirect_algebra(mp: MatchedPair, perturb: float = 0.0) -> LieAlgebra:
     """Assemble e = b0 x| b: [psi, psi'] = 0, [x, psi] = ad*(x) psi, [x, x'] from b.
 
-    A nonzero `perturb` corrupts one mixed structure constant (negative control).
-    """
+    A nonzero `perturb` corrupts one mixed structure constant (negative control)."""
     k, m = mp.dim_c, mp.dim_b
     n = k + m
     c = np.zeros((n, n, n))
@@ -59,10 +66,7 @@ def build_e(mp: MatchedPair, perturb: float = 0.0) -> EAlgebra:
         # fails Jacobi against the b-action and trips the constructor
         c[0, 1, 0] += perturb
         c[1, 0, 0] -= perturb
-    from .linalg import BasedSpace
-
-    e = LieAlgebra(BasedSpace(mp.e_space.dim, mp.e_space.labels), c)
-    return EAlgebra(e, mp)
+    return LieAlgebra(BasedSpace(mp.e_space.dim, mp.e_space.labels), c)
 
 
 # -- cobracket ---------------------------------------------------------------
@@ -134,24 +138,23 @@ def co_jacobi_residual(delta: list[Bivector]) -> float:
     stack = np.array([d.coeffs for d in delta])
     out = 0.0
     for x in range(len(delta)):
-        t = np.einsum("ab,apq->pqb", delta[x].coeffs, stack)
+        t = np.tensordot(stack, delta[x].coeffs, axes=(0, 0))   # t[p, q, b]
         out = worst(out, np.max(np.abs(_alt3(t))))
     return out
 
 
 def cocycle_1_residual(ea: EAlgebra, delta: list[Bivector]) -> float:
-    """max over basis pairs of | delta([X,Y]) - X.delta(Y) + Y.delta(X) |."""
-    e = ea.e
-    n = e.dim
-    ad = [e.ad_matrix_coords(np.eye(n)[i]) for i in range(n)]
+    """max over basis pairs of | delta([X,Y]) - X.delta(Y) + Y.delta(X) |,
+    one basis vector X = e_i at a time against every Y = e_j, j > i."""
+    c = ea.e.structure
+    stack = np.array([d.coeffs for d in delta])
+    ad = np.swapaxes(c, 1, 2)                  # ad(e_i) = structure[i]^T
     out = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = e.structure[i, j]
-            lhs = np.einsum("a,apq->pq", br, np.array([d.coeffs for d in delta]))
-            act = (ad[i] @ delta[j].coeffs + delta[j].coeffs @ ad[i].T
-                   - ad[j] @ delta[i].coeffs - delta[i].coeffs @ ad[j].T)
-            out = worst(out, np.max(np.abs(lhs - act)))
+    for i in range(ea.e.dim - 1):
+        lhs = np.tensordot(c[i, i + 1:], stack, axes=1)
+        xi_dj = ad[i] @ stack[i + 1:] + stack[i + 1:] @ ad[i].T
+        xj_di = ad[i + 1:] @ stack[i] + stack[i] @ np.swapaxes(ad[i + 1:], 1, 2)
+        out = worst(out, np.max(np.abs(lhs - xi_dj + xj_di)))
     return out
 
 
@@ -255,29 +258,70 @@ def check_coboundary(ea: EAlgebra, delta: list[Bivector], r: Bivector,
     return {"max_residual": out, "pass": bool(out <= ALGEBRAIC_TOL)}
 
 
-def _uniqueness_operator(ea: EAlgebra, drop_b0_rows: bool = False) -> np.ndarray:
-    """The invariance equations on the candidates, one column per candidate.
+#: Pending invariance rows are folded into their R factor once they number
+#: this many times its width.
+FOLD_ROWS = 4
 
-    Candidates are the unit tensors x_a (x) psi_b and psi_b (x) x_a as n x n
-    matrices t; the rows for basis vector X hold vec(A t + t A^T), A = ad_e(X).
-    `drop_b0_rows` is the negative control of `check_r_uniqueness`."""
-    e = ea.e
-    k, m = ea.k, ea.m
-    n = e.dim
-    cands = np.zeros((m, k, 2, n, n))
-    a, b = np.arange(m)[:, None], np.arange(k)[None, :]
-    cands[a, b, 0, k + a, b] = 1.0
-    cands[a, b, 1, b, k + a] = 1.0
-    cands = cands.reshape(2 * k * m, n, n)
-    basis_range = range(k, n) if drop_b0_rows else range(n)
-    stacked = np.empty((len(basis_range), n * n, len(cands)))
-    for row, x in enumerate(basis_range):
-        ad = e.ad_matrix_coords(np.eye(n)[x])
-        if drop_b0_rows:
-            ad[:k, :] = 0.0
-            ad[:, :k] = 0.0
-        stacked[row] = (ad @ cands + cands @ ad.T).reshape(len(cands), n * n).T
-    return stacked.reshape(-1, len(cands))
+
+def invariance_rows(ea: EAlgebra, x: int, drop_b0_rows: bool = False) -> np.ndarray:
+    """The invariance equations on the candidates for basis vector x, one column per candidate.
+
+    Candidates are the unit tensors x_a (x) psi_b, then psi_b (x) x_a, as n x n
+    matrices t (t[k + a, b] = 1, then t[b, k + a] = 1); column (f, a, b) is
+    candidate (a, b) of family f and holds vec(A t + t A^T), A = ad_e(x).
+    `drop_b0_rows` drops the action on the k0 legs (the negative control of
+    `check_r_uniqueness`)."""
+    k, m, n = ea.k, ea.m, ea.e.dim
+    ad = ea.e.ad_matrix_coords(np.eye(n)[x])
+    if drop_b0_rows:
+        ad[:k, :] = 0.0
+        ad[:, :k] = 0.0
+    out = np.zeros((n, n, 2, m, k))
+    a, b = np.arange(m), np.arange(k)
+    out[:, b, 0, :, b] = ad[:, k:]               # (A t)[r, b] = A[r, k + a]
+    out[k + a, :, 0, a, :] += ad[:, :k]          # (t A^T)[k + a, s] = A[s, b]
+    out[:, k + a, 1, a, :] = ad[:, None, :k]     # (A t)[r, k + a] = A[r, b]
+    out[b, :, 1, :, b] += ad[:, k:]              # (t A^T)[b, s] = A[s, k + a]
+    return out.reshape(n * n, 2 * k * m)
+
+
+def _fold(r: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+    """The R factor of r stacked on rows: the same Gram matrix in at most width rows."""
+    stacked = np.vstack([r, *rows])
+    if not len(stacked):
+        return stacked
+    return scipy.linalg.qr(stacked, mode="r", overwrite_a=True)[0][:stacked.shape[1]]
+
+
+def uniqueness_singular_values(ea: EAlgebra, drop_b0_rows: bool = False) -> np.ndarray:
+    """Singular values of the invariance equations on the candidates, largest first.
+
+    The equations are streamed one basis vector at a time: rows that are
+    exactly zero are dropped, and the rest are folded into running R factors
+    (TSQR), so only O((n^2 + km) km) numbers are held.  The flip t -> t^T
+    commutes with the action and swaps the two candidate families, so row
+    (r, s) on one family equals row (s, r) on the other, bit for bit.  The
+    rows that touch the psi (x) x family only are therefore the flips of those
+    that touch the x (x) psi family only and share their R factor: it is
+    built once, at half the width.  Rows touching both families go to a
+    full-width factor, and the factors are folded together at the end."""
+    k, m, n = ea.k, ea.m, ea.e.dim
+    half = k * m
+    factors = [np.zeros((0, half)), np.zeros((0, 2 * half))]
+    pending: list[list[np.ndarray]] = [[], []]
+    for x in range(k, n) if drop_b0_rows else range(n):
+        rows = invariance_rows(ea, x, drop_b0_rows)
+        touches = (rows.reshape(len(rows), 2, half) != 0).any(axis=2)
+        for f, block in enumerate((rows[touches[:, 0] & ~touches[:, 1], :half],
+                                   rows[touches.all(axis=1)])):
+            if len(block):
+                pending[f].append(block)
+            if sum(len(b) for b in pending[f]) >= FOLD_ROWS * factors[f].shape[1]:
+                factors[f], pending[f] = _fold(factors[f], pending[f]), []
+    one, mixed = (_fold(r, p) if p else r for r, p in zip(factors, pending))
+    zero = np.zeros_like(one)
+    r = _fold(mixed, [np.hstack([one, zero]), np.hstack([zero, one])])
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
@@ -288,12 +332,13 @@ def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
     basis vector X is ad_e(X) on both tensor legs.  With `drop_b0_rows` the
     equations for X in b0 are removed and the action on the k0 legs is dropped
     (the documented negative control; central elements then survive)."""
-    stacked = _uniqueness_operator(ea, drop_b0_rows)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    kernel_dim = int(stacked.shape[1] - np.sum(svals > svd_tol))
+    svals = uniqueness_singular_values(ea, drop_b0_rows)
+    count = 2 * ea.k * ea.m
+    kernel_dim = int(count - np.sum(svals > svd_tol))
     return {
         "kernel_dim": kernel_dim,
         "svd_threshold": svd_tol,
         "pass": bool(kernel_dim == 0),
-        "smallest_sv": float(svals[-1]) if len(svals) else 0.0,
+        # fewer rows than candidates leaves exact zeros the SVD does not list
+        "smallest_sv": float(svals[-1]) if len(svals) == count else 0.0,
     }

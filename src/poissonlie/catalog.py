@@ -1,5 +1,6 @@
 """Hard-coded, validated example pairs: the su(1,1)/U(1) pair with its full
-planar-group data and the su(p,1) family for p <= P_CAP.
+planar-group data and the su(p,1) family for p <= P_CAP, named su11-su41 in
+the catalog.
 
 Catalog matrices are entered exactly as rational/complex-unit expressions; the
 only implicit normalization (the scaling of the central element z) is computed
@@ -197,8 +198,11 @@ def _validate_entry(entry: CatalogEntry):
                 raise ValueError(f"root-space grading failed (residual {resid:.3e})")
 
 
+#: Largest p with a catalog name; larger p up to P_CAP only through supq1(p).
+CATALOG_P_MAX = 4
+
 _CATALOG = {"su11": lambda: su11()}
-for _p in range(2, P_CAP + 1):
+for _p in range(2, CATALOG_P_MAX + 1):
     _CATALOG[f"su{_p}1"] = (lambda q: (lambda: supq1(q)))(_p)
 
 

@@ -20,7 +20,7 @@ from . import poisson as po
 from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
-from .lie import jacobi_residual
+from .lie import jacobi_worst_at
 from .linalg import Rng, worst, worst_at
 from .matched import MatchedPair
 from .group import SAMPLE_BLOCK, GroupElement, adjoint_matrix, exp_b, sample_group_matrices
@@ -99,7 +99,8 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
         structure = structure.copy()
         structure[0, 1, :] += 1e-3
         structure[1, 0, :] -= 1e-3
-    return {"max_residual": jacobi_residual(structure), "details": {"dim": mp.g.dim}}
+    resid, triple = jacobi_worst_at(structure)
+    return {"max_residual": resid, "details": {"dim": mp.g.dim, "worst_triple": list(triple)}}
 
 
 @_register("invariance", "invariance_flip_action", REALIZATION)
@@ -206,13 +207,13 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     scale = 2.0 if corrupted else 1.0
-    plus = mn.deform_bracket(entry, +1.0, cocycle_scale=scale)
+    plus = mn.deform_bracket(entry, +1.0, cocycle_scale=scale, tol=tol.algebraic)
     g_model = mn.g_structure_in_model_basis(entry)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
-    minus = mn.deform_bracket(entry, -1.0, cocycle_scale=scale)
+    minus = mn.deform_bracket(entry, -1.0, cocycle_scale=scale, tol=tol.algebraic)
     eigs = mn.killing_eigenvalues(minus)
     neg_def = bool(np.max(eigs) < -tol.algebraic)
-    zero = mn.deform_bracket(entry, 0.0)
+    zero = mn.deform_bracket(entry, 0.0, tol=tol.algebraic)
     ea = bi.build_e(entry.mp)
     resid_zero = float(np.max(np.abs(zero.structure - ea.e.structure)))
     return {"max_residual": worst(resid_plus, resid_zero, 0.0 if neg_def else 1.0),

@@ -24,7 +24,7 @@ from . import __version__
 from . import bialgebra as bi
 from .catalog import CatalogEntry, catalog_names, get_entry, supq1
 from .checks import REGISTRY, applicable_checks, conventions_report, run_check
-from .config import DEFAULT_TOL, EXP_METHOD, PRNG_NAME, Tolerances
+from .config import DEFAULT_TOL, EXP_METHOD, P_CAP, PRNG_NAME, Tolerances
 from .linalg import Rng
 from .matched import MatchedPair
 
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--corrupt", default=None,
                      help="negative-control knob: "
                      + ", ".join(c.knob for c in REGISTRY.values()))
-    ver.add_argument("--p", type=int, default=None, help="family parameter for supq1")
+    ver.add_argument("--p", type=int, default=None,
+                     help=f"family parameter for supq1, 1 to {P_CAP}")
 
     cat = sub.add_parser("catalog", help="list or export catalog pairs")
     cat_sub = cat.add_subparsers(dest="catalog_command", required=True)

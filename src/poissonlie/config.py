@@ -12,8 +12,12 @@ FD_TOL = 1e-6
 FD_STEP = 1e-4
 #: Singular values below this count as zero in kernel computations.
 SVD_TOL = 1e-8
-#: Largest p for which the su(p,1) family is constructed.
-P_CAP = 4
+#: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
+#: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
+#: by the mathematics: at p = 8 every check passes in under a minute and
+#: 0.6 GB, most of it the r-uniqueness QR over 2km = 2048 candidates and the
+#: Jacobi validation of the 160-dimensional complexification.
+P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan
 #: equation of the twist; see the conventions report.

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import ALGEBRAIC_TOL
-from .linalg import BasedSpace, SpaceMismatchError, Vec, finite_array, worst
+from .linalg import BasedSpace, SpaceMismatchError, Vec, finite_array, worst, worst_at
 
 IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
@@ -93,15 +93,36 @@ class MatrixBasisSolver:
         return np.tensordot(coords, self.stack, axes=1)
 
 
-def jacobi_residual(structure: np.ndarray) -> float:
-    """Max over basis triples of the Jacobi identity residual.
+def jacobi_worst_at(structure: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """The largest Jacobi residual max_m |([[i,j],k] + [[j,k],i] + [[k,i],j])_m| over
+    basis triples, with the triple (i, j, k) it is attained at: the first NaN,
+    else the first largest.
 
-    Computed one slice of the first index at a time, so no n^4 array is held."""
+    The Jacobiator of an antisymmetric table is alternating in (i, j, k), so
+    each triple is contracted with i below j and k, one i at a time; no n^4
+    array is held.  A NaN anywhere in the table reaches some slice."""
     c = structure
-    return worst(*(np.max(np.abs(np.tensordot(c[i], c, axes=1)
-                                 + np.tensordot(c, c[:, i], axes=1)
-                                 + np.tensordot(c[:, i], c, axes=1).swapaxes(0, 1)))
-                   for i in range(c.shape[0])))
+    n = c.shape[0]
+    if n < 2:
+        return 0.0, (0, 0, 0)
+    slices = []
+    for i in range(n - 1):
+        r = n - i - 1
+        c_tail = c[:, i + 1:].reshape(n, r * n)                 # c[l, j, m], j > i
+        jac = (c[i, i + 1:] @ c_tail                             # [[i,j],k]
+               + (c[i + 1:, i + 1:].reshape(r * r, n) @ c[:, i]).reshape(r, r * n)
+               + (c[i + 1:, i] @ c_tail).reshape(r, r, n).swapaxes(0, 1).reshape(r, r * n))
+        slices.append(np.abs(jac.reshape(r, r, n)).max(axis=2))
+    resid, at = worst_at(np.concatenate([s.ravel() for s in slices]))
+    starts = np.cumsum([0] + [s.size for s in slices])
+    i = int(np.searchsorted(starts, at, side="right")) - 1
+    j, k = divmod(at - int(starts[i]), n - i - 1)
+    return resid, (i, i + 1 + j, i + 1 + k)
+
+
+def jacobi_residual(structure: np.ndarray) -> float:
+    """Max over basis triples of the Jacobi identity residual."""
+    return jacobi_worst_at(structure)[0]
 
 
 @dataclass(eq=False)
@@ -120,9 +141,10 @@ class LieAlgebra:
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) != 0.0:
             raise ValueError("structure constants are not exactly antisymmetric")
         self.structure = c
-        res = jacobi_residual(c)
+        res, (i, j, k) = jacobi_worst_at(c)
         if not res <= ALGEBRAIC_TOL:
-            raise ValueError(f"Jacobi identity violated: residual {res:.3e}")
+            raise ValueError(f"Jacobi identity violated: residual {res:.3e} at basis triple "
+                             f"({i}, {j}, {k})")
         if self.realization is not None:
             self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
             if len(self.realization) != n:
@@ -299,13 +321,8 @@ class SubspaceDecomposition:
     def closure_residual(self, name: str) -> float:
         """How far the named part is from being a subalgebra."""
         basis = self.parts[name]
-        p = self.projections[name]
-        out = 0.0
-        for i in range(basis.shape[0]):
-            for j in range(basis.shape[0]):
-                br = self.parent.bracket_coords(basis[i], basis[j])
-                out = worst(out, np.max(np.abs(br - p @ br)))
-        return out
+        br = np.einsum("ip,jq,pqr->ijr", basis, basis, self.parent.structure, optimize=True)
+        return float(np.max(np.abs(br - br @ self.projections[name].T), initial=0.0))
 
     def project(self, name: str, coords: np.ndarray) -> np.ndarray:
         return self.projections[name] @ coords

@@ -170,9 +170,14 @@ def phi_identification(entry) -> np.ndarray:
     return np.linalg.solve(gram.T, np.eye(k))
 
 
-def deform_bracket(entry, sign: float, cocycle_scale: float = 1.0) -> LieAlgebra:
+def deform_bracket(entry, sign: float, cocycle_scale: float = 1.0,
+                   tol: float = ALGEBRAIC_TOL) -> LieAlgebra:
     """Deformed bracket on the model p x| k:
-    [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g)."""
+    [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g).
+
+    All brackets of the model basis (u rows, then b rows) come from one
+    contraction; each block is read off for i < j and mirrored, so the table
+    is exactly antisymmetric.  `tol` bounds the p-part of [p, p]."""
     g = entry.g
     p_rows = entry.cartan.parts["p"]
     phi = phi_identification(entry)
@@ -180,24 +185,22 @@ def deform_bracket(entry, sign: float, cocycle_scale: float = 1.0) -> LieAlgebra
     b_rows = entry.mp.decomp.parts["b"]
     k, m = u_rows.shape[0], b_rows.shape[0]
     n = k + m
-    u_pinv = np.linalg.pinv(u_rows.T)
+    rows = np.vstack([u_rows, b_rows])
+    br = np.einsum("ip,jq,pqr->rij", rows, rows, g.structure, optimize=True).reshape(g.dim, -1)
+    p_part = entry.cartan.project("p", br).T.reshape(n, n, g.dim)
+    b_part = entry.mp.b_coords(br).T.reshape(n, n, m)
+    iu, ju = np.triu_indices(k, 1)
+    resid = np.max(np.abs(p_part[iu, ju]), initial=0.0)
+    if not resid <= tol:
+        raise ValueError(f"[p, p] leaves k (p-part {resid:.3e})")
     c = np.zeros((n, n, n))
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = g.bracket_coords(u_rows[i], u_rows[j])
-            if not np.max(np.abs(entry.cartan.project("p", w))) <= 1e-9:
-                raise ValueError("[p, p] leaves k")
-            c[i, j, k:] = sign * cocycle_scale * entry.mp.b_coords(w)
-            c[j, i, k:] = -c[i, j, k:]
-    for a in range(m):
-        for i in range(k):
-            w = g.bracket_coords(b_rows[a], u_rows[i])
-            c[k + a, i, :k] = u_pinv @ entry.cartan.project("p", w)
-            c[i, k + a, :k] = -c[k + a, i, :k]
-        for b in range(a + 1, m):
-            w = g.bracket_coords(b_rows[a], b_rows[b])
-            c[k + a, k + b, k:] = entry.mp.b_coords(w)
-            c[k + b, k + a, k:] = -c[k + a, k + b, k:]
+    c[iu, ju, k:] = sign * cocycle_scale * b_part[iu, ju]
+    c[ju, iu, k:] = -c[iu, ju, k:]
+    c[k:, :k, :k] = p_part[k:, :k] @ np.linalg.pinv(u_rows.T).T
+    c[:k, k:, :k] = -c[k:, :k, :k].swapaxes(0, 1)
+    ia, ja = np.triu_indices(m, 1)
+    c[k + ia, k + ja, k:] = b_part[k + ia, k + ja]
+    c[k + ja, k + ia, k:] = -c[k + ia, k + ja, k:]
     labels = [f"u_{i}" for i in range(k)] + [f"x_{a}" for a in range(m)]
     return LieAlgebra(BasedSpace.make(labels), c)
 

@@ -113,6 +113,18 @@ class MatchedPair:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def e_algebra(self) -> LieAlgebra:
+        """The Lie algebra e = b0 x| b (`bialgebra.semidirect_algebra`), built and
+        validated once; its table is read-only.  The pair holds the algebra
+        and not an `EAlgebra`, which points back at the pair, so no reference
+        cycle keeps the pair alive."""
+        from .bialgebra import semidirect_algebra
+
+        e = semidirect_algebra(self)
+        e.structure.setflags(write=False)
+        return e
+
     @property
     def c_structure(self) -> np.ndarray:
         """Structure constants of c in the y-basis: c_brackets in c-coordinates."""

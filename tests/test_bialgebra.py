@@ -5,7 +5,8 @@ from poissonlie.bialgebra import (build_e, check_cobracket_axioms,
                                   check_coboundary, check_r_uniqueness,
                                   co_jacobi_residual, delta_consistency_residual,
                                   delta_direct, delta_from_eta,
-                                  dual_bracket_structure, normalize_z, r_matrix)
+                                  dual_bracket_structure, normalize_z, r_matrix,
+                                  semidirect_algebra)
 from poissonlie.catalog import su11, supq1
 from poissonlie.config import FD_TOL
 from poissonlie.linalg import BasedSpace, Bivector
@@ -35,6 +36,26 @@ def test_build_e_planar_signs(e11):
     assert br[1] == pytest.approx(-2.0, abs=1e-12)
     br2 = ea.e.structure[2, 1]
     assert br2[0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_build_e_once_per_pair(e21):
+    mp = e21.mp
+    first, second = build_e(mp), build_e(mp)
+    assert first.e is second.e is mp.e_algebra
+    with pytest.raises(ValueError, match="read-only"):
+        first.e.structure[0, 0, 0] = 1.0
+    # the knobs build or copy before they corrupt: the shared table is untouched
+    from poissonlie.checks import REGISTRY, run_check
+    from poissonlie.config import DEFAULT_TOL
+    from poissonlie.linalg import Rng
+
+    before = mp.e_algebra.structure.copy()
+    for check in REGISTRY.values():
+        if check.applies(e21):
+            run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
+    assert mp.e_algebra is first.e
+    assert np.array_equal(mp.e_algebra.structure, before)
+    assert np.array_equal(before, semidirect_algebra(mp).structure)
 
 
 def test_build_e_jacobi_failure_signals(e11):
@@ -195,6 +216,12 @@ def test_uniqueness_kernel_zero(e11, e21):
         ea = build_e(entry.mp)
         rep = check_r_uniqueness(ea)
         assert rep["pass"] and rep["kernel_dim"] == 0
+
+
+def test_uniqueness_past_the_catalog():
+    # p = 5 is past the named catalog and reachable only through supq1(p)
+    rep = check_r_uniqueness(build_e(supq1(5).mp))
+    assert rep["pass"] and rep["kernel_dim"] == 0
 
 
 def test_uniqueness_negative_control(e11):

@@ -33,7 +33,7 @@ def test_supq1_range():
     with pytest.raises(ValueError):
         supq1(0)
     with pytest.raises(ValueError):
-        supq1(5)
+        supq1(9)
 
 
 def test_su11_generators_exact():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from poissonlie.catalog import get_entry
@@ -45,3 +46,15 @@ def test_fd_step_reaches_delta_consistency():
                        DEFAULT_TOL.override(fd_step=1e-2))
     assert base["pass"]
     assert coarse["max_residual"] != base["max_residual"]
+
+
+def test_jacobi_report_names_its_worst_triple():
+    entry = get_entry("su21")
+    rep = run_check("jacobi", entry, 1, Rng(0), DEFAULT_TOL, corrupt="jacobi_perturb_constant")
+    assert rep["pass"] is False
+    i, j, k = rep["details"]["worst_triple"]
+    c = entry.g.structure.copy()
+    c[0, 1, :] += 1e-3
+    c[1, 0, :] -= 1e-3
+    at = np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j]))
+    assert at == pytest.approx(rep["max_residual"], rel=1e-13)

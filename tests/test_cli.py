@@ -147,7 +147,7 @@ def test_supq1_with_p_flag(tmp_path):
     assert json.loads(rep.read_text())["pair"] == "supq1(p=2)"
     out = run_cli("verify", "supq1", "--checks", "jacobi")
     assert out.returncode == 64
-    out = run_cli("verify", "supq1", "--p", "7", "--checks", "jacobi")
+    out = run_cli("verify", "supq1", "--p", "9", "--checks", "jacobi")
     assert out.returncode == 64
     out = run_cli("verify", "su11", "--p", "2", "--checks", "jacobi")
     assert out.returncode == 64
@@ -216,7 +216,7 @@ def test_internal_error_exit_70(monkeypatch, capsys, tmp_path):
     def broken(structure):
         raise RuntimeError("broken residual")
 
-    monkeypatch.setattr(checks, "jacobi_residual", broken)
+    monkeypatch.setattr(checks, "jacobi_worst_at", broken)
     code = cli.main(["verify", "su11", "--checks", "jacobi",
                      "--out", str(tmp_path / "r.json")])
     assert code == 70

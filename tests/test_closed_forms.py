@@ -8,10 +8,12 @@ index contributes."""
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import _alt3, _uniqueness_operator, build_e
+from poissonlie.bialgebra import (_alt3, build_e, check_r_uniqueness, invariance_rows,
+                                  uniqueness_singular_values)
 from poissonlie.catalog import get_entry
-from poissonlie.lie import (IM_TRACE, RE_TRACE, from_realization, jacobi_residual,
-                            trace_gram, trace_pairing)
+from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, jacobi_residual,
+                            jacobi_worst_at, trace_gram, trace_pairing)
+from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
 from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
                               gprime_half, schouten_square)
@@ -121,13 +123,31 @@ def cprime_residual_loop(entry, delta_g, delta_other, sign) -> float:
     return out
 
 
+def jacobi_loop(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """The Jacobi residual over every triple (i, j, k), one triple at a time,
+    with the first NaN, else the first largest, triple."""
+    n = c.shape[0]
+    out, at = 0.0, (0, 0, 0)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j]))
+                if np.isnan(r):
+                    return float(r), (i, j, k)
+                if r > out:
+                    out, at = float(r), (i, j, k)
+    return out, at
+
+
 def uniqueness_operator_kron(ea, drop_b0_rows: bool) -> np.ndarray:
-    """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n)."""
+    """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n),
+    with the candidates x_a (x) psi_b first, then psi_b (x) x_a."""
     k, m, n = ea.k, ea.m, ea.e.dim
     cands = []
-    for a in range(m):
-        for b in range(k):
-            for i, j in ((k + a, b), (b, k + a)):
+    for family in range(2):
+        for a in range(m):
+            for b in range(k):
+                i, j = (k + a, b) if family == 0 else (b, k + a)
                 t = np.zeros((n, n))
                 t[i, j] = 1.0
                 cands.append(t.ravel())
@@ -204,13 +224,69 @@ def test_cprime_residual_matches_loop(entry):
 
 
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
-def test_uniqueness_operator_matches_kron(entry, drop_b0_rows):
+def test_invariance_rows_match_kron(entry, drop_b0_rows):
     ea = build_e(entry.mp)
-    got = _uniqueness_operator(ea, drop_b0_rows)
+    n = ea.e.dim
+    xs = range(ea.k, n) if drop_b0_rows else range(n)
+    got = np.vstack([invariance_rows(ea, x, drop_b0_rows) for x in xs])
     want = uniqueness_operator_kron(ea, drop_b0_rows)
-    assert got.shape == want.shape == ((ea.e.dim - (ea.k if drop_b0_rows else 0))
-                                       * ea.e.dim ** 2, 2 * ea.k * ea.m)
+    assert got.shape == want.shape == (len(xs) * n ** 2, 2 * ea.k * ea.m)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
+    # (A t + t A^T)^T = A t^T + t^T A^T and t -> t^T swaps the two families
+    ea = build_e(entry.mp)
+    n, half = ea.e.dim, ea.k * ea.m
+    for x in range(n):
+        rows = invariance_rows(ea, x, drop_b0_rows).reshape(n, n, 2, half)
+        assert np.array_equal(rows[:, :, 1], rows.transpose(1, 0, 2, 3)[:, :, 0])
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_streamed_uniqueness_matches_dense_svd(name, drop_b0_rows):
+    ea = build_e(get_entry(name).mp)
+    dense = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows), compute_uv=False)
+    streamed = uniqueness_singular_values(ea, drop_b0_rows)
+    assert len(dense) == 2 * ea.k * ea.m >= len(streamed)
+    streamed = np.concatenate([streamed, np.zeros(len(dense) - len(streamed))])
+    assert np.max(np.abs(streamed - dense)) <= 1e-13 * dense[0]
+    rep = check_r_uniqueness(ea, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    assert rep["kernel_dim"] == len(dense) - np.sum(dense > 1e-8)
+    assert rep["kernel_dim"] == (0 if not drop_b0_rows else 2 * ea.k)
+    assert rep["smallest_sv"] == pytest.approx(dense[-1], abs=1e-13 * dense[0])
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 11])
+def test_jacobi_half_slices_match_loop(n):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((n, n, n))
+    c = c - np.swapaxes(c, 0, 1)
+    want, _ = jacobi_loop(c)
+    got, (i, j, k) = jacobi_worst_at(c)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert i < j
+    # the witness is where the residual is attained
+    at = np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j]))
+    assert at == pytest.approx(got, rel=1e-13)
+
+
+def test_jacobi_witness_names_the_perturbed_triple():
+    # [e0, e1] = e2 alone is a Lie algebra (Heisenberg plus abelian directions);
+    # adding [e2, e3] = d e4 breaks Jacobi on the triple {0, 1, 3} only
+    c = np.zeros((6, 6, 6))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    assert jacobi_worst_at(c)[0] == 0.0 == jacobi_loop(c)[0]
+    c[2, 3, 4], c[3, 2, 4] = 0.25, -0.25
+    assert jacobi_worst_at(c) == (0.25, (0, 1, 3)) == jacobi_loop(c)
+    with pytest.raises(ValueError, match=r"residual 2\.500e-01 at basis triple \(0, 1, 3\)"):
+        LieAlgebra(BasedSpace.make([f"e{i}" for i in range(6)]), c)
+    # a NaN reaches every triple whose bracket reads it; the first with i < j is named
+    c[2, 3, 5] = np.nan
+    resid, triple = jacobi_worst_at(c)
+    assert np.isnan(resid) and np.isnan(jacobi_loop(c)[0]) and triple == (0, 1, 3)
 
 
 def test_from_realization_names_the_bad_commutator():

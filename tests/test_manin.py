@@ -124,6 +124,13 @@ def test_deform_zero_is_e(entries):
         assert np.max(np.abs(zero.structure - ea.e.structure)) <= 1e-9
 
 
+def test_deform_guard_threshold_is_nan_safe(entries):
+    entry = entries[2]
+    deform_bracket(entry, +1.0, tol=1e-9)
+    with pytest.raises(ValueError, match=r"\[p, p\] leaves k"):
+        deform_bracket(entry, +1.0, tol=float("nan"))
+
+
 def test_deform_corrupted_cocycle_mismatch(entries):
     entry = entries[1]
     bad = deform_bracket(entry, +1.0, cocycle_scale=2.0)
