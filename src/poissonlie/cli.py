@@ -34,6 +34,10 @@ EXIT_IMPORT_ERROR = 2
 EXIT_BAD_CONFIG = 64
 EXIT_INTERNAL = 70
 
+#: terms of the displayed tables at or below this magnitude print as absent;
+#: it shapes the text summary only, never a verdict
+DISPLAY_CUTOFF = 1e-12
+
 
 class ConfigError(ValueError):
     pass
@@ -186,7 +190,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
         for j in order[ii + 1:]:
             vec = mp.c_structure[i, j]
             terms = [f"{vec[lidx]:+g} {labels[order.index(lidx)]}"
-                     for lidx in range(k) if abs(vec[lidx]) > 1e-12]
+                     for lidx in range(k) if abs(vec[lidx]) > DISPLAY_CUTOFF]
             rhs = " ".join(terms) if terms else "0"
             lines.append(f"  [{labels[ii]}, {labels[order.index(j)]}] = {rhs}")
     ea = bi.build_e(mp)
@@ -198,7 +202,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
         terms = []
         for a in range(k):
             for b in range(a + 1, k):
-                if abs(c[a, b]) > 1e-12:
+                if abs(c[a, b]) > DISPLAY_CUTOFF:
                     la = dual_labels[order.index(a)]
                     lb = dual_labels[order.index(b)]
                     terms.append(f"{c[a, b]:+g} {la}^{lb}")
@@ -210,7 +214,8 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
         for i in range(3):
             for j in range(i + 1, 3):
                 vec = e.structure[i, j]
-                terms = [f"{vec[l]:+g} {names[l]}" for l in range(3) if abs(vec[l]) > 1e-12]
+                terms = [f"{vec[l]:+g} {names[l]}" for l in range(3)
+                         if abs(vec[l]) > DISPLAY_CUTOFF]
                 lines.append(f"  [{names[i]}, {names[j]}] = {' '.join(terms) if terms else '0'}")
     return lines
 

@@ -1,10 +1,13 @@
 """Ordered-monomial quantization of the circle pair: the crossed algebra of the
-two solvable generators over trig polynomials, the graded quantization maps,
-the exact leading-order commutator check, and the bicrossed coproduct.
+two solvable generators over trig polynomials and its tensor powers, the exact
+leading-order commutator check, and the bicrossed coproduct.
 
-The deformation parameter h is formal: coefficients are polynomials in h, so
-"vanishes to leading order" is a statement about exact polynomial coefficients,
-not numerical limits.  Normal order puts t_a before t_2 before the trig factor;
+No formal h is stored: coefficients are complex numbers.  The graded
+quantization Q_h maps a degree-d monomial to its ordered product times h^d, so
+in quantization units [Q_h A, Q_h B]/h - Q_h({A, B}) has h^0 coefficient equal
+to the degree d_A + d_B - 1 part of [A, B] - {A, B}, and every lower degree is
+O(h).  "Vanishes to leading order" is thus decided exactly by degree, not by a
+numerical limit.  Normal order puts t_a before t_2 before the trig factor;
 rewriting terminates because [y_a, y_2] = 2 y_2 lowers the disorder degree.
 
 One product table holds the normal-ordering rule.  Each algebra builds, once
@@ -13,7 +16,7 @@ relative Fourier mode): the normal form of e^{iq phi} t_a^{m2} t_2^{k2} (the
 push) with t_2^{k1} moved through it in closed form,
 t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1}.  The product of two monomials is
 a block shifted by the left t_a power and the right mode; `mono_pairs` reads
-it for element, tensor and coproduct products, and the semiclassical sweep
+it for the one product of elements and tensors, and the semiclassical sweep
 gathers both orders of every monomial pair from the same blocks, a fixed
 number of pairs (`PAIR_CHUNK`) at a time, as dense arrays with NaN-propagating
 maxima.
@@ -32,10 +35,9 @@ from math import comb
 
 import numpy as np
 
-from .linalg import worst_at
+from .linalg import worst, worst_at
 from .matched import MatchedPair
 from .poisson import anchor_trig, circle_parameter_checks
-from .trig import TrigPoly
 
 _EPS = 1e-12
 
@@ -43,85 +45,40 @@ _EPS = 1e-12
 #: memory does not grow with the grid
 PAIR_CHUNK = 256
 
-# coefficient values are polynomials in h: exponent -> complex
-HPoly = dict[int, complex]
-
-
-def _hp_add(a: HPoly, b: HPoly, scale: complex = 1.0) -> HPoly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + scale * c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _hp_shift(a: HPoly, shift: int) -> HPoly:
-    return {e + shift: c for e, c in a.items()}
-
-
-def _hp_scale(a: HPoly, s: complex) -> HPoly:
-    return {e: s * c for e, c in a.items() if s * c != 0}
-
-
-def _hp_max(a: HPoly) -> float:
-    return max((abs(c) for c in a.values()), default=0.0)
-
-
 Key = tuple[int, int, int]  # (t_a power, t_2 power, Fourier mode)
 
 
 @dataclass(eq=False)
-class CrossedElement:
-    """Finite sum of normal-ordered monomials t_a^m t_2^k e^{in phi} with
-    h-polynomial coefficients."""
+class TensorElement:
+    """Element of the `legs`-fold tensor power of the crossed algebra: a finite
+    sum of tensor products of normal-ordered monomials t_a^m t_2^k e^{in phi},
+    keyed by one monomial per leg.  A crossed element is the one-leg case."""
 
     algebra: "CrossedAlgebra"
-    terms: dict[Key, HPoly] = field(default_factory=dict)
+    legs: int
+    terms: dict[tuple[Key, ...], complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {k: dict(v) for k, v in self.terms.items() if _hp_max(v) != 0.0}
+        # `not <=` keeps a NaN coefficient, so that a residual reports it
+        self.terms = {k: complex(v) for k, v in self.terms.items() if not abs(v) <= _EPS}
 
-    def copy(self) -> "CrossedElement":
-        return CrossedElement(self.algebra, {k: dict(v) for k, v in self.terms.items()})
-
-    def add(self, other: "CrossedElement", scale: complex = 1.0) -> "CrossedElement":
-        out = {k: dict(v) for k, v in self.terms.items()}
+    def add(self, other: "TensorElement", scale: complex = 1.0) -> "TensorElement":
+        out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = _hp_add(out.get(k, {}), v, scale)
-        return CrossedElement(self.algebra, out)
+            out[k] = out.get(k, 0) + scale * v
+        return TensorElement(self.algebra, self.legs, out)
 
-    def scaled(self, s: complex) -> "CrossedElement":
-        return CrossedElement(self.algebra, {k: _hp_scale(v, s) for k, v in self.terms.items()})
-
-    def mul(self, other: "CrossedElement") -> "CrossedElement":
+    def mul(self, other: "TensorElement") -> "TensorElement":
         return self.algebra.mul(self, other)
 
-    def commutator(self, other: "CrossedElement") -> "CrossedElement":
+    def commutator(self, other: "TensorElement") -> "TensorElement":
         return self.mul(other).add(other.mul(self), scale=-1.0)
 
     def max_abs(self) -> float:
-        return max((_hp_max(v) for v in self.terms.values()), default=0.0)
+        return worst(*(abs(c) for c in self.terms.values()))
 
-    def residual(self, other: "CrossedElement") -> float:
+    def residual(self, other: "TensorElement") -> float:
         return self.add(other, scale=-1.0).max_abs()
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, k, n), hp in sorted(self.terms.items()):
-            sym = []
-            if m:
-                sym.append(f"t_a^{m}" if m > 1 else "t_a")
-            if k:
-                sym.append(f"t_2^{k}" if k > 1 else "t_2")
-            if n:
-                sym.append(f"e^{{{n}i phi}}")
-            mono = " ".join(sym) if sym else "1"
-            coef = " + ".join(
-                f"({c:.6g})" + (f" h^{e}" if e > 1 else (" h" if e == 1 else ""))
-                for e, c in sorted(hp.items()))
-            bits.append(f"[{coef}] {mono}")
-        return "  +  ".join(bits)
 
 
 class CrossedAlgebra:
@@ -150,24 +107,21 @@ class CrossedAlgebra:
 
     # -- constructors ------------------------------------------------------
 
-    def zero(self) -> CrossedElement:
-        return CrossedElement(self, {})
+    def element(self, terms: dict[Key, complex]) -> TensorElement:
+        """The crossed element sum of c t_a^m t_2^k e^{in phi} over {(m, k, n): c}."""
+        return TensorElement(self, 1, {(key,): c for key, c in terms.items()})
 
-    def one(self) -> CrossedElement:
-        return CrossedElement(self, {(0, 0, 0): {0: 1.0}})
+    def one(self) -> TensorElement:
+        return self.element({(0, 0, 0): 1.0})
 
-    def monomial(self, m: int, k: int, n: int, coeff: complex = 1.0,
-                 h_power: int = 0) -> CrossedElement:
-        return CrossedElement(self, {(m, k, n): {h_power: coeff}})
+    def monomial(self, m: int, k: int, n: int, coeff: complex = 1.0) -> TensorElement:
+        return self.element({(m, k, n): coeff})
 
-    def t_a(self) -> CrossedElement:
+    def t_a(self) -> TensorElement:
         return self.monomial(1, 0, 0)
 
-    def t_2(self) -> CrossedElement:
+    def t_2(self) -> TensorElement:
         return self.monomial(0, 1, 0)
-
-    def trig(self, f: TrigPoly) -> CrossedElement:
-        return CrossedElement(self, {(0, 0, n): {0: c} for n, c in f.coeffs.items()})
 
     # -- derivation coefficients --------------------------------------------
 
@@ -240,19 +194,28 @@ class CrossedAlgebra:
             self._pair_cache[cache_key] = hit
         return hit
 
-    def mul(self, a: CrossedElement, b: CrossedElement) -> CrossedElement:
-        acc: dict[Key, HPoly] = {}
-        for ka, ha in a.terms.items():
-            for kb, hb in b.terms.items():
-                prod_h: HPoly = {}
-                for ea, ca in ha.items():
-                    for eb, cb in hb.items():
-                        prod_h[ea + eb] = prod_h.get(ea + eb, 0) + ca * cb
-                for key, coeff in self.mono_pairs(ka, kb):
-                    slot = acc.setdefault(key, {})
-                    for e, c in prod_h.items():
-                        slot[e] = slot.get(e, 0) + coeff * c
-        return CrossedElement(self, acc)
+    def mul(self, a: TensorElement, b: TensorElement) -> TensorElement:
+        """The product of two elements of the same tensor power, leg by leg.
+
+        For each pair of terms every leg but the last expands into a list of
+        (keys, coefficient) heads, and the last leg's monomial product adds
+        straight into the result, which keeps one-leg products cheap."""
+        out: dict[tuple[Key, ...], complex] = {}
+        pairs = self.mono_pairs
+        rights = [(kb[:-1], kb[-1], cb) for kb, cb in b.terms.items()]
+        for ka, ca in a.terms.items():
+            head_a, last_a = ka[:-1], ka[-1]
+            for head_b, last_b, cb in rights:
+                heads = [((), ca * cb)]
+                for la, lb in zip(head_a, head_b):
+                    leg = pairs(la, lb)
+                    heads = [(keys + (key,), c * cc) for keys, c in heads for key, cc in leg]
+                last = pairs(last_a, last_b)
+                for keys, c in heads:
+                    for key, cc in last:
+                        full = keys + (key,)
+                        out[full] = out.get(full, 0) + c * cc
+        return TensorElement(self, a.legs, out)
 
 
 # -- symmetric (classical) side ------------------------------------------------
@@ -279,30 +242,6 @@ class SymElement:
 
     def residual(self, other: "SymElement") -> float:
         return self.add(other, scale=-1.0).max_abs()
-
-
-def qh(alg: CrossedAlgebra, s: SymElement) -> CrossedElement:
-    """Graded quantization: each degree-d monomial maps to its ordered product
-    times h^d."""
-    return CrossedElement(alg, {
-        (m, k, n): {m + k: c} for (m, k, n), c in s.terms.items()})
-
-
-def q_plain(alg: CrossedAlgebra, s: SymElement) -> CrossedElement:
-    """Ordered-monomial linear isomorphism without the h grading."""
-    return CrossedElement(alg, {key: {0: c} for key, c in s.terms.items()})
-
-
-def qh_inverse_units(x: CrossedElement) -> dict[Key, HPoly]:
-    """Re-express a crossed element in quantization units: the coefficient of a
-    degree-d monomial is divided by h^d.  Requires divisibility."""
-    out = {}
-    for (m, k, n), hp in x.terms.items():
-        d = m + k
-        if any(e < d for e in hp):
-            raise ValueError("element is not in the image of the graded quantization")
-        out[(m, k, n)] = _hp_shift(hp, -d)
-    return out
 
 
 def poisson_sym(alg: CrossedAlgebra, s1: SymElement, s2: SymElement) -> SymElement:
@@ -449,57 +388,6 @@ def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> dict
 # -- coproduct -------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TensorElement:
-    """Element of the N-fold tensor power of the crossed algebra."""
-
-    algebra: CrossedAlgebra
-    legs: int
-    terms: dict[tuple[Key, ...], complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {k: complex(v) for k, v in self.terms.items() if abs(v) > _EPS}
-
-    def add(self, other: "TensorElement", scale: complex = 1.0) -> "TensorElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + scale * v
-        return TensorElement(self.algebra, self.legs, out)
-
-    def mul(self, other: "TensorElement") -> "TensorElement":
-        out: dict[tuple[Key, ...], complex] = {}
-        pairs = self.algebra.mono_pairs
-        if self.legs == 2:
-            for (a1, a2), ca in self.terms.items():
-                for (b1, b2), cb in other.terms.items():
-                    c0 = ca * cb
-                    leg2 = pairs(a2, b2)
-                    for k1, c1 in pairs(a1, b1):
-                        for k2, c2 in leg2:
-                            key = (k1, k2)
-                            out[key] = out.get(key, 0) + c0 * c1 * c2
-        else:
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    stack = [((), ca * cb)]
-                    for la, lb in zip(ka, kb):
-                        leg = pairs(la, lb)
-                        stack = [(keys + (key,), c * cc)
-                                 for keys, c in stack for key, cc in leg]
-                    for keys, c in stack:
-                        out[keys] = out.get(keys, 0) + c
-        return TensorElement(self.algebra, self.legs, out)
-
-    def commutator(self, other: "TensorElement") -> "TensorElement":
-        return self.mul(other).add(other.mul(self), scale=-1.0)
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def residual(self, other: "TensorElement") -> float:
-        return self.add(other, scale=-1.0).max_abs()
-
-
 class Coproduct:
     """The bicrossed coproduct on the circle crossed algebra.
 
@@ -522,7 +410,7 @@ class Coproduct:
         self.coeff = [[fit_trig(vals[:, j, i], max_mode) for i in range(2)]
                       for j in range(2)]
         self._gen_cache = [self._delta_generator(0), self._delta_generator(1)]
-        self._mono_cache: dict[Key, dict] = {}
+        self._mono_cache: dict[Key, TensorElement] = {}
         self._coassoc_cache: dict[Key, dict] = {}
 
     def _delta_generator(self, gen: int) -> TensorElement:
@@ -535,53 +423,49 @@ class Coproduct:
         return TensorElement(self.alg, 2, terms)
 
     def _delta_monomial(self, key: Key) -> TensorElement:
-        if key in self._mono_cache:
-            return TensorElement(self.alg, 2, self._mono_cache[key])
-        m, k, n = key
-        if m > 0:
-            acc = self._gen_cache[0].mul(self._delta_monomial((m - 1, k, n)))
-        elif k > 0:
-            acc = self._gen_cache[1].mul(self._delta_monomial((0, k - 1, n)))
-        else:
-            acc = TensorElement(self.alg, 2, {((0, 0, n), (0, 0, n)): 1.0})
-        self._mono_cache[key] = acc.terms
-        return acc
+        """Delta of one monomial, cached; no element changes after it is
+        built, so the cached one is handed out as is."""
+        hit = self._mono_cache.get(key)
+        if hit is None:
+            m, k, n = key
+            if m > 0:
+                hit = self._gen_cache[0].mul(self._delta_monomial((m - 1, k, n)))
+            elif k > 0:
+                hit = self._gen_cache[1].mul(self._delta_monomial((0, k - 1, n)))
+            else:
+                hit = TensorElement(self.alg, 2, {((0, 0, n), (0, 0, n)): 1.0})
+            self._mono_cache[key] = hit
+        return hit
 
-    def apply(self, x: CrossedElement) -> TensorElement:
+    def apply(self, x: TensorElement) -> TensorElement:
         """Delta on a crossed element; monomials map multiplicatively."""
         out = TensorElement(self.alg, 2, {})
-        for key, hp in x.terms.items():
-            if any(e != 0 for e in hp):
-                raise ValueError("coproduct tests operate on h-free elements")
-            out = out.add(self._delta_monomial(key), scale=hp.get(0, 0))
+        for (key,), c in x.terms.items():
+            out = out.add(self._delta_monomial(key), scale=c)
         return out
 
     def apply_leg(self, x: TensorElement, leg: int) -> TensorElement:
         """(Delta (x) id) or (id (x) Delta) on a two-leg element."""
-        out = TensorElement(self.alg, 3, {})
+        out: dict[tuple[Key, Key, Key], complex] = {}
         for keys, c in x.terms.items():
-            expanded = self.apply(CrossedElement(self.alg, {keys[leg]: {0: 1.0}}))
-            for (k1, k2), cc in expanded.terms.items():
-                if leg == 0:
-                    new = (k1, k2, keys[1])
-                else:
-                    new = (keys[0], k1, k2)
-                out.terms[new] = out.terms.get(new, 0) + c * cc
-        return TensorElement(self.alg, 3, out.terms)
+            for (k1, k2), cc in self._delta_monomial(keys[leg]).terms.items():
+                new = (k1, k2, keys[1]) if leg == 0 else (keys[0], k1, k2)
+                out[new] = out.get(new, 0) + c * cc
+        return TensorElement(self.alg, 3, out)
 
-    def coassociativity_residual(self, x: CrossedElement) -> float:
+    def coassociativity_residual(self, x: TensorElement) -> float:
         """| (Delta (x) id) Delta x - (id (x) Delta) Delta x |, monomial-cached."""
         acc: dict[tuple[Key, Key, Key], complex] = {}
-        for key, hp in x.terms.items():
+        for (key,), c in x.terms.items():
             if key not in self._coassoc_cache:
                 dx = self._delta_monomial(key)
                 diff = self.apply_leg(dx, 0).add(self.apply_leg(dx, 1), scale=-1.0)
                 self._coassoc_cache[key] = diff.terms
-            for kk, c in self._coassoc_cache[key].items():
-                acc[kk] = acc.get(kk, 0) + hp.get(0, 0) * c
-        return max((abs(c) for c in acc.values()), default=0.0)
+            for kk, cc in self._coassoc_cache[key].items():
+                acc[kk] = acc.get(kk, 0) + c * cc
+        return worst(*(abs(v) for v in acc.values()))
 
-    def homomorphism_residual(self, x: CrossedElement, y: CrossedElement) -> float:
+    def homomorphism_residual(self, x: TensorElement, y: TensorElement) -> float:
         lhs = self.apply(x.mul(y))
         rhs = self.apply(x).mul(self.apply(y))
         return lhs.residual(rhs)

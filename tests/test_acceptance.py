@@ -24,7 +24,7 @@ from poissonlie.manin import (check_manin, deform_bracket,
                               manin_triple, twist_check)
 from poissonlie.poisson import (BaseFn, LinearFn, e2_plus_brackets, eta0,
                                 eta_alternative, poisson_bracket, verify_cocycle)
-from poissonlie.quantize import Coproduct, CrossedAlgebra, CrossedElement, verify_semiclassical
+from poissonlie.quantize import Coproduct, CrossedAlgebra, verify_semiclassical
 from poissonlie.trig import TrigPoly
 
 MAIN_PAIRS = ("su11", "su21", "su31")
@@ -218,8 +218,8 @@ def test_criterion_10_semiclassical_and_coproduct():
         for _ in range(2):
             key = (int(rng.integers(0, 3)), int(rng.integers(0, 3)),
                    int(rng.integers(-2, 3)))
-            terms[key] = {0: complex(rng.standard_normal(), rng.standard_normal())}
-        return CrossedElement(alg, terms)
+            terms[key] = complex(rng.standard_normal(), rng.standard_normal())
+        return alg.element(terms)
 
     for _ in range(50):
         x = rand_elem()
