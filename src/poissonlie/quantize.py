@@ -276,21 +276,22 @@ def poisson_sym(alg: CrossedAlgebra, s1: SymElement, s2: SymElement) -> SymEleme
     return SymElement({k: v for k, v in out.items() if abs(v) > _EPS})
 
 
-def _pair_residuals(lam: float, blocks: np.ndarray, xprime: np.ndarray,
+def _pair_residuals(lam: float, rows: np.ndarray, row_of: np.ndarray, xprime: np.ndarray,
                     a: np.ndarray, b: np.ndarray, maxmode: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading-order residual and sub-leading mass of each pair (a[i], b[i]).
 
-    `blocks[k1, q, m2, k2]` holds core(k1, q, m2, k2) on the sweep's mode
-    window, with a zero last row and column.  [A, B] = AB - BA is read from
-    the blocks into a frame whose cell (u, v) is the monomial
+    `rows[row_of[k1, q, m2, k2, j, kk]]` is cell (j, kk) of core(k1, q, m2, k2)
+    on the sweep's mode window; cells outside the block, and the last row and
+    column, map to the zero row.  [A, B] = AB - BA is read from the blocks
+    into a frame whose cell (u, v) is the monomial
     t_a^{min m + u} t_2^{min k + v} e^{i(n_A + n_B + r) phi}; {A, B} is
     subtracted in its top degree d_A + d_B - 1, and the rest is the O(h) tail."""
     (ma, ka, na), (mb, kb, nb) = a.T, b.T
-    size, modes = blocks.shape[2], blocks.shape[1]
+    size, modes = row_of.shape[2], row_of.shape[1]
     m_lo, k_lo = np.minimum(ma, mb), np.minimum(ka, kb)
     m_hi, k_hi = np.maximum(ma, mb), np.maximum(ka, kb)
     cell = np.arange(size)
-    rows = blocks.reshape(-1, blocks.shape[-1])   # one row per (block, j, kk)
+    row_of = row_of.reshape(-1)   # one entry per (block, j, kk)
 
     def product(m, k, n, m2, k2):
         """t_a^m t_2^k e^{in phi} times t_a^{m2} t_2^{k2} on the frame."""
@@ -299,8 +300,8 @@ def _pair_residuals(lam: float, blocks: np.ndarray, xprime: np.ndarray,
         kk = (k_lo - k)[:, None] + cell
         j[j < 0] = size   # the zero row
         kk[kk < 0] = size
-        return rows.take(((block[:, None] * (size + 1) + j) * (size + 1))[:, :, None]
-                         + kk[:, None, :], axis=0)
+        return rows.take(row_of.take(((block[:, None] * (size + 1) + j) * (size + 1))[:, :, None]
+                                     + kk[:, None, :]), axis=0)
 
     comm = product(ma, ka, na, mb, kb) - product(mb, kb, nb, ma, ka)
     # {y_a, y_2} = lam y_2 and {y, f} = X'_y f, in the order poisson_sym adds them
@@ -341,24 +342,32 @@ def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> t
     ia, ib = np.triu_indices(len(monos))
     keep = degree[ia] + degree[ib] >= 1
     a, b = monos[ia[keep]], monos[ib[keep]]
-    # the grid's blocks, zero-padded to one shape and one mode window, with a
-    # zero last row and column for cells a product does not reach
+    # the grid's blocks as rows on one mode window, one per cell a block has,
+    # in (k1, q, m2, k2, j, kk) order, and the row of every such index; row 0
+    # is zero and stands for the cells a product does not reach.  A dense
+    # (k1, q, m2, k2, j, kk) array would hold 13x the rows (16 MB at degree 4).
     w, span, size, modes = alg._w, alg._w * maxdeg, maxdeg + 1, 2 * maxmode + 1
-    blocks = np.zeros((size, modes, size, size, size + 1, size + 1, 2 * span + 1), dtype=complex)
+    m, k, j, kk = np.ogrid[:size, :size, :size + 1, :size + 1]   # (m2, k2, j, kk)
+    has = (m + k <= maxdeg) & (j <= m) & (kk <= k)
+    row_of = np.zeros((size, modes) + has.shape, dtype=np.intp)
+    row_of[:, :, has] = np.arange(1, 1 + size * modes * int(has.sum())).reshape(size, modes, -1)
+    rows = np.zeros((1 + row_of.max(), 2 * span + 1), dtype=complex)
+    top = 1
     for k1 in range(size):
         for q in range(-maxmode, maxmode + 1):
             for m2 in range(size):
                 for k2 in range(size - m2):
-                    pad = span - w * (m2 + k2)
-                    blocks[k1, q + maxmode, m2, k2, :m2 + 1, :k2 + 1, pad:2 * span + 1 - pad] = \
-                        alg._block(k1, q, m2, k2)
+                    pad, n = span - w * (m2 + k2), (m2 + 1) * (k2 + 1)
+                    rows[top:top + n, pad:2 * span + 1 - pad] = \
+                        alg._block(k1, q, m2, k2).reshape(n, -1)
+                    top += n
     # X'_y(e^{iq phi}) for y = a, 2 on the same window
     xprime = np.zeros((2, modes, 2 * span + 1), dtype=complex)
     for gen in range(2):
         for q in range(-maxmode, maxmode + 1):
             for mode, c in alg.xprime_mode(gen, q).items():
                 xprime[gen, q + maxmode, mode - q + span] = c
-    lead, tail = zip(*(_pair_residuals(alg.lam, blocks, xprime, a[i:i + PAIR_CHUNK],
+    lead, tail = zip(*(_pair_residuals(alg.lam, rows, row_of, xprime, a[i:i + PAIR_CHUNK],
                                        b[i:i + PAIR_CHUNK], maxmode)
                        for i in range(0, len(a), PAIR_CHUNK)))
     return a, b, np.concatenate(lead), np.concatenate(tail)
