@@ -131,7 +131,7 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 @_register("cocycle", "eta_b_sign", REALIZATION)
 def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     sign = -1.0 if corrupted else 1.0
-    rep = po.verify_cocycle(mp, samples, rng, tol=tol.algebraic, eta_b_sign=sign)
+    rep = po.verify_cocycle(mp, samples, rng, eta_b_sign=sign)
     # the pair name, seed and witness elements make the run reproducible from the report
     return {"max_residual": rep["max_residual"], "samples": samples,
             "pair": rep["pair"], "seed": rep["seed"],
@@ -152,8 +152,7 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
     ea = bi.build_e(mp)
     delta = bi.delta_direct(ea)
     if corrupted:
-        delta = list(delta)
-        delta[ea.k] = (-1.0) * delta[ea.k]
+        delta[ea.k] *= -1.0
     rep = bi.check_cobracket_axioms(ea, delta)
     return {"max_residual": worst(rep["co_jacobi_residual"], rep["cocycle_residual"]),
             "details": rep}
@@ -187,7 +186,7 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     big = mn.build_gc_algebra(entry)
     for which in ("g", "gprime"):
         mt = mn.manin_triple(entry, which, corrupt_gstar=corrupted, big=big)
-        rep = mn.check_manin(mt, tol=tol.algebraic)
+        rep = mn.check_manin(mt)
         details[which] = rep
         resid = worst(resid, rep["isotropy_half_a"], rep["isotropy_half_b"],
                       rep["closure_half_a"], rep["closure_half_b"], rep["form_invariance"])
@@ -207,17 +206,18 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     scale = 2.0 if corrupted else 1.0
-    plus = mn.deform_bracket(entry, +1.0, cocycle_scale=scale, tol=tol.algebraic)
+    plus, pp_in_k = mn.deform_bracket(entry, +1.0, cocycle_scale=scale)
     g_model = mn.g_structure_in_model_basis(entry)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
-    minus = mn.deform_bracket(entry, -1.0, cocycle_scale=scale, tol=tol.algebraic)
+    minus, _ = mn.deform_bracket(entry, -1.0, cocycle_scale=scale)
     eigs = mn.killing_eigenvalues(minus)
     neg_def = bool(np.max(eigs) < -tol.algebraic)
-    zero = mn.deform_bracket(entry, 0.0, tol=tol.algebraic)
+    zero, _ = mn.deform_bracket(entry, 0.0)
     ea = bi.build_e(entry.mp)
     resid_zero = float(np.max(np.abs(zero.structure - ea.e.structure)))
-    return {"max_residual": worst(resid_plus, resid_zero, 0.0 if neg_def else 1.0),
-            "details": {"plus_reproduces_g": resid_plus,
+    return {"max_residual": worst(pp_in_k, resid_plus, resid_zero, 0.0 if neg_def else 1.0),
+            "details": {"pp_in_k": pp_in_k,
+                        "plus_reproduces_g": resid_plus,
                         "zero_reproduces_e": resid_zero,
                         "minus_killing_max_eig": float(np.max(eigs)),
                         "minus_negative_definite": neg_def}}
@@ -233,9 +233,10 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
     co_j = worst(*(bi.co_jacobi_residual(d) for d in (dg, dgp, dgc)))
-    return {"max_residual": worst(rep["maurer_cartan_residual"],
+    return {"max_residual": worst(rep["antisymmetry_residual"], rep["maurer_cartan_residual"],
                                   rep["twist_relation_residual"], cprime_g, cprime_gc, co_j),
-            "details": {"maurer_cartan": rep["maurer_cartan_residual"],
+            "details": {"antisymmetry": rep["antisymmetry_residual"],
+                        "maurer_cartan": rep["maurer_cartan_residual"],
                         "twist_relation": rep["twist_relation_residual"],
                         "cprime_g_minus_gprime": cprime_g,
                         "cprime_gc_minus_gprime": cprime_gc,
@@ -268,8 +269,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     resid_rho = rho_intertwiner_residual(s=1.0, rho_sign=-1.0 if corrupted else 1.0)
     ea = bi.build_e(entry.mp)
-    delta = bi.delta_direct(ea)
-    dual = bi.dual_bracket_structure(delta)
+    dual = np.moveaxis(bi.delta_direct(ea), 0, 2)    # [e*_p, e*_q] = delta[x, p, q] e*_x
     # e-basis is (psi_a = P1, psi_2 = P2, J); reorder duals to (J*, P1*, P2*)
     perm = [2, 0, 1]
     reordered = dual[np.ix_(perm, perm, perm)]
@@ -389,10 +389,9 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
                 "note": "brackets of (ya, y2, yR_k, yI_k)"})
 
     ea = bi.build_e(mp)
-    delta = bi.delta_direct(ea)
-    computed_delta = [d.coeffs[:ea.k, :ea.k] for d in delta[:ea.k]]
+    computed_delta = bi.delta_direct(ea)[:ea.k, :ea.k, :ea.k]
     disp = _displayed_delta_table(entry, corrected=True)
-    sign_d, resid_d = _best_sign(np.array(computed_delta), np.array(disp))
+    sign_d, resid_d = _best_sign(computed_delta, np.array(disp))
     out.append({
         "table": "cobracket table on the annihilator block", "sign": sign_d,
         "residual": resid_d,

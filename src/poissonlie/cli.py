@@ -198,7 +198,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
     dual_labels = [l.replace("y", "y*") for l in labels]
     lines.append("cobracket on the annihilator:")
     for ii, i in enumerate(order):
-        c = delta[i].coeffs[:k, :k]
+        c = delta[i, :k, :k]
         terms = []
         for a in range(k):
             for b in range(a + 1, k):

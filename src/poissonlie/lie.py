@@ -67,14 +67,6 @@ class MatrixBasisSolver:
         # economy QR gives a stable repeated solver for tiny systems
         self._q, self._r = np.linalg.qr(self._basis)
 
-    def solve(self, m: np.ndarray) -> tuple[np.ndarray, float]:
-        """Return (coords, residual) with m ~ sum_i coords[i] * mats[i]."""
-        v = np.concatenate([np.asarray(m, dtype=complex).real.ravel(),
-                            np.asarray(m, dtype=complex).imag.ravel()])
-        coords = np.linalg.solve(self._r, self._q.T @ v)
-        resid = float(np.max(np.abs(self._basis @ coords - v)))
-        return coords, resid
-
     def solve_many(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
         """Batch re-expansion: mats has shape (count, m, m); returns
         (coords with shape (n, count), worst residual)."""
@@ -191,14 +183,10 @@ class LieAlgebra:
         if self.realization is None:
             raise ValueError("algebra has no matrix realization")
         mat = np.asarray(mat, dtype=complex)
-        if mat.ndim == 3:
-            coords, resid = self._solver.solve_many(mat)
-            coords = coords.T
-        else:
-            coords, resid = self._solver.solve(mat)
+        coords, resid = self._solver.solve_many(mat.reshape((-1,) + mat.shape[-2:]))
         if not resid <= tol:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
-        return coords
+        return coords.T.reshape(mat.shape[:-2] + (self.dim,))
 
     def realization_residual(self) -> float:
         """Max mismatch between matrix commutators and stored structure constants."""

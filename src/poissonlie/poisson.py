@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALGEBRAIC_TOL
 from .group import (SAMPLE_BLOCK, EElement, adE, adjoint_matrix, e_element_to_json_dict,
                     e_mul, exp_b, sample_e_elements)
 from .linalg import Bivector, Rng, worst_at
@@ -69,8 +68,7 @@ def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
     return Bivector(mp.e_space, coeffs)
 
 
-def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
-                   tol: float = ALGEBRAIC_TOL, radius: float = 1.0,
+def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, radius: float = 1.0,
                    eta_b_sign: float = 1.0) -> dict:
     """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h).
 
@@ -100,12 +98,8 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng,
     sample, part, g_worst, h_worst = witnesses[at // SAMPLE_BLOCK]
     return {
         "pair": mp.name,
-        "check": "eta_cocycle",
-        "samples": samples,
         "seed": rng.seed,
         "max_residual": out,
-        "tolerance": tol,
-        "pass": bool(out <= tol),
         "witness": {"worst_sample": sample, "worst_part": part,
                     "g": e_element_to_json_dict(g_worst),
                     "h": e_element_to_json_dict(h_worst)},

@@ -238,7 +238,7 @@ class SymElement:
         return SymElement(out)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return worst(*(abs(c) for c in self.terms.values()))
 
     def residual(self, other: "SymElement") -> float:
         return self.add(other, scale=-1.0).max_abs()

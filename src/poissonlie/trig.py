@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import worst
+
 _CHOP = 1e-13
 
 
@@ -57,7 +59,7 @@ class TrigPoly:
         return TrigPoly({n: 1j * n * c for n, c in self.coeffs.items()})
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return worst(*(abs(c) for c in self.coeffs.values()))
 
     def residual(self, other: "TrigPoly") -> float:
         return (self - other).max_abs()

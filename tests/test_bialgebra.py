@@ -5,11 +5,9 @@ from poissonlie.bialgebra import (build_e, check_cobracket_axioms,
                                   check_coboundary, check_r_uniqueness,
                                   co_jacobi_residual, delta_consistency_residual,
                                   delta_direct, delta_from_eta,
-                                  dual_bracket_structure, normalize_z, r_matrix,
-                                  semidirect_algebra)
+                                  normalize_z, r_matrix, semidirect_algebra)
 from poissonlie.catalog import su11, supq1
 from poissonlie.config import FD_TOL
-from poissonlie.linalg import BasedSpace, Bivector
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +86,14 @@ def test_delta_direct_planar_values(e11):
     ea = build_e(e11.mp)
     delta = delta_direct(ea)
     # delta(psi_a) = 0, delta(psi_2) = 2 psi_a ^ psi_2
-    assert delta[0].max_norm() == 0.0
+    assert np.max(np.abs(delta[0])) == 0.0
     expect = np.zeros((3, 3))
     expect[0, 1], expect[1, 0] = 2.0, -2.0
-    assert np.max(np.abs(delta[1].coeffs - expect)) <= 1e-12
+    assert np.max(np.abs(delta[1] - expect)) <= 1e-12
     # delta(J) = -2 J ^ psi_a
     expect_j = np.zeros((3, 3))
     expect_j[0, 2], expect_j[2, 0] = 2.0, -2.0
-    assert np.max(np.abs(delta[2].coeffs - expect_j)) <= 1e-12
+    assert np.max(np.abs(delta[2] - expect_j)) <= 1e-12
 
 
 def test_delta_su21_table(e21):
@@ -103,18 +101,18 @@ def test_delta_su21_table(e21):
     delta = delta_direct(ea)
     k = ea.k
     # delta(psi_a) = 0
-    assert delta[0].max_norm() <= 1e-12
+    assert np.max(np.abs(delta[0])) <= 1e-12
     # delta(psi_R) = psi_a ^ psi_R, delta(psi_I) = psi_a ^ psi_I
     for idx in (2, 3):
         expect = np.zeros((k, k))
         expect[0, idx], expect[idx, 0] = 1.0, -1.0
-        assert np.max(np.abs(delta[idx].coeffs[:k, :k] - expect)) <= 1e-12
+        assert np.max(np.abs(delta[idx, :k, :k] - expect)) <= 1e-12
     # delta(psi_2) = 2 psi_a ^ psi_2 + 2 psi_R ^ psi_I: the first coefficient is
     # twice the published display, forced by the defining pairing
     expect = np.zeros((k, k))
     expect[0, 1], expect[1, 0] = 2.0, -2.0
     expect[2, 3], expect[3, 2] = 2.0, -2.0
-    assert np.max(np.abs(delta[1].coeffs[:k, :k] - expect)) <= 1e-12
+    assert np.max(np.abs(delta[1, :k, :k] - expect)) <= 1e-12
 
 
 def test_delta_two_routes_agree():
@@ -133,7 +131,7 @@ def test_delta_solves_pairing_equation(e21):
     for i in range(k):
         for a in range(k):
             for b in range(k):
-                lhs = delta[i].coeffs[a, b]
+                lhs = delta[i, a, b]
                 br = mp.c_coords(mp.g.bracket_coords(mp.y_basis[a], mp.y_basis[b]))
                 assert abs(lhs - br[i]) <= 1e-12
 
@@ -141,7 +139,7 @@ def test_delta_solves_pairing_equation(e21):
 def test_delta_linearity_zero(e11):
     ea = build_e(e11.mp)
     delta = delta_direct(ea)
-    combo = sum((0.0 * d.coeffs for d in delta), np.zeros((3, 3)))
+    combo = sum((0.0 * d for d in delta), np.zeros((3, 3)))
     assert np.max(np.abs(combo)) == 0.0
 
 
@@ -149,7 +147,7 @@ def test_delta_from_eta_b0_direction_excites_only_b0_block(e11):
     delta = delta_from_eta(e11.mp)
     k = 2
     for i in range(k):
-        c = delta[i].coeffs
+        c = delta[i]
         assert np.max(np.abs(c[k:, :])) <= 1e-9
         assert np.max(np.abs(c[:, k:])) <= 1e-9
 
@@ -158,13 +156,11 @@ def test_cobracket_axioms(e11, e21):
     for entry in (e11, e21):
         ea = build_e(entry.mp)
         rep = check_cobracket_axioms(ea, delta_direct(ea))
-        assert rep["pass"], rep
+        assert max(rep.values()) <= 1e-9, rep
 
 
 def test_cobracket_axioms_trivial_for_abelian():
-    space = BasedSpace.make(["a", "b"])
-    zero_delta = [Bivector(space, np.zeros((2, 2))) for _ in range(2)]
-    assert co_jacobi_residual(zero_delta) == 0.0
+    assert co_jacobi_residual(np.zeros((2, 2, 2))) == 0.0
 
 
 def test_normalize_z(e11):
@@ -206,22 +202,22 @@ def test_coboundary(e11, e21):
         delta = delta_direct(ea)
         rm = r_matrix(entry, ea)
         rep = check_coboundary(ea, delta, rm["route_b"])
-        assert rep["pass"]
+        assert rep["max_residual"] <= 1e-9
         bad = check_coboundary(ea, delta, rm["route_b"], scale=2.0)
-        assert not bad["pass"] and bad["max_residual"] > 1e-3
+        assert bad["max_residual"] > 1e-3
 
 
 def test_uniqueness_kernel_zero(e11, e21):
     for entry in (e11, e21):
         ea = build_e(entry.mp)
         rep = check_r_uniqueness(ea)
-        assert rep["pass"] and rep["kernel_dim"] == 0
+        assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_past_the_catalog():
     # p = 5 is past the named catalog and reachable only through supq1(p)
     rep = check_r_uniqueness(build_e(supq1(5).mp))
-    assert rep["pass"] and rep["kernel_dim"] == 0
+    assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_negative_control(e11):
@@ -234,5 +230,5 @@ def test_dual_bracket_satisfies_jacobi(e11):
     from poissonlie.lie import jacobi_residual
 
     ea = build_e(e11.mp)
-    dual = dual_bracket_structure(delta_direct(ea))
+    dual = np.moveaxis(delta_direct(ea), 0, 2)
     assert jacobi_residual(dual) <= 1e-9

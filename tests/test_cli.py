@@ -176,6 +176,32 @@ def test_tolerance_override_is_live(tmp_path):
     assert not doc["results"][0]["pass"]
 
 
+def _keys(obj):
+    """Every dict key at any depth of a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-16"])
+def test_tolerance_below_rounding_fails_checks_without_traceback(tol, capsys, tmp_path):
+    # residual functions only report; run_check alone judges, so a tolerance
+    # below rounding fails checks (exit 1) instead of raising inside one
+    path = tmp_path / "r.json"
+    code = cli.main(["verify", "su41", "--tol-algebraic", tol, "--out", str(path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(path.read_text())
+    for r in doc["results"]:
+        if not r["max_residual"] <= r["tolerance"]:
+            assert r["pass"] is False, r["check"]
+        assert "pass" not in set(_keys(r["details"])), r["check"]
+
+
 @pytest.mark.parametrize("flag", [
     "--seed=-1",
     "--tol-algebraic=nan", "--tol-algebraic=inf", "--tol-algebraic=-inf",

@@ -3,6 +3,9 @@ import pytest
 
 from poissonlie.bialgebra import build_e, co_jacobi_residual
 from poissonlie.catalog import su11, supq1
+from poissonlie.checks import run_check
+from poissonlie.config import DEFAULT_TOL
+from poissonlie.linalg import Rng
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               cprime_residual, deform_bracket,
                               g_structure_in_model_basis, gc_compact_half,
@@ -16,6 +19,12 @@ from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
 @pytest.fixture(scope="module")
 def entries():
     return {1: su11(), 2: supq1(2)}
+
+
+MANIN_RESIDUALS = ("isotropy_half_a", "isotropy_half_b", "closure_half_a",
+                   "closure_half_b", "form_invariance")
+TWIST_RESIDUALS = ("antisymmetry_residual", "maurer_cartan_residual",
+                   "twist_relation_residual")
 
 
 def test_gstar_dimension(entries):
@@ -38,12 +47,12 @@ def test_manin_triples_pass(entries):
     for entry in entries.values():
         for which in ("g", "gprime", "gc"):
             rep = check_manin(manin_triple(entry, which))
-            assert rep["pass"], (entry.p, which, rep)
+            assert max(rep[key] for key in MANIN_RESIDUALS) <= 1e-9, (entry.p, which, rep)
+            assert rep["complementarity_ok"], (entry.p, which, rep)
 
 
 def test_manin_negative_control(entries):
     rep = check_manin(manin_triple(entries[1], "g", corrupt_gstar=True))
-    assert not rep["pass"]
     assert rep["isotropy_half_b"] > 1e-3 or not rep["complementarity_ok"]
 
 
@@ -107,33 +116,48 @@ def test_phi_identification_equivariance(entries):
 
 def test_deform_plus_reproduces_g(entries):
     for entry in entries.values():
-        plus = deform_bracket(entry, +1.0)
+        plus, pp_in_k = deform_bracket(entry, +1.0)
+        assert pp_in_k <= 1e-9
         assert np.max(np.abs(plus.structure - g_structure_in_model_basis(entry))) <= 1e-9
 
 
 def test_deform_minus_killing_negative_definite(entries):
     for entry in entries.values():
-        minus = deform_bracket(entry, -1.0)
+        minus, _ = deform_bracket(entry, -1.0)
         assert np.max(killing_eigenvalues(minus)) < 0
 
 
 def test_deform_zero_is_e(entries):
     for entry in entries.values():
-        zero = deform_bracket(entry, 0.0)
+        zero, _ = deform_bracket(entry, 0.0)
         ea = build_e(entry.mp)
         assert np.max(np.abs(zero.structure - ea.e.structure)) <= 1e-9
 
 
-def test_deform_guard_threshold_is_nan_safe(entries):
+def test_deform_nan_p_part_fails_the_check(entries, monkeypatch):
+    # poison the p-part of [u_0, u_1], the entry the model table leaves out:
+    # the algebras still build, and the residual carries the NaN to the verdict
     entry = entries[2]
-    deform_bracket(entry, +1.0, tol=1e-9)
-    with pytest.raises(ValueError, match=r"\[p, p\] leaves k"):
-        deform_bracket(entry, +1.0, tol=float("nan"))
+    project = entry.cartan.project
+
+    def poisoned(name, coords):
+        out = project(name, coords)
+        if name == "p" and np.ndim(coords) == 2:
+            out = out.copy()
+            out[:, 1] = np.nan        # column (i, j) = (0, 1) of the n x n brackets
+        return out
+
+    monkeypatch.setattr(entry.cartan, "project", poisoned)
+    _, pp_in_k = deform_bracket(entry, +1.0)
+    assert np.isnan(pp_in_k)
+    rep = run_check("deform", entry, 0, Rng(0), DEFAULT_TOL)
+    assert np.isnan(rep["details"]["pp_in_k"]) and np.isnan(rep["max_residual"])
+    assert rep["pass"] is False
 
 
 def test_deform_corrupted_cocycle_mismatch(entries):
     entry = entries[1]
-    bad = deform_bracket(entry, +1.0, cocycle_scale=2.0)
+    bad, _ = deform_bracket(entry, +1.0, cocycle_scale=2.0)
     assert np.max(np.abs(bad.structure - g_structure_in_model_basis(entry))) > 1e-3
 
 
@@ -157,15 +181,15 @@ def test_cobracket_cprime_relations(entries):
         dgc = cobracket_on_gstar(entry, gc_compact_half(entry))
         assert cprime_residual(entry, dg, dgp, +1.0) <= 1e-9
         assert cprime_residual(entry, dgc, dgp, -1.0) <= 1e-9
-        n = entry.gstar.dim
-        assert max((dg[i] + dgc[i] - 2.0 * dgp[i]).max_norm() for i in range(n)) <= 1e-9
+        assert np.max(np.abs(dg + dgc - 2.0 * dgp)) <= 1e-9
         for d in (dg, dgp, dgc):
             assert co_jacobi_residual(d) <= 1e-9
 
 
 def test_twist_element_antisymmetric_and_p_block(entries):
     entry = entries[2]
-    s = twist_element(entry)
+    s, asym = twist_element(entry)
+    assert asym <= 1e-9
     assert np.max(np.abs(s.coeffs + s.coeffs.T)) == 0.0
     # supported on the image of p: pairing columns against k must vanish
     from poissonlie.lie import IM_TRACE, trace_pairing
@@ -182,7 +206,7 @@ def test_twist_element_antisymmetric_and_p_block(entries):
 def test_twist_check_passes(entries):
     for entry in entries.values():
         rep = twist_check(entry)
-        assert rep["pass"], (entry.p, rep)
+        assert max(rep[key] for key in TWIST_RESIDUALS) <= 1e-9, (entry.p, rep)
 
 
 def test_twist_scale_knob_documented(entries):
@@ -194,7 +218,6 @@ def test_twist_scale_knob_documented(entries):
 
 def test_twist_negative_control(entries):
     rep = twist_check(entries[1], s_scale=2.0)
-    assert not rep["pass"]
     assert rep["twist_relation_residual"] > 1e-3
 
 
@@ -205,7 +228,7 @@ def test_twist_basis_independence(entries):
         for _ in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
             rep = twist_check(entry, rotate=q)
-            assert rep["pass"]
-            s1 = twist_element(entry)
-            s2 = twist_element(entry, rotate=q)
+            assert max(rep[key] for key in TWIST_RESIDUALS) <= 1e-9
+            s1, _ = twist_element(entry)
+            s2, _ = twist_element(entry, rotate=q)
             assert (s1 - s2).max_norm() <= 1e-9

@@ -149,7 +149,7 @@ def test_user_pair_sl2r_full_machinery():
     g = from_realization(["J", "H", "N"], [j, h, n])
     doc = {"name": "sl2r", "algebra": g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp = MatchedPair.from_json_dict(doc)
-    assert verify_cocycle(mp, 300, Rng(42))["pass"]
+    assert verify_cocycle(mp, 300, Rng(42))["max_residual"] <= 1e-9
     ea = build_e(mp)
     assert delta_consistency_residual(ea) <= 1e-6
-    assert check_cobracket_axioms(ea, delta_direct(ea))["pass"]
+    assert max(check_cobracket_axioms(ea, delta_direct(ea)).values()) <= 1e-9

@@ -109,6 +109,13 @@ def test_trigpoly_mode_product(n, m):
     assert (TrigPoly.mode(n) * TrigPoly.mode(m)).residual(TrigPoly.mode(n + m)) == 0.0
 
 
+def test_max_abs_keeps_a_nan_that_is_not_first():
+    # max(1.0, nan) is 1.0: a plain max would hide the NaN from a residual
+    assert np.isnan(TrigPoly({0: 1.0, 1: np.nan}).max_abs())
+    assert np.isnan(SymElement({(0, 0, 0): 1.0, (0, 0, 1): np.nan}).max_abs())
+    assert TrigPoly().max_abs() == SymElement().max_abs() == 0.0
+
+
 def test_fit_trig_exact():
     samples = np.array([np.cos(2 * (2 * np.pi * k / 16)) for k in range(16)],
                        dtype=complex)
