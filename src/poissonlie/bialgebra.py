@@ -146,11 +146,6 @@ def cocycle_1_residual(ea: EAlgebra, delta: np.ndarray) -> float:
     return out
 
 
-def check_cobracket_axioms(ea: EAlgebra, delta: np.ndarray) -> dict:
-    return {"co_jacobi_residual": co_jacobi_residual(delta),
-            "cocycle_residual": cocycle_1_residual(ea, delta)}
-
-
 # -- r-matrix for Iwasawa pairs -------------------------------------------------
 
 
@@ -214,14 +209,14 @@ def r_matrix(entry, ea: EAlgebra) -> dict:
 
 
 def check_coboundary(ea: EAlgebra, delta: np.ndarray, r: Bivector,
-                     scale: float = 1.0) -> dict:
+                     scale: float = 1.0) -> float:
     """Residual of delta(X) = [r, Delta X] = -X.r on every basis vector at
     once: X.r = ad(X) r + r ad(X)^T with ad(e_x) = structure[x]^T."""
     r = scale * r.coeffs
     c = ea.e.structure
     act = np.swapaxes(c, 1, 2) @ r + r @ c
     act = 0.5 * (act - np.swapaxes(act, 1, 2))
-    return {"max_residual": float(np.max(np.abs(delta + act)))}
+    return float(np.max(np.abs(delta + act)))
 
 
 #: Pending invariance rows are folded into their R factor once they number

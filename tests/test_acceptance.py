@@ -17,7 +17,7 @@ from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import adE, adE_fd, sample_e_element
-from poissonlie.linalg import Rng
+from poissonlie.linalg import Rng, worst as linalg_worst
 from poissonlie.manin import (check_manin, deform_bracket,
                               g_structure_in_model_basis,
                               gstar_k0_abelian_residual, killing_eigenvalues,
@@ -42,7 +42,7 @@ def test_criterion_01_cocycle_multiplicativity():
     worst = 0.0
     for name in MAIN_PAIRS:
         rep = verify_cocycle(get_entry(name).mp, 1000, Rng(42))
-        worst = max(worst, rep["max_residual"])
+        worst = linalg_worst(worst, rep["max_residual"])
         assert rep["max_residual"] <= 1e-9, name
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-9 and elapsed < 10.0,
@@ -107,8 +107,7 @@ def test_criterion_05_coboundary_property():
         rm = r_matrix(entry, ea)
         route_gap = max(route_gap, rm["difference"])
         signs.append(rm["relative_sign"])
-        rep = check_coboundary(ea, delta, rm["route_b"])
-        worst = max(worst, rep["max_residual"])
+        worst = linalg_worst(worst, check_coboundary(ea, delta, rm["route_b"]))
     entry = su11()
     rm = r_matrix(entry, build_e(entry.mp))
     expect = np.zeros((3, 3))
@@ -185,21 +184,22 @@ def test_criterion_09_manin_content():
     ok = True
     for p in (1, 2, 3):
         entry = supq1(p)
-        worst = max(worst, gstar_k0_abelian_residual(entry))
+        worst = linalg_worst(worst, gstar_k0_abelian_residual(entry))
         for which in ("g", "gprime"):
             rep = check_manin(manin_triple(entry, which))
-            worst = max(worst, rep["isotropy_half_a"], rep["isotropy_half_b"],
-                        rep["closure_half_a"], rep["closure_half_b"], rep["form_invariance"])
+            worst = linalg_worst(worst, rep["isotropy_half_a"], rep["isotropy_half_b"],
+                                 rep["closure_half_a"], rep["closure_half_b"],
+                                 rep["form_invariance"])
             ok = ok and rep["complementarity_ok"]
         plus, pp_in_k = deform_bracket(entry, +1.0)
-        worst = max(worst, pp_in_k, float(np.max(np.abs(
+        worst = linalg_worst(worst, pp_in_k, float(np.max(np.abs(
             plus.structure - g_structure_in_model_basis(entry)))))
         minus, _ = deform_bracket(entry, -1.0)
         ok = ok and bool(np.max(killing_eigenvalues(minus)) < 0)
     for p in (1, 2):
         rep = twist_check(supq1(p))
-        worst = max(worst, rep["antisymmetry_residual"], rep["maurer_cartan_residual"],
-                    rep["twist_relation_residual"])
+        worst = linalg_worst(worst, rep["antisymmetry_residual"],
+                             rep["maurer_cartan_residual"], rep["twist_relation_residual"])
     report(9, ok and worst <= 1e-9,
            f"dual-block commutativity, both Manin triples (p=1,2,3), bracket "
            f"deformations to g and the compact form, twist equation (p=1,2): "
