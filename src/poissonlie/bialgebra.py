@@ -1,6 +1,10 @@
 """The Lie algebra e = b0 x| b, its cobracket by two independent routes, the
 bialgebra axioms, and the coboundary structure for Iwasawa pairs.
 
+e and the direct cobracket are blocks of one table, `MatchedPair.adapted`:
+the structure constants of g in the basis (x_1..x_m, y_1..y_k).  e takes its
+mixed bracket from the c-part of [c, b], and delta takes it from the b-part.
+
 Conventions: the e-basis is (psi^1..psi^k, x_1..x_m); a cobracket is stored as
 one array delta[x, p, q], the antisymmetric coefficient matrix of delta(e_x)
 for each basis vector x; the action of X on a bivector C is A_X C + C A_X^T
@@ -16,7 +20,7 @@ import scipy.linalg
 from .config import ALGEBRAIC_TOL, FD_STEP, SVD_TOL
 from .group import EElement, GroupElement
 from .lie import LieAlgebra
-from .linalg import BasedSpace, Bivector, finite_diff, worst
+from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst
 from .matched import MatchedPair
 from .poisson import eta
 
@@ -43,24 +47,18 @@ def build_e(mp: MatchedPair, perturb: float = 0.0) -> EAlgebra:
 
 
 def semidirect_algebra(mp: MatchedPair, perturb: float = 0.0) -> LieAlgebra:
-    """Assemble e = b0 x| b: [psi, psi'] = 0, [x, psi] = ad*(x) psi, [x, x'] from b.
+    """Assemble e = b0 x| b from blocks of the adapted table A of g:
+    [psi, psi'] = 0, [x_j, psi^i] = ad*(x_j) psi^i with y_l-component
+    <psi^i, [y_l, x_j]> = A[m+l, j, m+i], and [x_a, x_b] = A[a, b, :m].
 
     A nonzero `perturb` corrupts one mixed structure constant (negative control)."""
     k, m = mp.dim_c, mp.dim_b
-    n = k + m
-    c = np.zeros((n, n, n))
-    for j in range(m):
-        x = mp._B[:, j]
-        coad = mp.g.coad_matrix_coords(x)
-        for i in range(k):
-            s = mp.gstar_to_b0(coad @ mp._Psi[:, i])
-            c[k + j, i, :k] = s
-            c[i, k + j, :k] = -s
-    for a in range(m):
-        for b in range(a + 1, m):
-            br = mp.b_coords(mp.g.bracket_coords(mp._B[:, a], mp._B[:, b]))
-            c[k + a, k + b, k:] = br
-            c[k + b, k + a, k:] = -br
+    a = mp.adapted
+    c = np.zeros((k + m,) * 3)
+    mixed = a[m:, :m, m:].transpose(1, 2, 0)     # mixed[j, i, l] = [x_j, psi^i]_l
+    c[k:, :k, :k] = mixed
+    c[:k, k:, :k] = -mixed.swapaxes(0, 1)
+    c[k:, k:, k:] = a[:m, :m, :m]
     if perturb:
         # deliberately break the abelian block: [psi_0, psi_1] = perturb * psi_0
         # fails Jacobi against the b-action and trips the constructor
@@ -78,15 +76,13 @@ def delta_direct(ea: EAlgebra, b0_sign: float = 1.0) -> np.ndarray:
 
         delta(psi) = (1/2) <psi, [y_i, y_j]> psi^i ^ psi^j,
         delta(x) = sum_i P_b [y_i, x] ^ psi^i."""
-    mp = ea.mp
     k, m, n = ea.k, ea.m, ea.e.dim
-    # t[a, i, j]: b-coordinate a of [y_i, x_j]
-    br = np.einsum("ip,jq,pqr->rij", mp.y_basis, mp._B.T, mp.g.structure, optimize=True)
-    t = mp.b_coords(br.reshape(n, k * m)).reshape(m, k, m)
+    a = ea.mp.adapted
+    t = a[m:, :m, :m]               # t[i, j, a]: b-coordinate a of [y_i, x_j]
     delta = np.zeros((n, n, n))
-    delta[:k, :k, :k] = b0_sign * np.moveaxis(mp.c_structure, 2, 0)
-    delta[k:, k:, :k] = t.transpose(2, 0, 1)
-    delta[k:, :k, k:] = -t.transpose(2, 1, 0)
+    delta[:k, :k, :k] = b0_sign * np.moveaxis(a[m:, m:, m:], 2, 0)
+    delta[k:, k:, :k] = t.transpose(1, 2, 0)
+    delta[k:, :k, k:] = -t.transpose(1, 0, 2)
     return 0.5 * (delta - delta.swapaxes(1, 2))
 
 
@@ -201,8 +197,7 @@ def r_matrix(entry, ea: EAlgebra) -> dict:
         "route_a": route_a,
         "route_b": route_b,
         "difference": (route_a - route_b).max_norm(),
-        "relative_sign": 1.0 if (route_a - route_b).max_norm()
-        <= (route_a + route_b).max_norm() else -1.0,
+        "relative_sign": best_sign(route_a.coeffs, route_b.coeffs)[0],
         "k_wedge_k0_block_residual": block_resid,
         "z_normalized": z,
     }

@@ -21,7 +21,7 @@ from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
 from .lie import jacobi_worst_at
-from .linalg import Rng, worst, worst_at
+from .linalg import Rng, best_sign, worst, worst_at
 from .matched import MatchedPair
 from .group import SAMPLE_BLOCK, GroupElement, adjoint_matrix, exp_b, sample_group_matrices
 
@@ -285,12 +285,6 @@ def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 # -- conventions report ---------------------------------------------------------
 
 
-def _best_sign(computed: np.ndarray, displayed: np.ndarray) -> tuple[float, float]:
-    plus = float(np.max(np.abs(computed - displayed)))
-    minus = float(np.max(np.abs(computed + displayed)))
-    return (1.0, plus) if plus <= minus else (-1.0, minus)
-
-
 def _su_p1_displayed_bracket_table(entry) -> np.ndarray:
     """The published solvable-part bracket table as c-structure constants."""
     k = entry.mp.dim_c
@@ -384,14 +378,14 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
     mp = entry.mp
     out = []
 
-    sign, resid = _best_sign(mp.c_structure, _su_p1_displayed_bracket_table(entry))
+    sign, resid = best_sign(mp.c_structure, _su_p1_displayed_bracket_table(entry))
     out.append({"table": "solvable bracket table", "sign": sign, "residual": resid,
                 "note": "brackets of (ya, y2, yR_k, yI_k)"})
 
     ea = bi.build_e(mp)
     computed_delta = bi.delta_direct(ea)[:ea.k, :ea.k, :ea.k]
     disp = _displayed_delta_table(entry, corrected=True)
-    sign_d, resid_d = _best_sign(computed_delta, np.array(disp))
+    sign_d, resid_d = best_sign(computed_delta, np.array(disp))
     out.append({
         "table": "cobracket table on the annihilator block", "sign": sign_d,
         "residual": resid_d,
@@ -419,7 +413,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
         displayed_e[0, 2, 1] = -2.0
         displayed_e[2, 1, 0] = -2.0   # displayed [J, P2] = -2 P1
         displayed_e[1, 2, 0] = 2.0
-        sign_e, resid_e = _best_sign(e_struct, displayed_e)
+        sign_e, resid_e = best_sign(e_struct, displayed_e)
         out.append({"table": "planar bracket table [J,P1],[J,P2]", "sign": sign_e,
                     "residual": resid_e,
                     "note": "published table matches with one global sign flip"})

@@ -10,7 +10,6 @@ so the coadjoint matrix is minus the transpose of the adjoint matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import ALGEBRAIC_TOL
-from .linalg import BasedSpace, SpaceMismatchError, Vec, finite_array, worst, worst_at
+from .linalg import BasedSpace, finite_array, worst, worst_at
 
 IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
@@ -117,6 +116,17 @@ def jacobi_residual(structure: np.ndarray) -> float:
     return jacobi_worst_at(structure)[0]
 
 
+def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Structure constants in the basis given by the columns of t,
+
+        c'[i, j, s] = sum t[a, i] t[b, j] c[a, b, r] t^-1[s, r],
+
+    made exactly antisymmetric in (i, j).  In a basis adapted to a splitting
+    of the algebra, each derived table is a block of this one."""
+    out = np.einsum("ai,bj,abr,sr->ijs", t, t, structure, np.linalg.inv(t), optimize=True)
+    return 0.5 * (out - out.swapaxes(0, 1))
+
+
 @dataclass(eq=False)
 class LieAlgebra:
     space: BasedSpace
@@ -152,11 +162,6 @@ class LieAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        if x.space != self.space or y.space != self.space:
-            raise SpaceMismatchError("vectors not over this algebra's space")
-        return Vec(self.space, self.bracket_coords(x.coords, y.coords))
-
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
@@ -167,9 +172,6 @@ class LieAlgebra:
     def coad_matrix_coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad*(x) on dual coordinates: <ad*(x)phi, y> = phi([y, x])."""
         return -self.ad_matrix_coords(x).T
-
-    def check_jacobi(self) -> float:
-        return jacobi_residual(self.structure)
 
     # -- realization helpers ----------------------------------------------
 
@@ -194,11 +196,6 @@ class LieAlgebra:
         coords, resid = self._solver.solve_many(comms)
         return worst(resid, np.max(np.abs(coords.T - self.structure[i, j]), initial=0.0))
 
-    def invariant_pairing(self, x: Vec, y: Vec) -> float:
-        if self.pairing is None:
-            raise ValueError("algebra has no pairing spec")
-        return trace_pairing(self.matrix_of(x.coords), self.matrix_of(y.coords), self.pairing)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -219,19 +216,17 @@ class LieAlgebra:
         structure = finite_array(doc["structure"], "structure")
         realization = None
         if doc.get("realization") is not None:
-            realization = [
-                finite_array(m["re"], "realization") + 1j * finite_array(m["im"], "realization")
-                for m in doc["realization"]
-            ]
+            parts = [(finite_array(m["re"], "realization"), finite_array(m["im"], "realization"))
+                     for m in doc["realization"]]
+            if any(re.shape != im.shape for re, im in parts):
+                raise ValueError("realization: the re and im parts of a matrix differ in shape")
+            realization = [re + 1j * im for re, im in parts]
+        pairing = doc.get("pairing")
+        if pairing not in (None, IM_TRACE, RE_TRACE):
+            raise ValueError(f"unknown pairing {pairing!r}: expected null, "
+                             f"{IM_TRACE} or {RE_TRACE}")
         return LieAlgebra(BasedSpace.make(labels), structure,
-                          realization=realization, pairing=doc.get("pairing"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "LieAlgebra":
-        return LieAlgebra.from_json_dict(json.loads(text))
+                          realization=realization, pairing=pairing)
 
 
 def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
@@ -305,12 +300,6 @@ class SubspaceDecomposition:
                 expect = self.projections[a] if a == b else 0.0
                 out = worst(out, np.max(np.abs(prod - expect)))
         return out
-
-    def closure_residual(self, name: str) -> float:
-        """How far the named part is from being a subalgebra."""
-        basis = self.parts[name]
-        br = np.einsum("ip,jq,pqr->ijr", basis, basis, self.parent.structure, optimize=True)
-        return float(np.max(np.abs(br - br @ self.projections[name].T), initial=0.0))
 
     def project(self, name: str, coords: np.ndarray) -> np.ndarray:
         return self.projections[name] @ coords

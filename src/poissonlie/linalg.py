@@ -1,4 +1,5 @@
-"""Based vector spaces, exterior-square values, seeded sampling and finite differences.
+"""Based vector spaces, exterior-square values, NaN-safe residuals, the global
+sign matcher, a seeded generator and finite differences.
 
 Everything downstream works over small labelled real coordinate spaces; this
 module fixes the wedge/pairing conventions once:
@@ -46,31 +47,6 @@ def _check_same_space(a, b):
 
 
 @dataclass(frozen=True, eq=False)
-class Vec:
-    space: BasedSpace
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.space.dim,):
-            raise ValueError(f"coords shape {c.shape} does not match dim {self.space.dim}")
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor2:
-    space: BasedSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        n = self.space.dim
-        if c.shape != (n, n):
-            raise ValueError(f"coeffs shape {c.shape} does not match ({n}, {n})")
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True, eq=False)
 class Bivector:
     """Element of the exterior square, stored as an antisymmetric coefficient
     matrix; a (count, n, n) stack of coefficient matrices holds one per point
@@ -103,20 +79,6 @@ class Bivector:
         return float(np.max(np.abs(self.coeffs)))
 
 
-def wedge(x: Vec, y: Vec) -> Bivector:
-    """x ^ y as the antisymmetric tensor x (x) y - y (x) x."""
-    _check_same_space(x, y)
-    return Bivector(x.space, np.outer(x.coords, y.coords) - np.outer(y.coords, x.coords))
-
-
-def pair_tensor(t: Bivector | Tensor2, f: Tensor2) -> float:
-    """Full contraction sum_ij t_ij f_ij under the duality pairing."""
-    if t.coeffs.shape != f.coeffs.shape:
-        raise SpaceMismatchError(
-            f"tensor shapes differ: {t.coeffs.shape} vs {f.coeffs.shape}")
-    return float(np.sum(t.coeffs * f.coeffs))
-
-
 def worst(*residuals: float) -> float:
     """The largest residual, NaN if any residual is NaN, 0.0 if there are none.
 
@@ -139,6 +101,14 @@ def worst_at(residuals: np.ndarray) -> tuple[float, int]:
     r = np.asarray(residuals, dtype=float).ravel()
     i = int(np.argmax(r))   # argmax stops at the first NaN
     return float(r[i]), i
+
+
+def best_sign(computed: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """The global sign s = +/-1 under which `computed` best matches s * target,
+    and the residual max |computed - s * target|; +1 on a tie."""
+    plus = float(np.max(np.abs(computed - target)))
+    minus = float(np.max(np.abs(computed + target)))
+    return (1.0, plus) if plus <= minus else (-1.0, minus)
 
 
 def finite_array(values, what: str) -> np.ndarray:
@@ -178,11 +148,3 @@ class Rng:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
-
-def sample_vec(rng: Rng, space: BasedSpace, radius: float) -> Vec:
-    """Coordinates i.i.d. uniform in [-radius, radius]; deterministic given the seed."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return Vec(space, np.zeros(space.dim))
-    return Vec(space, rng.uniform(-radius, radius, space.dim))

@@ -2,6 +2,9 @@
 triangular matrices, the lower-corner model of e, the Cartan-cocycle
 deformations relating e, g and the compact form, and the twist element.
 
+The deformations are slices of one table: the structure constants of g in
+the model basis (phi(psi^1)..phi(psi^k), x_1..x_m) of p then k.
+
 The Cartan involution is extended to the complexification CONJUGATE-linearly
 as sigma(x) = -x*, the conjugation with respect to the compact form.  This is
 the extension that restricts to the Cartan involution on the real form (fixes
@@ -18,8 +21,8 @@ import numpy as np
 from .bialgebra import _alt3, normalize_z
 from .config import TWIST_INNER_SCALE
 from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, MatrixBasisSolver, commutators,
-                  from_realization, pair_commutators, trace_gram)
-from .linalg import BasedSpace, Bivector, worst
+                  from_realization, pair_commutators, structure_in_basis, trace_gram)
+from .linalg import BasedSpace, Bivector, best_sign, worst
 
 
 def sigma_conj(entry, m: np.ndarray) -> np.ndarray:
@@ -132,12 +135,8 @@ def gprime_transport_residual(entry, e_structure: np.ndarray) -> tuple[float, fl
     """
     half = gprime_half(entry)
     labels = [f"s{i}" for i in range(len(half))]
-    gp = from_realization(labels, half)
-    diff_plus = float(np.max(np.abs(gp.structure - e_structure)))
-    diff_minus = float(np.max(np.abs(gp.structure + e_structure)))
-    if diff_plus <= diff_minus:
-        return diff_plus, 1.0
-    return diff_minus, -1.0
+    sign, resid = best_sign(from_realization(labels, half).structure, e_structure)
+    return resid, sign
 
 
 def gprime_block_residual(entry) -> float:
@@ -170,42 +169,28 @@ def deform_bracket(entry, sign: float,
     """Deformed bracket on the model p x| k:
     [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g).
 
-    All brackets of the model basis (u rows, then b rows) come from one
-    contraction; each block is read off for i < j and mirrored, so the table
-    is exactly antisymmetric.  The model needs [p, p] in k: returns the
-    algebra and the largest p-part of [p, p], which the table leaves out."""
-    g = entry.g
-    p_rows = entry.cartan.parts["p"]
-    phi = phi_identification(entry)
-    u_rows = (p_rows.T @ phi).T                  # u_i = phi(psi^i) in g-coordinates
-    b_rows = entry.mp.decomp.parts["b"]
-    k, m = u_rows.shape[0], b_rows.shape[0]
-    n = k + m
-    rows = np.vstack([u_rows, b_rows])
-    br = np.einsum("ip,jq,pqr->rij", rows, rows, g.structure, optimize=True).reshape(g.dim, -1)
-    p_part = entry.cartan.project("p", br).T.reshape(n, n, g.dim)
-    b_part = entry.mp.b_coords(br).T.reshape(n, n, m)
-    iu, ju = np.triu_indices(k, 1)
-    pp_in_k = float(np.max(np.abs(p_part[iu, ju]), initial=0.0))
-    c = np.zeros((n, n, n))
-    c[iu, ju, k:] = sign * cocycle_scale * b_part[iu, ju]
-    c[ju, iu, k:] = -c[iu, ju, k:]
-    c[k:, :k, :k] = p_part[k:, :k] @ np.linalg.pinv(u_rows.T).T
-    c[:k, k:, :k] = -c[k:, :k, :k].swapaxes(0, 1)
-    ia, ja = np.triu_indices(m, 1)
-    c[k + ia, k + ja, k:] = b_part[k + ia, k + ja]
-    c[k + ja, k + ia, k:] = -c[k + ia, k + ja, k:]
+    Every block is a slice of the model table M of g in the basis (u, x),
+    u_i = phi(psi^i) (`g_structure_in_model_basis`): s M[u, u, x] on [u, u],
+    M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs [p, p] in
+    k: returns the algebra and the largest u-part of [u, u], M[u, u, u], which
+    the table leaves out."""
+    table = g_structure_in_model_basis(entry)
+    k, m = entry.mp.dim_c, entry.mp.dim_b
+    c = np.zeros_like(table)
+    c[:k, :k, k:] = sign * cocycle_scale * table[:k, :k, k:]
+    c[k:, :k, :k] = table[k:, :k, :k]
+    c[:k, k:, :k] = table[:k, k:, :k]
+    c[k:, k:, k:] = table[k:, k:, k:]
+    pp_in_k = float(np.max(np.abs(table[:k, :k, :k]), initial=0.0))
     labels = [f"u_{i}" for i in range(k)] + [f"x_{a}" for a in range(m)]
     return LieAlgebra(BasedSpace.make(labels), c), pp_in_k
 
 
 def g_structure_in_model_basis(entry) -> np.ndarray:
-    """Structure constants of g in the (phi(psi), b) basis."""
-    g = entry.g
+    """Structure constants of g in the model basis (phi(psi), b)."""
     phi = phi_identification(entry)
     u_rows = (entry.cartan.parts["p"].T @ phi).T
-    t = np.column_stack([u_rows.T, entry.mp._B])
-    return np.einsum("ai,bj,abr,sr->ijs", t, t, g.structure, np.linalg.inv(t), optimize=True)
+    return structure_in_basis(entry.g.structure, np.column_stack([u_rows.T, entry.mp._B]))
 
 
 def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:

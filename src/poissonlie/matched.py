@@ -1,5 +1,9 @@
 """Matched-pair data: g = b (+) c with projections, dual pair (y_i, psi^i), the
-canonical tensor, the induced group action on c and the trivialized anchor map."""
+induced group action on c and the trivialized anchor map.
+
+The pair holds one table, the structure constants of g in the adapted basis
+(x_1..x_m, y_1..y_k) of b then c.  The matched-pair condition, the c-tables
+here and the tables of `bialgebra` (e and its cobracket) are blocks of it."""
 
 from __future__ import annotations
 
@@ -11,8 +15,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .lie import LieAlgebra, SubspaceDecomposition, dual_basis
-from .linalg import BasedSpace, Tensor2, finite_array
+from .lie import LieAlgebra, SubspaceDecomposition, dual_basis, structure_in_basis
+from .linalg import BasedSpace, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import GroupElement
@@ -25,18 +29,29 @@ class MatchedPair:
     decomp: SubspaceDecomposition          # parts "b" and "c", in that order
     y_basis: np.ndarray                    # rows: basis of c in g-coordinates
     psi_basis: np.ndarray = field(init=False)  # rows: dual basis in b0 (dual coords)
+    adapted: np.ndarray = field(init=False)    # structure constants of g in (x, y), read-only
     b0_space: BasedSpace = field(init=False)
     e_space: BasedSpace = field(init=False)
 
     def __post_init__(self):
         if set(self.decomp.parts.keys()) != {"b", "c"}:
             raise ValueError("decomposition must have parts 'b' and 'c'")
-        for part in ("b", "c"):
-            res = self.decomp.closure_residual(part)
-            if not res <= ALGEBRAIC_TOL:
-                raise ValueError(f"part {part!r} is not a subalgebra (residual {res:.3e})")
         self.y_basis = np.atleast_2d(np.asarray(self.y_basis, dtype=float))
         self.psi_basis = dual_basis(self.g, self.decomp.parts["b"], self.y_basis)
+        # cached conversion matrices
+        self._Psi = self.psi_basis.T                  # n x k, columns psi^i (dual coords)
+        self._Y = self.y_basis.T                      # n x k, columns y_i
+        self._B = self.decomp.parts["b"].T            # n x m
+        self._T = np.column_stack([self._B, self._Y])
+        self._T_inv = np.linalg.inv(self._T)
+        self.adapted = structure_in_basis(self.g.structure, self._T)
+        self.adapted.setflags(write=False)
+        m = self.dim_b
+        # b and c are subalgebras: [b, b] has no c-part, [c, c] no b-part
+        for part, block in (("b", self.adapted[:m, :m, m:]), ("c", self.adapted[m:, m:, :m])):
+            res = float(np.max(np.abs(block), initial=0.0))
+            if not res <= ALGEBRAIC_TOL:
+                raise ValueError(f"part {part!r} is not a subalgebra (residual {res:.3e})")
         k = self.y_basis.shape[0]
         labels = [f"psi_{i}" for i in range(k)]
         # keep catalog-style labels when the y-basis rows are unit vectors
@@ -45,12 +60,6 @@ class MatchedPair:
             labels = [f"psi[{l}]" for l in y_lbl]
         self.b0_space = BasedSpace.make(labels)
         self.e_space = BasedSpace.make(list(self.b0_space.labels) + list(self.b_labels()))
-        # cached conversion matrices
-        self._Y = self.y_basis.T                      # n x k, columns y_i
-        self._Psi = self.psi_basis.T                  # n x k, columns psi^i (dual coords)
-        self._B = self.decomp.parts["b"].T            # n x m
-        self._T = np.column_stack([self._B, self._Y])
-        self._T_inv = np.linalg.inv(self._T)
 
     def _y_labels(self) -> Optional[list[str]]:
         lbl = []
@@ -107,8 +116,8 @@ class MatchedPair:
     @cached_property
     def c_brackets(self) -> np.ndarray:
         """Brackets [y_i, y_j] in g-coordinates, shape (k, k, n)."""
-        y = self.y_basis
-        out = np.einsum("ip,jq,pqr->ijr", y, y, self.g.structure, optimize=True)
+        m = self.dim_b
+        out = self.adapted[m:, m:] @ self._T.T
         out = 0.5 * (out - out.swapaxes(0, 1))   # exactly antisymmetric, zero diagonal
         out.setflags(write=False)
         return out
@@ -127,14 +136,9 @@ class MatchedPair:
 
     @property
     def c_structure(self) -> np.ndarray:
-        """Structure constants of c in the y-basis: c_brackets in c-coordinates."""
-        return (self.c_brackets @ self._T_inv.T)[..., self.dim_b:]
-
-    def canonical_tensor(self) -> Tensor2:
-        """t = sum_i psi^i (x) y_i in (psi, y) coordinates: the identity matrix."""
-        k = self.dim_c
-        space = BasedSpace.make([f"t_{i}" for i in range(k)])
-        return Tensor2(space, np.eye(k))
+        """Structure constants of c in the y-basis, shape (k, k, k)."""
+        m = self.dim_b
+        return self.adapted[m:, m:, m:]
 
     def action_on_c(self, a: "GroupElement") -> np.ndarray:
         """Matrix of P_c Ad_a restricted to c, in the y-basis; one per element
@@ -179,15 +183,23 @@ class MatchedPair:
     @staticmethod
     def from_json_dict(doc: dict) -> "MatchedPair":
         g = LieAlgebra.from_json_dict(doc["algebra"])
-        b_rows = finite_array(doc["b"], "b")
-        c_rows = finite_array(doc["c"], "c")
-        if b_rows.ndim == 1:  # allow index lists for the basis vectors
-            b_rows = np.eye(g.dim)[np.asarray(doc["b"], dtype=int)]
-        if c_rows.ndim == 1:
-            c_rows = np.eye(g.dim)[np.asarray(doc["c"], dtype=int)]
+        b_rows, c_rows = (_basis_rows(doc[part], g.dim, part) for part in ("b", "c"))
         decomp = SubspaceDecomposition(g, {"b": b_rows, "c": c_rows})
         return MatchedPair(doc.get("name", "imported"), g, decomp, c_rows)
 
     @staticmethod
     def from_json(text: str) -> "MatchedPair":
         return MatchedPair.from_json_dict(json.loads(text))
+
+
+def _basis_rows(value, dim: int, part: str) -> np.ndarray:
+    """The rows of an imported part: a nonempty list of g-coordinate rows, or
+    of basis indices, each a whole number in range(dim)."""
+    rows = finite_array(value, part)
+    if rows.ndim == 1:
+        if not np.all((rows == np.floor(rows)) & (rows >= 0) & (rows < dim)):
+            raise ValueError(f"part {part!r}: indices must be whole numbers in range({dim})")
+        rows = np.eye(dim)[rows.astype(int)]
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != dim:
+        raise ValueError(f"part {part!r} must be a nonempty list of indices or of {dim}-vectors")
+    return rows

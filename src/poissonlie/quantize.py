@@ -92,7 +92,7 @@ class CrossedAlgebra:
         # alpha polynomials of the anchor fields for the two generators
         self.alpha = [anchor_trig(mp, np.eye(2)[i]) for i in range(2)]
         # structure constant [y_a, y_2] = lam * y_2 (catalog value 2)
-        br = mp.c_coords(mp.g.bracket_coords(mp.y_basis[0], mp.y_basis[1]))
+        br = mp.c_structure[0, 1]
         if abs(br[0]) > 1e-12:
             raise ValueError("unexpected y_a component in [y_a, y_2]")
         self.lam = float(br[1])

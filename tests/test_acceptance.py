@@ -131,16 +131,16 @@ def test_criterion_06_delta_two_routes_all_pairs():
 
 
 def test_criterion_07_su_p1_reproduction():
-    from poissonlie.checks import (_adstar_u_residual, _best_sign,
-                                   _displayed_delta_table,
+    from poissonlie.checks import (_adstar_u_residual, _displayed_delta_table,
                                    _su_p1_displayed_bracket_table)
+    from poissonlie.linalg import best_sign
 
     worst = 0.0
     erratum_confirmed = True
     for p in (2, 3):
         entry = supq1(p)
-        sign_b, resid_b = _best_sign(entry.mp.c_structure,
-                                     _su_p1_displayed_bracket_table(entry))
+        sign_b, resid_b = best_sign(entry.mp.c_structure,
+                                    _su_p1_displayed_bracket_table(entry))
         worst = max(worst, resid_b)
         # dual-basis display: matrix representatives against solved coordinates
         from poissonlie.lie import IM_TRACE, trace_pairing
@@ -155,7 +155,7 @@ def test_criterion_07_su_p1_reproduction():
         ea = build_e(entry.mp)
         delta = delta_direct(ea)
         computed = delta[:ea.k, :ea.k, :ea.k]
-        sign_d, resid_d = _best_sign(computed, np.array(_displayed_delta_table(entry, True)))
+        sign_d, resid_d = best_sign(computed, np.array(_displayed_delta_table(entry, True)))
         worst = max(worst, resid_d)
         raw = np.array(_displayed_delta_table(entry, False))
         diff = computed - sign_d * raw

@@ -261,6 +261,37 @@ def test_nan_realization_import_exit_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_realization_re_im_shape_mismatch_exit_2(tmp_path, capsys):
+    # the first su11 matrix is imaginary, so a 1 x 1 zero real part broadcast
+    # against its imaginary part would rebuild the same matrix
+    doc = copy.deepcopy(_su11_doc())
+    doc["algebra"]["realization"][0]["re"] = [[0.0]]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "differ in shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parts, pairing", [
+    ({"b": [0.5]}, None),               # a fractional index
+    ({"c": [1, 2.9]}, None),
+    ({"b": [-3]}, None),                # a negative index
+    ({"b": [], "c": [0, 1, 2]}, None),  # an empty part
+    ({}, "FOO"),                        # a pairing other than null, IM_TRACE or RE_TRACE
+], ids=["fractional-b", "fractional-c", "negative-b", "empty-b", "unknown-pairing"])
+def test_bad_import_index_or_pairing_exit_2(parts, pairing, tmp_path, capsys):
+    doc = copy.deepcopy(_su11_doc())
+    doc.update({"b": [0], "c": [1, 2]}, **parts)
+    if pairing is not None:
+        doc["algebra"]["pairing"] = pairing
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @cache
 def _su11_doc() -> dict:
     return get_entry("su11").mp.to_json_dict()

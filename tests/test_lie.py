@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
 from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition,
                             dual_basis, from_realization, jacobi_residual,
-                            trace_pairing)
-from poissonlie.linalg import BasedSpace, Rng, Vec
+                            structure_in_basis, trace_pairing)
+from poissonlie.linalg import BasedSpace, Rng
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,8 @@ def test_su11_bracket_table(e11):
 
 def test_bracket_of_vector_with_itself(e11):
     g = e11.g
-    x = Vec(g.space, np.array([0.3, -1.2, 0.7]))
-    assert np.max(np.abs(g.bracket(x, x).coords)) < 1e-12
+    x = np.array([0.3, -1.2, 0.7])
+    assert np.max(np.abs(g.bracket_coords(x, x))) < 1e-12
 
 
 def test_su21_rij_bracket():
@@ -67,9 +69,9 @@ def test_ad_ih_on_ya_derived_expansion(e11):
 
 
 def test_check_jacobi_catalog_and_abelian(e11):
-    assert e11.g.check_jacobi() <= 1e-9
+    assert jacobi_residual(e11.g.structure) <= 1e-9
     abelian = LieAlgebra(BasedSpace.make(["a", "b"]), np.zeros((2, 2, 2)))
-    assert abelian.check_jacobi() == 0.0
+    assert jacobi_residual(abelian.structure) == 0.0
 
 
 def test_jacobi_negative_control(e11):
@@ -134,9 +136,10 @@ def test_invariant_pairing_im_trace(e11):
     val = trace_pairing(np.array([[0, 1j], [0, 0]]), g.realization[1], IM_TRACE)
     assert val == pytest.approx(1.0, abs=1e-14)
     # symmetry of the trace pairing
-    x = Vec(g.space, np.array([0.1, -0.4, 2.0]))
-    y = Vec(g.space, np.array([1.0, 0.2, -0.3]))
-    assert g.invariant_pairing(x, y) == pytest.approx(g.invariant_pairing(y, x), abs=1e-12)
+    x = g.matrix_of(np.array([0.1, -0.4, 2.0]))
+    y = g.matrix_of(np.array([1.0, 0.2, -0.3]))
+    assert trace_pairing(x, y, IM_TRACE) == pytest.approx(trace_pairing(y, x, IM_TRACE),
+                                                          abs=1e-12)
 
 
 def test_invariance_of_trace_form_sl():
@@ -156,19 +159,25 @@ def test_invariance_of_trace_form_sl():
         assert abs(val) < 1e-12
 
 
-def test_invariant_pairing_requires_realization():
-    abelian = LieAlgebra(BasedSpace.make(["a"]), np.zeros((1, 1, 1)))
-    with pytest.raises(ValueError):
-        abelian.invariant_pairing(Vec(abelian.space, np.ones(1)),
-                                  Vec(abelian.space, np.ones(1)))
-
-
 def test_subspace_decomposition_projectors(e11):
     d = e11.mp.decomp
     assert d.projector_residual() <= 1e-9
-    assert d.closure_residual("b") <= 1e-9
-    assert d.closure_residual("c") <= 1e-9
+    # both parts are subalgebras: the off-blocks of the adapted table vanish
+    m = len(d.parts["b"])
+    a = structure_in_basis(e11.g.structure, np.vstack([d.parts["b"], d.parts["c"]]).T)
+    assert np.max(np.abs(a[:m, :m, m:])) <= 1e-9
+    assert np.max(np.abs(a[m:, m:, :m])) <= 1e-9
     assert np.isfinite(d.condition_number)
+
+
+def test_structure_in_basis_expands_brackets_of_the_columns():
+    g = supq1(2).g
+    t = Rng(8).uniform(-1, 1, (g.dim, g.dim)) + 3.0 * np.eye(g.dim)
+    a = structure_in_basis(g.structure, t)
+    assert np.array_equal(a, -a.swapaxes(0, 1))
+    for i, j in ((0, 1), (2, 5), (7, 3)):
+        assert np.max(np.abs(t @ a[i, j] - g.bracket_coords(t[:, i], t[:, j]))) <= 1e-12
+    assert np.array_equal(structure_in_basis(g.structure, np.eye(g.dim)), g.structure)
 
 
 def test_subspace_decomposition_rejects_dependent_parts(e11):
@@ -179,8 +188,8 @@ def test_subspace_decomposition_rejects_dependent_parts(e11):
 
 def test_json_round_trip(e11):
     g = e11.g
-    doc = g.to_json()
-    g2 = LieAlgebra.from_json(doc)
+    doc = json.loads(json.dumps(g.to_json_dict()))
+    g2 = LieAlgebra.from_json_dict(doc)
     assert g2.space == g.space
     assert np.array_equal(g2.structure, g.structure)
     assert g2.pairing == IM_TRACE

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlie.linalg import (BasedSpace, Bivector, Rng, SpaceMismatchError,
-                               Tensor2, Vec, finite_diff, pair_tensor,
-                               sample_vec, wedge, worst)
+                               best_sign, finite_diff, worst)
 
 V3 = BasedSpace.make(["e1", "e2", "e3"])
 
 
-def vec(*coords):
-    return Vec(V3, np.array(coords, dtype=float))
+def wedge(x, y):
+    """x ^ y = x (x) y - y (x) x: twice the bivector of x (x) y, whose
+    symmetric part the constructor removes."""
+    return 2.0 * Bivector(V3, np.outer(x, y))
 
 
 def test_based_space_validates():
@@ -26,45 +27,21 @@ def test_based_space_validates():
 
 
 def test_wedge_self_is_zero():
-    w = wedge(vec(1, 0, 0), vec(1, 0, 0))
+    w = wedge([1, 0, 0], [1, 0, 0])
     assert np.array_equal(w.coeffs, np.zeros((3, 3)))
-
-
-def test_wedge_pairing_convention():
-    w = wedge(vec(1, 0, 0), vec(0, 1, 0))
-    dual = BasedSpace.make(["f1", "f2", "f3"])
-    f12 = np.zeros((3, 3))
-    f12[0, 1] = 1.0
-    assert pair_tensor(w, Tensor2(dual, f12)) == 1.0
-    f21 = np.zeros((3, 3))
-    f21[1, 0] = 1.0
-    assert pair_tensor(w, Tensor2(dual, f21)) == -1.0
-
-
-def test_pair_tensor_zero_and_linearity():
-    w = wedge(vec(1, 2, 0), vec(0, 1, 3))
-    zero = Tensor2(V3, np.zeros((3, 3)))
-    assert pair_tensor(Bivector(V3, np.zeros((3, 3))), zero) == 0.0
-    f = Tensor2(V3, np.arange(9.0).reshape(3, 3))
-    assert pair_tensor(Bivector(V3, 2 * w.coeffs), f) == pytest.approx(
-        2 * pair_tensor(w, f), abs=1e-14)
 
 
 def test_space_mismatch_raises():
     other = BasedSpace.make(["a", "b", "c"])
     with pytest.raises(SpaceMismatchError):
-        wedge(vec(1, 0, 0), Vec(other, np.zeros(3)))
-    two = BasedSpace.make(["x", "y"])
-    with pytest.raises(SpaceMismatchError):
-        pair_tensor(Bivector(V3, np.zeros((3, 3))), Tensor2(two, np.zeros((2, 2))))
+        wedge([1, 0, 0], [0, 1, 0]) + Bivector(other, np.zeros((3, 3)))
 
 
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3))
 def test_wedge_antisymmetry_property(xc, yc):
-    x, y = vec(*xc), vec(*yc)
-    assert np.array_equal(wedge(x, y).coeffs, -wedge(y, x).coeffs)
-    assert np.max(np.abs(wedge(x, y).coeffs + wedge(x, y).coeffs.T)) == 0.0
+    assert np.array_equal(wedge(xc, yc).coeffs, -wedge(yc, xc).coeffs)
+    assert np.max(np.abs(wedge(xc, yc).coeffs + wedge(xc, yc).coeffs.T)) == 0.0
 
 
 def test_bivector_antisymmetrized_at_construction():
@@ -110,9 +87,9 @@ def test_finite_diff_matrix_exponential_oracle():
 
 
 def test_rng_determinism():
-    a = sample_vec(Rng(1234), V3, 1.0)
-    b = sample_vec(Rng(1234), V3, 1.0)
-    assert np.array_equal(a.coords, b.coords)
+    a = Rng(1234).uniform(-1.0, 1.0, 3)
+    b = Rng(1234).uniform(-1.0, 1.0, 3)
+    assert np.array_equal(a, b)
 
 
 def test_rng_streams_bit_identical():
@@ -122,22 +99,17 @@ def test_rng_streams_bit_identical():
     assert s1 == s2
 
 
-def test_sample_vec_radius_zero():
-    v = sample_vec(Rng(0), V3, 0.0)
-    assert np.array_equal(v.coords, np.zeros(3))
-
-
-def test_sample_vec_mean_near_zero():
-    rng = Rng(2024)
-    total = np.zeros(3)
-    n = 10_000
-    for _ in range(n):
-        total += sample_vec(rng, V3, 1.0).coords
-    assert np.max(np.abs(total / n)) < 0.05
-
-
 def test_worst_propagates_nan():
     assert worst() == 0.0
     assert worst(1e-3, 2, np.float64(0.5)) == 2.0
     assert math.isnan(worst(0.0, float("nan"), 1.0))
     assert worst(0.0, float("inf")) == float("inf")
+
+
+def test_best_sign_matches_up_to_global_sign():
+    x = np.arange(6.0).reshape(2, 3) - 2.5
+    assert best_sign(x, x) == (1.0, 0.0)
+    assert best_sign(-x, x) == (-1.0, 0.0)
+    sign, resid = best_sign(-x + 1e-3, x)
+    assert sign == -1.0 and resid == pytest.approx(1e-3, abs=1e-15)
+    assert best_sign(np.zeros(3), np.ones(3)) == (1.0, 1.0)    # a tie keeps +1

@@ -14,11 +14,6 @@ def e11():
     return su11()
 
 
-def test_canonical_tensor_is_identity(e11):
-    t = e11.mp.canonical_tensor()
-    assert np.array_equal(t.coeffs, np.eye(2))
-
-
 def test_invariance_under_sampled_group_elements(e11):
     rng = Rng(42)
     worst = max(e11.mp.invariance_residual(sample_group_element(e11.mp, rng))
@@ -133,6 +128,70 @@ def test_json_import_with_index_lists(e11):
     doc = {"algebra": e11.g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp2 = MatchedPair.from_json_dict(doc)
     assert mp2.dim_b == 1 and mp2.dim_c == 2
+
+
+def _semidirect_reference(mp) -> np.ndarray:
+    """e = b0 x| b one basis pair at a time: [x_j, psi^i] = ad*(x_j) psi^i and
+    [x_a, x_b] from b."""
+    k, m = mp.dim_c, mp.dim_b
+    c = np.zeros((k + m,) * 3)
+    for j in range(m):
+        coad = mp.g.coad_matrix_coords(mp._B[:, j])
+        for i in range(k):
+            s = mp.gstar_to_b0(coad @ mp._Psi[:, i])
+            c[k + j, i, :k] = s
+            c[i, k + j, :k] = -s
+    for a in range(m):
+        for b in range(a + 1, m):
+            br = mp.b_coords(mp.g.bracket_coords(mp._B[:, a], mp._B[:, b]))
+            c[k + a, k + b, k:] = br
+            c[k + b, k + a, k:] = -br
+    return c
+
+
+def _delta_reference(mp) -> np.ndarray:
+    """delta[x, p, q] one basis pair at a time: the psi^i ^ psi^j coefficient
+    of delta(psi) is <psi, [y_i, y_j]>, and delta(x_j) = sum_i P_b [y_i, x_j] ^ psi^i."""
+    k, m = mp.dim_c, mp.dim_b
+    delta = np.zeros((k + m,) * 3)
+    for i in range(k):
+        for j in range(k):
+            delta[:k, i, j] = mp.c_coords(mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
+        for j in range(m):
+            t = mp.b_coords(mp.g.bracket_coords(mp.y_basis[i], mp._B[:, j]))
+            delta[k + j, k:, i] = t
+            delta[k + j, i, k:] = -t
+    return delta
+
+
+def test_mixed_adapted_basis_su21():
+    # every catalog pair has unit-vector b and c rows; here each part's rows
+    # are mixed by a random invertible matrix, so the change of basis is general
+    from poissonlie.bialgebra import build_e, delta_direct
+    from poissonlie.checks import applicable_checks, run_check
+    from poissonlie.config import DEFAULT_TOL
+
+    mp = supq1(2).mp
+    rng = Rng(21)
+    doc = mp.to_json_dict()
+    for part, dim in (("b", mp.dim_b), ("c", mp.dim_c)):
+        mix = rng.uniform(-1, 1, (dim, dim)) + 2.0 * np.eye(dim)
+        doc[part] = (mix @ np.array(doc[part])).tolist()
+    mixed = MatchedPair.from_json(json.dumps(doc))
+    assert mixed.b0_space.labels[0] == "psi_0"       # rows are not unit vectors
+
+    names = applicable_checks(mixed)
+    assert names == ["jacobi", "invariance", "cocycle", "delta_consistency",
+                     "bialgebra_axioms"]
+    for name in names:
+        assert run_check(name, mixed, 200, Rng(42), DEFAULT_TOL)["pass"] is True, name
+    for knob, name in (("delta_b0_sign", "delta_consistency"),
+                       ("delta_sign_one_basis", "bialgebra_axioms")):
+        assert run_check(name, mixed, 0, Rng(42), DEFAULT_TOL, corrupt=knob)["pass"] is False
+
+    ea = build_e(mixed)
+    assert np.max(np.abs(ea.e.structure - _semidirect_reference(mixed))) <= 1e-13
+    assert np.max(np.abs(delta_direct(ea) - _delta_reference(mixed))) <= 1e-13
 
 
 def test_user_pair_sl2r_full_machinery():
