@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import ALGEBRAIC_TOL, FD_STEP, SVD_TOL
-from .group import EElement, GroupElement
+from .group import basis_curves
 from .lie import LieAlgebra
 from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst
 from .matched import MatchedPair
@@ -88,19 +88,9 @@ def delta_direct(ea: EAlgebra, b0_sign: float = 1.0) -> np.ndarray:
 
 def delta_from_eta(mp: MatchedPair, step: float = FD_STEP) -> np.ndarray:
     """Linearization of the group cocycle at the identity, laid out as
-    `delta_direct`: one finite difference of eta along the stacked curve
-    (t psi_i, 1), then (0, exp(t x_j)), through every basis direction."""
-    k, m = mp.dim_c, mp.dim_b
-    d = mp.g.realization[0].shape[0]
-    x_mats = mp.b_matrix_of(np.eye(m))
-    v = np.vstack([np.eye(k), np.zeros((m, k))])
-
-    def curve(t):
-        mats = np.concatenate([np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)),
-                               scipy.linalg.expm(t * x_mats)])
-        return eta(mp, EElement(mp, t * v, GroupElement(mp, mats))).coeffs
-
-    return finite_diff(curve, 0.0, step)
+    `delta_direct`: one finite difference of eta along the stacked
+    `group.basis_curves` (t psi_i, 1), then (0, exp(t x_j))."""
+    return finite_diff(lambda t: eta(mp, basis_curves(mp, t)).coeffs, 0.0, step)
 
 
 def delta_consistency_residual(ea: EAlgebra, b0_sign: float = 1.0,

@@ -24,7 +24,7 @@ P_CAP = 8
 TWIST_INNER_SCALE = 0.5
 
 PRNG_NAME = "numpy PCG64"
-EXP_METHOD = "scipy.linalg.expm (Pade scaling-and-squaring)"
+EXP_METHOD = "poissonlie.linalg.expm (stacked Pade-13 scaling-and-squaring)"
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,15 @@ point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
 Sampling is stacked: `sample_group_matrices` and `sample_e_elements` draw a
-whole stack of elements and exponentiate all word factors in one `expm` call;
+whole stack of elements and exponentiate all word factors in one call of
+`linalg.expm` (Pade-13 scaling and squaring, vectorized over the stack);
 `adjoint_matrices` conjugates the realization by every matrix of a stack and
-re-expands all of it in one least-squares solve.  The random numbers are drawn
-in the order of one-at-a-time sampling (per element: v, then the word length,
-then the factors), so a seed selects the same elements either way.  Every element of a stack passes the same membership and
-leak validation as a single element.
+re-expands all of it in one least-squares solve, and a stack that needs both
+Ad(a) and Ad(a^{-1}) gets them from one such pass (`coadjoint_matrix`).  The
+random numbers are drawn in the order of one-at-a-time sampling (per element:
+v, then the word length, then the factors), so a seed selects the same
+elements either way.  Every element of a stack, and its inverse, passes the
+same membership and leak validation as a single element.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import FD_STEP
-from .linalg import Rng, finite_diff
+from .linalg import Rng, expm, finite_diff
 from .matched import MatchedPair
 
 #: Samples per stacked block in the sampled checks.  On su41 at 1000 samples,
@@ -87,11 +89,12 @@ def identity_element(mp: MatchedPair) -> GroupElement:
 
 
 def exp_b(mp: MatchedPair, xb: np.ndarray, t: float = 1.0) -> GroupElement:
-    """exp(t X) for X given by b-basis coordinates, via scipy's Pade expm."""
+    """exp(t X) for X given by b-basis coordinates, via `linalg.expm`
+    (Pade-13 scaling and squaring)."""
     if mp.g.realization is None:
         raise ValueError("matched pair has no matrix realization")
     x = mp.b_matrix_of(np.asarray(xb, dtype=float))
-    return GroupElement(mp, scipy.linalg.expm(t * x))
+    return GroupElement(mp, expm(t * x))
 
 
 def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> None:
@@ -113,22 +116,36 @@ def adjoint_matrices(mp: MatchedPair, mats: np.ndarray) -> np.ndarray:
     Every element is validated: its conjugation of the realization must stay
     in the algebra and Ad(a) must preserve b; a NaN matrix fails the first
     test.  All conjugated matrices are re-expanded by one least-squares solve."""
-    g = mp.g
     mats = np.asarray(mats, dtype=complex)
+    return _adjoint(mp, mats, np.linalg.inv(mats))
+
+
+def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
+             pairs: bool = False) -> np.ndarray:
+    """`adjoint_matrices` of `mats`, given their inverses `invs`.
+
+    With `pairs`, `mats` is [a, a^{-1}] and `invs` is [a^{-1}, a] along a first
+    axis of two: an element and its inverse are validated together, and an
+    offender is named by its index in a."""
+    g = mp.g
     lead, d, n = mats.shape[:-2], mats.shape[-1], g.dim
     flat = mats.reshape(-1, d, d)
     count = len(flat)
+
+    def per_element(values):   # np.max keeps a NaN of either half
+        return values.max(axis=0) if pairs else values
+
     # a R_j a^{-1} for every j as two matmuls per element: rows (i, j) of a [R_0 .. R_n-1]
     wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
-    conjugated = (flat @ wide).reshape(count, d * n, d) @ np.linalg.inv(flat)
+    conjugated = (flat @ wide).reshape(count, d * n, d) @ invs.reshape(-1, d, d)
     conjugated = conjugated.reshape(count, d, n, d).transpose(0, 2, 1, 3)
     coords, resids = g._solver.solve_each(conjugated.reshape(count * n, d, d))
-    resid = resids.reshape(count, n).max(axis=1).reshape(lead)
+    resid = per_element(resids.reshape(count, n).max(axis=1).reshape(lead))
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
     ad = np.ascontiguousarray(coords.reshape(n, count, n).transpose(1, 0, 2))
     ad = ad.reshape(lead + (n, n))
-    leak = np.abs(mp._T_inv @ ad @ mp._B)[..., mp.dim_b:, :].max(axis=(-2, -1))
+    leak = per_element(np.abs(mp._T_inv @ ad @ mp._B)[..., mp.dim_b:, :].max(axis=(-2, -1)))
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
     return ad
 
@@ -143,8 +160,19 @@ def adjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
 
 def coadjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
     """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action; Ad(a^{-1}) is
-    conjugation by the inverse matrix."""
-    return np.swapaxes(adjoint_matrix(mp, a.inverse()), -1, -2)
+    conjugation by the inverse matrix, cached on `a.inverse()`.
+
+    When Ad(a) is not known yet either, one pass conjugates [a, a^{-1}] by
+    [a^{-1}, a] and fills both caches: eta, adE and the invariance residual
+    need both, so they ask for Ad*(a) first."""
+    a_inv = a.inverse()
+    if a_inv._ad is None:
+        if a._ad is None:
+            a._ad, a_inv._ad = _adjoint(mp, np.stack([a.matrix, a_inv.matrix]),
+                                        np.stack([a_inv.matrix, a.matrix]), pairs=True)
+        else:
+            a_inv._ad = _adjoint(mp, a_inv.matrix, a.matrix)
+    return np.swapaxes(a_inv._ad, -1, -2)
 
 
 @dataclass(eq=False)
@@ -216,12 +244,13 @@ def adE(g: EElement) -> np.ndarray:
     mp = g.pair
     k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
     lead = g.v.shape[:-1]
+    k_mat = mp.coadjoint_on_b0(g.a)           # first, so Ad_a comes from the same pass
     z = g.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
     w = g.v @ mp._Psi.T                       # v in dual coordinates on g
     # <ad*(z)(w), y> = w([y, z]) = y^T cw z with cw[i, j] = w([e_i, e_j])
     cw = (w @ mp.g.structure.reshape(n * n, n).T).reshape(lead + (n, n))
     out = np.zeros(lead + (k + m, k + m))
-    out[..., :k, :k] = mp.coadjoint_on_b0(g.a)
+    out[..., :k, :k] = k_mat
     out[..., :k, k:] = -(mp._Y.T @ cw @ z)
     out[..., k:, k:] = (mp._T_inv @ z)[..., :m, :]
     return out
@@ -233,17 +262,18 @@ def _draw(mp: MatchedPair, rng: Rng, count: int, max_word: int,
     v (when `radius` is given), then the word length, then the factors.
 
     Returns (v stack or None, matrix stack).  All factors are exponentiated by
-    one stacked expm; words shorter than `max_word` are padded with the identity."""
+    one stacked `expm`; words shorter than `max_word` are padded with the identity."""
     vs, factors, slots = [], [], []
     for i in range(count):
         if radius is not None:
             vs.append(rng.uniform(-radius, radius, mp.dim_c))
         length = rng.integers(1, max_word + 1)
-        factors += [rng.uniform(-1.0, 1.0, mp.dim_b) for _ in range(length)]
+        # one call for the word: the same numbers as one call per factor
+        factors.append(rng.uniform(-1.0, 1.0, (length, mp.dim_b)))
         slots += range(i * max_word, i * max_word + length)
     d = mp.g.realization[0].shape[0]
     words = np.tile(np.eye(d, dtype=complex), (count * max_word, 1, 1))
-    words[slots] = scipy.linalg.expm(mp.b_matrix_of(np.array(factors)))
+    words[slots] = expm(mp.b_matrix_of(np.concatenate(factors)))
     words = words.reshape(count, max_word, d, d)
     mats = words[:, 0]
     for j in range(1, max_word):
@@ -273,37 +303,32 @@ def sample_e_element(mp: MatchedPair, rng: Rng, radius: float = 1.0) -> EElement
     return sample_e_elements(mp, rng, 1, radius)[0]
 
 
+def basis_curves(mp: MatchedPair, t: float) -> EElement:
+    """The points (t psi_i, 1), then (0, exp(t x_j)), of the curves through the
+    identity along every e-basis direction, as one stack with one `expm` call."""
+    k, m = mp.dim_c, mp.dim_b
+    d = mp.g.realization[0].shape[0]
+    mats = np.concatenate([np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)),
+                           expm(t * mp.b_matrix_of(np.eye(m)))])
+    return EElement(mp, t * np.eye(k + m, k), GroupElement(mp, mats))
+
+
 def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:
-    """Finite-difference oracle: differentiate g (curve) g^{-1} through e_mul/e_inv."""
+    """Finite-difference oracle: differentiate g (curve) g^{-1} through e_mul/e_inv,
+    along all the `basis_curves` at once."""
     mp = g.pair
     k, m = mp.dim_c, mp.dim_b
+    d = mp.g.realization[0].shape[0]
     g_inv = e_inv(g)
+
+    def curve(t):
+        conj = e_mul(e_mul(g, basis_curves(mp, t)), g_inv)
+        return np.concatenate([conj.v, conj.a.matrix.reshape(k + m, d * d)], axis=1)
+
+    flat = finite_diff(curve, 0.0, step)
     out = np.zeros((k + m, k + m))
-
-    def conj(curve_el):
-        return e_mul(e_mul(g, curve_el), g_inv)
-
-    for i in range(k):
-        def v_curve(t, i=i):
-            el = EElement(mp, t * np.eye(k)[i], identity_element(mp))
-            return conj(el).v
-
-        out[:k, i] = finite_diff(v_curve, 0.0, step)
-        # B-part of the conjugated curve stays at the identity for b0 directions
-
-    for j in range(m):
-        xb = np.eye(m)[j]
-
-        def v_curve(t, xb=xb):
-            return conj(EElement(mp, np.zeros(k), exp_b(mp, xb, t))).v
-
-        def a_curve(t, xb=xb):
-            mat = conj(EElement(mp, np.zeros(k), exp_b(mp, xb, t))).a.matrix
-            return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-
-        out[:k, k + j] = finite_diff(v_curve, 0.0, step)
-        flat = finite_diff(a_curve, 0.0, step)
-        d = mp.g.realization[0].shape[0]
-        tangent = flat[: d * d].reshape(d, d) + 1j * flat[d * d:].reshape(d, d)
-        out[k:, k + j] = mp.b_coords(mp.g.coords_of(tangent, tol=1e-4))
+    out[:k] = flat[:, :k].real.T
+    # the b0 curves keep the B-part at the identity, so out[k:, :k] stays 0
+    tangent = flat[k:, k:].reshape(m, d, d)
+    out[k:, k:] = (mp.g.coords_of(tangent, tol=1e-4) @ mp._T_inv.T)[:, :m].T
     return out

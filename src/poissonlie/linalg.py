@@ -119,6 +119,49 @@ def finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+#: Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp,
+#: divided by b_0 so that exp(0) comes out as the exact identity.
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+                    16380.0, 182.0, 1.0]) / 64764752532480000.0
+#: Largest 1-norm for which Pade-13 needs no scaling (Al-Mohy and Higham, 2009).
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of a (d, d) matrix, or of each matrix of a stack, by Pade-13
+    scaling and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31,
+    2009, without their lower orders or norm estimates).
+
+    Each matrix is scaled by 2^-s with its own s, the least with
+    |2^-s A|_1 <= theta13; the whole stack is evaluated with six matmuls and
+    one solve, and each matrix is squared its own s times.  A NaN matrix gives
+    a NaN result for that matrix only."""
+    a = np.asarray(a)
+    d = a.shape[-1]
+    flat = a.reshape(-1, d, d)
+    norm = np.abs(flat).sum(axis=1).max(axis=1)
+    # s = ceil(log2(norm / theta13)), clipped at 0; frexp has no warning for 0 or NaN
+    frac, exp2 = np.frexp(norm / _THETA13)
+    s = np.maximum(exp2 - (frac == 0.5), 0)
+    x = flat * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    ident = np.eye(d)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    out = np.linalg.solve(v - u, v + u)
+    for j in range(int(s.max(initial=0))):
+        more = s > j
+        out[more] = out[more] @ out[more]
+    return out.reshape(a.shape)
+
+
 def finite_diff(curve: Callable[[float], np.ndarray], t0: float, h: float) -> np.ndarray:
     """Central difference with one Richardson extrapolation step: (4 D_{h/2} - D_h)/3."""
     if not h > 0:

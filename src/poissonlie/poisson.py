@@ -25,9 +25,9 @@ def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     For a stack of points `g` the Bivector holds one coefficient matrix per point."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
+    k_mat = mp.coadjoint_on_b0(g.a)     # first, so Ad_a comes from the same pass
     u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
     val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
-    k_mat = mp.coadjoint_on_b0(g.a)
     coeffs = np.zeros(lead + (k + m, k + m))
     coeffs[..., :k, :k] = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
     return Bivector(mp.e_space, coeffs)
@@ -58,8 +58,8 @@ def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
     val = np.einsum("p,ijp->ij", w, table)
     coeffs = np.zeros((k + m, k + m))
     coeffs[:k, :k] = val
-    ad = adjoint_matrix(mp, g.a)
     k_mat = mp.coadjoint_on_b0(g.a)
+    ad = adjoint_matrix(mp, g.a)
     for i in range(k):
         x_b = mp.decomp.project("b", ad @ mp.y_basis[i])
         t_i = mp.gstar_to_b0(mp.g.coad_matrix_coords(x_b) @ w)

@@ -279,6 +279,9 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
         adjoint_matrices(mp, mats)
     with pytest.raises(ValueError, match="element 3 of the stack"):
         GroupElement(mp, mats).ad
+    # Ad(a) and Ad(a^{-1}) from one pass over the doubled stack: still index 3 of a
+    with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
+        mp.coadjoint_on_b0(GroupElement(mp, mats))
 
 
 def test_stack_with_a_nan_matrix_raises(e11):
@@ -289,6 +292,28 @@ def test_stack_with_a_nan_matrix_raises(e11):
         adjoint_matrices(mp, mats)
     with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
         GroupElement(mp, mats)
+    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
+        mp.coadjoint_on_b0(GroupElement(mp, mats))
+
+
+def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11):
+    mp = e11.mp
+    mats = sample_group_matrices(mp, Rng(2), 5)
+    mats[4] = np.diag([2.0, 0.5])    # its conjugation leaves su(1,1)
+    with pytest.raises(ValueError, match=r"element 4 of the stack leaves the algebra"):
+        mp.coadjoint_on_b0(GroupElement(mp, mats))
+    with pytest.raises(ValueError, match=r"^group element leaves the algebra"):
+        mp.coadjoint_on_b0(GroupElement(mp, mats[4]))
+
+
+def test_one_pass_fills_ad_of_a_and_of_its_inverse(mp):
+    a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
+    coad = coadjoint_matrix(mp, a)
+    assert a._ad is not None and a.inverse()._ad is not None
+    assert np.max(np.abs(a.ad @ a.inverse().ad - np.eye(mp.g.dim))) <= 1e-12
+    assert np.max(np.abs(a.ad - adjoint_matrices(mp, a.matrix))) <= 1e-13
+    ad_inv = adjoint_matrices(mp, a.inverse().matrix)
+    assert np.max(np.abs(coad - np.swapaxes(ad_inv, 1, 2))) <= 1e-13
 
 
 def test_stack_with_a_near_singular_matrix_names_its_index(e11):

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from poissonlie.catalog import su11, supq1
-from poissonlie.group import (EElement, adE, adE_fd, adjoint_matrix,
-                              coadjoint_matrix, e_identity, e_inv, e_mul,
+from poissonlie.catalog import get_entry, su11, supq1
+from poissonlie.group import (EElement, GroupElement, adE, adE_fd, adjoint_matrices,
+                              adjoint_matrix, coadjoint_matrix, e_identity, e_inv, e_mul,
                               exp_b, identity_element, sample_e_element,
                               sample_group_element)
-from poissonlie.linalg import Rng
+from poissonlie.linalg import Rng, expm
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +144,38 @@ def test_e_element_json_round_trip(e11):
     back = e_element_from_json_dict(e11.mp, e_element_to_json_dict(g))
     assert np.array_equal(back.v, g.v)
     assert np.array_equal(back.a.matrix, g.a.matrix)
+
+
+# -- the stacked expm, with scipy's expm as the oracle --------------------------
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+@pytest.mark.parametrize("scale", [1.0, 5.0, 20.0])
+def test_stacked_expm_matches_scipy(name, scale):
+    mp = get_entry(name).mp
+    x = mp.b_matrix_of(np.random.default_rng(5).uniform(-scale, scale, (200, mp.dim_b)))
+    if scale == 20.0:   # the squaring path is taken
+        assert np.abs(x).sum(axis=-2).max() > 2 * 5.37
+    ref = np.array([scipy.linalg.expm(m) for m in x])
+    rel = np.linalg.norm(expm(x) - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert rel.max() <= 1e-14
+    assert np.array_equal(expm(x[7]), expm(x)[7])     # one matrix runs the same code
+
+
+def test_expm_of_zero_is_identity_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm(np.zeros((3, 4, 4), dtype=complex))
+    assert np.array_equal(out, np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_expm_nan_factor_is_rejected_with_its_index():
+    mp = get_entry("su21").mp
+    factors = np.random.default_rng(6).uniform(-1.0, 1.0, (5, mp.dim_b))
+    factors[2, 0] = np.nan
+    mats = expm(mp.b_matrix_of(factors))
+    assert np.all(np.isfinite(np.delete(mats, 2, axis=0)))
+    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
+        GroupElement(mp, mats)
+    with pytest.raises(ValueError, match=r"element 2 of the stack .*\(residual nan\)"):
+        adjoint_matrices(mp, mats)
