@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import ALGEBRAIC_TOL, FD_STEP, SVD_TOL
 from .group import basis_curves
-from .lie import LieAlgebra
+from .lie import LieAlgebra, generated_dim, jacobi_worst_at
 from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst
 from .matched import MatchedPair
 from .poisson import eta
@@ -109,13 +108,13 @@ def _alt3(t: np.ndarray) -> np.ndarray:
             - np.transpose(t, (0, 2, 1)))
 
 
-def co_jacobi_residual(delta: np.ndarray) -> float:
-    """max over basis X of | Alt((delta (x) id) delta(X)) |."""
-    out = 0.0
-    for x in range(len(delta)):
-        t = np.tensordot(delta, delta[x], axes=(0, 0))   # t[p, q, b]
-        out = worst(out, np.max(np.abs(_alt3(t))))
-    return out
+def co_jacobi_worst_at(delta: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """max over basis X of | Alt((delta (x) id) delta(X)) |, with the triple it
+    is attained at.  This is the Jacobi identity of the dual table
+    [e^p, e^q] = delta[:, p, q]; the full antisymmetrization counts each
+    cyclic term twice."""
+    resid, triple = jacobi_worst_at(np.moveaxis(delta, 0, 2))
+    return 2 * resid, triple
 
 
 def cocycle_1_residual(ea: EAlgebra, delta: np.ndarray) -> float:
@@ -204,13 +203,15 @@ def check_coboundary(ea: EAlgebra, delta: np.ndarray, r: Bivector,
     return float(np.max(np.abs(delta + act)))
 
 
-#: Pending invariance rows are folded into their R factor once they number
-#: this many times its width.
-FOLD_ROWS = 4
+def uniqueness_generators(n: int) -> np.ndarray:
+    """Two fixed elements of e, as rows of e-coordinates, for the invariance
+    equations of `check_r_uniqueness`, which certifies that they generate e."""
+    return np.stack([np.ones(n), np.arange(1, n + 1) / n])
 
 
-def invariance_rows(ea: EAlgebra, x: int, drop_b0_rows: bool = False) -> np.ndarray:
-    """The invariance equations on the candidates for basis vector x, one column per candidate.
+def invariance_rows(ea: EAlgebra, x: np.ndarray, drop_b0_rows: bool = False) -> np.ndarray:
+    """The invariance equations on the candidates for the element x of e (given
+    by its e-coordinates), one column per candidate.
 
     Candidates are the unit tensors x_a (x) psi_b, then psi_b (x) x_a, as n x n
     matrices t (t[k + a, b] = 1, then t[b, k + a] = 1); column (f, a, b) is
@@ -218,7 +219,7 @@ def invariance_rows(ea: EAlgebra, x: int, drop_b0_rows: bool = False) -> np.ndar
     `drop_b0_rows` drops the action on the k0 legs (the negative control of
     `check_r_uniqueness`)."""
     k, m, n = ea.k, ea.m, ea.e.dim
-    ad = ea.e.ad_matrix_coords(np.eye(n)[x])
+    ad = ea.e.ad_matrix_coords(x)
     if drop_b0_rows:
         ad[:k, :] = 0.0
         ad[:, :k] = 0.0
@@ -231,54 +232,26 @@ def invariance_rows(ea: EAlgebra, x: int, drop_b0_rows: bool = False) -> np.ndar
     return out.reshape(n * n, 2 * k * m)
 
 
-def _fold(r: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
-    """The R factor of r stacked on rows: the same Gram matrix in at most width rows."""
-    stacked = np.vstack([r, *rows])
-    if not len(stacked):
-        return stacked
-    return scipy.linalg.qr(stacked, mode="r", overwrite_a=True)[0][:stacked.shape[1]]
-
-
-def uniqueness_singular_values(ea: EAlgebra, drop_b0_rows: bool = False) -> np.ndarray:
-    """Singular values of the invariance equations on the candidates, largest first.
-
-    The equations are streamed one basis vector at a time: rows that are
-    exactly zero are dropped, and the rest are folded into running R factors
-    (TSQR), so only O((n^2 + km) km) numbers are held.  The flip t -> t^T
-    commutes with the action and swaps the two candidate families, so row
-    (r, s) on one family equals row (s, r) on the other, bit for bit.  The
-    rows that touch the psi (x) x family only are therefore the flips of those
-    that touch the x (x) psi family only and share their R factor: it is
-    built once, at half the width.  Rows touching both families go to a
-    full-width factor, and the factors are folded together at the end."""
-    k, m, n = ea.k, ea.m, ea.e.dim
-    half = k * m
-    factors = [np.zeros((0, half)), np.zeros((0, 2 * half))]
-    pending: list[list[np.ndarray]] = [[], []]
-    for x in range(k, n) if drop_b0_rows else range(n):
-        rows = invariance_rows(ea, x, drop_b0_rows)
-        touches = (rows.reshape(len(rows), 2, half) != 0).any(axis=2)
-        for f, block in enumerate((rows[touches[:, 0] & ~touches[:, 1], :half],
-                                   rows[touches.all(axis=1)])):
-            if len(block):
-                pending[f].append(block)
-            if sum(len(b) for b in pending[f]) >= FOLD_ROWS * factors[f].shape[1]:
-                factors[f], pending[f] = _fold(factors[f], pending[f]), []
-    one, mixed = (_fold(r, p) if p else r for r, p in zip(factors, pending))
-    zero = np.zeros_like(one)
-    r = _fold(mixed, [np.hstack([one, zero]), np.hstack([zero, one])])
-    return np.linalg.svd(r, compute_uv=False)
-
-
 def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
                        drop_b0_rows: bool = False) -> dict:
     """Dimension of invariant elements of (k (x) k0) (+) (k0 (x) k).
 
-    Candidates are spanned by x_a (x) psi_b and psi_b (x) x_a; the action of a
-    basis vector X is ad_e(X) on both tensor legs.  With `drop_b0_rows` the
-    equations for X in b0 are removed and the action on the k0 legs is dropped
-    (the documented negative control; central elements then survive)."""
-    svals = uniqueness_singular_values(ea, drop_b0_rows)
+    Candidates are spanned by x_a (x) psi_b and psi_b (x) x_a; the action of X
+    is ad_e(X) on both tensor legs.  The elements annihilating a tensor form a
+    subalgebra, so the invariance equations of two elements that generate e
+    have the kernel of those of all of e: their nonzero rows are stacked and
+    take one SVD.  The generation is certified, and its deficit dim e minus
+    the dimension generated is reported next to the kernel.
+
+    With `drop_b0_rows` the action on the k0 legs is dropped, leaving ad_b of
+    the b-part: a representation of e pulled back from the quotient b, so the
+    same generators give its invariants (the documented negative control;
+    central elements then survive)."""
+    gens = uniqueness_generators(ea.e.dim)
+    # one generator's block at a time, keeping its nonzero rows
+    rows = np.vstack([r[(r != 0).any(axis=1)]
+                      for r in (invariance_rows(ea, x, drop_b0_rows) for x in gens)])
+    svals = np.linalg.svd(rows, compute_uv=False)
     count = 2 * ea.k * ea.m
     kernel_dim = int(count - np.sum(svals > svd_tol))
     return {
@@ -286,4 +259,5 @@ def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
         "svd_threshold": svd_tol,
         # fewer rows than candidates leaves exact zeros the SVD does not list
         "smallest_sv": float(svals[-1]) if len(svals) == count else 0.0,
+        "generation_deficit": ea.e.dim - generated_dim(ea.e, gens, svd_tol),
     }

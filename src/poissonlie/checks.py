@@ -153,9 +153,11 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
     delta = bi.delta_direct(ea)
     if corrupted:
         delta[ea.k] *= -1.0
-    rep = {"co_jacobi_residual": bi.co_jacobi_residual(delta),
-           "cocycle_residual": bi.cocycle_1_residual(ea, delta)}
-    return {"max_residual": worst(*rep.values()), "details": rep}
+    co_jacobi, triple = bi.co_jacobi_worst_at(delta)
+    cocycle = bi.cocycle_1_residual(ea, delta)
+    return {"max_residual": worst(co_jacobi, cocycle),
+            "details": {"co_jacobi_residual": co_jacobi, "co_jacobi_worst_triple": list(triple),
+                        "cocycle_residual": cocycle}}
 
 
 @_register("coboundary", "r_scale_2", ENTRY)
@@ -175,7 +177,7 @@ def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(entry.mp)
     rep = bi.check_r_uniqueness(ea, svd_tol=tol.svd, drop_b0_rows=corrupted)
-    return {"max_residual": float(rep["kernel_dim"]), "details": rep}
+    return {"max_residual": worst(rep["kernel_dim"], rep["generation_deficit"]), "details": rep}
 
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
@@ -232,7 +234,7 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
-    co_j = worst(*(bi.co_jacobi_residual(d) for d in (dg, dgp, dgc)))
+    co_j = worst(*(bi.co_jacobi_worst_at(d)[0] for d in (dg, dgp, dgc)))
     return {"max_residual": worst(rep["antisymmetry_residual"], rep["maurer_cartan_residual"],
                                   rep["twist_relation_residual"], cprime_g, cprime_gc, co_j),
             "details": {"antisymmetry": rep["antisymmetry_residual"],

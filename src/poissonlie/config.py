@@ -14,9 +14,9 @@ FD_STEP = 1e-4
 SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
-#: by the mathematics: at p = 8 every check passes in under a minute and
-#: 0.6 GB, most of it the r-uniqueness QR over 2km = 2048 candidates and the
-#: Jacobi validation of the 160-dimensional complexification.
+#: by the mathematics: at p = 8 every check passes in about 30 s and 0.35 GB
+#: (one BLAS thread), most of it the Jacobi validation of the 160-dimensional
+#: complexification and the r-uniqueness SVD over 2km = 2048 candidates.
 P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan

@@ -209,12 +209,6 @@ def e_element_to_json_dict(g: EElement) -> dict:
     }
 
 
-def e_element_from_json_dict(mp: MatchedPair, doc: dict) -> EElement:
-    mat = (np.asarray(doc["a"]["re"], dtype=float)
-           + 1j * np.asarray(doc["a"]["im"], dtype=float))
-    return EElement(mp, np.asarray(doc["v"], dtype=float), GroupElement(mp, mat))
-
-
 def _act(k_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """k_mat @ v for one matrix and vector, or elementwise for stacks."""
     return (k_mat @ v[..., None])[..., 0]
@@ -286,11 +280,6 @@ def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int,
     """`count` random words of exponentials of b with coefficients in [-1, 1],
     as a (count, d, d) stack; validated wherever their Ad is computed."""
     return _draw(mp, rng, count, max_word, None)[1]
-
-
-def sample_group_element(mp: MatchedPair, rng: Rng, max_word: int = 3) -> GroupElement:
-    """Random word of exponentials of b with coefficients in [-1, 1]."""
-    return GroupElement(mp, sample_group_matrices(mp, rng, 1, max_word)[0])
 
 
 def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0) -> EElement:

@@ -114,9 +114,20 @@ def jacobi_worst_at(structure: np.ndarray) -> tuple[float, tuple[int, int, int]]
     return resid, (i, i + 1 + j, i + 1 + k)
 
 
-def jacobi_residual(structure: np.ndarray) -> float:
-    """Max over basis triples of the Jacobi identity residual."""
-    return jacobi_worst_at(structure)[0]
+def generated_dim(alg: LieAlgebra, gens: np.ndarray, tol: float) -> int:
+    """Dimension of the subalgebra generated by the rows of `gens`: the span of
+    the generators and their iterated brackets.  The span is grown by ad(g) of
+    each generator until its rank, the number of singular values above `tol`,
+    stops growing; the generators themselves are ranked the same way."""
+    ads = [alg.ad_matrix_coords(g) for g in gens]
+    span, new = np.zeros((0, alg.dim)), np.asarray(gens, dtype=float)
+    while True:
+        _, svals, vt = np.linalg.svd(np.vstack([span, new]), full_matrices=False)
+        rank = int(np.sum(svals > tol))
+        if rank == len(span):
+            return rank
+        span = vt[:rank]
+        new = np.vstack([span @ ad.T for ad in ads])
 
 
 def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:

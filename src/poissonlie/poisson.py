@@ -111,12 +111,6 @@ def _abs_max(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).reshape(len(stack), -1).max(axis=1)
 
 
-def lambda2_b_block_residual(mp: MatchedPair, g: EElement) -> float:
-    """The b x b block of eta(g); the cocycle never produces one."""
-    k = mp.dim_c
-    return float(np.max(np.abs(eta(mp, g).coeffs[k:, k:])))
-
-
 # -- Poisson bracket on fiberwise-linear and base functions -------------------
 
 

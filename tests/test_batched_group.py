@@ -13,12 +13,24 @@ from poissonlie.catalog import get_entry, su11
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, adE, adjoint_matrices,
-                              adjoint_matrix, coadjoint_matrix, e_element_from_json_dict,
-                              e_inv, e_mul, exp_b, identity_element, sample_e_element,
-                              sample_e_elements, sample_group_element, sample_group_matrices)
+                              adjoint_matrix, coadjoint_matrix, e_inv, e_mul, exp_b,
+                              identity_element, sample_e_element, sample_e_elements,
+                              sample_group_matrices)
 from poissonlie.linalg import Bivector, Rng
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
+
+
+def sample_group_element(mp, rng) -> GroupElement:
+    """One random element, drawn as the first of a stack of one."""
+    return GroupElement(mp, sample_group_matrices(mp, rng, 1)[0])
+
+
+def e_element_from_json_dict(mp, doc) -> EElement:
+    """The point of E serialized in a report witness."""
+    mat = np.asarray(doc["a"]["re"], dtype=float) + 1j * np.asarray(doc["a"]["im"], dtype=float)
+    return EElement(mp, np.asarray(doc["v"], dtype=float), GroupElement(mp, mat))
+
 
 PAIRS = ("su21", "su31")
 

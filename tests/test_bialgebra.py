@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from poissonlie.bialgebra import (build_e, check_coboundary, check_r_uniqueness,
-                                  co_jacobi_residual, cocycle_1_residual,
+                                  co_jacobi_worst_at, cocycle_1_residual,
                                   delta_consistency_residual,
                                   delta_direct, delta_from_eta,
-                                  normalize_z, r_matrix, semidirect_algebra)
+                                  normalize_z, r_matrix, semidirect_algebra,
+                                  uniqueness_generators)
 from poissonlie.catalog import su11, supq1
-from poissonlie.config import FD_TOL
-from poissonlie.linalg import worst
+from poissonlie.checks import run_check
+from poissonlie.config import DEFAULT_TOL, FD_TOL, SVD_TOL
+from poissonlie.lie import generated_dim
+from poissonlie.linalg import Rng, worst
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +160,11 @@ def test_cobracket_axioms(e11, e21):
     for entry in (e11, e21):
         ea = build_e(entry.mp)
         delta = delta_direct(ea)
-        assert worst(co_jacobi_residual(delta), cocycle_1_residual(ea, delta)) <= 1e-9
+        assert worst(co_jacobi_worst_at(delta)[0], cocycle_1_residual(ea, delta)) <= 1e-9
 
 
 def test_cobracket_axioms_trivial_for_abelian():
-    assert co_jacobi_residual(np.zeros((2, 2, 2))) == 0.0
+    assert co_jacobi_worst_at(np.zeros((2, 2, 2)))[0] == 0.0
 
 
 def test_normalize_z(e11):
@@ -225,9 +228,36 @@ def test_uniqueness_negative_control(e11):
     assert rep["kernel_dim"] > 0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_uniqueness_generators_generate_e(p):
+    # su11-su41 and supq1(5); p = 8 runs in CI through `verify supq1 --p 8`
+    e = supq1(p).mp.e_algebra
+    assert generated_dim(e, uniqueness_generators(e.dim), SVD_TOL) == e.dim
+
+
+def test_generated_dim_ranks_the_starting_pair(e11):
+    e = e11.mp.e_algebra
+    k, n = e11.mp.dim_c, e.dim
+    x = np.eye(n)[k]                 # the b-basis vector: (x, 2x) spans a line
+    assert generated_dim(e, np.stack([x, 2 * x]), SVD_TOL) == 1
+    # two psi-basis vectors span an abelian subalgebra of b0
+    assert generated_dim(e, np.eye(n)[:2], SVD_TOL) == 2
+
+
+def test_uniqueness_fails_on_a_non_generating_pair(e21, monkeypatch):
+    import poissonlie.bialgebra as bi
+
+    n = e21.mp.e_algebra.dim
+    monkeypatch.setattr(bi, "uniqueness_generators", lambda dim: np.eye(dim)[:2])
+    rep = run_check("uniqueness", e21, 0, Rng(42), DEFAULT_TOL)
+    assert not rep["pass"]
+    assert rep["details"]["generation_deficit"] == n - 2
+    assert rep["max_residual"] == max(rep["details"]["kernel_dim"], n - 2)
+
+
 def test_dual_bracket_satisfies_jacobi(e11):
-    from poissonlie.lie import jacobi_residual
+    from poissonlie.lie import jacobi_worst_at
 
     ea = build_e(e11.mp)
     dual = np.moveaxis(delta_direct(ea), 0, 2)
-    assert jacobi_residual(dual) <= 1e-9
+    assert jacobi_worst_at(dual)[0] <= 1e-9

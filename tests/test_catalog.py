@@ -4,7 +4,7 @@ import pytest
 from poissonlie.catalog import (catalog_names, e2_dual_bracket_tables, get_entry,
                                 rho_intertwiner_residual, su11, supq1)
 from poissonlie.group import e_mul, sample_e_element
-from poissonlie.lie import jacobi_residual, structure_in_basis
+from poissonlie.lie import jacobi_worst_at, structure_in_basis
 from poissonlie.linalg import Rng
 
 
@@ -18,7 +18,7 @@ def test_catalog_names_and_lookup():
 def test_all_entries_pass_core_invariants():
     for name in catalog_names():
         entry = get_entry(name)
-        assert jacobi_residual(entry.g.structure) <= 1e-9
+        assert jacobi_worst_at(entry.g.structure)[0] <= 1e-9
         assert entry.g.realization_residual() <= 1e-9
         for decomp in (entry.mp.decomp, entry.iwasawa, entry.cartan):
             assert decomp.projector_residual() <= 1e-9
@@ -153,8 +153,8 @@ def test_adstar_u_det_u_action():
 
 def test_dual_families_tables():
     bracket1, bracket3, rho = e2_dual_bracket_tables(s=1.0)
-    assert jacobi_residual(bracket1) <= 1e-12
-    assert jacobi_residual(bracket3) <= 1e-12
+    assert jacobi_worst_at(bracket1)[0] <= 1e-12
+    assert jacobi_worst_at(bracket3)[0] <= 1e-12
     # [P1*, P2*]_1 = 0
     assert np.max(np.abs(bracket1[1, 2])) == 0.0
     assert rho_intertwiner_residual(s=1.0) <= 1e-12

@@ -48,6 +48,16 @@ def test_fd_step_reaches_delta_consistency():
     assert coarse["max_residual"] != base["max_residual"]
 
 
+def test_bialgebra_axioms_report_names_its_worst_co_jacobi_triple():
+    from poissonlie.bialgebra import build_e, co_jacobi_worst_at, delta_direct
+
+    entry = get_entry("su21")
+    details = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL)["details"]
+    resid, triple = co_jacobi_worst_at(delta_direct(build_e(entry.mp)))
+    assert details["co_jacobi_residual"] == resid
+    assert details["co_jacobi_worst_triple"] == list(triple)
+
+
 def test_jacobi_report_names_its_worst_triple():
     entry = get_entry("su21")
     rep = run_check("jacobi", entry, 1, Rng(0), DEFAULT_TOL, corrupt="jacobi_perturb_constant")

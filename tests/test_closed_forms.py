@@ -8,11 +8,11 @@ index contributes."""
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (_alt3, build_e, check_r_uniqueness, invariance_rows,
-                                  uniqueness_singular_values)
+from poissonlie.bialgebra import (_alt3, build_e, check_r_uniqueness, co_jacobi_worst_at,
+                                  delta_direct, invariance_rows, uniqueness_generators)
 from poissonlie.catalog import get_entry
-from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, jacobi_residual,
-                            jacobi_worst_at, trace_gram, trace_pairing)
+from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, jacobi_worst_at,
+                            trace_gram, trace_pairing)
 from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
 from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
@@ -139,9 +139,19 @@ def jacobi_loop(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return out, at
 
 
-def uniqueness_operator_kron(ea, drop_b0_rows: bool) -> np.ndarray:
+def co_jacobi_loop(delta: np.ndarray) -> float:
+    """max over basis X of | Alt((delta (x) id) delta(X)) |, one X at a time."""
+    out = 0.0
+    for x in range(len(delta)):
+        t = np.tensordot(delta, delta[x], axes=(0, 0))   # t[p, q, b]
+        out = max(out, float(np.max(np.abs(_alt3(t)))))
+    return out
+
+
+def uniqueness_operator_kron(ea, drop_b0_rows: bool, elements=None) -> np.ndarray:
     """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n),
-    with the candidates x_a (x) psi_b first, then psi_b (x) x_a."""
+    with the candidates x_a (x) psi_b first, then psi_b (x) x_a, stacked over
+    `elements` of e (rows of e-coordinates; every basis vector by default)."""
     k, m, n = ea.k, ea.m, ea.e.dim
     cands = []
     for family in range(2):
@@ -153,8 +163,8 @@ def uniqueness_operator_kron(ea, drop_b0_rows: bool) -> np.ndarray:
                 cands.append(t.ravel())
     cand_mat = np.column_stack(cands)
     rows = []
-    for x in (range(k, n) if drop_b0_rows else range(n)):
-        a = ea.e.ad_matrix_coords(np.eye(n)[x])
+    for x in np.eye(n) if elements is None else elements:
+        a = ea.e.ad_matrix_coords(x)
         if drop_b0_rows:
             a[:k, :] = 0.0
             a[:, :k] = 0.0
@@ -184,14 +194,14 @@ def test_jacobi_residual_matches_full_tensor(entry):
     c = c - np.swapaxes(c, 0, 1)
     want = float(np.max(np.abs(jacobi_tensor(c))))
     assert want > 1.0
-    assert jacobi_residual(c) == pytest.approx(want, rel=1e-13)
-    assert jacobi_residual(entry.g.structure) <= 1e-12
+    assert jacobi_worst_at(c)[0] == pytest.approx(want, rel=1e-13)
+    assert jacobi_worst_at(entry.g.structure)[0] <= 1e-12
 
 
 def test_jacobi_residual_propagates_nan(entry):
     c = entry.g.structure.copy()
     c[-1, -2, 0] = np.nan
-    assert np.isnan(jacobi_residual(c))
+    assert np.isnan(jacobi_worst_at(c)[0])
 
 
 @pytest.mark.parametrize("spec", [IM_TRACE, RE_TRACE])
@@ -225,11 +235,21 @@ def test_cprime_residual_matches_loop(entry):
 def test_invariance_rows_match_kron(entry, drop_b0_rows):
     ea = build_e(entry.mp)
     n = ea.e.dim
-    xs = range(ea.k, n) if drop_b0_rows else range(n)
+    xs = np.eye(n)[ea.k:] if drop_b0_rows else np.eye(n)
     got = np.vstack([invariance_rows(ea, x, drop_b0_rows) for x in xs])
-    want = uniqueness_operator_kron(ea, drop_b0_rows)
+    want = uniqueness_operator_kron(ea, drop_b0_rows, xs)
     assert got.shape == want.shape == (len(xs) * n ** 2, 2 * ea.k * ea.m)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_invariance_rows_are_linear_in_the_element(entry, drop_b0_rows):
+    # the rows of sum_x X_x e_x are sum_x X_x rows(e_x), knob included
+    ea = build_e(entry.mp)
+    n = ea.e.dim
+    basis_rows = np.array([invariance_rows(ea, x, drop_b0_rows) for x in np.eye(n)])
+    for x in (*uniqueness_generators(n), _rng(entry).standard_normal(n)):
+        _close(invariance_rows(ea, x, drop_b0_rows), np.tensordot(x, basis_rows, axes=1))
 
 
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
@@ -237,7 +257,7 @@ def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
     # (A t + t A^T)^T = A t^T + t^T A^T and t -> t^T swaps the two families
     ea = build_e(entry.mp)
     n, half = ea.e.dim, ea.k * ea.m
-    for x in range(n):
+    for x in (*np.eye(n), *uniqueness_generators(n)):
         rows = invariance_rows(ea, x, drop_b0_rows).reshape(n, n, 2, half)
         assert np.array_equal(rows[:, :, 1], rows.transpose(1, 0, 2, 3)[:, :, 0])
 
@@ -245,16 +265,53 @@ def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
 @pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_streamed_uniqueness_matches_dense_svd(name, drop_b0_rows):
+    # the kernel over the two generators is the kernel over every basis vector
     ea = build_e(get_entry(name).mp)
-    dense = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows), compute_uv=False)
-    streamed = uniqueness_singular_values(ea, drop_b0_rows)
-    assert len(dense) == 2 * ea.k * ea.m >= len(streamed)
-    streamed = np.concatenate([streamed, np.zeros(len(dense) - len(streamed))])
-    assert np.max(np.abs(streamed - dense)) <= 1e-13 * dense[0]
+    count = 2 * ea.k * ea.m
+    full = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows), compute_uv=False)
+    gens = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows,
+                                                  uniqueness_generators(ea.e.dim)),
+                         compute_uv=False)
+    assert len(full) == len(gens) == count
     rep = check_r_uniqueness(ea, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
-    assert rep["kernel_dim"] == len(dense) - np.sum(dense > 1e-8)
+    assert rep["kernel_dim"] == count - np.sum(full > 1e-8) == count - np.sum(gens > 1e-8)
     assert rep["kernel_dim"] == (0 if not drop_b0_rows else 2 * ea.k)
-    assert rep["smallest_sv"] == pytest.approx(dense[-1], abs=1e-13 * dense[0])
+    assert rep["smallest_sv"] == pytest.approx(gens[-1], abs=1e-13 * gens[0])
+    assert rep["generation_deficit"] == 0
+
+
+def test_uniqueness_with_no_nonzero_rows():
+    # su11 under the knob: ad_b of a one-dimensional b is zero, so no row is left
+    ea = build_e(get_entry("su11").mp)
+    rows = [invariance_rows(ea, x, True) for x in uniqueness_generators(ea.e.dim)]
+    assert not np.any(rows)
+    rep = check_r_uniqueness(ea, drop_b0_rows=True)
+    assert rep["kernel_dim"] == 2 * ea.k * ea.m
+    assert rep["smallest_sv"] == 0.0
+
+
+def _corrupted_delta(ea) -> np.ndarray:
+    delta = delta_direct(ea)
+    delta[ea.k] *= -1.0      # the delta_sign_one_basis knob
+    return delta
+
+
+@pytest.mark.parametrize("which", ["e", "corrupted", "gstar", "random"])
+def test_co_jacobi_matches_loop(entry, which):
+    ea = build_e(entry.mp)
+    delta = {"e": lambda: delta_direct(ea),
+             "corrupted": lambda: _corrupted_delta(ea),
+             "gstar": lambda: cobracket_on_gstar(entry, list(entry.g.realization)),
+             "random": lambda: _dense_cobracket(entry, 3)}[which]()
+    want = co_jacobi_loop(delta)
+    got, (i, j, k) = co_jacobi_worst_at(delta)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+    if which == "random":
+        assert want > 1e-3
+        # the witness is where the residual is attained: twice the cyclic sum there
+        t = np.tensordot(delta, delta, axes=(0, 1))             # t[p, q, x, b]
+        cyc = t[i, j, :, k] + t[j, k, :, i] + t[k, i, :, j]
+        assert 2 * np.max(np.abs(cyc)) == pytest.approx(got, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 11])
