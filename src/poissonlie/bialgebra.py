@@ -38,19 +38,16 @@ class EAlgebra:
         return self.mp.dim_b
 
 
-def build_e(mp: MatchedPair, perturb: float = 0.0) -> EAlgebra:
-    """The algebra e = b0 x| b of the pair.  The unperturbed algebra is built
-    and validated once per pair (`MatchedPair.e_algebra`) and shared read-only;
-    a nonzero `perturb` builds a fresh, corrupted one (negative control)."""
-    return EAlgebra(semidirect_algebra(mp, perturb) if perturb else mp.e_algebra, mp)
+def build_e(mp: MatchedPair) -> EAlgebra:
+    """The algebra e = b0 x| b of the pair, built and validated once per pair
+    (`MatchedPair.e_algebra`) and shared read-only."""
+    return EAlgebra(mp.e_algebra, mp)
 
 
-def semidirect_algebra(mp: MatchedPair, perturb: float = 0.0) -> LieAlgebra:
+def semidirect_algebra(mp: MatchedPair) -> LieAlgebra:
     """Assemble e = b0 x| b from blocks of the adapted table A of g:
     [psi, psi'] = 0, [x_j, psi^i] = ad*(x_j) psi^i with y_l-component
-    <psi^i, [y_l, x_j]> = A[m+l, j, m+i], and [x_a, x_b] = A[a, b, :m].
-
-    A nonzero `perturb` corrupts one mixed structure constant (negative control)."""
+    <psi^i, [y_l, x_j]> = A[m+l, j, m+i], and [x_a, x_b] = A[a, b, :m]."""
     k, m = mp.dim_c, mp.dim_b
     a = mp.adapted
     c = np.zeros((k + m,) * 3)
@@ -58,11 +55,6 @@ def semidirect_algebra(mp: MatchedPair, perturb: float = 0.0) -> LieAlgebra:
     c[k:, :k, :k] = mixed
     c[:k, k:, :k] = -mixed.swapaxes(0, 1)
     c[k:, k:, k:] = a[:m, :m, :m]
-    if perturb:
-        # deliberately break the abelian block: [psi_0, psi_1] = perturb * psi_0
-        # fails Jacobi against the b-action and trips the constructor
-        c[0, 1, 0] += perturb
-        c[1, 0, 0] -= perturb
     return LieAlgebra(BasedSpace(mp.e_space.dim, mp.e_space.labels), c)
 
 

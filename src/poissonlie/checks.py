@@ -151,8 +151,8 @@ def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> d
 def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     ea = bi.build_e(mp)
     delta = bi.delta_direct(ea)
-    if corrupted:
-        delta[ea.k] *= -1.0
+    if corrupted:   # the first basis vector with a nonzero cobracket
+        delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > tol.algebraic)] *= -1.0
     co_jacobi, triple = bi.co_jacobi_worst_at(delta)
     cocycle = bi.cocycle_1_residual(ea, delta)
     return {"max_residual": worst(co_jacobi, cocycle),
@@ -182,22 +182,18 @@ def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
 def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    details = {}
-    resid = 0.0
-    complementary = True
-    big = mn.build_gc_algebra(entry)
-    for which in ("g", "gprime"):
-        mt = mn.manin_triple(entry, which, corrupt_gstar=corrupted, big=big)
-        rep = mn.check_manin(mt)
-        details[which] = rep
-        resid = worst(resid, rep["isotropy_half_a"], rep["isotropy_half_b"],
-                      rep["closure_half_a"], rep["closure_half_b"], rep["form_invariance"])
-        if not rep["complementarity_ok"]:
-            complementary = False
-            resid = worst(resid, 1.0)
+    gprime = mn.gprime_algebra(entry)
+    details = mn.check_manin(mn.build_gc_algebra(entry),
+                             mn.gstar_algebra(entry, complex_diagonal=corrupted),
+                             {"g": entry.g, "gprime": gprime})
+    complementary = all(rep["complementarity_ok"] for rep in details.values())
+    resid = worst(*(rep[key] for rep in details.values()
+                    for key in ("isotropy_half_a", "isotropy_half_b", "closure_half_a",
+                                "closure_half_b", "form_invariance")),
+                  0.0 if complementary else 1.0)
     k0_resid = mn.gstar_k0_abelian_residual(entry)
-    ea = bi.build_e(entry.mp)
-    transport, sign = mn.gprime_transport_residual(entry, ea.e.structure)
+    # gprime's table in the (sigma psi, x) basis against +/- that of e
+    sign, transport = best_sign(gprime.structure, bi.build_e(entry.mp).e.structure)
     details["k0_abelian"] = k0_resid
     details["gprime_transport"] = {"residual": transport, "sign": sign}
     details["gprime_block"] = mn.gprime_block_residual(entry)
@@ -208,13 +204,14 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     scale = 2.0 if corrupted else 1.0
-    plus, pp_in_k = mn.deform_bracket(entry, +1.0, cocycle_scale=scale)
     g_model = mn.g_structure_in_model_basis(entry)
+    k = entry.mp.dim_c
+    plus, pp_in_k = mn.deform_bracket(g_model, k, +1.0, cocycle_scale=scale)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
-    minus, _ = mn.deform_bracket(entry, -1.0, cocycle_scale=scale)
+    minus, _ = mn.deform_bracket(g_model, k, -1.0, cocycle_scale=scale)
     eigs = mn.killing_eigenvalues(minus)
     neg_def = bool(np.max(eigs) < -tol.algebraic)
-    zero, _ = mn.deform_bracket(entry, 0.0)
+    zero, _ = mn.deform_bracket(g_model, k, 0.0)
     ea = bi.build_e(entry.mp)
     resid_zero = float(np.max(np.abs(zero.structure - ea.e.structure)))
     return {"max_residual": worst(pp_in_k, resid_plus, resid_zero, 0.0 if neg_def else 1.0),

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from . import bialgebra as bi
@@ -136,13 +136,7 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
             "samples": config.samples,
             "prng": PRNG_NAME,
             "exp_method": EXP_METHOD,
-            "tolerances": {
-                "algebraic": config.tol.algebraic,
-                "fd": config.tol.fd,
-                "fd_step": config.tol.fd_step,
-                "svd": config.tol.svd,
-                "twist_inner_scale": config.tol.twist_inner_scale,
-            },
+            "tolerances": asdict(config.tol),
             "corrupt": config.corrupt,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },

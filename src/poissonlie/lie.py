@@ -147,7 +147,11 @@ class LieAlgebra:
     structure: np.ndarray
     realization: Optional[list[np.ndarray]] = None
     pairing: Optional[str] = None
+    # `from_realization` hands over the solver and the span residual of the
+    # one re-expansion that built the table; a table given with a realization
+    # is compared with a re-expansion of its own
     _solver: Optional[MatrixBasisSolver] = field(default=None, repr=False)
+    _residual: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.space.dim
@@ -165,10 +169,14 @@ class LieAlgebra:
             self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
             if len(self.realization) != n:
                 raise ValueError("realization must provide one matrix per basis element")
-            self._solver = MatrixBasisSolver(self.realization)
-            err = self.realization_residual()
-            if not err <= ALGEBRAIC_TOL:
-                raise ValueError(f"realization inconsistent with structure constants: {err:.3e}")
+            if self._solver is None:
+                self._solver = MatrixBasisSolver(self.realization)
+                i, j, comms = pair_commutators(self.realization)
+                coords, resid = self._solver.solve_many(comms)
+                self._residual = worst(resid, np.max(np.abs(coords.T - c[i, j]), initial=0.0))
+            if not self._residual <= ALGEBRAIC_TOL:
+                raise ValueError(f"realization inconsistent with structure constants: "
+                                 f"{self._residual:.3e}")
 
     # -- basic operations -------------------------------------------------
 
@@ -205,10 +213,10 @@ class LieAlgebra:
         return coords.T.reshape(mat.shape[:-2] + (self.dim,))
 
     def realization_residual(self) -> float:
-        """Max mismatch between matrix commutators and stored structure constants."""
-        i, j, comms = pair_commutators(self.realization)
-        coords, resid = self._solver.solve_many(comms)
-        return worst(resid, np.max(np.abs(coords.T - self.structure[i, j]), initial=0.0))
+        """Max mismatch between the matrix commutators and the structure
+        constants, from the one re-expansion made at construction; for a table
+        built by `from_realization`, the span residual of the commutators."""
+        return self._residual
 
     # -- serialization ------------------------------------------------------
 
@@ -245,20 +253,23 @@ class LieAlgebra:
 
 def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
                      pairing: Optional[str] = None) -> LieAlgebra:
-    """Build a LieAlgebra by re-expanding matrix commutators in the given basis."""
+    """Build a LieAlgebra by re-expanding matrix commutators in the given basis.
+    That one re-expansion both fills the table and checks that the basis spans
+    its commutators; the algebra keeps its solver."""
     solver = MatrixBasisSolver(mats)
     n = len(mats)
     i, j, comms = pair_commutators(mats)
     coords, resids = solver.solve_each(comms)
-    if not np.max(resids, initial=0.0) <= ALGEBRAIC_TOL:
+    span = float(np.max(resids, initial=0.0))
+    if not span <= ALGEBRAIC_TOL:
         bad = int(np.argmax(resids))   # the first NaN, if any
         raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
                          f"(residual {resids[bad]:.3e})")
     structure = np.zeros((n, n, n))
     structure[i, j] = coords.T
     structure[j, i] = -coords.T
-    return LieAlgebra(BasedSpace.make(labels), structure,
-                      realization=list(mats), pairing=pairing)
+    return LieAlgebra(BasedSpace.make(labels), structure, realization=list(mats),
+                      pairing=pairing, _solver=solver, _residual=span)
 
 
 @dataclass(eq=False)

@@ -2,8 +2,11 @@
 triangular matrices, the lower-corner model of e, the Cartan-cocycle
 deformations relating e, g and the compact form, and the twist element.
 
-The deformations are slices of one table: the structure constants of g in
-the model basis (phi(psi^1)..phi(psi^k), x_1..x_m) of p then k.
+Each half of a Manin triple (g, gprime, gstar) is a realized algebra, built
+once: the re-expansion of its commutators gives its table and its closure,
+and `check_manin` makes one pass per half.  The deformations are slices of
+one table: the structure constants of g in the model basis
+(phi(psi^1)..phi(psi^k), x_1..x_m) of p then k, built once per check.
 
 The Cartan involution is extended to the complexification CONJUGATE-linearly
 as sigma(x) = -x*, the conjugation with respect to the compact form.  This is
@@ -14,15 +17,13 @@ cannot give a Manin complement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bialgebra import _alt3, normalize_z
 from .config import TWIST_INNER_SCALE
 from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, MatrixBasisSolver, commutators,
-                  from_realization, pair_commutators, structure_in_basis, trace_gram)
-from .linalg import BasedSpace, Bivector, best_sign, worst
+                  from_realization, structure_in_basis, trace_gram)
+from .linalg import BasedSpace, Bivector
 
 
 def sigma_conj(entry, m: np.ndarray) -> np.ndarray:
@@ -34,15 +35,6 @@ def sigma_conj(entry, m: np.ndarray) -> np.ndarray:
     return -np.conj(m.T)
 
 
-@dataclass(eq=False)
-class ManinTriple:
-    name: str
-    big: LieAlgebra                       # complexification as a real algebra
-    half_a: list[np.ndarray]              # matrices
-    half_b: list[np.ndarray]
-    form: str = IM_TRACE
-
-
 def build_gc_algebra(entry) -> LieAlgebra:
     """sl(p+1, C) as a real Lie algebra of twice the dimension."""
     mats = list(entry.g.realization) + [1j * m for m in entry.g.realization]
@@ -50,19 +42,20 @@ def build_gc_algebra(entry) -> LieAlgebra:
     return from_realization(labels, mats, pairing=IM_TRACE)
 
 
-def gstar_half(entry, complex_diagonal: bool = False) -> list[np.ndarray]:
-    """Basis matrices of the dual half; `complex_diagonal` is the negative control."""
-    mats = list(entry.gstar.realization)
-    if complex_diagonal:
-        n = entry.p + 1
-        extra = []
-        for j in range(entry.p):
-            d = np.zeros((n, n), dtype=complex)
-            d[j, j] = 1j
-            d[j + 1, j + 1] = -1j
-            extra.append(d)
-        mats = mats + extra
-    return mats
+def gstar_algebra(entry, complex_diagonal: bool = False) -> LieAlgebra:
+    """The dual half: the catalog's gstar, or with `complex_diagonal` (the
+    negative control) gstar plus the imaginary traceless diagonal."""
+    if not complex_diagonal:
+        return entry.gstar
+    n = entry.p + 1
+    extra = []
+    for j in range(entry.p):
+        d = np.zeros((n, n), dtype=complex)
+        d[j, j] = 1j
+        d[j + 1, j + 1] = -1j
+        extra.append(d)
+    labels = list(entry.gstar.space.labels) + [f"iD_{j + 1}" for j in range(entry.p)]
+    return from_realization(labels, list(entry.gstar.realization) + extra)
 
 
 def gprime_half(entry) -> list[np.ndarray]:
@@ -72,6 +65,13 @@ def gprime_half(entry) -> list[np.ndarray]:
     return lower + k_mats
 
 
+def gprime_algebra(entry) -> LieAlgebra:
+    """gprime as a realized algebra: the re-expansion that checks its closure
+    is its table in the (sigma psi, x) basis."""
+    half = gprime_half(entry)
+    return from_realization([f"s{i}" for i in range(len(half))], half)
+
+
 def gc_compact_half(entry) -> list[np.ndarray]:
     """The compact form k (+) i p inside sl(p+1, C)."""
     k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
@@ -79,64 +79,46 @@ def gc_compact_half(entry) -> list[np.ndarray]:
     return k_mats + [1j * m for m in p_mats]
 
 
-def manin_triple(entry, which: str, corrupt_gstar: bool = False,
-                 big: LieAlgebra | None = None) -> ManinTriple:
-    """The triple (gC, half, gstar); `big` reuses an already built gC algebra."""
-    big = build_gc_algebra(entry) if big is None else big
-    gs = gstar_half(entry, complex_diagonal=corrupt_gstar)
-    if which == "g":
-        half_a = list(entry.g.realization)
-    elif which == "gprime":
-        half_a = gprime_half(entry)
-    elif which == "gc":
-        half_a = gc_compact_half(entry)
-    else:
-        raise ValueError(f"unknown half {which!r}")
-    return ManinTriple(f"(gC, {which}, gstar)", big, half_a, gs)
+def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra]) -> dict:
+    """The triples (big, half, gstar), one per entry of `halves`, from one pass
+    per half: isotropy once for each half and for gstar, closure from the
+    re-expansion that realized each, complementarity once per triple, and
+    invariance of the form (the pairing of `big`) once.  Returns the axiom
+    residuals of each triple, keyed like `halves`; complementarity is a
+    yes/no side condition (`complementarity_ok`)."""
+    form = big.pairing
 
+    def half_pass(alg: LieAlgebra) -> tuple[float, float]:
+        isotropy = float(np.max(np.abs(trace_gram(alg.realization, alg.realization, form))))
+        return isotropy, alg.realization_residual()
 
-def check_manin(mt: ManinTriple) -> dict:
-    """Residuals of all triple axioms: isotropy, closure, complementarity, form
-    invariance.  Complementarity is a yes/no side condition (`complementarity_ok`)."""
-    res = {}
-    for name, half in (("half_a", mt.half_a), ("half_b", mt.half_b)):
-        res[f"isotropy_{name}"] = float(np.max(np.abs(trace_gram(half, half, mt.form))))
-        _, _, comms = pair_commutators(half)
-        res[f"closure_{name}"] = MatrixBasisSolver(half).solve_many(comms)[1]
-
-    dim_ok = len(mt.half_a) + len(mt.half_b) == mt.big.dim
-    res["dimension_sum_ok"] = bool(dim_ok)
-    if dim_ok:
-        t = mt.big.coords_of(mt.half_a + mt.half_b).T
-        cond = float(np.linalg.cond(t))
-        res["complement_condition"] = cond
-        res["complementarity_ok"] = bool(np.isfinite(cond) and cond < 1e8)
-    else:
-        res["complementarity_ok"] = False
-
-    gram = trace_gram(mt.big.realization, mt.big.realization, mt.form)
-    inv = (np.einsum("abd,dc->abc", mt.big.structure, gram)
-           + np.einsum("acd,bd->abc", mt.big.structure, gram))
-    res["form_invariance"] = float(np.max(np.abs(inv)))
-    return res
+    gram = trace_gram(big.realization, big.realization, form)
+    inv = (np.einsum("abd,dc->abc", big.structure, gram)
+           + np.einsum("acd,bd->abc", big.structure, gram))
+    form_invariance = float(np.max(np.abs(inv)))
+    isotropy_b, closure_b = half_pass(gstar)
+    out = {}
+    for name, half in halves.items():
+        isotropy_a, closure_a = half_pass(half)
+        res = {"isotropy_half_a": isotropy_a, "closure_half_a": closure_a,
+               "isotropy_half_b": isotropy_b, "closure_half_b": closure_b}
+        dim_ok = half.dim + gstar.dim == big.dim
+        res["dimension_sum_ok"] = dim_ok
+        if dim_ok:
+            cond = float(np.linalg.cond(big.coords_of(half.realization + gstar.realization).T))
+            res["complement_condition"] = cond
+            res["complementarity_ok"] = bool(np.isfinite(cond) and cond < 1e8)
+        else:
+            res["complementarity_ok"] = False
+        res["form_invariance"] = form_invariance
+        out[name] = res
+    return out
 
 
 def gstar_k0_abelian_residual(entry) -> float:
     """Pairwise brackets of the last-column block of gstar: exactly zero."""
     mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]
-    return worst(*(np.max(np.abs(x @ y - y @ x)) for x in mats for y in mats))
-
-
-def gprime_transport_residual(entry, e_structure: np.ndarray) -> tuple[float, float]:
-    """Structure constants of gprime in the (sigma psi, x) basis vs those of e.
-
-    Returns (residual, recorded sign): the transported constants are compared
-    with +/- the e-constants and the better-matching global sign is reported.
-    """
-    half = gprime_half(entry)
-    labels = [f"s{i}" for i in range(len(half))]
-    sign, resid = best_sign(from_realization(labels, half).structure, e_structure)
-    return resid, sign
+    return float(np.max(np.abs(commutators(mats, mats))))
 
 
 def gprime_block_residual(entry) -> float:
@@ -164,18 +146,17 @@ def phi_identification(entry) -> np.ndarray:
     return np.linalg.solve(gram.T, np.eye(k))
 
 
-def deform_bracket(entry, sign: float,
+def deform_bracket(table: np.ndarray, k: int, sign: float,
                    cocycle_scale: float = 1.0) -> tuple[LieAlgebra, float]:
     """Deformed bracket on the model p x| k:
     [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g).
 
     Every block is a slice of the model table M of g in the basis (u, x),
-    u_i = phi(psi^i) (`g_structure_in_model_basis`): s M[u, u, x] on [u, u],
-    M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs [p, p] in
-    k: returns the algebra and the largest u-part of [u, u], M[u, u, u], which
-    the table leaves out."""
-    table = g_structure_in_model_basis(entry)
-    k, m = entry.mp.dim_c, entry.mp.dim_b
+    u_i = phi(psi^i) for i < k (`g_structure_in_model_basis`): s M[u, u, x]
+    on [u, u], M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs
+    [p, p] in k: returns the algebra and the largest u-part of [u, u],
+    M[u, u, u], which the table leaves out."""
+    m = table.shape[0] - k
     c = np.zeros_like(table)
     c[:k, :k, k:] = sign * cocycle_scale * table[:k, :k, k:]
     c[k:, :k, :k] = table[k:, :k, :k]

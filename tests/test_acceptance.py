@@ -18,10 +18,10 @@ from poissonlie.checks import REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import adE, adE_fd, sample_e_element
 from poissonlie.linalg import Rng, worst as linalg_worst
-from poissonlie.manin import (check_manin, deform_bracket,
-                              g_structure_in_model_basis,
+from poissonlie.manin import (build_gc_algebra, check_manin, deform_bracket,
+                              g_structure_in_model_basis, gprime_algebra,
                               gstar_k0_abelian_residual, killing_eigenvalues,
-                              manin_triple, twist_check)
+                              twist_check)
 from poissonlie.poisson import (BaseFn, LinearFn, e2_plus_brackets, eta0,
                                 eta_alternative, poisson_bracket, verify_cocycle)
 from poissonlie.quantize import Coproduct, CrossedAlgebra, verify_semiclassical
@@ -187,16 +187,17 @@ def test_criterion_09_manin_content():
     for p in (1, 2, 3):
         entry = supq1(p)
         worst = linalg_worst(worst, gstar_k0_abelian_residual(entry))
-        for which in ("g", "gprime"):
-            rep = check_manin(manin_triple(entry, which))
+        reps = check_manin(build_gc_algebra(entry), entry.gstar,
+                           {"g": entry.g, "gprime": gprime_algebra(entry)})
+        for rep in reps.values():
             worst = linalg_worst(worst, rep["isotropy_half_a"], rep["isotropy_half_b"],
                                  rep["closure_half_a"], rep["closure_half_b"],
                                  rep["form_invariance"])
             ok = ok and rep["complementarity_ok"]
-        plus, pp_in_k = deform_bracket(entry, +1.0)
-        worst = linalg_worst(worst, pp_in_k, float(np.max(np.abs(
-            plus.structure - g_structure_in_model_basis(entry)))))
-        minus, _ = deform_bracket(entry, -1.0)
+        model = g_structure_in_model_basis(entry)
+        plus, pp_in_k = deform_bracket(model, entry.mp.dim_c, +1.0)
+        worst = linalg_worst(worst, pp_in_k, float(np.max(np.abs(plus.structure - model))))
+        minus, _ = deform_bracket(model, entry.mp.dim_c, -1.0)
         ok = ok and bool(np.max(killing_eigenvalues(minus)) < 0)
     for p in (1, 2):
         rep = twist_check(supq1(p))

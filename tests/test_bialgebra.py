@@ -10,7 +10,7 @@ from poissonlie.bialgebra import (build_e, check_coboundary, check_r_uniqueness,
 from poissonlie.catalog import su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL, FD_TOL, SVD_TOL
-from poissonlie.lie import generated_dim
+from poissonlie.lie import LieAlgebra, generated_dim
 from poissonlie.linalg import Rng, worst
 
 
@@ -61,8 +61,14 @@ def test_build_e_once_per_pair(e21):
 
 
 def test_build_e_jacobi_failure_signals(e11):
-    with pytest.raises(ValueError):
-        build_e(e11.mp, perturb=0.1)
+    # break the abelian block, [psi_0, psi_1] = 0.1 psi_0: Jacobi fails
+    # against the b-action and the constructor raises
+    e = e11.mp.e_algebra
+    c = e.structure.copy()
+    c[0, 1, 0] += 0.1
+    c[1, 0, 0] -= 0.1
+    with pytest.raises(ValueError, match="Jacobi identity violated"):
+        LieAlgebra(e.space, c)
 
 
 def test_build_e_ad_consistency_with_adE(e11):

@@ -68,3 +68,13 @@ def test_jacobi_report_names_its_worst_triple():
     c[1, 0, :] -= 1e-3
     at = np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j]))
     assert at == pytest.approx(rep["max_residual"], rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_delta_sign_knob_trips_bialgebra_axioms(name):
+    # the knob flips a basis vector whose cobracket is nonzero; on su31 and
+    # su41 the cobracket of the first b-basis vector vanishes
+    rep = run_check("bialgebra_axioms", get_entry(name), 0, Rng(0), DEFAULT_TOL,
+                    corrupt="delta_sign_one_basis")
+    assert rep["pass"] is False
+    assert rep["details"]["cocycle_residual"] > 1.0

@@ -8,15 +8,15 @@ from poissonlie.bialgebra import build_e, co_jacobi_worst_at
 from poissonlie.catalog import su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.linalg import Rng, worst
+from poissonlie.lie import from_realization
+from poissonlie.linalg import Rng, best_sign, worst
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               cprime_residual, deform_bracket,
                               g_structure_in_model_basis, gc_compact_half,
-                              gprime_block_residual, gprime_half,
-                              gprime_transport_residual, gstar_k0_abelian_residual,
-                              killing_eigenvalues, manin_triple,
-                              phi_identification, sigma_conj, twist_check,
-                              twist_element)
+                              gprime_algebra, gprime_block_residual, gprime_half,
+                              gstar_algebra, gstar_k0_abelian_residual,
+                              killing_eigenvalues, phi_identification, sigma_conj,
+                              twist_check, twist_element)
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +48,19 @@ def test_gstar_closure(entries):
 
 def test_manin_triples_pass(entries):
     for entry in entries.values():
-        for which in ("g", "gprime", "gc"):
-            rep = check_manin(manin_triple(entry, which))
+        gc = gc_compact_half(entry)
+        halves = {"g": entry.g, "gprime": gprime_algebra(entry),
+                  "gc": from_realization([f"c{i}" for i in range(len(gc))], gc)}
+        reps = check_manin(build_gc_algebra(entry), entry.gstar, halves)
+        for which, rep in reps.items():
             assert worst(*(rep[key] for key in MANIN_RESIDUALS)) <= 1e-9, (entry.p, which, rep)
             assert rep["complementarity_ok"], (entry.p, which, rep)
 
 
 def test_manin_negative_control(entries):
-    rep = check_manin(manin_triple(entries[1], "g", corrupt_gstar=True))
+    entry = entries[1]
+    rep = check_manin(build_gc_algebra(entry), gstar_algebra(entry, complex_diagonal=True),
+                      {"g": entry.g})["g"]
     assert rep["isotropy_half_b"] > 1e-3 or not rep["complementarity_ok"]
 
 
@@ -94,7 +99,7 @@ def test_gprime_lower_corner(entries):
 def test_gprime_transport_and_block(entries):
     for entry in entries.values():
         ea = build_e(entry.mp)
-        resid, sign = gprime_transport_residual(entry, ea.e.structure)
+        sign, resid = best_sign(gprime_algebra(entry).structure, ea.e.structure)
         assert resid <= 1e-9
         assert sign == 1.0
         assert gprime_block_residual(entry) <= 1e-12
@@ -119,20 +124,21 @@ def test_phi_identification_equivariance(entries):
 
 def test_deform_plus_reproduces_g(entries):
     for entry in entries.values():
-        plus, pp_in_k = deform_bracket(entry, +1.0)
+        model = g_structure_in_model_basis(entry)
+        plus, pp_in_k = deform_bracket(model, entry.mp.dim_c, +1.0)
         assert pp_in_k <= 1e-9
-        assert np.max(np.abs(plus.structure - g_structure_in_model_basis(entry))) <= 1e-9
+        assert np.max(np.abs(plus.structure - model)) <= 1e-9
 
 
 def test_deform_minus_killing_negative_definite(entries):
     for entry in entries.values():
-        minus, _ = deform_bracket(entry, -1.0)
+        minus, _ = deform_bracket(g_structure_in_model_basis(entry), entry.mp.dim_c, -1.0)
         assert np.max(killing_eigenvalues(minus)) < 0
 
 
 def test_deform_zero_is_e(entries):
     for entry in entries.values():
-        zero, _ = deform_bracket(entry, 0.0)
+        zero, _ = deform_bracket(g_structure_in_model_basis(entry), entry.mp.dim_c, 0.0)
         ea = build_e(entry.mp)
         assert np.max(np.abs(zero.structure - ea.e.structure)) <= 1e-9
 
@@ -149,7 +155,7 @@ def test_deform_nan_p_part_fails_the_check(entries, monkeypatch):
         return out
 
     monkeypatch.setattr(manin, "g_structure_in_model_basis", poisoned)
-    _, pp_in_k = deform_bracket(entry, +1.0)
+    _, pp_in_k = deform_bracket(poisoned(entry), entry.mp.dim_c, +1.0)
     assert np.isnan(pp_in_k)
     rep = run_check("deform", entry, 0, Rng(0), DEFAULT_TOL)
     assert np.isnan(rep["details"]["pp_in_k"]) and np.isnan(rep["max_residual"])
@@ -158,8 +164,9 @@ def test_deform_nan_p_part_fails_the_check(entries, monkeypatch):
 
 def test_deform_corrupted_cocycle_mismatch(entries):
     entry = entries[1]
-    bad, _ = deform_bracket(entry, +1.0, cocycle_scale=2.0)
-    assert np.max(np.abs(bad.structure - g_structure_in_model_basis(entry))) > 1e-3
+    model = g_structure_in_model_basis(entry)
+    bad, _ = deform_bracket(model, entry.mp.dim_c, +1.0, cocycle_scale=2.0)
+    assert np.max(np.abs(bad.structure - model)) > 1e-3
 
 
 def test_gc_algebra_dimension(entries):
