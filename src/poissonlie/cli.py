@@ -4,11 +4,12 @@ verification suites with seeds and tolerances, and emit JSON plus a text summary
 A check passes when its residual is finite and within its tolerance.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 the imported pair
 could not be parsed or holds a NaN or inf, 64 invalid configuration (a usage
-error, unknown check, knob or pair, inapplicable check, negative seed, a NaN,
-infinite or negative tolerance, or an unwritable --out path), 70 internal
-error (traceback on stderr).  Reports are
-byte-identical across runs with the same configuration and seed, apart from
-the timestamp field."""
+error, unknown check, knob or pair, inapplicable check, an empty --checks list
+or one naming a check twice, a knob whose target check the run leaves out,
+negative seed, a NaN, infinite or negative tolerance, or an unwritable --out
+path), 70 internal error (traceback on stderr).  Reports are byte-identical
+across runs with the same configuration and seed, apart from the timestamp
+field."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from . import bialgebra as bi
@@ -59,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     pair: str
-    checks: list[str] = field(default_factory=list)
+    checks: list[str] | None = None         # None: every applicable check
     samples: int = 200
     seed: int = 42
     tol: Tolerances = DEFAULT_TOL
@@ -68,10 +69,15 @@ class RunConfig:
     p: int | None = None
 
     def validate(self):
-        for name in self.checks:
-            if name not in REGISTRY:
-                raise ConfigError(
-                    f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
+        if self.checks is not None:
+            if not self.checks:
+                raise ConfigError("--checks names no check")
+            for name in self.checks:
+                if name not in REGISTRY:
+                    raise ConfigError(
+                        f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
+            if len(set(self.checks)) < len(self.checks):
+                raise ConfigError(f"--checks names a check twice: {','.join(self.checks)}")
         knobs = [c.knob for c in REGISTRY.values()]
         if self.corrupt is not None and self.corrupt not in knobs:
             raise ConfigError(
@@ -116,12 +122,18 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
     config.validate()
     target = _load_target(config)
     allowed = applicable_checks(target)
-    checks = config.checks or list(allowed)
+    checks = list(allowed) if config.checks is None else config.checks
     for name in checks:
         if name not in allowed:
             raise ConfigError(
                 f"check {name!r} is not applicable to pair {config.pair!r} "
                 f"(applicable: {', '.join(allowed)})")
+    if config.corrupt is not None:
+        aim = next(c.name for c in REGISTRY.values() if c.knob == config.corrupt)
+        if aim not in checks:
+            raise ConfigError(
+                f"corruption knob {config.corrupt!r} targets check {aim!r}, "
+                f"which this run does not include")
 
     rng = Rng(config.seed)
     results = [run_check(name, target, config.samples, rng, config.tol,
@@ -291,7 +303,7 @@ def main(argv=None) -> int:
         tol = tol.override(fd=args.tol_fd)
     config = RunConfig(
         pair=args.pair,
-        checks=[] if args.checks is None else
+        checks=None if args.checks is None else
         [c.strip() for c in args.checks.split(",") if c.strip()],
         samples=args.samples,
         seed=args.seed,

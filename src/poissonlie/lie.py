@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import ALGEBRAIC_TOL
 from .linalg import BasedSpace, finite_array, worst, worst_at
@@ -65,9 +64,14 @@ class MatrixBasisSolver:
         self._basis = np.concatenate([flat.real, flat.imag], axis=1).T
         # economy QR, folded once into the least-squares operator R^{-1} Q^T:
         # a triangular solve per call cost about five times this one matmul
-        # on the sampled checks' stacks (768 right-hand sides on su41)
+        # on the sampled checks' stacks (768 right-hand sides on su41).
+        # Partial pivoting on an upper-triangular R swaps no rows and updates
+        # only zeros, so the LU solve is the triangular back-substitution and
+        # gives the same bits.  The operator is kept Fortran-ordered, as the
+        # triangular solver returned it: with a C-ordered operator `_pinv @ v`
+        # takes another BLAS path and the coordinates differ in the last bit.
         q, r = np.linalg.qr(self._basis)
-        self._pinv = scipy.linalg.solve_triangular(r, q.T, check_finite=False)
+        self._pinv = np.asfortranarray(np.linalg.solve(r, q.T))
 
     def solve_many(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
         """Batch re-expansion: mats has shape (count, m, m); returns

@@ -93,8 +93,11 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
         return isotropy, alg.realization_residual()
 
     gram = trace_gram(big.realization, big.realization, form)
-    inv = (np.einsum("abd,dc->abc", big.structure, gram)
-           + np.einsum("acd,bd->abc", big.structure, gram))
+    # <[a,b],c> + <b,[a,c]>, as two matmuls of the flattened table
+    n = big.dim
+    flat = big.structure.reshape(n * n, n)
+    inv = ((flat @ gram).reshape(n, n, n)
+           + (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2))
     form_invariance = float(np.max(np.abs(inv)))
     isotropy_b, closure_b = half_pass(gstar)
     out = {}

@@ -215,6 +215,40 @@ def test_bad_seed_or_tolerance_exit_64(flag, capsys):
     assert err.count("\n") == 1 and err.startswith("invalid configuration")
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , ", "jacobi,jacobi", "jacobi, cocycle,jacobi"])
+def test_empty_or_repeated_checks_exit_64(checks, capsys, tmp_path):
+    rep = tmp_path / "r.json"
+    code = cli.main(["verify", "su11", "--checks", checks, "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.count("\n") == 1 and err.startswith("invalid configuration")
+    assert not rep.exists()
+
+
+def test_knob_without_its_target_check_exit_64(capsys, tmp_path):
+    """A negative control that corrupts nothing is a usage error, whether its
+    target check is left out of --checks or does not apply to the pair."""
+    exported = tmp_path / "su11.json"
+    assert cli.main(["catalog", "export", "su11", "--out", str(exported)]) == 0
+    rep = tmp_path / "r.json"
+    for argv in (["su11", "--checks", "jacobi"], [str(exported)]):
+        code = cli.main(["verify", *argv, "--corrupt", "twist_scale_2", "--out", str(rep)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.count("\n") == 1 and "'twist'" in err and "Traceback" not in err
+        assert not rep.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that imports
+    the package and its command line has no scipy module loaded."""
+    probe = ("import sys, poissonlie, poissonlie.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "su11", "--tol-algebraic", "-inf"],   # argparse takes -inf for a flag
     ["verify"],                                      # missing pair

@@ -201,3 +201,20 @@ def test_from_realization_rejects_non_closed():
     mats = [np.array([[0, 1.0], [0, 0]]), np.array([[0, 0], [1.0, 0]])]
     with pytest.raises(ValueError):
         from_realization(["e", "f"], mats)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_solver_operator_is_the_triangular_solve(name):
+    """The LU solve of R X = Q^T equals scipy's triangular back-substitution
+    bit for bit, and the operator keeps the Fortran order that solve returns."""
+    import scipy.linalg
+
+    from poissonlie.catalog import get_entry
+    from poissonlie.manin import build_gc_algebra
+
+    entry = get_entry(name)
+    for alg in (entry.g, build_gc_algebra(entry), entry.gstar):
+        solver = alg._solver
+        q, r = np.linalg.qr(solver._basis)
+        assert solver._pinv.flags.f_contiguous
+        assert np.array_equal(solver._pinv, scipy.linalg.solve_triangular(r, q.T))
