@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .config import ALGEBRAIC_TOL, FD_TOL, DEFAULT_TOL, Tolerances
 from .linalg import BasedSpace, Bivector, Rng, finite_diff
-from .lie import IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, dual_basis, from_realization
+from .lie import IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, from_realization
 from .matched import MatchedPair
 from .group import EElement, GroupElement, adE, e_identity, e_inv, e_mul, exp_b
 
@@ -13,7 +13,7 @@ __all__ = [
     "ALGEBRAIC_TOL", "FD_TOL", "DEFAULT_TOL", "Tolerances",
     "BasedSpace", "Bivector", "Rng", "finite_diff",
     "IM_TRACE", "RE_TRACE", "LieAlgebra", "SubspaceDecomposition",
-    "dual_basis", "from_realization",
+    "from_realization",
     "MatchedPair", "EElement", "GroupElement",
     "adE", "e_identity", "e_inv", "e_mul", "exp_b",
 ]

@@ -4,6 +4,8 @@ bialgebra axioms, and the coboundary structure for Iwasawa pairs.
 e and the direct cobracket are blocks of one table, `MatchedPair.adapted`:
 the structure constants of g in the basis (x_1..x_m, y_1..y_k).  e takes its
 mixed bracket from the c-part of [c, b], and delta takes it from the b-part.
+The pair builds each once and keeps it read-only (`MatchedPair.e_algebra`,
+`MatchedPair.delta`); the functions here take the pair.
 
 Conventions: the e-basis is (psi^1..psi^k, x_1..x_m); a cobracket is stored as
 one array delta[x, p, q], the antisymmetric coefficient matrix of delta(e_x)
@@ -12,36 +14,14 @@ with A_X the adjoint matrix of e, and [r, Delta X] = -X.r."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import ALGEBRAIC_TOL, FD_STEP, SVD_TOL
+from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
 from .lie import LieAlgebra, generated_dim, jacobi_worst_at
 from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst
 from .matched import MatchedPair
 from .poisson import eta
-
-
-@dataclass(eq=False)
-class EAlgebra:
-    e: LieAlgebra
-    mp: MatchedPair
-
-    @property
-    def k(self) -> int:
-        return self.mp.dim_c
-
-    @property
-    def m(self) -> int:
-        return self.mp.dim_b
-
-
-def build_e(mp: MatchedPair) -> EAlgebra:
-    """The algebra e = b0 x| b of the pair, built and validated once per pair
-    (`MatchedPair.e_algebra`) and shared read-only."""
-    return EAlgebra(mp.e_algebra, mp)
 
 
 def semidirect_algebra(mp: MatchedPair) -> LieAlgebra:
@@ -61,17 +41,20 @@ def semidirect_algebra(mp: MatchedPair) -> LieAlgebra:
 # -- cobracket ---------------------------------------------------------------
 
 
-def delta_direct(ea: EAlgebra, b0_sign: float = 1.0) -> np.ndarray:
+def delta_direct(mp: MatchedPair) -> np.ndarray:
     """The cobracket as one array delta[x, p, q], the e^p ^ e^q coefficient of
     delta(e_x), laid out like `LieAlgebra.structure`:
 
         delta(psi) = (1/2) <psi, [y_i, y_j]> psi^i ^ psi^j,
-        delta(x) = sum_i P_b [y_i, x] ^ psi^i."""
-    k, m, n = ea.k, ea.m, ea.e.dim
-    a = ea.mp.adapted
+        delta(x) = sum_i P_b [y_i, x] ^ psi^i.
+
+    Built once per pair, as `MatchedPair.delta`."""
+    k, m = mp.dim_c, mp.dim_b
+    n = k + m
+    a = mp.adapted
     t = a[m:, :m, :m]               # t[i, j, a]: b-coordinate a of [y_i, x_j]
     delta = np.zeros((n, n, n))
-    delta[:k, :k, :k] = b0_sign * np.moveaxis(a[m:, m:, m:], 2, 0)
+    delta[:k, :k, :k] = np.moveaxis(a[m:, m:, m:], 2, 0)
     delta[k:, k:, :k] = t.transpose(1, 2, 0)
     delta[k:, :k, k:] = -t.transpose(1, 0, 2)
     return 0.5 * (delta - delta.swapaxes(1, 2))
@@ -84,10 +67,10 @@ def delta_from_eta(mp: MatchedPair, step: float = FD_STEP) -> np.ndarray:
     return finite_diff(lambda t: eta(mp, basis_curves(mp, t)).coeffs, 0.0, step)
 
 
-def delta_consistency_residual(ea: EAlgebra, b0_sign: float = 1.0,
+def delta_consistency_residual(mp: MatchedPair, delta: np.ndarray,
                                step: float = FD_STEP) -> float:
-    diff = delta_direct(ea, b0_sign=b0_sign) - delta_from_eta(ea.mp, step)
-    return float(np.max(np.abs(diff)))
+    """max | delta - delta_from_eta |, for the pair's cobracket or a corrupted copy."""
+    return float(np.max(np.abs(delta - delta_from_eta(mp, step))))
 
 
 # -- axioms -------------------------------------------------------------------
@@ -109,13 +92,13 @@ def co_jacobi_worst_at(delta: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return 2 * resid, triple
 
 
-def cocycle_1_residual(ea: EAlgebra, delta: np.ndarray) -> float:
+def cocycle_1_residual(mp: MatchedPair, delta: np.ndarray) -> float:
     """max over basis pairs of | delta([X,Y]) - X.delta(Y) + Y.delta(X) |,
     one basis vector X = e_i at a time against every Y = e_j, j > i."""
-    c = ea.e.structure
+    c = mp.e_algebra.structure
     ad = np.swapaxes(c, 1, 2)                  # ad(e_i) = structure[i]^T
     out = 0.0
-    for i in range(ea.e.dim - 1):
+    for i in range(len(c) - 1):
         lhs = np.tensordot(c[i, i + 1:], delta, axes=1)
         xi_dj = ad[i] @ delta[i + 1:] + delta[i + 1:] @ ad[i].T
         xj_di = ad[i + 1:] @ delta[i] + delta[i] @ np.swapaxes(ad[i + 1:], 1, 2)
@@ -126,43 +109,15 @@ def cocycle_1_residual(ea: EAlgebra, delta: np.ndarray) -> float:
 # -- r-matrix for Iwasawa pairs -------------------------------------------------
 
 
-def normalize_z(entry, tol: float = ALGEBRAIC_TOL) -> np.ndarray:
-    """Rescale a central candidate so ad(z)^2 = -1 on the symmetric part."""
-    g = entry.g
-    z = np.asarray(entry.z, dtype=float)
-    for row in entry.cartan.parts["k"]:
-        if not np.max(np.abs(g.bracket_coords(z, row))) <= tol:
-            raise ValueError("z is not central in k")
-    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
-    p_rows = entry.cartan.parts["p"]
-    lams = []
-    for row in p_rows:
-        w = ad2 @ row
-        lam = -float(np.dot(w, row) / np.dot(row, row))
-        lams.append(lam)
-        if not np.max(np.abs(w + lam * row)) <= 1e-6:
-            raise ValueError("ad(z)^2 does not act as a scalar on the symmetric part")
-    lam = float(np.mean(lams))
-    if not (lam > 0 and np.max(np.abs(np.array(lams) - lam)) <= 1e-6):
-        raise ValueError("ad(z)^2 eigenvalue on p is not a negative constant")
-    z = z / np.sqrt(lam)
-    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
-    resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
-    if not resid <= tol:
-        raise ValueError(f"z normalization residual {resid:.3e}")
-    return z
+def r_matrix(entry) -> dict:
+    """Route A: r = z.delta(z), with the entry's normalized central z.
+    Route B: r = sum_i P^C_k y_i ^ psi^i."""
+    mp = entry.mp
+    k, m = mp.dim_c, mp.dim_b
+    z_e = np.concatenate([np.zeros(k), mp.b_coords(entry.z)])
 
-
-def r_matrix(entry, ea: EAlgebra) -> dict:
-    """Route A: r = z.delta(z).  Route B: r = sum_i P^C_k y_i ^ psi^i."""
-    mp = ea.mp
-    k, m = ea.k, ea.m
-    z = normalize_z(entry)
-    zb = mp.b_coords(z)
-    z_e = np.concatenate([np.zeros(k), zb])
-
-    delta_z = np.einsum("a,apq->pq", z_e, delta_direct(ea))
-    ad_z = ea.e.ad_matrix_coords(z_e)
+    delta_z = np.einsum("a,apq->pq", z_e, mp.delta)
+    ad_z = mp.e_algebra.ad_matrix_coords(z_e)
     route_a = Bivector(mp.e_space, ad_z @ delta_z + delta_z @ ad_z.T)
 
     coeffs = np.zeros((k + m, k + m))
@@ -180,19 +135,17 @@ def r_matrix(entry, ea: EAlgebra) -> dict:
         "difference": (route_a - route_b).max_norm(),
         "relative_sign": best_sign(route_a.coeffs, route_b.coeffs)[0],
         "k_wedge_k0_block_residual": block_resid,
-        "z_normalized": z,
     }
 
 
-def check_coboundary(ea: EAlgebra, delta: np.ndarray, r: Bivector,
-                     scale: float = 1.0) -> float:
+def check_coboundary(mp: MatchedPair, r: Bivector, scale: float = 1.0) -> float:
     """Residual of delta(X) = [r, Delta X] = -X.r on every basis vector at
     once: X.r = ad(X) r + r ad(X)^T with ad(e_x) = structure[x]^T."""
     r = scale * r.coeffs
-    c = ea.e.structure
+    c = mp.e_algebra.structure
     act = np.swapaxes(c, 1, 2) @ r + r @ c
     act = 0.5 * (act - np.swapaxes(act, 1, 2))
-    return float(np.max(np.abs(delta + act)))
+    return float(np.max(np.abs(mp.delta + act)))
 
 
 def uniqueness_generators(n: int) -> np.ndarray:
@@ -201,7 +154,7 @@ def uniqueness_generators(n: int) -> np.ndarray:
     return np.stack([np.ones(n), np.arange(1, n + 1) / n])
 
 
-def invariance_rows(ea: EAlgebra, x: np.ndarray, drop_b0_rows: bool = False) -> np.ndarray:
+def invariance_rows(mp: MatchedPair, x: np.ndarray, drop_b0_rows: bool = False) -> np.ndarray:
     """The invariance equations on the candidates for the element x of e (given
     by its e-coordinates), one column per candidate.
 
@@ -210,8 +163,9 @@ def invariance_rows(ea: EAlgebra, x: np.ndarray, drop_b0_rows: bool = False) -> 
     candidate (a, b) of family f and holds vec(A t + t A^T), A = ad_e(x).
     `drop_b0_rows` drops the action on the k0 legs (the negative control of
     `check_r_uniqueness`)."""
-    k, m, n = ea.k, ea.m, ea.e.dim
-    ad = ea.e.ad_matrix_coords(x)
+    e = mp.e_algebra
+    k, m, n = mp.dim_c, mp.dim_b, e.dim
+    ad = e.ad_matrix_coords(x)
     if drop_b0_rows:
         ad[:k, :] = 0.0
         ad[:, :k] = 0.0
@@ -224,7 +178,7 @@ def invariance_rows(ea: EAlgebra, x: np.ndarray, drop_b0_rows: bool = False) -> 
     return out.reshape(n * n, 2 * k * m)
 
 
-def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
+def check_r_uniqueness(mp: MatchedPair, svd_tol: float = SVD_TOL,
                        drop_b0_rows: bool = False) -> dict:
     """Dimension of invariant elements of (k (x) k0) (+) (k0 (x) k).
 
@@ -239,17 +193,18 @@ def check_r_uniqueness(ea: EAlgebra, svd_tol: float = SVD_TOL,
     the b-part: a representation of e pulled back from the quotient b, so the
     same generators give its invariants (the documented negative control;
     central elements then survive)."""
-    gens = uniqueness_generators(ea.e.dim)
+    e = mp.e_algebra
+    gens = uniqueness_generators(e.dim)
     # one generator's block at a time, keeping its nonzero rows
     rows = np.vstack([r[(r != 0).any(axis=1)]
-                      for r in (invariance_rows(ea, x, drop_b0_rows) for x in gens)])
+                      for r in (invariance_rows(mp, x, drop_b0_rows) for x in gens)])
     svals = np.linalg.svd(rows, compute_uv=False)
-    count = 2 * ea.k * ea.m
+    count = 2 * mp.dim_c * mp.dim_b
     kernel_dim = int(count - np.sum(svals > svd_tol))
     return {
         "kernel_dim": kernel_dim,
         "svd_threshold": svd_tol,
         # fewer rows than candidates leaves exact zeros the SVD does not list
         "smallest_sv": float(svals[-1]) if len(svals) == count else 0.0,
-        "generation_deficit": ea.e.dim - generated_dim(ea.e, gens, svd_tol),
+        "generation_deficit": e.dim - generated_dim(e, gens, svd_tol),
     }

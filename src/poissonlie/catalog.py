@@ -4,7 +4,7 @@ the catalog.
 
 Catalog matrices are entered exactly as rational/complex-unit expressions; the
 only implicit normalization (the scaling of the central element z) is computed
-and re-verified rather than hard-coded.
+and verified once, when the entry is built (`normalize_z`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class CatalogEntry:
     mp: MatchedPair
     iwasawa: SubspaceDecomposition            # parts k, a, n
     cartan: SubspaceDecomposition             # parts k, p
-    z: np.ndarray                             # g-coordinates of the central element
+    z: np.ndarray                             # g-coordinates of the normalized central element
     gstar: LieAlgebra                         # upper-triangular dual algebra
     psi_mats: list[np.ndarray]                # matrix representatives of the dual basis
     gstar_k0_indices: list[int]               # gstar basis indices spanning the k0 block
@@ -130,7 +130,7 @@ def supq1(p: int) -> CatalogEntry:
     b_rows = eye[:dim_k]
     c_rows = eye[dim_k:]
     decomp = SubspaceDecomposition(g, {"b": b_rows, "c": c_rows})
-    mp = MatchedPair(f"su{p}1", g, decomp, c_rows)
+    mp = MatchedPair(f"su{p}1", g, decomp)
 
     # Iwasawa (k, a, n) and Cartan (k, p) decompositions
     a_rows = eye[dim_k: dim_k + 1]
@@ -144,7 +144,7 @@ def supq1(p: int) -> CatalogEntry:
     cartan = SubspaceDecomposition(g, {"k": b_rows, "p": p_rows})
 
     z_mat = np.diag([1j] * p + [-1j * p]).astype(complex) / (p + 1)
-    z = g.coords_of(z_mat)
+    z = normalize_z(g, cartan, g.coords_of(z_mat))
 
     gs_mats, gs_labels, k0_idx = _gstar_matrices(p)
     gstar = from_realization(gs_labels, gs_mats, pairing=IM_TRACE)
@@ -170,6 +170,34 @@ def su11() -> CatalogEntry:
     return entry
 
 
+def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray,
+                tol: float = ALGEBRAIC_TOL) -> np.ndarray:
+    """Rescale a central candidate so ad(z)^2 = -1 on the symmetric part, and
+    verify the result."""
+    z = np.asarray(z, dtype=float)
+    for row in cartan.parts["k"]:
+        if not np.max(np.abs(g.bracket_coords(z, row))) <= tol:
+            raise ValueError("z is not central in k")
+    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
+    p_rows = cartan.parts["p"]
+    lams = []
+    for row in p_rows:
+        w = ad2 @ row
+        lam = -float(np.dot(w, row) / np.dot(row, row))
+        lams.append(lam)
+        if not np.max(np.abs(w + lam * row)) <= 1e-6:
+            raise ValueError("ad(z)^2 does not act as a scalar on the symmetric part")
+    lam = float(np.mean(lams))
+    if not (lam > 0 and np.max(np.abs(np.array(lams) - lam)) <= 1e-6):
+        raise ValueError("ad(z)^2 eigenvalue on p is not a negative constant")
+    z = z / np.sqrt(lam)
+    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
+    resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
+    if not resid <= tol:
+        raise ValueError(f"z normalization residual {resid:.3e}")
+    return z
+
+
 def _validate_entry(entry: CatalogEntry):
     mp, g = entry.mp, entry.g
     # the realization satisfies the defining relation x* eta + eta x = 0
@@ -182,12 +210,6 @@ def _validate_entry(entry: CatalogEntry):
     for i in range(len(entry.psi_mats)):
         if not np.max(np.abs(coords[i] - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
             raise ValueError(f"dual basis {i} disagrees with its matrix representative")
-    # z normalization: ad(z)^2 = -1 on the Cartan complement
-    ad_z = g.ad_matrix_coords(entry.z)
-    for row in entry.cartan.parts["p"]:
-        resid = np.max(np.abs(ad_z @ ad_z @ row + row))
-        if not resid <= ALGEBRAIC_TOL:
-            raise ValueError(f"z normalization failed (residual {resid:.3e})")
     # restricted root grading: ad(y_a) acts with eigenvalue 1 on the simple
     # root space and 2 on the double one
     a_row = entry.iwasawa.parts["a"][0]

@@ -141,20 +141,23 @@ def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 @_register("delta_consistency", "delta_b0_sign", REALIZATION,
            tolerance=lambda tol: tol.fd)
 def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    ea = bi.build_e(mp)
-    resid = bi.delta_consistency_residual(ea, b0_sign=-1.0 if corrupted else 1.0,
-                                          step=tol.fd_step)
-    return {"max_residual": resid, "details": {"basis_vectors": ea.e.dim}}
+    delta = mp.delta
+    if corrupted:   # the b0 block with the opposite sign
+        k = mp.dim_c
+        delta = delta.copy()
+        delta[:k, :k, :k] *= -1.0
+    resid = bi.delta_consistency_residual(mp, delta, step=tol.fd_step)
+    return {"max_residual": resid, "details": {"basis_vectors": mp.e_algebra.dim}}
 
 
 @_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
 def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    ea = bi.build_e(mp)
-    delta = bi.delta_direct(ea)
+    delta = mp.delta
     if corrupted:   # the first basis vector with a nonzero cobracket
+        delta = delta.copy()
         delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > tol.algebraic)] *= -1.0
     co_jacobi, triple = bi.co_jacobi_worst_at(delta)
-    cocycle = bi.cocycle_1_residual(ea, delta)
+    cocycle = bi.cocycle_1_residual(mp, delta)
     return {"max_residual": worst(co_jacobi, cocycle),
             "details": {"co_jacobi_residual": co_jacobi, "co_jacobi_worst_triple": list(triple),
                         "cocycle_residual": cocycle}}
@@ -162,11 +165,8 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
 
 @_register("coboundary", "r_scale_2", ENTRY)
 def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    ea = bi.build_e(entry.mp)
-    delta = bi.delta_direct(ea)
-    rm = bi.r_matrix(entry, ea)
-    resid = bi.check_coboundary(ea, delta, rm["route_b"],
-                                scale=2.0 if corrupted else 1.0)
+    rm = bi.r_matrix(entry)
+    resid = bi.check_coboundary(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
     return {"max_residual": resid,
             "details": {"route_difference": rm["difference"],
                         "route_sign": rm["relative_sign"],
@@ -175,8 +175,7 @@ def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 
 @_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
 def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    ea = bi.build_e(entry.mp)
-    rep = bi.check_r_uniqueness(ea, svd_tol=tol.svd, drop_b0_rows=corrupted)
+    rep = bi.check_r_uniqueness(entry.mp, svd_tol=tol.svd, drop_b0_rows=corrupted)
     return {"max_residual": worst(rep["kernel_dim"], rep["generation_deficit"]), "details": rep}
 
 
@@ -193,10 +192,10 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
                   0.0 if complementary else 1.0)
     k0_resid = mn.gstar_k0_abelian_residual(entry)
     # gprime's table in the (sigma psi, x) basis against +/- that of e
-    sign, transport = best_sign(gprime.structure, bi.build_e(entry.mp).e.structure)
+    sign, transport = best_sign(gprime.structure, entry.mp.e_algebra.structure)
     details["k0_abelian"] = k0_resid
     details["gprime_transport"] = {"residual": transport, "sign": sign}
-    details["gprime_block"] = mn.gprime_block_residual(entry)
+    details["gprime_block"] = mn.gprime_block_residual(gprime, entry.mp.dim_c)
     resid = worst(resid, k0_resid, transport, details["gprime_block"])
     return {"max_residual": resid, "veto": not complementary, "details": details}
 
@@ -212,8 +211,7 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     eigs = mn.killing_eigenvalues(minus)
     neg_def = bool(np.max(eigs) < -tol.algebraic)
     zero, _ = mn.deform_bracket(g_model, k, 0.0)
-    ea = bi.build_e(entry.mp)
-    resid_zero = float(np.max(np.abs(zero.structure - ea.e.structure)))
+    resid_zero = float(np.max(np.abs(zero.structure - entry.mp.e_algebra.structure)))
     return {"max_residual": worst(pp_in_k, resid_plus, resid_zero, 0.0 if neg_def else 1.0),
             "details": {"pp_in_k": pp_in_k,
                         "plus_reproduces_g": resid_plus,
@@ -267,8 +265,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 @_register("dual_families", "rho_sign", CIRCLE)
 def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     resid_rho = rho_intertwiner_residual(s=1.0, rho_sign=-1.0 if corrupted else 1.0)
-    ea = bi.build_e(entry.mp)
-    dual = np.moveaxis(bi.delta_direct(ea), 0, 2)    # [e*_p, e*_q] = delta[x, p, q] e*_x
+    dual = np.moveaxis(entry.mp.delta, 0, 2)    # [e*_p, e*_q] = delta[x, p, q] e*_x
     # e-basis is (psi_a = P1, psi_2 = P2, J); reorder duals to (J*, P1*, P2*)
     perm = [2, 0, 1]
     reordered = dual[np.ix_(perm, perm, perm)]
@@ -381,8 +378,8 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
     out.append({"table": "solvable bracket table", "sign": sign, "residual": resid,
                 "note": "brackets of (ya, y2, yR_k, yI_k)"})
 
-    ea = bi.build_e(mp)
-    computed_delta = bi.delta_direct(ea)[:ea.k, :ea.k, :ea.k]
+    k = mp.dim_c
+    computed_delta = mp.delta[:k, :k, :k]
     disp = _displayed_delta_table(entry, corrected=True)
     sign_d, resid_d = best_sign(computed_delta, np.array(disp))
     out.append({
@@ -392,7 +389,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
                  "the defining pairing forces 2 (both computation routes agree); "
                  "compared against the corrected table")})
 
-    rm = bi.r_matrix(entry, ea)
+    rm = bi.r_matrix(entry)
     out.append({"table": "r-matrix", "sign": rm["relative_sign"],
                 "residual": rm["difference"],
                 "note": "z.delta(z) versus the Cartan-projection sum formula"})
@@ -406,7 +403,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
 
     if entry.p == 1:
         # planar e(2) tables
-        e_struct = ea.e.structure
+        e_struct = mp.e_algebra.structure
         displayed_e = np.zeros((3, 3, 3))
         displayed_e[2, 0, 1] = 2.0    # displayed [J, P1] = 2 P2
         displayed_e[0, 2, 1] = -2.0

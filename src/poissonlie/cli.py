@@ -22,7 +22,6 @@ import traceback
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
-from . import bialgebra as bi
 from .catalog import CatalogEntry, catalog_names, get_entry, supq1
 from .checks import REGISTRY, applicable_checks, conventions_report, run_check
 from .config import DEFAULT_TOL, EXP_METHOD, P_CAP, PRNG_NAME, Tolerances
@@ -112,6 +111,8 @@ def _load_target(config: RunConfig):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"unknown pair and unreadable path: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PairImportError(f"matched-pair file is not UTF-8 text: {exc}") from exc
     try:
         return MatchedPair.from_json(text)
     except Exception as exc:
@@ -199,8 +200,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
                      for lidx in range(k) if abs(vec[lidx]) > DISPLAY_CUTOFF]
             rhs = " ".join(terms) if terms else "0"
             lines.append(f"  [{labels[ii]}, {labels[order.index(j)]}] = {rhs}")
-    ea = bi.build_e(mp)
-    delta = bi.delta_direct(ea)
+    delta = mp.delta
     dual_labels = [l.replace("y", "y*") for l in labels]
     lines.append("cobracket on the annihilator:")
     for ii, i in enumerate(order):
@@ -215,7 +215,7 @@ def _display_notation_tables(entry: CatalogEntry) -> list[str]:
         lines.append(f"  delta({dual_labels[ii]}) = {' '.join(terms) if terms else '0'}")
     if entry.p == 1:
         lines.append("planar brackets (e-basis P1, P2, J):")
-        e = ea.e
+        e = mp.e_algebra
         names = ["P1", "P2", "J"]
         for i in range(3):
             for j in range(i + 1, 3):

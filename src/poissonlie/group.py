@@ -288,10 +288,6 @@ def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0
     return EElement(mp, v, GroupElement(mp, mats))
 
 
-def sample_e_element(mp: MatchedPair, rng: Rng, radius: float = 1.0) -> EElement:
-    return sample_e_elements(mp, rng, 1, radius)[0]
-
-
 def basis_curves(mp: MatchedPair, t: float) -> EElement:
     """The points (t psi_i, 1), then (0, exp(t x_j)), of the curves through the
     identity along every e-basis direction, as one stack with one `expm` call."""

@@ -30,13 +30,9 @@ def _trace_part(t, spec: str):
     raise ValueError(f"unknown pairing spec {spec!r}")
 
 
-def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
-    """Invariant pairing of two complex matrices: Im tr(xy) or Re tr(xy)."""
-    return float(_trace_part(np.trace(x @ y), spec))
-
-
 def trace_gram(xs, ys, spec: str) -> np.ndarray:
-    """Gram matrix G[a, b] = trace_pairing(xs[a], ys[b], spec) of two matrix stacks."""
+    """Gram matrix of the invariant pairing of two matrix stacks:
+    G[a, b] = Im tr(xs[a] ys[b]) for IM_TRACE, Re tr(xs[a] ys[b]) for RE_TRACE."""
     t = np.einsum("aij,bji->ab", np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
     return _trace_part(t, spec)
 
@@ -282,13 +278,17 @@ class SubspaceDecomposition:
 
     Parts are given as lists of coordinate vectors in the parent basis.  The
     last projection is defined as identity minus the others so the resolution
-    of identity is exact by construction.
+    of identity is exact by construction.  The change of basis t (columns: the
+    part rows, in order) and its inverse are kept; row block i of t^-1 holds
+    the dual vectors of part i that annihilate the other parts.
     """
 
     parent: LieAlgebra
     parts: dict[str, np.ndarray]          # name -> (k_part, n) array of basis rows
     projections: dict[str, np.ndarray] = field(init=False)
     condition_number: float = field(init=False)
+    t: np.ndarray = field(init=False)
+    t_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.parent.dim
@@ -297,11 +297,11 @@ class SubspaceDecomposition:
         total = sum(v.shape[0] for v in self.parts.values())
         if total != n:
             raise ValueError(f"parts span {total} dimensions, parent has {n}")
-        t = np.column_stack([v for part in self.parts.values() for v in part])
+        self.t = t = np.column_stack([v for part in self.parts.values() for v in part])
         self.condition_number = float(np.linalg.cond(t))
         if not np.isfinite(self.condition_number) or self.condition_number > 1e12:
             raise ValueError("parts are not independent (change of basis is singular)")
-        t_inv = np.linalg.inv(t)
+        self.t_inv = t_inv = np.linalg.inv(t)
         projections = {}
         offset = 0
         for name in names:
@@ -318,40 +318,6 @@ class SubspaceDecomposition:
         projections[last] = np.eye(n) - acc
         self.projections = projections
 
-    def projector_residual(self) -> float:
-        """Max deviation from P_i P_j = delta_ij P_i and sum P = 1."""
-        names = list(self.parts.keys())
-        out = float(np.max(np.abs(sum(self.projections[n] for n in names)
-                                  - np.eye(self.parent.dim))))
-        for a in names:
-            for b in names:
-                prod = self.projections[a] @ self.projections[b]
-                expect = self.projections[a] if a == b else 0.0
-                out = worst(out, np.max(np.abs(prod - expect)))
-        return out
-
     def project(self, name: str, coords: np.ndarray) -> np.ndarray:
         return self.projections[name] @ coords
 
-
-def dual_basis(algebra: LieAlgebra, annihilated: np.ndarray, dualized: np.ndarray,
-               tol: float = ALGEBRAIC_TOL) -> np.ndarray:
-    """Dual vectors psi^i in the annihilator of `annihilated` with <psi^i, y_j> = delta_ij.
-
-    Rows of `annihilated` and `dualized` are coordinate vectors in the algebra
-    basis; returned rows are dual-basis coordinates in the same labelling.
-    """
-    ann = np.atleast_2d(np.asarray(annihilated, dtype=float))
-    dua = np.atleast_2d(np.asarray(dualized, dtype=float))
-    n = algebra.dim
-    k_ann, k_dua = ann.shape[0], dua.shape[0]
-    if k_ann + k_dua != n:
-        raise ValueError("annihilated and dualized parts must span the algebra")
-    # psi satisfies psi . ann_b = 0 and psi . dua_j = delta_ij
-    m = np.vstack([ann, dua])
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > 1.0 / max(tol, 1e-15):
-        raise ValueError(f"singular pairing matrix (condition number {cond:.3e})")
-    rhs = np.vstack([np.zeros((k_ann, k_dua)), np.eye(k_dua)])
-    psi = np.linalg.solve(m, rhs).T
-    return psi

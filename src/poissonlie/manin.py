@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bialgebra import _alt3, normalize_z
+from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, MatrixBasisSolver, commutators,
-                  from_realization, structure_in_basis, trace_gram)
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization,
+                  structure_in_basis, trace_gram)
 from .linalg import BasedSpace, Bivector
 
 
-def sigma_conj(entry, m: np.ndarray) -> np.ndarray:
+def sigma_conj(m: np.ndarray) -> np.ndarray:
     """Conjugate-linear involution of sl(p+1, C) restricting to the Cartan involution.
 
     The compact-form conjugation x -> -x*: it fixes the block-diagonal compact
@@ -60,7 +60,7 @@ def gstar_algebra(entry, complex_diagonal: bool = False) -> LieAlgebra:
 
 def gprime_half(entry) -> list[np.ndarray]:
     """sigma(k0) (+) k: the lower-corner block together with the compact part."""
-    lower = [sigma_conj(entry, m) for m in entry.psi_mats]
+    lower = [sigma_conj(m) for m in entry.psi_mats]
     k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
     return lower + k_mats
 
@@ -124,11 +124,10 @@ def gstar_k0_abelian_residual(entry) -> float:
     return float(np.max(np.abs(commutators(mats, mats))))
 
 
-def gprime_block_residual(entry) -> float:
-    """[k, sigma(k0)] stays inside sigma(k0)."""
-    lower = [sigma_conj(entry, m) for m in entry.psi_mats]
-    comms = commutators(entry.g.realization[:entry.mp.dim_b], lower)
-    return MatrixBasisSolver(lower).solve_many(comms.reshape(-1, *comms.shape[2:]))[1]
+def gprime_block_residual(gprime: LieAlgebra, k: int) -> float:
+    """[k, sigma(k0)] stays inside sigma(k0): the k-part of those brackets in
+    the table of gprime (`gprime_algebra`, basis sigma(psi^1..psi^k), then k)."""
+    return float(np.max(np.abs(gprime.structure[k:, :k, k:]), initial=0.0))
 
 
 # -- Cartan-cocycle deformations ------------------------------------------------
@@ -186,7 +185,7 @@ def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:
 # -- cobrackets on gstar and the twist --------------------------------------------
 
 
-def _gstar_dual_basis(entry, half: list[np.ndarray]) -> np.ndarray:
+def _form_dual_in_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
     """Columns: gstar-coordinates of the form-dual basis of `half`."""
     gs = entry.gstar
     pair = trace_gram(gs.realization, half, IM_TRACE)
@@ -202,7 +201,7 @@ def cobracket_on_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
     """delta_half on gstar: <delta(xi), X ^ Y> = <xi, [X, Y]_half> via Im trace,
     as one array delta[x, p, q] laid out like `bialgebra.delta_direct`."""
     n = entry.gstar.dim
-    w = _gstar_dual_basis(entry, half)
+    w = _form_dual_in_gstar(entry, half)
     brackets = commutators(half, half).reshape(n * n, *half[0].shape)
     h = trace_gram(entry.gstar.realization, brackets, IM_TRACE).reshape(n, n, n)
     delta = w @ h @ w.T
@@ -262,7 +261,7 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
     onb = np.linalg.solve(chol, p_rows)          # rows: orthonormal basis of p
     if rotate is not None:
         onb = rotate @ onb
-    ad_z = g.ad_matrix_coords(normalize_z(entry))
+    ad_z = g.ad_matrix_coords(entry.z)
     p_of_basis = g.matrix_of(entry.cartan.projections["p"].T)   # P_p x for each basis x
     pair = _pair_gs_g(entry)
 

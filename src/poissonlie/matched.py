@@ -1,9 +1,12 @@
 """Matched-pair data: g = b (+) c with projections, dual pair (y_i, psi^i), the
 induced group action on c and the trivialized anchor map.
 
-The pair holds one table, the structure constants of g in the adapted basis
-(x_1..x_m, y_1..y_k) of b then c.  The matched-pair condition, the c-tables
-here and the tables of `bialgebra` (e and its cobracket) are blocks of it."""
+The pair owns its tables, each built once on first use and read-only: the
+structure constants of g in the adapted basis (x_1..x_m, y_1..y_k) of b then c
+(`adapted`), and blocks of it: the brackets of c (`c_brackets`), the algebra
+e = b0 x| b (`e_algebra`) and its cobracket (`delta`).  The change of basis
+and its inverse are the decomposition's; the dual basis psi is a row block of
+the inverse."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .lie import LieAlgebra, SubspaceDecomposition, dual_basis, structure_in_basis
+from .lie import LieAlgebra, SubspaceDecomposition, structure_in_basis
 from .linalg import BasedSpace, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,33 +30,36 @@ class MatchedPair:
     name: str
     g: LieAlgebra
     decomp: SubspaceDecomposition          # parts "b" and "c", in that order
-    y_basis: np.ndarray                    # rows: basis of c in g-coordinates
+    y_basis: np.ndarray = field(init=False)    # rows: basis of c in g-coordinates
     psi_basis: np.ndarray = field(init=False)  # rows: dual basis in b0 (dual coords)
     adapted: np.ndarray = field(init=False)    # structure constants of g in (x, y), read-only
     b0_space: BasedSpace = field(init=False)
     e_space: BasedSpace = field(init=False)
 
     def __post_init__(self):
-        if set(self.decomp.parts.keys()) != {"b", "c"}:
-            raise ValueError("decomposition must have parts 'b' and 'c'")
-        self.y_basis = np.atleast_2d(np.asarray(self.y_basis, dtype=float))
-        self.psi_basis = dual_basis(self.g, self.decomp.parts["b"], self.y_basis)
+        if list(self.decomp.parts) != ["b", "c"]:
+            raise ValueError("decomposition must have parts 'b' and 'c', in that order")
+        # psi^i annihilates b and pairs with y_j to delta_ij: rows m.. of t^-1;
+        # the pairing is held to a tighter condition than the decomposition's
+        cond = self.decomp.condition_number
+        if not cond <= 1.0 / ALGEBRAIC_TOL:
+            raise ValueError(f"singular pairing matrix (condition number {cond:.3e})")
+        self.y_basis = self.decomp.parts["c"]
+        m = self.dim_b
         # cached conversion matrices
+        self._T, self._T_inv = self.decomp.t, self.decomp.t_inv
+        self.psi_basis = self._T_inv[m:]
         self._Psi = self.psi_basis.T                  # n x k, columns psi^i (dual coords)
         self._Y = self.y_basis.T                      # n x k, columns y_i
         self._B = self.decomp.parts["b"].T            # n x m
-        self._T = np.column_stack([self._B, self._Y])
-        self._T_inv = np.linalg.inv(self._T)
         self.adapted = structure_in_basis(self.g.structure, self._T)
         self.adapted.setflags(write=False)
-        m = self.dim_b
         # b and c are subalgebras: [b, b] has no c-part, [c, c] no b-part
         for part, block in (("b", self.adapted[:m, :m, m:]), ("c", self.adapted[m:, m:, :m])):
             res = float(np.max(np.abs(block), initial=0.0))
             if not res <= ALGEBRAIC_TOL:
                 raise ValueError(f"part {part!r} is not a subalgebra (residual {res:.3e})")
-        k = self.y_basis.shape[0]
-        labels = [f"psi_{i}" for i in range(k)]
+        labels = [f"psi_{i}" for i in range(self.dim_c)]
         # keep catalog-style labels when the y-basis rows are unit vectors
         y_lbl = self._y_labels()
         if y_lbl is not None:
@@ -125,14 +131,23 @@ class MatchedPair:
     @cached_property
     def e_algebra(self) -> LieAlgebra:
         """The Lie algebra e = b0 x| b (`bialgebra.semidirect_algebra`), built and
-        validated once; its table is read-only.  The pair holds the algebra
-        and not an `EAlgebra`, which points back at the pair, so no reference
-        cycle keeps the pair alive."""
+        validated once; its table is read-only."""
         from .bialgebra import semidirect_algebra
 
         e = semidirect_algebra(self)
         e.structure.setflags(write=False)
         return e
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """The cobracket of e as one read-only array delta[x, p, q]
+        (`bialgebra.delta_direct`), built once; a check that corrupts it
+        corrupts a copy."""
+        from .bialgebra import delta_direct
+
+        out = delta_direct(self)
+        out.setflags(write=False)
+        return out
 
     @property
     def c_structure(self) -> np.ndarray:
@@ -185,7 +200,7 @@ class MatchedPair:
         g = LieAlgebra.from_json_dict(doc["algebra"])
         b_rows, c_rows = (_basis_rows(doc[part], g.dim, part) for part in ("b", "c"))
         decomp = SubspaceDecomposition(g, {"b": b_rows, "c": c_rows})
-        return MatchedPair(doc.get("name", "imported"), g, decomp, c_rows)
+        return MatchedPair(doc.get("name", "imported"), g, decomp)
 
     @staticmethod
     def from_json(text: str) -> "MatchedPair":

@@ -31,10 +31,6 @@ class TrigPoly:
     def sin(k: int) -> "TrigPoly":
         return TrigPoly({k: -0.5j, -k: 0.5j})
 
-    @staticmethod
-    def const(c: complex) -> "TrigPoly":
-        return TrigPoly({0: c})
-
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():

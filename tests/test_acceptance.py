@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (build_e, check_coboundary, check_r_uniqueness,
-                                  delta_consistency_residual, delta_direct,
-                                  r_matrix)
+from poissonlie.bialgebra import (check_coboundary, check_r_uniqueness,
+                                  delta_consistency_residual, r_matrix)
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import adE, adE_fd, sample_e_element
+from poissonlie.group import EElement, adE, adE_fd, sample_e_elements
 from poissonlie.linalg import Rng, worst as linalg_worst
 from poissonlie.manin import (build_gc_algebra, check_manin, deform_bracket,
                               g_structure_in_model_basis, gprime_algebra,
@@ -29,6 +28,11 @@ from poissonlie.trig import TrigPoly
 
 MAIN_PAIRS = ("su11", "su21", "su31")
 ALL_PAIRS = ("su11", "su21", "su31", "su41")
+
+
+def sample_e_element(mp, rng) -> EElement:
+    """One random point of E, drawn as the first of a stack of one."""
+    return sample_e_elements(mp, rng, 1)[0]
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -102,14 +106,11 @@ def test_criterion_05_coboundary_property():
     signs = []
     for name in MAIN_PAIRS:
         entry = get_entry(name)
-        ea = build_e(entry.mp)
-        delta = delta_direct(ea)
-        rm = r_matrix(entry, ea)
+        rm = r_matrix(entry)
         route_gap = max(route_gap, rm["difference"])
         signs.append(rm["relative_sign"])
-        worst = linalg_worst(worst, check_coboundary(ea, delta, rm["route_b"]))
-    entry = su11()
-    rm = r_matrix(entry, build_e(entry.mp))
+        worst = linalg_worst(worst, check_coboundary(entry.mp, rm["route_b"]))
+    rm = r_matrix(su11())
     expect = np.zeros((3, 3))
     expect[2, 1], expect[1, 2] = 1.0, -1.0
     planar = float(np.max(np.abs(rm["route_b"].coeffs - expect)))
@@ -123,8 +124,8 @@ def test_criterion_05_coboundary_property():
 def test_criterion_06_delta_two_routes_all_pairs():
     worst = 0.0
     for name in ALL_PAIRS:
-        ea = build_e(get_entry(name).mp)
-        worst = max(worst, delta_consistency_residual(ea))
+        mp = get_entry(name).mp
+        worst = max(worst, delta_consistency_residual(mp, mp.delta))
     report(6, worst <= 1e-6,
            f"cobracket by formula vs by differentiating the cocycle, every basis "
            f"vector of every catalog pair: {worst:.2e} <= 1e-6")
@@ -143,18 +144,14 @@ def test_criterion_07_su_p1_reproduction():
                                     _su_p1_displayed_bracket_table(entry))
         worst = max(worst, resid_b)
         # dual-basis display: matrix representatives against solved coordinates
-        from poissonlie.lie import IM_TRACE, trace_pairing
-
         for i, psi_mat in enumerate(entry.psi_mats):
-            coords = np.array([trace_pairing(psi_mat, m, IM_TRACE)
-                               for m in entry.g.realization])
+            coords = np.array([np.trace(psi_mat @ m).imag for m in entry.g.realization])
             worst = max(worst, float(np.max(np.abs(coords - entry.mp.psi_basis[i]))))
         # cobracket table: corrected display (coefficient 2, see conventions
         # report erratum); confirm the only discrepancy vs the raw display is
         # exactly that factor two on one entry
-        ea = build_e(entry.mp)
-        delta = delta_direct(ea)
-        computed = delta[:ea.k, :ea.k, :ea.k]
+        k = entry.mp.dim_c
+        computed = entry.mp.delta[:k, :k, :k]
         sign_d, resid_d = best_sign(computed, np.array(_displayed_delta_table(entry, True)))
         worst = max(worst, resid_d)
         raw = np.array(_displayed_delta_table(entry, False))
@@ -172,8 +169,7 @@ def test_criterion_07_su_p1_reproduction():
 def test_criterion_08_r_uniqueness():
     dims, deficits = [], []
     for name in ALL_PAIRS:
-        ea = build_e(get_entry(name).mp)
-        rep = check_r_uniqueness(ea, svd_tol=1e-8)
+        rep = check_r_uniqueness(get_entry(name).mp, svd_tol=1e-8)
         dims.append(rep["kernel_dim"])
         deficits.append(rep["generation_deficit"])
     report(8, all(d == 0 for d in dims + deficits),

@@ -14,7 +14,7 @@ from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, adE, adjoint_matrices,
                               adjoint_matrix, coadjoint_matrix, e_inv, e_mul, exp_b,
-                              identity_element, sample_e_element, sample_e_elements,
+                              identity_element, sample_e_elements,
                               sample_group_matrices)
 from poissonlie.linalg import Bivector, Rng
 from poissonlie.matched import MatchedPair
@@ -24,6 +24,11 @@ from poissonlie.poisson import eta, eta0, eta_b
 def sample_group_element(mp, rng) -> GroupElement:
     """One random element, drawn as the first of a stack of one."""
     return GroupElement(mp, sample_group_matrices(mp, rng, 1)[0])
+
+
+def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
+    """One random point of E, drawn as the first of a stack of one."""
+    return sample_e_elements(mp, rng, 1, radius)[0]
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (build_e, check_coboundary, check_r_uniqueness,
+from poissonlie.bialgebra import (check_coboundary, check_r_uniqueness,
                                   co_jacobi_worst_at, cocycle_1_residual,
                                   delta_consistency_residual,
                                   delta_direct, delta_from_eta,
-                                  normalize_z, r_matrix, semidirect_algebra,
+                                  r_matrix, semidirect_algebra,
                                   uniqueness_generators)
-from poissonlie.catalog import su11, supq1
+from poissonlie.catalog import normalize_z, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL, FD_TOL, SVD_TOL
 from poissonlie.lie import LieAlgebra, generated_dim
@@ -25,39 +25,39 @@ def e21():
 
 
 def test_build_e_b0_block_abelian(e11):
-    ea = build_e(e11.mp)
-    k = ea.k
-    assert np.max(np.abs(ea.e.structure[:k, :k, :])) == 0.0
+    k = e11.mp.dim_c
+    assert np.max(np.abs(e11.mp.e_algebra.structure[:k, :k, :])) == 0.0
 
 
 def test_build_e_planar_signs(e11):
     # |[J, P1]| = 2 on the P2 coordinate; our conventions give [J, P1] = -2 P2
-    ea = build_e(e11.mp)
-    br = ea.e.structure[2, 0]     # e-basis (P1, P2, J)
+    e = e11.mp.e_algebra
+    br = e.structure[2, 0]     # e-basis (P1, P2, J)
     assert abs(br[1]) == pytest.approx(2.0, abs=1e-12)
     assert br[1] == pytest.approx(-2.0, abs=1e-12)
-    br2 = ea.e.structure[2, 1]
+    br2 = e.structure[2, 1]
     assert br2[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_build_e_once_per_pair(e21):
     mp = e21.mp
-    first, second = build_e(mp), build_e(mp)
-    assert first.e is second.e is mp.e_algebra
-    with pytest.raises(ValueError, match="read-only"):
-        first.e.structure[0, 0, 0] = 1.0
-    # the knobs build or copy before they corrupt: the shared table is untouched
-    from poissonlie.checks import REGISTRY, run_check
-    from poissonlie.config import DEFAULT_TOL
-    from poissonlie.linalg import Rng
+    e, delta = mp.e_algebra, mp.delta
+    assert mp.e_algebra is e and mp.delta is delta
+    for table in (e.structure, delta):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
+    # the knobs copy before they corrupt: the shared tables are untouched
+    from poissonlie.checks import REGISTRY
 
-    before = mp.e_algebra.structure.copy()
+    before_e, before_delta = e.structure.copy(), delta.copy()
     for check in REGISTRY.values():
         if check.applies(e21):
             run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
-    assert mp.e_algebra is first.e
-    assert np.array_equal(mp.e_algebra.structure, before)
-    assert np.array_equal(before, semidirect_algebra(mp).structure)
+    assert mp.e_algebra is e and mp.delta is delta
+    assert np.array_equal(e.structure, before_e)
+    assert np.array_equal(before_e, semidirect_algebra(mp).structure)
+    assert np.array_equal(delta, before_delta)
+    assert np.array_equal(before_delta, delta_direct(mp))
 
 
 def test_build_e_jacobi_failure_signals(e11):
@@ -77,8 +77,7 @@ def test_build_e_ad_consistency_with_adE(e11):
     from poissonlie.linalg import finite_diff
 
     mp = e11.mp
-    ea = build_e(mp)
-    k, m = ea.k, ea.m
+    k, m = mp.dim_c, mp.dim_b
     for i in range(k + m):
         def curve(t, i=i):
             if i < k:
@@ -88,13 +87,12 @@ def test_build_e_ad_consistency_with_adE(e11):
             return adE(el).ravel()
 
         d = finite_diff(curve, 0.0, 1e-4).reshape(k + m, k + m)
-        expect = ea.e.ad_matrix_coords(np.eye(k + m)[i])
+        expect = mp.e_algebra.ad_matrix_coords(np.eye(k + m)[i])
         assert np.max(np.abs(d - expect)) <= FD_TOL
 
 
 def test_delta_direct_planar_values(e11):
-    ea = build_e(e11.mp)
-    delta = delta_direct(ea)
+    delta = e11.mp.delta
     # delta(psi_a) = 0, delta(psi_2) = 2 psi_a ^ psi_2
     assert np.max(np.abs(delta[0])) == 0.0
     expect = np.zeros((3, 3))
@@ -107,9 +105,8 @@ def test_delta_direct_planar_values(e11):
 
 
 def test_delta_su21_table(e21):
-    ea = build_e(e21.mp)
-    delta = delta_direct(ea)
-    k = ea.k
+    delta = e21.mp.delta
+    k = e21.mp.dim_c
     # delta(psi_a) = 0
     assert np.max(np.abs(delta[0])) <= 1e-12
     # delta(psi_R) = psi_a ^ psi_R, delta(psi_I) = psi_a ^ psi_I
@@ -127,17 +124,15 @@ def test_delta_su21_table(e21):
 
 def test_delta_two_routes_agree():
     for entry in (su11(), supq1(2), supq1(3)):
-        ea = build_e(entry.mp)
-        assert delta_consistency_residual(ea) <= FD_TOL
+        assert delta_consistency_residual(entry.mp, entry.mp.delta) <= FD_TOL
 
 
 def test_delta_solves_pairing_equation(e21):
     # <delta(psi), y (x) y'> = <psi, [y, y']> on the fibre block, the defining
     # property behind the explicit double-sum formula
     mp = e21.mp
-    ea = build_e(mp)
-    delta = delta_direct(ea)
-    k = ea.k
+    delta = mp.delta
+    k = mp.dim_c
     for i in range(k):
         for a in range(k):
             for b in range(k):
@@ -147,8 +142,7 @@ def test_delta_solves_pairing_equation(e21):
 
 
 def test_delta_linearity_zero(e11):
-    ea = build_e(e11.mp)
-    delta = delta_direct(ea)
+    delta = e11.mp.delta
     combo = sum((0.0 * d for d in delta), np.zeros((3, 3)))
     assert np.max(np.abs(combo)) == 0.0
 
@@ -164,9 +158,8 @@ def test_delta_from_eta_b0_direction_excites_only_b0_block(e11):
 
 def test_cobracket_axioms(e11, e21):
     for entry in (e11, e21):
-        ea = build_e(entry.mp)
-        delta = delta_direct(ea)
-        assert worst(co_jacobi_worst_at(delta)[0], cocycle_1_residual(ea, delta)) <= 1e-9
+        delta = entry.mp.delta
+        assert worst(co_jacobi_worst_at(delta)[0], cocycle_1_residual(entry.mp, delta)) <= 1e-9
 
 
 def test_cobracket_axioms_trivial_for_abelian():
@@ -174,32 +167,27 @@ def test_cobracket_axioms_trivial_for_abelian():
 
 
 def test_normalize_z(e11):
-    z = normalize_z(e11)
     # the normalized central element is ih/2: coords (0.5, 0, 0)
-    assert np.allclose(z, [0.5, 0, 0], atol=1e-12)
+    assert np.allclose(e11.z, [0.5, 0, 0], atol=1e-12)
+    # a rescaled candidate normalizes to the same element
+    assert np.allclose(normalize_z(e11.g, e11.cartan, 3.0 * e11.z), e11.z, atol=1e-12)
 
 
 def test_normalize_z_rejects_noncentral(e21):
-    import dataclasses
-
-    bad = dataclasses.replace(e21)  # shallow copy of the entry
-    bad.z = e21.mp.y_basis[0]       # y_a is not central in k
-    with pytest.raises(ValueError):
-        normalize_z(bad)
+    with pytest.raises(ValueError, match="not central"):
+        normalize_z(e21.g, e21.cartan, e21.mp.y_basis[0])   # y_a is not central in k
 
 
 def test_r_matrix_routes(e11, e21):
     for entry in (e11, e21):
-        ea = build_e(entry.mp)
-        rm = r_matrix(entry, ea)
+        rm = r_matrix(entry)
         assert rm["difference"] <= 1e-9
         assert rm["relative_sign"] == 1.0
         assert rm["k_wedge_k0_block_residual"] <= 1e-12
 
 
 def test_r_matrix_planar_is_j_wedge_p2(e11):
-    ea = build_e(e11.mp)
-    rm = r_matrix(e11, ea)
+    rm = r_matrix(e11)
     expect = np.zeros((3, 3))
     expect[2, 1], expect[1, 2] = 1.0, -1.0   # J ^ psi_2 exactly
     assert np.max(np.abs(rm["route_b"].coeffs - expect)) <= 1e-12
@@ -208,29 +196,25 @@ def test_r_matrix_planar_is_j_wedge_p2(e11):
 
 def test_coboundary(e11, e21):
     for entry in (e11, e21):
-        ea = build_e(entry.mp)
-        delta = delta_direct(ea)
-        rm = r_matrix(entry, ea)
-        assert check_coboundary(ea, delta, rm["route_b"]) <= 1e-9
-        assert check_coboundary(ea, delta, rm["route_b"], scale=2.0) > 1e-3
+        rm = r_matrix(entry)
+        assert check_coboundary(entry.mp, rm["route_b"]) <= 1e-9
+        assert check_coboundary(entry.mp, rm["route_b"], scale=2.0) > 1e-3
 
 
 def test_uniqueness_kernel_zero(e11, e21):
     for entry in (e11, e21):
-        ea = build_e(entry.mp)
-        rep = check_r_uniqueness(ea)
+        rep = check_r_uniqueness(entry.mp)
         assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_past_the_catalog():
     # p = 5 is past the named catalog and reachable only through supq1(p)
-    rep = check_r_uniqueness(build_e(supq1(5).mp))
+    rep = check_r_uniqueness(supq1(5).mp)
     assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_negative_control(e11):
-    ea = build_e(e11.mp)
-    rep = check_r_uniqueness(ea, drop_b0_rows=True)
+    rep = check_r_uniqueness(e11.mp, drop_b0_rows=True)
     assert rep["kernel_dim"] > 0
 
 
@@ -264,6 +248,28 @@ def test_uniqueness_fails_on_a_non_generating_pair(e21, monkeypatch):
 def test_dual_bracket_satisfies_jacobi(e11):
     from poissonlie.lie import jacobi_worst_at
 
-    ea = build_e(e11.mp)
-    dual = np.moveaxis(delta_direct(ea), 0, 2)
+    dual = np.moveaxis(e11.mp.delta, 0, 2)
     assert jacobi_worst_at(dual)[0] <= 1e-9
+
+
+def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_path):
+    # every check, the conventions report and the text summary of one full
+    # verify read the pair's one cobracket and the entry's one normalized z
+    import poissonlie.bialgebra as bi
+    import poissonlie.catalog as cat
+    from poissonlie import cli
+
+    calls = {"delta_direct": 0, "normalize_z": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(bi, "delta_direct")
+    count(cat, "normalize_z")
+    assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"delta_direct": 1, "normalize_z": 1}

@@ -49,11 +49,11 @@ def test_fd_step_reaches_delta_consistency():
 
 
 def test_bialgebra_axioms_report_names_its_worst_co_jacobi_triple():
-    from poissonlie.bialgebra import build_e, co_jacobi_worst_at, delta_direct
+    from poissonlie.bialgebra import co_jacobi_worst_at, delta_direct
 
     entry = get_entry("su21")
     details = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL)["details"]
-    resid, triple = co_jacobi_worst_at(delta_direct(build_e(entry.mp)))
+    resid, triple = co_jacobi_worst_at(delta_direct(entry.mp))
     assert details["co_jacobi_residual"] == resid
     assert details["co_jacobi_worst_triple"] == list(triple)
 

@@ -326,6 +326,30 @@ def test_bad_import_index_or_pairing_exit_2(parts, pairing, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_non_utf8_pair_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "import error" in err
+    assert "Traceback" not in err
+
+
+def test_nearly_dependent_parts_exit_2(tmp_path, capsys):
+    # condition number 2.0e10: within the decomposition's own gate (1e12),
+    # beyond the pairing's (1 / ALGEBRAIC_TOL = 1e9)
+    doc = copy.deepcopy(_su11_doc())
+    doc["c"] = [[0, 1, 0], [0, 1, 1e-10]]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "singular pairing matrix (condition number 2.0" in err
+    assert "Traceback" not in err
+
+
 @cache
 def _su11_doc() -> dict:
     return get_entry("su11").mp.to_json_dict()

@@ -8,11 +8,11 @@ index contributes."""
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (_alt3, build_e, check_r_uniqueness, co_jacobi_worst_at,
-                                  delta_direct, invariance_rows, uniqueness_generators)
+from poissonlie.bialgebra import (_alt3, check_r_uniqueness, co_jacobi_worst_at,
+                                  invariance_rows, uniqueness_generators)
 from poissonlie.catalog import get_entry
 from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, jacobi_worst_at,
-                            trace_gram, trace_pairing)
+                            trace_gram)
 from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
 from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
@@ -84,6 +84,12 @@ def gerstenhaber_d_loop(n: int, delta: np.ndarray, s: Bivector) -> np.ndarray:
     return out
 
 
+def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
+    """Invariant pairing of two complex matrices: Im tr(xy), else Re tr(xy)."""
+    t = np.trace(x @ y)
+    return float(t.imag if spec == IM_TRACE else t.real)
+
+
 def jacobi_tensor(c: np.ndarray) -> np.ndarray:
     """The full n^4 Jacobi tensor [[i,j],k] + [[j,k],i] + [[k,i],j]."""
     return (np.einsum("ijl,lkm->ijkm", c, c) + np.einsum("jkl,lim->ijkm", c, c)
@@ -148,11 +154,12 @@ def co_jacobi_loop(delta: np.ndarray) -> float:
     return out
 
 
-def uniqueness_operator_kron(ea, drop_b0_rows: bool, elements=None) -> np.ndarray:
+def uniqueness_operator_kron(mp, drop_b0_rows: bool, elements=None) -> np.ndarray:
     """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n),
     with the candidates x_a (x) psi_b first, then psi_b (x) x_a, stacked over
     `elements` of e (rows of e-coordinates; every basis vector by default)."""
-    k, m, n = ea.k, ea.m, ea.e.dim
+    e = mp.e_algebra
+    k, m, n = mp.dim_c, mp.dim_b, e.dim
     cands = []
     for family in range(2):
         for a in range(m):
@@ -164,7 +171,7 @@ def uniqueness_operator_kron(ea, drop_b0_rows: bool, elements=None) -> np.ndarra
     cand_mat = np.column_stack(cands)
     rows = []
     for x in np.eye(n) if elements is None else elements:
-        a = ea.e.ad_matrix_coords(x)
+        a = e.ad_matrix_coords(x)
         if drop_b0_rows:
             a[:k, :] = 0.0
             a[:, :k] = 0.0
@@ -233,32 +240,32 @@ def test_cprime_residual_matches_loop(entry):
 
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_invariance_rows_match_kron(entry, drop_b0_rows):
-    ea = build_e(entry.mp)
-    n = ea.e.dim
-    xs = np.eye(n)[ea.k:] if drop_b0_rows else np.eye(n)
-    got = np.vstack([invariance_rows(ea, x, drop_b0_rows) for x in xs])
-    want = uniqueness_operator_kron(ea, drop_b0_rows, xs)
-    assert got.shape == want.shape == (len(xs) * n ** 2, 2 * ea.k * ea.m)
+    mp = entry.mp
+    n = mp.e_algebra.dim
+    xs = np.eye(n)[mp.dim_c:] if drop_b0_rows else np.eye(n)
+    got = np.vstack([invariance_rows(mp, x, drop_b0_rows) for x in xs])
+    want = uniqueness_operator_kron(mp, drop_b0_rows, xs)
+    assert got.shape == want.shape == (len(xs) * n ** 2, 2 * mp.dim_c * mp.dim_b)
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_invariance_rows_are_linear_in_the_element(entry, drop_b0_rows):
     # the rows of sum_x X_x e_x are sum_x X_x rows(e_x), knob included
-    ea = build_e(entry.mp)
-    n = ea.e.dim
-    basis_rows = np.array([invariance_rows(ea, x, drop_b0_rows) for x in np.eye(n)])
+    mp = entry.mp
+    n = mp.e_algebra.dim
+    basis_rows = np.array([invariance_rows(mp, x, drop_b0_rows) for x in np.eye(n)])
     for x in (*uniqueness_generators(n), _rng(entry).standard_normal(n)):
-        _close(invariance_rows(ea, x, drop_b0_rows), np.tensordot(x, basis_rows, axes=1))
+        _close(invariance_rows(mp, x, drop_b0_rows), np.tensordot(x, basis_rows, axes=1))
 
 
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
     # (A t + t A^T)^T = A t^T + t^T A^T and t -> t^T swaps the two families
-    ea = build_e(entry.mp)
-    n, half = ea.e.dim, ea.k * ea.m
+    mp = entry.mp
+    n, half = mp.e_algebra.dim, mp.dim_c * mp.dim_b
     for x in (*np.eye(n), *uniqueness_generators(n)):
-        rows = invariance_rows(ea, x, drop_b0_rows).reshape(n, n, 2, half)
+        rows = invariance_rows(mp, x, drop_b0_rows).reshape(n, n, 2, half)
         assert np.array_equal(rows[:, :, 1], rows.transpose(1, 0, 2, 3)[:, :, 0])
 
 
@@ -266,41 +273,40 @@ def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_streamed_uniqueness_matches_dense_svd(name, drop_b0_rows):
     # the kernel over the two generators is the kernel over every basis vector
-    ea = build_e(get_entry(name).mp)
-    count = 2 * ea.k * ea.m
-    full = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows), compute_uv=False)
-    gens = np.linalg.svd(uniqueness_operator_kron(ea, drop_b0_rows,
-                                                  uniqueness_generators(ea.e.dim)),
+    mp = get_entry(name).mp
+    count = 2 * mp.dim_c * mp.dim_b
+    full = np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows), compute_uv=False)
+    gens = np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows,
+                                                  uniqueness_generators(mp.e_algebra.dim)),
                          compute_uv=False)
     assert len(full) == len(gens) == count
-    rep = check_r_uniqueness(ea, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    rep = check_r_uniqueness(mp, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
     assert rep["kernel_dim"] == count - np.sum(full > 1e-8) == count - np.sum(gens > 1e-8)
-    assert rep["kernel_dim"] == (0 if not drop_b0_rows else 2 * ea.k)
+    assert rep["kernel_dim"] == (0 if not drop_b0_rows else 2 * mp.dim_c)
     assert rep["smallest_sv"] == pytest.approx(gens[-1], abs=1e-13 * gens[0])
     assert rep["generation_deficit"] == 0
 
 
 def test_uniqueness_with_no_nonzero_rows():
     # su11 under the knob: ad_b of a one-dimensional b is zero, so no row is left
-    ea = build_e(get_entry("su11").mp)
-    rows = [invariance_rows(ea, x, True) for x in uniqueness_generators(ea.e.dim)]
+    mp = get_entry("su11").mp
+    rows = [invariance_rows(mp, x, True) for x in uniqueness_generators(mp.e_algebra.dim)]
     assert not np.any(rows)
-    rep = check_r_uniqueness(ea, drop_b0_rows=True)
-    assert rep["kernel_dim"] == 2 * ea.k * ea.m
+    rep = check_r_uniqueness(mp, drop_b0_rows=True)
+    assert rep["kernel_dim"] == 2 * mp.dim_c * mp.dim_b
     assert rep["smallest_sv"] == 0.0
 
 
-def _corrupted_delta(ea) -> np.ndarray:
-    delta = delta_direct(ea)
-    delta[ea.k] *= -1.0      # the delta_sign_one_basis knob
+def _corrupted_delta(mp) -> np.ndarray:
+    delta = mp.delta.copy()
+    delta[mp.dim_c] *= -1.0      # the delta_sign_one_basis knob
     return delta
 
 
 @pytest.mark.parametrize("which", ["e", "corrupted", "gstar", "random"])
 def test_co_jacobi_matches_loop(entry, which):
-    ea = build_e(entry.mp)
-    delta = {"e": lambda: delta_direct(ea),
-             "corrupted": lambda: _corrupted_delta(ea),
+    delta = {"e": lambda: entry.mp.delta,
+             "corrupted": lambda: _corrupted_delta(entry.mp),
              "gstar": lambda: cobracket_on_gstar(entry, list(entry.g.realization)),
              "random": lambda: _dense_cobracket(entry, 3)}[which]()
     want = co_jacobi_loop(delta)

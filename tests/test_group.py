@@ -7,7 +7,7 @@ import scipy.linalg
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.group import (EElement, GroupElement, adE, adE_fd, adjoint_matrices,
                               adjoint_matrix, coadjoint_matrix, e_identity, e_inv, e_mul,
-                              exp_b, identity_element, sample_e_element,
+                              exp_b, identity_element, sample_e_elements,
                               sample_group_matrices)
 from poissonlie.linalg import Rng, expm
 
@@ -15,6 +15,11 @@ from poissonlie.linalg import Rng, expm
 def sample_group_element(mp, rng) -> GroupElement:
     """One random element, drawn as the first of a stack of one."""
     return GroupElement(mp, sample_group_matrices(mp, rng, 1)[0])
+
+
+def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
+    """One random point of E, drawn as the first of a stack of one."""
+    return sample_e_elements(mp, rng, 1, radius)[0]
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,25 @@ import pytest
 
 from poissonlie.catalog import su11, supq1
 from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition,
-                            dual_basis, from_realization, jacobi_worst_at,
-                            structure_in_basis, trace_pairing)
-from poissonlie.linalg import BasedSpace, Rng
+                            from_realization, jacobi_worst_at, structure_in_basis)
+from poissonlie.linalg import BasedSpace, Rng, worst
+from poissonlie.matched import MatchedPair
+
+
+def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
+    """Invariant pairing of two complex matrices: Im tr(xy), else Re tr(xy)."""
+    t = np.trace(x @ y)
+    return float(t.imag if spec == IM_TRACE else t.real)
+
+
+def projector_residual(d: SubspaceDecomposition) -> float:
+    """Max deviation from P_i P_j = delta_ij P_i and sum P = 1."""
+    p = d.projections
+    out = np.max(np.abs(sum(p.values()) - np.eye(d.parent.dim)))
+    for a in p:
+        for b in p:
+            out = worst(out, np.max(np.abs(p[a] @ p[b] - (p[a] if a == b else 0.0))))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +125,16 @@ def test_realization_mismatch_rejected(e11):
 
 
 def test_dual_basis_su11(e11):
-    g = e11.g
-    b = np.eye(3)[:1]
-    y = np.eye(3)[1:]
-    psi = dual_basis(g, b, y)
+    g, mp = e11.g, e11.mp
+    b = mp.decomp.parts["b"]
+    y = mp.y_basis
+    assert np.array_equal(b, np.eye(3)[:1]) and np.array_equal(y, np.eye(3)[1:])
+    psi = mp.psi_basis
     assert np.allclose(psi @ y.T, np.eye(2), atol=1e-12)
     assert np.allclose(psi @ b.T, 0.0, atol=1e-12)
+    # the pairing equations psi . b = 0, psi . y_j = delta_ij, solved directly
+    rhs = np.vstack([np.zeros((1, 2)), np.eye(2)])
+    assert np.allclose(psi, np.linalg.solve(np.vstack([b, y]), rhs).T, atol=1e-15)
     # matrix representatives displayed for the planar pair
     psi_a, psi_2 = e11.psi_mats
     assert np.array_equal(psi_a, np.array([[0, 1j], [0, 0]]))
@@ -126,9 +146,16 @@ def test_dual_basis_su11(e11):
 
 def test_dual_basis_singular_pairing_rejected(e11):
     g = e11.g
-    with pytest.raises(ValueError):
+    b = np.eye(3)[:1]
+    with pytest.raises(ValueError, match="not independent"):
         # duplicating a row makes the pairing singular
-        dual_basis(g, np.eye(3)[:1], np.vstack([np.eye(3)[1], np.eye(3)[1]]))
+        SubspaceDecomposition(g, {"b": b, "c": np.vstack([np.eye(3)[1], np.eye(3)[1]])})
+    # nearly dependent parts (condition number 2e10) pass the decomposition's
+    # own gate, 1e12, and fail the pair's, 1/ALGEBRAIC_TOL = 1e9
+    decomp = SubspaceDecomposition(g, {"b": b, "c": [[0, 1, 0], [0, 1, 1e-10]]})
+    assert 1e10 < decomp.condition_number < 1e12
+    with pytest.raises(ValueError, match="singular pairing matrix"):
+        MatchedPair("near", g, decomp)
 
 
 def test_invariant_pairing_im_trace(e11):
@@ -161,7 +188,7 @@ def test_invariance_of_trace_form_sl():
 
 def test_subspace_decomposition_projectors(e11):
     d = e11.mp.decomp
-    assert d.projector_residual() <= 1e-9
+    assert projector_residual(d) <= 1e-9
     # both parts are subalgebras: the off-blocks of the adapted table vanish
     m = len(d.parts["b"])
     a = structure_in_basis(e11.g.structure, np.vstack([d.parts["b"], d.parts["c"]]).T)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from poissonlie import manin
-from poissonlie.bialgebra import build_e, co_jacobi_worst_at
+from poissonlie.bialgebra import co_jacobi_worst_at
 from poissonlie.catalog import su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.lie import from_realization
+from poissonlie.lie import MatrixBasisSolver, commutators, from_realization
 from poissonlie.linalg import Rng, best_sign, worst
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               cprime_residual, deform_bracket,
@@ -70,39 +70,45 @@ def test_sigma_is_conjugate_linear_involution(entries):
     for _ in range(10):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(sigma_conj(entry, sigma_conj(entry, m)), m)
+        assert np.allclose(sigma_conj(sigma_conj(m)), m)
         # real-linear automorphism: sigma[x, y] = [sigma x, sigma y]
-        lhs = sigma_conj(entry, m @ m2 - m2 @ m)
-        s1, s2 = sigma_conj(entry, m), sigma_conj(entry, m2)
+        lhs = sigma_conj(m @ m2 - m2 @ m)
+        s1, s2 = sigma_conj(m), sigma_conj(m2)
         assert np.allclose(lhs, s1 @ s2 - s2 @ s1)
         # conjugate-linear: sigma(i m) = -i sigma(m)
-        assert np.allclose(sigma_conj(entry, 1j * m), -1j * sigma_conj(entry, m))
+        assert np.allclose(sigma_conj(1j * m), -1j * sigma_conj(m))
 
 
 def test_sigma_fixes_k_and_flips_p(entries):
     entry = entries[2]
     for i in range(entry.mp.dim_b):
         m = entry.g.realization[i]
-        assert np.allclose(sigma_conj(entry, m), m)
+        assert np.allclose(sigma_conj(m), m)
     for row in entry.cartan.parts["p"]:
         m = entry.g.matrix_of(row)
-        assert np.allclose(sigma_conj(entry, m), -m)
+        assert np.allclose(sigma_conj(m), -m)
 
 
 def test_gprime_lower_corner(entries):
     entry = entries[2]
     for psi in entry.psi_mats:
-        img = sigma_conj(entry, psi)
+        img = sigma_conj(psi)
         assert np.max(np.abs(np.triu(img))) == 0.0   # strictly lower corner
 
 
 def test_gprime_transport_and_block(entries):
     for entry in entries.values():
-        ea = build_e(entry.mp)
-        sign, resid = best_sign(gprime_algebra(entry).structure, ea.e.structure)
+        gprime = gprime_algebra(entry)
+        sign, resid = best_sign(gprime.structure, entry.mp.e_algebra.structure)
         assert resid <= 1e-9
         assert sign == 1.0
-        assert gprime_block_residual(entry) <= 1e-12
+        k = entry.mp.dim_c
+        assert gprime_block_residual(gprime, k) <= 1e-12
+        # the same closure by re-expanding [k, sigma(k0)] in sigma(k0) alone
+        lower = gprime.realization[:k]
+        comms = commutators(entry.g.realization[:entry.mp.dim_b], lower)
+        assert MatrixBasisSolver(lower).solve_many(comms.reshape(-1, *comms.shape[2:]))[1] \
+            <= 1e-12
 
 
 def test_phi_identification_equivariance(entries):
@@ -139,8 +145,7 @@ def test_deform_minus_killing_negative_definite(entries):
 def test_deform_zero_is_e(entries):
     for entry in entries.values():
         zero, _ = deform_bracket(g_structure_in_model_basis(entry), entry.mp.dim_c, 0.0)
-        ea = build_e(entry.mp)
-        assert np.max(np.abs(zero.structure - ea.e.structure)) <= 1e-9
+        assert np.max(np.abs(zero.structure - entry.mp.e_algebra.structure)) <= 1e-9
 
 
 def test_deform_nan_p_part_fails_the_check(entries, monkeypatch):
@@ -200,11 +205,9 @@ def test_twist_element_antisymmetric_and_p_block(entries):
     assert asym <= 1e-9
     assert np.max(np.abs(s.coeffs + s.coeffs.T)) == 0.0
     # supported on the image of p: pairing columns against k must vanish
-    from poissonlie.lie import IM_TRACE, trace_pairing
-
     gs = entry.gstar
     n = entry.g.dim
-    pair = np.array([[trace_pairing(gs.realization[a], entry.g.realization[x], IM_TRACE)
+    pair = np.array([[np.trace(gs.realization[a] @ entry.g.realization[x]).imag
                       for x in range(n)] for a in range(gs.dim)])
     back = pair.T @ s.coeffs @ pair   # bivector moved to g x g coordinates
     for i in range(entry.mp.dim_b):   # k-basis rows pair to zero

@@ -41,12 +41,16 @@ def test_canonical_tensor_basis_change_invariance(e11):
     mp = e11.mp
     rng = Rng(5)
     ambient = mp._Psi @ mp._Y.T
+    b = mp.decomp.parts["b"]
     for _ in range(10):
         r = rng.uniform(-1, 1, (2, 2)) + np.eye(2) * 2.0
         y_new = (mp._Y @ r.T).T
-        from poissonlie.lie import dual_basis
+        from poissonlie.lie import SubspaceDecomposition
 
-        psi_new = dual_basis(mp.g, mp.decomp.parts["b"], y_new)
+        pair = MatchedPair("recombined", mp.g, SubspaceDecomposition(mp.g, {"b": b, "c": y_new}))
+        psi_new = pair.psi_basis
+        assert np.max(np.abs(psi_new @ y_new.T - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(psi_new @ b.T)) <= 1e-12
         ambient_new = psi_new.T @ y_new
         assert np.max(np.abs(ambient_new - ambient)) <= 1e-9
 
@@ -115,7 +119,7 @@ def test_matched_pair_rejects_non_subalgebra_parts(e11):
     rows_c = np.eye(3)[2:]
     decomp = SubspaceDecomposition(g, {"b": rows_b, "c": rows_c})
     with pytest.raises(ValueError):
-        MatchedPair("bad", g, decomp, rows_c)
+        MatchedPair("bad", g, decomp)
 
 
 def test_json_import_round_trip(e11):
@@ -172,7 +176,6 @@ def _delta_reference(mp) -> np.ndarray:
 def test_mixed_adapted_basis_su21():
     # every catalog pair has unit-vector b and c rows; here each part's rows
     # are mixed by a random invertible matrix, so the change of basis is general
-    from poissonlie.bialgebra import build_e, delta_direct
     from poissonlie.checks import applicable_checks, run_check
     from poissonlie.config import DEFAULT_TOL
 
@@ -194,16 +197,15 @@ def test_mixed_adapted_basis_su21():
                        ("delta_sign_one_basis", "bialgebra_axioms")):
         assert run_check(name, mixed, 0, Rng(42), DEFAULT_TOL, corrupt=knob)["pass"] is False
 
-    ea = build_e(mixed)
-    assert np.max(np.abs(ea.e.structure - _semidirect_reference(mixed))) <= 1e-13
-    assert np.max(np.abs(delta_direct(ea) - _delta_reference(mixed))) <= 1e-13
+    assert np.max(np.abs(mixed.e_algebra.structure - _semidirect_reference(mixed))) <= 1e-13
+    assert np.max(np.abs(mixed.delta - _delta_reference(mixed))) <= 1e-13
 
 
 def test_user_pair_sl2r_full_machinery():
     # a pair that is not in the catalog: sl(2,R) split into the rotation
     # generator and the upper-triangular part, imported through JSON
-    from poissonlie.bialgebra import (build_e, co_jacobi_worst_at, cocycle_1_residual,
-                                      delta_consistency_residual, delta_direct)
+    from poissonlie.bialgebra import (co_jacobi_worst_at, cocycle_1_residual,
+                                      delta_consistency_residual)
     from poissonlie.linalg import worst
     from poissonlie.lie import from_realization
     from poissonlie.poisson import verify_cocycle
@@ -215,7 +217,5 @@ def test_user_pair_sl2r_full_machinery():
     doc = {"name": "sl2r", "algebra": g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp = MatchedPair.from_json_dict(doc)
     assert verify_cocycle(mp, 300, Rng(42))["max_residual"] <= 1e-9
-    ea = build_e(mp)
-    assert delta_consistency_residual(ea) <= 1e-6
-    delta = delta_direct(ea)
-    assert worst(co_jacobi_worst_at(delta)[0], cocycle_1_residual(ea, delta)) <= 1e-9
+    assert delta_consistency_residual(mp, mp.delta) <= 1e-6
+    assert worst(co_jacobi_worst_at(mp.delta)[0], cocycle_1_residual(mp, mp.delta)) <= 1e-9
