@@ -10,6 +10,8 @@ and verified once, when the entry is built (`normalize_z`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from .config import ALGEBRAIC_TOL, P_CAP
@@ -50,6 +52,37 @@ class CatalogEntry:
     @property
     def g(self) -> LieAlgebra:
         return self.mp.g
+
+    # tables read by more than one check, each built once and read-only; a
+    # knob that corrupts one (`r_scale_2`) corrupts a copy
+
+    @cached_property
+    def r_matrix(self) -> dict:
+        """The r-matrix by both routes with their comparison
+        (`bialgebra.r_matrix`); its bivectors are read-only."""
+        from .bialgebra import r_matrix
+
+        out = r_matrix(self)
+        for route in ("route_a", "route_b"):
+            out[route].coeffs.setflags(write=False)
+        return out
+
+    @cached_property
+    def gprime_half(self) -> np.ndarray:
+        """The matrices of g' = sigma(k0) (+) k (`manin.gprime_half`) as one
+        read-only stack."""
+        from .manin import gprime_half
+
+        out = np.array(gprime_half(self))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def gstar_g_pairing(self) -> np.ndarray:
+        """Im-trace pairing of the gstar basis (rows) with the g basis (columns)."""
+        out = trace_gram(self.gstar.realization, self.g.realization, IM_TRACE)
+        out.setflags(write=False)
+        return out
 
 
 def _su_p1_matrices(p: int):

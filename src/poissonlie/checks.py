@@ -165,7 +165,7 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
 
 @_register("coboundary", "r_scale_2", ENTRY)
 def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    rm = bi.r_matrix(entry)
+    rm = entry.r_matrix
     resid = bi.check_coboundary(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
     return {"max_residual": resid,
             "details": {"route_difference": rm["difference"],
@@ -223,7 +223,7 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     dg = mn.cobracket_on_gstar(entry, list(entry.g.realization))
-    dgp = mn.cobracket_on_gstar(entry, mn.gprime_half(entry))
+    dgp = mn.cobracket_on_gstar(entry, entry.gprime_half)
     rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
                          s_scale=2.0 if corrupted else 1.0, delta_g=dg, delta_gp=dgp)
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
@@ -389,7 +389,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
                  "the defining pairing forces 2 (both computation routes agree); "
                  "compared against the corrected table")})
 
-    rm = bi.r_matrix(entry)
+    rm = entry.r_matrix
     out.append({"table": "r-matrix", "sign": rm["relative_sign"],
                 "residual": rm["difference"],
                 "note": "z.delta(z) versus the Cartan-projection sum formula"})

@@ -14,6 +14,13 @@ whole stack of elements and exponentiate all word factors in one call of
 `adjoint_matrices` conjugates the realization by every matrix of a stack and
 re-expands all of it in one least-squares solve, and a stack that needs both
 Ad(a) and Ad(a^{-1}) gets them from one such pass (`coadjoint_matrix`).  The
+pass is row-major: the real row of every conjugated matrix, one per (element,
+basis matrix), is written straight from the products, the solver re-expands
+all rows with one matmul (`MatrixBasisSolver.solve_each`), and row
+(element, j) of its coordinates is column j of Ad.  Ad*_a restricted to b0,
+which eta, adE, e_mul and the invariance residual all read, is projected
+once per element and cached read-only next to Ad
+(`MatchedPair.coadjoint_on_b0`).  The
 random numbers are drawn in the order of one-at-a-time sampling (per element:
 v, then the word length, then the factors), so a seed selects the same
 elements either way.  Every element of a stack, and its inverse, passes the
@@ -30,10 +37,12 @@ from .config import FD_STEP
 from .linalg import Rng, expm, finite_diff
 from .matched import MatchedPair
 
-#: Samples per stacked block in the sampled checks.  On su41 at 1000 samples,
-#: cocycle plus invariance took 1.0, 0.9 and 1.0 s with blocks of 16, 64 and
-#: 256 samples while peak memory grew by 3, 9 and 29 MB, so blocks stay small.
-SAMPLE_BLOCK = 16
+#: Samples per stacked block in the sampled checks; reports do not depend on
+#: it.  With `benchmarks/run.py --seconds 10` at seed 42 on a 2-vCPU VM (median
+#: of three runs), blocks of 32 instead of 16 took the `sampled` workload from
+#: 0.83 to 0.70 s a pass and its slowest call (su41) from 0.37 to 0.34 s, and
+#: raised its peak RSS from 66.4 to 68.6 MB (`imported`: 66.0 to 68.0 MB).
+SAMPLE_BLOCK = 32
 
 #: Largest re-expansion residual and b-leak of Ad(a) for a in B.
 _MEMBERSHIP_TOL = 1e-7
@@ -61,10 +70,13 @@ class GroupElement:
         _require(dets >= _SINGULAR_DET, dets, "is singular or not finite", "|det|")
         object.__setattr__(self, "matrix", m)
         self._ad = None
+        self._coad_b0 = None    # Ad*_a on b0, filled by `MatchedPair.coadjoint_on_b0`
         self._inv = None
 
     def __getitem__(self, idx) -> "GroupElement":
-        """The element or sub-stack of a stack at `idx`; its Ad is not carried over."""
+        """The element or sub-stack of a stack at `idx`.  Its Ad, Ad*|b0 and
+        inverse are not carried over: as views they would keep the whole
+        stack's arrays alive as long as the slice."""
         return GroupElement(self.pair, self.matrix[idx])
 
     def inverse(self) -> "GroupElement":
@@ -135,17 +147,27 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
     def per_element(values):   # np.max keeps a NaN of either half
         return values.max(axis=0) if pairs else values
 
-    # a R_j a^{-1} for every j as two matmuls per element: rows (i, j) of a [R_0 .. R_n-1]
+    # a R_j a^{-1} for every j as one matmul of the whole stack, rows (e, i) of
+    # a [R_0 .. R_n-1], then one per element by a^{-1}
     wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
-    conjugated = (flat @ wide).reshape(count, d * n, d) @ invs.reshape(-1, d, d)
-    conjugated = conjugated.reshape(count, d, n, d).transpose(0, 2, 1, 3)
-    coords, resids = g._solver.solve_each(conjugated.reshape(count * n, d, d))
+    conjugated = ((flat.reshape(count * d, d) @ wide).reshape(count, d * n, d)
+                  @ invs.reshape(-1, d, d)).reshape(count, d, n, d)
+    # the solver's real row of each a R_j a^{-1}, in (element, j) order,
+    # written straight from the products
+    rows = np.empty((count, n, 2, d, d))
+    rows[:, :, 0] = conjugated.real.transpose(0, 2, 1, 3)
+    rows[:, :, 1] = conjugated.imag.transpose(0, 2, 1, 3)
+    coords, resids = g._solver.solve_each(rows.reshape(count * n, 2 * d * d))
     resid = per_element(resids.reshape(count, n).max(axis=1).reshape(lead))
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
-    ad = np.ascontiguousarray(coords.reshape(n, count, n).transpose(1, 0, 2))
-    ad = ad.reshape(lead + (n, n))
-    leak = per_element(np.abs(mp._T_inv @ ad @ mp._B)[..., mp.dim_b:, :].max(axis=(-2, -1)))
+    # row (element, j) of the coordinates is column j of Ad(a).  Ad is kept
+    # C-ordered: eta0's vector-matrix products take the BLAS path of their
+    # operand's layout, and a transposed view would move the last bits of the
+    # sampled residuals
+    ad = np.ascontiguousarray(np.moveaxis(coords.T.reshape((n,) + lead + (n,)), 0, -2))
+    # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
+    leak = per_element(np.abs(mp._T_inv[mp.dim_b:] @ ad @ mp._B).max(axis=(-2, -1)))
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
     return ad
 

@@ -64,23 +64,35 @@ class MatrixBasisSolver:
         # Partial pivoting on an upper-triangular R swaps no rows and updates
         # only zeros, so the LU solve is the triangular back-substitution and
         # gives the same bits.  The operator is kept Fortran-ordered, as the
-        # triangular solver returned it: with a C-ordered operator `_pinv @ v`
-        # takes another BLAS path and the coordinates differ in the last bit.
+        # triangular solver returned it, and multiplies the rows from the
+        # left as `_pinv @ rows.T`: neither operand is copied, and BLAS sums
+        # in the same order for every size.  A C-ordered operator, or the
+        # transposed product `rows @ _pinv.T`, takes another BLAS path and
+        # moves the last bit of some coordinates (su(5,1), su(7,1)).
         q, r = np.linalg.qr(self._basis)
         self._pinv = np.asfortranarray(np.linalg.solve(r, q.T))
 
+    def rows_of(self, mats: np.ndarray) -> np.ndarray:
+        """The real rows of a (count, m, m) stack of matrices, shape (count, 2 m^2):
+        real parts, then imaginary parts, as the basis is laid out."""
+        stack = np.asarray(mats, dtype=complex).reshape(len(mats), self.stack[0].size)
+        return np.concatenate([stack.real, stack.imag], axis=1)
+
     def solve_many(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
         """Batch re-expansion: mats has shape (count, m, m); returns
-        (coords with shape (n, count), worst residual)."""
-        coords, resids = self.solve_each(mats)
+        (coords with shape (count, n), one row per matrix, worst residual)."""
+        coords, resids = self.solve_each(self.rows_of(mats))
         return coords, float(np.max(resids, initial=0.0))
 
-    def solve_each(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Like `solve_many`, with the residual of each matrix separately."""
-        stack = np.asarray(mats, dtype=complex).reshape(len(mats), self.stack[0].size)
-        v = np.concatenate([stack.real, stack.imag], axis=1).T
-        coords = self._pinv @ v
-        return coords, np.max(np.abs(self._basis @ coords - v), axis=0)
+    def solve_each(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Re-expansion of matrices given as real rows (`rows_of`), with the
+        residual of each: coordinates come out as rows too, of the
+        Fortran-ordered (count, n) transpose of the product.  The residual
+        max |B coords - row| is formed in place, one column per matrix."""
+        product = self._pinv @ rows.T
+        resid = self._basis @ product
+        resid -= rows.T
+        return product.T, np.abs(resid, out=resid).max(axis=0)
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
         """sum_i coords[..., i] * mats[i]; a stack of coordinate rows gives a stack."""
@@ -173,7 +185,7 @@ class LieAlgebra:
                 self._solver = MatrixBasisSolver(self.realization)
                 i, j, comms = pair_commutators(self.realization)
                 coords, resid = self._solver.solve_many(comms)
-                self._residual = worst(resid, np.max(np.abs(coords.T - c[i, j]), initial=0.0))
+                self._residual = worst(resid, np.max(np.abs(coords - c[i, j]), initial=0.0))
             if not self._residual <= ALGEBRAIC_TOL:
                 raise ValueError(f"realization inconsistent with structure constants: "
                                  f"{self._residual:.3e}")
@@ -210,7 +222,7 @@ class LieAlgebra:
         coords, resid = self._solver.solve_many(mat.reshape((-1,) + mat.shape[-2:]))
         if not resid <= tol:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
-        return coords.T.reshape(mat.shape[:-2] + (self.dim,))
+        return coords.reshape(mat.shape[:-2] + (self.dim,))
 
     def realization_residual(self) -> float:
         """Max mismatch between the matrix commutators and the structure
@@ -259,15 +271,15 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
     solver = MatrixBasisSolver(mats)
     n = len(mats)
     i, j, comms = pair_commutators(mats)
-    coords, resids = solver.solve_each(comms)
+    coords, resids = solver.solve_each(solver.rows_of(comms))
     span = float(np.max(resids, initial=0.0))
     if not span <= ALGEBRAIC_TOL:
         bad = int(np.argmax(resids))   # the first NaN, if any
         raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
                          f"(residual {resids[bad]:.3e})")
     structure = np.zeros((n, n, n))
-    structure[i, j] = coords.T
-    structure[j, i] = -coords.T
+    structure[i, j] = coords
+    structure[j, i] = -coords
     return LieAlgebra(BasedSpace.make(labels), structure, realization=list(mats),
                       pairing=pairing, _solver=solver, _residual=span)
 

@@ -68,7 +68,7 @@ def gprime_half(entry) -> list[np.ndarray]:
 def gprime_algebra(entry) -> LieAlgebra:
     """gprime as a realized algebra: the re-expansion that checks its closure
     is its table in the (sigma psi, x) basis."""
-    half = gprime_half(entry)
+    half = entry.gprime_half
     return from_realization([f"s{i}" for i in range(len(half))], half)
 
 
@@ -192,11 +192,6 @@ def _form_dual_in_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
     return np.linalg.solve(pair.T, np.eye(gs.dim))
 
 
-def _pair_gs_g(entry) -> np.ndarray:
-    """Im-trace pairing of the gstar basis (rows) with the g basis (columns)."""
-    return trace_gram(entry.gstar.realization, entry.g.realization, IM_TRACE)
-
-
 def cobracket_on_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
     """delta_half on gstar: <delta(xi), X ^ Y> = <xi, [X, Y]_half> via Im trace,
     as one array delta[x, p, q] laid out like `bialgebra.delta_direct`."""
@@ -212,7 +207,7 @@ def cprime_residual(entry, delta_g: np.ndarray, delta_other: np.ndarray,
                     expected_sign: float) -> float:
     """Residual of (delta_g - delta_other)(xi) = sign * c'(xi) with
     <c'(xi), X ^ Y> = <xi, [P_p X, P_p Y]_g> for X, Y in the g basis."""
-    pair = _pair_gs_g(entry)
+    pair = entry.gstar_g_pairing
     p_proj = entry.cartan.projections["p"]       # column x: P_p of basis vector x
     # rhs[idx, x, y] = Im tr(xi_idx [P_p x, P_p y]_g)
     rhs = np.einsum("ax,by,abr,ir->ixy", p_proj, p_proj, entry.g.structure, pair,
@@ -263,7 +258,7 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
         onb = rotate @ onb
     ad_z = g.ad_matrix_coords(entry.z)
     p_of_basis = g.matrix_of(entry.cartan.projections["p"].T)   # P_p x for each basis x
-    pair = _pair_gs_g(entry)
+    pair = entry.gstar_g_pairing
 
     def flat(u_rows: np.ndarray) -> np.ndarray:
         # columns: xi in gstar with Im tr(xi x) = inner(u, P_p x) for all x in g
@@ -288,7 +283,7 @@ def twist_check(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0,
     if delta_g is None:
         delta_g = cobracket_on_gstar(entry, list(entry.g.realization))
     if delta_gp is None:
-        delta_gp = cobracket_on_gstar(entry, gprime_half(entry))
+        delta_gp = cobracket_on_gstar(entry, entry.gprime_half)
 
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))

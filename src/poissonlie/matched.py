@@ -162,10 +162,17 @@ class MatchedPair:
 
     def coadjoint_on_b0(self, a: "GroupElement") -> np.ndarray:
         """Matrix of Ad*_a restricted to b0, in the psi-basis; one per element
-        of a stack."""
+        of a stack.  Cached read-only on `a` when `a` belongs to this pair."""
         from .group import coadjoint_matrix
 
-        return self._Y.T @ coadjoint_matrix(self, a) @ self._Psi
+        own = a.pair is self
+        if own and a._coad_b0 is not None:
+            return a._coad_b0
+        out = self._Y.T @ coadjoint_matrix(self, a) @ self._Psi
+        if own:
+            out.setflags(write=False)
+            a._coad_b0 = out
+        return out
 
     def anchor(self, y: np.ndarray, a: "GroupElement") -> np.ndarray:
         """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates."""
@@ -197,10 +204,13 @@ class MatchedPair:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MatchedPair":
+        name = doc.get("name", "imported")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"name must be a nonempty string, got {name!r}")
         g = LieAlgebra.from_json_dict(doc["algebra"])
         b_rows, c_rows = (_basis_rows(doc[part], g.dim, part) for part in ("b", "c"))
         decomp = SubspaceDecomposition(g, {"b": b_rows, "c": c_rows})
-        return MatchedPair(doc.get("name", "imported"), g, decomp)
+        return MatchedPair(name, g, decomp)
 
     @staticmethod
     def from_json(text: str) -> "MatchedPair":

@@ -17,9 +17,13 @@ push) with t_2^{k1} moved through it in closed form,
 t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1}.  The product of two monomials is
 a block shifted by the left t_a power and the right mode; `mono_pairs` reads
 it for the one product of elements and tensors, and the semiclassical sweep
-gathers both orders of every monomial pair from the same blocks, a fixed
-number of pairs (`PAIR_CHUNK`) at a time, as dense arrays with NaN-propagating
-maxima.
+reads both orders of every monomial pair from the same blocks.  The sweep
+takes one step per unordered pair of (t_a, t_2)-power classes: it stacks the
+class pair's blocks once over the modes of the left factor and forms AB - BA
+for all its mode pairs by indexing that axis, as dense arrays with
+NaN-propagating maxima.  A step holds at most
+(2 maxmode + 1)^2 (maxdeg + 1)^2 (2 w maxdeg + 1) complex numbers, w the
+anchor's mode reach: 1.15 MB on the (4, 6) grid of the circle pair (w = 2).
 
 Conventions recorded in the report: the self-adjointness factor i of the
 unbounded-multiplier picture is dropped, so [t_y, f] = X'_y(f) matches the
@@ -40,10 +44,6 @@ from .matched import MatchedPair
 from .poisson import anchor_trig, circle_parameter_checks
 
 _EPS = 1e-12
-
-#: monomial pairs per step of the semiclassical sweep: fixed, so the sweep's
-#: memory does not grow with the grid
-PAIR_CHUNK = 256
 
 Key = tuple[int, int, int]  # (t_a power, t_2 power, Fourier mode)
 
@@ -276,49 +276,46 @@ def poisson_sym(alg: CrossedAlgebra, s1: SymElement, s2: SymElement) -> SymEleme
     return SymElement({k: v for k, v in out.items() if abs(v) > _EPS})
 
 
-def _pair_residuals(lam: float, rows: np.ndarray, row_of: np.ndarray, xprime: np.ndarray,
-                    a: np.ndarray, b: np.ndarray, maxmode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading-order residual and sub-leading mass of each pair (a[i], b[i]).
+def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[int, int],
+                          right: tuple[int, int], na: np.ndarray,
+                          nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading-order residual and sub-leading mass of the pairs
+    A = t_a^ma t_2^ka e^{i n_A phi}, B = t_a^mb t_2^kb e^{i n_B phi} with
+    n_A = na[i] - maxmode and n_B = nb[i] - maxmode, for every i.
 
-    `rows[row_of[k1, q, m2, k2, j, kk]]` is cell (j, kk) of core(k1, q, m2, k2)
-    on the sweep's mode window; cells outside the block, and the last row and
-    column, map to the zero row.  [A, B] = AB - BA is read from the blocks
-    into a frame whose cell (u, v) is the monomial
-    t_a^{min m + u} t_2^{min k + v} e^{i(n_A + n_B + r) phi}; {A, B} is
-    subtracted in its top degree d_A + d_B - 1, and the rest is the O(h) tail."""
-    (ma, ka, na), (mb, kb, nb) = a.T, b.T
-    size, modes = row_of.shape[2], row_of.shape[1]
-    m_lo, k_lo = np.minimum(ma, mb), np.minimum(ka, kb)
-    m_hi, k_hi = np.maximum(ma, mb), np.maximum(ka, kb)
-    cell = np.arange(size)
-    row_of = row_of.reshape(-1)   # one entry per (block, j, kk)
+    Each order of product is stacked once over the modes of its left factor,
+    AB from core(ka, n_A, mb, kb) and BA from core(kb, n_B, ma, ka), and
+    [A, B] = AB - BA is read for every mode pair by indexing that axis.  The
+    frame's cell (u, v) is the monomial t_a^{min m + u} t_2^{min k + v}
+    e^{i(n_A + n_B + r) phi}; {A, B} is subtracted in its top degree
+    ma + ka + mb + kb - 1, and the rest is the O(h) tail."""
+    (ma, ka), (mb, kb) = left, right
+    modes, width = xprime.shape[1:]
+    span, w = width // 2, alg._w
+    m_lo, k_lo, m_hi, k_hi = min(ma, mb), min(ka, kb), max(ma, mb), max(ka, kb)
+    maxmode = modes // 2
 
-    def product(m, k, n, m2, k2):
-        """t_a^m t_2^k e^{in phi} times t_a^{m2} t_2^{k2} on the frame."""
-        block = ((k * modes + n + maxmode) * size + m2) * size + k2
-        j = (m_lo - m)[:, None] + cell
-        kk = (k_lo - k)[:, None] + cell
-        j[j < 0] = size   # the zero row
-        kk[kk < 0] = size
-        return rows.take(row_of.take(((block[:, None] * (size + 1) + j) * (size + 1))[:, :, None]
-                                     + kk[:, None, :]), axis=0)
+    def products(m: int, k: int, m2: int, k2: int) -> np.ndarray:
+        """t_a^m t_2^k e^{iq phi} times t_a^{m2} t_2^{k2}, for every mode q."""
+        out = np.zeros((modes, m_hi + 1, k_hi + 1, width), dtype=complex)
+        pad = span - w * (m2 + k2)
+        out[:, m - m_lo:m - m_lo + m2 + 1, k - k_lo:k - k_lo + k2 + 1, pad:width - pad] = \
+            np.stack([alg._block(k, q, m2, k2) for q in range(-maxmode, maxmode + 1)])
+        return out
 
-    comm = product(ma, ka, na, mb, kb) - product(mb, kb, nb, ma, ka)
+    comm = products(ma, ka, mb, kb)[na] - products(mb, kb, ma, ka)[nb]
     # {y_a, y_2} = lam y_2 and {y, f} = X'_y f, in the order poisson_sym adds them
-    span = comm.shape[-1] // 2
-    bracket = np.zeros((len(a), 2 * span + 1), dtype=complex)
-    bracket[:, span] = lam * (ma * kb - ka * mb)
-    on_a, on_b = xprime[:, na + maxmode], xprime[:, nb + maxmode]
-    want_a = (bracket + ma[:, None] * on_b[0]) - mb[:, None] * on_a[0]
-    want_2 = ka[:, None] * on_b[1] - kb[:, None] * on_a[1]
+    bracket = np.zeros(width, dtype=complex)
+    bracket[span] = alg.lam * (ma * kb - ka * mb)
+    want_a = (bracket + ma * xprime[0, nb]) - mb * xprime[0, na]
+    want_2 = ka * xprime[1, nb] - kb * xprime[1, na]
     for want in (want_a, want_2):
         want[np.abs(want) <= _EPS] = 0.0
-    pair = np.arange(len(a))
     # a clipped cell receives zeros: with no t_a (t_2) there is no y_a (y_2) term
-    comm[pair, np.maximum(m_hi - 1, 0), k_hi] -= want_a
-    comm[pair, m_hi, np.maximum(k_hi - 1, 0)] -= want_2
+    comm[:, max(m_hi - 1, 0), k_hi] -= want_a
+    comm[:, m_hi, max(k_hi - 1, 0)] -= want_2
     mag = np.abs(comm).max(axis=3)
-    top = np.add.outer(cell, cell) == (m_hi + k_hi - 1)[:, None, None]
+    top = np.add.outer(np.arange(m_hi + 1), np.arange(k_hi + 1)) == m_hi + k_hi - 1
     return (np.where(top, mag, 0.0).max(axis=(1, 2)),
             np.where(top, 0.0, mag).max(axis=(1, 2)))
 
@@ -332,45 +329,36 @@ def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> t
     The commutator of the plain quantizations, regraded in quantization units,
     must reproduce the Poisson bracket in its top degree; everything below is
     the O(h) tail (h^{d_top - d} per monomial of degree d).  [B, A] = -[A, B],
-    so unordered pairs suffice; both products of a pair are read from the
-    algebra's product blocks, PAIR_CHUNK pairs at a time."""
+    so unordered pairs suffice.  The sweep takes one step per unordered pair
+    of (t_a, t_2)-power classes, over all their mode pairs at once
+    (`_class_pair_residuals`), so its memory is bounded by the grid's degree
+    and mode range, not by its number of pairs."""
     if maxdeg < 1 or maxmode < 0:
         raise ValueError("maxdeg must be at least 1 and maxmode at least 0")
-    monos = np.array([(m, k, n) for m in range(maxdeg + 1) for k in range(maxdeg + 1 - m)
-                      for n in range(-maxmode, maxmode + 1)])
+    classes = [(m, k) for m in range(maxdeg + 1) for k in range(maxdeg + 1 - m)]
+    modes = 2 * maxmode + 1
+    monos = np.array([(m, k, n) for m, k in classes for n in range(-maxmode, maxmode + 1)])
     degree = monos[:, 0] + monos[:, 1]
     ia, ib = np.triu_indices(len(monos))
     keep = degree[ia] + degree[ib] >= 1
-    a, b = monos[ia[keep]], monos[ib[keep]]
-    # the grid's blocks as rows on one mode window, one per cell a block has,
-    # in (k1, q, m2, k2, j, kk) order, and the row of every such index; row 0
-    # is zero and stands for the cells a product does not reach.  A dense
-    # (k1, q, m2, k2, j, kk) array would hold 13x the rows (16 MB at degree 4).
-    w, span, size, modes = alg._w, alg._w * maxdeg, maxdeg + 1, 2 * maxmode + 1
-    m, k, j, kk = np.ogrid[:size, :size, :size + 1, :size + 1]   # (m2, k2, j, kk)
-    has = (m + k <= maxdeg) & (j <= m) & (kk <= k)
-    row_of = np.zeros((size, modes) + has.shape, dtype=np.intp)
-    row_of[:, :, has] = np.arange(1, 1 + size * modes * int(has.sum())).reshape(size, modes, -1)
-    rows = np.zeros((1 + row_of.max(), 2 * span + 1), dtype=complex)
-    top = 1
-    for k1 in range(size):
-        for q in range(-maxmode, maxmode + 1):
-            for m2 in range(size):
-                for k2 in range(size - m2):
-                    pad, n = span - w * (m2 + k2), (m2 + 1) * (k2 + 1)
-                    rows[top:top + n, pad:2 * span + 1 - pad] = \
-                        alg._block(k1, q, m2, k2).reshape(n, -1)
-                    top += n
-    # X'_y(e^{iq phi}) for y = a, 2 on the same window
+    # X'_y(e^{iq phi}) for y = a, 2 on the sweep's mode window
+    span = alg._w * maxdeg
     xprime = np.zeros((2, modes, 2 * span + 1), dtype=complex)
     for gen in range(2):
         for q in range(-maxmode, maxmode + 1):
             for mode, c in alg.xprime_mode(gen, q).items():
                 xprime[gen, q + maxmode, mode - q + span] = c
-    lead, tail = zip(*(_pair_residuals(alg.lam, rows, row_of, xprime, a[i:i + PAIR_CHUNK],
-                                       b[i:i + PAIR_CHUNK], maxmode)
-                       for i in range(0, len(a), PAIR_CHUNK)))
-    return a, b, np.concatenate(lead), np.concatenate(tail)
+    # lead and tail of monomial pair (i, j), i <= j, at [i, j]
+    lead, tail = np.zeros((2,) + (len(monos),) * 2)
+    all_pairs = np.indices((modes, modes)).reshape(2, -1)
+    for ca, cb in zip(*np.triu_indices(len(classes))):
+        if sum(classes[ca]) + sum(classes[cb]) == 0:
+            continue
+        na, nb = np.triu_indices(modes) if ca == cb else all_pairs
+        at = (ca * modes + na, cb * modes + nb)
+        lead[at], tail[at] = _class_pair_residuals(alg, xprime, classes[ca], classes[cb],
+                                                   na, nb)
+    return monos[ia[keep]], monos[ib[keep]], lead[ia[keep], ib[keep]], tail[ia[keep], ib[keep]]
 
 
 def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> dict:

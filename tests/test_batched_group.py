@@ -38,6 +38,8 @@ def e_element_from_json_dict(mp, doc) -> EElement:
 
 
 PAIRS = ("su21", "su31")
+#: the pairs of the Ad tests: su41's stacks are the sampled checks' largest
+AD_PAIRS = PAIRS + ("su41",)
 
 
 @pytest.fixture(scope="module", params=PAIRS)
@@ -59,9 +61,9 @@ def ref_group_element(mp, rng, max_word=3):
 def ref_adjoint(mp, mat):
     inv = np.linalg.inv(mat)
     conjugated = np.einsum("ij,njk,kl->nil", mat, np.array(mp.g.realization), inv)
-    ad, resid = mp.g._solver.solve_many(conjugated)
+    coords, resid = mp.g._solver.solve_many(conjugated)
     assert resid <= 1e-7
-    return ad
+    return coords.T
 
 
 def ref_eta_b(mp, g):
@@ -145,6 +147,7 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
 # -- stacked Ad, eta and adE ----------------------------------------------------
 
 
+@pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_adjoint_matrices_match_per_element(mp):
     mats = sample_group_matrices(mp, Rng(7), 37)
     ads = adjoint_matrices(mp, mats)
@@ -323,6 +326,7 @@ def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11
         mp.coadjoint_on_b0(GroupElement(mp, mats[4]))
 
 
+@pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_one_pass_fills_ad_of_a_and_of_its_inverse(mp):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
     coad = coadjoint_matrix(mp, a)
@@ -331,6 +335,29 @@ def test_one_pass_fills_ad_of_a_and_of_its_inverse(mp):
     assert np.max(np.abs(a.ad - adjoint_matrices(mp, a.matrix))) <= 1e-13
     ad_inv = adjoint_matrices(mp, a.inverse().matrix)
     assert np.max(np.abs(coad - np.swapaxes(ad_inv, 1, 2))) <= 1e-13
+
+
+def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
+    a = GroupElement(mp, sample_group_matrices(mp, Rng(10), 8))
+    k_mat = mp.coadjoint_on_b0(a)
+    # Y^T Ad(a^{-1})^T Psi from a fresh element, and from a separate pass over a^{-1}
+    fresh = mp._Y.T @ coadjoint_matrix(mp, GroupElement(mp, a.matrix)) @ mp._Psi
+    assert np.array_equal(k_mat, fresh)
+    ad_inv = adjoint_matrices(mp, np.linalg.inv(a.matrix))
+    assert np.max(np.abs(k_mat - mp._Y.T @ np.swapaxes(ad_inv, 1, 2) @ mp._Psi)) <= 1e-13
+    assert mp.coadjoint_on_b0(a) is k_mat
+    with pytest.raises(ValueError, match="read-only"):
+        k_mat[0, 0, 0] = 1.0
+    # a slice starts without it, and computes its own
+    assert a[2:5]._coad_b0 is None
+    assert np.array_equal(mp.coadjoint_on_b0(a[2:5]), k_mat[2:5])
+    # another pair object neither reads nor fills the cache of a
+    other = MatchedPair(mp.name, mp.g, mp.decomp)
+    b = GroupElement(mp, a.matrix)
+    b._coad_b0 = np.zeros_like(k_mat)
+    assert np.array_equal(other.coadjoint_on_b0(b), k_mat)
+    assert not b._coad_b0.any()
+    assert other.coadjoint_on_b0(a) is not k_mat
 
 
 def test_stack_with_a_near_singular_matrix_names_its_index(e11):

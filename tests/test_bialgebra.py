@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,45 @@ def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_pat
     count(cat, "normalize_z")
     assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
     assert calls == {"delta_direct": 1, "normalize_z": 1}
+
+
+def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path):
+    # the r-matrix (coboundary and the conventions report), g' (manin and
+    # twist) and the gstar-g pairing (the twist element and both c' residuals)
+    import poissonlie.catalog as cat
+    from poissonlie import cli
+
+    calls = {}
+    for name in ("r_matrix", "gprime_half", "gstar_g_pairing"):
+        build = getattr(cat.CatalogEntry, name).func
+
+        def counted(entry, build=build, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return build(entry)
+        prop = cached_property(counted)
+        prop.__set_name__(cat.CatalogEntry, name)
+        monkeypatch.setattr(cat.CatalogEntry, name, prop)
+    assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"r_matrix": 1, "gprime_half": 1, "gstar_g_pairing": 1}
+
+
+def test_entry_tables_read_only_and_untouched_by_knobs(e21):
+    from poissonlie.checks import REGISTRY
+    from poissonlie.manin import gprime_half
+
+    rm, half, pairing = e21.r_matrix, e21.gprime_half, e21.gstar_g_pairing
+    tables = (rm["route_a"].coeffs, rm["route_b"].coeffs, half, pairing)
+    before = [t.copy() for t in tables]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
+    for check in REGISTRY.values():
+        if check.applies(e21):
+            run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
+    assert e21.r_matrix is rm and e21.gprime_half is half and e21.gstar_g_pairing is pairing
+    for table, copy in zip(tables, before):
+        assert np.array_equal(table, copy)
+    fresh = r_matrix(e21)
+    assert np.array_equal(rm["route_b"].coeffs, fresh["route_b"].coeffs)
+    assert rm["difference"] == fresh["difference"]
+    assert np.array_equal(half, np.array(gprime_half(e21)))

@@ -326,6 +326,31 @@ def test_bad_import_index_or_pairing_exit_2(parts, pairing, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [[1, 2], 5, None, ""], ids=["list", "int", "null", "empty"])
+def test_bad_pair_name_exit_2(name, tmp_path, capsys):
+    doc = copy.deepcopy(_su11_doc())
+    doc["name"] = name
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--checks", "cocycle", "--samples", "2",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "name must be a nonempty string" in err
+    assert "Traceback" not in err
+
+
+def test_missing_pair_name_reads_imported(tmp_path):
+    doc = copy.deepcopy(_su11_doc())
+    del doc["name"]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", str(path), "--checks", "cocycle", "--samples", "2",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["pair"] == "imported"
+
+
 def test_non_utf8_pair_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe\x00bad")

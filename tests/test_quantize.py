@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonlie import quantize, trig
+from poissonlie import trig
 from poissonlie.catalog import su11
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
@@ -262,15 +262,6 @@ def test_sweep_matches_per_pair_reference(correction, maxdeg, maxmode):
         ref_lead, ref_tail = reference_pair_residuals(alg_, ka, kb)
         assert lead[i] == ref_lead, (ka, kb)
         assert abs(tail[i] - ref_tail) <= 1e-13 * max(ref_tail, 1.0), (ka, kb)
-
-
-@pytest.mark.parametrize("chunk", [1, 1000])
-def test_sweep_independent_of_chunk(alg, monkeypatch, chunk):
-    # 1000 does not divide the 19,019 pairs of the (4, 6) grid
-    full = semiclassical_residuals(alg, 4, 6)
-    monkeypatch.setattr(quantize, "PAIR_CHUNK", chunk)
-    for got, want in zip(semiclassical_residuals(alg, 4, 6), full):
-        np.testing.assert_array_equal(got, want)
 
 
 def test_verify_semiclassical_small(alg):
