@@ -23,7 +23,7 @@ from .config import Tolerances
 from .lie import jacobi_worst_at
 from .linalg import Rng, best_sign, worst, worst_at
 from .matched import MatchedPair
-from .group import SAMPLE_BLOCK, GroupElement, adjoint_matrix, exp_b, sample_group_matrices
+from .group import SAMPLE_BLOCK, GroupElement, exp_b, sample_group_matrices
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -113,12 +113,11 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
         ab = GroupElement(mp, sample_group_matrices(mp, rng, 2 * count))
         a, b = ab[0::2], ab[1::2]    # drawn as a, b, a, b, ...
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
-            prod = mp.coadjoint_on_b0(a) @ np.swapaxes(mp.action_on_c(a.inverse()), 1, 2)
+            prod = a.coad_b0 @ np.swapaxes(a.inverse().action_on_c, 1, 2)
             inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))
         else:
             inv.append(mp.invariance_residual(a))
-        hom.append(np.abs(mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b))
-                   .max(axis=(1, 2)))
+        hom.append(np.abs((a @ b).action_on_c - a.action_on_c @ b.action_on_c).max(axis=(1, 2)))
     inv_worst, inv_at = worst_at(np.hstack(inv))
     hom_worst, hom_at = worst_at(np.hstack(hom))
     resid, part = worst_at([inv_worst, hom_worst])
@@ -202,12 +201,12 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    scale = 2.0 if corrupted else 1.0
+    sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
     g_model = mn.g_structure_in_model_basis(entry)
     k = entry.mp.dim_c
-    plus, pp_in_k = mn.deform_bracket(g_model, k, +1.0, cocycle_scale=scale)
+    plus, pp_in_k = mn.deform_bracket(g_model, k, +sign)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
-    minus, _ = mn.deform_bracket(g_model, k, -1.0, cocycle_scale=scale)
+    minus, _ = mn.deform_bracket(g_model, k, -sign)
     eigs = mn.killing_eigenvalues(minus)
     neg_def = bool(np.max(eigs) < -tol.algebraic)
     zero, _ = mn.deform_bracket(g_model, k, 0.0)
@@ -339,7 +338,7 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
     to_complex[p - 1, 1] = 1.0
     to_complex[p - 1, 0] = 1j
     a = GroupElement(mp, sample_group_matrices(mp, rng, samples))
-    k_mats = mp.coadjoint_on_b0(a)
+    k_mats = a.coad_b0
     u = a.matrix[:, :p, :p]
     expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
     return worst_at(np.abs(to_complex @ k_mats - expect))[0]
@@ -438,9 +437,8 @@ def _xtilde_table_residual(entry) -> float:
     """Check ytilde(v, a) = <v, Ad_{a^{-1}} y> reproduces the displayed planar table."""
     mp = entry.mp
     out = 0.0
-    for phi in (0.3, 1.1, 2.5):
-        a_inv = exp_b(mp, np.array([1.0]), -phi)
-        ad = adjoint_matrix(mp, a_inv)
+    phis = np.array([0.3, 1.1, 2.5])
+    for phi, ad in zip(phis, exp_b(mp, np.array([1.0]), -phis).ad):
         vals = {}
         for (vi, name_v) in ((0, "P1"), (1, "P2")):
             w = mp.b0_to_gstar(np.eye(2)[vi])

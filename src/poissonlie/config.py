@@ -15,9 +15,9 @@ SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
 #: by the mathematics: a full `verify supq1 --p 8` passes every check in
-#: 23-25 s with 354 MB peak RSS (one BLAS thread, a 2-vCPU x86-64 machine),
-#: of which `manin` takes 8.7 s, mostly the Jacobi validation of the
-#: 160-dimensional complexification, and `uniqueness` 4.7 s.
+#: 19.7 s with 323 MB peak RSS (one BLAS thread, a 2-vCPU x86-64 machine),
+#: of which `manin` takes 8.9 s, mostly the Jacobi validation of the
+#: 160-dimensional complexification, and `uniqueness` 4.6 s.
 P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan

@@ -9,27 +9,29 @@ point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
 Sampling is stacked: `sample_group_matrices` and `sample_e_elements` draw a
-whole stack of elements and exponentiate all word factors in one call of
-`linalg.expm` (Pade-13 scaling and squaring, vectorized over the stack);
-`adjoint_matrices` conjugates the realization by every matrix of a stack and
-re-expands all of it in one least-squares solve, and a stack that needs both
-Ad(a) and Ad(a^{-1}) gets them from one such pass (`coadjoint_matrix`).  The
-pass is row-major: the real row of every conjugated matrix, one per (element,
-basis matrix), is written straight from the products, the solver re-expands
-all rows with one matmul (`MatrixBasisSolver.solve_each`), and row
-(element, j) of its coordinates is column j of Ad.  Ad*_a restricted to b0,
-which eta, adE, e_mul and the invariance residual all read, is projected
-once per element and cached read-only next to Ad
-(`MatchedPair.coadjoint_on_b0`).  The
-random numbers are drawn in the order of one-at-a-time sampling (per element:
-v, then the word length, then the factors), so a seed selects the same
-elements either way.  Every element of a stack, and its inverse, passes the
-same membership and leak validation as a single element.
+whole stack of elements, and `exp_b` takes a whole array of parameters; either
+way every exponential is one call of `linalg.expm` (Pade-13 scaling and
+squaring, vectorized over the stack).  The random numbers are drawn in the
+order of one-at-a-time sampling (per element: v, then the word length, then
+the factors), so a seed selects the same elements either way.
+
+A `GroupElement` owns its per-element tables, each built for the whole stack on
+first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
+`coad_b0` and `action_on_c`, its blocks on b0 and on c, which eta, adE, e_mul
+and the invariance residual read.  Ad of a stack is one pass, row-major: the
+real row of every conjugated matrix, one per (element, basis matrix), is
+written straight from the products, the solver re-expands all rows with one
+matmul (`MatrixBasisSolver.solve_each`), and row (element, j) of its
+coordinates is column j of Ad.  When neither Ad(a) nor Ad(a^{-1}) is known,
+reading Ad*(a) runs that pass once over [a, a^{-1}] and fills both.  Every
+element of a stack, and its inverse, passes the same membership and leak
+validation as a single element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +57,8 @@ _SINGULAR_DET = 1e-12
 @dataclass(eq=False)
 class GroupElement:
     """An element a of B as a (d, d) matrix, or a stack of elements as a
-    (count, d, d) array.  Products, inverses and Ad act elementwise on a
-    stack; Ad of a whole stack is one `adjoint_matrices` call, cached."""
+    (count, d, d) array.  Products, inverses and the tables act elementwise on
+    a stack; each table is built for the whole stack on first use, read-only."""
 
     pair: MatchedPair
     matrix: np.ndarray
@@ -70,13 +72,12 @@ class GroupElement:
         _require(dets >= _SINGULAR_DET, dets, "is singular or not finite", "|det|")
         object.__setattr__(self, "matrix", m)
         self._ad = None
-        self._coad_b0 = None    # Ad*_a on b0, filled by `MatchedPair.coadjoint_on_b0`
         self._inv = None
 
     def __getitem__(self, idx) -> "GroupElement":
-        """The element or sub-stack of a stack at `idx`.  Its Ad, Ad*|b0 and
-        inverse are not carried over: as views they would keep the whole
-        stack's arrays alive as long as the slice."""
+        """The element or sub-stack of a stack at `idx`.  Its tables and inverse
+        are not carried over: as views they would keep the whole stack's
+        arrays alive as long as the slice."""
         return GroupElement(self.pair, self.matrix[idx])
 
     def inverse(self) -> "GroupElement":
@@ -88,11 +89,48 @@ class GroupElement:
 
     @property
     def ad(self) -> np.ndarray:
-        """Ad(a) on g-coordinates, one per element of a stack; see `adjoint_matrix`."""
-        return adjoint_matrix(self.pair, self)
+        """Ad(a) on g-coordinates, (n, n) or (count, n, n), validated by
+        `_adjoint`."""
+        if self._ad is None:
+            self._ad = _adjoint(self.pair, self.matrix, np.linalg.inv(self.matrix))
+        return self._ad
+
+    @property
+    def coad(self) -> np.ndarray:
+        """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action; Ad(a^{-1})
+        is conjugation by the inverse matrix, held by `inverse()`.
+
+        When Ad(a) is not known yet either, one pass conjugates [a, a^{-1}] by
+        [a^{-1}, a] and fills both: eta, adE and the invariance residual need
+        both, so they read Ad*(a) first."""
+        a_inv = self.inverse()
+        if a_inv._ad is None:
+            if self._ad is None:
+                self._ad, a_inv._ad = _adjoint(self.pair, np.stack([self.matrix, a_inv.matrix]),
+                                               np.stack([a_inv.matrix, self.matrix]), pairs=True)
+            else:
+                a_inv._ad = _adjoint(self.pair, a_inv.matrix, self.matrix)
+        return np.swapaxes(a_inv._ad, -1, -2)
+
+    @cached_property
+    def coad_b0(self) -> np.ndarray:
+        """Ad*_a restricted to b0, in the psi-basis."""
+        mp = self.pair
+        return _read_only(mp._Y.T @ self.coad @ mp._Psi)
+
+    @cached_property
+    def action_on_c(self) -> np.ndarray:
+        """P_c Ad_a restricted to c, in the y-basis."""
+        mp = self.pair
+        return _read_only(mp._Psi.T @ self.ad @ mp._Y)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.pair, self.matrix @ other.matrix)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def identity_element(mp: MatchedPair) -> GroupElement:
@@ -100,13 +138,14 @@ def identity_element(mp: MatchedPair) -> GroupElement:
     return GroupElement(mp, np.eye(n, dtype=complex))
 
 
-def exp_b(mp: MatchedPair, xb: np.ndarray, t: float = 1.0) -> GroupElement:
+def exp_b(mp: MatchedPair, xb: np.ndarray, t: float | np.ndarray = 1.0) -> GroupElement:
     """exp(t X) for X given by b-basis coordinates, via `linalg.expm`
-    (Pade-13 scaling and squaring)."""
+    (Pade-13 scaling and squaring); an array of t gives a stack, one element
+    per entry."""
     if mp.g.realization is None:
         raise ValueError("matched pair has no matrix realization")
     x = mp.b_matrix_of(np.asarray(xb, dtype=float))
-    return GroupElement(mp, expm(t * x))
+    return GroupElement(mp, expm(np.asarray(t, dtype=float)[..., None, None] * x))
 
 
 def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> None:
@@ -121,21 +160,15 @@ def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> Non
         raise ValueError(f"{where} {problem} ({what} {np.atleast_1d(values)[i]:.3e})")
 
 
-def adjoint_matrices(mp: MatchedPair, mats: np.ndarray) -> np.ndarray:
+def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
+             pairs: bool = False) -> np.ndarray:
     """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
-    (count, d, d) stack, as an (n, n) or (count, n, n) array.
+    (count, d, d) stack, as a read-only (n, n) or (count, n, n) array, given
+    the inverses `invs`.
 
     Every element is validated: its conjugation of the realization must stay
     in the algebra and Ad(a) must preserve b; a NaN matrix fails the first
-    test.  All conjugated matrices are re-expanded by one least-squares solve."""
-    mats = np.asarray(mats, dtype=complex)
-    return _adjoint(mp, mats, np.linalg.inv(mats))
-
-
-def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
-             pairs: bool = False) -> np.ndarray:
-    """`adjoint_matrices` of `mats`, given their inverses `invs`.
-
+    test.  All conjugated matrices are re-expanded by one least-squares solve.
     With `pairs`, `mats` is [a, a^{-1}] and `invs` is [a^{-1}, a] along a first
     axis of two: an element and its inverse are validated together, and an
     offender is named by its index in a."""
@@ -169,32 +202,7 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
     # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
     leak = per_element(np.abs(mp._T_inv[mp.dim_b:] @ ad @ mp._B).max(axis=(-2, -1)))
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
-    return ad
-
-
-def adjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
-    """Ad(a), one per element of a stack, validated as in `adjoint_matrices`;
-    cached on `a`."""
-    if a._ad is None:
-        a._ad = adjoint_matrices(mp, a.matrix)
-    return a._ad
-
-
-def coadjoint_matrix(mp: MatchedPair, a: GroupElement) -> np.ndarray:
-    """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action; Ad(a^{-1}) is
-    conjugation by the inverse matrix, cached on `a.inverse()`.
-
-    When Ad(a) is not known yet either, one pass conjugates [a, a^{-1}] by
-    [a^{-1}, a] and fills both caches: eta, adE and the invariance residual
-    need both, so they ask for Ad*(a) first."""
-    a_inv = a.inverse()
-    if a_inv._ad is None:
-        if a._ad is None:
-            a._ad, a_inv._ad = _adjoint(mp, np.stack([a.matrix, a_inv.matrix]),
-                                        np.stack([a_inv.matrix, a.matrix]), pairs=True)
-        else:
-            a_inv._ad = _adjoint(mp, a_inv.matrix, a.matrix)
-    return np.swapaxes(a_inv._ad, -1, -2)
+    return _read_only(ad)
 
 
 @dataclass(eq=False)
@@ -241,13 +249,13 @@ def e_mul(g: EElement, h: EElement) -> EElement:
     if g.pair is not h.pair:
         raise ValueError("elements belong to different pairs")
     mp = g.pair
-    return EElement(mp, g.v + _act(mp.coadjoint_on_b0(g.a), h.v), g.a @ h.a)
+    return EElement(mp, g.v + _act(g.a.coad_b0, h.v), g.a @ h.a)
 
 
 def e_inv(g: EElement) -> EElement:
     mp = g.pair
     a_inv = g.a.inverse()
-    return EElement(mp, -_act(mp.coadjoint_on_b0(a_inv), g.v), a_inv)
+    return EElement(mp, -_act(a_inv.coad_b0, g.v), a_inv)
 
 
 def adE(g: EElement) -> np.ndarray:
@@ -260,7 +268,7 @@ def adE(g: EElement) -> np.ndarray:
     mp = g.pair
     k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
     lead = g.v.shape[:-1]
-    k_mat = mp.coadjoint_on_b0(g.a)           # first, so Ad_a comes from the same pass
+    k_mat = g.a.coad_b0                       # first, so Ad_a comes from the same pass
     z = g.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
     w = g.v @ mp._Psi.T                       # v in dual coordinates on g
     # <ad*(z)(w), y> = w([y, z]) = y^T cw z with cw[i, j] = w([e_i, e_j])

@@ -148,8 +148,7 @@ def phi_identification(entry) -> np.ndarray:
     return np.linalg.solve(gram.T, np.eye(k))
 
 
-def deform_bracket(table: np.ndarray, k: int, sign: float,
-                   cocycle_scale: float = 1.0) -> tuple[LieAlgebra, float]:
+def deform_bracket(table: np.ndarray, k: int, sign: float) -> tuple[LieAlgebra, float]:
     """Deformed bracket on the model p x| k:
     [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g).
 
@@ -160,7 +159,7 @@ def deform_bracket(table: np.ndarray, k: int, sign: float,
     M[u, u, u], which the table leaves out."""
     m = table.shape[0] - k
     c = np.zeros_like(table)
-    c[:k, :k, k:] = sign * cocycle_scale * table[:k, :k, k:]
+    c[:k, :k, k:] = sign * table[:k, :k, k:]
     c[k:, :k, :k] = table[k:, :k, :k]
     c[:k, k:, :k] = table[:k, k:, :k]
     c[k:, k:, k:] = table[k:, k:, k:]

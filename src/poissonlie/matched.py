@@ -1,5 +1,6 @@
 """Matched-pair data: g = b (+) c with projections, dual pair (y_i, psi^i), the
-induced group action on c and the trivialized anchor map.
+trivialized anchor map and the invariance residual.  The group elements own
+their Ad tables (`group.GroupElement`); this module reads them.
 
 The pair owns its tables, each built once on first use and read-only: the
 structure constants of g in the adapted basis (x_1..x_m, y_1..y_k) of b then c
@@ -155,40 +156,20 @@ class MatchedPair:
         m = self.dim_b
         return self.adapted[m:, m:, m:]
 
-    def action_on_c(self, a: "GroupElement") -> np.ndarray:
-        """Matrix of P_c Ad_a restricted to c, in the y-basis; one per element
-        of a stack."""
-        return self._Psi.T @ a.ad @ self._Y
-
-    def coadjoint_on_b0(self, a: "GroupElement") -> np.ndarray:
-        """Matrix of Ad*_a restricted to b0, in the psi-basis; one per element
-        of a stack.  Cached read-only on `a` when `a` belongs to this pair."""
-        from .group import coadjoint_matrix
-
-        own = a.pair is self
-        if own and a._coad_b0 is not None:
-            return a._coad_b0
-        out = self._Y.T @ coadjoint_matrix(self, a) @ self._Psi
-        if own:
-            out.setflags(write=False)
-            a._coad_b0 = out
-        return out
-
     def anchor(self, y: np.ndarray, a: "GroupElement") -> np.ndarray:
-        """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates."""
-        from .group import adjoint_matrix
-
+        """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates;
+        one row per element of a stack."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.g.dim,):
             raise ValueError("y must be given in g-coordinates")
         if not np.max(np.abs(self.decomp.project("c", y) - y)) <= ALGEBRAIC_TOL:
             raise ValueError("y is not in the c-part")
-        return self.b_coords(adjoint_matrix(self, a) @ y)
+        return (self._T_inv @ (a.ad @ y)[..., None])[..., :self.dim_b, 0]
 
     def invariance_residual(self, a: "GroupElement") -> "float | np.ndarray":
         """Residual of sum_i Ad*_a psi^i (x) P_c Ad_a y_i = sum_i psi^i (x) y_i;
         one per element of a stack."""
-        prod = self.coadjoint_on_b0(a) @ np.swapaxes(self.action_on_c(a), -1, -2)
+        prod = a.coad_b0 @ np.swapaxes(a.action_on_c, -1, -2)
         return np.abs(prod - np.eye(self.dim_c)).max(axis=(-2, -1))
 
     # -- serialization ----------------------------------------------------------

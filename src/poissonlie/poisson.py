@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (SAMPLE_BLOCK, EElement, adE, adjoint_matrix, e_element_to_json_dict,
-                    e_mul, exp_b, sample_e_elements)
+from .group import (SAMPLE_BLOCK, EElement, adE, e_element_to_json_dict, e_mul, exp_b,
+                    sample_e_elements)
 from .linalg import Bivector, Rng, worst_at
 from .matched import MatchedPair
 from .trig import TrigPoly, fit_trig
@@ -25,7 +25,7 @@ def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     For a stack of points `g` the Bivector holds one coefficient matrix per point."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
-    k_mat = mp.coadjoint_on_b0(g.a)     # first, so Ad_a comes from the same pass
+    k_mat = g.a.coad_b0                 # first, so Ad_a comes from the same pass
     u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
     val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
     coeffs = np.zeros(lead + (k + m, k + m))
@@ -36,7 +36,7 @@ def eta0(mp: MatchedPair, g: EElement) -> Bivector:
 def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
     """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; one per point of a stack, as `eta0`."""
     k, m = mp.dim_c, mp.dim_b
-    k_mat = mp.coadjoint_on_b0(g.a)
+    k_mat = g.a.coad_b0
     z = (mp._T_inv @ g.a.ad @ mp._Y)[..., :m, :]      # columns: b-coordinates of Ad_a y_i
     coeffs = np.zeros(g.v.shape[:-1] + (k + m, k + m))
     coeffs[..., :k, k:] = k_mat @ np.swapaxes(z, -1, -2)
@@ -58,8 +58,8 @@ def eta_alternative(mp: MatchedPair, g: EElement) -> Bivector:
     val = np.einsum("p,ijp->ij", w, table)
     coeffs = np.zeros((k + m, k + m))
     coeffs[:k, :k] = val
-    k_mat = mp.coadjoint_on_b0(g.a)
-    ad = adjoint_matrix(mp, g.a)
+    k_mat = g.a.coad_b0
+    ad = g.a.ad
     for i in range(k):
         x_b = mp.decomp.project("b", ad @ mp.y_basis[i])
         t_i = mp.gstar_to_b0(mp.g.coad_matrix_coords(x_b) @ w)
@@ -142,11 +142,8 @@ def anchor_trig(mp: MatchedPair, y_coords_in_y_basis, max_mode: int = 4,
     """Anchor coefficient alpha with a(X^L_y)(e^{i phi}) = alpha(phi) * J."""
     circle_parameter_checks(mp)
     y = mp._Y @ np.asarray(y_coords_in_y_basis, dtype=float)
-    vals = np.zeros(samples, dtype=complex)
-    for m in range(samples):
-        phi = 2.0 * np.pi * m / samples
-        vals[m] = mp.anchor(y, exp_b(mp, np.array([1.0]), phi))[0]
-    return fit_trig(vals, max_mode)
+    phi = 2.0 * np.pi * np.arange(samples) / samples
+    return fit_trig(mp.anchor(y, exp_b(mp, np.array([1.0]), phi))[:, 0], max_mode)
 
 
 def vector_field_on_base(mp: MatchedPair, y_coords, f: TrigPoly) -> TrigPoly:

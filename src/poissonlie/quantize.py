@@ -399,11 +399,8 @@ class Coproduct:
 
         self.alg = alg
         mp = alg.mp
-        vals = np.zeros((samples, 2, 2), dtype=complex)
-        for m in range(samples):
-            phi = 2.0 * np.pi * m / samples
-            a = exp_b(mp, np.array([1.0]), -phi if invert_action else phi)
-            vals[m] = mp.action_on_c(a)
+        phi = 2.0 * np.pi * np.arange(samples) / samples
+        vals = exp_b(mp, np.array([1.0]), -phi if invert_action else phi).action_on_c
         self.coeff = [[fit_trig(vals[:, j, i], max_mode) for i in range(2)]
                       for j in range(2)]
         self._gen_cache = [self._delta_generator(0), self._delta_generator(1)]

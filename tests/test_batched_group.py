@@ -12,9 +12,8 @@ import pytest
 from poissonlie.catalog import get_entry, su11
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, adE, adjoint_matrices,
-                              adjoint_matrix, coadjoint_matrix, e_inv, e_mul, exp_b,
-                              identity_element, sample_e_elements,
+from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _adjoint, adE, e_inv,
+                              e_mul, exp_b, identity_element, sample_e_elements,
                               sample_group_matrices)
 from poissonlie.linalg import Bivector, Rng
 from poissonlie.matched import MatchedPair
@@ -110,7 +109,7 @@ def ref_invariance(mp, samples, seed):
         a = sample_group_element(mp, rng)
         b = sample_group_element(mp, rng)
         inv.append(mp.invariance_residual(a))
-        diff = mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b)
+        diff = (a @ b).action_on_c - a.action_on_c @ b.action_on_c
         hom.append(np.max(np.abs(diff)))
     return max(inv), max(hom)
 
@@ -150,10 +149,25 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_adjoint_matrices_match_per_element(mp):
     mats = sample_group_matrices(mp, Rng(7), 37)
-    ads = adjoint_matrices(mp, mats)
+    ads = GroupElement(mp, mats).ad
     for mat, ad in zip(mats, ads):
-        assert np.max(np.abs(ad - adjoint_matrix(mp, GroupElement(mp, mat)))) <= 1e-13
+        assert np.max(np.abs(ad - GroupElement(mp, mat).ad)) <= 1e-13
         assert np.max(np.abs(ad - ref_adjoint(mp, mat))) <= 1e-13
+
+
+@pytest.mark.parametrize("mp", ("su11",) + PAIRS, indirect=True)
+def test_exp_b_of_a_parameter_array_is_the_stack_of_single_calls(mp):
+    x = Rng(11).uniform(-1.0, 1.0, mp.dim_b)
+    ts = np.linspace(-3.0, 3.0, 7)
+    stack = exp_b(mp, x, ts)
+    y = mp.y_basis[-1]
+    anchors = mp.anchor(y, stack)
+    assert anchors.shape == (len(ts), mp.dim_b)
+    for i, t in enumerate(ts):
+        one = exp_b(mp, x, t)
+        assert np.array_equal(stack.matrix[i], one.matrix)
+        assert np.max(np.abs(anchors[i] - mp.anchor(y, one))) <= 1e-13
+        assert np.max(np.abs(stack.action_on_c[i] - one.action_on_c)) <= 1e-13
 
 
 def test_stacked_eta_and_adE_match_per_element(mp):
@@ -178,19 +192,19 @@ def test_stacked_product_matches_e_mul(mp):
     g, h = gh[0::2], gh[1::2]
     prod, inv = e_mul(g, h), e_inv(g)
     assert prod.v.shape == (5, mp.dim_c) and prod.a.matrix.ndim == 3
-    coad = coadjoint_matrix(mp, g.a)
+    coad = g.a.coad
     for i in range(5):
         one = e_mul(g[i], h[i])
         assert np.max(np.abs(prod.v[i] - one.v)) <= 1e-13
         assert np.max(np.abs(prod.a.matrix[i] - one.a.matrix)) <= 1e-13
         assert np.max(np.abs(inv.v[i] - e_inv(g[i]).v)) <= 1e-13
-        assert np.max(np.abs(coad[i] - coadjoint_matrix(mp, g.a[i]))) <= 1e-13
+        assert np.max(np.abs(coad[i] - g.a[i].coad)) <= 1e-13
 
 
 def test_single_element_is_a_stack_without_its_axis(mp):
     g = sample_e_element(mp, Rng(10))
     assert g.v.shape == (mp.dim_c,) and g.a.matrix.ndim == 2
-    assert adjoint_matrix(mp, g.a).shape == (mp.g.dim, mp.g.dim)
+    assert g.a.ad.shape == (mp.g.dim, mp.g.dim)
     assert isinstance(mp.invariance_residual(g.a), float)
     one = sample_e_elements(mp, Rng(10), 1)
     assert np.array_equal(adE(one)[0], adE(g))
@@ -276,7 +290,7 @@ def test_invariance_witness_names_sample_and_part(mp):
     for _ in range(40):
         a = sample_group_element(mp, rng)
         sample_group_element(mp, rng)
-        prod = mp.coadjoint_on_b0(a) @ mp.action_on_c(a.inverse()).T
+        prod = a.coad_b0 @ a.inverse().action_on_c.T
         resids.append(np.max(np.abs(prod - np.eye(mp.dim_c))))
     assert details["worst_sample"] == int(np.argmax(resids))
 
@@ -296,24 +310,23 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
     mats = sample_group_matrices(mp, Rng(1), 6)
     mats[3] = bad
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
-        adjoint_matrices(mp, mats)
-    with pytest.raises(ValueError, match="element 3 of the stack"):
         GroupElement(mp, mats).ad
     # Ad(a) and Ad(a^{-1}) from one pass over the doubled stack: still index 3 of a
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
-        mp.coadjoint_on_b0(GroupElement(mp, mats))
+        GroupElement(mp, mats).coad_b0
 
 
 def test_stack_with_a_nan_matrix_raises(e11):
     mp = e11.mp
     mats = sample_group_matrices(mp, Rng(2), 5)
     mats[2, 0, 1] = np.nan
+    # the Ad pass rejects it on its own, behind the determinant check of the element
     with pytest.raises(ValueError, match=r"element 2 of the stack .*\(residual nan\)"):
-        adjoint_matrices(mp, mats)
+        _adjoint(mp, mats, np.linalg.inv(mats))
     with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
         GroupElement(mp, mats)
     with pytest.raises(ValueError, match=r"element 2 of the stack .*\(\|det\| nan\)"):
-        mp.coadjoint_on_b0(GroupElement(mp, mats))
+        GroupElement(mp, mats).coad_b0
 
 
 def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11):
@@ -321,43 +334,40 @@ def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11
     mats = sample_group_matrices(mp, Rng(2), 5)
     mats[4] = np.diag([2.0, 0.5])    # its conjugation leaves su(1,1)
     with pytest.raises(ValueError, match=r"element 4 of the stack leaves the algebra"):
-        mp.coadjoint_on_b0(GroupElement(mp, mats))
+        GroupElement(mp, mats).coad_b0
     with pytest.raises(ValueError, match=r"^group element leaves the algebra"):
-        mp.coadjoint_on_b0(GroupElement(mp, mats[4]))
+        GroupElement(mp, mats[4]).coad_b0
 
 
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_one_pass_fills_ad_of_a_and_of_its_inverse(mp):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
-    coad = coadjoint_matrix(mp, a)
+    coad = a.coad
     assert a._ad is not None and a.inverse()._ad is not None
     assert np.max(np.abs(a.ad @ a.inverse().ad - np.eye(mp.g.dim))) <= 1e-12
-    assert np.max(np.abs(a.ad - adjoint_matrices(mp, a.matrix))) <= 1e-13
-    ad_inv = adjoint_matrices(mp, a.inverse().matrix)
+    assert np.max(np.abs(a.ad - GroupElement(mp, a.matrix).ad)) <= 1e-13
+    ad_inv = GroupElement(mp, a.inverse().matrix).ad
     assert np.max(np.abs(coad - np.swapaxes(ad_inv, 1, 2))) <= 1e-13
 
 
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(10), 8))
-    k_mat = mp.coadjoint_on_b0(a)
+    k_mat = a.coad_b0
     # Y^T Ad(a^{-1})^T Psi from a fresh element, and from a separate pass over a^{-1}
-    fresh = mp._Y.T @ coadjoint_matrix(mp, GroupElement(mp, a.matrix)) @ mp._Psi
+    fresh = mp._Y.T @ GroupElement(mp, a.matrix).coad @ mp._Psi
     assert np.array_equal(k_mat, fresh)
-    ad_inv = adjoint_matrices(mp, np.linalg.inv(a.matrix))
+    ad_inv = GroupElement(mp, np.linalg.inv(a.matrix)).ad
     assert np.max(np.abs(k_mat - mp._Y.T @ np.swapaxes(ad_inv, 1, 2) @ mp._Psi)) <= 1e-13
-    assert mp.coadjoint_on_b0(a) is k_mat
-    with pytest.raises(ValueError, match="read-only"):
-        k_mat[0, 0, 0] = 1.0
+    assert a.coad_b0 is k_mat
+    # every table of the element is read-only
+    for table in (k_mat, a.ad, a.coad, a.action_on_c, a.inverse().ad):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
+    assert a.action_on_c is a.action_on_c
     # a slice starts without it, and computes its own
-    assert a[2:5]._coad_b0 is None
-    assert np.array_equal(mp.coadjoint_on_b0(a[2:5]), k_mat[2:5])
-    # another pair object neither reads nor fills the cache of a
-    other = MatchedPair(mp.name, mp.g, mp.decomp)
-    b = GroupElement(mp, a.matrix)
-    b._coad_b0 = np.zeros_like(k_mat)
-    assert np.array_equal(other.coadjoint_on_b0(b), k_mat)
-    assert not b._coad_b0.any()
-    assert other.coadjoint_on_b0(a) is not k_mat
+    part = a[2:5]
+    assert "coad_b0" not in vars(part) and part._ad is None
+    assert np.array_equal(part.coad_b0, k_mat[2:5])
 
 
 def test_stack_with_a_near_singular_matrix_names_its_index(e11):
@@ -379,6 +389,6 @@ def test_single_element_outside_b_still_rejected(e11):
     bad = GroupElement(e11.mp, np.array([[np.cosh(0.5), np.sinh(0.5)],
                                          [np.sinh(0.5), np.cosh(0.5)]]))
     with pytest.raises(ValueError, match="not in B"):
-        adjoint_matrix(e11.mp, bad)
+        bad.ad
     with pytest.raises(ValueError, match="not in B"):
         eta(e11.mp, EElement(e11.mp, np.zeros(2), bad))

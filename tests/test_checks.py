@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from poissonlie.catalog import get_entry
-from poissonlie.checks import REGISTRY, applicable_checks, run_check
+from poissonlie.catalog import get_entry, supq1
+from poissonlie.checks import CIRCLE, REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
@@ -78,3 +78,26 @@ def test_delta_sign_knob_trips_bialgebra_axioms(name):
                     corrupt="delta_sign_one_basis")
     assert rep["pass"] is False
     assert rep["details"]["cocycle_residual"] > 1.0
+
+
+#: pairs past su11 for the negative controls: the named catalog and the first
+#: su(p,1) past it
+CONTROL_PAIRS = ("su21", "su31", "su41", "supq1(5)")
+
+
+@pytest.fixture(scope="module")
+def control_entries():
+    return {name: supq1(5) if name == "supq1(5)" else get_entry(name) for name in CONTROL_PAIRS}
+
+
+@pytest.mark.parametrize("pair", CONTROL_PAIRS)
+@pytest.mark.parametrize("name", [c.name for c in REGISTRY.values() if c.scope != CIRCLE])
+def test_every_knob_fails_its_check_on_every_pair(control_entries, pair, name):
+    # the check passes on the pair, and its own knob makes it fail with a
+    # residual above its tolerance; the circle-only checks are covered on su11
+    entry = control_entries[pair]
+    knob = REGISTRY[name].knob
+    assert run_check(name, entry, 20, Rng(1), DEFAULT_TOL)["pass"] is True
+    rep = run_check(name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=knob)
+    assert rep["pass"] is False
+    assert rep["max_residual"] > rep["tolerance"], rep["max_residual"]

@@ -170,7 +170,7 @@ def test_deform_nan_p_part_fails_the_check(entries, monkeypatch):
 def test_deform_corrupted_cocycle_mismatch(entries):
     entry = entries[1]
     model = g_structure_in_model_basis(entry)
-    bad, _ = deform_bracket(model, entry.mp.dim_c, +1.0, cocycle_scale=2.0)
+    bad, _ = deform_bracket(model, entry.mp.dim_c, 2.0)
     assert np.max(np.abs(bad.structure - model)) > 1e-3
 
 

@@ -57,7 +57,7 @@ def test_canonical_tensor_basis_change_invariance(e11):
 
 def test_action_on_c_identity(e11):
     a = identity_element(e11.mp)
-    assert np.allclose(e11.mp.action_on_c(a), np.eye(2), atol=1e-12)
+    assert np.allclose(a.action_on_c, np.eye(2), atol=1e-12)
 
 
 def test_action_on_c_homomorphism(e11):
@@ -67,7 +67,7 @@ def test_action_on_c_homomorphism(e11):
     for _ in range(100):
         a = sample_group_element(mp, rng)
         b = sample_group_element(mp, rng)
-        diff = mp.action_on_c(a @ b) - mp.action_on_c(a) @ mp.action_on_c(b)
+        diff = (a @ b).action_on_c - a.action_on_c @ b.action_on_c
         worst = max(worst, np.max(np.abs(diff)))
     assert worst <= 1e-9
 
@@ -76,8 +76,8 @@ def test_duality_at_quarter_turn(e11):
     # <P_c Ad_a y, phi> = <y, Ad*_{a^{-1}} phi> at a = diag(e^{i pi/4}, e^{-i pi/4})
     mp = e11.mp
     a = exp_b(mp, np.array([np.pi / 4]))
-    c_mat = mp.action_on_c(a)
-    k_inv = mp.coadjoint_on_b0(a.inverse())
+    c_mat = a.action_on_c
+    k_inv = a.inverse().coad_b0
     assert np.max(np.abs(c_mat - k_inv.T)) <= 1e-12
 
 
