@@ -3,8 +3,10 @@ comparing this package's tables against the published displays.
 
 Each check is registered once, next to its function, with its name, its scope
 and a corruption knob that breaks exactly one ingredient, so the suites are
-demonstrably non-vacuous.  `run_check` alone decides a verdict: PASS means a
-finite residual within tolerance."""
+demonstrably non-vacuous.  A check function only names its sub-criteria: each
+residual once, and each yes/no side condition once.  `run_check` alone folds
+them and decides a verdict: PASS means every condition holds and the worst
+residual is finite and within tolerance."""
 
 from __future__ import annotations
 
@@ -70,10 +72,15 @@ def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
               corrupt: str | None = None) -> dict:
     """Run one check on a matched pair or catalog entry and decide its verdict.
 
-    A check function returns a dict with `max_residual` and `details`, plus
-    `samples` when it covered any and `veto` when a side condition failed; a
-    veto can turn a pass into a failure, never the reverse.  The verdict keys
-    are written here."""
+    A check function returns a dict with `residuals` (name -> residual, one
+    entry per sub-criterion), optionally `conditions` (name -> bool) and
+    `details` (witnesses, signs, condition numbers), and any further top-level
+    report keys, such as `samples`.  This is the only fold: `max_residual` is
+    the worst residual; `worst_criterion` names a NaN residual first, else the
+    first condition that fails, else the residual that sets `max_residual`;
+    `pass` means every condition holds and `max_residual` is finite and within
+    the check's tolerance.  The report's `details` lists the residuals, the
+    conditions and the details together."""
     check = REGISTRY.get(name)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
@@ -83,12 +90,16 @@ def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
         target = target.mp
     corrupted = corrupt == check.knob
     out = check.fn(target, samples, rng, tol, corrupted)
-    vetoed = out.pop("veto", False)
-    residual = out["max_residual"]
+    residuals = out.pop("residuals")
+    conditions = out.pop("conditions", {})
+    residual, at = worst_at(list(residuals.values()))
+    failed = [c for c, holds in conditions.items() if not holds]
+    criterion = failed[0] if failed and not math.isnan(residual) else list(residuals)[at]
     tolerance = check.tolerance(tol)
     out.update({"check": name, "samples": out.get("samples", 0), "corrupted": corrupted,
-                "tolerance": tolerance,
-                "pass": bool(not vetoed and math.isfinite(residual) and residual <= tolerance)})
+                "tolerance": tolerance, "max_residual": residual, "worst_criterion": criterion,
+                "details": residuals | conditions | out.get("details", {}),
+                "pass": bool(not failed and math.isfinite(residual) and residual <= tolerance)})
     return out
 
 
@@ -100,7 +111,8 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
         structure[0, 1, :] += 1e-3
         structure[1, 0, :] -= 1e-3
     resid, triple = jacobi_worst_at(structure)
-    return {"max_residual": resid, "details": {"dim": mp.g.dim, "worst_triple": list(triple)}}
+    return {"residuals": {"jacobi": resid},
+            "details": {"dim": mp.g.dim, "worst_triple": list(triple)}}
 
 
 @_register("invariance", "invariance_flip_action", REALIZATION)
@@ -118,13 +130,12 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
         else:
             inv.append(mp.invariance_residual(a))
         hom.append(np.abs((a @ b).action_on_c - a.action_on_c @ b.action_on_c).max(axis=(1, 2)))
-    inv_worst, inv_at = worst_at(np.hstack(inv))
-    hom_worst, hom_at = worst_at(np.hstack(hom))
-    resid, part = worst_at([inv_worst, hom_worst])
-    return {"max_residual": resid, "samples": samples,
-            "details": {"invariance": inv_worst, "action_homomorphism": hom_worst,
-                        "worst_sample": (inv_at, hom_at)[part],
-                        "worst_part": ("invariance", "action_homomorphism")[part]}}
+    inv, hom = np.hstack(inv), np.hstack(hom)
+    # the witness: the sample of the first worst entry over both parts, the
+    # invariance part first, so it lies in the part `worst_criterion` names
+    _, at = worst_at(np.concatenate([inv, hom]))
+    return {"residuals": {"invariance": worst_at(inv)[0], "action_homomorphism": worst_at(hom)[0]},
+            "samples": samples, "details": {"worst_sample": at % samples}}
 
 
 @_register("cocycle", "eta_b_sign", REALIZATION)
@@ -132,7 +143,7 @@ def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     sign = -1.0 if corrupted else 1.0
     rep = po.verify_cocycle(mp, samples, rng, eta_b_sign=sign)
     # the pair name, seed and witness elements make the run reproducible from the report
-    return {"max_residual": rep["max_residual"], "samples": samples,
+    return {"residuals": {"cocycle": rep["max_residual"]}, "samples": samples,
             "pair": rep["pair"], "seed": rep["seed"],
             "details": {"eta_b_sign": sign, **rep["witness"]}}
 
@@ -146,7 +157,8 @@ def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> d
         delta = delta.copy()
         delta[:k, :k, :k] *= -1.0
     resid = bi.delta_consistency_residual(mp, delta, step=tol.fd_step)
-    return {"max_residual": resid, "details": {"basis_vectors": mp.e_algebra.dim}}
+    return {"residuals": {"delta_consistency": resid},
+            "details": {"basis_vectors": mp.e_algebra.dim}}
 
 
 @_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
@@ -156,47 +168,40 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
         delta = delta.copy()
         delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > tol.algebraic)] *= -1.0
     co_jacobi, triple = bi.co_jacobi_worst_at(delta)
-    cocycle = bi.cocycle_1_residual(mp, delta)
-    return {"max_residual": worst(co_jacobi, cocycle),
-            "details": {"co_jacobi_residual": co_jacobi, "co_jacobi_worst_triple": list(triple),
-                        "cocycle_residual": cocycle}}
+    return {"residuals": {"co_jacobi_residual": co_jacobi,
+                          "cocycle_residual": bi.cocycle_1_residual(mp, delta)},
+            "details": {"co_jacobi_worst_triple": list(triple)}}
 
 
 @_register("coboundary", "r_scale_2", ENTRY)
 def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     rm = entry.r_matrix
     resid = bi.check_coboundary(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
-    return {"max_residual": resid,
-            "details": {"route_difference": rm["difference"],
-                        "route_sign": rm["relative_sign"],
-                        "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]}}
+    return {"residuals": {"coboundary": resid, "route_difference": rm["difference"],
+                          "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]},
+            "details": {"route_sign": rm["relative_sign"]}}
 
 
 @_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
 def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     rep = bi.check_r_uniqueness(entry.mp, svd_tol=tol.svd, drop_b0_rows=corrupted)
-    return {"max_residual": worst(rep["kernel_dim"], rep["generation_deficit"]), "details": rep}
+    return {"residuals": {key: rep.pop(key) for key in ("kernel_dim", "generation_deficit")},
+            "details": rep}
 
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
 def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     gprime = mn.gprime_algebra(entry)
-    details = mn.check_manin(mn.build_gc_algebra(entry),
-                             mn.gstar_algebra(entry, complex_diagonal=corrupted),
-                             {"g": entry.g, "gprime": gprime})
-    complementary = all(rep["complementarity_ok"] for rep in details.values())
-    resid = worst(*(rep[key] for rep in details.values()
-                    for key in ("isotropy_half_a", "isotropy_half_b", "closure_half_a",
-                                "closure_half_b", "form_invariance")),
-                  0.0 if complementary else 1.0)
-    k0_resid = mn.gstar_k0_abelian_residual(entry)
+    out = mn.check_manin(mn.build_gc_algebra(entry),
+                         mn.gstar_algebra(entry, complex_diagonal=corrupted),
+                         {"g": entry.g, "gprime": gprime})
     # gprime's table in the (sigma psi, x) basis against +/- that of e
     sign, transport = best_sign(gprime.structure, entry.mp.e_algebra.structure)
-    details["k0_abelian"] = k0_resid
-    details["gprime_transport"] = {"residual": transport, "sign": sign}
-    details["gprime_block"] = mn.gprime_block_residual(gprime, entry.mp.dim_c)
-    resid = worst(resid, k0_resid, transport, details["gprime_block"])
-    return {"max_residual": resid, "veto": not complementary, "details": details}
+    out["residuals"].update({"k0_abelian": mn.gstar_k0_abelian_residual(entry),
+                             "gprime_transport": transport,
+                             "gprime_block": mn.gprime_block_residual(gprime, entry.mp.dim_c)})
+    out["details"]["gprime_transport_sign"] = sign
+    return out
 
 
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
@@ -208,15 +213,12 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
     minus, _ = mn.deform_bracket(g_model, k, -sign)
     eigs = mn.killing_eigenvalues(minus)
-    neg_def = bool(np.max(eigs) < -tol.algebraic)
     zero, _ = mn.deform_bracket(g_model, k, 0.0)
     resid_zero = float(np.max(np.abs(zero.structure - entry.mp.e_algebra.structure)))
-    return {"max_residual": worst(pp_in_k, resid_plus, resid_zero, 0.0 if neg_def else 1.0),
-            "details": {"pp_in_k": pp_in_k,
-                        "plus_reproduces_g": resid_plus,
-                        "zero_reproduces_e": resid_zero,
-                        "minus_killing_max_eig": float(np.max(eigs)),
-                        "minus_negative_definite": neg_def}}
+    return {"residuals": {"pp_in_k": pp_in_k, "plus_reproduces_g": resid_plus,
+                          "zero_reproduces_e": resid_zero},
+            "conditions": {"minus_negative_definite": bool(np.max(eigs) < -tol.algebraic)},
+            "details": {"minus_killing_max_eig": float(np.max(eigs))}}
 
 
 @_register("twist", "twist_scale_2", ENTRY)
@@ -228,16 +230,11 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
+    # one residual, the co-Jacobi identity over all three cobrackets
     co_j = worst(*(bi.co_jacobi_worst_at(d)[0] for d in (dg, dgp, dgc)))
-    return {"max_residual": worst(rep["antisymmetry_residual"], rep["maurer_cartan_residual"],
-                                  rep["twist_relation_residual"], cprime_g, cprime_gc, co_j),
-            "details": {"antisymmetry": rep["antisymmetry_residual"],
-                        "maurer_cartan": rep["maurer_cartan_residual"],
-                        "twist_relation": rep["twist_relation_residual"],
-                        "cprime_g_minus_gprime": cprime_g,
-                        "cprime_gc_minus_gprime": cprime_gc,
-                        "co_jacobi_all_three": co_j,
-                        "inner_scale": tol.twist_inner_scale}}
+    return {"residuals": {**rep, "cprime_g_minus_gprime": cprime_g,
+                          "cprime_gc_minus_gprime": cprime_gc, "co_jacobi_all_three": co_j},
+            "details": {"inner_scale": tol.twist_inner_scale}}
 
 
 @_register("semiclassical", "drop_reorder_correction", CIRCLE)
@@ -250,15 +247,11 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
     gens = [alg.t_a(), alg.t_2(), alg.monomial(0, 0, 1), alg.monomial(0, 0, -1)]
     coassoc = worst(*(cop.coassociativity_residual(x) for x in gens))
     hom = worst(*(cop.homomorphism_residual(x, y) for x in gens for y in gens))
-    return {"max_residual": worst(rep["max_h0_residual"], rep["max_exact_case_residual"],
-                                  coassoc, hom),
+    return {"residuals": {"h0": rep["max_h0_residual"],
+                          "exact_cases": rep["max_exact_case_residual"],
+                          "coproduct_coassociativity": coassoc, "coproduct_homomorphism": hom},
             "samples": rep["pairs"],
-            "details": {"h0": rep["max_h0_residual"],
-                        "exact_cases": rep["max_exact_case_residual"],
-                        "maxdeg": maxdeg, "maxmode": maxmode,
-                        "worst_pair": rep["worst_pair"],
-                        "coproduct_coassociativity": coassoc,
-                        "coproduct_homomorphism": hom}}
+            "details": {"maxdeg": maxdeg, "maxmode": maxmode, "worst_pair": rep["worst_pair"]}}
 
 
 @_register("dual_families", "rho_sign", CIRCLE)
@@ -271,10 +264,8 @@ def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
     _, bracket3, _ = e2_dual_bracket_tables()
     scale = 2.0
     resid_scale = float(np.max(np.abs(reordered - scale * bracket3)))
-    return {"max_residual": worst(resid_rho, resid_scale),
-            "details": {"rho_intertwiner": resid_rho,
-                        "dual_vs_family3_scale": scale,
-                        "dual_vs_family3_residual": resid_scale}}
+    return {"residuals": {"rho_intertwiner": resid_rho, "dual_vs_family3_residual": resid_scale},
+            "details": {"dual_vs_family3_scale": scale}}
 
 
 # -- conventions report ---------------------------------------------------------

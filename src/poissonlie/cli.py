@@ -1,15 +1,16 @@
 """Command-line front end: build catalog pairs or import user pairs, run named
 verification suites with seeds and tolerances, and emit JSON plus a text summary.
 
-A check passes when its residual is finite and within its tolerance.  Exit
-codes: 0 all checks pass, 1 at least one check failed, 2 the imported pair
-could not be parsed or holds a NaN or inf, 64 invalid configuration (a usage
-error, unknown check, knob or pair, inapplicable check, an empty --checks list
-or one naming a check twice, a knob whose target check the run leaves out,
-negative seed, a NaN, infinite or negative tolerance, or an unwritable --out
-path), 70 internal error (traceback on stderr).  Reports are byte-identical
-across runs with the same configuration and seed, apart from the timestamp
-field."""
+A check passes when its side conditions hold and its worst residual is finite
+and within its tolerance; a failing line of the text summary names the
+sub-criterion that failed.  Exit codes: 0 all checks pass, 1 at least one
+check failed, 2 the imported pair could not be parsed or holds a NaN or inf,
+64 invalid configuration (a usage error, unknown check, knob or pair,
+inapplicable check, an empty --checks list or one naming a check twice, a knob
+whose target check the run leaves out, negative seed, a NaN, infinite or
+negative tolerance, or an unwritable --out path), 70 internal error (traceback
+on stderr).  Reports are byte-identical across runs with the same
+configuration and seed, apart from the timestamp field."""
 
 from __future__ import annotations
 
@@ -171,7 +172,8 @@ def text_summary(target, report: dict) -> str:
     for r in report["results"]:
         status = "PASS" if r["pass"] else "FAIL"
         lines.append(f"  [{status}] {r['check']:<18} residual {r['max_residual']:.3e}"
-                     f"  (tol {r['tolerance']:.1e}, samples {r.get('samples', 0)})")
+                     f"  (tol {r['tolerance']:.1e}, samples {r.get('samples', 0)})"
+                     + ("" if r["pass"] else f"  at {r['worst_criterion']}"))
     if report["conventions"]:
         lines.append("")
         lines.append("conventions vs published tables:")

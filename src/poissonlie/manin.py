@@ -81,41 +81,34 @@ def gc_compact_half(entry) -> list[np.ndarray]:
 
 def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra]) -> dict:
     """The triples (big, half, gstar), one per entry of `halves`, from one pass
-    per half: isotropy once for each half and for gstar, closure from the
-    re-expansion that realized each, complementarity once per triple, and
-    invariance of the form (the pairing of `big`) once.  Returns the axiom
-    residuals of each triple, keyed like `halves`; complementarity is a
-    yes/no side condition (`complementarity_ok`)."""
+    per half.  Returns, as a check does, `residuals`: isotropy and closure
+    (from the re-expansion that realized it) once for each half and for gstar
+    (`isotropy_<name>`, `closure_<name>`, gstar as `gstar`) and the invariance
+    of the form (the pairing of `big`) once; `conditions`: complementarity
+    once per triple (`complementary_<name>`); and `details`: the condition
+    number of each triple's joint basis (`complement_condition_<name>`)
+    where the dimensions add up."""
     form = big.pairing
-
-    def half_pass(alg: LieAlgebra) -> tuple[float, float]:
-        isotropy = float(np.max(np.abs(trace_gram(alg.realization, alg.realization, form))))
-        return isotropy, alg.realization_residual()
-
+    residuals, conditions, details = {}, {}, {}
+    for name, alg in (halves | {"gstar": gstar}).items():
+        gram = trace_gram(alg.realization, alg.realization, form)
+        residuals[f"isotropy_{name}"] = float(np.max(np.abs(gram)))
+        residuals[f"closure_{name}"] = alg.realization_residual()
     gram = trace_gram(big.realization, big.realization, form)
     # <[a,b],c> + <b,[a,c]>, as two matmuls of the flattened table
     n = big.dim
     flat = big.structure.reshape(n * n, n)
     inv = ((flat @ gram).reshape(n, n, n)
            + (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2))
-    form_invariance = float(np.max(np.abs(inv)))
-    isotropy_b, closure_b = half_pass(gstar)
-    out = {}
+    residuals["form_invariance"] = float(np.max(np.abs(inv)))
     for name, half in halves.items():
-        isotropy_a, closure_a = half_pass(half)
-        res = {"isotropy_half_a": isotropy_a, "closure_half_a": closure_a,
-               "isotropy_half_b": isotropy_b, "closure_half_b": closure_b}
-        dim_ok = half.dim + gstar.dim == big.dim
-        res["dimension_sum_ok"] = dim_ok
-        if dim_ok:
+        complementary = half.dim + gstar.dim == big.dim
+        if complementary:
             cond = float(np.linalg.cond(big.coords_of(half.realization + gstar.realization).T))
-            res["complement_condition"] = cond
-            res["complementarity_ok"] = bool(np.isfinite(cond) and cond < 1e8)
-        else:
-            res["complementarity_ok"] = False
-        res["form_invariance"] = form_invariance
-        out[name] = res
-    return out
+            details[f"complement_condition_{name}"] = cond
+            complementary = bool(np.isfinite(cond) and cond < 1e8)
+        conditions[f"complementary_{name}"] = complementary
+    return {"residuals": residuals, "conditions": conditions, "details": details}
 
 
 def gstar_k0_abelian_residual(entry) -> float:
@@ -291,7 +284,7 @@ def twist_check(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0,
     ad = np.transpose(gs.structure, (0, 2, 1))
     twisted = delta_gp + ad @ s.coeffs + s.coeffs @ gs.structure
     return {
-        "antisymmetry_residual": asym,
-        "maurer_cartan_residual": mc_residual,
-        "twist_relation_residual": float(np.max(np.abs(delta_g - twisted))),
+        "antisymmetry": asym,
+        "maurer_cartan": mc_residual,
+        "twist_relation": float(np.max(np.abs(delta_g - twisted))),
     }

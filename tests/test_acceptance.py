@@ -183,13 +183,10 @@ def test_criterion_09_manin_content():
     for p in (1, 2, 3):
         entry = supq1(p)
         worst = linalg_worst(worst, gstar_k0_abelian_residual(entry))
-        reps = check_manin(build_gc_algebra(entry), entry.gstar,
-                           {"g": entry.g, "gprime": gprime_algebra(entry)})
-        for rep in reps.values():
-            worst = linalg_worst(worst, rep["isotropy_half_a"], rep["isotropy_half_b"],
-                                 rep["closure_half_a"], rep["closure_half_b"],
-                                 rep["form_invariance"])
-            ok = ok and rep["complementarity_ok"]
+        rep = check_manin(build_gc_algebra(entry), entry.gstar,
+                          {"g": entry.g, "gprime": gprime_algebra(entry)})
+        worst = linalg_worst(worst, *rep["residuals"].values())
+        ok = ok and all(rep["conditions"].values())
         model = g_structure_in_model_basis(entry)
         plus, pp_in_k = deform_bracket(model, entry.mp.dim_c, +1.0)
         worst = linalg_worst(worst, pp_in_k, float(np.max(np.abs(plus.structure - model))))
@@ -197,8 +194,8 @@ def test_criterion_09_manin_content():
         ok = ok and bool(np.max(killing_eigenvalues(minus)) < 0)
     for p in (1, 2):
         rep = twist_check(supq1(p))
-        worst = linalg_worst(worst, rep["antisymmetry_residual"],
-                             rep["maurer_cartan_residual"], rep["twist_relation_residual"])
+        worst = linalg_worst(worst, rep["antisymmetry"], rep["maurer_cartan"],
+                             rep["twist_relation"])
     report(9, ok and worst <= 1e-9,
            f"dual-block commutativity, both Manin triples (p=1,2,3), bracket "
            f"deformations to g and the compact form, twist equation (p=1,2): "
@@ -271,7 +268,8 @@ def test_criterion_12_deterministic_reports(tmp_path):
 
 def test_reports_embed_required_metadata(tmp_path):
     # supporting requirement: version, PRNG, exponential method, tolerances and
-    # the conventions report are embedded in every run report
+    # the conventions report are embedded in every run report, and every result
+    # has the same keys, its failing sub-criterion named among its details
     path = tmp_path / "meta.json"
     out = subprocess.run([sys.executable, "-m", "poissonlie.cli", "verify", "su11",
                           "--checks", "jacobi", "--out", str(path)],
@@ -285,3 +283,7 @@ def test_reports_embed_required_metadata(tmp_path):
                                               "twist_inner_scale"}
     tables = {c["table"] for c in doc["conventions"]}
     assert "r-matrix" in tables and "quantization conventions" in tables
+    result, = doc["results"]
+    assert set(result) == {"check", "samples", "corrupted", "tolerance", "pass",
+                           "max_residual", "worst_criterion", "details"}
+    assert result["worst_criterion"] in result["details"]

@@ -238,7 +238,7 @@ def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):
     rep = run_check("invariance", mp, 40, Rng(42), DEFAULT_TOL)
     details = rep["details"]
     assert details["invariance"] == 0.0
-    assert details["worst_part"] == "action_homomorphism"
+    assert rep["worst_criterion"] == "action_homomorphism"
     assert rep["max_residual"] == details["action_homomorphism"] > 0.0
 
 
@@ -284,7 +284,7 @@ def test_cocycle_witness_reproduces_the_residual(mp):
 def test_invariance_witness_names_sample_and_part(mp):
     rep = run_check("invariance", mp, 40, Rng(4), DEFAULT_TOL, corrupt="invariance_flip_action")
     details = rep["details"]
-    assert details["worst_part"] == "invariance"
+    assert rep["worst_criterion"] == "invariance"
     rng = Rng(4)
     resids = []
     for _ in range(40):

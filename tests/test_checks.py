@@ -90,14 +90,106 @@ def control_entries():
     return {name: supq1(5) if name == "supq1(5)" else get_entry(name) for name in CONTROL_PAIRS}
 
 
+#: check -> the sub-criterion its knob trips: a residual within tolerance on
+#: the clean pair and above it under the knob, or a condition that turns false
+KNOB_CRITERIA = {
+    "jacobi": "jacobi",
+    "invariance": "invariance",
+    "cocycle": "cocycle",
+    "delta_consistency": "delta_consistency",
+    "bialgebra_axioms": "cocycle_residual",
+    "coboundary": "coboundary",
+    "uniqueness": "kernel_dim",
+    "manin": "isotropy_gstar",
+    "deform": "plus_reproduces_g",
+    "twist": "twist_relation",
+    "semiclassical": "h0",
+    "dual_families": "rho_intertwiner",
+}
+
+
+def _assert_knob_trips_its_criterion(name, entry):
+    criterion = KNOB_CRITERIA[name]
+    clean = run_check(name, entry, 20, Rng(1), DEFAULT_TOL)
+    rep = run_check(name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=REGISTRY[name].knob)
+    assert clean["pass"] is True and rep["pass"] is False
+    before, after = clean["details"][criterion], rep["details"][criterion]
+    if isinstance(before, bool):
+        assert before is True and after is False
+    else:
+        assert before <= clean["tolerance"] < after, (criterion, before, after)
+
+
 @pytest.mark.parametrize("pair", CONTROL_PAIRS)
 @pytest.mark.parametrize("name", [c.name for c in REGISTRY.values() if c.scope != CIRCLE])
 def test_every_knob_fails_its_check_on_every_pair(control_entries, pair, name):
-    # the check passes on the pair, and its own knob makes it fail with a
-    # residual above its tolerance; the circle-only checks are covered on su11
-    entry = control_entries[pair]
-    knob = REGISTRY[name].knob
-    assert run_check(name, entry, 20, Rng(1), DEFAULT_TOL)["pass"] is True
-    rep = run_check(name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=knob)
+    # the check passes on the pair, and its own knob makes it fail through its
+    # own sub-criterion; the circle-only checks are covered on su11
+    _assert_knob_trips_its_criterion(name, control_entries[pair])
+
+
+@pytest.mark.parametrize("name", [c.name for c in REGISTRY.values() if c.scope == CIRCLE])
+def test_circle_knobs_trip_their_criterion(name):
+    _assert_knob_trips_its_criterion(name, get_entry("su11"))
+
+
+def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch):
+    # route A doubled: the two routes to r differ by 1.0 while route B, the one
+    # the coboundary residual uses, is intact
+    from poissonlie import bialgebra
+
+    real = bialgebra.r_matrix
+
+    def doubled(entry):
+        out = real(entry)
+        out["route_a"] = 2.0 * out["route_a"]
+        out["difference"] = (out["route_a"] - out["route_b"]).max_norm()
+        return out
+
+    monkeypatch.setattr(bialgebra, "r_matrix", doubled)
+    rep = run_check("coboundary", get_entry("su21"), 0, Rng(0), DEFAULT_TOL)
     assert rep["pass"] is False
-    assert rep["max_residual"] > rep["tolerance"], rep["max_residual"]
+    assert rep["details"]["route_difference"] == pytest.approx(1.0)
+    assert rep["max_residual"] == rep["details"]["route_difference"]
+    assert rep["worst_criterion"] == "route_difference"
+    assert rep["details"]["coboundary"] <= rep["tolerance"]
+
+
+@pytest.mark.parametrize("algebraic", [1e-9, 1.0])
+def test_deform_negative_definiteness_holds_at_any_tolerance(monkeypatch, algebraic):
+    # a Killing form of the wrong sign fails the check however loose the
+    # tolerance on the residuals
+    from poissonlie import manin
+
+    real = manin.killing_eigenvalues
+    monkeypatch.setattr(manin, "killing_eigenvalues", lambda alg: -real(alg))
+    rep = run_check("deform", get_entry("su21"), 0, Rng(0),
+                    DEFAULT_TOL.override(algebraic=algebraic))
+    assert rep["pass"] is False
+    assert rep["details"]["minus_negative_definite"] is False
+    assert rep["max_residual"] <= rep["tolerance"]
+    assert rep["worst_criterion"] == "minus_negative_definite"
+
+
+@pytest.mark.parametrize("algebraic", [1.0, 1e3])
+def test_manin_complementarity_holds_at_any_tolerance(algebraic):
+    # the knob's extra diagonal leaves no complement; above the isotropy
+    # residual's 2.0 that condition alone fails the check
+    rep = run_check("manin", get_entry("su21"), 0, Rng(0),
+                    DEFAULT_TOL.override(algebraic=algebraic),
+                    corrupt="gstar_complex_diagonal")
+    assert rep["details"]["complementary_g"] is False
+    assert rep["details"]["complementary_gprime"] is False
+    assert rep["worst_criterion"] == "complementary_g"
+    assert rep["pass"] is False
+
+
+def test_nan_residual_is_named_before_a_failing_condition(monkeypatch):
+    from poissonlie import manin
+
+    monkeypatch.setattr(manin, "gstar_k0_abelian_residual", lambda entry: float("nan"))
+    rep = run_check("manin", get_entry("su21"), 0, Rng(0), DEFAULT_TOL,
+                    corrupt="gstar_complex_diagonal")
+    assert math.isnan(rep["max_residual"])
+    assert rep["worst_criterion"] == "k0_abelian"
+    assert rep["pass"] is False

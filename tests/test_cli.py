@@ -53,6 +53,18 @@ def test_verify_corrupt_exit_one(tmp_path):
     assert doc["results"][0]["max_residual"] > 1e-3
 
 
+def test_text_summary_names_the_failing_sub_criterion(tmp_path, capsys):
+    code = cli.main(["verify", "su21", "--checks", "twist", "--corrupt", "twist_scale_2",
+                     "--out", str(tmp_path / "r.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    fail, = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fail.endswith("  at twist_relation")
+    code = cli.main(["verify", "su21", "--checks", "twist", "--out", str(tmp_path / "r.json")])
+    line, = [line for line in capsys.readouterr().out.splitlines() if "] twist" in line]
+    assert line.startswith("  [PASS]") and " at " not in line
+
+
 def test_unknown_check_exit_64():
     out = run_cli("verify", "su11", "--checks", "bogus")
     assert out.returncode == 64
