@@ -178,6 +178,40 @@ def invariance_rows(mp: MatchedPair, x: np.ndarray, drop_b0_rows: bool = False) 
     return out.reshape(n * n, 2 * k * m)
 
 
+def symmetric_blocks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`invariance_rows` in orthonormal bases that split them in two.
+
+    t -> t^T swaps the two candidate families and commutes with
+    t -> A t + t A^T, so the candidates (t + t^T)/sqrt 2 have symmetric images
+    and (t - t^T)/sqrt 2 antisymmetric ones.  Returns the symmetric block, in
+    the coordinates (S_ii, sqrt 2 S_ij for i < j) of its images, and the
+    antisymmetric block in the coordinates sqrt 2 S_ij, i < j; each has one
+    column per candidate pair, and their singular values together are those
+    of `rows`."""
+    t = rows.reshape(n, n, 2, -1)
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    sym = np.vstack([(t[diag, diag, 0] + t[diag, diag, 1]) / np.sqrt(2.0),
+                     t[iu, ju, 0] + t[iu, ju, 1]])
+    return sym, t[iu, ju, 0] - t[iu, ju, 1]
+
+
+def uniqueness_singular_values(mp: MatchedPair, drop_b0_rows: bool = False) -> np.ndarray:
+    """The singular values of the invariance equations of the two
+    `uniqueness_generators`, stacked: those of the symmetric block, then
+    those of the antisymmetric one (`symmetric_blocks`).  Each block keeps
+    its nonzero rows and takes one SVD; a block with none gives no values."""
+    gens = uniqueness_generators(mp.e_algebra.dim)
+    blocks = [symmetric_blocks(invariance_rows(mp, x, drop_b0_rows), mp.e_algebra.dim)
+              for x in gens]
+    svals = [np.zeros(0)]
+    for block in zip(*blocks):      # the symmetric blocks, then the antisymmetric ones
+        rows = np.vstack([r[(r != 0).any(axis=1)] for r in block])
+        if len(rows):
+            svals.append(np.linalg.svd(rows, compute_uv=False))
+    return np.concatenate(svals)
+
+
 def check_r_uniqueness(mp: MatchedPair, svd_tol: float = SVD_TOL,
                        drop_b0_rows: bool = False) -> dict:
     """Dimension of invariant elements of (k (x) k0) (+) (k0 (x) k).
@@ -185,26 +219,23 @@ def check_r_uniqueness(mp: MatchedPair, svd_tol: float = SVD_TOL,
     Candidates are spanned by x_a (x) psi_b and psi_b (x) x_a; the action of X
     is ad_e(X) on both tensor legs.  The elements annihilating a tensor form a
     subalgebra, so the invariance equations of two elements that generate e
-    have the kernel of those of all of e: their nonzero rows are stacked and
-    take one SVD.  The generation is certified, and its deficit dim e minus
-    the dimension generated is reported next to the kernel.
+    have the kernel of those of all of e; their singular values come from
+    `uniqueness_singular_values`.  The generation is certified, and its
+    deficit dim e minus the dimension generated is reported next to the
+    kernel.
 
     With `drop_b0_rows` the action on the k0 legs is dropped, leaving ad_b of
     the b-part: a representation of e pulled back from the quotient b, so the
     same generators give its invariants (the documented negative control;
     central elements then survive)."""
     e = mp.e_algebra
-    gens = uniqueness_generators(e.dim)
-    # one generator's block at a time, keeping its nonzero rows
-    rows = np.vstack([r[(r != 0).any(axis=1)]
-                      for r in (invariance_rows(mp, x, drop_b0_rows) for x in gens)])
-    svals = np.linalg.svd(rows, compute_uv=False)
+    svals = uniqueness_singular_values(mp, drop_b0_rows)
     count = 2 * mp.dim_c * mp.dim_b
     kernel_dim = int(count - np.sum(svals > svd_tol))
     return {
         "kernel_dim": kernel_dim,
         "svd_threshold": svd_tol,
         # fewer rows than candidates leaves exact zeros the SVD does not list
-        "smallest_sv": float(svals[-1]) if len(svals) == count else 0.0,
-        "generation_deficit": e.dim - generated_dim(e, gens, svd_tol),
+        "smallest_sv": float(svals.min()) if len(svals) == count else 0.0,
+        "generation_deficit": e.dim - generated_dim(e, uniqueness_generators(e.dim), svd_tol),
     }

@@ -99,18 +99,48 @@ class MatrixBasisSolver:
         return np.tensordot(coords, self.stack, axes=1)
 
 
+#: The sparse Jacobiator costs about as much per nonzero product as the dense
+#: loop does per this many of its n^5 multiply-adds (measured at about 180 ns
+#: against 0.1 ns on the su(p,1) tables, one BLAS thread, x86-64); a table
+#: takes the sparse path when its product count times this is below n^5.
+SPARSE_PRODUCT_COST = 1000
+
+
 def jacobi_worst_at(structure: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """The largest Jacobi residual max_m |([[i,j],k] + [[j,k],i] + [[k,i],j])_m| over
     basis triples, with the triple (i, j, k) it is attained at: the first NaN,
-    else the first largest.
+    else the first largest, in the order of the dense loop (`_jacobi_dense`);
+    (0, 1, 1) when the residual is 0.
 
-    The Jacobiator of an antisymmetric table is alternating in (i, j, k), so
-    each triple is contracted with i below j and k, one i at a time; no n^4
-    array is held.  A NaN anywhere in the table reaches some slice."""
-    c = structure
-    n = c.shape[0]
-    if n < 2:
+    A finite table with few enough nonzero products (`sparse_jacobi_pays`)
+    is contracted over its nonzero entries (`_jacobi_sparse`), any other
+    densely."""
+    if structure.shape[0] < 2:
         return 0.0, (0, 0, 0)
+    if sparse_jacobi_pays(structure):
+        return _jacobi_sparse(structure)
+    return _jacobi_dense(structure)
+
+
+def sparse_jacobi_pays(c: np.ndarray) -> bool:
+    """Whether `jacobi_worst_at` contracts the table sparsely: it is finite
+    and pairs few entries.  Each nonzero c[a, b, l] with a < b meets every
+    nonzero c[l, d, m]; their count, against n^5, decides."""
+    n = c.shape[0]
+    if not np.isfinite(c).all():
+        return False
+    nz = c != 0
+    iu, ju = np.triu_indices(n, 1)
+    products = int(nz[iu, ju].sum(axis=0) @ nz.reshape(n, n * n).sum(axis=1))
+    return products * SPARSE_PRODUCT_COST < n ** 5
+
+
+def _jacobi_dense(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """`jacobi_worst_at` by dense slices.  The Jacobiator of an antisymmetric
+    table is alternating in (i, j, k), so each triple is contracted with i
+    below j and k, one i at a time, in the order (i, j, k); no n^4 array is
+    held.  A NaN anywhere in the table reaches some slice."""
+    n = c.shape[0]
     slices = []
     for i in range(n - 1):
         r = n - i - 1
@@ -124,6 +154,46 @@ def jacobi_worst_at(structure: np.ndarray) -> tuple[float, tuple[int, int, int]]
     i = int(np.searchsorted(starts, at, side="right")) - 1
     j, k = divmod(at - int(starts[i]), n - i - 1)
     return resid, (i, i + 1 + j, i + 1 + k)
+
+
+def _jacobi_sparse(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """`jacobi_worst_at` of a finite table over its nonzero entries.
+
+    Every nonzero c[a, b, l], a < b, is paired with every nonzero c[l, d, m]
+    with d outside {a, b}: the product is the m-part of [[a, b], d], one of
+    the three cyclic terms of the sorted triple of {a, b, d}, with sign -1
+    when d lies between a and b ([[k, i], j] = -[[i, k], j]).  The products
+    are summed per (triple, m) after one sort of their keys.  Sorted triples
+    come in the dense loop's order, and the other orders of a triple follow
+    its sorted one there, so the first largest is the same triple."""
+    n = c.shape[0]
+    flat = np.flatnonzero(c)                # lexicographic: grouped by a
+    vals = c.ravel()[flat]
+    a, bl = np.divmod(flat, n * n)
+    b, l = np.divmod(bl, n)
+    starts = np.searchsorted(a, np.arange(n + 1))
+    upper = np.flatnonzero(a < b)
+    # each c[a, b, l] meets the run starts[l]:starts[l + 1] of entries c[l, ., .]
+    reps = starts[l[upper] + 1] - starts[l[upper]]
+    first = np.repeat(upper, reps)
+    second = np.arange(len(first)) + np.repeat(starts[l[upper]] - np.cumsum(reps) + reps, reps)
+    i, j, d = a[first], b[first], b[second]
+    keep = (d != i) & (d != j)
+    first, second, i, j, d = first[keep], second[keep], i[keep], j[keep], d[keep]
+    prod = vals[first] * vals[second]
+    prod[(i < d) & (d < j)] *= -1.0
+    lo, hi = np.minimum(i, d), np.maximum(j, d)
+    # summed in the order generated, which keeps the dense loop's bits best
+    keys, slot = np.unique(((lo * n + (i + j + d - lo - hi)) * n + hi) * n + l[second],
+                           return_inverse=True)
+    jac = np.abs(np.bincount(slot, weights=prod))
+    if not jac.any():       # every product cancelled, or none was left
+        return 0.0, (0, 1, 1)
+    triples = keys // n
+    bounds = np.flatnonzero(np.diff(triples, prepend=-1))
+    resid, at = worst_at(np.maximum.reduceat(jac, bounds))
+    t = int(triples[bounds[at]])
+    return resid, (t // (n * n), t // n % n, t % n)
 
 
 def generated_dim(alg: LieAlgebra, gens: np.ndarray, tol: float) -> int:
@@ -164,6 +234,9 @@ class LieAlgebra:
     # is compared with a re-expansion of its own
     _solver: Optional[MatrixBasisSolver] = field(default=None, repr=False)
     _residual: Optional[float] = field(default=None, repr=False)
+    #: (residual, triple) of `jacobi_worst_at` on the table, computed once;
+    #: the table is read-only, so it cannot go stale
+    jacobi: tuple[float, tuple[int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.space.dim
@@ -172,8 +245,11 @@ class LieAlgebra:
             raise ValueError(f"structure shape {c.shape} != ({n},{n},{n})")
         if np.max(np.abs(c + np.swapaxes(c, 0, 1))) != 0.0:
             raise ValueError("structure constants are not exactly antisymmetric")
+        if c.flags.writeable:    # the caller's array stays the caller's
+            c = c.copy()
+            c.setflags(write=False)
         self.structure = c
-        res, (i, j, k) = jacobi_worst_at(c)
+        self.jacobi = res, (i, j, k) = jacobi_worst_at(c)
         if not res <= ALGEBRAIC_TOL:
             raise ValueError(f"Jacobi identity violated: residual {res:.3e} at basis triple "
                              f"({i}, {j}, {k})")
@@ -227,7 +303,8 @@ class LieAlgebra:
     def realization_residual(self) -> float:
         """Max mismatch between the matrix commutators and the structure
         constants, from the one re-expansion made at construction; for a table
-        built by `from_realization`, the span residual of the commutators."""
+        built by `from_realization`, the span residual of the commutators, or
+        the distance of the integer snap if that is larger."""
         return self._residual
 
     # -- serialization ------------------------------------------------------
@@ -267,7 +344,12 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
                      pairing: Optional[str] = None) -> LieAlgebra:
     """Build a LieAlgebra by re-expanding matrix commutators in the given basis.
     That one re-expansion both fills the table and checks that the basis spans
-    its commutators; the algebra keeps its solver."""
+    its commutators; the algebra keeps its solver.
+
+    When every coordinate lies within ALGEBRAIC_TOL of an integer, as on the
+    catalog's bases, the table is snapped to those integers: it is exact and
+    sparse, and the snap distance joins the span residual.  Any other table
+    is kept as solved."""
     solver = MatrixBasisSolver(mats)
     n = len(mats)
     i, j, comms = pair_commutators(mats)
@@ -277,9 +359,17 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
         bad = int(np.argmax(resids))   # the first NaN, if any
         raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
                          f"(residual {resids[bad]:.3e})")
+    exact = np.rint(coords)
+    snap = float(np.max(np.abs(coords - exact), initial=0.0))
+    snapped = snap <= ALGEBRAIC_TOL
+    if snapped:
+        coords, span = exact, worst(span, snap)
     structure = np.zeros((n, n, n))
     structure[i, j] = coords
     structure[j, i] = -coords
+    if snapped:
+        structure += 0.0     # no negative zeros in an exact table
+    structure.setflags(write=False)
     return LieAlgebra(BasedSpace.make(labels), structure, realization=list(mats),
                       pairing=pairing, _solver=solver, _residual=span)
 

@@ -132,12 +132,10 @@ class MatchedPair:
     @cached_property
     def e_algebra(self) -> LieAlgebra:
         """The Lie algebra e = b0 x| b (`bialgebra.semidirect_algebra`), built and
-        validated once; its table is read-only."""
+        validated once; its table is read-only, as every `LieAlgebra`'s is."""
         from .bialgebra import semidirect_algebra
 
-        e = semidirect_algebra(self)
-        e.structure.setflags(write=False)
-        return e
+        return semidirect_algebra(self)
 
     @cached_property
     def delta(self) -> np.ndarray:

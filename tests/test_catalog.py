@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from poissonlie.bialgebra import co_jacobi_worst_at
 from poissonlie.catalog import (catalog_names, e2_dual_bracket_tables, get_entry,
                                 rho_intertwiner_residual, su11, supq1)
+from poissonlie.config import P_CAP
 from poissonlie.group import EElement, e_mul, sample_e_elements
 from poissonlie.lie import jacobi_worst_at, structure_in_basis
 from poissonlie.linalg import Rng, worst
+from poissonlie.manin import build_gc_algebra, gprime_algebra
 
 
 def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
@@ -192,3 +195,20 @@ def test_gstar_k0_indices():
     assert len(mats) == 4  # complex 2-dim block as a real span
     for m in mats:
         assert np.max(np.abs(m[:, :-1])) == 0.0  # supported on the last column
+
+
+@pytest.mark.parametrize("p", range(1, P_CAP + 1))
+def test_catalog_tables_are_exact_integers(p):
+    # g, g*, g_C and g' are snapped to their integer structure constants; e,
+    # the adapted table and the cobracket are blocks of them: every Jacobi
+    # residual is exactly 0.0
+    entry = supq1(p)
+    mp = entry.mp
+    algebras = [entry.g, entry.gstar, build_gc_algebra(entry), gprime_algebra(entry),
+                mp.e_algebra]
+    for table in [a.structure for a in algebras] + [mp.adapted, mp.delta]:
+        assert np.array_equal(table, np.rint(table))
+        assert set(np.unique(table)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+    for alg in algebras:
+        assert alg.jacobi[0] == 0.0
+    assert co_jacobi_worst_at(mp.delta)[0] == 0.0

@@ -193,3 +193,21 @@ def test_nan_residual_is_named_before_a_failing_condition(monkeypatch):
     assert math.isnan(rep["max_residual"])
     assert rep["worst_criterion"] == "k0_abelian"
     assert rep["pass"] is False
+
+
+def test_jacobi_check_reads_the_stored_contraction(monkeypatch):
+    # g's Jacobiator is contracted once, when g is built; only the knob's
+    # corrupted copy is contracted again
+    from poissonlie import checks
+
+    entry = get_entry("su21")
+
+    def refuse(structure):
+        raise AssertionError("contracted again")
+
+    monkeypatch.setattr(checks, "jacobi_worst_at", refuse)
+    rep = run_check("jacobi", entry, 0, Rng(0), DEFAULT_TOL)
+    assert rep["pass"] and rep["max_residual"] == entry.g.jacobi[0] == 0.0
+    assert rep["details"]["worst_triple"] == list(entry.g.jacobi[1])
+    with pytest.raises(AssertionError, match="contracted again"):
+        run_check("jacobi", entry, 0, Rng(0), DEFAULT_TOL, corrupt="jacobi_perturb_constant")

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from poissonlie.bialgebra import (_alt3, check_r_uniqueness, co_jacobi_worst_at,
-                                  invariance_rows, uniqueness_generators)
-from poissonlie.catalog import get_entry
-from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, jacobi_worst_at,
-                            trace_gram)
+                                  invariance_rows, symmetric_blocks, uniqueness_generators,
+                                  uniqueness_singular_values)
+from poissonlie.catalog import get_entry, su11, supq1
+from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, _jacobi_dense, _jacobi_sparse,
+                            from_realization, jacobi_worst_at, sparse_jacobi_pays, trace_gram)
+from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
 from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
@@ -292,9 +294,59 @@ def test_uniqueness_with_no_nonzero_rows():
     mp = get_entry("su11").mp
     rows = [invariance_rows(mp, x, True) for x in uniqueness_generators(mp.e_algebra.dim)]
     assert not np.any(rows)
+    # so both blocks of the split SVD are empty and give no singular values
+    assert not any(np.any(b) for r in rows for b in symmetric_blocks(r, mp.e_algebra.dim))
+    assert len(uniqueness_singular_values(mp, drop_b0_rows=True)) == 0
     rep = check_r_uniqueness(mp, drop_b0_rows=True)
     assert rep["kernel_dim"] == 2 * mp.dim_c * mp.dim_b
     assert rep["smallest_sv"] == 0.0
+
+
+def _stacked_rows_svd(mp, drop_b0_rows: bool) -> np.ndarray:
+    """One SVD of the nonzero invariance rows of both generators, unsplit."""
+    rows = np.vstack([r[(r != 0).any(axis=1)] for r in
+                      (invariance_rows(mp, x, drop_b0_rows)
+                       for x in uniqueness_generators(mp.e_algebra.dim))])
+    return np.linalg.svd(rows, compute_uv=False) if len(rows) else np.zeros(0)
+
+
+def _padded(svals: np.ndarray, count: int) -> np.ndarray:
+    """Singular values in descending order, with the zeros an SVD of fewer
+    rows than columns does not list."""
+    return np.sort(np.concatenate([svals, np.zeros(count - len(svals))]))[::-1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_split_uniqueness_svd_matches_stacked_svd(p, drop_b0_rows):
+    # su11-su41 and supq1(5): the two blocks have the singular values of the
+    # stacked rows, and the kernel is 0, or 4p under the knob
+    entry = su11() if p == 1 else supq1(p)
+    mp = entry.mp
+    count = 2 * mp.dim_c * mp.dim_b
+    split = uniqueness_singular_values(mp, drop_b0_rows)
+    assert len(split) <= count
+    want = _padded(_stacked_rows_svd(mp, drop_b0_rows), count)
+    assert np.max(np.abs(_padded(split, count) - want)) <= 1e-12
+    rep = check_r_uniqueness(mp, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    assert rep["kernel_dim"] == count - np.sum(want > 1e-8) == (4 * p if drop_b0_rows else 0)
+    assert rep["generation_deficit"] == 0
+
+
+def test_symmetric_blocks_are_an_orthogonal_change_of_basis():
+    # the blocks keep the Frobenius norm of the rows and of every product of them
+    mp = get_entry("su21").mp
+    n = mp.e_algebra.dim
+    rows = invariance_rows(mp, uniqueness_generators(n)[1])
+    sym, anti = symmetric_blocks(rows, n)
+    half = mp.dim_c * mp.dim_b
+    assert sym.shape == (n * (n + 1) // 2, half) and anti.shape == (n * (n - 1) // 2, half)
+    gram = rows.T @ rows
+    q = np.block([[np.eye(half), np.eye(half)], [np.eye(half), -np.eye(half)]]) / np.sqrt(2.0)
+    want = q.T @ gram @ q
+    assert np.max(np.abs(want[:half, half:])) <= 1e-12
+    _close(sym.T @ sym, want[:half, :half])
+    _close(anti.T @ anti, want[half:, half:])
 
 
 def _corrupted_delta(mp) -> np.ndarray:
@@ -359,3 +411,117 @@ def test_from_realization_names_the_bad_commutator():
     # [E11, E12] and [E11, E21] stay in the span, [E12, E21] = E11 - E22 leaves it
     with pytest.raises(ValueError, match=r"commutator \[e12, e21\] leaves the span"):
         from_realization(["e11", "e12", "e21"], [unit(0, 0), unit(0, 1), unit(1, 0)])
+
+
+# -- the sparse Jacobiator ---------------------------------------------------------
+
+
+def _perturbed(c: np.ndarray, a: int = 0, b: int = 1, eps: float = 1e-3) -> np.ndarray:
+    """c with eps added to every coordinate of [e_a, e_b] (the
+    `jacobi_perturb_constant` knob for a, b = 0, 1)."""
+    c = c.copy()
+    c[a, b] += eps
+    c[b, a] -= eps
+    return c
+
+
+def _random_integer_lie_table(seed: int) -> np.ndarray:
+    """A sparse integer Lie table: the direct sum of su(1,1), su(2,1) and a
+    Heisenberg algebra, in a shuffled basis with random signs."""
+    blocks = [su11().g.structure, get_entry("su21").g.structure]
+    heis = np.zeros((3, 3, 3))
+    heis[0, 1, 2], heis[1, 0, 2] = 2.0, -2.0
+    blocks.append(heis)
+    n = sum(len(b) for b in blocks)
+    c = np.zeros((n, n, n))
+    at = 0
+    for b in blocks:
+        k = len(b)
+        c[at:at + k, at:at + k, at:at + k] = b
+        at += k
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    sign = rng.choice([-1.0, 1.0], n)
+    # e'_i = sign_i e_perm(i): c'[i, j, l] = sign_i sign_j sign_l c[pi, pj, pl]
+    return np.einsum("i,j,l,ijl->ijl", sign, sign, sign, c[np.ix_(perm, perm, perm)])
+
+
+def _assert_paths_agree(c: np.ndarray, loop: bool = True):
+    """The sparse and dense paths, and the index loop, give the residual to
+    a relative 1e-13 and the same witness."""
+    sparse, dense = _jacobi_sparse(c), _jacobi_dense(c)
+    assert sparse[0] == pytest.approx(dense[0], rel=1e-13)
+    assert sparse[1] == dense[1]
+    if loop:
+        want, at = jacobi_loop(c)
+        assert sparse[0] == pytest.approx(want, rel=1e-13)
+        assert sparse[1] == at
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sparse_jacobi_on_random_integer_tables(seed):
+    c = _random_integer_lie_table(seed)
+    n = len(c)
+    assert sparse_jacobi_pays(c)
+    assert jacobi_worst_at(c) == (0.0, (0, 1, 1)) == _jacobi_dense(c)
+    assert jacobi_loop(c)[0] == 0.0
+    rng = np.random.default_rng(100 + seed)
+    a, b = sorted(rng.choice(n, 2, replace=False))
+    bad = c.copy()
+    bad[a, b, rng.integers(n)] += 0.37
+    bad[b, a] = -bad[a, b]
+    assert sparse_jacobi_pays(bad)
+    assert jacobi_worst_at(bad)[0] > 0.1
+    _assert_paths_agree(bad)
+    _assert_paths_agree(_perturbed(c, a, b))
+
+
+@pytest.mark.parametrize("name", ["su21", "su31", "su41"])
+def test_sparse_jacobi_on_the_perturb_knob(name):
+    c = _perturbed(get_entry(name).g.structure)
+    assert jacobi_worst_at(c)[0] > 1e-3
+    _assert_paths_agree(c)
+
+
+def test_sparse_jacobi_on_the_perturbed_complexification():
+    # the 96-dimensional g_C of supq1(6): too large for the index loop
+    c = build_gc_algebra(supq1(6)).structure
+    assert sparse_jacobi_pays(c) and jacobi_worst_at(c) == (0.0, (0, 1, 1))
+    _assert_paths_agree(_perturbed(c), loop=False)
+
+
+@pytest.mark.parametrize("name", ["su21", "su31", "su41"])
+def test_sparse_co_jacobi(name):
+    mp = get_entry(name).mp
+    dual = np.moveaxis(mp.delta, 0, 2)
+    assert name != "su41" or sparse_jacobi_pays(dual)
+    assert co_jacobi_worst_at(mp.delta) == (0.0, (0, 1, 1))
+    assert _jacobi_dense(dual)[0] == 0.0 == co_jacobi_loop(mp.delta)
+    # the dual bracket [e^0, e^1] moved off the cobracket of e
+    bad = _perturbed(dual)
+    got, triple = co_jacobi_worst_at(np.moveaxis(bad, 2, 0))
+    assert got == pytest.approx(co_jacobi_loop(np.moveaxis(bad, 2, 0)), rel=1e-13)
+    assert got > 1e-3 and triple == _jacobi_dense(bad)[1]
+    _assert_paths_agree(bad)
+
+
+def test_dusty_and_nan_tables_take_the_dense_path():
+    entry = get_entry("su41")
+    c = entry.g.structure
+    assert sparse_jacobi_pays(c)
+    # a least-squares table: su(2,1) in a random real basis
+    g = get_entry("su21").g
+    mix = np.random.default_rng(7).standard_normal((g.dim, g.dim))
+    mats = list(np.tensordot(mix, np.array(g.realization), axes=1))
+    dusty = from_realization([f"e{i}" for i in range(g.dim)], mats).structure
+    assert not np.array_equal(dusty, np.rint(dusty))
+    assert not sparse_jacobi_pays(dusty)
+    # a table of exact integers but for a dust of rounding on every entry
+    assert not sparse_jacobi_pays(c + 1e-17 * np.sign(np.swapaxes(c, 0, 1) + 0.5))
+    bad = c.copy()
+    bad[-1, -2, 0], bad[-2, -1, 0] = np.inf, -np.inf
+    assert not sparse_jacobi_pays(bad)
+    bad[-1, -2, 0], bad[-2, -1, 0] = np.nan, np.nan
+    assert not sparse_jacobi_pays(bad)
+    resid, triple = jacobi_worst_at(bad)
+    assert np.isnan(resid) and triple == _jacobi_dense(bad)[1]

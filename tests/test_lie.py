@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
-from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition,
+from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, pair_commutators,
                             from_realization, jacobi_worst_at, structure_in_basis)
 from poissonlie.linalg import BasedSpace, Rng, worst
 from poissonlie.matched import MatchedPair
@@ -245,3 +245,31 @@ def test_solver_operator_is_the_triangular_solve(name):
         q, r = np.linalg.qr(solver._basis)
         assert solver._pinv.flags.f_contiguous
         assert np.array_equal(solver._pinv, scipy.linalg.solve_triangular(r, q.T))
+
+
+def test_table_is_read_only_and_keeps_its_jacobi():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    alg = LieAlgebra(BasedSpace.make(["a", "b", "c"]), c)
+    assert alg.jacobi == jacobi_worst_at(alg.structure) == (0.0, (0, 1, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        alg.structure[0, 1, 2] = 5.0
+    # the caller's array is copied, not frozen: changing it leaves the algebra as it was
+    c[0, 1, 2] = 5.0
+    assert alg.structure[0, 1, 2] == 1.0
+
+
+def test_integer_realization_is_snapped_and_others_are_kept():
+    g = supq1(2).g
+    assert np.array_equal(g.structure, np.rint(g.structure))
+    assert np.all(g.structure[np.signbit(g.structure)] < 0)     # no negative zeros
+    # the unsnapped re-expansion differs from the snapped table by rounding only
+    i, j, comms = pair_commutators(g.realization)
+    coords, span = g._solver.solve_many(comms)
+    assert 0.0 < np.max(np.abs(coords - g.structure[i, j])) <= g.realization_residual() <= 1e-9
+    # a basis with non-integer structure constants keeps its least-squares table, bit for bit
+    mats = [0.5 * m for m in g.realization]
+    half = from_realization(list(g.space.labels), mats)
+    coords, _ = half._solver.solve_each(half._solver.rows_of(pair_commutators(mats)[2]))
+    assert np.array_equal(half.structure[i, j], coords)
+    assert not np.array_equal(half.structure, np.rint(half.structure))
