@@ -25,7 +25,7 @@ from .config import Tolerances
 from .lie import jacobi_worst_at
 from .linalg import Rng, best_sign, worst, worst_at
 from .matched import MatchedPair
-from .group import SAMPLE_BLOCK, GroupElement, exp_b, sample_group_matrices
+from .group import SAMPLE_BLOCK, GroupElement, draw_words, exp_b, sample_group_matrices
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -120,10 +120,11 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     if samples < 1:
         raise ValueError("need at least one sample")
     inv, hom = [], []
+    words = draw_words(mp, rng, 2 * samples)    # a, b, a, b, ...
     for start in range(0, samples, SAMPLE_BLOCK):
-        count = min(SAMPLE_BLOCK, samples - start)
-        ab = GroupElement(mp, sample_group_matrices(mp, rng, 2 * count))
-        a, b = ab[0::2], ab[1::2]    # drawn as a, b, a, b, ...
+        stop = min(start + SAMPLE_BLOCK, samples)
+        ab = GroupElement(mp, words.matrices(2 * start, 2 * stop))
+        a, b = ab[0::2], ab[1::2]
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
             prod = a.coad_b0 @ np.swapaxes(a.inverse().action_on_c, 1, 2)
             inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))

@@ -25,7 +25,9 @@ P_CAP = 8
 #: equation of the twist; see the conventions report.
 TWIST_INNER_SCALE = 0.5
 
-PRNG_NAME = "numpy PCG64"
+#: The generator and how a seed selects elements: each sampled check draws
+#: all its v, then all its word lengths, then all its factors.
+PRNG_NAME = "numpy PCG64; per check: all v, all word lengths, all factors"
 EXP_METHOD = "poissonlie.linalg.expm (stacked Pade-13 scaling-and-squaring)"
 
 

@@ -8,24 +8,26 @@ A `GroupElement` holds one matrix or a stack of them, and an `EElement` one
 point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
-Sampling is stacked: `sample_group_matrices` and `sample_e_elements` draw a
-whole stack of elements, and `exp_b` takes a whole array of parameters; either
-way every exponential is one call of `linalg.expm` (Pade-13 scaling and
-squaring, vectorized over the stack).  The random numbers are drawn in the
-order of one-at-a-time sampling (per element: v, then the word length, then
-the factors), so a seed selects the same elements either way.
+Sampling is stacked.  `draw_words` draws the random numbers of a whole stack
+of elements in three generator calls: all v, then all word lengths, then all
+factors.  Its `Words` exponentiate any block of the stack, so a sampled check
+draws once and exponentiates block by block; `sample_group_matrices` and
+`sample_e_elements` make a whole stack at once.  `exp_b` takes a whole array
+of parameters.  Every exponential is one call of `linalg.expm` (Pade-13
+scaling and squaring, vectorized over the stack).
 
 A `GroupElement` owns its per-element tables, each built for the whole stack on
 first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
 `coad_b0` and `action_on_c`, its blocks on b0 and on c, which eta, adE, e_mul
 and the invariance residual read.  Ad of a stack is one pass, row-major: the
 real row of every conjugated matrix, one per (element, basis matrix), is
-written straight from the products, the solver re-expands all rows with one
+written straight from the products, the solver re-expands the rows with one
 matmul (`MatrixBasisSolver.solve_each`), and row (element, j) of its
-coordinates is column j of Ad.  When neither Ad(a) nor Ad(a^{-1}) is known,
-reading Ad*(a) runs that pass once over [a, a^{-1}] and fills both.  Every
-element of a stack, and its inverse, passes the same membership and leak
-validation as a single element.
+coordinates is column j of Ad.  The pass runs over chunks of the stack whose
+rows fit in `_AD_CHUNK_BYTES`, with the same bits as one chunk.  When neither
+Ad(a) nor Ad(a^{-1}) is known, reading Ad*(a) runs that pass once over
+[a, a^{-1}] and fills both.  Every element of a stack, and its inverse,
+passes the same membership and leak validation as a single element.
 """
 
 from __future__ import annotations
@@ -40,11 +42,18 @@ from .linalg import Rng, expm, finite_diff
 from .matched import MatchedPair
 
 #: Samples per stacked block in the sampled checks; reports do not depend on
-#: it.  With `benchmarks/run.py --seconds 10` at seed 42 on a 2-vCPU VM (median
-#: of three runs), blocks of 32 instead of 16 took the `sampled` workload from
-#: 0.83 to 0.70 s a pass and its slowest call (su41) from 0.37 to 0.34 s, and
-#: raised its peak RSS from 66.4 to 68.6 MB (`imported`: 66.0 to 68.0 MB).
+#: it.  With `benchmarks/run.py --workload sampled --seconds 8` at seed 42 on a
+#: 2-vCPU x86-64 VM (median of three runs), blocks of 16, 32 and 64 took
+#: 0.71, 0.60 and 0.55 s a pass, 0.33, 0.29 and 0.28 s for the slowest call
+#: (su41), and 66.5, 67.4 and 70.2 MB peak RSS.
 SAMPLE_BLOCK = 32
+
+#: Bytes of real rows in one chunk of the Ad pass.  Every temporary of a
+#: chunk (the products, the conjugated matrices, the rows, the solver's
+#: coordinates and residuals) is at most about this size, so the allocator
+#: hands the same memory back from chunk to chunk instead of paging in the
+#: 300-600 KB arrays of a whole 32-sample stack on every call.
+_AD_CHUNK_BYTES = 96 * 1024
 
 #: Largest re-expansion residual and b-leak of Ad(a) for a in B.
 _MEMBERSHIP_TOL = 1e-7
@@ -168,41 +177,60 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
 
     Every element is validated: its conjugation of the realization must stay
     in the algebra and Ad(a) must preserve b; a NaN matrix fails the first
-    test.  All conjugated matrices are re-expanded by one least-squares solve.
-    With `pairs`, `mats` is [a, a^{-1}] and `invs` is [a^{-1}, a] along a first
-    axis of two: an element and its inverse are validated together, and an
-    offender is named by its index in a."""
+    test.  The pass runs over chunks of `_ad_chunk` matrices, and each
+    chunk's conjugated matrices are re-expanded by one least-squares solve;
+    the whole stack is validated after the last chunk, so an offender is
+    named by its index in the stack.  With `pairs`, `mats` is [a, a^{-1}] and
+    `invs` is [a^{-1}, a] along a first axis of two: an element and its
+    inverse are validated together, and an offender is named by its index in
+    a."""
     g = mp.g
     lead, d, n = mats.shape[:-2], mats.shape[-1], g.dim
-    flat = mats.reshape(-1, d, d)
+    flat, flat_invs = mats.reshape(-1, d, d), invs.reshape(-1, d, d)
     count = len(flat)
+    # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS path
+    # of their operand's layout, and another layout would move the last bits
+    # of the sampled residuals
+    ad = np.empty(lead + (n, n))
+    flat_ad = ad.reshape(count, n, n)
+    resid, leak = np.empty(count), np.empty(count)
+    wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
+    step = _ad_chunk(d, n)
+    for start in range(0, count, step):
+        part = slice(start, min(start + step, count))
+        size = part.stop - start
+        # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i) of
+        # a [R_0 .. R_n-1], then one per element by a^{-1}
+        conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
+                      @ flat_invs[part]).reshape(size, d, n, d)
+        # the solver's real row of each a R_j a^{-1}, in (element, j) order,
+        # written straight from the products
+        rows = np.empty((size, n, 2, d, d))
+        rows[:, :, 0] = conjugated.real.transpose(0, 2, 1, 3)
+        rows[:, :, 1] = conjugated.imag.transpose(0, 2, 1, 3)
+        coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
+        resid[part] = resids.reshape(size, n).max(axis=1)
+        # row (element, j) of the coordinates is column j of Ad(a)
+        flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
+        # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
+        leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part] @ mp._B).max(axis=(1, 2))
 
     def per_element(values):   # np.max keeps a NaN of either half
+        values = values.reshape(lead)
         return values.max(axis=0) if pairs else values
 
-    # a R_j a^{-1} for every j as one matmul of the whole stack, rows (e, i) of
-    # a [R_0 .. R_n-1], then one per element by a^{-1}
-    wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
-    conjugated = ((flat.reshape(count * d, d) @ wide).reshape(count, d * n, d)
-                  @ invs.reshape(-1, d, d)).reshape(count, d, n, d)
-    # the solver's real row of each a R_j a^{-1}, in (element, j) order,
-    # written straight from the products
-    rows = np.empty((count, n, 2, d, d))
-    rows[:, :, 0] = conjugated.real.transpose(0, 2, 1, 3)
-    rows[:, :, 1] = conjugated.imag.transpose(0, 2, 1, 3)
-    coords, resids = g._solver.solve_each(rows.reshape(count * n, 2 * d * d))
-    resid = per_element(resids.reshape(count, n).max(axis=1).reshape(lead))
+    resid = per_element(resid)
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
-    # row (element, j) of the coordinates is column j of Ad(a).  Ad is kept
-    # C-ordered: eta0's vector-matrix products take the BLAS path of their
-    # operand's layout, and a transposed view would move the last bits of the
-    # sampled residuals
-    ad = np.ascontiguousarray(np.moveaxis(coords.T.reshape((n,) + lead + (n,)), 0, -2))
-    # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
-    leak = per_element(np.abs(mp._T_inv[mp.dim_b:] @ ad @ mp._B).max(axis=(-2, -1)))
+    leak = per_element(leak)
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
     return _read_only(ad)
+
+
+def _ad_chunk(d: int, n: int) -> int:
+    """Matrices per chunk of the Ad pass: as many as keep the chunk's real
+    rows, n * 2 d^2 doubles a matrix, within `_AD_CHUNK_BYTES`; at least one."""
+    return max(1, _AD_CHUNK_BYTES // (n * 2 * d * d * 8))
 
 
 @dataclass(eq=False)
@@ -280,42 +308,70 @@ def adE(g: EElement) -> np.ndarray:
     return out
 
 
-def _draw(mp: MatchedPair, rng: Rng, count: int, max_word: int,
-          radius: float | None) -> tuple[np.ndarray | None, np.ndarray]:
-    """Draw `count` elements in the order of one-at-a-time sampling: per element
-    v (when `radius` is given), then the word length, then the factors.
+@dataclass(frozen=True, eq=False)
+class Words:
+    """The random numbers of a stack of sampled elements: v (count, k) or
+    None, the word lengths (count,) and the factors, one row of b-coordinates
+    each, word after word.  `matrices` and `e_elements` make one block of the
+    stack, so a check exponentiates block by block and never holds a
+    check-sized stack of matrices."""
 
-    Returns (v stack or None, matrix stack).  All factors are exponentiated by
-    one stacked `expm`; words shorter than `max_word` are padded with the identity."""
-    vs, factors, slots = [], [], []
-    for i in range(count):
-        if radius is not None:
-            vs.append(rng.uniform(-radius, radius, mp.dim_c))
-        length = rng.integers(1, max_word + 1)
-        # one call for the word: the same numbers as one call per factor
-        factors.append(rng.uniform(-1.0, 1.0, (length, mp.dim_b)))
-        slots += range(i * max_word, i * max_word + length)
-    d = mp.g.realization[0].shape[0]
-    words = np.tile(np.eye(d, dtype=complex), (count * max_word, 1, 1))
-    words[slots] = expm(mp.b_matrix_of(np.concatenate(factors)))
-    words = words.reshape(count, max_word, d, d)
-    mats = words[:, 0]
-    for j in range(1, max_word):
-        mats = mats @ words[:, j]
-    return (np.array(vs) if radius is not None else None), mats
+    pair: MatchedPair
+    max_word: int
+    v: np.ndarray | None
+    lengths: np.ndarray
+    factors: np.ndarray
+
+    def matrices(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The words of elements start..stop-1 as a (count, d, d) stack.  All
+        their factors are exponentiated by one stacked `expm`; words shorter
+        than `max_word` are padded with the identity."""
+        mp, max_word = self.pair, self.max_word
+        lengths = self.lengths[start:stop]
+        count = len(lengths)
+        first = int(self.lengths[:start].sum())
+        factors = self.factors[first:first + int(lengths.sum())]
+        # slot of each factor: its element's max_word slots, then its place in the word
+        ends = np.cumsum(lengths)
+        slots = (np.repeat(np.arange(count) * max_word - (ends - lengths), lengths)
+                 + np.arange(len(factors)))
+        d = mp.g.realization[0].shape[0]
+        words = np.tile(np.eye(d, dtype=complex), (count * max_word, 1, 1))
+        words[slots] = expm(mp.b_matrix_of(factors))
+        words = words.reshape(count, max_word, d, d)
+        mats = words[:, 0]
+        for j in range(1, max_word):
+            mats = mats @ words[:, j]
+        return mats
+
+    def e_elements(self, start: int = 0, stop: int | None = None) -> EElement:
+        """The points of E of elements start..stop-1, as a stack."""
+        mp = self.pair
+        return EElement(mp, self.v[start:stop], GroupElement(mp, self.matrices(start, stop)))
+
+
+def draw_words(mp: MatchedPair, rng: Rng, count: int, max_word: int = 3,
+               radius: float | None = None) -> Words:
+    """The random numbers of `count` elements in three generator calls: all v,
+    uniform in [-radius, radius] (only when `radius` is given), then all word
+    lengths, uniform in 1..max_word, then all factors, with b-coordinates
+    uniform in [-1, 1]."""
+    v = None if radius is None else rng.uniform(-radius, radius, (count, mp.dim_c))
+    lengths = rng.integers(1, max_word + 1, count)
+    factors = rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
+    return Words(mp, max_word, v, lengths, factors)
 
 
 def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int,
                           max_word: int = 3) -> np.ndarray:
     """`count` random words of exponentials of b with coefficients in [-1, 1],
     as a (count, d, d) stack; validated wherever their Ad is computed."""
-    return _draw(mp, rng, count, max_word, None)[1]
+    return draw_words(mp, rng, count, max_word).matrices()
 
 
 def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0) -> EElement:
     """A stack of `count` random points of E, v uniform in [-radius, radius]."""
-    v, mats = _draw(mp, rng, count, 3, radius)
-    return EElement(mp, v, GroupElement(mp, mats))
+    return draw_words(mp, rng, count, radius=radius).e_elements()
 
 
 def basis_curves(mp: MatchedPair, t: float) -> EElement:

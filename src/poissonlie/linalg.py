@@ -188,6 +188,8 @@ class Rng:
     def uniform(self, low: float, high: float, size=None):
         return self._gen.uniform(low, high, size)
 
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
+    def integers(self, low: int, high: int, size=None):
+        """An int, or an int64 array when `size` is given."""
+        out = self._gen.integers(low, high, size)
+        return int(out) if size is None else out
 

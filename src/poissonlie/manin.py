@@ -95,12 +95,14 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
         residuals[f"isotropy_{name}"] = float(np.max(np.abs(gram)))
         residuals[f"closure_{name}"] = alg.realization_residual()
     gram = trace_gram(big.realization, big.realization, form)
-    # <[a,b],c> + <b,[a,c]>, as two matmuls of the flattened table
+    # <[a,b],c> + <b,[a,c]>, as two matmuls of the flattened table; the sum
+    # and its absolute value are formed in place, so at most two n^3 arrays
+    # are alive at once
     n = big.dim
     flat = big.structure.reshape(n * n, n)
-    inv = ((flat @ gram).reshape(n, n, n)
-           + (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2))
-    residuals["form_invariance"] = float(np.max(np.abs(inv)))
+    inv = (flat @ gram).reshape(n, n, n)
+    inv += (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2)
+    residuals["form_invariance"] = float(np.max(np.abs(inv, out=inv)))
     for name, half in halves.items():
         complementary = half.dim + gstar.dim == big.dim
         if complementary:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (SAMPLE_BLOCK, EElement, adE, e_element_to_json_dict, e_mul, exp_b,
-                    sample_e_elements)
+from .group import SAMPLE_BLOCK, EElement, adE, draw_words, e_element_to_json_dict, e_mul, exp_b
 from .linalg import Bivector, Rng, worst_at
 from .matched import MatchedPair
 from .trig import TrigPoly, fit_trig
@@ -79,9 +78,10 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, radius: float = 1.0,
         raise ValueError("need at least one sample")
     labels = mp.e_space.labels
     resids, witnesses = [], []
+    words = draw_words(mp, rng, 2 * samples, radius=radius)    # g, h, g, h, ...
     for start in range(0, samples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, samples - start)
-        gh = sample_e_elements(mp, rng, 2 * count, radius)   # g, h, g, h, ... as drawn
+        gh = words.e_elements(2 * start, 2 * (start + count))
         g, h = gh[0::2], gh[1::2]
         lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign).coeffs
         a = adE(g)

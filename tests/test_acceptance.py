@@ -277,7 +277,7 @@ def test_reports_embed_required_metadata(tmp_path):
     assert out.returncode == 0
     doc = json.loads(path.read_text())
     assert doc["meta"]["version"]
-    assert doc["meta"]["prng"] == "numpy PCG64"
+    assert doc["meta"]["prng"] == "numpy PCG64; per check: all v, all word lengths, all factors"
     assert "Pade" in doc["meta"]["exp_method"]
     assert set(doc["meta"]["tolerances"]) == {"algebraic", "fd", "fd_step", "svd",
                                               "twist_inner_scale"}

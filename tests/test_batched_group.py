@@ -4,25 +4,22 @@ The references below are the per-element loops the stacked code replaced: a
 word of `exp_b` factors multiplied one by one, Ad by conjugation and a
 least-squares solve per element, the eta_b loop over the y-basis, the adE
 mixed-block loop over the b-basis, and the per-sample cocycle and invariance
-loops.  They live only here."""
+loops.  Their random numbers come straight from numpy's PCG64 in the stated
+draw order (`ref_draw`).  They live only here."""
 
 import numpy as np
 import pytest
 
-from poissonlie.catalog import get_entry, su11
+from poissonlie import checks, group, poisson
+from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _adjoint, adE, e_inv,
-                              e_mul, exp_b, identity_element, sample_e_elements,
-                              sample_group_matrices)
-from poissonlie.linalg import Bivector, Rng
+from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
+                              draw_words, e_inv, e_mul, exp_b, identity_element,
+                              sample_e_elements, sample_group_matrices)
+from poissonlie.linalg import Bivector, Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
-
-
-def sample_group_element(mp, rng) -> GroupElement:
-    """One random element, drawn as the first of a stack of one."""
-    return GroupElement(mp, sample_group_matrices(mp, rng, 1)[0])
 
 
 def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
@@ -49,12 +46,22 @@ def mp(request):
 # -- references -------------------------------------------------------------
 
 
-def ref_group_element(mp, rng, max_word=3):
-    length = rng.integers(1, max_word + 1)
-    a = identity_element(mp)
-    for _ in range(length):
-        a = a @ exp_b(mp, rng.uniform(-1.0, 1.0, mp.dim_b))
-    return a.matrix
+def ref_draw(mp, seed, count, radius=None, max_word=3):
+    """`count` elements from numpy's PCG64 at `seed` in the stated draw order:
+    all v (with a radius), then all word lengths, then all factors.  Returns
+    the v stack or None, the matrices, each word's `exp_b` factors multiplied
+    one by one, and the generator, to read what it draws next."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    v = None if radius is None else gen.uniform(-radius, radius, (count, mp.dim_c))
+    lengths = gen.integers(1, max_word + 1, size=count)
+    factors = gen.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
+    mats = []
+    for word in np.split(factors, np.cumsum(lengths)[:-1]):
+        a = identity_element(mp)
+        for x in word:
+            a = a @ exp_b(mp, x)
+        mats.append(a.matrix)
+    return v, np.array(mats), gen
 
 
 def ref_adjoint(mp, mat):
@@ -88,11 +95,11 @@ def ref_adE_mixed(mp, g):
 
 
 def ref_cocycle(mp, samples, seed, sign=1.0):
-    rng = Rng(seed)
+    v, mats, _ = ref_draw(mp, seed, 2 * samples, radius=1.0)
     out = []
-    for _ in range(samples):
-        g = sample_e_element(mp, rng)
-        h = sample_e_element(mp, rng)
+    for i in range(samples):
+        g = EElement(mp, v[2 * i], GroupElement(mp, mats[2 * i]))
+        h = EElement(mp, v[2 * i + 1], GroupElement(mp, mats[2 * i + 1]))
         lhs = eta(mp, e_mul(g, h), eta_b_sign=sign).coeffs
         a = adE(g)
         pushed = a @ eta(mp, h, eta_b_sign=sign).coeffs @ a.T
@@ -103,11 +110,11 @@ def ref_cocycle(mp, samples, seed, sign=1.0):
 
 
 def ref_invariance(mp, samples, seed):
-    rng = Rng(seed)
+    _, mats, _ = ref_draw(mp, seed, 2 * samples)
     inv, hom = [], []
-    for _ in range(samples):
-        a = sample_group_element(mp, rng)
-        b = sample_group_element(mp, rng)
+    for i in range(samples):
+        a = GroupElement(mp, mats[2 * i])
+        b = GroupElement(mp, mats[2 * i + 1])
         inv.append(mp.invariance_residual(a))
         diff = (a @ b).action_on_c - a.action_on_c @ b.action_on_c
         hom.append(np.max(np.abs(diff)))
@@ -118,28 +125,30 @@ def ref_invariance(mp, samples, seed):
 
 
 def test_stacked_group_draws_equal_sequential_draws(mp):
-    stacked_rng, seq_rng, ref_rng = Rng(5), Rng(5), Rng(5)
+    stacked_rng, seq_rng = Rng(5), Rng(5)
     mats = sample_group_matrices(mp, stacked_rng, 40)
-    seq = [sample_group_element(mp, seq_rng).matrix for _ in range(40)]
-    ref = [ref_group_element(mp, ref_rng) for _ in range(40)]
-    assert np.max(np.abs(mats - np.array(seq))) <= 1e-15
-    assert np.max(np.abs(mats - np.array(ref))) <= 1e-15
+    # the same numbers exponentiated block by block, as the sampled checks do
+    words = draw_words(mp, seq_rng, 40)
+    seq = np.concatenate([words.matrices(start, start + 7) for start in range(0, 40, 7)])
+    _, ref, ref_gen = ref_draw(mp, 5, 40)
+    assert np.max(np.abs(mats - seq)) <= 1e-15
+    assert np.max(np.abs(mats - ref)) <= 1e-15
     # all three generators consumed the same numbers
-    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_rng.uniform(0, 1)}
+    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_gen.uniform(0, 1)}
     assert len(nxt) == 1
 
 
 def test_stacked_e_draws_equal_sequential_draws(mp):
-    stacked_rng, seq_rng, ref_rng = Rng(6), Rng(6), Rng(6)
+    stacked_rng, seq_rng = Rng(6), Rng(6)
     stack = sample_e_elements(mp, stacked_rng, 40, radius=0.5)
-    seq = [sample_e_element(mp, seq_rng, radius=0.5) for _ in range(40)]
-    ref = [(ref_rng.uniform(-0.5, 0.5, mp.dim_c), ref_group_element(mp, ref_rng))
-           for _ in range(40)]
-    assert np.array_equal(stack.v, np.array([g.v for g in seq]))
-    assert np.array_equal(stack.v, np.array([v for v, _ in ref]))
-    assert np.max(np.abs(stack.a.matrix - np.array([g.a.matrix for g in seq]))) <= 1e-15
-    assert np.max(np.abs(stack.a.matrix - np.array([a for _, a in ref]))) <= 1e-15
-    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_rng.uniform(0, 1)}
+    words = draw_words(mp, seq_rng, 40, radius=0.5)
+    seq = [words.e_elements(start, start + 7) for start in range(0, 40, 7)]
+    ref_v, ref_mats, ref_gen = ref_draw(mp, 6, 40, radius=0.5)
+    assert np.array_equal(stack.v, np.concatenate([g.v for g in seq]))
+    assert np.array_equal(stack.v, ref_v)
+    assert np.max(np.abs(stack.a.matrix - np.concatenate([g.a.matrix for g in seq]))) <= 1e-15
+    assert np.max(np.abs(stack.a.matrix - ref_mats)) <= 1e-15
+    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_gen.uniform(0, 1)}
     assert len(nxt) == 1
 
 
@@ -232,6 +241,19 @@ def test_invariance_matches_per_sample_loop(mp):
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("name", ["su21", "su41"])
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_reports_do_not_depend_on_the_block_size(name, block, monkeypatch):
+    entry = get_entry(name)
+    default = {check: run_check(check, entry, 100, Rng(42), DEFAULT_TOL)
+               for check in ("invariance", "cocycle")}
+    for module in (group, checks, poisson):
+        monkeypatch.setattr(module, "SAMPLE_BLOCK", block)
+    for check, rep in default.items():
+        # residuals and witnesses: worst_sample, worst_part, g and h
+        assert run_check(check, entry, 100, Rng(42), DEFAULT_TOL) == rep
+
+
 def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):
     monkeypatch.setattr(MatchedPair, "invariance_residual",
                         lambda self, a: np.zeros(a.matrix.shape[:-2]))
@@ -248,12 +270,14 @@ def test_sampled_checks_refuse_zero_samples(check):
         run_check(check, get_entry("su21"), 0, Rng(42), DEFAULT_TOL)
 
 
-#: residuals of the corruption knobs at seed 42, 200 samples, before stacking
+#: residuals of the corruption knobs at seed 42, 200 samples, in the draw
+#: order of one check's three generator calls, as the per-sample loops over
+#: `ref_draw` give them
 KNOB_RESIDUALS = {
-    ("su21", "cocycle"): 2.0437456728446697,
-    ("su21", "invariance"): 1.9894157113445703,
-    ("su31", "cocycle"): 1.8743747617498965,
-    ("su31", "invariance"): 1.9578492551004971,
+    ("su21", "cocycle"): 2.0284789493899513,
+    ("su21", "invariance"): 1.9944210939860325,
+    ("su31", "cocycle"): 1.9786322362481006,
+    ("su31", "invariance"): 1.928507530085616,
 }
 
 
@@ -285,11 +309,10 @@ def test_invariance_witness_names_sample_and_part(mp):
     rep = run_check("invariance", mp, 40, Rng(4), DEFAULT_TOL, corrupt="invariance_flip_action")
     details = rep["details"]
     assert rep["worst_criterion"] == "invariance"
-    rng = Rng(4)
+    _, mats, _ = ref_draw(mp, 4, 80)
     resids = []
-    for _ in range(40):
-        a = sample_group_element(mp, rng)
-        sample_group_element(mp, rng)
+    for i in range(40):
+        a = GroupElement(mp, mats[2 * i])
         prod = a.coad_b0 @ a.inverse().action_on_c.T
         resids.append(np.max(np.abs(prod - np.eye(mp.dim_c))))
     assert details["worst_sample"] == int(np.argmax(resids))
@@ -392,3 +415,58 @@ def test_single_element_outside_b_still_rejected(e11):
         bad.ad
     with pytest.raises(ValueError, match="not in B"):
         eta(e11.mp, EElement(e11.mp, np.zeros(2), bad))
+
+
+# -- the chunked Ad pass ---------------------------------------------------------
+
+#: pairs of the chunk tests, with 85, 25, 10 and 4 matrices a chunk
+CHUNK_PAIRS = ("su21", "su31", "su41", "supq1(5)")
+
+
+@pytest.fixture(scope="module", params=CHUNK_PAIRS)
+def chunked(request):
+    """A pair and its Ad chunk length."""
+    name = request.param
+    mp = (supq1(5) if name == "supq1(5)" else get_entry(name)).mp
+    d = mp.g.realization[0].shape[0]
+    return mp, _ad_chunk(d, mp.g.dim)
+
+
+def one_chunk_pass(mp, mats, invs, monkeypatch, pairs=False):
+    with monkeypatch.context() as patch:
+        patch.setattr(group, "_AD_CHUNK_BYTES", 1 << 40)
+        return _adjoint(mp, mats, invs, pairs=pairs)
+
+
+def test_chunked_ad_pass_equals_one_chunk_bit_for_bit(chunked, monkeypatch):
+    mp, chunk = chunked
+    for size in (1, chunk - 1, chunk, chunk + 1):
+        mats = sample_group_matrices(mp, Rng(size), size)
+        invs = np.linalg.inv(mats)
+        assert np.array_equal(_adjoint(mp, mats, invs),
+                              one_chunk_pass(mp, mats, invs, monkeypatch))
+        both = np.stack([mats, invs]), np.stack([invs, mats])
+        assert np.array_equal(_adjoint(mp, *both, pairs=True),
+                              one_chunk_pass(mp, *both, monkeypatch, pairs=True))
+    # one element without the stack axis
+    mat = sample_group_matrices(mp, Rng(1), 1)[0]
+    assert np.array_equal(_adjoint(mp, mat, np.linalg.inv(mat)),
+                          one_chunk_pass(mp, mat, np.linalg.inv(mat), monkeypatch))
+
+
+def test_offender_in_the_last_chunk_is_named_by_its_stack_index(chunked):
+    mp, chunk = chunked
+    # exp of a c-direction: in G, so it passes membership, but it moves b
+    moves_b = expm(0.5 * mp.g.matrix_of(mp.y_basis[0]))
+    for size in (1, chunk - 1, chunk, chunk + 1):
+        last = size - 1
+        for bad, problem in ((np.full_like(moves_b, np.nan), r"leaves the algebra"),
+                             (moves_b, r"does not normalize b")):
+            mats = sample_group_matrices(mp, Rng(size), size)
+            mats[last] = bad
+            invs = np.linalg.inv(mats)
+            with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
+                _adjoint(mp, mats, invs)
+            # pairs: the inverse of a's last element is the last matrix of the pass
+            with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
+                _adjoint(mp, np.stack([mats, invs]), np.stack([invs, mats]), pairs=True)

@@ -37,7 +37,7 @@ def test_verify_pass_exit_zero(tmp_path):
     assert all(r["pass"] for r in doc["results"])
     assert {r["check"] for r in doc["results"]} == {"cocycle", "jacobi"}
     meta = doc["meta"]
-    assert meta["prng"] == "numpy PCG64"
+    assert meta["prng"] == "numpy PCG64; per check: all v, all word lengths, all factors"
     assert "expm" in meta["exp_method"]
     assert meta["seed"] == 42
     assert meta["tolerances"]["algebraic"] == 1e-9
