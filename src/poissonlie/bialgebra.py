@@ -18,8 +18,9 @@ import numpy as np
 
 from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
-from .lie import LieAlgebra, generated_dim, jacobi_worst_at
-from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst
+from .lie import (SPARSE_PRODUCT_COST, LieAlgebra, generated_dim, jacobi_worst_at, meet_runs,
+                  worst_key_sum)
+from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst, worst_at
 from .matched import MatchedPair
 from .poisson import eta
 
@@ -92,18 +93,106 @@ def co_jacobi_worst_at(delta: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return 2 * resid, triple
 
 
-def cocycle_1_residual(mp: MatchedPair, delta: np.ndarray) -> float:
-    """max over basis pairs of | delta([X,Y]) - X.delta(Y) + Y.delta(X) |,
-    one basis vector X = e_i at a time against every Y = e_j, j > i."""
+def cocycle_1_worst_at(mp: MatchedPair, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """max over basis pairs of | delta([X,Y]) - X.delta(Y) + Y.delta(X) |, with
+    the pair (i, j), X = e_i, Y = e_j, i < j, it is attained at: the first NaN,
+    else the first largest, in the order of the dense loop (`_cocycle_dense`);
+    (0, 1) when the residual is 0.
+
+    Finite tables with few enough nonzero products (`sparse_cocycle_pays`)
+    are contracted over their nonzero entries (`_cocycle_sparse`), any other
+    densely."""
     c = mp.e_algebra.structure
+    if len(c) < 2:
+        return 0.0, (0, 0)
+    if sparse_cocycle_pays(c, delta):
+        return _cocycle_sparse(c, delta)
+    return _cocycle_dense(c, delta)
+
+
+def sparse_cocycle_pays(c: np.ndarray, delta: np.ndarray) -> bool:
+    """Whether `cocycle_1_worst_at` contracts sparsely: both tables are finite
+    and pair few entries (`_cocycle_sparse`); their count, times
+    `lie.SPARSE_PRODUCT_COST`, against n^5 decides, as for the Jacobiator."""
+    n = len(c)
+    if not (np.isfinite(c).all() and np.isfinite(delta).all()):
+        return False
+    nzc, nzd = c != 0, delta != 0
+    iu, ju = np.triu_indices(n, 1)
+    products = int(nzc[iu, ju].sum(axis=0) @ nzd[:, iu, ju].sum(axis=1)
+                   + nzc.reshape(n, n * n).sum(axis=1) @ nzd.sum(axis=(0, 2)))
+    return products * SPARSE_PRODUCT_COST < n ** 5
+
+
+def _cocycle_dense(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """`cocycle_1_worst_at` by dense slices: one basis vector X = e_i at a
+    time against every Y = e_j, j > i.  A NaN anywhere reaches some slice."""
+    n = len(c)
     ad = np.swapaxes(c, 1, 2)                  # ad(e_i) = structure[i]^T
-    out = 0.0
-    for i in range(len(c) - 1):
+    per_pair = []
+    for i in range(n - 1):
         lhs = np.tensordot(c[i, i + 1:], delta, axes=1)
         xi_dj = ad[i] @ delta[i + 1:] + delta[i + 1:] @ ad[i].T
         xj_di = ad[i + 1:] @ delta[i] + delta[i] @ np.swapaxes(ad[i + 1:], 1, 2)
-        out = worst(out, np.max(np.abs(lhs - xi_dj + xj_di)))
-    return out
+        per_pair.append(np.abs(lhs - xi_dj + xj_di).max(axis=(1, 2)))
+    resid, at = worst_at(np.concatenate(per_pair))
+    iu, ju = np.triu_indices(n, 1)
+    return resid, (int(iu[at]), int(ju[at]))
+
+
+def _cocycle_sparse(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """`cocycle_1_worst_at` of finite tables over their nonzero entries.
+
+    With X.C = A_X C + C A_X^T, (A_i)[p, r] = c[i, r, p], and delta
+    antisymmetric in its last two indices, the (p, q) entry of the residual
+    of the pair (i, j) is
+
+        sum_l c[i,j,l] delta[l,p,q] - G(i,j)[p,q] + G(j,i)[p,q],
+        G(i,j)[p,q] = sum_r c[i,r,p] delta[j,r,q] - (the same with p, q swapped).
+
+    It is antisymmetric in (i, j) and in (p, q), so each product of a
+    nonzero c with a nonzero delta is added, with its sign, to the key
+    (i, j, p, q) with i < j and p < q.  The first term joins c[i, j, l],
+    i < j, with the run delta[l, p, q], p < q; G joins c[i, r, p] =
+    -c[r, i, p] with the run delta[j, r, q], read from delta with its first
+    two indices swapped.  The products are summed per key after one sort;
+    pairs come in the dense loop's order, so the first largest is the same
+    pair."""
+    n = len(c)
+
+    def entries(table):
+        """The nonzero entries of a table, grouped by their first index: the
+        values and the three indices."""
+        flat = np.flatnonzero(table)
+        head, rest = np.divmod(flat, n * n)
+        return (table.ravel()[flat], head, *np.divmod(rest, n))
+
+    def runs(head):
+        return np.searchsorted(head, np.arange(n + 1))
+
+    vals, r, i, p = entries(c)                          # c[r, i, p]
+    # sum_l c[i,j,l] delta[l,p,q]: c[r, i, p] with r < i meets delta[p, ., .]
+    d_vals, d_l, d_p, d_q = entries(delta)
+    pq = d_p < d_q
+    d_vals, d_l, d_p, d_q = d_vals[pq], d_l[pq], d_p[pq], d_q[pq]
+    upper = np.flatnonzero(r < i)
+    first, second = meet_runs(upper, p[upper], runs(d_l))
+    keys = [((r[first] * n + i[first]) * n + d_p[second]) * n + d_q[second]]
+    prods = [vals[first] * d_vals[second]]
+    # -G(i,j) + G(j,i): c[i,r,p] delta[j,r,q] = -c[r,i,p] delta^T[r,j,q]
+    t_vals, t_r, t_j, t_q = entries(np.ascontiguousarray(delta.transpose(1, 0, 2)))
+    first, second = meet_runs(np.arange(len(r)), r, runs(t_r))
+    a, b, s, t = i[first], t_j[second], p[first], t_q[second]
+    keep = (a != b) & (s != t)
+    first, second, a, b, s, t = first[keep], second[keep], a[keep], b[keep], s[keep], t[keep]
+    pair, wedge = np.minimum(a, b), np.minimum(s, t)
+    keys.append(((pair * n + (a + b - pair)) * n + wedge) * n + (s + t - wedge))
+    prods.append(np.where((a < b) == (s < t), 1.0, -1.0) * vals[first] * t_vals[second])
+    found = worst_key_sum(np.concatenate(keys), np.concatenate(prods), n * n)
+    if found is None:       # every product cancelled, or none was left
+        return 0.0, (0, 1)
+    resid, pair = found
+    return resid, divmod(pair, n)
 
 
 # -- r-matrix for Iwasawa pairs -------------------------------------------------
@@ -202,11 +291,12 @@ def uniqueness_singular_values(mp: MatchedPair, drop_b0_rows: bool = False) -> n
     those of the antisymmetric one (`symmetric_blocks`).  Each block keeps
     its nonzero rows and takes one SVD; a block with none gives no values."""
     gens = uniqueness_generators(mp.e_algebra.dim)
-    blocks = [symmetric_blocks(invariance_rows(mp, x, drop_b0_rows), mp.e_algebra.dim)
+    blocks = [[r[(r != 0).any(axis=1)]
+               for r in symmetric_blocks(invariance_rows(mp, x, drop_b0_rows), mp.e_algebra.dim)]
               for x in gens]
     svals = [np.zeros(0)]
     for block in zip(*blocks):      # the symmetric blocks, then the antisymmetric ones
-        rows = np.vstack([r[(r != 0).any(axis=1)] for r in block])
+        rows = np.vstack(block)
         if len(rows):
             svals.append(np.linalg.svd(rows, compute_uv=False))
     return np.concatenate(svals)

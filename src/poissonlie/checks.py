@@ -22,7 +22,7 @@ from . import poisson as po
 from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
-from .lie import jacobi_worst_at
+from .lie import jacobi_worst_at, snap_dyadic
 from .linalg import Rng, best_sign, worst, worst_at
 from .matched import MatchedPair
 from .group import SAMPLE_BLOCK, GroupElement, draw_words, exp_b, sample_group_matrices
@@ -169,9 +169,10 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
         delta = delta.copy()
         delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > tol.algebraic)] *= -1.0
     co_jacobi, triple = bi.co_jacobi_worst_at(delta)
-    return {"residuals": {"co_jacobi_residual": co_jacobi,
-                          "cocycle_residual": bi.cocycle_1_residual(mp, delta)},
-            "details": {"co_jacobi_worst_triple": list(triple)}}
+    cocycle, pair = bi.cocycle_1_worst_at(mp, delta)
+    return {"residuals": {"co_jacobi_residual": co_jacobi, "cocycle_residual": cocycle},
+            "details": {"co_jacobi_worst_triple": list(triple),
+                        "cocycle_worst_pair": list(pair)}}
 
 
 @_register("coboundary", "r_scale_2", ENTRY)
@@ -210,6 +211,8 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
     g_model = mn.g_structure_in_model_basis(entry)
     k = entry.mp.dim_c
+    # the algebras are built from the snapped model table; a residual against
+    # the table as computed carries the snap distance
     plus, pp_in_k = mn.deform_bracket(g_model, k, +sign)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
     minus, _ = mn.deform_bracket(g_model, k, -sign)
@@ -231,8 +234,11 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
-    # one residual, the co-Jacobi identity over all three cobrackets
-    co_j = worst(*(bi.co_jacobi_worst_at(d)[0] for d in (dg, dgp, dgc)))
+    # one residual, the co-Jacobi identity over all three cobrackets, each
+    # snapped to its grid (integers on the catalog) with the snap distance
+    # folded in; the residuals above are measured against them as computed
+    co_j = worst(*(worst(bi.co_jacobi_worst_at(exact)[0], snap)
+                   for exact, snap in map(snap_dyadic, (dg, dgp, dgc))))
     return {"residuals": {**rep, "cprime_g_minus_gprime": cprime_g,
                           "cprime_gc_minus_gprime": cprime_gc, "co_jacobi_all_three": co_j},
             "details": {"inner_scale": tol.twist_inner_scale}}

@@ -32,8 +32,12 @@ def _trace_part(t, spec: str):
 
 def trace_gram(xs, ys, spec: str) -> np.ndarray:
     """Gram matrix of the invariant pairing of two matrix stacks:
-    G[a, b] = Im tr(xs[a] ys[b]) for IM_TRACE, Re tr(xs[a] ys[b]) for RE_TRACE."""
-    t = np.einsum("aij,bji->ab", np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
+    G[a, b] = Im tr(xs[a] ys[b]) for IM_TRACE, Re tr(xs[a] ys[b]) for RE_TRACE.
+
+    tr(x y) = sum_ij x[i, j] y[j, i] is the dot product of x flattened with
+    y transposed and flattened, so the whole Gram matrix is one GEMM."""
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    t = xs.reshape(len(xs), -1) @ ys.transpose(0, 2, 1).reshape(len(ys), -1).T
     return _trace_part(t, spec)
 
 
@@ -97,6 +101,27 @@ class MatrixBasisSolver:
     def combine(self, coords: np.ndarray) -> np.ndarray:
         """sum_i coords[..., i] * mats[i]; a stack of coordinate rows gives a stack."""
         return np.tensordot(coords, self.stack, axes=1)
+
+
+def snap_dyadic(table: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table snapped to the coarsest of the grids 1, 1/2 and 1/4 that lies
+    within ALGEBRAIC_TOL of every entry, with no negative zeros, and the snap
+    distance max |snapped - table|; any other table, one with a NaN or an
+    infinity included, comes back untouched with distance 0.0.
+
+    The tolerance is far below 1/8, so an entry within it of a coarser grid
+    has the same nearest point on the quarter grid: one rounding to quarters
+    finds the coarsest grid's values.  Scaling by 4 is exact."""
+    exact = np.multiply(table, 4.0)
+    np.rint(exact, out=exact)
+    exact /= 4.0
+    exact += 0.0        # -0.0 + 0.0 is 0.0
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN: not on the grid
+        gap = np.subtract(table, exact)
+    distance = float(np.max(np.abs(gap, out=gap), initial=0.0))
+    if not distance <= ALGEBRAIC_TOL:
+        return table, 0.0
+    return exact, distance
 
 
 #: The sparse Jacobiator costs about as much per nonzero product as the dense
@@ -171,29 +196,47 @@ def _jacobi_sparse(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     vals = c.ravel()[flat]
     a, bl = np.divmod(flat, n * n)
     b, l = np.divmod(bl, n)
-    starts = np.searchsorted(a, np.arange(n + 1))
     upper = np.flatnonzero(a < b)
-    # each c[a, b, l] meets the run starts[l]:starts[l + 1] of entries c[l, ., .]
-    reps = starts[l[upper] + 1] - starts[l[upper]]
-    first = np.repeat(upper, reps)
-    second = np.arange(len(first)) + np.repeat(starts[l[upper]] - np.cumsum(reps) + reps, reps)
+    # each c[a, b, l] meets the run of entries c[l, ., .]
+    first, second = meet_runs(upper, l[upper], np.searchsorted(a, np.arange(n + 1)))
     i, j, d = a[first], b[first], b[second]
     keep = (d != i) & (d != j)
     first, second, i, j, d = first[keep], second[keep], i[keep], j[keep], d[keep]
     prod = vals[first] * vals[second]
     prod[(i < d) & (d < j)] *= -1.0
     lo, hi = np.minimum(i, d), np.maximum(j, d)
-    # summed in the order generated, which keeps the dense loop's bits best
-    keys, slot = np.unique(((lo * n + (i + j + d - lo - hi)) * n + hi) * n + l[second],
-                           return_inverse=True)
-    jac = np.abs(np.bincount(slot, weights=prod))
-    if not jac.any():       # every product cancelled, or none was left
+    found = worst_key_sum(((lo * n + (i + j + d - lo - hi)) * n + hi) * n + l[second], prod, n)
+    if found is None:       # every product cancelled, or none was left
         return 0.0, (0, 1, 1)
-    triples = keys // n
-    bounds = np.flatnonzero(np.diff(triples, prepend=-1))
-    resid, at = worst_at(np.maximum.reduceat(jac, bounds))
-    t = int(triples[bounds[at]])
+    resid, t = found
     return resid, (t // (n * n), t // n % n, t % n)
+
+
+def meet_runs(left: np.ndarray, keys: np.ndarray,
+              starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The join of a sparse contraction: each entry left[i] meets every
+    position of the run starts[keys[i]]:starts[keys[i] + 1] of an array
+    sorted by key.  Returns the two index arrays of the pairs, in the order
+    of `left` and each run in order."""
+    lo = starts[keys]
+    reps = starts[keys + 1] - lo
+    first = np.repeat(left, reps)
+    return first, np.arange(len(first)) + np.repeat(lo - np.cumsum(reps) + reps, reps)
+
+
+def worst_key_sum(keys: np.ndarray, prods: np.ndarray, group: int) -> tuple[float, int] | None:
+    """The products summed per key, after one sort of the keys and in the
+    order given (which keeps a dense loop's bits best); then the largest |sum|
+    and the first group of keys (key // group, in key order) attaining it.
+    None when every sum is 0.0, or there are no products."""
+    keys, slot = np.unique(keys, return_inverse=True)
+    sums = np.abs(np.bincount(slot, weights=prods))
+    if not sums.any():
+        return None
+    groups = keys // group
+    bounds = np.flatnonzero(np.diff(groups, prepend=-1))
+    resid, at = worst_at(np.maximum.reduceat(sums, bounds))
+    return resid, int(groups[bounds[at]])
 
 
 def generated_dim(alg: LieAlgebra, gens: np.ndarray, tol: float) -> int:
@@ -304,7 +347,7 @@ class LieAlgebra:
         """Max mismatch between the matrix commutators and the structure
         constants, from the one re-expansion made at construction; for a table
         built by `from_realization`, the span residual of the commutators, or
-        the distance of the integer snap if that is larger."""
+        the distance of the snap (`snap_dyadic`) if that is larger."""
         return self._residual
 
     # -- serialization ------------------------------------------------------
@@ -346,10 +389,9 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
     That one re-expansion both fills the table and checks that the basis spans
     its commutators; the algebra keeps its solver.
 
-    When every coordinate lies within ALGEBRAIC_TOL of an integer, as on the
-    catalog's bases, the table is snapped to those integers: it is exact and
-    sparse, and the snap distance joins the span residual.  Any other table
-    is kept as solved."""
+    The coordinates go through `snap_dyadic`: on the catalog's bases they are
+    integers up to rounding, so the table is exact and sparse, and the snap
+    distance joins the span residual.  Any other table is kept as solved."""
     solver = MatrixBasisSolver(mats)
     n = len(mats)
     i, j, comms = pair_commutators(mats)
@@ -359,19 +401,13 @@ def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
         bad = int(np.argmax(resids))   # the first NaN, if any
         raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
                          f"(residual {resids[bad]:.3e})")
-    exact = np.rint(coords)
-    snap = float(np.max(np.abs(coords - exact), initial=0.0))
-    snapped = snap <= ALGEBRAIC_TOL
-    if snapped:
-        coords, span = exact, worst(span, snap)
+    coords, snap = snap_dyadic(coords)
     structure = np.zeros((n, n, n))
     structure[i, j] = coords
-    structure[j, i] = -coords
-    if snapped:
-        structure += 0.0     # no negative zeros in an exact table
+    structure[j, i] = 0.0 - coords       # no negative zeros in an exact table
     structure.setflags(write=False)
     return LieAlgebra(BasedSpace.make(labels), structure, realization=list(mats),
-                      pairing=pairing, _solver=solver, _residual=span)
+                      pairing=pairing, _solver=solver, _residual=worst(span, snap))
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization,
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, snap_dyadic,
                   structure_in_basis, trace_gram)
 from .linalg import BasedSpace, Bivector
 
@@ -151,13 +151,20 @@ def deform_bracket(table: np.ndarray, k: int, sign: float) -> tuple[LieAlgebra, 
     u_i = phi(psi^i) for i < k (`g_structure_in_model_basis`): s M[u, u, x]
     on [u, u], M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs
     [p, p] in k: returns the algebra and the largest u-part of [u, u],
-    M[u, u, u], which the table leaves out."""
+    M[u, u, u], which the table leaves out.
+
+    The blocks are cut from M snapped to its grid (`lie.snap_dyadic`): phi
+    has entries +-1/2, so on the catalog M holds quarter-integers, and the
+    deformed tables are exact and take the sparse Jacobi contraction.  The
+    u-part is read from M as passed, and a caller that compares the algebra
+    with M sees the snap distance."""
+    exact, _ = snap_dyadic(table)
     m = table.shape[0] - k
     c = np.zeros_like(table)
-    c[:k, :k, k:] = sign * table[:k, :k, k:]
-    c[k:, :k, :k] = table[k:, :k, :k]
-    c[:k, k:, :k] = table[:k, k:, :k]
-    c[k:, k:, k:] = table[k:, k:, k:]
+    c[:k, :k, k:] = sign * exact[:k, :k, k:]
+    c[k:, :k, :k] = exact[k:, :k, :k]
+    c[:k, k:, :k] = exact[:k, k:, :k]
+    c[k:, k:, k:] = exact[k:, k:, k:]
     pp_in_k = float(np.max(np.abs(table[:k, :k, :k]), initial=0.0))
     labels = [f"u_{i}" for i in range(k)] + [f"x_{a}" for a in range(m)]
     return LieAlgebra(BasedSpace.make(labels), c), pp_in_k
@@ -171,8 +178,11 @@ def g_structure_in_model_basis(entry) -> np.ndarray:
 
 
 def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:
-    ad = np.transpose(alg.structure, (0, 2, 1))      # ad(e_i) = structure[i]^T
-    killing = np.einsum("aij,bji->ab", ad, ad)
+    """Eigenvalues of the Killing form tr(ad a ad b) = sum c[a,j,k] c[b,k,j],
+    one GEMM of the flattened table with its transpose in (j, k)."""
+    c = alg.structure
+    n = alg.dim
+    killing = c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
     return np.linalg.eigvalsh(killing)
 
 

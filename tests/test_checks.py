@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -56,6 +57,71 @@ def test_bialgebra_axioms_report_names_its_worst_co_jacobi_triple():
     resid, triple = co_jacobi_worst_at(delta_direct(entry.mp))
     assert details["co_jacobi_residual"] == resid
     assert details["co_jacobi_worst_triple"] == list(triple)
+
+
+@pytest.mark.parametrize("name", ["su21", "su41"])
+def test_bialgebra_axioms_report_names_its_worst_cocycle_pair(name):
+    entry = get_entry(name)
+    clean = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL)["details"]
+    assert clean["cocycle_residual"] == 0.0 and clean["cocycle_worst_pair"] == [0, 1]
+    rep = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL,
+                    corrupt="delta_sign_one_basis")
+    i, j = rep["details"]["cocycle_worst_pair"]
+    assert i < j
+    # the residual of that pair, from the definition, under the same knob
+    c, delta = entry.mp.e_algebra.structure, entry.mp.delta.copy()
+    delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > DEFAULT_TOL.algebraic)] *= -1.0
+    act = [c[x].T @ delta[y] + delta[y] @ c[x] for x, y in ((i, j), (j, i))]
+    at = np.max(np.abs(np.tensordot(c[i, j], delta, axes=1) - act[0] + act[1]))
+    assert at == rep["details"]["cocycle_residual"] > 1.0
+
+
+def _off_grid(fn, at: tuple[int, int, int], g_only: bool = False):
+    """`fn` with its table 1e-12 off the grid at the entry `at`, kept
+    antisymmetric in the pair of indices the table is antisymmetric in: the
+    first two of a structure table, the last two of a cobracket
+    delta[x, p, q] (with `g_only`, only the cobracket of g itself)."""
+    def wrapped(entry, *args):
+        out = fn(entry, *args).copy()
+        i, j, l = at
+        if not args:
+            out[i, j, l] += 1e-12
+            out[j, i, l] -= 1e-12
+        elif not g_only or np.array_equal(args[0], entry.g.realization):
+            out[i, j, l] += 1e-12
+            out[i, l, j] -= 1e-12
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("check, patched, at, g_only, criterion", [
+    ("deform", "g_structure_in_model_basis", (-2, -1, -1), False, "plus_reproduces_g"),
+    ("deform", "g_structure_in_model_basis", (0, 1, 0), False, "pp_in_k"),
+    ("twist", "cobracket_on_gstar", (0, 0, 1), True, None),
+    ("twist", "cobracket_on_gstar", (0, 0, 1), False, "co_jacobi_all_three"),
+])
+def test_a_snapped_deviation_shows_under_a_tight_tolerance(monkeypatch, tmp_path, check, patched,
+                                                           at, g_only, criterion):
+    # the model table, in its [x, x] block or in the u-part of [u, u] that the
+    # model leaves out, or the twist cobrackets on g*, 1e-12 off their grid:
+    # the algebras and co-Jacobi tables are built from them snapped, but every
+    # residual is measured against the table as computed, or carries the snap
+    # distance, so the check passes at the default tolerance and fails under
+    # --tol-algebraic 1e-13
+    from poissonlie import cli, manin
+
+    monkeypatch.setattr(manin, patched, _off_grid(getattr(manin, patched), at, g_only))
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "su41", "--checks", check, "--out", str(path)]) == 0
+    assert cli.main(["verify", "su41", "--checks", check, "--tol-algebraic", "1e-13",
+                     "--out", str(path)]) == 1
+    rep, = json.loads(path.read_text())["results"]
+    assert rep["pass"] is False and 5e-13 < rep["max_residual"] < 5e-12
+    if criterion is not None:
+        assert rep["worst_criterion"] == criterion
+    else:   # delta_g alone moved: the residuals that read it see the deviation
+        assert rep["details"]["twist_relation"] > 5e-13
+        assert rep["details"]["cprime_g_minus_gprime"] > 5e-13
 
 
 def test_jacobi_report_names_its_worst_triple():

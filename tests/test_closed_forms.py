@@ -8,17 +8,21 @@ index contributes."""
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (_alt3, check_r_uniqueness, co_jacobi_worst_at,
-                                  invariance_rows, symmetric_blocks, uniqueness_generators,
+from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, check_r_uniqueness,
+                                  co_jacobi_worst_at, cocycle_1_worst_at, invariance_rows,
+                                  sparse_cocycle_pays, symmetric_blocks, uniqueness_generators,
                                   uniqueness_singular_values)
 from poissonlie.catalog import get_entry, su11, supq1
-from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, _jacobi_dense, _jacobi_sparse,
-                            from_realization, jacobi_worst_at, sparse_jacobi_pays, trace_gram)
+from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, _jacobi_dense,
+                            _jacobi_sparse, commutators, from_realization, jacobi_worst_at,
+                            snap_dyadic, sparse_jacobi_pays, trace_gram)
 from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
-from poissonlie.manin import (cobracket_on_gstar, cprime_residual, gerstenhaber_d,
+from poissonlie.manin import (cobracket_on_gstar, cprime_residual, deform_bracket,
+                              g_structure_in_model_basis, gc_compact_half, gerstenhaber_d,
                               gprime_half, schouten_square)
+from poissonlie.matched import MatchedPair
 
 PAIRS = ["su21", "su31"]
 
@@ -525,3 +529,176 @@ def test_dusty_and_nan_tables_take_the_dense_path():
     assert not sparse_jacobi_pays(bad)
     resid, triple = jacobi_worst_at(bad)
     assert np.isnan(resid) and triple == _jacobi_dense(bad)[1]
+
+
+# -- the trace pairing as one GEMM -----------------------------------------------
+
+
+def trace_gram_einsum(xs, ys, spec: str) -> np.ndarray:
+    """The Gram matrix as the index contraction G[a, b] = sum_ij xs[a, i, j] ys[b, j, i]."""
+    t = np.einsum("aij,bji->ab", np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
+    return t.imag if spec == IM_TRACE else t.real
+
+
+@pytest.mark.parametrize("spec", [IM_TRACE, RE_TRACE])
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_trace_gram_matches_einsum_on_random_stacks(spec, d):
+    rng = np.random.default_rng(d)
+    xs = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+    ys = rng.standard_normal((3 * d, d, d)) + 1j * rng.standard_normal((3 * d, d, d))
+    for a, b in ((xs, ys), (ys, xs)):
+        got, want = trace_gram(a, b, spec), trace_gram_einsum(a, b, spec)
+        assert got.shape == (len(a), len(b))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _catalog_pairings(entry):
+    """The pairings of catalog matrices that the package forms: the g*-g
+    pairing and the psi coordinates, each Manin half with itself, the Re-trace
+    form on p x s behind phi, and the form-dual basis and the brackets of each
+    cobracket on g*."""
+    g, gs = entry.g, entry.gstar
+    gc = build_gc_algebra(entry)
+    out = [(gs.realization, g.realization, IM_TRACE), (entry.psi_mats, g.realization, IM_TRACE),
+           (g.matrix_of(entry.cartan.parts["p"]), g.matrix_of(entry.mp.y_basis), RE_TRACE)]
+    out += [(alg.realization, alg.realization, IM_TRACE) for alg in (g, gs, gc)]
+    for half in (list(g.realization), gprime_half(entry), gc_compact_half(entry)):
+        out.append((gs.realization, half, IM_TRACE))
+        out.append((gs.realization, commutators(half, half).reshape(-1, *half[0].shape), IM_TRACE))
+    return out
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_trace_gram_is_bit_identical_on_catalog_pairings(name):
+    for xs, ys, spec in _catalog_pairings(get_entry(name)):
+        assert np.array_equal(trace_gram(xs, ys, spec), trace_gram_einsum(xs, ys, spec))
+
+
+# -- dyadic snap: exact model and cobracket tables --------------------------------
+
+
+def test_snap_dyadic_keeps_an_off_grid_table_untouched():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 0.5, -0.5
+    c[1, 2, 0], c[2, 1, 0] = -0.25 + 1e-12, 0.25 - 1e-12
+    exact, dist = snap_dyadic(c)
+    assert np.array_equal(exact, np.rint(4.0 * c) / 4.0) and dist == pytest.approx(1e-12)
+    assert not np.any(np.signbit(exact) & (exact == 0.0))     # no negative zeros
+    # one entry off the quarter grid: the table comes back as it is
+    c[0, 2, 1], c[2, 0, 1] = 0.2, -0.2
+    for bad in (c, np.where(c == 0.5, np.nan, c), np.where(c == 0.5, np.inf, c)):
+        out, dist = snap_dyadic(bad)
+        assert out is bad and dist == 0.0
+
+
+def test_snap_dyadic_picks_the_coarsest_grid():
+    rng = np.random.default_rng(5)
+    for grid in (1, 2, 4):
+        table = rng.integers(-9, 10, (4, 4, 4)) / grid
+        exact, dist = snap_dyadic(table + 1e-11 * rng.standard_normal(table.shape))
+        assert np.array_equal(exact, table) and 0.0 < dist <= 1e-10
+
+
+def _on_grid(table: np.ndarray, grid: int) -> bool:
+    return bool(np.array_equal(grid * table, np.rint(grid * table)))
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_model_table_and_twist_cobrackets_are_exact(p):
+    # the deformations are cut from the model table snapped to the quarter
+    # grid, the co-Jacobi runs on the cobrackets snapped to the integers; the
+    # sparse contraction takes them where it takes g's own table (p >= 4:
+    # below that n^5 is too small for any table to pay)
+    entry = supq1(p)
+    k = entry.mp.dim_c
+    model = g_structure_in_model_basis(entry)
+    exact, dist = snap_dyadic(model)
+    assert exact is not model and dist <= 1e-14
+    assert _on_grid(exact, 4) and not _on_grid(exact, 1)
+    for sign in (1.0, -1.0, 0.0, 2.0):
+        alg, pp_in_k = deform_bracket(model, k, sign)
+        assert _on_grid(alg.structure, 4) and pp_in_k <= 1e-14
+        assert alg.jacobi == (0.0, (0, 1, 1))
+        assert sparse_jacobi_pays(alg.structure) or p < 4
+    for half in (list(entry.g.realization), gprime_half(entry), gc_compact_half(entry)):
+        raw = cobracket_on_gstar(entry, half)
+        cob, dist = snap_dyadic(raw)
+        assert cob is not raw and dist <= 1e-14 and _on_grid(cob, 1)
+        assert co_jacobi_worst_at(cob) == (0.0, (0, 1, 1))
+        assert sparse_jacobi_pays(np.moveaxis(cob, 0, 2)) or p < 4
+
+
+# -- the cocycle residual over nonzero products -----------------------------------
+
+
+def cocycle_loop(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """max |delta([e_i, e_j]) - e_i.delta(e_j) + e_j.delta(e_i)| over i < j, one
+    pair at a time, X.C = ad(X) C + C ad(X)^T with ad(e_i)[p, r] = c[i, r, p]:
+    the first NaN, else the first largest, and its pair."""
+    n = len(c)
+    out, at = 0.0, (0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = sum(c[i, j, l] * delta[l] for l in range(n))
+            act = [c[x].T @ delta[y] + delta[y] @ c[x] for x, y in ((i, j), (j, i))]
+            r = float(np.max(np.abs(lhs - act[0] + act[1])))
+            if np.isnan(r):
+                return r, (i, j)
+            if r > out:
+                out, at = r, (i, j)
+    return out, at
+
+
+def _flip_first_nonzero(delta: np.ndarray) -> np.ndarray:
+    """The delta_sign_one_basis knob: the cobracket of the first basis vector
+    where it is nonzero, with the opposite sign."""
+    out = delta.copy()
+    out[np.argmax(np.abs(delta).max(axis=(1, 2)) > 1e-9)] *= -1.0
+    return out
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_sparse_cocycle_matches_the_dense_loop_on_the_catalog(name):
+    mp = get_entry(name).mp
+    c = mp.e_algebra.structure
+    assert sparse_cocycle_pays(c, mp.delta) == (name == "su41")
+    for delta, want in ((mp.delta, 0.0), (_flip_first_nonzero(mp.delta), 8.0)):
+        sparse, dense = _cocycle_sparse(c, delta), _cocycle_dense(c, delta)
+        assert sparse == dense == cocycle_1_worst_at(mp, delta)
+        assert sparse[0] == want
+        if name != "su41":
+            assert sparse == cocycle_loop(c, delta)
+
+
+def _random_basis_pair(name: str, seed: int) -> MatchedPair:
+    """The catalog pair with b and c each in a random basis: e and delta dense."""
+    mp = get_entry(name).mp
+    rng = np.random.default_rng(seed)
+    parts = {part: rng.standard_normal((len(rows), len(rows))) @ rows
+             for part, rows in mp.decomp.parts.items()}
+    return MatchedPair(f"{name}-mixed", mp.g, SubspaceDecomposition(mp.g, parts))
+
+
+@pytest.mark.parametrize("name", ["su21", "su31"])
+def test_sparse_cocycle_matches_the_dense_loop_on_a_random_basis(name):
+    mp = _random_basis_pair(name, 11)
+    c = mp.e_algebra.structure
+    assert not sparse_cocycle_pays(c, mp.delta)
+    assert cocycle_1_worst_at(mp, mp.delta)[0] <= 1e-9
+    bad = _flip_first_nonzero(mp.delta)
+    dense = cocycle_1_worst_at(mp, bad)
+    assert dense == _cocycle_dense(c, bad) and dense[0] > 1e-3
+    sparse = _cocycle_sparse(c, bad)
+    want = cocycle_loop(c, bad)
+    for got in (sparse, dense):
+        assert got[0] == pytest.approx(want[0], rel=1e-12) and got[1] == want[1]
+
+
+def test_cocycle_of_a_nan_delta_is_nan_on_both_paths():
+    mp = get_entry("su41").mp
+    c = mp.e_algebra.structure
+    bad = mp.delta.copy()
+    bad[-1, 0, 1], bad[-1, 1, 0] = np.nan, np.nan
+    assert not sparse_cocycle_pays(c, bad)
+    assert np.isnan(cocycle_1_worst_at(mp, bad)[0])
+    assert np.isnan(_cocycle_dense(c, bad)[0]) and np.isnan(_cocycle_sparse(c, bad)[0])

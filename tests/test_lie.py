@@ -267,9 +267,14 @@ def test_integer_realization_is_snapped_and_others_are_kept():
     i, j, comms = pair_commutators(g.realization)
     coords, span = g._solver.solve_many(comms)
     assert 0.0 < np.max(np.abs(coords - g.structure[i, j])) <= g.realization_residual() <= 1e-9
-    # a basis with non-integer structure constants keeps its least-squares table, bit for bit
-    mats = [0.5 * m for m in g.realization]
-    half = from_realization(list(g.space.labels), mats)
-    coords, _ = half._solver.solve_each(half._solver.rows_of(pair_commutators(mats)[2]))
-    assert np.array_equal(half.structure[i, j], coords)
-    assert not np.array_equal(half.structure, np.rint(half.structure))
+    # halving the basis halves the constants: they are snapped to the half grid
+    half = from_realization(list(g.space.labels), [0.5 * m for m in g.realization])
+    assert np.array_equal(half.structure, 0.5 * g.structure)
+    assert np.all(half.structure[np.signbit(half.structure)] < 0)
+    assert 0.0 < half.realization_residual() <= 1e-9
+    # a basis with constants off the quarter grid keeps its least-squares table, bit for bit
+    mats = [m / 3.0 for m in g.realization]
+    third = from_realization(list(g.space.labels), mats)
+    coords, _ = third._solver.solve_each(third._solver.rows_of(pair_commutators(mats)[2]))
+    assert np.array_equal(third.structure[i, j], coords)
+    assert not np.array_equal(third.structure, np.rint(4.0 * third.structure) / 4.0)
