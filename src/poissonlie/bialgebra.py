@@ -18,8 +18,7 @@ import numpy as np
 
 from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
-from .lie import (SPARSE_PRODUCT_COST, LieAlgebra, generated_dim, jacobi_worst_at, meet_runs,
-                  worst_key_sum)
+from .lie import LieAlgebra, generated_dim, jacobi_worst_at, meet_runs, worst_key_sum
 from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst, worst_at
 from .matched import MatchedPair
 from .poisson import eta
@@ -99,21 +98,30 @@ def cocycle_1_worst_at(mp: MatchedPair, delta: np.ndarray) -> tuple[float, tuple
     else the first largest, in the order of the dense loop (`_cocycle_dense`);
     (0, 1) when the residual is 0.
 
-    Finite tables with few enough nonzero products (`sparse_cocycle_pays`)
-    are contracted over their nonzero entries (`_cocycle_sparse`), any other
-    densely."""
+    Finite tables the sparse contraction is estimated to be cheaper on
+    (`sparse_cocycle_pays`) are contracted over their nonzero entries
+    (`_cocycle_sparse`), any other densely."""
     c = mp.e_algebra.structure
-    if len(c) < 2:
-        return 0.0, (0, 0)
     if sparse_cocycle_pays(c, delta):
         return _cocycle_sparse(c, delta)
     return _cocycle_dense(c, delta)
 
 
+#: Costs of the two cocycle contractions, in multiply-adds of the dense
+#: loop (about 0.14 ns each): each of its n - 1 slices costs about 34 us of
+#: calls on top, and the sparse contraction about 90 us, plus 105 ns per
+#: nonzero product.  Fitted on su11 to su(6,1) with b, c, both or neither in
+#: a random basis (n = 3 to 48, up to 2.3M products on the sparse side) and
+#: on supq1(7), supq1(8), one BLAS thread, x86-64.
+COCYCLE_SLICE_COST = 250_000
+COCYCLE_SPARSE_COST = 650_000
+COCYCLE_PRODUCT_COST = 750
+
+
 def sparse_cocycle_pays(c: np.ndarray, delta: np.ndarray) -> bool:
     """Whether `cocycle_1_worst_at` contracts sparsely: both tables are finite
-    and pair few entries (`_cocycle_sparse`); their count, times
-    `lie.SPARSE_PRODUCT_COST`, against n^5 decides, as for the Jacobiator."""
+    and the sparse contraction (`_cocycle_sparse`), for the count of nonzero
+    products it forms, is estimated to cost less than the dense loop."""
     n = len(c)
     if not (np.isfinite(c).all() and np.isfinite(delta).all()):
         return False
@@ -121,7 +129,8 @@ def sparse_cocycle_pays(c: np.ndarray, delta: np.ndarray) -> bool:
     iu, ju = np.triu_indices(n, 1)
     products = int(nzc[iu, ju].sum(axis=0) @ nzd[:, iu, ju].sum(axis=1)
                    + nzc.reshape(n, n * n).sum(axis=1) @ nzd.sum(axis=(0, 2)))
-    return products * SPARSE_PRODUCT_COST < n ** 5
+    dense = n ** 5 + COCYCLE_SLICE_COST * (n - 1)
+    return COCYCLE_SPARSE_COST + products * COCYCLE_PRODUCT_COST < dense
 
 
 def _cocycle_dense(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:

@@ -211,13 +211,14 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
     g_model = mn.g_structure_in_model_basis(entry)
     k = entry.mp.dim_c
-    # the algebras are built from the snapped model table; a residual against
-    # the table as computed carries the snap distance
-    plus, pp_in_k = mn.deform_bracket(g_model, k, +sign)
+    # the algebras are cut from the table snapped to its grid, the residuals
+    # read the table as computed, so they carry the snap distance
+    exact, _ = snap_dyadic(g_model)
+    pp_in_k = float(np.max(np.abs(g_model[:k, :k, :k]), initial=0.0))
+    plus = mn.deform_bracket(exact, k, +sign)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
-    minus, _ = mn.deform_bracket(g_model, k, -sign)
-    eigs = mn.killing_eigenvalues(minus)
-    zero, _ = mn.deform_bracket(g_model, k, 0.0)
+    eigs = mn.killing_eigenvalues(mn.deform_bracket(exact, k, -sign))
+    zero = mn.deform_bracket(exact, k, 0.0)
     resid_zero = float(np.max(np.abs(zero.structure - entry.mp.e_algebra.structure)))
     return {"residuals": {"pp_in_k": pp_in_k, "plus_reproduces_g": resid_plus,
                           "zero_reproduces_e": resid_zero},

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, snap_dyadic,
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization,
                   structure_in_basis, trace_gram)
 from .linalg import BasedSpace, Bivector
 
@@ -143,31 +143,25 @@ def phi_identification(entry) -> np.ndarray:
     return np.linalg.solve(gram.T, np.eye(k))
 
 
-def deform_bracket(table: np.ndarray, k: int, sign: float) -> tuple[LieAlgebra, float]:
+def deform_bracket(table: np.ndarray, k: int, sign: float) -> LieAlgebra:
     """Deformed bracket on the model p x| k:
     [(u,x),(v,y)]_s = ([x,v] - [y,u], [x,y] + s [u,v]_g).
 
     Every block is a slice of the model table M of g in the basis (u, x),
     u_i = phi(psi^i) for i < k (`g_structure_in_model_basis`): s M[u, u, x]
     on [u, u], M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs
-    [p, p] in k: returns the algebra and the largest u-part of [u, u],
-    M[u, u, u], which the table leaves out.
-
-    The blocks are cut from M snapped to its grid (`lie.snap_dyadic`): phi
-    has entries +-1/2, so on the catalog M holds quarter-integers, and the
-    deformed tables are exact and take the sparse Jacobi contraction.  The
-    u-part is read from M as passed, and a caller that compares the algebra
-    with M sees the snap distance."""
-    exact, _ = snap_dyadic(table)
+    [p, p] in k, so the u-part of [u, u], M[u, u, u], is left out.  A table
+    snapped to its grid (`lie.snap_dyadic`; phi has entries +-1/2, so on the
+    catalog M holds quarter-integers) gives exact deformations, which take
+    the sparse Jacobi contraction."""
     m = table.shape[0] - k
     c = np.zeros_like(table)
-    c[:k, :k, k:] = sign * exact[:k, :k, k:]
-    c[k:, :k, :k] = exact[k:, :k, :k]
-    c[:k, k:, :k] = exact[:k, k:, :k]
-    c[k:, k:, k:] = exact[k:, k:, k:]
-    pp_in_k = float(np.max(np.abs(table[:k, :k, :k]), initial=0.0))
+    c[:k, :k, k:] = sign * table[:k, :k, k:]
+    c[k:, :k, :k] = table[k:, :k, :k]
+    c[:k, k:, :k] = table[:k, k:, :k]
+    c[k:, k:, k:] = table[k:, k:, k:]
     labels = [f"u_{i}" for i in range(k)] + [f"x_{a}" for a in range(m)]
-    return LieAlgebra(BasedSpace.make(labels), c), pp_in_k
+    return LieAlgebra(BasedSpace.make(labels), c)
 
 
 def g_structure_in_model_basis(entry) -> np.ndarray:

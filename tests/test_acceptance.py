@@ -188,9 +188,11 @@ def test_criterion_09_manin_content():
         worst = linalg_worst(worst, *rep["residuals"].values())
         ok = ok and all(rep["conditions"].values())
         model = g_structure_in_model_basis(entry)
-        plus, pp_in_k = deform_bracket(model, entry.mp.dim_c, +1.0)
-        worst = linalg_worst(worst, pp_in_k, float(np.max(np.abs(plus.structure - model))))
-        minus, _ = deform_bracket(model, entry.mp.dim_c, -1.0)
+        k = entry.mp.dim_c
+        plus = deform_bracket(model, k, +1.0)
+        worst = linalg_worst(worst, float(np.max(np.abs(model[:k, :k, :k]))),
+                             float(np.max(np.abs(plus.structure - model))))
+        minus = deform_bracket(model, k, -1.0)
         ok = ok and bool(np.max(killing_eigenvalues(minus)) < 0)
     for p in (1, 2):
         rep = twist_check(supq1(p))
