@@ -67,10 +67,11 @@ def delta_from_eta(mp: MatchedPair, step: float = FD_STEP) -> np.ndarray:
     return finite_diff(lambda t: eta(mp, basis_curves(mp, t)).coeffs, 0.0, step)
 
 
-def delta_consistency_residual(mp: MatchedPair, delta: np.ndarray,
-                               step: float = FD_STEP) -> float:
-    """max | delta - delta_from_eta |, for the pair's cobracket or a corrupted copy."""
-    return float(np.max(np.abs(delta - delta_from_eta(mp, step))))
+def delta_consistency_worst_at(mp: MatchedPair, delta: np.ndarray,
+                               step: float = FD_STEP) -> tuple[float, int]:
+    """max | delta - delta_from_eta |, for the pair's cobracket or a corrupted
+    copy, with the e-basis vector x whose delta(e_x) attains it (`worst_at`)."""
+    return worst_at(np.abs(delta - delta_from_eta(mp, step)).max(axis=(1, 2)))
 
 
 # -- axioms -------------------------------------------------------------------
@@ -236,105 +237,182 @@ def r_matrix(entry) -> dict:
     }
 
 
-def check_coboundary(mp: MatchedPair, r: Bivector, scale: float = 1.0) -> float:
+def coboundary_worst_at(mp: MatchedPair, r: Bivector, scale: float = 1.0) -> tuple[float, int]:
     """Residual of delta(X) = [r, Delta X] = -X.r on every basis vector at
-    once: X.r = ad(X) r + r ad(X)^T with ad(e_x) = structure[x]^T."""
+    once, X.r = ad(X) r + r ad(X)^T with ad(e_x) = structure[x]^T, with the
+    e-basis vector x it is attained at (`worst_at`)."""
     r = scale * r.coeffs
     c = mp.e_algebra.structure
     act = np.swapaxes(c, 1, 2) @ r + r @ c
     act = 0.5 * (act - np.swapaxes(act, 1, 2))
-    return float(np.max(np.abs(mp.delta + act)))
+    return worst_at(np.abs(mp.delta + act).max(axis=(1, 2)))
 
 
 def uniqueness_generators(n: int) -> np.ndarray:
-    """Two fixed elements of e, as rows of e-coordinates, for the invariance
-    equations of `check_r_uniqueness`, which certifies that they generate e."""
+    """Two fixed elements of e, as rows of e-coordinates, whose invariance
+    equations `check_r_uniqueness` solves on the torus kernel; it certifies
+    that they generate e."""
     return np.stack([np.ones(n), np.arange(1, n + 1) / n])
 
 
-def invariance_rows(mp: MatchedPair, x: np.ndarray, drop_b0_rows: bool = False) -> np.ndarray:
-    """The invariance equations on the candidates for the element x of e (given
-    by its e-coordinates), one column per candidate.
+def torus_weights(count: int) -> np.ndarray:
+    """sqrt 2, sqrt 3, sqrt 5, ...: the square roots of the first `count`
+    primes.  They are linearly independent over the rationals, so an integer
+    combination of them, such as a weight of ad(H) on a root vector, is zero
+    only when every coefficient is."""
+    primes = []
+    q = 2
+    while len(primes) < count:
+        if all(q % r for r in primes):
+            primes.append(q)
+        q += 1
+    return np.sqrt(np.array(primes, dtype=float))
 
-    Candidates are the unit tensors x_a (x) psi_b, then psi_b (x) x_a, as n x n
-    matrices t (t[k + a, b] = 1, then t[b, k + a] = 1); column (f, a, b) is
-    candidate (a, b) of family f and holds vec(A t + t A^T), A = ad_e(x).
-    `drop_b0_rows` drops the action on the k0 legs (the negative control of
-    `check_r_uniqueness`)."""
+
+def torus_element(mp: MatchedPair, torus: np.ndarray) -> np.ndarray:
+    """H = sum_j w_j t_j in e-coordinates, for the torus rows t_j (g-coordinates
+    of commuting elements of b) and the `torus_weights` w_j; its psi-part is
+    zero."""
+    torus = np.asarray(torus, dtype=float).reshape(-1, mp.g.dim)
+    return np.concatenate([np.zeros(mp.dim_c), mp.b_coords(torus_weights(len(torus)) @ torus)])
+
+
+def _components(a: np.ndarray) -> dict[int, np.ndarray]:
+    """The connected components of the graph on the indices of a square
+    matrix, with an edge i - j wherever a[i, j] or a[j, i] is nonzero, by
+    size: size -> (count, size) array, one component per row in increasing
+    order.  Every index takes the least label it is linked to until none
+    changes, so the loop runs once per step along the longest path, not once
+    per component."""
+    n = len(a)
+    linked = (a != 0) | (a.T != 0) | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:
+        least = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    roots = np.flatnonzero(labels == np.arange(n))
+    sizes = np.bincount(labels)[roots]
+    # a set of the few sizes, and no sort: the first np.unique or stable
+    # argsort of a process pages in 0.25-1.7 MB that no other check needs
+    return {s: np.nonzero(labels == roots[sizes == s, None])[1].reshape(-1, s)
+            for s in sorted(set(sizes.tolist()))}
+
+
+def torus_kernel(mp: MatchedPair, h: np.ndarray, svd_tol: float = SVD_TOL,
+                 drop_b0_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The invariance equations of an element h of b (e-coordinates) on one
+    candidate family: their k m singular values, and an orthonormal basis of
+    their kernel K, the right singular vectors whose values are not above
+    svd_tol, as a stack of k x m tensors.
+
+    h lies in b, so ad_e(h) is block-diagonal, A0 on b0 and Ab on b.  On the
+    candidates psi_i (x) x_a, a k x m tensor T, the equations are the
+    Sylvester map T -> A0 T + T Ab^T; on x_a (x) psi_i, the tensor T^T, they
+    are its transpose, with the same singular values and kernel.  In vec(T)
+    the map is kron(A0, 1) + kron(1, Ab), so it maps each piece T[C, D] to
+    itself, C a connected component of A0 (`_components`) and D one of Ab;
+    the pieces take one stacked SVD per pair of component sizes.
+    `drop_b0_rows` drops A0, as in `check_r_uniqueness`."""
+    k, m = mp.dim_c, mp.dim_b
+    ad = mp.e_algebra.ad_matrix_coords(h)
+    a0 = np.zeros((k, k)) if drop_b0_rows else ad[:k, :k]
+    ab = ad[k:, k:]
+    svals, kernel = [], []
+    for c, rows in _components(a0).items():
+        for d, cols in _components(ab).items():
+            block0 = a0[rows[:, :, None], rows[:, None, :]]
+            blockb = ab[cols[:, :, None], cols[:, None, :]]
+            # eq[x, y, i, j, i', j'] = A0[i, i'] 1[j, j'] + 1[i, i'] Ab[j, j'] on T[C_x, D_y]
+            eq = (block0[:, None, :, None, :, None] * np.eye(d)[:, None, :]
+                  + np.eye(c)[:, None, :, None] * blockb[:, None, :, None, :])
+            eq = eq.reshape(-1, c * d, c * d)
+            at = (rows[:, None, :, None] * m + cols[None, :, None, :]).reshape(-1, c * d)
+            _, s, vt = np.linalg.svd(eq)
+            null = ~(s > svd_tol)
+            basis = np.zeros((int(null.sum()), k * m))
+            basis[np.arange(len(basis))[:, None], at[np.nonzero(null)[0]]] = vt[null]
+            svals.append(s.ravel())
+            kernel.append(basis)
+    return np.concatenate(svals), np.concatenate(kernel).reshape(-1, k, m)
+
+
+def restricted_singular_values(mp: MatchedPair, basis: np.ndarray,
+                               drop_b0_rows: bool = False) -> np.ndarray:
+    """The singular values of the `uniqueness_generators`' invariance
+    equations on the span of the candidates t and t^T, for t the psi (x) x
+    tensors of `basis` (orthonormal k x m tensors T): those of the symmetric
+    block, then those of the antisymmetric one.
+
+    With A = ad_e of a generator in blocks [[P, Q], [0, S]] (b0 first; b0 is
+    an ideal of e), the image X = A t + t A^T of t has the blocks
+    X00 = T Q^T and X01 = P T + T S^T, and zeros elsewhere.  Transposing
+    commutes with the action, so the candidates (t + t^T)/sqrt 2 have the
+    symmetric images (X + X^T)/sqrt 2 and (t - t^T)/sqrt 2 the antisymmetric
+    ones.  Each block is read in the coordinates (S_ii, sqrt 2 S_ij for
+    i < j) of its images, which keep the Frobenius norm; it keeps its nonzero
+    rows and takes one SVD, and a block with none gives no values."""
     e = mp.e_algebra
-    k, m, n = mp.dim_c, mp.dim_b, e.dim
-    ad = e.ad_matrix_coords(x)
-    if drop_b0_rows:
-        ad[:k, :] = 0.0
-        ad[:, :k] = 0.0
-    out = np.zeros((n, n, 2, m, k))
-    a, b = np.arange(m), np.arange(k)
-    out[:, b, 0, :, b] = ad[:, k:]               # (A t)[r, b] = A[r, k + a]
-    out[k + a, :, 0, a, :] += ad[:, :k]          # (t A^T)[k + a, s] = A[s, b]
-    out[:, k + a, 1, a, :] = ad[:, None, :k]     # (A t)[r, k + a] = A[r, b]
-    out[b, :, 1, :, b] += ad[:, k:]              # (t A^T)[b, s] = A[s, k + a]
-    return out.reshape(n * n, 2 * k * m)
+    k, n = mp.dim_c, e.dim
 
+    def upper(x, sign):
+        """(x + sign x^T)/sqrt 2 of a stack of k x k blocks, in those coordinates."""
+        i, j = np.triu_indices(x.shape[-1])
+        return (x[:, i, j] + sign * x[:, j, i]) * np.where(i == j, np.sqrt(0.5), 1.0)
 
-def symmetric_blocks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`invariance_rows` in orthonormal bases that split them in two.
-
-    t -> t^T swaps the two candidate families and commutes with
-    t -> A t + t A^T, so the candidates (t + t^T)/sqrt 2 have symmetric images
-    and (t - t^T)/sqrt 2 antisymmetric ones.  Returns the symmetric block, in
-    the coordinates (S_ii, sqrt 2 S_ij for i < j) of its images, and the
-    antisymmetric block in the coordinates sqrt 2 S_ij, i < j; each has one
-    column per candidate pair, and their singular values together are those
-    of `rows`."""
-    t = rows.reshape(n, n, 2, -1)
-    iu, ju = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    sym = np.vstack([(t[diag, diag, 0] + t[diag, diag, 1]) / np.sqrt(2.0),
-                     t[iu, ju, 0] + t[iu, ju, 1]])
-    return sym, t[iu, ju, 0] - t[iu, ju, 1]
-
-
-def uniqueness_singular_values(mp: MatchedPair, drop_b0_rows: bool = False) -> np.ndarray:
-    """The singular values of the invariance equations of the two
-    `uniqueness_generators`, stacked: those of the symmetric block, then
-    those of the antisymmetric one (`symmetric_blocks`).  Each block keeps
-    its nonzero rows and takes one SVD; a block with none gives no values."""
-    gens = uniqueness_generators(mp.e_algebra.dim)
-    blocks = [[r[(r != 0).any(axis=1)]
-               for r in symmetric_blocks(invariance_rows(mp, x, drop_b0_rows), mp.e_algebra.dim)]
-              for x in gens]
+    blocks = ([], [])
+    for x in uniqueness_generators(n):
+        ad = e.ad_matrix_coords(x)
+        if drop_b0_rows:
+            ad[:k, :] = 0.0
+            ad[:, :k] = 0.0
+        x00 = basis @ ad[:k, k:].T
+        x01 = (ad[:k, :k] @ basis + basis @ ad[k:, k:].T).reshape(len(basis), -1)
+        for block, sign in zip(blocks, (1.0, -1.0)):
+            rows = np.hstack([upper(x00, sign), x01]).T
+            block.append(rows[(rows != 0).any(axis=1)])
     svals = [np.zeros(0)]
-    for block in zip(*blocks):      # the symmetric blocks, then the antisymmetric ones
+    for block in blocks:
         rows = np.vstack(block)
         if len(rows):
             svals.append(np.linalg.svd(rows, compute_uv=False))
     return np.concatenate(svals)
 
 
-def check_r_uniqueness(mp: MatchedPair, svd_tol: float = SVD_TOL,
+def check_r_uniqueness(mp: MatchedPair, torus: np.ndarray, svd_tol: float = SVD_TOL,
                        drop_b0_rows: bool = False) -> dict:
     """Dimension of invariant elements of (k (x) k0) (+) (k0 (x) k).
 
     Candidates are spanned by x_a (x) psi_b and psi_b (x) x_a; the action of X
-    is ad_e(X) on both tensor legs.  The elements annihilating a tensor form a
-    subalgebra, so the invariance equations of two elements that generate e
-    have the kernel of those of all of e; their singular values come from
-    `uniqueness_singular_values`.  The generation is certified, and its
-    deficit dim e minus the dimension generated is reported next to the
-    kernel.
+    is ad_e(X) on both tensor legs.  A tensor that all of e annihilates is
+    annihilated by H = `torus_element`, a generic element of the torus
+    spanned by the rows of `torus`, so it lies in the kernel K of H's
+    equations (`torus_kernel`, closed-form pieces).  K = 0 certifies
+    kernel_dim = 0, by the margin `torus_smallest_sv`.  Otherwise the
+    elements annihilating a tensor form a subalgebra, so the kernel over e is
+    that of two elements that generate e, taken on K alone
+    (`restricted_singular_values`; fewer rows than candidates leave exact
+    zeros the SVD does not list, so the kernel is counted as the candidates
+    less the values above svd_tol).  A torus with a larger K costs time, not a
+    wrong kernel_dim.  The generation is certified, and its deficit dim e
+    minus the dimension generated is reported next to the kernel.
 
     With `drop_b0_rows` the action on the k0 legs is dropped, leaving ad_b of
     the b-part: a representation of e pulled back from the quotient b, so the
     same generators give its invariants (the documented negative control;
-    central elements then survive)."""
+    central elements then survive, and K holds every candidate whose b leg
+    lies in the torus)."""
     e = mp.e_algebra
-    svals = uniqueness_singular_values(mp, drop_b0_rows)
-    count = 2 * mp.dim_c * mp.dim_b
-    kernel_dim = int(count - np.sum(svals > svd_tol))
+    svals, basis = torus_kernel(mp, torus_element(mp, torus), svd_tol, drop_b0_rows)
+    kernel_dim = 0
+    if len(basis):
+        restricted = restricted_singular_values(mp, basis, drop_b0_rows)
+        kernel_dim = 2 * len(basis) - int(np.sum(restricted > svd_tol))
     return {
         "kernel_dim": kernel_dim,
         "svd_threshold": svd_tol,
-        # fewer rows than candidates leaves exact zeros the SVD does not list
-        "smallest_sv": float(svals.min()) if len(svals) == count else 0.0,
+        "torus_smallest_sv": float(svals.min()),
+        "torus_kernel_dim": 2 * len(basis),
         "generation_deficit": e.dim - generated_dim(e, uniqueness_generators(e.dim), svd_tol),
     }

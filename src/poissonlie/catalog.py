@@ -46,6 +46,7 @@ class CatalogEntry:
     gstar: LieAlgebra                         # upper-triangular dual algebra
     psi_mats: list[np.ndarray]                # matrix representatives of the dual basis
     gstar_k0_indices: list[int]               # gstar basis indices spanning the k0 block
+    torus: np.ndarray                         # rows (g-coordinates) spanning a maximal torus of k
     eta: np.ndarray = field(default=None)     # signature matrix diag(I_p, -1)
     root_spaces: dict = field(default_factory=dict)  # restricted root spaces (rows)
 
@@ -188,6 +189,7 @@ def supq1(p: int) -> CatalogEntry:
     entry = CatalogEntry(
         name=f"su{p}1", p=p, mp=mp, iwasawa=iwasawa, cartan=cartan, z=z,
         gstar=gstar, psi_mats=_psi_matrices(p), gstar_k0_indices=k0_idx,
+        torus=eye[dim_k - p: dim_k],          # kD_1..kD_p, the diagonal of u(p)
         eta=np.diag([1.0] * p + [-1.0]).astype(complex),
         root_spaces={"f1": f1_rows, "2f1": f2_rows},
     )
@@ -243,6 +245,12 @@ def _validate_entry(entry: CatalogEntry):
     for i in range(len(entry.psi_mats)):
         if not np.max(np.abs(coords[i] - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
             raise ValueError(f"dual basis {i} disagrees with its matrix representative")
+    # the torus lies in k, and its rows commute exactly
+    torus = entry.torus
+    if not np.max(np.abs(entry.cartan.project("k", torus.T).T - torus), initial=0.0) <= ALGEBRAIC_TOL:
+        raise ValueError("a torus row does not lie in k")
+    if np.any(np.einsum("ai,bj,ijk->abk", torus, torus, g.structure)):
+        raise ValueError("the torus rows do not commute")
     # restricted root grading: ad(y_a) acts with eigenvalue 1 on the simple
     # root space and 2 on the double one
     a_row = entry.iwasawa.parts["a"][0]

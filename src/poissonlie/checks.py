@@ -157,9 +157,10 @@ def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> d
         k = mp.dim_c
         delta = delta.copy()
         delta[:k, :k, :k] *= -1.0
-    resid = bi.delta_consistency_residual(mp, delta, step=tol.fd_step)
+    resid, x = bi.delta_consistency_worst_at(mp, delta, step=tol.fd_step)
     return {"residuals": {"delta_consistency": resid},
-            "details": {"basis_vectors": mp.e_algebra.dim}}
+            "details": {"basis_vectors": mp.e_algebra.dim, "delta_consistency_worst_basis": x,
+                        "delta_consistency_worst_label": mp.e_space.labels[x]}}
 
 
 @_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
@@ -178,15 +179,16 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
 @_register("coboundary", "r_scale_2", ENTRY)
 def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     rm = entry.r_matrix
-    resid = bi.check_coboundary(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
+    resid, x = bi.coboundary_worst_at(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
     return {"residuals": {"coboundary": resid, "route_difference": rm["difference"],
                           "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]},
-            "details": {"route_sign": rm["relative_sign"]}}
+            "details": {"route_sign": rm["relative_sign"], "coboundary_worst_basis": x,
+                        "coboundary_worst_label": entry.mp.e_space.labels[x]}}
 
 
 @_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
 def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    rep = bi.check_r_uniqueness(entry.mp, svd_tol=tol.svd, drop_b0_rows=corrupted)
+    rep = bi.check_r_uniqueness(entry.mp, entry.torus, svd_tol=tol.svd, drop_b0_rows=corrupted)
     return {"residuals": {key: rep.pop(key) for key in ("kernel_dim", "generation_deficit")},
             "details": rep}
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization,
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, pair_commutators,
                   structure_in_basis, trace_gram)
 from .linalg import BasedSpace, Bivector
 
@@ -195,8 +195,12 @@ def cobracket_on_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
     as one array delta[x, p, q] laid out like `bialgebra.delta_direct`."""
     n = entry.gstar.dim
     w = _form_dual_in_gstar(entry, half)
-    brackets = commutators(half, half).reshape(n * n, *half[0].shape)
-    h = trace_gram(entry.gstar.realization, brackets, IM_TRACE).reshape(n, n, n)
+    # only the commutators with i < j: [X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0
+    i, j, brackets = pair_commutators(half)
+    pairs = trace_gram(entry.gstar.realization, brackets, IM_TRACE)
+    h = np.zeros((n, n, n))
+    h[:, i, j] = pairs
+    h[:, j, i] = -pairs
     delta = w @ h @ w.T
     return 0.5 * (delta - np.swapaxes(delta, 1, 2))
 

@@ -3,9 +3,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (check_coboundary, check_r_uniqueness,
+from poissonlie.bialgebra import (check_r_uniqueness, coboundary_worst_at,
                                   co_jacobi_worst_at, cocycle_1_worst_at,
-                                  delta_consistency_residual,
+                                  delta_consistency_worst_at,
                                   delta_direct, delta_from_eta,
                                   r_matrix, semidirect_algebra,
                                   uniqueness_generators)
@@ -126,7 +126,7 @@ def test_delta_su21_table(e21):
 
 def test_delta_two_routes_agree():
     for entry in (su11(), supq1(2), supq1(3)):
-        assert delta_consistency_residual(entry.mp, entry.mp.delta) <= FD_TOL
+        assert delta_consistency_worst_at(entry.mp, entry.mp.delta)[0] <= FD_TOL
 
 
 def test_delta_solves_pairing_equation(e21):
@@ -199,24 +199,25 @@ def test_r_matrix_planar_is_j_wedge_p2(e11):
 def test_coboundary(e11, e21):
     for entry in (e11, e21):
         rm = r_matrix(entry)
-        assert check_coboundary(entry.mp, rm["route_b"]) <= 1e-9
-        assert check_coboundary(entry.mp, rm["route_b"], scale=2.0) > 1e-3
+        assert coboundary_worst_at(entry.mp, rm["route_b"])[0] <= 1e-9
+        assert coboundary_worst_at(entry.mp, rm["route_b"], scale=2.0)[0] > 1e-3
 
 
 def test_uniqueness_kernel_zero(e11, e21):
     for entry in (e11, e21):
-        rep = check_r_uniqueness(entry.mp)
+        rep = check_r_uniqueness(entry.mp, entry.torus)
         assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_past_the_catalog():
     # p = 5 is past the named catalog and reachable only through supq1(p)
-    rep = check_r_uniqueness(supq1(5).mp)
+    entry = supq1(5)
+    rep = check_r_uniqueness(entry.mp, entry.torus)
     assert rep["kernel_dim"] == 0
 
 
 def test_uniqueness_negative_control(e11):
-    rep = check_r_uniqueness(e11.mp, drop_b0_rows=True)
+    rep = check_r_uniqueness(e11.mp, e11.torus, drop_b0_rows=True)
     assert rep["kernel_dim"] > 0
 
 

@@ -189,6 +189,27 @@ def test_entry_validation_catches_bad_duals():
         _validate_entry(entry)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_the_torus_is_the_diagonal_of_u_p(p):
+    entry = supq1(p)
+    labels = [entry.g.space.labels[i] for i in np.flatnonzero(entry.torus.any(axis=0))]
+    assert labels == [f"kD_{j + 1}" for j in range(p)]
+    assert entry.torus.shape == (p, entry.g.dim)
+
+
+def test_entry_validation_catches_a_bad_torus():
+    from poissonlie.catalog import _validate_entry
+
+    entry = supq1(2)
+    labels = entry.g.space.labels
+    eye = np.eye(entry.g.dim)
+    # a row outside k (ya), then two rows of k that do not commute
+    for rows in ([eye[labels.index("ya")]], [eye[labels.index("kR_12")], eye[labels.index("kD_1")]]):
+        entry.torus = np.array(rows)
+        with pytest.raises(ValueError, match="torus"):
+            _validate_entry(entry)
+
+
 def test_gstar_k0_indices():
     entry = supq1(2)
     mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]

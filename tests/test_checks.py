@@ -199,6 +199,28 @@ def test_circle_knobs_trip_their_criterion(name):
     _assert_knob_trips_its_criterion(name, get_entry("su11"))
 
 
+@pytest.mark.parametrize("pair", ["su21", "su31", "su41"])
+def test_witnesses_name_the_worst_basis_vector_under_the_knobs(control_entries, pair):
+    # r_scale_2 leaves delta - 2 delta = -delta, so the coboundary residual of
+    # e_x is max |delta(e_x)|; delta_b0_sign doubles the b0 block, so the
+    # consistency residual is 2 max |delta(e_x)| on the b0 block (psi[y2] on
+    # su(p,1): <psi[y2], [y_i, y_j]> reaches 2)
+    entry = control_entries[pair]
+    mp = entry.mp
+    k = mp.dim_c
+    per_basis = np.abs(mp.delta).max(axis=(1, 2))
+    b0_block = np.abs(mp.delta[:k, :k, :k]).max(axis=(1, 2))
+    for check, knob, want, value in (
+            ("coboundary", "r_scale_2", int(np.argmax(per_basis)), per_basis.max()),
+            ("delta_consistency", "delta_b0_sign", int(np.argmax(b0_block)), 2 * b0_block.max())):
+        rep = run_check(check, entry, 0, Rng(1), DEFAULT_TOL, corrupt=knob)
+        details = rep["details"]
+        assert details[f"{check}_worst_basis"] == want
+        assert details[f"{check}_worst_label"] == mp.e_space.labels[want]
+        assert details[check] == pytest.approx(value, rel=1e-6)
+    assert mp.e_space.labels[int(np.argmax(b0_block))] == "psi[y2]"
+
+
 def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch):
     # route A doubled: the two routes to r differ by 1.0 while route B, the one
     # the coboundary residual uses, is intact

@@ -8,10 +8,10 @@ index contributes."""
 import numpy as np
 import pytest
 
-from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, check_r_uniqueness,
-                                  co_jacobi_worst_at, cocycle_1_worst_at, invariance_rows,
-                                  sparse_cocycle_pays, symmetric_blocks, uniqueness_generators,
-                                  uniqueness_singular_values)
+from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, _components,
+                                  check_r_uniqueness, co_jacobi_worst_at, cocycle_1_worst_at,
+                                  restricted_singular_values, sparse_cocycle_pays, torus_element,
+                                  torus_kernel, uniqueness_generators)
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, _jacobi_dense,
                             _jacobi_sparse, commutators, from_realization, jacobi_worst_at,
@@ -163,26 +163,99 @@ def co_jacobi_loop(delta: np.ndarray) -> float:
 def uniqueness_operator_kron(mp, drop_b0_rows: bool, elements=None) -> np.ndarray:
     """The candidate operator through kron(a, 1) + kron(1, a) on vec(n x n),
     with the candidates x_a (x) psi_b first, then psi_b (x) x_a, stacked over
-    `elements` of e (rows of e-coordinates; every basis vector by default)."""
+    `elements` of e (rows of e-coordinates; every basis vector by default).
+    A candidate is a unit tensor, so its column is the kron column at its
+    index, kron(a[:, i], 1[:, j]) + kron(1[:, i], a[:, j]) for t[i, j] = 1."""
     e = mp.e_algebra
     k, m, n = mp.dim_c, mp.dim_b, e.dim
     cands = []
     for family in range(2):
         for a in range(m):
             for b in range(k):
-                i, j = (k + a, b) if family == 0 else (b, k + a)
-                t = np.zeros((n, n))
-                t[i, j] = 1.0
-                cands.append(t.ravel())
-    cand_mat = np.column_stack(cands)
+                cands.append((k + a, b) if family == 0 else (b, k + a))
+    i, j = np.array(cands).T
+    eye = np.eye(n)
     rows = []
     for x in np.eye(n) if elements is None else elements:
         a = e.ad_matrix_coords(x)
         if drop_b0_rows:
             a[:k, :] = 0.0
             a[:, :k] = 0.0
-        rows.append((np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)) @ cand_mat)
+        rows.append(np.einsum("rc,sc->rsc", a[:, i], eye[:, j]).reshape(n * n, -1)
+                    + np.einsum("rc,sc->rsc", eye[:, i], a[:, j]).reshape(n * n, -1))
     return np.vstack(rows)
+
+
+def kron_kernel_dim(mp, drop_b0_rows: bool, tol: float = 1e-8) -> int:
+    """Dimension of the common kernel of `uniqueness_operator_kron` over all
+    of e, by successive restriction: the kernel of a random element's
+    equations, then of each basis vector's on what is left (the random
+    element only makes the first kernel small; the common kernel lies in it)."""
+    n = mp.e_algebra.dim
+    null = np.eye(2 * mp.dim_c * mp.dim_b)
+    for x in (np.random.default_rng(n).standard_normal(n), *np.eye(n)):
+        rows = uniqueness_operator_kron(mp, drop_b0_rows, [x]) @ null
+        if not len(null.T) or not rows.any():
+            continue
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        null = null @ vt[np.sum(s > tol):].T
+    return len(null.T)
+
+
+# -- the dense two-generator path, the oracle of the torus certificate -----------
+
+
+def invariance_rows(mp, x: np.ndarray, drop_b0_rows: bool = False) -> np.ndarray:
+    """The invariance equations on the candidates for the element x of e (given
+    by its e-coordinates), one column per candidate.
+
+    Candidates are the unit tensors x_a (x) psi_b, then psi_b (x) x_a, as n x n
+    matrices t (t[k + a, b] = 1, then t[b, k + a] = 1); column (f, a, b) is
+    candidate (a, b) of family f and holds vec(A t + t A^T), A = ad_e(x).
+    `drop_b0_rows` drops the action on the k0 legs."""
+    e = mp.e_algebra
+    k, m, n = mp.dim_c, mp.dim_b, e.dim
+    ad = e.ad_matrix_coords(x)
+    if drop_b0_rows:
+        ad[:k, :] = 0.0
+        ad[:, :k] = 0.0
+    out = np.zeros((n, n, 2, m, k))
+    a, b = np.arange(m), np.arange(k)
+    out[:, b, 0, :, b] = ad[:, k:]               # (A t)[r, b] = A[r, k + a]
+    out[k + a, :, 0, a, :] += ad[:, :k]          # (t A^T)[k + a, s] = A[s, b]
+    out[:, k + a, 1, a, :] = ad[:, None, :k]     # (A t)[r, k + a] = A[r, b]
+    out[b, :, 1, :, b] += ad[:, k:]              # (t A^T)[b, s] = A[s, k + a]
+    return out.reshape(n * n, 2 * k * m)
+
+
+def symmetric_blocks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`invariance_rows` in orthonormal bases that split them in two: the
+    symmetric block, in the coordinates (S_ii, sqrt 2 S_ij for i < j) of its
+    images, and the antisymmetric block in the coordinates sqrt 2 S_ij,
+    i < j; their singular values together are those of `rows`."""
+    t = rows.reshape(n, n, 2, -1)
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    sym = np.vstack([(t[diag, diag, 0] + t[diag, diag, 1]) / np.sqrt(2.0),
+                     t[iu, ju, 0] + t[iu, ju, 1]])
+    return sym, t[iu, ju, 0] - t[iu, ju, 1]
+
+
+def uniqueness_singular_values(mp, drop_b0_rows: bool = False) -> np.ndarray:
+    """The singular values of the invariance equations of the two
+    `uniqueness_generators`, stacked: those of the symmetric block, then
+    those of the antisymmetric one.  Each block keeps its nonzero rows and
+    takes one SVD; a block with none gives no values."""
+    gens = uniqueness_generators(mp.e_algebra.dim)
+    blocks = [[r[(r != 0).any(axis=1)]
+               for r in symmetric_blocks(invariance_rows(mp, x, drop_b0_rows), mp.e_algebra.dim)]
+              for x in gens]
+    svals = [np.zeros(0)]
+    for block in zip(*blocks):
+        rows = np.vstack(block)
+        if len(rows):
+            svals.append(np.linalg.svd(rows, compute_uv=False))
+    return np.concatenate(svals)
 
 
 # -- comparisons ---------------------------------------------------------------------
@@ -275,35 +348,50 @@ def test_flip_swaps_the_candidate_families(entry, drop_b0_rows):
         assert np.array_equal(rows[:, :, 1], rows.transpose(1, 0, 2, 3)[:, :, 0])
 
 
+def _torus_oracle_svals(entry, drop_b0_rows: bool, torus=None) -> np.ndarray:
+    """The singular values of the Kronecker operator of H alone, descending."""
+    mp = entry.mp
+    h = torus_element(mp, entry.torus if torus is None else torus)
+    return np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows, [h]), compute_uv=False)
+
+
 @pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
 @pytest.mark.parametrize("drop_b0_rows", [False, True])
 def test_streamed_uniqueness_matches_dense_svd(name, drop_b0_rows):
-    # the kernel over the two generators is the kernel over every basis vector
-    mp = get_entry(name).mp
+    # the kernel over the two generators is the kernel over every basis
+    # vector, and the torus margin is the smallest singular value of H's
+    # Kronecker operator
+    entry = get_entry(name)
+    mp = entry.mp
     count = 2 * mp.dim_c * mp.dim_b
     full = np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows), compute_uv=False)
     gens = np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows,
                                                   uniqueness_generators(mp.e_algebra.dim)),
                          compute_uv=False)
-    assert len(full) == len(gens) == count
-    rep = check_r_uniqueness(mp, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    torus = _torus_oracle_svals(entry, drop_b0_rows)
+    assert len(full) == len(gens) == len(torus) == count
+    rep = check_r_uniqueness(mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
     assert rep["kernel_dim"] == count - np.sum(full > 1e-8) == count - np.sum(gens > 1e-8)
     assert rep["kernel_dim"] == (0 if not drop_b0_rows else 2 * mp.dim_c)
-    assert rep["smallest_sv"] == pytest.approx(gens[-1], abs=1e-13 * gens[0])
+    assert rep["torus_smallest_sv"] == pytest.approx(torus[-1], abs=1e-13 * torus[0])
+    assert rep["torus_kernel_dim"] == count - np.sum(torus > 1e-8)
     assert rep["generation_deficit"] == 0
 
 
 def test_uniqueness_with_no_nonzero_rows():
     # su11 under the knob: ad_b of a one-dimensional b is zero, so no row is left
-    mp = get_entry("su11").mp
+    entry = get_entry("su11")
+    mp = entry.mp
     rows = [invariance_rows(mp, x, True) for x in uniqueness_generators(mp.e_algebra.dim)]
     assert not np.any(rows)
     # so both blocks of the split SVD are empty and give no singular values
     assert not any(np.any(b) for r in rows for b in symmetric_blocks(r, mp.e_algebra.dim))
     assert len(uniqueness_singular_values(mp, drop_b0_rows=True)) == 0
-    rep = check_r_uniqueness(mp, drop_b0_rows=True)
-    assert rep["kernel_dim"] == 2 * mp.dim_c * mp.dim_b
-    assert rep["smallest_sv"] == 0.0
+    # and H's equations are zero too: K is every candidate, the margin 0
+    count = 2 * mp.dim_c * mp.dim_b
+    rep = check_r_uniqueness(mp, entry.torus, drop_b0_rows=True)
+    assert rep["kernel_dim"] == rep["torus_kernel_dim"] == count
+    assert rep["torus_smallest_sv"] == _torus_oracle_svals(entry, True)[-1] == 0.0
 
 
 def _stacked_rows_svd(mp, drop_b0_rows: bool) -> np.ndarray:
@@ -332,7 +420,7 @@ def test_split_uniqueness_svd_matches_stacked_svd(p, drop_b0_rows):
     assert len(split) <= count
     want = _padded(_stacked_rows_svd(mp, drop_b0_rows), count)
     assert np.max(np.abs(_padded(split, count) - want)) <= 1e-12
-    rep = check_r_uniqueness(mp, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    rep = check_r_uniqueness(mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
     assert rep["kernel_dim"] == count - np.sum(want > 1e-8) == (4 * p if drop_b0_rows else 0)
     assert rep["generation_deficit"] == 0
 
@@ -351,6 +439,138 @@ def test_symmetric_blocks_are_an_orthogonal_change_of_basis():
     assert np.max(np.abs(want[:half, half:])) <= 1e-12
     _close(sym.T @ sym, want[:half, :half])
     _close(anti.T @ anti, want[half:, half:])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_torus_certificate_matches_the_kernel_over_all_of_e(p, drop_b0_rows):
+    entry = su11() if p == 1 else supq1(p)
+    mp = entry.mp
+    rep = check_r_uniqueness(mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    assert rep["kernel_dim"] == kron_kernel_dim(mp, drop_b0_rows) == (4 * p if drop_b0_rows else 0)
+    # K is 0 on the catalog, and under the knob every candidate whose b leg
+    # lies in the torus: 2 families x 2p psi x p torus directions
+    assert rep["torus_kernel_dim"] == (4 * p * p if drop_b0_rows else 0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_torus_equations_have_the_kron_singular_values(p, drop_b0_rows):
+    # one family's k m values, once per family, against the Kronecker
+    # operator of H alone
+    entry = su11() if p == 1 else supq1(p)
+    mp = entry.mp
+    svals, basis = torus_kernel(mp, torus_element(mp, entry.torus), 1e-8, drop_b0_rows)
+    assert len(svals) == mp.dim_c * mp.dim_b
+    got = np.sort(np.concatenate([svals, svals]))[::-1]
+    want = _torus_oracle_svals(entry, drop_b0_rows)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # the kernel basis is orthonormal and annihilated by A0 T + T Ab^T
+    ad = mp.e_algebra.ad_matrix_coords(torus_element(mp, entry.torus))
+    k = mp.dim_c
+    a0 = 0.0 * ad[:k, :k] if drop_b0_rows else ad[:k, :k]
+    flat = basis.reshape(len(basis), k * mp.dim_b)
+    assert np.max(np.abs(flat @ flat.T - np.eye(len(basis))), initial=0.0) <= 1e-12
+    assert np.max(np.abs(a0 @ basis + basis @ ad[k:, k:].T), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_restricted_svd_on_every_candidate_matches_the_dense_generators(p, drop_b0_rows):
+    # K = every candidate (H = 0): the restricted blocks have the singular
+    # values of the dense two-generator path, block by block
+    mp = (su11() if p == 1 else supq1(p)).mp
+    k, m = mp.dim_c, mp.dim_b
+    count = 2 * k * m
+    got = restricted_singular_values(mp, np.eye(k * m).reshape(k * m, k, m), drop_b0_rows)
+    want = uniqueness_singular_values(mp, drop_b0_rows)
+    assert len(got) == len(want)
+    assert np.max(np.abs(_padded(got, count) - _padded(want, count)), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["su21", "su31"])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_torus_certificate_in_a_random_basis(name, drop_b0_rows):
+    # b and c in random bases: ad_e(H) is dense, so H's equations are one
+    # k m x k m piece, and A0, Ab are not antisymmetric
+    entry = get_entry(name)
+    mp = _random_basis_pair(name, 3)
+    h = torus_element(mp, entry.torus)
+    svals, basis = torus_kernel(mp, h, 1e-8, drop_b0_rows)
+    k, m = mp.dim_c, mp.dim_b
+    got = np.sort(np.concatenate([svals, svals]))[::-1]
+    want = np.linalg.svd(uniqueness_operator_kron(mp, drop_b0_rows, [h]), compute_uv=False)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+    ad = mp.e_algebra.ad_matrix_coords(h)
+    a0 = 0.0 * ad[:k, :k] if drop_b0_rows else ad[:k, :k]
+    assert np.max(np.abs(a0 @ basis + basis @ ad[k:, k:].T), initial=0.0) <= 1e-12 * want[0]
+    rep = check_r_uniqueness(mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    clean = check_r_uniqueness(entry.mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    assert rep["kernel_dim"] == clean["kernel_dim"] == (4 * entry.p if drop_b0_rows else 0)
+    assert rep["torus_kernel_dim"] == clean["torus_kernel_dim"]
+
+
+def _degenerate_tori(entry) -> dict:
+    """Tori that certify less: H = 0 (no row, or a zero row), H along the sum
+    of the torus rows (all weights equal: central in k, so under the knob it
+    acts by 0), and the first torus row alone (not maximal for p > 1)."""
+    dim = entry.g.dim
+    return {"empty": np.zeros((0, dim)), "zero": np.zeros((1, dim)),
+            "equal_weights": entry.torus.sum(axis=0, keepdims=True),
+            "one_row": entry.torus[:1]}
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31"])
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+@pytest.mark.parametrize("torus", ["empty", "zero", "equal_weights", "one_row"])
+def test_a_degenerate_torus_gives_the_same_kernel_dim(name, drop_b0_rows, torus):
+    entry = get_entry(name)
+    mp = entry.mp
+    count = 2 * mp.dim_c * mp.dim_b
+    rows = _degenerate_tori(entry)[torus]
+    rep = check_r_uniqueness(mp, rows, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    want = check_r_uniqueness(mp, entry.torus, svd_tol=1e-8, drop_b0_rows=drop_b0_rows)
+    assert rep["kernel_dim"] == want["kernel_dim"]
+    # K is the kernel of H's Kronecker operator, and every candidate for H = 0
+    oracle = _torus_oracle_svals(entry, drop_b0_rows, rows)
+    assert rep["torus_kernel_dim"] == count - np.sum(oracle > 1e-8)
+    if torus in ("empty", "zero"):
+        assert rep["torus_kernel_dim"] == count and rep["torus_smallest_sv"] == 0.0
+    # the restricted SVD ran on a K larger than the maximal torus leaves: on
+    # su31, kD_1 alone centralizes u(1) + u(2), not just the torus
+    if torus == "one_row" and name == "su31":
+        assert rep["torus_kernel_dim"] > want["torus_kernel_dim"]
+
+
+@pytest.mark.parametrize("drop_b0_rows", [False, True])
+def test_the_certificate_allocates_no_dense_equations(drop_b0_rows):
+    # the dense (n^2, 2km) equations of one element are 15.9 MB at p = 6;
+    # K = 0 needs only the pieces, and the knob's K = 4p^2 candidates a
+    # fraction of the dense array
+    import tracemalloc
+
+    entry = supq1(6)
+    mp = entry.mp
+    n, half = mp.e_algebra.dim, mp.dim_c * mp.dim_b     # e is built before the trace
+    tracemalloc.start()
+    try:
+        check_r_uniqueness(mp, entry.torus, drop_b0_rows=drop_b0_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (0.3 if drop_b0_rows else 0.02) * n * n * 2 * half * 8
+
+
+def test_components_group_by_size():
+    # a 2-cycle, a path of three read through a[j, i] only, and an isolated index
+    a = np.zeros((6, 6))
+    a[0, 3] = a[3, 0] = 1.0
+    a[4, 1] = a[5, 4] = 2.0
+    got = _components(a)
+    assert sorted(got) == [1, 2, 3]
+    assert got[1].tolist() == [[2]]
+    assert got[2].tolist() == [[0, 3]]
+    assert got[3].tolist() == [[1, 4, 5]]
 
 
 def _corrupted_delta(mp) -> np.ndarray:

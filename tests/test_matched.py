@@ -205,7 +205,7 @@ def test_user_pair_sl2r_full_machinery():
     # a pair that is not in the catalog: sl(2,R) split into the rotation
     # generator and the upper-triangular part, imported through JSON
     from poissonlie.bialgebra import (co_jacobi_worst_at, cocycle_1_worst_at,
-                                      delta_consistency_residual)
+                                      delta_consistency_worst_at)
     from poissonlie.linalg import worst
     from poissonlie.lie import from_realization
     from poissonlie.poisson import verify_cocycle
@@ -217,5 +217,5 @@ def test_user_pair_sl2r_full_machinery():
     doc = {"name": "sl2r", "algebra": g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp = MatchedPair.from_json_dict(doc)
     assert verify_cocycle(mp, 300, Rng(42))["max_residual"] <= 1e-9
-    assert delta_consistency_residual(mp, mp.delta) <= 1e-6
+    assert delta_consistency_worst_at(mp, mp.delta)[0] <= 1e-6
     assert worst(co_jacobi_worst_at(mp.delta)[0], cocycle_1_worst_at(mp, mp.delta)[0]) <= 1e-9
