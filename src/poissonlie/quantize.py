@@ -11,19 +11,23 @@ numerical limit.  Normal order puts t_a before t_2 before the trig factor;
 rewriting terminates because [y_a, y_2] = 2 y_2 lowers the disorder degree.
 
 One product table holds the normal-ordering rule.  Each algebra builds, once
-and on demand, dense blocks core(k1, q, m2, k2) over (t_a power, t_2 power,
-relative Fourier mode): the normal form of e^{iq phi} t_a^{m2} t_2^{k2} (the
-push) with t_2^{k1} moved through it in closed form,
-t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1}.  The product of two monomials is
-a block shifted by the left t_a power and the right mode; `mono_pairs` reads
-it for the one product of elements and tensors, and the semiclassical sweep
-reads both orders of every monomial pair from the same blocks.  The sweep
-takes one step per unordered pair of (t_a, t_2)-power classes: it stacks the
-class pair's blocks once over the modes of the left factor and forms AB - BA
-for all its mode pairs by indexing that axis, as dense arrays with
-NaN-propagating maxima.  A step holds at most
-(2 maxmode + 1)^2 (maxdeg + 1)^2 (2 w maxdeg + 1) complex numbers, w the
-anchor's mode reach: 1.15 MB on the (4, 6) grid of the circle pair (w = 2).
+and on demand, stacks of dense blocks core(k1, q, m2, k2) over (mode q, t_a
+power, t_2 power, relative Fourier mode), one stack per (k1, m2, k2) over the
+algebra's mode window: the normal form of e^{iq phi} t_a^{m2} t_2^{k2} (the
+push, one recursion over the degree for all modes q at once) with t_2^{k1}
+moved through it in closed form, t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1},
+one batched matmul per stack.  A request past the window widens it and the
+stacks are rebuilt.  The product of two monomials is a block shifted by the
+left t_a power and the right mode; `mono_pairs` reads it for the one product
+of elements and tensors, and the semiclassical sweep reads both orders of
+every monomial pair from the same stacks.  The sweep takes one step per
+unordered pair of (t_a, t_2)-power classes: it slices the class pair's two
+stacks to its modes and forms AB - BA for every mode pair as their outer
+difference, as dense arrays with NaN-propagating maxima.  A step holds at
+most (2 maxmode + 1)^2 (maxdeg + 1)^2 (2 w maxdeg + 1) complex numbers, w the
+anchor's mode reach: 1.15 MB on the (4, 6) grid of the circle pair (w = 2),
+next to 1.0 MB of block stacks and 0.23 MB of push stacks; the whole (4, 6)
+sweep peaks at 4.1 MB under tracemalloc.
 
 Conventions recorded in the report: the self-adjointness factor i of the
 unbounded-multiplier picture is dropped, so [t_y, f] = X'_y(f) matches the
@@ -101,8 +105,11 @@ class CrossedAlgebra:
         self.lam_rewrite = self.lam * reorder_correction
         # the furthest X'_y moves a Fourier mode: the mode window per degree
         self._w = max((abs(n) for f in self.alpha for n in f.coeffs), default=0)
-        self._push_cache: dict[tuple[int, int, int], np.ndarray] = {}
-        self._blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
+        # the block stacks cover the modes [-window, window]; a wider request
+        # widens the window and drops every stack, to be rebuilt on its next use
+        self._window = 0
+        self._pushes: dict[tuple[int, int], np.ndarray] = {}
+        self._block_stacks: dict[tuple[int, int, int], np.ndarray] = {}
         self._pair_cache: dict[tuple[Key, Key], list] = {}
 
     # -- constructors ------------------------------------------------------
@@ -136,47 +143,66 @@ class CrossedAlgebra:
 
     # -- normal-ordered product ----------------------------------------------
 
-    def _push(self, q: int, m: int, k: int) -> np.ndarray:
-        """Normal form of e^{iq phi} t_a^m t_2^k as a dense array over
-        (t_a power, t_2 power, mode - q), the mode window being
-        [-w(m+k), w(m+k)] for the anchor's mode reach w."""
-        cache_key = (q, m, k)
-        hit = self._push_cache.get(cache_key)
-        if hit is not None:
-            return hit
+    def _push_stack(self, m: int, k: int, radius: int) -> np.ndarray:
+        """Normal forms of e^{iq phi} t_a^m t_2^k for q = -radius..radius, stacked
+        over (q, t_a power, t_2 power, mode - q), the relative mode window being
+        [-w(m+k), w(m+k)] for the anchor's mode reach w.  Degree m + k reads the
+        stack of degree m + k - 1 over radius + w; a stack built over a wider
+        radius is sliced."""
+        hit = self._pushes.get((m, k))
+        if hit is not None and len(hit) >= 2 * radius + 1:
+            cut = len(hit) // 2 - radius
+            return hit[cut:len(hit) - cut]
         w = self._w
-        out = np.zeros((m + 1, k + 1, 2 * w * (m + k) + 1), dtype=complex)
-        if q == 0 or m == k == 0:
-            out[m, k, w * (m + k)] = 1.0
+        q = np.arange(-radius, radius + 1)
+        out = np.zeros((len(q), m + 1, k + 1, 2 * w * (m + k) + 1), dtype=complex)
+        if m == k == 0:
+            out[...] = 1.0
         else:
             if m > 0:   # e^{iq} t_a = t_a e^{iq} - X'_a(e^{iq})
-                gen, sub, raised, lower = 0, (m - 1, k), out[1:], out[:m]
+                gen, sub, raised, lower = 0, (m - 1, k), out[:, 1:], out[:, :m]
             else:       # e^{iq} t_2 = t_2 e^{iq} - X'_2(e^{iq})
-                gen, sub, raised, lower = 1, (0, k - 1), out[:, 1:], out[:, :k]
+                gen, sub, raised, lower = 1, (0, k - 1), out[:, :, 1:], out[:, :, :k]
             width = 2 * w * (m + k - 1) + 1
-            raised[..., w:w + width] += self._push(q, *sub)
-            for mode, c in self.xprime_mode(gen, q).items():
-                lower[..., w + mode - q:w + mode - q + width] -= c * self._push(mode, *sub)
+            below = self._push_stack(*sub, radius + w)
+            raised[..., w:w + width] += below[w:w + len(q)]
+            # X'_gen(e^{iq phi}) has mode q + `mode` with coefficient c iq, skipped
+            # where it is negligible (`xprime_mode`)
+            for mode, c in self.alpha[gen].coeffs.items():
+                val = c * 1j * q
+                rows = np.flatnonzero(np.abs(val) > _EPS)
+                lower[rows, ..., w + mode:w + mode + width] -= \
+                    val[rows, None, None, None] * below[rows + w + mode]
             out[np.abs(out) <= _EPS] = 0.0
-        self._push_cache[cache_key] = out
+            out[radius] = 0.0   # e^{i0 phi} = 1 commutes: the identity placement
+            out[radius, m, k, w * (m + k)] = 1.0
+        self._pushes[(m, k)] = out
         return out
 
-    def _block(self, k1: int, q: int, m2: int, k2: int) -> np.ndarray:
-        """core(k1, q, m2, k2): normal form of t_2^{k1} e^{iq phi} t_a^{m2} t_2^{k2}
-        over (t_a power, t_2 power - k1, mode - q), from the push and the closed
-        form t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1}.  The product of
-        t_a^{m1} t_2^{k1} e^{iq phi} and t_a^{m2} t_2^{k2} e^{in2 phi} is this
-        block shifted by m1 on the t_a power and by q + n2 on the mode."""
-        cache_key = (k1, q, m2, k2)
-        hit = self._blocks.get(cache_key)
-        if hit is None:
+    def _block_stack(self, k1: int, m2: int, k2: int, maxmode: int) -> np.ndarray:
+        """core(k1, q, m2, k2) for q = -maxmode..maxmode, stacked: the normal form
+        of t_2^{k1} e^{iq phi} t_a^{m2} t_2^{k2} over (q, t_a power, t_2 power - k1,
+        mode - q), from the push and the closed form
+        t_2^{k1} t_a^m = (t_a - k1 lam')^m t_2^{k1}.  The product of
+        t_a^{m1} t_2^{k1} e^{iq phi} and t_a^{m2} t_2^{k2} e^{in2 phi} is row q
+        shifted by m1 on the t_a power and by q + n2 on the mode.
+
+        The stack is built once over the algebra's mode window; a request past
+        it widens the window to the request and drops every stack."""
+        if maxmode > self._window:
+            self._window = maxmode
+            self._pushes.clear()
+            self._block_stacks.clear()
+        stack = self._block_stacks.get((k1, m2, k2))
+        if stack is None:
             shift = -k1 * self.lam_rewrite
             binom = np.array([[comb(mm, j) * shift ** (mm - j) if j <= mm else 0.0
                                for mm in range(m2 + 1)] for j in range(m2 + 1)])
-            hit = np.tensordot(binom, self._push(q, m2, k2), axes=1)
-            hit[np.abs(hit) <= _EPS] = 0.0
-            self._blocks[cache_key] = hit
-        return hit
+            push = self._push_stack(m2, k2, self._window)
+            stack = np.matmul(binom, push.reshape(len(push), m2 + 1, -1)).reshape(push.shape)
+            stack[np.abs(stack) <= _EPS] = 0.0
+            self._block_stacks[(k1, m2, k2)] = stack
+        return stack[self._window - maxmode:self._window + maxmode + 1]
 
     def mono_pairs(self, left: Key, right: Key) -> list[tuple[Key, complex]]:
         """Product of two monomials as a flat (key, coefficient) list read from
@@ -186,7 +212,7 @@ class CrossedAlgebra:
         if hit is None:
             m1, k1, n1 = left
             m2, k2, n2 = right
-            block = self._block(k1, n1, m2, k2)
+            block = self._block_stack(k1, m2, k2, abs(n1))[n1 + abs(n1)]
             nz = np.nonzero(block)
             shift = n1 + n2 - self._w * (m2 + k2)
             hit = [((m1 + j, k1 + kk, shift + r), c) for j, kk, r, c in
@@ -218,64 +244,6 @@ class CrossedAlgebra:
         return TensorElement(self, a.legs, out)
 
 
-# -- symmetric (classical) side ------------------------------------------------
-
-
-@dataclass(eq=False)
-class SymElement:
-    """Polynomial function on the dual fibre times a trig polynomial:
-    finite map (y_a power, y_2 power, mode) -> coefficient."""
-
-    terms: dict[Key, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {k: complex(v) for k, v in self.terms.items() if v != 0}
-
-    def add(self, other: "SymElement", scale: complex = 1.0) -> "SymElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + scale * v
-        return SymElement(out)
-
-    def max_abs(self) -> float:
-        return worst(*(abs(c) for c in self.terms.values()))
-
-    def residual(self, other: "SymElement") -> float:
-        return self.add(other, scale=-1.0).max_abs()
-
-
-def poisson_sym(alg: CrossedAlgebra, s1: SymElement, s2: SymElement) -> SymElement:
-    """Biderivation generated by {y_a, y_2} = lam y_2, {y, f} = X'_y f, {f, f} = 0."""
-    out: dict[Key, complex] = {}
-
-    def accumulate(key: Key, val: complex):
-        if val != 0:
-            out[key] = out.get(key, 0) + val
-
-    for (m1, k1, n1), c1 in s1.terms.items():
-        for (m2, k2, n2), c2 in s2.terms.items():
-            c = c1 * c2
-            # {y_a, y_2} contribution: (d_a A d_2 B - d_2 A d_a B) lam y_2
-            coef = m1 * k2 - k1 * m2
-            if coef:
-                accumulate((m1 + m2 - 1, k1 + k2, n1 + n2), c * coef * alg.lam)
-            # {y_a, f} contributions
-            if m1:
-                for mode, xc in alg.xprime_mode(0, n2).items():
-                    accumulate((m1 + m2 - 1, k1 + k2, n1 + mode), c * m1 * xc)
-            if m2:
-                for mode, xc in alg.xprime_mode(0, n1).items():
-                    accumulate((m1 + m2 - 1, k1 + k2, n2 + mode), -c * m2 * xc)
-            # {y_2, f} contributions
-            if k1:
-                for mode, xc in alg.xprime_mode(1, n2).items():
-                    accumulate((m1 + m2, k1 + k2 - 1, n1 + mode), c * k1 * xc)
-            if k2:
-                for mode, xc in alg.xprime_mode(1, n1).items():
-                    accumulate((m1 + m2, k1 + k2 - 1, n2 + mode), -c * k2 * xc)
-    return SymElement({k: v for k, v in out.items() if abs(v) > _EPS})
-
-
 def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[int, int],
                           right: tuple[int, int], na: np.ndarray,
                           nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +251,9 @@ def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[i
     A = t_a^ma t_2^ka e^{i n_A phi}, B = t_a^mb t_2^kb e^{i n_B phi} with
     n_A = na[i] - maxmode and n_B = nb[i] - maxmode, for every i.
 
-    Each order of product is stacked once over the modes of its left factor,
-    AB from core(ka, n_A, mb, kb) and BA from core(kb, n_B, ma, ka), and
-    [A, B] = AB - BA is read for every mode pair by indexing that axis.  The
+    Each order of product is a slice of one block stack over the modes of its
+    left factor, AB from core(ka, n_A, mb, kb) and BA from core(kb, n_B, ma, ka),
+    and [A, B] = AB - BA is their outer difference over (n_A, n_B).  The
     frame's cell (u, v) is the monomial t_a^{min m + u} t_2^{min k + v}
     e^{i(n_A + n_B + r) phi}; {A, B} is subtracted in its top degree
     ma + ka + mb + kb - 1, and the rest is the O(h) tail."""
@@ -300,24 +268,26 @@ def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[i
         out = np.zeros((modes, m_hi + 1, k_hi + 1, width), dtype=complex)
         pad = span - w * (m2 + k2)
         out[:, m - m_lo:m - m_lo + m2 + 1, k - k_lo:k - k_lo + k2 + 1, pad:width - pad] = \
-            np.stack([alg._block(k, q, m2, k2) for q in range(-maxmode, maxmode + 1)])
+            alg._block_stack(k, m2, k2, maxmode)
         return out
 
-    comm = products(ma, ka, mb, kb)[na] - products(mb, kb, ma, ka)[nb]
-    # {y_a, y_2} = lam y_2 and {y, f} = X'_y f, in the order poisson_sym adds them
+    comm = products(ma, ka, mb, kb)[:, None] - products(mb, kb, ma, ka)[None, :]
+    # {y_a, y_2} = lam y_2, then {y, f} = X'_y f of B's mode, then of A's, the
+    # order in which the bracket's biderivation adds them; over (n_A, n_B)
     bracket = np.zeros(width, dtype=complex)
     bracket[span] = alg.lam * (ma * kb - ka * mb)
-    want_a = (bracket + ma * xprime[0, nb]) - mb * xprime[0, na]
-    want_2 = ka * xprime[1, nb] - kb * xprime[1, na]
+    want_a = (bracket + ma * xprime[0])[None, :] - (mb * xprime[0])[:, None]
+    want_2 = (ka * xprime[1])[None, :] - (kb * xprime[1])[:, None]
     for want in (want_a, want_2):
         want[np.abs(want) <= _EPS] = 0.0
     # a clipped cell receives zeros: with no t_a (t_2) there is no y_a (y_2) term
-    comm[:, max(m_hi - 1, 0), k_hi] -= want_a
-    comm[:, m_hi, max(k_hi - 1, 0)] -= want_2
-    mag = np.abs(comm).max(axis=3)
+    comm[:, :, max(m_hi - 1, 0), k_hi] -= want_a
+    comm[:, :, m_hi, max(k_hi - 1, 0)] -= want_2
+    mag = np.abs(comm).max(axis=4)
     top = np.add.outer(np.arange(m_hi + 1), np.arange(k_hi + 1)) == m_hi + k_hi - 1
-    return (np.where(top, mag, 0.0).max(axis=(1, 2)),
-            np.where(top, 0.0, mag).max(axis=(1, 2)))
+    lead = np.where(top, mag, 0.0).max(axis=(2, 3))
+    tail = np.where(top, 0.0, mag).max(axis=(2, 3))
+    return lead[na, nb], tail[na, nb]
 
 
 def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> tuple[

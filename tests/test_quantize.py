@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -10,15 +11,71 @@ from poissonlie.catalog import su11
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.linalg import worst
-from poissonlie.quantize import (Coproduct, CrossedAlgebra, SymElement, TensorElement,
-                                 poisson_sym, semiclassical_residuals,
-                                 verify_semiclassical)
+from poissonlie.quantize import (Coproduct, CrossedAlgebra, Key, TensorElement,
+                                 semiclassical_residuals, verify_semiclassical)
 from poissonlie.trig import TrigPoly, fit_trig
 
 
 @pytest.fixture(scope="module")
 def alg():
     return CrossedAlgebra(su11().mp)
+
+
+@dataclass(eq=False)
+class SymElement:
+    """Polynomial function on the dual fibre times a trig polynomial:
+    finite map (y_a power, y_2 power, mode) -> coefficient."""
+
+    terms: dict[Key, complex] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.terms = {k: complex(v) for k, v in self.terms.items() if v != 0}
+
+    def add(self, other: "SymElement", scale: complex = 1.0) -> "SymElement":
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + scale * v
+        return SymElement(out)
+
+    def max_abs(self) -> float:
+        return worst(*(abs(c) for c in self.terms.values()))
+
+    def residual(self, other: "SymElement") -> float:
+        return self.add(other, scale=-1.0).max_abs()
+
+
+def poisson_sym(alg: CrossedAlgebra, s1: SymElement, s2: SymElement) -> SymElement:
+    """The symmetric (classical) bracket, the sweep's independent reference:
+    the biderivation generated by {y_a, y_2} = lam y_2, {y, f} = X'_y f and
+    {f, f} = 0."""
+    out: dict[Key, complex] = {}
+
+    def accumulate(key: Key, val: complex):
+        if val != 0:
+            out[key] = out.get(key, 0) + val
+
+    for (m1, k1, n1), c1 in s1.terms.items():
+        for (m2, k2, n2), c2 in s2.terms.items():
+            c = c1 * c2
+            # {y_a, y_2} contribution: (d_a A d_2 B - d_2 A d_a B) lam y_2
+            coef = m1 * k2 - k1 * m2
+            if coef:
+                accumulate((m1 + m2 - 1, k1 + k2, n1 + n2), c * coef * alg.lam)
+            # {y_a, f} contributions
+            if m1:
+                for mode, xc in alg.xprime_mode(0, n2).items():
+                    accumulate((m1 + m2 - 1, k1 + k2, n1 + mode), c * m1 * xc)
+            if m2:
+                for mode, xc in alg.xprime_mode(0, n1).items():
+                    accumulate((m1 + m2 - 1, k1 + k2, n2 + mode), -c * m2 * xc)
+            # {y_2, f} contributions
+            if k1:
+                for mode, xc in alg.xprime_mode(1, n2).items():
+                    accumulate((m1 + m2, k1 + k2 - 1, n1 + mode), c * k1 * xc)
+            if k2:
+                for mode, xc in alg.xprime_mode(1, n1).items():
+                    accumulate((m1 + m2, k1 + k2 - 1, n2 + mode), -c * k2 * xc)
+    return SymElement({k: v for k, v in out.items() if abs(v) > 1e-12})
 
 
 def reference_product(alg, left, right):
@@ -293,22 +350,57 @@ def test_verify_semiclassical_negative_control():
 
 
 def test_verify_semiclassical_propagates_nan(monkeypatch):
-    # a NaN in one push, e^{i phi} t_a, must pass the 1e-12 zeroing of the
-    # product blocks and reach the sweep's maximum, not be dropped by max(), and
-    # fail the check; the first pairs of the sweep do not read it, so NaN is not
-    # the first value
-    real = CrossedAlgebra._push
+    # a NaN in one push, e^{i phi} t_a (the q = 1 row of the (m, k) = (1, 0)
+    # stack), must pass the 1e-12 zeroing of the product blocks and reach the
+    # sweep's maximum, not be dropped by max(), and fail the check; the first
+    # pairs of the sweep do not read it, so NaN is not the first value
+    real = CrossedAlgebra._push_stack
 
-    def nan_push(self, q, m, k):
-        out = real(self, q, m, k)
-        return np.full_like(out, np.nan) if (q, m, k) == (1, 1, 0) else out
+    def nan_push(self, m, k, radius):
+        out = real(self, m, k, radius)
+        if (m, k) == (1, 0):
+            out = out.copy()
+            out[radius + 1] = np.nan
+        return out
 
-    monkeypatch.setattr(CrossedAlgebra, "_push", nan_push)
+    monkeypatch.setattr(CrossedAlgebra, "_push_stack", nan_push)
     rep = verify_semiclassical(CrossedAlgebra(su11().mp), 1, 1)
     assert np.isnan(rep["max_h0_residual"])
     assert rep["worst_pair"][0] == [0, 0, 1]
     out = run_check("semiclassical", su11(), 0, None, DEFAULT_TOL)
     assert np.isnan(out["max_residual"]) and not out["pass"]
+
+
+@pytest.mark.parametrize("sweep_first", [True, False])
+@pytest.mark.parametrize("correction", [1.0, 0.0])
+def test_mode_window_widens_without_stale_rows(correction, sweep_first):
+    # left modes past the sweep's +-6 widen the table's mode window one mode at
+    # a time and rebuild its stacks; before or after the sweep, no row may be
+    # stale or truncated
+    fresh = semiclassical_residuals(CrossedAlgebra(su11().mp, reorder_correction=correction),
+                                    4, 6)
+    alg_ = CrossedAlgebra(su11().mp, reorder_correction=correction)
+    lefts = [(m, k, n) for n in sorted(range(-12, 13), key=abs)
+             for m in range(3) for k in range(3 - m)]
+    rights = [(m, k, n) for m in range(3) for k in range(3 - m) for n in (-2, 0, 1)]
+
+    def wide_products():
+        for left in lefts:
+            for right in rights:
+                got = dict(alg_.mono_pairs(left, right))
+                want = reference_product(alg_, left, right)
+                scale = 1.0 + max(abs(c) for c in want.values())
+                for key in set(got) | set(want):
+                    assert abs(got.get(key, 0) - want.get(key, 0)) <= 1e-14 * scale, \
+                        (left, right, key)
+
+    if not sweep_first:
+        wide_products()
+    swept = semiclassical_residuals(alg_, 4, 6)
+    if sweep_first:
+        wide_products()
+    for got, want in zip(swept, fresh):
+        assert np.array_equal(got, want)
 
 
 def test_coproduct_unit_and_generators(alg):
