@@ -7,7 +7,7 @@ from .config import ALGEBRAIC_TOL, FD_TOL, DEFAULT_TOL, Tolerances
 from .linalg import BasedSpace, Bivector, Rng, finite_diff
 from .lie import IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, from_realization
 from .matched import MatchedPair
-from .group import EElement, GroupElement, adE, e_identity, e_inv, e_mul, exp_b
+from .group import EElement, GroupElement, adE, e_mul, exp_b
 
 __all__ = [
     "ALGEBRAIC_TOL", "FD_TOL", "DEFAULT_TOL", "Tolerances",
@@ -15,5 +15,5 @@ __all__ = [
     "IM_TRACE", "RE_TRACE", "LieAlgebra", "SubspaceDecomposition",
     "from_realization",
     "MatchedPair", "EElement", "GroupElement",
-    "adE", "e_identity", "e_inv", "e_mul", "exp_b",
+    "adE", "e_mul", "exp_b",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ALGEBRAIC_TOL, P_CAP
 from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, trace_gram
-from .linalg import worst
+from .linalg import antisymmetric_table, worst
 from .matched import MatchedPair
 
 
@@ -205,13 +205,12 @@ def su11() -> CatalogEntry:
     return entry
 
 
-def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray,
-                tol: float = ALGEBRAIC_TOL) -> np.ndarray:
+def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray) -> np.ndarray:
     """Rescale a central candidate so ad(z)^2 = -1 on the symmetric part, and
     verify the result."""
     z = np.asarray(z, dtype=float)
     for row in cartan.parts["k"]:
-        if not np.max(np.abs(g.bracket_coords(z, row))) <= tol:
+        if not np.max(np.abs(g.bracket_coords(z, row))) <= ALGEBRAIC_TOL:
             raise ValueError("z is not central in k")
     ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
     p_rows = cartan.parts["p"]
@@ -228,7 +227,7 @@ def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray,
     z = z / np.sqrt(lam)
     ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
     resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
-    if not resid <= tol:
+    if not resid <= ALGEBRAIC_TOL:
         raise ValueError(f"z normalization residual {resid:.3e}")
     return z
 
@@ -288,20 +287,13 @@ def e2_dual_bracket_tables(s: float = 1.0):
     Basis order (J*, P1*, P2*).  Family 1 carries the auxiliary parameter s;
     family 3 is the one induced (up to scale) by this package's cobracket.
     """
-    def table_to_structure(table):
-        c = np.zeros((3, 3, 3))
-        for (i, j), vec in table.items():
-            c[i, j] = vec
-            c[j, i] = -np.asarray(vec)
-        return c
-
     j_, p1, p2 = 0, 1, 2
-    bracket1 = table_to_structure({
+    bracket1 = antisymmetric_table((3, 3, 3), {
         (p1, p2): [0, 0, 0],
         (p1, j_): [0, s, 0],
         (p2, j_): [0, 0, s],
     })
-    bracket3 = table_to_structure({
+    bracket3 = antisymmetric_table((3, 3, 3), {
         (p1, p2): [0, 0, 1],
         (p1, j_): [1, 0, 0],
         (p2, j_): [0, 0, 0],

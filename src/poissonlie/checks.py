@@ -23,9 +23,9 @@ from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
 from .lie import jacobi_worst_at, snap_dyadic
-from .linalg import Rng, best_sign, worst, worst_at
+from .linalg import Rng, antisymmetric_table, best_sign, worst, worst_at
 from .matched import MatchedPair
-from .group import SAMPLE_BLOCK, GroupElement, draw_words, exp_b, sample_group_matrices
+from .group import GroupElement, exp_b, sample_group_matrices, sample_pairs
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -117,14 +117,8 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 
 @_register("invariance", "invariance_flip_action", REALIZATION)
 def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    if samples < 1:
-        raise ValueError("need at least one sample")
     inv, hom = [], []
-    words = draw_words(mp, rng, 2 * samples)    # a, b, a, b, ...
-    for start in range(0, samples, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, samples)
-        ab = GroupElement(mp, words.matrices(2 * start, 2 * stop))
-        a, b = ab[0::2], ab[1::2]
+    for _, a, b in sample_pairs(mp, rng, samples):
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
             prod = a.coad_b0 @ np.swapaxes(a.inverse().action_on_c, 1, 2)
             inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))
@@ -284,21 +278,14 @@ def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 def _su_p1_displayed_bracket_table(entry) -> np.ndarray:
     """The published solvable-part bracket table as c-structure constants."""
     k = entry.mp.dim_c
-    p = entry.p
-    out = np.zeros((k, k, k))
-
-    def setb(i, j, vec):
-        out[i, j] = vec
-        out[j, i] = -np.asarray(vec)
-
     e = np.eye(k)
-    setb(0, 1, 2.0 * e[1])                       # [ya, y2] = 2 y2
-    for kk in range(p - 1):
+    table = {(0, 1): 2.0 * e[1]}                     # [ya, y2] = 2 y2
+    for kk in range(entry.p - 1):
         r_idx, i_idx = 2 + 2 * kk, 3 + 2 * kk
-        setb(0, r_idx, e[r_idx])                 # [ya, yR_k] = yR_k
-        setb(0, i_idx, e[i_idx])                 # [ya, yI_k] = yI_k
-        setb(r_idx, i_idx, 2.0 * e[1])           # [yR_k, yI_k] = 2 y2
-    return out
+        table[(0, r_idx)] = e[r_idx]                 # [ya, yR_k] = yR_k
+        table[(0, i_idx)] = e[i_idx]                 # [ya, yI_k] = yI_k
+        table[(r_idx, i_idx)] = 2.0 * e[1]           # [yR_k, yI_k] = 2 y2
+    return antisymmetric_table((k, k, k), table)
 
 
 def _displayed_delta_table(entry, corrected: bool) -> list[np.ndarray]:
@@ -309,25 +296,22 @@ def _displayed_delta_table(entry, corrected: bool) -> list[np.ndarray]:
     routes in this package agree).  `corrected` selects which to compare with;
     the discrepancy is recorded as an erratum in the conventions report."""
     k = entry.mp.dim_c
-    p = entry.p
     out = [np.zeros((k, k)) for _ in range(k)]
-
-    def wedge(i, j):
-        m = np.zeros((k, k))
-        m[i, j] = 1.0
-        m[j, i] = -1.0
-        return m
-
-    out[1] = (2.0 if corrected else 1.0) * wedge(0, 1)
-    for kk in range(p - 1):
+    delta_y2 = {(0, 1): 2.0 if corrected else 1.0}
+    for kk in range(entry.p - 1):
         r_idx, i_idx = 2 + 2 * kk, 3 + 2 * kk
-        out[r_idx] = wedge(0, r_idx)
-        out[i_idx] = wedge(0, i_idx)
-        out[1] = out[1] + 2.0 * wedge(r_idx, i_idx)
+        out[r_idx] = antisymmetric_table((k, k), {(0, r_idx): 1.0})
+        out[i_idx] = antisymmetric_table((k, k), {(0, i_idx): 1.0})
+        delta_y2[(r_idx, i_idx)] = 2.0
+    out[1] = antisymmetric_table((k, k), delta_y2)
     return out
 
 
-def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
+#: Sampled elements of B in the conventions report's coadjoint row.
+_ADSTAR_U_SAMPLES = 25
+
+
+def _adstar_u_residual(entry, rng: Rng) -> float:
     """Ad*_U on k0 ~ C^p equals multiplication by det(U) U."""
     mp = entry.mp
     p = entry.p
@@ -338,7 +322,7 @@ def _adstar_u_residual(entry, rng: Rng, samples: int = 25) -> float:
         to_complex[kk, 2 + 2 * kk] = 1j
     to_complex[p - 1, 1] = 1.0
     to_complex[p - 1, 0] = 1j
-    a = GroupElement(mp, sample_group_matrices(mp, rng, samples))
+    a = GroupElement(mp, sample_group_matrices(mp, rng, _ADSTAR_U_SAMPLES))
     k_mats = a.coad_b0
     u = a.matrix[:, :p, :p]
     expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
@@ -404,11 +388,10 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
     if entry.p == 1:
         # planar e(2) tables
         e_struct = mp.e_algebra.structure
-        displayed_e = np.zeros((3, 3, 3))
-        displayed_e[2, 0, 1] = 2.0    # displayed [J, P1] = 2 P2
-        displayed_e[0, 2, 1] = -2.0
-        displayed_e[2, 1, 0] = -2.0   # displayed [J, P2] = -2 P1
-        displayed_e[1, 2, 0] = 2.0
+        displayed_e = antisymmetric_table((3, 3, 3), {
+            (2, 0): [0.0, 2.0, 0.0],     # displayed [J, P1] = 2 P2
+            (2, 1): [-2.0, 0.0, 0.0],    # displayed [J, P2] = -2 P1
+        })
         sign_e, resid_e = best_sign(e_struct, displayed_e)
         out.append({"table": "planar bracket table [J,P1],[J,P2]", "sign": sign_e,
                     "residual": resid_e,

@@ -1,5 +1,5 @@
 """Group-level machinery: matrix elements of B, Ad/Ad*, the semidirect product
-E = b0 x| B with its product, inverse and adjoint representation.
+E = b0 x| B with its product and adjoint representation.
 
 Elements of B are produced as short words of exponentials of b, which keeps all
 sampling in the identity component where the algebraic identities are global.
@@ -10,11 +10,13 @@ single element runs the same code without the leading stack axis.
 
 Sampling is stacked.  `draw_words` draws the random numbers of a whole stack
 of elements in three generator calls: all v, then all word lengths, then all
-factors.  Its `Words` exponentiate any block of the stack, so a sampled check
-draws once and exponentiates block by block; `sample_group_matrices` and
-`sample_e_elements` make a whole stack at once.  `exp_b` takes a whole array
-of parameters.  Every exponential is one call of `linalg.expm` (Pade-13
-scaling and squaring, vectorized over the stack).
+factors.  Its `Words` exponentiate any block of the stack.  The sampled checks
+take their pairs of elements from `sample_pairs`, which draws once and
+exponentiates block by block; `sample_group_matrices` makes a whole stack at
+once.  `exp_b` takes a whole array of parameters.  Every exponential is one
+call of `linalg.expm` (Pade-13 scaling and squaring, vectorized over the
+stack).  The inverse of E and the finite-difference oracle for its adjoint
+are test references (`tests/references.py`).
 
 A `GroupElement` owns its per-element tables, each built for the whole stack on
 first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
@@ -37,8 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import FD_STEP
-from .linalg import Rng, expm, finite_diff
+from .linalg import Rng, expm
 from .matched import MatchedPair
 
 #: Samples per stacked block in the sampled checks; reports do not depend on
@@ -47,6 +48,9 @@ from .matched import MatchedPair
 #: 0.71, 0.60 and 0.55 s a pass, 0.33, 0.29 and 0.28 s for the slowest call
 #: (su41), and 66.5, 67.4 and 70.2 MB peak RSS.
 SAMPLE_BLOCK = 32
+
+#: Longest word of exponentials of b in a sampled element.
+MAX_WORD = 3
 
 #: Bytes of real rows in one chunk of the Ad pass.  Every temporary of a
 #: chunk (the products, the conjugated matrices, the rows, the solver's
@@ -140,11 +144,6 @@ class GroupElement:
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
-
-
-def identity_element(mp: MatchedPair) -> GroupElement:
-    n = mp.g.realization[0].shape[0]
-    return GroupElement(mp, np.eye(n, dtype=complex))
 
 
 def exp_b(mp: MatchedPair, xb: np.ndarray, t: float | np.ndarray = 1.0) -> GroupElement:
@@ -255,10 +254,6 @@ class EElement:
         return EElement(self.pair, self.v[idx], self.a[idx])
 
 
-def e_identity(mp: MatchedPair) -> EElement:
-    return EElement(mp, np.zeros(mp.dim_c), identity_element(mp))
-
-
 def e_element_to_json_dict(g: EElement) -> dict:
     """Serialization for report reproduction: v coordinates plus re/im matrix parts."""
     return {
@@ -278,12 +273,6 @@ def e_mul(g: EElement, h: EElement) -> EElement:
         raise ValueError("elements belong to different pairs")
     mp = g.pair
     return EElement(mp, g.v + _act(g.a.coad_b0, h.v), g.a @ h.a)
-
-
-def e_inv(g: EElement) -> EElement:
-    mp = g.pair
-    a_inv = g.a.inverse()
-    return EElement(mp, -_act(a_inv.coad_b0, g.v), a_inv)
 
 
 def adE(g: EElement) -> np.ndarray:
@@ -317,7 +306,6 @@ class Words:
     check-sized stack of matrices."""
 
     pair: MatchedPair
-    max_word: int
     v: np.ndarray | None
     lengths: np.ndarray
     factors: np.ndarray
@@ -325,22 +313,22 @@ class Words:
     def matrices(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The words of elements start..stop-1 as a (count, d, d) stack.  All
         their factors are exponentiated by one stacked `expm`; words shorter
-        than `max_word` are padded with the identity."""
-        mp, max_word = self.pair, self.max_word
+        than `MAX_WORD` are padded with the identity."""
+        mp = self.pair
         lengths = self.lengths[start:stop]
         count = len(lengths)
         first = int(self.lengths[:start].sum())
         factors = self.factors[first:first + int(lengths.sum())]
-        # slot of each factor: its element's max_word slots, then its place in the word
+        # slot of each factor: its element's MAX_WORD slots, then its place in the word
         ends = np.cumsum(lengths)
-        slots = (np.repeat(np.arange(count) * max_word - (ends - lengths), lengths)
+        slots = (np.repeat(np.arange(count) * MAX_WORD - (ends - lengths), lengths)
                  + np.arange(len(factors)))
         d = mp.g.realization[0].shape[0]
-        words = np.tile(np.eye(d, dtype=complex), (count * max_word, 1, 1))
+        words = np.tile(np.eye(d, dtype=complex), (count * MAX_WORD, 1, 1))
         words[slots] = expm(mp.b_matrix_of(factors))
-        words = words.reshape(count, max_word, d, d)
+        words = words.reshape(count, MAX_WORD, d, d)
         mats = words[:, 0]
-        for j in range(1, max_word):
+        for j in range(1, MAX_WORD):
             mats = mats @ words[:, j]
         return mats
 
@@ -350,28 +338,40 @@ class Words:
         return EElement(mp, self.v[start:stop], GroupElement(mp, self.matrices(start, stop)))
 
 
-def draw_words(mp: MatchedPair, rng: Rng, count: int, max_word: int = 3,
-               radius: float | None = None) -> Words:
+def draw_words(mp: MatchedPair, rng: Rng, count: int, radius: float | None = None) -> Words:
     """The random numbers of `count` elements in three generator calls: all v,
     uniform in [-radius, radius] (only when `radius` is given), then all word
-    lengths, uniform in 1..max_word, then all factors, with b-coordinates
+    lengths, uniform in 1..MAX_WORD, then all factors, with b-coordinates
     uniform in [-1, 1]."""
     v = None if radius is None else rng.uniform(-radius, radius, (count, mp.dim_c))
-    lengths = rng.integers(1, max_word + 1, count)
+    lengths = rng.integers(1, MAX_WORD + 1, count)
     factors = rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
-    return Words(mp, max_word, v, lengths, factors)
+    return Words(mp, v, lengths, factors)
 
 
-def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int,
-                          max_word: int = 3) -> np.ndarray:
+def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:
     """`count` random words of exponentials of b with coefficients in [-1, 1],
     as a (count, d, d) stack; validated wherever their Ad is computed."""
-    return draw_words(mp, rng, count, max_word).matrices()
+    return draw_words(mp, rng, count).matrices()
 
 
-def sample_e_elements(mp: MatchedPair, rng: Rng, count: int, radius: float = 1.0) -> EElement:
-    """A stack of `count` random points of E, v uniform in [-radius, radius]."""
-    return draw_words(mp, rng, count, radius=radius).e_elements()
+def sample_pairs(mp: MatchedPair, rng: Rng, samples: int, radius: float | None = None):
+    """The pairs of random elements of a sampled check, SAMPLE_BLOCK pairs at a
+    time: 2 * samples words drawn at once (`draw_words`) as first, second,
+    first, second, ...  Yields (start, first, second), the index of the
+    block's first pair and the stacks of its first and second elements:
+    points of E, v uniform in [-radius, radius], when `radius` is given, else
+    elements of B."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    words = draw_words(mp, rng, 2 * samples, radius)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, samples)
+        if radius is None:
+            both = GroupElement(mp, words.matrices(2 * start, 2 * stop))
+        else:
+            both = words.e_elements(2 * start, 2 * stop)
+        yield start, both[0::2], both[1::2]
 
 
 def basis_curves(mp: MatchedPair, t: float) -> EElement:
@@ -383,23 +383,3 @@ def basis_curves(mp: MatchedPair, t: float) -> EElement:
                            expm(t * mp.b_matrix_of(np.eye(m)))])
     return EElement(mp, t * np.eye(k + m, k), GroupElement(mp, mats))
 
-
-def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:
-    """Finite-difference oracle: differentiate g (curve) g^{-1} through e_mul/e_inv,
-    along all the `basis_curves` at once."""
-    mp = g.pair
-    k, m = mp.dim_c, mp.dim_b
-    d = mp.g.realization[0].shape[0]
-    g_inv = e_inv(g)
-
-    def curve(t):
-        conj = e_mul(e_mul(g, basis_curves(mp, t)), g_inv)
-        return np.concatenate([conj.v, conj.a.matrix.reshape(k + m, d * d)], axis=1)
-
-    flat = finite_diff(curve, 0.0, step)
-    out = np.zeros((k + m, k + m))
-    out[:k] = flat[:, :k].real.T
-    # the b0 curves keep the B-part at the identity, so out[k:, :k] stays 0
-    tangent = flat[k:, k:].reshape(m, d, d)
-    out[k:, k:] = (mp.g.coords_of(tangent, tol=1e-4) @ mp._T_inv.T)[:, :m].T
-    return out

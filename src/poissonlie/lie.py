@@ -322,10 +322,6 @@ class LieAlgebra:
         """Matrix of y -> [x, y]."""
         return np.einsum("i,ijk->kj", x, self.structure)
 
-    def coad_matrix_coords(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad*(x) on dual coordinates: <ad*(x)phi, y> = phi([y, x])."""
-        return -self.ad_matrix_coords(x).T
-
     # -- realization helpers ----------------------------------------------
 
     def matrix_of(self, coords: np.ndarray) -> np.ndarray:
@@ -333,13 +329,13 @@ class LieAlgebra:
             raise ValueError("algebra has no matrix realization")
         return self._solver.combine(np.asarray(coords, dtype=float))
 
-    def coords_of(self, mat: np.ndarray, tol: float = ALGEBRAIC_TOL) -> np.ndarray:
+    def coords_of(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a matrix; a stack of matrices gives one row each."""
         if self.realization is None:
             raise ValueError("algebra has no matrix realization")
         mat = np.asarray(mat, dtype=complex)
         coords, resid = self._solver.solve_many(mat.reshape((-1,) + mat.shape[-2:]))
-        if not resid <= tol:
+        if not resid <= ALGEBRAIC_TOL:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
         return coords.reshape(mat.shape[:-2] + (self.dim,))
 
@@ -367,6 +363,8 @@ class LieAlgebra:
     @staticmethod
     def from_json_dict(doc: dict) -> "LieAlgebra":
         labels = doc["labels"]
+        if type(labels) is not list or not all(type(label) is str for label in labels):
+            raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
         structure = finite_array(doc["structure"], "structure")
         realization = None
         if doc.get("realization") is not None:

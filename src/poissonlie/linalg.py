@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +80,17 @@ class Bivector:
         return float(np.max(np.abs(self.coeffs)))
 
 
+def antisymmetric_table(shape: tuple[int, ...], entries: dict) -> np.ndarray:
+    """A table of zeros of `shape` with t[i, j] = v and t[j, i] = -v for each
+    (i, j): v of `entries`, v a number or a vector along the trailing axes:
+    hand-entered brackets, cobrackets and wedges."""
+    out = np.zeros(shape)
+    for (i, j), v in entries.items():
+        out[i, j] = v
+        out[j, i] = -np.asarray(v)
+    return out
+
+
 def worst(*residuals: float) -> float:
     """The largest residual, NaN if any residual is NaN, 0.0 if there are none.
 
@@ -112,7 +124,18 @@ def best_sign(computed: np.ndarray, target: np.ndarray) -> tuple[float, float]:
 
 
 def finite_array(values, what: str) -> np.ndarray:
-    """`values` as a float array; outside input with a NaN or inf is rejected."""
+    """Outside input, a JSON number or nested lists of them, as a float array.
+    Anything numpy would cast is rejected instead: a string, a boolean (also
+    among numbers), null, an object; so is a NaN or an inf."""
+    level = [values]
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= {int, float, list}:
+            bad = next(x for x in level if type(x) not in (int, float, list))
+            raise ValueError(f"{what} must hold JSON numbers only, got {bad!r}")
+        # a level of lists is walked into; numbers beside lists are ragged,
+        # which np.asarray rejects
+        level = list(chain.from_iterable(level)) if kinds == {list} else []
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains a non-finite number")

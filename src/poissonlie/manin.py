@@ -242,22 +242,20 @@ def gerstenhaber_d(delta: np.ndarray, s: Bivector) -> np.ndarray:
                   - _cyclic(np.einsum("ab,bpq->pqa", sm, delta)))
 
 
-def twist_element(entry, scale: float = TWIST_INNER_SCALE,
-                  rotate: np.ndarray | None = None) -> tuple[Bivector, float]:
+def twist_element(entry, scale: float = TWIST_INNER_SCALE) -> tuple[Bivector, float]:
     """s = sum_j (J y_j) (x) y_j in Lambda^2 gstar via the inner-product flat map,
     and the antisymmetry residual max |s + s^T| of that sum before it is
     stored as a bivector.
 
-    (y_j) is an orthonormal basis of p for inner(u, v) = scale * Re tr(uv);
-    `rotate` replaces it by another orthonormal basis (basis-independence tests)."""
+    (y_j) is an orthonormal basis of p for inner(u, v) = scale * Re tr(uv),
+    the Cholesky one of the Cartan decomposition's p rows; s does not depend
+    on that choice."""
     g = entry.g
     p_rows = entry.cartan.parts["p"]
     p_mats = g.matrix_of(p_rows)
     gram = scale * trace_gram(p_mats, p_mats, RE_TRACE)
     chol = np.linalg.cholesky(gram)
     onb = np.linalg.solve(chol, p_rows)          # rows: orthonormal basis of p
-    if rotate is not None:
-        onb = rotate @ onb
     ad_z = g.ad_matrix_coords(entry.z)
     p_of_basis = g.matrix_of(entry.cartan.projections["p"].T)   # P_p x for each basis x
     pair = entry.gstar_g_pairing
@@ -272,20 +270,15 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE,
     return Bivector(entry.gstar.space, s_mat), float(np.max(np.abs(s_mat + s_mat.T)))
 
 
-def twist_check(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0,
-                rotate: np.ndarray | None = None, delta_g: np.ndarray | None = None,
-                delta_gp: np.ndarray | None = None) -> dict:
+def twist_check(entry, delta_g: np.ndarray, delta_gp: np.ndarray,
+                scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0) -> dict:
     """(i) antisymmetry of s, (ii) (1/2)[s, s] + d s = 0 with d from delta_gprime,
-    (iii) delta_g = delta_gprime + xi.s.  The two cobrackets on gstar are
-    computed here unless the caller already has them."""
+    (iii) delta_g = delta_gprime + xi.s, given the two cobrackets on gstar
+    (`cobracket_on_gstar` of the realization of g and of `gprime_half`)."""
     gs = entry.gstar
-    s, asym = twist_element(entry, scale=scale, rotate=rotate)
+    s, asym = twist_element(entry, scale=scale)
     if s_scale != 1.0:
         s = s_scale * s
-    if delta_g is None:
-        delta_g = cobracket_on_gstar(entry, list(entry.g.realization))
-    if delta_gp is None:
-        delta_gp = cobracket_on_gstar(entry, entry.gprime_half)
 
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))

@@ -103,16 +103,9 @@ class MatchedPair:
         """b0-coordinates (psi basis) -> dual coordinates on all of g."""
         return self._Psi @ np.asarray(v, dtype=float)
 
-    def gstar_to_b0(self, w: np.ndarray) -> np.ndarray:
-        """Pair a dual vector against the y-basis: components <w, y_j>."""
-        return self._Y.T @ np.asarray(w, dtype=float)
-
     def b_coords(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of the b-part of x in the b-basis."""
         return (self._T_inv @ np.asarray(x, dtype=float))[: self.dim_b]
-
-    def c_coords(self, x: np.ndarray) -> np.ndarray:
-        return (self._T_inv @ np.asarray(x, dtype=float))[self.dim_b:]
 
     def b_matrix_of(self, xb: np.ndarray) -> np.ndarray:
         """Realization matrix of a b-part coordinate vector; rows of a stack give a stack."""

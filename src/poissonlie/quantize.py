@@ -75,9 +75,6 @@ class TensorElement:
     def mul(self, other: "TensorElement") -> "TensorElement":
         return self.algebra.mul(self, other)
 
-    def commutator(self, other: "TensorElement") -> "TensorElement":
-        return self.mul(other).add(other.mul(self), scale=-1.0)
-
     def max_abs(self) -> float:
         return worst(*(abs(c) for c in self.terms.values()))
 
@@ -93,7 +90,8 @@ class CrossedAlgebra:
         if mp.dim_c != 2:
             raise ValueError("crossed algebra expects the two solvable generators")
         self.mp = mp
-        # alpha polynomials of the anchor fields for the two generators
+        # alpha polynomials of the anchor fields for the two generators, as
+        # {mode: coefficient} maps
         self.alpha = [anchor_trig(mp, np.eye(2)[i]) for i in range(2)]
         # structure constant [y_a, y_2] = lam * y_2 (catalog value 2)
         br = mp.c_structure[0, 1]
@@ -104,7 +102,7 @@ class CrossedAlgebra:
         # only, leaving the classical bracket intact (negative control)
         self.lam_rewrite = self.lam * reorder_correction
         # the furthest X'_y moves a Fourier mode: the mode window per degree
-        self._w = max((abs(n) for f in self.alpha for n in f.coeffs), default=0)
+        self._w = max((abs(n) for f in self.alpha for n in f), default=0)
         # the block stacks cover the modes [-window, window]; a wider request
         # widens the window and drops every stack, to be rebuilt on its next use
         self._window = 0
@@ -118,11 +116,8 @@ class CrossedAlgebra:
         """The crossed element sum of c t_a^m t_2^k e^{in phi} over {(m, k, n): c}."""
         return TensorElement(self, 1, {(key,): c for key, c in terms.items()})
 
-    def one(self) -> TensorElement:
-        return self.element({(0, 0, 0): 1.0})
-
-    def monomial(self, m: int, k: int, n: int, coeff: complex = 1.0) -> TensorElement:
-        return self.element({(m, k, n): coeff})
+    def monomial(self, m: int, k: int, n: int) -> TensorElement:
+        return self.element({(m, k, n): 1.0})
 
     def t_a(self) -> TensorElement:
         return self.monomial(1, 0, 0)
@@ -135,7 +130,7 @@ class CrossedAlgebra:
     def xprime_mode(self, gen: int, q: int) -> dict[int, complex]:
         """Fourier modes of X'_{y_gen}(e^{iq phi}) = alpha_gen * (iq e^{iq phi})."""
         out = {}
-        for mode, c in self.alpha[gen].coeffs.items():
+        for mode, c in self.alpha[gen].items():
             val = c * 1j * q
             if val != 0:
                 out[mode + q] = out.get(mode + q, 0) + val
@@ -168,7 +163,7 @@ class CrossedAlgebra:
             raised[..., w:w + width] += below[w:w + len(q)]
             # X'_gen(e^{iq phi}) has mode q + `mode` with coefficient c iq, skipped
             # where it is negligible (`xprime_mode`)
-            for mode, c in self.alpha[gen].coeffs.items():
+            for mode, c in self.alpha[gen].items():
                 val = c * 1j * q
                 rows = np.flatnonzero(np.abs(val) > _EPS)
                 lower[rows, ..., w + mode:w + mode + width] -= \
@@ -362,16 +357,14 @@ class Coproduct:
     coefficients of the group action on the solvable directions, applied on
     the base leg: Delta(t_i) = t_i (x) 1 + sum_j c_ji (x) t_j."""
 
-    def __init__(self, alg: CrossedAlgebra, invert_action: bool = False,
-                 samples: int = 32, max_mode: int = 4):
+    def __init__(self, alg: CrossedAlgebra):
         from .group import exp_b
-        from .trig import fit_trig
+        from .trig import CIRCLE_MAX_MODE, circle_angles, fit_trig
 
         self.alg = alg
-        mp = alg.mp
-        phi = 2.0 * np.pi * np.arange(samples) / samples
-        vals = exp_b(mp, np.array([1.0]), -phi if invert_action else phi).action_on_c
-        self.coeff = [[fit_trig(vals[:, j, i], max_mode) for i in range(2)]
+        vals = exp_b(alg.mp, np.array([1.0]), circle_angles()).action_on_c
+        # {mode: coefficient} of the matrix coefficient c_ji of the action
+        self.coeff = [[fit_trig(vals[:, j, i], CIRCLE_MAX_MODE) for i in range(2)]
                       for j in range(2)]
         self._gen_cache = [self._delta_generator(0), self._delta_generator(1)]
         self._mono_cache: dict[Key, TensorElement] = {}
@@ -381,7 +374,7 @@ class Coproduct:
         t_key = [(1, 0, 0), (0, 1, 0)][gen]
         terms = {(t_key, (0, 0, 0)): 1.0 + 0j}
         for j in range(2):
-            for mode, c in self.coeff[j][gen].coeffs.items():
+            for mode, c in self.coeff[j][gen].items():
                 key = ((0, 0, mode), [(1, 0, 0), (0, 1, 0)][j])
                 terms[key] = terms.get(key, 0) + c
         return TensorElement(self.alg, 2, terms)

@@ -1,0 +1,257 @@
+"""Independent references of the test suite: oracles and evaluators that no
+`poissonlie verify` path runs.  The tests compare the package against them.
+
+- The identity and the inverse of E, sampled points of E, and the
+  finite-difference conjugation oracle for the adjoint of E (criterion 03).
+- The expansion of eta0 without group translation of the wedge frame
+  (criterion 02), with the coadjoint matrix and the pairing of a dual vector
+  against the y-basis it reads.
+- Arithmetic on trig polynomials, and the Poisson-bracket evaluator on
+  fiberwise-linear and base functions of the circle pair, with the brackets
+  pushed to e(2)+ (criterion 04).
+- The unit and the commutator of the crossed algebra.
+- The twist check with both of its cobrackets on gstar built here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from poissonlie.config import FD_STEP
+from poissonlie.group import EElement, GroupElement, basis_curves, draw_words, e_mul
+from poissonlie.linalg import Bivector, finite_diff, worst
+from poissonlie.manin import cobracket_on_gstar, twist_check
+from poissonlie.poisson import anchor_trig, circle_parameter_checks
+
+# -- the group E --------------------------------------------------------------
+
+
+def identity_element(mp) -> GroupElement:
+    n = mp.g.realization[0].shape[0]
+    return GroupElement(mp, np.eye(n, dtype=complex))
+
+
+def e_identity(mp) -> EElement:
+    return EElement(mp, np.zeros(mp.dim_c), identity_element(mp))
+
+
+def e_inv(g: EElement) -> EElement:
+    """(v, a)^{-1} = (-Ad*_{a^{-1}} v, a^{-1}); a stack inverts elementwise."""
+    a_inv = g.a.inverse()
+    return EElement(g.pair, -(a_inv.coad_b0 @ g.v[..., None])[..., 0], a_inv)
+
+
+def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:
+    """A stack of `count` random points of E, v uniform in [-radius, radius]."""
+    return draw_words(mp, rng, count, radius).e_elements()
+
+
+def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
+    """One random point of E, drawn as the first of a stack of one."""
+    return sample_e_elements(mp, rng, 1, radius)[0]
+
+
+def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:
+    """Finite-difference oracle: differentiate g (curve) g^{-1} through e_mul/e_inv,
+    along all the `basis_curves` at once.  The tangents along b are re-expanded
+    in g by the algebra's solver, held to the finite-difference accuracy."""
+    mp = g.pair
+    k, m = mp.dim_c, mp.dim_b
+    d = mp.g.realization[0].shape[0]
+    g_inv = e_inv(g)
+
+    def curve(t):
+        conj = e_mul(e_mul(g, basis_curves(mp, t)), g_inv)
+        return np.concatenate([conj.v, conj.a.matrix.reshape(k + m, d * d)], axis=1)
+
+    flat = finite_diff(curve, 0.0, step)
+    out = np.zeros((k + m, k + m))
+    out[:k] = flat[:, :k].real.T
+    # the b0 curves keep the B-part at the identity, so out[k:, :k] stays 0
+    coords, resid = mp.g._solver.solve_many(flat[k:, k:].reshape(m, d, d))
+    if not resid <= 1e-4:
+        raise ValueError(f"tangent is not in the realization span (residual {resid:.3e})")
+    out[k:, k:] = (coords @ mp._T_inv.T)[:, :m].T
+    return out
+
+
+# -- the expansion of eta0 --------------------------------------------------------
+
+
+def coad_matrix_coords(alg, x: np.ndarray) -> np.ndarray:
+    """Matrix of ad*(x) on dual coordinates: <ad*(x)phi, y> = phi([y, x])."""
+    return -alg.ad_matrix_coords(x).T
+
+
+def gstar_to_b0(mp, w: np.ndarray) -> np.ndarray:
+    """Pair a dual vector against the y-basis: components <w, y_j>."""
+    return mp._Y.T @ np.asarray(w, dtype=float)
+
+
+def c_coords(mp, x: np.ndarray) -> np.ndarray:
+    """Coefficients of the c-part of x in the y-basis."""
+    return (mp._T_inv @ np.asarray(x, dtype=float))[mp.dim_b:]
+
+
+def eta_alternative(mp, g: EElement) -> Bivector:
+    """Expansion of eta0 without group translation of the wedge frame:
+    (1/2) <v, [y_i, y_j]> psi^i ^ psi^j  -  Ad*_a psi^i ^ ad*(P_b Ad_a y_i)(v)."""
+    table = mp.c_brackets
+    k, m = mp.dim_c, mp.dim_b
+    w = mp.b0_to_gstar(g.v)
+    val = np.einsum("p,ijp->ij", w, table)
+    coeffs = np.zeros((k + m, k + m))
+    coeffs[:k, :k] = val
+    k_mat = g.a.coad_b0
+    ad = g.a.ad
+    for i in range(k):
+        x_b = mp.decomp.project("b", ad @ mp.y_basis[i])
+        t_i = gstar_to_b0(mp, coad_matrix_coords(mp.g, x_b) @ w)
+        u_i = k_mat[:, i]
+        coeffs[:k, :k] -= np.outer(u_i, t_i) - np.outer(t_i, u_i)
+    return Bivector(mp.e_space, coeffs)
+
+
+# -- trig polynomials and the Poisson bracket on the circle pair --------------------
+
+
+@dataclass(frozen=True)
+class TrigPoly:
+    """Exact arithmetic on trigonometric polynomials sum_n c_n e^{in phi}."""
+
+    coeffs: dict[int, complex] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {int(n): complex(c) for n, c in self.coeffs.items() if c != 0}
+        object.__setattr__(self, "coeffs", clean)
+
+    @staticmethod
+    def mode(n: int, c: complex = 1.0) -> "TrigPoly":
+        return TrigPoly({n: c})
+
+    @staticmethod
+    def cos(k: int) -> "TrigPoly":
+        return TrigPoly({k: 0.5, -k: 0.5})
+
+    @staticmethod
+    def sin(k: int) -> "TrigPoly":
+        return TrigPoly({k: -0.5j, -k: 0.5j})
+
+    def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        out = dict(self.coeffs)
+        for n, c in other.coeffs.items():
+            out[n] = out.get(n, 0) + c
+        return TrigPoly(out)
+
+    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar: complex) -> "TrigPoly":
+        return TrigPoly({n: scalar * c for n, c in self.coeffs.items()})
+
+    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        out: dict[int, complex] = {}
+        for n, c in self.coeffs.items():
+            for m, d in other.coeffs.items():
+                out[n + m] = out.get(n + m, 0) + c * d
+        return TrigPoly(out)
+
+    def derivative(self) -> "TrigPoly":
+        """d/dphi."""
+        return TrigPoly({n: 1j * n * c for n, c in self.coeffs.items()})
+
+    def max_abs(self) -> float:
+        return worst(*(abs(c) for c in self.coeffs.values()))
+
+    def residual(self, other: "TrigPoly") -> float:
+        return (self - other).max_abs()
+
+    def halve_modes(self) -> "TrigPoly":
+        """Reindex e^{2i k phi} -> e^{i k theta}; requires purely even support."""
+        if any(n % 2 for n in self.coeffs):
+            raise ValueError("trig polynomial has odd modes; cannot halve")
+        return TrigPoly({n // 2: c for n, c in self.coeffs.items()})
+
+
+@dataclass(frozen=True)
+class LinearFn:
+    """ytilde for y in c, given by y-basis coordinates."""
+
+    y: tuple
+
+    @staticmethod
+    def make(coords) -> "LinearFn":
+        return LinearFn(tuple(float(t) for t in coords))
+
+
+@dataclass(frozen=True)
+class BaseFn:
+    """Pullback of a trig polynomial on B = U(1)."""
+
+    f: TrigPoly
+
+
+def vector_field_on_base(mp, y_coords, f: TrigPoly) -> TrigPoly:
+    """The anchor field applied to f: alpha_y(phi) * df/dphi."""
+    return TrigPoly(anchor_trig(mp, y_coords)) * f.derivative()
+
+
+def poisson_bracket(mp, f1, f2):
+    """Bracket rules: {y1~, y2~} = [y1, y2]~, {y~, f} = anchor-derivative, {f, f} = 0."""
+    if isinstance(f1, LinearFn) and isinstance(f2, LinearFn):
+        br = mp.g.bracket_coords(mp._Y @ np.array(f1.y), mp._Y @ np.array(f2.y))
+        return LinearFn.make(c_coords(mp, br))
+    if isinstance(f1, LinearFn) and isinstance(f2, BaseFn):
+        return BaseFn(vector_field_on_base(mp, np.array(f1.y), f2.f))
+    if isinstance(f1, BaseFn) and isinstance(f2, LinearFn):
+        return BaseFn((-1.0) * vector_field_on_base(mp, np.array(f2.y), f1.f))
+    if isinstance(f1, BaseFn) and isinstance(f2, BaseFn):
+        return BaseFn(TrigPoly())
+    raise ValueError("unsupported function class for the Poisson evaluator")
+
+
+def e2_plus_brackets(mp) -> dict:
+    """Brackets pushed to the rotation group double quotient via theta = 2 phi.
+
+    Returns the three displayed brackets in the theta variable plus the
+    (V1, V2) = (-ya~, y2~) relabelling.
+    """
+    circle_parameter_checks(mp)
+    y_a = LinearFn.make([1.0, 0.0])
+    y_2 = LinearFn.make([0.0, 1.0])
+    e_theta = BaseFn(TrigPoly.mode(2))   # e^{i theta} = e^{2 i phi}
+    lin = poisson_bracket(mp, y_a, y_2)
+    br_a = poisson_bracket(mp, y_a, e_theta).f.halve_modes()
+    br_2 = poisson_bracket(mp, y_2, e_theta).f.halve_modes()
+    return {
+        "lin_lin": lin,                       # expected 2 * y2~
+        "a_base_theta": br_a,                 # expected 2 i sin(theta) e^{i theta}
+        "two_base_theta": br_2,               # expected 2 i (1 - cos theta) e^{i theta}
+        "relabel": {"V1": ("-", "ya"), "V2": ("+", "y2")},
+        "omega": -2.0,
+    }
+
+
+# -- the crossed algebra ----------------------------------------------------------
+
+
+def one(alg):
+    """The unit of the crossed algebra."""
+    return alg.element({(0, 0, 0): 1.0})
+
+
+def commutator(x, y):
+    """[x, y] = xy - yx of two elements of the same tensor power."""
+    return x.mul(y).add(y.mul(x), scale=-1.0)
+
+
+# -- the twist ----------------------------------------------------------------------
+
+
+def twist_check_of(entry, **kw) -> dict:
+    """`manin.twist_check` with the cobrackets of g and of g' on gstar built
+    here, as the twist check builds them."""
+    return twist_check(entry, cobracket_on_gstar(entry, list(entry.g.realization)),
+                       cobracket_on_gstar(entry, entry.gprime_half), **kw)

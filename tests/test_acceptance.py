@@ -15,24 +15,18 @@ from poissonlie.bialgebra import (check_r_uniqueness, coboundary_worst_at,
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import REGISTRY, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import EElement, adE, adE_fd, sample_e_elements
+from poissonlie.group import adE
 from poissonlie.linalg import Rng, worst as linalg_worst
 from poissonlie.manin import (build_gc_algebra, check_manin, deform_bracket,
                               g_structure_in_model_basis, gprime_algebra,
-                              gstar_k0_abelian_residual, killing_eigenvalues,
-                              twist_check)
-from poissonlie.poisson import (BaseFn, LinearFn, e2_plus_brackets, eta0,
-                                eta_alternative, poisson_bracket, verify_cocycle)
+                              gstar_k0_abelian_residual, killing_eigenvalues)
+from poissonlie.poisson import eta0, verify_cocycle
 from poissonlie.quantize import Coproduct, CrossedAlgebra, verify_semiclassical
-from poissonlie.trig import TrigPoly
+from references import (BaseFn, LinearFn, TrigPoly, adE_fd, e2_plus_brackets, eta_alternative,
+                        poisson_bracket, sample_e_element, twist_check_of)
 
 MAIN_PAIRS = ("su11", "su21", "su31")
 ALL_PAIRS = ("su11", "su21", "su31", "su41")
-
-
-def sample_e_element(mp, rng) -> EElement:
-    """One random point of E, drawn as the first of a stack of one."""
-    return sample_e_elements(mp, rng, 1)[0]
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -196,7 +190,7 @@ def test_criterion_09_manin_content():
         minus = deform_bracket(model, k, -1.0)
         ok = ok and bool(np.max(killing_eigenvalues(minus)) < 0)
     for p in (1, 2):
-        rep = twist_check(supq1(p))
+        rep = twist_check_of(supq1(p))
         worst = linalg_worst(worst, rep["antisymmetry"], rep["maurer_cartan"],
                              rep["twist_relation"])
     report(9, ok and worst <= 1e-9,

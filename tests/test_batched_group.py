@@ -10,21 +10,17 @@ draw order (`ref_draw`).  They live only here."""
 import numpy as np
 import pytest
 
-from poissonlie import checks, group, poisson
+from poissonlie import group
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
-                              draw_words, e_inv, e_mul, exp_b, identity_element,
-                              sample_e_elements, sample_group_matrices)
+                              draw_words, e_mul, exp_b, sample_group_matrices)
 from poissonlie.linalg import Bivector, Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
-
-
-def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
-    """One random point of E, drawn as the first of a stack of one."""
-    return sample_e_elements(mp, rng, 1, radius)[0]
+from references import (coad_matrix_coords, e_inv, gstar_to_b0, identity_element,
+                        sample_e_element, sample_e_elements)
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:
@@ -90,7 +86,7 @@ def ref_adE_mixed(mp, g):
     mix = np.empty((k, m))
     for j in range(m):
         z = ad @ mp._B[:, j]
-        mix[:, j] = -mp.gstar_to_b0(mp.g.coad_matrix_coords(z) @ w)
+        mix[:, j] = -gstar_to_b0(mp, coad_matrix_coords(mp.g, z) @ w)
     return mix
 
 
@@ -247,8 +243,8 @@ def test_reports_do_not_depend_on_the_block_size(name, block, monkeypatch):
     entry = get_entry(name)
     default = {check: run_check(check, entry, 100, Rng(42), DEFAULT_TOL)
                for check in ("invariance", "cocycle")}
-    for module in (group, checks, poisson):
-        monkeypatch.setattr(module, "SAMPLE_BLOCK", block)
+    # `group.sample_pairs` is the one reader of the block size
+    monkeypatch.setattr(group, "SAMPLE_BLOCK", block)
     for check, rep in default.items():
         # residuals and witnesses: worst_sample, worst_part, g and h
         assert run_check(check, entry, 100, Rng(42), DEFAULT_TOL) == rep

@@ -321,23 +321,39 @@ def test_realization_re_im_shape_mismatch_exit_2(tmp_path, capsys):
     assert "differ in shape" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("parts, pairing", [
-    ({"b": [0.5]}, None),               # a fractional index
-    ({"c": [1, 2.9]}, None),
-    ({"b": [-3]}, None),                # a negative index
-    ({"b": [], "c": [0, 1, 2]}, None),  # an empty part
-    ({}, "FOO"),                        # a pairing other than null, IM_TRACE or RE_TRACE
-], ids=["fractional-b", "fractional-c", "negative-b", "empty-b", "unknown-pairing"])
-def test_bad_import_index_or_pairing_exit_2(parts, pairing, tmp_path, capsys):
+def _numbers_as_strings(node):
+    """The same JSON with every number written as a string."""
+    return json.loads(json.dumps(node), parse_int=str, parse_float=str)
+
+
+@pytest.mark.parametrize("parts, algebra", [
+    ({"b": [0.5]}, {}),                 # a fractional index
+    ({"c": [1, 2.9]}, {}),
+    ({"b": [-3]}, {}),                  # a negative index
+    ({"b": [], "c": [0, 1, 2]}, {}),    # an empty part
+    ({}, {"pairing": "FOO"}),           # a pairing other than null, IM_TRACE or RE_TRACE
+    # JSON types that numpy would cast: strings, booleans, a string of labels
+    ({}, {"labels": "abc"}),
+    ({}, {"labels": [1, 2, 3]}),
+    ({"b": ["0"]}, {}),
+    ({"b": [[True, False, False]]}, {}),
+    ({"c": [[0, 1, False], [0, 0, 1]]}, {}),  # a boolean among numbers
+    ({}, {"structure": _numbers_as_strings}),
+    ({}, {"realization": _numbers_as_strings}),
+], ids=["fractional-b", "fractional-c", "negative-b", "empty-b", "unknown-pairing",
+        "string-labels", "number-labels", "string-index", "boolean-row",
+        "boolean-among-numbers", "string-structure", "string-realization"])
+def test_bad_import_index_or_pairing_exit_2(parts, algebra, tmp_path, capsys):
     doc = copy.deepcopy(_su11_doc())
     doc.update({"b": [0], "c": [1, 2]}, **parts)
-    if pairing is not None:
-        doc["algebra"]["pairing"] = pairing
+    for key, value in algebra.items():
+        doc["algebra"][key] = value(doc["algebra"][key]) if callable(value) else value
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     code = cli.main(["verify", str(path), "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", [[1, 2], 5, None, ""], ids=["list", "int", "null", "empty"])

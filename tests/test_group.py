@@ -5,20 +5,15 @@ import pytest
 import scipy.linalg
 
 from poissonlie.catalog import get_entry, su11, supq1
-from poissonlie.group import (EElement, GroupElement, _adjoint, adE, adE_fd, e_identity,
-                              e_inv, e_mul, exp_b, identity_element, sample_e_elements,
+from poissonlie.group import (EElement, GroupElement, _adjoint, adE, e_mul, exp_b,
                               sample_group_matrices)
 from poissonlie.linalg import Rng, expm
+from references import adE_fd, e_identity, e_inv, identity_element, sample_e_element
 
 
 def sample_group_element(mp, rng) -> GroupElement:
     """One random element, drawn as the first of a stack of one."""
     return GroupElement(mp, sample_group_matrices(mp, rng, 1)[0])
-
-
-def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
-    """One random point of E, drawn as the first of a stack of one."""
-    return sample_e_elements(mp, rng, 1, radius)[0]
 
 
 @pytest.fixture(scope="module")

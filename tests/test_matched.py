@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
-from poissonlie.group import GroupElement, exp_b, identity_element, sample_group_matrices
+from poissonlie.group import GroupElement, exp_b, sample_group_matrices
 from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
+from references import c_coords, coad_matrix_coords, gstar_to_b0, identity_element
 
 
 def sample_group_element(mp, rng) -> GroupElement:
@@ -145,9 +146,9 @@ def _semidirect_reference(mp) -> np.ndarray:
     k, m = mp.dim_c, mp.dim_b
     c = np.zeros((k + m,) * 3)
     for j in range(m):
-        coad = mp.g.coad_matrix_coords(mp._B[:, j])
+        coad = coad_matrix_coords(mp.g, mp._B[:, j])
         for i in range(k):
-            s = mp.gstar_to_b0(coad @ mp._Psi[:, i])
+            s = gstar_to_b0(mp, coad @ mp._Psi[:, i])
             c[k + j, i, :k] = s
             c[i, k + j, :k] = -s
     for a in range(m):
@@ -165,7 +166,7 @@ def _delta_reference(mp) -> np.ndarray:
     delta = np.zeros((k + m,) * 3)
     for i in range(k):
         for j in range(k):
-            delta[:k, i, j] = mp.c_coords(mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
+            delta[:k, i, j] = c_coords(mp, mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
         for j in range(m):
             t = mp.b_coords(mp.g.bracket_coords(mp.y_basis[i], mp._B[:, j]))
             delta[k + j, k:, i] = t
