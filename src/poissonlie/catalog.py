@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import ALGEBRAIC_TOL, P_CAP
-from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, trace_gram
+from .lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, snap_dyadic,
+                  trace_gram)
 from .linalg import antisymmetric_table, worst
 from .matched import MatchedPair
 
@@ -54,36 +55,84 @@ class CatalogEntry:
     def g(self) -> LieAlgebra:
         return self.mp.g
 
-    # tables read by more than one check, each built once and read-only; a
-    # knob that corrupts one (`r_scale_2`) corrupts a copy
+    # tables read by a check, each built once and read-only: an entry from
+    # `get_entry` serves every call of the process.  A knob that corrupts one
+    # (`r_scale_2`, `deform_cocycle_scale_2`) corrupts a copy or builds its own
 
     @cached_property
     def r_matrix(self) -> dict:
         """The r-matrix by both routes with their comparison
-        (`bialgebra.r_matrix`); its bivectors are read-only."""
+        (`bialgebra.r_matrix`)."""
         from .bialgebra import r_matrix
 
-        out = r_matrix(self)
-        for route in ("route_a", "route_b"):
-            out[route].coeffs.setflags(write=False)
-        return out
+        return _read_only(r_matrix(self))
 
     @cached_property
     def gprime_half(self) -> np.ndarray:
-        """The matrices of g' = sigma(k0) (+) k (`manin.gprime_half`) as one
-        read-only stack."""
+        """The matrices of g' = sigma(k0) (+) k (`manin.gprime_half`) as one stack."""
         from .manin import gprime_half
 
-        out = np.array(gprime_half(self))
-        out.setflags(write=False)
-        return out
+        return _read_only(np.array(gprime_half(self)))
 
     @cached_property
     def gstar_g_pairing(self) -> np.ndarray:
         """Im-trace pairing of the gstar basis (rows) with the g basis (columns)."""
-        out = trace_gram(self.gstar.realization, self.g.realization, IM_TRACE)
-        out.setflags(write=False)
-        return out
+        return _read_only(trace_gram(self.gstar.realization, self.g.realization, IM_TRACE))
+
+    @cached_property
+    def gc_algebra(self) -> LieAlgebra:
+        """sl(p+1, C) as a real algebra (`manin.build_gc_algebra`)."""
+        from .manin import build_gc_algebra
+
+        return _read_only(build_gc_algebra(self))
+
+    @cached_property
+    def gprime_algebra(self) -> LieAlgebra:
+        """g' as a realized algebra (`manin.gprime_algebra`)."""
+        from .manin import gprime_algebra
+
+        return _read_only(gprime_algebra(self))
+
+    @cached_property
+    def model_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The structure constants of g in the model basis as computed
+        (`manin.g_structure_in_model_basis`), and that table snapped to its
+        grid (`lie.snap_dyadic`)."""
+        from .manin import g_structure_in_model_basis
+
+        table = g_structure_in_model_basis(self)
+        return _read_only((table, snap_dyadic(table)[0]))
+
+    @cached_property
+    def gstar_cobrackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cobrackets on gstar (`manin.cobracket_on_gstar`) of g, of g' and
+        of the compact form (`manin.gc_compact_half`), in that order."""
+        from .manin import cobracket_on_gstar, gc_compact_half
+
+        halves = (list(self.g.realization), self.gprime_half, gc_compact_half(self))
+        return _read_only(tuple(cobracket_on_gstar(self, half) for half in halves))
+
+
+def _read_only(obj):
+    """Make every array reachable from `obj` read-only, through the fields of
+    objects and the items of dicts, lists and tuples, and return `obj`.  A
+    cached entry outlives the call that built it, so a stray write must raise
+    rather than change the next call's report."""
+    seen, stack = set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return obj
 
 
 def _su_p1_matrices(p: int):
@@ -194,7 +243,7 @@ def supq1(p: int) -> CatalogEntry:
         root_spaces={"f1": f1_rows, "2f1": f2_rows},
     )
     _validate_entry(entry)
-    return entry
+    return _read_only(entry)
 
 
 def su11() -> CatalogEntry:
@@ -267,15 +316,23 @@ _CATALOG = {"su11": lambda: su11()}
 for _p in range(2, CATALOG_P_MAX + 1):
     _CATALOG[f"su{_p}1"] = (lambda q: (lambda: supq1(q)))(_p)
 
+#: name -> the entry built on the first `get_entry(name)` of the process
+_ENTRIES: dict[str, CatalogEntry] = {}
+
 
 def catalog_names() -> list[str]:
     return list(_CATALOG.keys())
 
 
 def get_entry(name: str) -> CatalogEntry:
+    """The named catalog entry, built and validated on first use; later calls
+    return that same read-only entry.  `su11()` and `supq1(p)` build a fresh
+    one on every call."""
     if name not in _CATALOG:
         raise KeyError(f"unknown catalog pair {name!r}; known: {', '.join(_CATALOG)}")
-    return _CATALOG[name]()
+    if name not in _ENTRIES:
+        _ENTRIES[name] = _CATALOG[name]()
+    return _ENTRIES[name]
 
 
 # -- planar dual-bracket comparison ------------------------------------------

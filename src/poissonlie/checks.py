@@ -189,9 +189,8 @@ def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
 def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    gprime = mn.gprime_algebra(entry)
-    out = mn.check_manin(mn.build_gc_algebra(entry),
-                         mn.gstar_algebra(entry, complex_diagonal=corrupted),
+    gprime = entry.gprime_algebra
+    out = mn.check_manin(entry.gc_algebra, mn.gstar_algebra(entry, complex_diagonal=corrupted),
                          {"g": entry.g, "gprime": gprime})
     # gprime's table in the (sigma psi, x) basis against +/- that of e
     sign, transport = best_sign(gprime.structure, entry.mp.e_algebra.structure)
@@ -205,11 +204,10 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
-    g_model = mn.g_structure_in_model_basis(entry)
-    k = entry.mp.dim_c
     # the algebras are cut from the table snapped to its grid, the residuals
     # read the table as computed, so they carry the snap distance
-    exact, _ = snap_dyadic(g_model)
+    g_model, exact = entry.model_table
+    k = entry.mp.dim_c
     pp_in_k = float(np.max(np.abs(g_model[:k, :k, :k]), initial=0.0))
     plus = mn.deform_bracket(exact, k, +sign)
     resid_plus = float(np.max(np.abs(plus.structure - g_model)))
@@ -224,11 +222,9 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    dg = mn.cobracket_on_gstar(entry, list(entry.g.realization))
-    dgp = mn.cobracket_on_gstar(entry, entry.gprime_half)
+    dg, dgp, dgc = entry.gstar_cobrackets
     rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
                          s_scale=2.0 if corrupted else 1.0, delta_g=dg, delta_gp=dgp)
-    dgc = mn.cobracket_on_gstar(entry, mn.gc_compact_half(entry))
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
     # one residual, the co-Jacobi identity over all three cobrackets, each

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -248,7 +249,9 @@ def _dump_report(report: dict, out: str | None, summary: str):
         sys.stdout.write(f"report written to {path}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; it is static, so it is built once per process."""
     parser = _Parser(
         prog="poissonlie",
         description="verify Poisson-Lie structures built from matched pairs")

@@ -6,7 +6,8 @@ Each half of a Manin triple (g, gprime, gstar) is a realized algebra, built
 once: the re-expansion of its commutators gives its table and its closure,
 and `check_manin` makes one pass per half.  The deformations are slices of
 one table: the structure constants of g in the model basis
-(phi(psi^1)..phi(psi^k), x_1..x_m) of p then k, built once per check.
+(phi(psi^1)..phi(psi^k), x_1..x_m) of p then k, built once per catalog
+entry (`CatalogEntry.model_table`).
 
 The Cartan involution is extended to the complexification CONJUGATE-linearly
 as sigma(x) = -x*, the conjugation with respect to the compact form.  This is

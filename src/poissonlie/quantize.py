@@ -248,7 +248,7 @@ def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[i
 
     Each order of product is a slice of one block stack over the modes of its
     left factor, AB from core(ka, n_A, mb, kb) and BA from core(kb, n_B, ma, ka),
-    and [A, B] = AB - BA is their outer difference over (n_A, n_B).  The
+    and [A, B] = AB - BA is their difference at each given (n_A, n_B).  The
     frame's cell (u, v) is the monomial t_a^{min m + u} t_2^{min k + v}
     e^{i(n_A + n_B + r) phi}; {A, B} is subtracted in its top degree
     ma + ka + mb + kb - 1, and the rest is the O(h) tail."""
@@ -266,7 +266,7 @@ def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[i
             alg._block_stack(k, m2, k2, maxmode)
         return out
 
-    comm = products(ma, ka, mb, kb)[:, None] - products(mb, kb, ma, ka)[None, :]
+    comm = products(ma, ka, mb, kb)[na] - products(mb, kb, ma, ka)[nb]
     # {y_a, y_2} = lam y_2, then {y, f} = X'_y f of B's mode, then of A's, the
     # order in which the bracket's biderivation adds them; over (n_A, n_B)
     bracket = np.zeros(width, dtype=complex)
@@ -276,13 +276,11 @@ def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[i
     for want in (want_a, want_2):
         want[np.abs(want) <= _EPS] = 0.0
     # a clipped cell receives zeros: with no t_a (t_2) there is no y_a (y_2) term
-    comm[:, :, max(m_hi - 1, 0), k_hi] -= want_a
-    comm[:, :, m_hi, max(k_hi - 1, 0)] -= want_2
-    mag = np.abs(comm).max(axis=4)
+    comm[:, max(m_hi - 1, 0), k_hi] -= want_a[na, nb]
+    comm[:, m_hi, max(k_hi - 1, 0)] -= want_2[na, nb]
+    mag = np.abs(comm).max(axis=3)
     top = np.add.outer(np.arange(m_hi + 1), np.arange(k_hi + 1)) == m_hi + k_hi - 1
-    lead = np.where(top, mag, 0.0).max(axis=(2, 3))
-    tail = np.where(top, 0.0, mag).max(axis=(2, 3))
-    return lead[na, nb], tail[na, nb]
+    return np.where(top, mag, 0.0).max(axis=(1, 2)), np.where(top, 0.0, mag).max(axis=(1, 2))
 
 
 def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> tuple[

@@ -256,9 +256,11 @@ def test_dual_bracket_satisfies_jacobi(e11):
     assert jacobi_worst_at(dual)[0] <= 1e-9
 
 
-def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_path):
+def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_path,
+                                                            fresh_catalog):
     # every check, the conventions report and the text summary of one full
-    # verify read the pair's one cobracket and the entry's one normalized z
+    # verify read the pair's one cobracket and the entry's one normalized z;
+    # a second verify reads the same entry and builds nothing
     import poissonlie.bialgebra as bi
     import poissonlie.catalog as cat
     from poissonlie import cli
@@ -275,18 +277,26 @@ def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_pat
 
     count(bi, "delta_direct")
     count(cat, "normalize_z")
-    assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == {"delta_direct": 1, "normalize_z": 1}
+    for _ in range(2):
+        assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == {"delta_direct": 1, "normalize_z": 1}
 
 
-def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path):
+#: the tables a catalog entry builds on first use and keeps
+ENTRY_TABLES = ("r_matrix", "gprime_half", "gstar_g_pairing", "gc_algebra", "gprime_algebra",
+                "model_table", "gstar_cobrackets")
+
+
+def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path, fresh_catalog):
     # the r-matrix (coboundary and the conventions report), g' (manin and
-    # twist) and the gstar-g pairing (the twist element and both c' residuals)
+    # twist), the gstar-g pairing (the twist element and both c' residuals),
+    # gC and g' as algebras (manin), the model table (deform) and the three
+    # cobrackets on gstar (twist); a second verify builds none of them again
     import poissonlie.catalog as cat
     from poissonlie import cli
 
     calls = {}
-    for name in ("r_matrix", "gprime_half", "gstar_g_pairing"):
+    for name in ENTRY_TABLES:
         build = getattr(cat.CatalogEntry, name).func
 
         def counted(entry, build=build, name=name):
@@ -295,16 +305,21 @@ def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path):
         prop = cached_property(counted)
         prop.__set_name__(cat.CatalogEntry, name)
         monkeypatch.setattr(cat.CatalogEntry, name, prop)
-    assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == {"r_matrix": 1, "gprime_half": 1, "gstar_g_pairing": 1}
+    for _ in range(2):
+        assert cli.main(["verify", "su41", "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == dict.fromkeys(ENTRY_TABLES, 1)
 
 
 def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     from poissonlie.checks import REGISTRY
-    from poissonlie.manin import gprime_half
+    from poissonlie.manin import (build_gc_algebra, cobracket_on_gstar, gc_compact_half,
+                                  g_structure_in_model_basis, gprime_algebra, gprime_half)
 
-    rm, half, pairing = e21.r_matrix, e21.gprime_half, e21.gstar_g_pairing
-    tables = (rm["route_a"].coeffs, rm["route_b"].coeffs, half, pairing)
+    built = {name: getattr(e21, name) for name in ENTRY_TABLES}
+    rm, gc, gp = built["r_matrix"], built["gc_algebra"], built["gprime_algebra"]
+    tables = (rm["route_a"].coeffs, rm["route_b"].coeffs, built["gprime_half"],
+              built["gstar_g_pairing"], gc.structure, *gc.realization, gp.structure,
+              *gp.realization, *built["model_table"], *built["gstar_cobrackets"])
     before = [t.copy() for t in tables]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -312,10 +327,18 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     for check in REGISTRY.values():
         if check.applies(e21):
             run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
-    assert e21.r_matrix is rm and e21.gprime_half is half and e21.gstar_g_pairing is pairing
+    for name, table in built.items():
+        assert getattr(e21, name) is table
     for table, copy in zip(tables, before):
         assert np.array_equal(table, copy)
     fresh = r_matrix(e21)
     assert np.array_equal(rm["route_b"].coeffs, fresh["route_b"].coeffs)
     assert rm["difference"] == fresh["difference"]
-    assert np.array_equal(half, np.array(gprime_half(e21)))
+    assert np.array_equal(built["gprime_half"], np.array(gprime_half(e21)))
+    assert np.array_equal(gc.structure, build_gc_algebra(e21).structure)
+    assert np.array_equal(gp.structure, gprime_algebra(e21).structure)
+    model = g_structure_in_model_basis(e21)
+    assert np.array_equal(built["model_table"][0], model)
+    halves = (list(e21.g.realization), built["gprime_half"], gc_compact_half(e21))
+    for table, half in zip(built["gstar_cobrackets"], halves):
+        assert np.array_equal(table, cobracket_on_gstar(e21, half))

@@ -29,6 +29,52 @@ def test_catalog_names_and_lookup():
         get_entry("su99")
 
 
+def writable_arrays(obj) -> list[str]:
+    """The paths of the writable arrays reachable from `obj` through object
+    fields (cached properties included) and dict, list and tuple items."""
+    out, seen, stack = [], set(), [("entry", obj)]
+    while stack:
+        path, item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            if item.flags.writeable:
+                out.append(path)
+        elif isinstance(item, dict):
+            stack.extend((f"{path}[{k!r}]", v) for k, v in item.items())
+        elif isinstance(item, (list, tuple)):
+            stack.extend((f"{path}[{i}]", v) for i, v in enumerate(item))
+        elif hasattr(item, "__dict__"):
+            stack.extend((f"{path}.{k}", v) for k, v in vars(item).items())
+    return out
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_cached_entries_hold_no_writable_array(name):
+    # a cached entry serves every later call of the process: no array it
+    # holds may change, neither as built nor after every check has built its
+    # tables on it, clean and under each knob
+    from poissonlie.checks import REGISTRY, run_check
+    from poissonlie.config import DEFAULT_TOL
+
+    entry = get_entry(name)
+    assert writable_arrays(entry) == []
+    for check in REGISTRY.values():
+        if check.applies(entry):
+            for knob in (None, check.knob):
+                run_check(check.name, entry, 4, Rng(0), DEFAULT_TOL, corrupt=knob)
+    assert get_entry(name) is entry
+    assert writable_arrays(entry) == []
+    with pytest.raises(ValueError, match="read-only"):
+        entry.g.realization[0][0, 0] = 1.0
+
+
+def test_builders_return_fresh_entries():
+    assert su11() is not su11() and supq1(2) is not supq1(2)
+    assert get_entry("su21") is get_entry("su21") is not supq1(2)
+
+
 def test_all_entries_pass_core_invariants():
     for name in catalog_names():
         entry = get_entry(name)

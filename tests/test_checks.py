@@ -100,8 +100,8 @@ def _off_grid(fn, at: tuple[int, int, int], g_only: bool = False):
     ("twist", "cobracket_on_gstar", (0, 0, 1), True, None),
     ("twist", "cobracket_on_gstar", (0, 0, 1), False, "co_jacobi_all_three"),
 ])
-def test_a_snapped_deviation_shows_under_a_tight_tolerance(monkeypatch, tmp_path, check, patched,
-                                                           at, g_only, criterion):
+def test_a_snapped_deviation_shows_under_a_tight_tolerance(monkeypatch, tmp_path, fresh_catalog,
+                                                           check, patched, at, g_only, criterion):
     # the model table, in its [x, x] block or in the u-part of [u, u] that the
     # model leaves out, or the twist cobrackets on g*, 1e-12 off their grid:
     # the algebras and co-Jacobi tables are built from them snapped, but every
@@ -221,7 +221,7 @@ def test_witnesses_name_the_worst_basis_vector_under_the_knobs(control_entries, 
     assert mp.e_space.labels[int(np.argmax(b0_block))] == "psi[y2]"
 
 
-def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch):
+def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch, fresh_catalog):
     # route A doubled: the two routes to r differ by 1.0 while route B, the one
     # the coboundary residual uses, is intact
     from poissonlie import bialgebra

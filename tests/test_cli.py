@@ -54,6 +54,35 @@ def test_verify_corrupt_exit_one(tmp_path):
     assert doc["results"][0]["max_residual"] > 1e-3
 
 
+def _report_without_timestamp(path: Path) -> str:
+    return "".join(line for line in path.read_text().splitlines(keepends=True)
+                   if '"timestamp":' not in line)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_knobs_leave_no_trace_on_the_cached_entry(name, tmp_path, monkeypatch, capsys):
+    # one process: verify clean, under every applicable knob, clean again,
+    # then clean on an entry built after the memo is cleared; the clean
+    # reports agree byte for byte apart from the timestamp
+    from poissonlie import catalog
+
+    path = tmp_path / "r.json"
+
+    def verify(*extra) -> int:
+        return cli.main(["verify", name, "--samples", "16", "--out", str(path), *extra])
+
+    assert verify() == 0
+    clean = _report_without_timestamp(path)
+    entry = get_entry(name)
+    for check in checks.REGISTRY.values():
+        if check.applies(entry):
+            assert verify("--corrupt", check.knob) == 1, check.knob
+    assert verify() == 0 and _report_without_timestamp(path) == clean
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    assert verify() == 0 and _report_without_timestamp(path) == clean
+    assert get_entry(name) is not entry
+
+
 def test_text_summary_names_the_failing_sub_criterion(tmp_path, capsys):
     code = cli.main(["verify", "su21", "--checks", "twist", "--corrupt", "twist_scale_2",
                      "--out", str(tmp_path / "r.json")])

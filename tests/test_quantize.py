@@ -322,6 +322,35 @@ def test_sweep_matches_per_pair_reference(correction, maxdeg, maxmode):
         assert abs(tail[i] - ref_tail) <= 1e-13 * max(ref_tail, 1.0), (ka, kb)
 
 
+@pytest.mark.parametrize("correction", [1.0, 0.0])
+@pytest.mark.parametrize("maxdeg, maxmode", [(4, 6), (2, 2)])
+def test_class_pair_residuals_do_not_depend_on_the_pairs_asked(monkeypatch, correction,
+                                                               maxdeg, maxmode):
+    # a class paired with itself asks for its mode pairs n_A <= n_B only;
+    # each pair's residuals are the bits it has on the full mode grid
+    from poissonlie import quantize
+
+    real = quantize._class_pair_residuals
+    diagonal = []
+
+    def compared(alg_, xprime, left, right, na, nb):
+        lead, tail = real(alg_, xprime, left, right, na, nb)
+        modes = xprime.shape[1]
+        full_a, full_b = np.indices((modes, modes)).reshape(2, -1)
+        full_lead, full_tail = real(alg_, xprime, left, right, full_a, full_b)
+        at = na * modes + nb
+        assert full_lead[at].tobytes() == lead.tobytes(), (left, right)
+        assert full_tail[at].tobytes() == tail.tobytes(), (left, right)
+        if left == right:
+            diagonal.append(len(na) == modes * (modes + 1) // 2)
+        return lead, tail
+
+    monkeypatch.setattr(quantize, "_class_pair_residuals", compared)
+    semiclassical_residuals(CrossedAlgebra(su11().mp, reorder_correction=correction),
+                            maxdeg, maxmode)
+    assert len(diagonal) == (maxdeg + 1) * (maxdeg + 2) // 2 - 1 and all(diagonal)
+
+
 def test_verify_semiclassical_small(alg):
     rep = verify_semiclassical(alg, 2, 2)
     assert worst(rep["max_h0_residual"], rep["max_exact_case_residual"]) <= 1e-12
