@@ -117,15 +117,18 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 
 @_register("invariance", "invariance_flip_action", REALIZATION)
 def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    inv, hom = [], []
-    for _, a, b in sample_pairs(mp, rng, samples):
+    def check_block(start, a, b):
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
-            prod = a.coad_b0 @ np.swapaxes(a.inverse().action_on_c, 1, 2)
-            inv.append(np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2)))
+            # P_c Ad(a^{-1}) on c, with Ad(a^{-1}) = Ad*(a)^T read before coad_b0 releases it
+            flipped = mp._Psi.T @ np.swapaxes(a.coad, 1, 2) @ mp._Y
+            prod = a.coad_b0 @ np.swapaxes(flipped, 1, 2)
+            inv = np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2))
         else:
-            inv.append(mp.invariance_residual(a))
-        hom.append(np.abs((a @ b).action_on_c - a.action_on_c @ b.action_on_c).max(axis=(1, 2)))
-    inv, hom = np.hstack(inv), np.hstack(hom)
+            inv = mp.invariance_residual(a)
+        hom = np.abs((a @ b).action_on_c - a.action_on_c @ b.action_on_c).max(axis=(1, 2))
+        return inv, hom
+
+    inv, hom = map(np.hstack, zip(*sample_pairs(mp, rng, samples, check_block)))
     # the witness: the sample of the first worst entry over both parts, the
     # invariance part first, so it lies in the part `worst_criterion` names
     _, at = worst_at(np.concatenate([inv, hom]))

@@ -12,24 +12,22 @@ Sampling is stacked.  `draw_words` draws the random numbers of a whole stack
 of elements in three generator calls: all v, then all word lengths, then all
 factors.  Its `Words` exponentiate any block of the stack.  The sampled checks
 take their pairs of elements from `sample_pairs`, which draws once and
-exponentiates block by block; `sample_group_matrices` makes a whole stack at
-once.  `exp_b` takes a whole array of parameters.  Every exponential is one
-call of `linalg.expm` (Pade-13 scaling and squaring, vectorized over the
-stack).  The inverse of E and the finite-difference oracle for its adjoint
-are test references (`tests/references.py`).
+exponentiates block by block, one block alive at a time;
+`sample_group_matrices` makes a whole stack at once.  `exp_b` takes a whole
+array of parameters.  Every exponential is one call of `linalg.expm`
+(Pade-13 scaling and squaring, vectorized over the stack).  The inverse of E
+and the finite-difference oracle for its adjoint are test references
+(`tests/references.py`).
 
 A `GroupElement` owns its per-element tables, each built for the whole stack on
 first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
 `coad_b0` and `action_on_c`, its blocks on b0 and on c, which eta, adE, e_mul
-and the invariance residual read.  Ad of a stack is one pass, row-major: the
-real row of every conjugated matrix, one per (element, basis matrix), is
-written straight from the products, the solver re-expands the rows with one
-matmul (`MatrixBasisSolver.solve_each`), and row (element, j) of its
-coordinates is column j of Ad.  The pass runs over chunks of the stack whose
-rows fit in `_AD_CHUNK_BYTES`, with the same bits as one chunk.  When neither
-Ad(a) nor Ad(a^{-1}) is known, reading Ad*(a) runs that pass once over
-[a, a^{-1}] and fills both.  Every element of a stack, and its inverse,
-passes the same membership and leak validation as a single element.
+and the invariance residual read.  Ad of a stack is one row-major pass
+(`_adjoint`) over chunks of the stack, with the same bits as one chunk.  When
+neither Ad(a) nor Ad(a^{-1}) is known, reading Ad*(a) runs that pass once
+over [a, a^{-1}] and fills both; `coad_b0` releases Ad(a^{-1}) once read.
+Every element of a stack, and its inverse, passes the same membership and
+leak validation as a single element, once.
 """
 
 from __future__ import annotations
@@ -44,10 +42,12 @@ from .matched import MatchedPair
 
 #: Samples per stacked block in the sampled checks; reports do not depend on
 #: it.  With `benchmarks/run.py --workload sampled --seconds 8` at seed 42 on a
-#: 2-vCPU x86-64 VM (median of three runs), blocks of 16, 32 and 64 took
-#: 0.71, 0.60 and 0.55 s a pass, 0.33, 0.29 and 0.28 s for the slowest call
-#: (su41), and 66.5, 67.4 and 70.2 MB peak RSS.
-SAMPLE_BLOCK = 32
+#: 2-vCPU x86-64 VM (median of three runs), blocks of 32, 64, 96 and 128 took
+#: 0.57, 0.50, 0.47 and 0.48 s a pass, 0.28, 0.26, 0.24 and 0.26 s for the
+#: slowest call (su41), and 65.9, 67.4, 68.6 and 69.9 MB peak RSS.  At 64,
+#: su41's cocycle and invariance checks at 1000 samples peak at 3.0 and 1.7 MB
+#: of traced allocations (numpy 2.4.6); at 96, at 4.2 and 2.1 MB.
+SAMPLE_BLOCK = 64
 
 #: Longest word of exponentials of b in a sampled element.
 MAX_WORD = 3
@@ -56,7 +56,7 @@ MAX_WORD = 3
 #: chunk (the products, the conjugated matrices, the rows, the solver's
 #: coordinates and residuals) is at most about this size, so the allocator
 #: hands the same memory back from chunk to chunk instead of paging in the
-#: 300-600 KB arrays of a whole 32-sample stack on every call.
+#: 0.6-1.2 MB arrays of a whole 64-sample stack on every call.
 _AD_CHUNK_BYTES = 96 * 1024
 
 #: Largest re-expansion residual and b-leak of Ad(a) for a in B.
@@ -127,9 +127,12 @@ class GroupElement:
 
     @cached_property
     def coad_b0(self) -> np.ndarray:
-        """Ad*_a restricted to b0, in the psi-basis."""
+        """Ad*_a restricted to b0, in the psi-basis.  Ad(a^{-1}) is released:
+        no sampled check reads it again, and `coad` would remake it."""
         mp = self.pair
-        return _read_only(mp._Y.T @ self.coad @ mp._Psi)
+        table = _read_only(mp._Y.T @ self.coad @ mp._Psi)
+        self._inv._ad = None
+        return table
 
     @cached_property
     def action_on_c(self) -> np.ndarray:
@@ -146,7 +149,7 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def exp_b(mp: MatchedPair, xb: np.ndarray, t: float | np.ndarray = 1.0) -> GroupElement:
+def exp_b(mp: MatchedPair, xb: np.ndarray, t: float | np.ndarray) -> GroupElement:
     """exp(t X) for X given by b-basis coordinates, via `linalg.expm`
     (Pade-13 scaling and squaring); an array of t gives a stack, one element
     per entry."""
@@ -169,7 +172,7 @@ def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> Non
 
 
 def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
-             pairs: bool = False) -> np.ndarray:
+             pairs: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
     (count, d, d) stack, as a read-only (n, n) or (count, n, n) array, given
     the inverses `invs`.
@@ -180,50 +183,53 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
     chunk's conjugated matrices are re-expanded by one least-squares solve;
     the whole stack is validated after the last chunk, so an offender is
     named by its index in the stack.  With `pairs`, `mats` is [a, a^{-1}] and
-    `invs` is [a^{-1}, a] along a first axis of two: an element and its
-    inverse are validated together, and an offender is named by its index in
-    a."""
+    `invs` is [a^{-1}, a] along a first axis of two: the result is
+    (Ad(a), Ad(a^{-1})), two arrays, and an element and its inverse are
+    validated together, an offender named by its index in a."""
     g = mp.g
-    lead, d, n = mats.shape[:-2], mats.shape[-1], g.dim
-    flat, flat_invs = mats.reshape(-1, d, d), invs.reshape(-1, d, d)
-    count = len(flat)
-    # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS path
-    # of their operand's layout, and another layout would move the last bits
-    # of the sampled residuals
-    ad = np.empty(lead + (n, n))
-    flat_ad = ad.reshape(count, n, n)
-    resid, leak = np.empty(count), np.empty(count)
+    d, n = mats.shape[-1], g.dim
+    stacks = list(zip(mats, invs)) if pairs else [(mats, invs)]
+    lead = stacks[0][0].shape[:-2]
+    count = int(np.prod(lead, dtype=int))
+    resid, leak = np.empty((len(stacks), count)), np.empty((len(stacks), count))
     wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
     step = _ad_chunk(d, n)
-    for start in range(0, count, step):
-        part = slice(start, min(start + step, count))
-        size = part.stop - start
-        # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i) of
-        # a [R_0 .. R_n-1], then one per element by a^{-1}
-        conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
-                      @ flat_invs[part]).reshape(size, d, n, d)
-        # the solver's real row of each a R_j a^{-1}, in (element, j) order,
-        # written straight from the products
-        rows = np.empty((size, n, 2, d, d))
-        rows[:, :, 0] = conjugated.real.transpose(0, 2, 1, 3)
-        rows[:, :, 1] = conjugated.imag.transpose(0, 2, 1, 3)
-        coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
-        resid[part] = resids.reshape(size, n).max(axis=1)
-        # row (element, j) of the coordinates is column j of Ad(a)
-        flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
-        # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
-        leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part] @ mp._B).max(axis=(1, 2))
+    ads = []
+    for half, (half_mats, half_invs) in enumerate(stacks):
+        flat, flat_invs = half_mats.reshape(-1, d, d), half_invs.reshape(-1, d, d)
+        # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS
+        # path of their operand's layout, and another layout would move the
+        # last bits of the sampled residuals
+        ad = np.empty(lead + (n, n))
+        flat_ad = ad.reshape(count, n, n)
+        for start in range(0, count, step):
+            part = slice(start, min(start + step, count))
+            size = part.stop - start
+            # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i)
+            # of a [R_0 .. R_n-1], then one per element by a^{-1}
+            conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
+                          @ flat_invs[part])
+            # the solver's real row of each a R_j a^{-1}, in (element, j)
+            # order, copied from the products, freed before the solve
+            rows = np.ascontiguousarray(conjugated.view(float).reshape(size, d, n, d, 2)
+                                        .transpose(0, 2, 4, 1, 3))
+            del conjugated
+            coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
+            resid[half, part] = resids.reshape(size, n).max(axis=1)
+            # row (element, j) of the coordinates is column j of Ad(a)
+            flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
+            # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
+            leak[half, part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part]
+                                      @ mp._B).max(axis=(1, 2))
+        ads.append(_read_only(ad))
 
-    def per_element(values):   # np.max keeps a NaN of either half
-        values = values.reshape(lead)
-        return values.max(axis=0) if pairs else values
-
-    resid = per_element(resid)
+    # per element, the worse of it and its inverse; np.max keeps a NaN of either
+    resid = resid.max(axis=0).reshape(lead)
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
-    leak = per_element(leak)
+    leak = leak.max(axis=0).reshape(lead)
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
-    return _read_only(ad)
+    return tuple(ads) if pairs else ads[0]
 
 
 def _ad_chunk(d: int, n: int) -> int:
@@ -301,9 +307,9 @@ def adE(g: EElement) -> np.ndarray:
 class Words:
     """The random numbers of a stack of sampled elements: v (count, k) or
     None, the word lengths (count,) and the factors, one row of b-coordinates
-    each, word after word.  `matrices` and `e_elements` make one block of the
-    stack, so a check exponentiates block by block and never holds a
-    check-sized stack of matrices."""
+    each, word after word.  `matrices` makes one block of the stack, so a
+    check exponentiates block by block and never holds a check-sized stack of
+    matrices."""
 
     pair: MatchedPair
     v: np.ndarray | None
@@ -332,11 +338,6 @@ class Words:
             mats = mats @ words[:, j]
         return mats
 
-    def e_elements(self, start: int = 0, stop: int | None = None) -> EElement:
-        """The points of E of elements start..stop-1, as a stack."""
-        mp = self.pair
-        return EElement(mp, self.v[start:stop], GroupElement(mp, self.matrices(start, stop)))
-
 
 def draw_words(mp: MatchedPair, rng: Rng, count: int, radius: float | None = None) -> Words:
     """The random numbers of `count` elements in three generator calls: all v,
@@ -355,23 +356,27 @@ def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:
     return draw_words(mp, rng, count).matrices()
 
 
-def sample_pairs(mp: MatchedPair, rng: Rng, samples: int, radius: float | None = None):
-    """The pairs of random elements of a sampled check, SAMPLE_BLOCK pairs at a
-    time: 2 * samples words drawn at once (`draw_words`) as first, second,
-    first, second, ...  Yields (start, first, second), the index of the
-    block's first pair and the stacks of its first and second elements:
-    points of E, v uniform in [-radius, radius], when `radius` is given, else
-    elements of B."""
+def sample_pairs(mp: MatchedPair, rng: Rng, samples: int, check_block,
+                 radius: float | None = None) -> list:
+    """check_block(start, first, second) of each block of SAMPLE_BLOCK pairs
+    of random elements, in order: 2 * samples words drawn at once
+    (`draw_words`) as first, second, first, second, ...; `start` is the index
+    of the block's first pair, `first` and `second` the stacks of its first
+    and second elements, points of E, v uniform in [-radius, radius], when
+    `radius` is given, else elements of B.  Each matrix is validated once, and
+    only check_block's result outlives its block."""
     if samples < 1:
         raise ValueError("need at least one sample")
     words = draw_words(mp, rng, 2 * samples, radius)
-    for start in range(0, samples, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, samples)
-        if radius is None:
-            both = GroupElement(mp, words.matrices(2 * start, 2 * stop))
-        else:
-            both = words.e_elements(2 * start, 2 * stop)
-        yield start, both[0::2], both[1::2]
+
+    def halves(start: int, stop: int):
+        mats = words.matrices(2 * start, 2 * stop)
+        return [GroupElement(mp, mats[j::2]) if radius is None else
+                EElement(mp, words.v[2 * start + j:2 * stop:2], GroupElement(mp, mats[j::2]))
+                for j in (0, 1)]
+
+    return [check_block(start, *halves(start, min(start + SAMPLE_BLOCK, samples)))
+            for start in range(0, samples, SAMPLE_BLOCK)]
 
 
 def basis_curves(mp: MatchedPair, t: float) -> EElement:

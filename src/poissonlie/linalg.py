@@ -65,6 +65,16 @@ class Bivector:
         c = 0.5 * (c - np.swapaxes(c, -1, -2))
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def of_antisymmetric(cls, space: BasedSpace, coeffs: np.ndarray) -> "Bivector":
+        """The bivector of coefficients built exactly antisymmetric already,
+        such as block by block, taken as they are: antisymmetrizing them
+        again would copy them and change no bit."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __add__(self, other: "Bivector") -> "Bivector":
         _check_same_space(self, other)
         return Bivector(self.space, self.coeffs + other.coeffs)
@@ -178,7 +188,10 @@ def expm(a: np.ndarray) -> np.ndarray:
              + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
-    out = np.linalg.solve(v - u, v + u)
+    del x, x2, x4, x6   # freed before the solve, which copies its operands
+    plus = v + u
+    v -= u
+    out = np.linalg.solve(v, plus)
     for j in range(int(s.max(initial=0))):
         more = s > j
         out[more] = out[more] @ out[more]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import EElement, adE, e_element_to_json_dict, e_mul, exp_b, sample_pairs
+from .group import (EElement, GroupElement, adE, e_element_to_json_dict, e_mul, exp_b,
+                    sample_pairs)
 from .linalg import Bivector, Rng, worst_at
 from .matched import MatchedPair
 from .trig import CIRCLE_MAX_MODE, circle_angles, fit_trig
@@ -23,31 +24,42 @@ V_RADIUS = 1.0
 def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j.
 
-    For a stack of points `g` the Bivector holds one coefficient matrix per point."""
+    For a stack of points `g` the Bivector holds one coefficient matrix per
+    point; only its b0 x b0 block is nonzero."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
     k_mat = g.a.coad_b0                 # first, so Ad_a comes from the same pass
     u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
     val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
     coeffs = np.zeros(lead + (k + m, k + m))
-    coeffs[..., :k, :k] = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
-    return Bivector(mp.e_space, coeffs)
+    block = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
+    coeffs[..., :k, :k] = 0.5 * (block - np.swapaxes(block, -1, -2))
+    return Bivector.of_antisymmetric(mp.e_space, coeffs)
 
 
 def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
-    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; one per point of a stack, as `eta0`."""
+    """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; one per point of a stack, as `eta0`;
+    only its b0 x b and b x b0 blocks are nonzero."""
     k, m = mp.dim_c, mp.dim_b
     k_mat = g.a.coad_b0
     z = (mp._T_inv @ g.a.ad @ mp._Y)[..., :m, :]      # columns: b-coordinates of Ad_a y_i
+    upper = k_mat @ np.swapaxes(z, -1, -2)
+    lower = -(z @ np.swapaxes(k_mat, -1, -2))
     coeffs = np.zeros(g.v.shape[:-1] + (k + m, k + m))
-    coeffs[..., :k, k:] = k_mat @ np.swapaxes(z, -1, -2)
-    coeffs[..., k:, :k] = -(z @ np.swapaxes(k_mat, -1, -2))
-    return Bivector(mp.e_space, coeffs)
+    coeffs[..., :k, k:] = 0.5 * (upper - np.swapaxes(lower, -1, -2))
+    coeffs[..., k:, :k] = 0.5 * (lower - np.swapaxes(upper, -1, -2))
+    return Bivector.of_antisymmetric(mp.e_space, coeffs)
 
 
 def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> Bivector:
-    """eta0 + eta_b_sign * eta_b; one per point of a stack, as `eta0`."""
-    return eta0(mp, g) + eta_b_sign * eta_b(mp, g)
+    """eta0 + eta_b_sign * eta_b; one per point of a stack, as `eta0`.  The
+    parts fill disjoint blocks, so eta_b's go into eta0's array."""
+    k = mp.dim_c
+    out = eta0(mp, g)
+    mixed = eta_b(mp, g).coeffs
+    out.coeffs[..., :k, k:] = eta_b_sign * mixed[..., :k, k:]
+    out.coeffs[..., k:, :k] = eta_b_sign * mixed[..., k:, :k]
+    return out
 
 
 def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, eta_b_sign: float = 1.0) -> dict:
@@ -55,31 +67,40 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, eta_b_sign: float = 
 
     Samples run in stacks of (g, h) pairs (`group.sample_pairs`).  The
     record's witness names the sample with the worst residual (the first NaN,
-    if any): its index, the e-basis wedge of its largest entry, g and h."""
+    if any): its index, the e-basis wedge of its largest entry, g and h, made
+    once from the v and matrices each block keeps of its worst sample."""
     labels = mp.e_space.labels
-    resids, witnesses = [], []
-    for start, g, h in sample_pairs(mp, rng, samples, V_RADIUS):
+
+    def check_block(start, g, h):
         lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign).coeffs
-        a = adE(g)
-        pushed = a @ eta(mp, h, eta_b_sign=eta_b_sign).coeffs @ np.swapaxes(a, 1, 2)
+        pushed = _congruence(adE(g), eta(mp, h, eta_b_sign=eta_b_sign).coeffs)
         base = eta(mp, g, eta_b_sign=eta_b_sign).coeffs
         diff = np.abs(lhs - base - pushed).reshape(len(lhs), -1)
         scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
         resid, i = worst_at(diff.max(axis=1) / scale)
         row, col = divmod(int(np.argmax(diff[i])), len(labels))
-        witnesses.append((start + i, f"{labels[row]}^{labels[col]}", g[i], h[i]))
-        resids.append(resid)
+        # copies: views would keep the block's stacks alive
+        return (resid, start + i, f"{labels[row]}^{labels[col]}",
+                [(x.v[i].copy(), x.a.matrix[i].copy()) for x in (g, h)])
+
+    resids, worst_samples, parts, witnesses = zip(*sample_pairs(mp, rng, samples, check_block,
+                                                                V_RADIUS))
     # the first block holding the first worst sample holds the witness
     out, at = worst_at(resids)
-    sample, part, g_worst, h_worst = witnesses[at]
+    g_worst, h_worst = (EElement(mp, v, GroupElement(mp, mat)) for v, mat in witnesses[at])
     return {
         "pair": mp.name,
         "seed": rng.seed,
         "max_residual": out,
-        "witness": {"worst_sample": sample, "worst_part": part,
+        "witness": {"worst_sample": worst_samples[at], "worst_part": parts[at],
                     "g": e_element_to_json_dict(g_worst),
                     "h": e_element_to_json_dict(h_worst)},
     }
+
+
+def _congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x a^T for each matrix of two stacks; `a` is freed when this returns."""
+    return a @ x @ np.swapaxes(a, 1, 2)
 
 
 def _abs_max(stack: np.ndarray) -> np.ndarray:

@@ -43,9 +43,15 @@ def e_inv(g: EElement) -> EElement:
     return EElement(g.pair, -(a_inv.coad_b0 @ g.v[..., None])[..., 0], a_inv)
 
 
+def words_e_elements(words, start: int, stop: int) -> EElement:
+    """The points of E of sampled words start..stop-1, as a stack."""
+    mp = words.pair
+    return EElement(mp, words.v[start:stop], GroupElement(mp, words.matrices(start, stop)))
+
+
 def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:
     """A stack of `count` random points of E, v uniform in [-radius, radius]."""
-    return draw_words(mp, rng, count, radius).e_elements()
+    return words_e_elements(draw_words(mp, rng, count, radius), 0, count)
 
 
 def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:

@@ -7,6 +7,9 @@ mixed-block loop over the b-basis, and the per-sample cocycle and invariance
 loops.  Their random numbers come straight from numpy's PCG64 in the stated
 draw order (`ref_draw`).  They live only here."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from poissonlie.linalg import Bivector, Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
 from references import (coad_matrix_coords, e_inv, gstar_to_b0, identity_element,
-                        sample_e_element, sample_e_elements)
+                        sample_e_element, sample_e_elements, words_e_elements)
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:
@@ -55,7 +58,7 @@ def ref_draw(mp, seed, count, radius=None, max_word=3):
     for word in np.split(factors, np.cumsum(lengths)[:-1]):
         a = identity_element(mp)
         for x in word:
-            a = a @ exp_b(mp, x)
+            a = a @ exp_b(mp, x, 1.0)
         mats.append(a.matrix)
     return v, np.array(mats), gen
 
@@ -138,7 +141,7 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
     stacked_rng, seq_rng = Rng(6), Rng(6)
     stack = sample_e_elements(mp, stacked_rng, 40, radius=0.5)
     words = draw_words(mp, seq_rng, 40, radius=0.5)
-    seq = [words.e_elements(start, start + 7) for start in range(0, 40, 7)]
+    seq = [words_e_elements(words, start, start + 7) for start in range(0, 40, 7)]
     ref_v, ref_mats, ref_gen = ref_draw(mp, 6, 40, radius=0.5)
     assert np.array_equal(stack.v, np.concatenate([g.v for g in seq]))
     assert np.array_equal(stack.v, ref_v)
@@ -237,17 +240,66 @@ def test_invariance_matches_per_sample_loop(mp):
     assert rep["pass"]
 
 
-@pytest.mark.parametrize("name", ["su21", "su41"])
+#: (check, knob) of the block-size cases: each sampled check clean and under its knob
+SAMPLED_RUNS = [("invariance", None), ("cocycle", None),
+                ("invariance", "invariance_flip_action"), ("cocycle", "eta_b_sign")]
+
+
+@pytest.mark.parametrize("name", ["su21", "su31", "su41"])
 @pytest.mark.parametrize("block", [1, 7, 1000])
 def test_reports_do_not_depend_on_the_block_size(name, block, monkeypatch):
     entry = get_entry(name)
-    default = {check: run_check(check, entry, 100, Rng(42), DEFAULT_TOL)
-               for check in ("invariance", "cocycle")}
+    # at the default block; SAMPLE_BLOCK + 1 samples leave a last block of one
+    runs = [(check, samples, knob) for samples in (100, SAMPLE_BLOCK + 1)
+            for check, knob in SAMPLED_RUNS]
+    default = [run_check(check, entry, samples, Rng(42), DEFAULT_TOL, corrupt=knob)
+               for check, samples, knob in runs]
     # `group.sample_pairs` is the one reader of the block size
     monkeypatch.setattr(group, "SAMPLE_BLOCK", block)
-    for check, rep in default.items():
+    for (check, samples, knob), rep in zip(runs, default):
         # residuals and witnesses: worst_sample, worst_part, g and h
-        assert run_check(check, entry, 100, Rng(42), DEFAULT_TOL) == rep
+        assert run_check(check, entry, samples, Rng(42), DEFAULT_TOL, corrupt=knob) == rep
+
+
+def test_each_sampled_matrix_is_validated_once(monkeypatch):
+    mp = get_entry("su21").mp
+    samples = 200
+    counts = Counter()
+    real = group._require
+
+    def counting(ok, values, problem, what):
+        counts[what] += np.size(values)
+        real(ok, values, problem, what)
+
+    monkeypatch.setattr(group, "_require", counting)
+    run_check("invariance", mp, samples, Rng(42), DEFAULT_TOL)
+    # |det| of each a, b, ab and a^{-1}; Ad of a (with a^{-1}), of b and of ab
+    assert counts == {"|det|": 4 * samples, "residual": 3 * samples, "leak": 3 * samples}
+    counts.clear()
+    run_check("cocycle", mp, samples, Rng(42), DEFAULT_TOL)
+    # |det| of each g, h, gh and of their inverses, v of each g, h and gh, Ad
+    # of g, h and gh (each with its inverse), and the witness pair once
+    assert counts == {"|det|": 6 * samples + 2, "max |v|": 3 * samples + 2,
+                      "residual": 3 * samples, "leak": 3 * samples}
+
+
+#: tracemalloc peaks in bytes of the sampled checks on su41 at 1000 samples,
+#: with numpy 2.4.6, of the code that held two 32-sample blocks at a time
+#: and validated each drawn matrix twice
+TWO_BLOCK_PEAKS = {"cocycle": 3.64e6, "invariance": 1.78e6}
+
+
+@pytest.mark.parametrize("check", ["cocycle", "invariance"])
+def test_sampled_checks_hold_one_block_at_a_time(check):
+    entry = get_entry("su41")
+    run_check(check, entry, 1000, Rng(42), DEFAULT_TOL)    # the pair's own tables
+    tracemalloc.start()
+    try:
+        run_check(check, entry, 1000, Rng(42), DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TWO_BLOCK_PEAKS[check]
 
 
 def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):

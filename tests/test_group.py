@@ -27,7 +27,7 @@ def test_exp_b_at_zero_is_identity(e11):
 
 
 def test_exp_b_diagonal_closed_form(e11):
-    a = exp_b(e11.mp, np.array([np.pi / 4]))
+    a = exp_b(e11.mp, np.array([np.pi / 4]), 1.0)
     expect = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
     assert np.max(np.abs(a.matrix - expect)) < 1e-12
 
@@ -74,11 +74,11 @@ def test_group_element_outside_b_rejected(e11):
 def test_e_mul_planar_example(e11):
     # (1, phi=pi/2) . (1, 0) = (0, pi/2) because e^{2 i (pi/2)} = -1
     mp = e11.mp
-    g = EElement(mp, np.array([0.0, 1.0]), exp_b(mp, np.array([np.pi / 2])))
+    g = EElement(mp, np.array([0.0, 1.0]), exp_b(mp, np.array([np.pi / 2]), 1.0))
     h = EElement(mp, np.array([0.0, 1.0]), identity_element(mp))
     prod = e_mul(g, h)
     assert np.max(np.abs(prod.v)) < 1e-12
-    assert np.max(np.abs(prod.a.matrix - exp_b(mp, np.array([np.pi / 2])).matrix)) < 1e-12
+    assert np.max(np.abs(prod.a.matrix - exp_b(mp, np.array([np.pi / 2]), 1.0).matrix)) < 1e-12
 
 
 def test_two_sided_inverse(e11):

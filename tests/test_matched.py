@@ -76,7 +76,7 @@ def test_action_on_c_homomorphism(e11):
 def test_duality_at_quarter_turn(e11):
     # <P_c Ad_a y, phi> = <y, Ad*_{a^{-1}} phi> at a = diag(e^{i pi/4}, e^{-i pi/4})
     mp = e11.mp
-    a = exp_b(mp, np.array([np.pi / 4]))
+    a = exp_b(mp, np.array([np.pi / 4]), 1.0)
     c_mat = a.action_on_c
     k_inv = a.inverse().coad_b0
     assert np.max(np.abs(c_mat - k_inv.T)) <= 1e-12
@@ -87,9 +87,9 @@ def test_anchor_values_planar(e11):
     ya = np.eye(3)[1]
     y2 = np.eye(3)[2]
     # sin(2 phi) at phi = pi/4 -> 1
-    assert np.allclose(mp.anchor(ya, exp_b(mp, np.array([np.pi / 4]))), [1.0], atol=1e-12)
+    assert np.allclose(mp.anchor(ya, exp_b(mp, np.array([np.pi / 4]), 1.0)), [1.0], atol=1e-12)
     # (1 - cos 2 phi) at phi = pi/2 -> 2
-    assert np.allclose(mp.anchor(y2, exp_b(mp, np.array([np.pi / 2]))), [2.0], atol=1e-12)
+    assert np.allclose(mp.anchor(y2, exp_b(mp, np.array([np.pi / 2]), 1.0)), [2.0], atol=1e-12)
 
 
 def test_anchor_identity_and_linearity(e11):

@@ -35,7 +35,7 @@ def test_eta_at_pure_fibre_point(e11):
 def test_eta_b_half_turn_value(e11):
     # at (0, phi = pi/2): sin(pi) = 0, 1 - cos(pi) = 2, Ad* rotates by e^{i pi}
     mp = e11.mp
-    g = EElement(mp, np.zeros(2), exp_b(mp, np.array([np.pi / 2])))
+    g = EElement(mp, np.zeros(2), exp_b(mp, np.array([np.pi / 2]), 1.0))
     coeffs = eta_b(mp, g).coeffs
     expect = np.zeros((3, 3))
     expect[2, 1] = 2.0   # 2 J ^ psi_2
@@ -54,7 +54,7 @@ def test_eta_alternative_identities(e11):
     g = EElement(mp, v, identity_element(mp))
     assert (eta0(mp, g) - eta_alternative(mp, g)).max_norm() <= 1e-12
     # at v = 0 both terms vanish
-    g0 = EElement(mp, np.zeros(2), exp_b(mp, np.array([0.8])))
+    g0 = EElement(mp, np.zeros(2), exp_b(mp, np.array([0.8]), 1.0))
     assert eta_alternative(mp, g0).max_norm() <= 1e-12
 
 

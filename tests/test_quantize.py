@@ -468,7 +468,7 @@ def test_coproduct_sampled_products(alg):
 def test_coproduct_inverted_action_fails_multiplicativity(alg, monkeypatch):
     # the twist by the action of the inverse group element: exp_b at -phi
     real = group.exp_b
-    monkeypatch.setattr(group, "exp_b", lambda mp, xb, t=1.0: real(mp, xb, -t))
+    monkeypatch.setattr(group, "exp_b", lambda mp, xb, t: real(mp, xb, -t))
     cop_bad = Coproduct(alg)
     worst = max(cop_bad.homomorphism_residual(alg.monomial(0, 0, 1), alg.t_a()),
                 cop_bad.homomorphism_residual(alg.t_2(), alg.t_a()))
