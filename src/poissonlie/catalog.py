@@ -338,17 +338,17 @@ def get_entry(name: str) -> CatalogEntry:
 # -- planar dual-bracket comparison ------------------------------------------
 
 
-def e2_dual_bracket_tables(s: float = 1.0):
+def e2_dual_bracket_tables():
     """The two dual brackets on e(2)* and the intertwiner between them.
 
-    Basis order (J*, P1*, P2*).  Family 1 carries the auxiliary parameter s;
+    Basis order (J*, P1*, P2*).  Family 1 is taken at its parameter s = 1;
     family 3 is the one induced (up to scale) by this package's cobracket.
     """
     j_, p1, p2 = 0, 1, 2
     bracket1 = antisymmetric_table((3, 3, 3), {
         (p1, p2): [0, 0, 0],
-        (p1, j_): [0, s, 0],
-        (p2, j_): [0, 0, s],
+        (p1, j_): [0, 1, 0],
+        (p2, j_): [0, 0, 1],
     })
     bracket3 = antisymmetric_table((3, 3, 3), {
         (p1, p2): [0, 0, 1],
@@ -356,15 +356,15 @@ def e2_dual_bracket_tables(s: float = 1.0):
         (p2, j_): [0, 0, 0],
     })
     rho = np.zeros((3, 3))
-    rho[:, j_] = [0, -s, 0]     # rho(J*) = -s P1*
+    rho[:, j_] = [0, -1, 0]     # rho(J*) = -s P1*, s = 1
     rho[:, p1] = [1, 0, 0]      # rho(P1*) = J*
     rho[:, p2] = [0, 0, 1]      # rho(P2*) = P2*
     return bracket1, bracket3, rho
 
 
-def rho_intertwiner_residual(s: float = 1.0, rho_sign: float = 1.0) -> float:
+def rho_intertwiner_residual(rho_sign: float = 1.0) -> float:
     """Max residual of rho([x, y]_1) = [rho(x), rho(y)]_3 over basis pairs."""
-    bracket1, bracket3, rho = e2_dual_bracket_tables(s)
+    bracket1, bracket3, rho = e2_dual_bracket_tables()
     rho = rho_sign * rho
     out = 0.0
     for i in range(3):

@@ -259,7 +259,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 
 @_register("dual_families", "rho_sign", CIRCLE)
 def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
-    resid_rho = rho_intertwiner_residual(s=1.0, rho_sign=-1.0 if corrupted else 1.0)
+    resid_rho = rho_intertwiner_residual(rho_sign=-1.0 if corrupted else 1.0)
     dual = np.moveaxis(entry.mp.delta, 0, 2)    # [e*_p, e*_q] = delta[x, p, q] e*_x
     # e-basis is (psi_a = P1, psi_2 = P2, J); reorder duals to (J*, P1*, P2*)
     perm = [2, 0, 1]
@@ -334,21 +334,14 @@ def _r_display_matrices(entry) -> float:
     n = p + 1
     mp = entry.mp
 
-    def unit(i, j):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    displayed = {1: 1j * unit(p - 1, p - 1) - 1j * unit(n - 1, n - 1)}
+    # the displayed matrices in matrix units; the other y_i project to 0
+    expect = np.zeros((mp.dim_c, n, n), dtype=complex)
+    expect[1, p - 1, p - 1], expect[1, n - 1, n - 1] = 1j, -1j
     for kk in range(p - 1):
-        displayed[2 + 2 * kk] = unit(p - 1, kk) - unit(kk, p - 1)
-        displayed[3 + 2 * kk] = 1j * unit(kk, p - 1) + 1j * unit(p - 1, kk)
-    out = 0.0
-    for i in range(mp.dim_c):
-        proj = entry.g.matrix_of(entry.cartan.project("k", mp.y_basis[i]))
-        expect = displayed.get(i, np.zeros((n, n), dtype=complex))
-        out = worst(out, np.max(np.abs(proj - expect)))
-    return out
+        expect[2 + 2 * kk, p - 1, kk], expect[2 + 2 * kk, kk, p - 1] = 1.0, -1.0
+        expect[3 + 2 * kk, kk, p - 1] = expect[3 + 2 * kk, p - 1, kk] = 1j
+    projs = entry.g.matrix_of(mp.y_basis @ entry.cartan.projections["k"].T)
+    return worst_at(np.abs(projs - expect))[0]
 
 
 def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:

@@ -15,10 +15,10 @@ SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
 #: by the mathematics: a full `verify supq1 --p 8` passes every check in
-#: 1.6-2.2 s with 210 MB peak RSS (in process, one BLAS thread, a 2-vCPU
-#: x86-64 machine), of which `cocycle` takes 0.4-0.6 s, `manin` 0.35-0.5 s,
-#: `delta_consistency` 0.2-0.3 s, `twist` 0.2 s and `uniqueness` 0.01-0.02 s.
-#: The peak comes from `manin`: the table of g_C and its Jacobi validation.
+#: 2.2-2.3 s with 212 MB peak RSS (in process, one BLAS thread, a 2-vCPU
+#: x86-64 machine), of which `cocycle` takes 0.5-0.6 s, `manin` 0.32-0.35 s
+#: (0.04 s warm), `delta_consistency` 0.2-0.3 s, `twist` 0.2 s and
+#: `uniqueness` 0.01 s.  The peak is `manin`'s build of the table of g_C.
 P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan

@@ -23,11 +23,12 @@ A `GroupElement` owns its per-element tables, each built for the whole stack on
 first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
 `coad_b0` and `action_on_c`, its blocks on b0 and on c, which eta, adE, e_mul
 and the invariance residual read.  Ad of a stack is one row-major pass
-(`_adjoint`) over chunks of the stack, with the same bits as one chunk.  When
-neither Ad(a) nor Ad(a^{-1}) is known, reading Ad*(a) runs that pass once
-over [a, a^{-1}] and fills both; `coad_b0` releases Ad(a^{-1}) once read.
-Every element of a stack, and its inverse, passes the same membership and
-leak validation as a single element, once.
+(`_adjoint`) over chunks of the stack, with the same bits as one chunk.  There
+is no paired pass: each table read is one pass, Ad*(a) over the inverse stack
+and Ad(a) over a, validated once, when it is computed.  An element of which
+only Ad*(a) is read (the Ad*_U row of the conventions report) is validated
+through its inverse: a is in B exactly when a^{-1} is, and |det| is checked
+on a.  `coad_b0` releases Ad(a^{-1}) once read.
 """
 
 from __future__ import annotations
@@ -103,32 +104,27 @@ class GroupElement:
     @property
     def ad(self) -> np.ndarray:
         """Ad(a) on g-coordinates, (n, n) or (count, n, n), validated by
-        `_adjoint`."""
+        `_adjoint`; an inverse already made is reused."""
         if self._ad is None:
-            self._ad = _adjoint(self.pair, self.matrix, np.linalg.inv(self.matrix))
+            inv = np.linalg.inv(self.matrix) if self._inv is None else self._inv.matrix
+            self._ad = _adjoint(self.pair, self.matrix, inv)
         return self._ad
 
     @property
     def coad(self) -> np.ndarray:
-        """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action; Ad(a^{-1})
-        is conjugation by the inverse matrix, held by `inverse()`.
-
-        When Ad(a) is not known yet either, one pass conjugates [a, a^{-1}] by
-        [a^{-1}, a] and fills both: eta, adE and the invariance residual need
-        both, so they read Ad*(a) first."""
+        """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action, from a
+        pass over the inverse stack (`inverse()`) alone, which validates a
+        through a^{-1}; Ad(a) is left to its own pass."""
         a_inv = self.inverse()
         if a_inv._ad is None:
-            if self._ad is None:
-                self._ad, a_inv._ad = _adjoint(self.pair, np.stack([self.matrix, a_inv.matrix]),
-                                               np.stack([a_inv.matrix, self.matrix]), pairs=True)
-            else:
-                a_inv._ad = _adjoint(self.pair, a_inv.matrix, self.matrix)
+            a_inv._ad = _adjoint(self.pair, a_inv.matrix, self.matrix)
         return np.swapaxes(a_inv._ad, -1, -2)
 
     @cached_property
     def coad_b0(self) -> np.ndarray:
-        """Ad*_a restricted to b0, in the psi-basis.  Ad(a^{-1}) is released:
-        no sampled check reads it again, and `coad` would remake it."""
+        """Ad*_a restricted to b0, in the psi-basis, validated through a^{-1}
+        (`coad`).  Ad(a^{-1}) is released: no sampled check reads it again,
+        and `coad` would remake it."""
         mp = self.pair
         table = _read_only(mp._Y.T @ self.coad @ mp._Psi)
         self._inv._ad = None
@@ -171,8 +167,7 @@ def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> Non
         raise ValueError(f"{where} {problem} ({what} {np.atleast_1d(values)[i]:.3e})")
 
 
-def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
-             pairs: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray) -> np.ndarray:
     """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
     (count, d, d) stack, as a read-only (n, n) or (count, n, n) array, given
     the inverses `invs`.
@@ -182,54 +177,45 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
     test.  The pass runs over chunks of `_ad_chunk` matrices, and each
     chunk's conjugated matrices are re-expanded by one least-squares solve;
     the whole stack is validated after the last chunk, so an offender is
-    named by its index in the stack.  With `pairs`, `mats` is [a, a^{-1}] and
-    `invs` is [a^{-1}, a] along a first axis of two: the result is
-    (Ad(a), Ad(a^{-1})), two arrays, and an element and its inverse are
-    validated together, an offender named by its index in a."""
+    named by its index in the stack.  One pass makes and validates one
+    table; Ad(a) and Ad(a^{-1}) are two passes."""
     g = mp.g
     d, n = mats.shape[-1], g.dim
-    stacks = list(zip(mats, invs)) if pairs else [(mats, invs)]
-    lead = stacks[0][0].shape[:-2]
+    lead = mats.shape[:-2]
     count = int(np.prod(lead, dtype=int))
-    resid, leak = np.empty((len(stacks), count)), np.empty((len(stacks), count))
+    flat, flat_invs = mats.reshape(-1, d, d), invs.reshape(-1, d, d)
+    resid, leak = np.empty(count), np.empty(count)
     wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
     step = _ad_chunk(d, n)
-    ads = []
-    for half, (half_mats, half_invs) in enumerate(stacks):
-        flat, flat_invs = half_mats.reshape(-1, d, d), half_invs.reshape(-1, d, d)
-        # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS
-        # path of their operand's layout, and another layout would move the
-        # last bits of the sampled residuals
-        ad = np.empty(lead + (n, n))
-        flat_ad = ad.reshape(count, n, n)
-        for start in range(0, count, step):
-            part = slice(start, min(start + step, count))
-            size = part.stop - start
-            # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i)
-            # of a [R_0 .. R_n-1], then one per element by a^{-1}
-            conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
-                          @ flat_invs[part])
-            # the solver's real row of each a R_j a^{-1}, in (element, j)
-            # order, copied from the products, freed before the solve
-            rows = np.ascontiguousarray(conjugated.view(float).reshape(size, d, n, d, 2)
-                                        .transpose(0, 2, 4, 1, 3))
-            del conjugated
-            coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
-            resid[half, part] = resids.reshape(size, n).max(axis=1)
-            # row (element, j) of the coordinates is column j of Ad(a)
-            flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
-            # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
-            leak[half, part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part]
-                                      @ mp._B).max(axis=(1, 2))
-        ads.append(_read_only(ad))
+    # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS path
+    # of their operand's layout, and another layout would move the last bits
+    # of the sampled residuals
+    ad = np.empty(lead + (n, n))
+    flat_ad = ad.reshape(count, n, n)
+    for start in range(0, count, step):
+        part = slice(start, min(start + step, count))
+        size = part.stop - start
+        # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i)
+        # of a [R_0 .. R_n-1], then one per element by a^{-1}
+        conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
+                      @ flat_invs[part])
+        # the solver's real row of each a R_j a^{-1}, in (element, j) order,
+        # copied from the products, freed before the solve
+        rows = np.ascontiguousarray(conjugated.view(float).reshape(size, d, n, d, 2)
+                                    .transpose(0, 2, 4, 1, 3))
+        del conjugated
+        coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
+        resid[part] = resids.reshape(size, n).max(axis=1)
+        # row (element, j) of the coordinates is column j of Ad(a)
+        flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
+        # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
+        leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part] @ mp._B).max(axis=(1, 2))
 
-    # per element, the worse of it and its inverse; np.max keeps a NaN of either
-    resid = resid.max(axis=0).reshape(lead)
+    resid, leak = resid.reshape(lead), leak.reshape(lead)
     _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
              "residual")
-    leak = leak.max(axis=0).reshape(lead)
     _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
-    return tuple(ads) if pairs else ads[0]
+    return _read_only(ad)
 
 
 def _ad_chunk(d: int, n: int) -> int:
@@ -291,7 +277,7 @@ def adE(g: EElement) -> np.ndarray:
     mp = g.pair
     k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
     lead = g.v.shape[:-1]
-    k_mat = g.a.coad_b0                       # first, so Ad_a comes from the same pass
+    k_mat = g.a.coad_b0
     z = g.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
     w = g.v @ mp._Psi.T                       # v in dual coordinates on g
     # <ad*(z)(w), y> = w([y, z]) = y^T cw z with cw[i, j] = w([e_i, e_j])

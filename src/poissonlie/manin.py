@@ -22,8 +22,8 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, pair_commutators,
-                  structure_in_basis, trace_gram)
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, meet_runs,
+                  pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
 from .linalg import BasedSpace, Bivector
 
 
@@ -85,7 +85,8 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
     per half.  Returns, as a check does, `residuals`: isotropy and closure
     (from the re-expansion that realized it) once for each half and for gstar
     (`isotropy_<name>`, `closure_<name>`, gstar as `gstar`) and the invariance
-    of the form (the pairing of `big`) once; `conditions`: complementarity
+    of the form (the pairing of `big`) once, over the nonzero entries of its
+    table and Gram matrix (`form_invariance`); `conditions`: complementarity
     once per triple (`complementary_<name>`); and `details`: the condition
     number of each triple's joint basis (`complement_condition_<name>`)
     where the dimensions add up."""
@@ -95,15 +96,8 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
         gram = trace_gram(alg.realization, alg.realization, form)
         residuals[f"isotropy_{name}"] = float(np.max(np.abs(gram)))
         residuals[f"closure_{name}"] = alg.realization_residual()
-    gram = trace_gram(big.realization, big.realization, form)
-    # <[a,b],c> + <b,[a,c]>, as two matmuls of the flattened table; the sum
-    # and its absolute value are formed in place, so at most two n^3 arrays
-    # are alive at once
-    n = big.dim
-    flat = big.structure.reshape(n * n, n)
-    inv = (flat @ gram).reshape(n, n, n)
-    inv += (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2)
-    residuals["form_invariance"] = float(np.max(np.abs(inv, out=inv)))
+    residuals["form_invariance"] = form_invariance(
+        big.structure, trace_gram(big.realization, big.realization, form))
     for name, half in halves.items():
         complementary = half.dim + gstar.dim == big.dim
         if complementary:
@@ -112,6 +106,33 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
             complementary = bool(np.isfinite(cond) and cond < 1e8)
         conditions[f"complementary_{name}"] = complementary
     return {"residuals": residuals, "conditions": conditions, "details": details}
+
+
+def form_invariance(table: np.ndarray, gram: np.ndarray) -> float:
+    """max |<[a,b],c> + <b,[a,c]>| over basis triples, for the structure
+    constants `table` and the Gram matrix `gram` of the form, over nonzero
+    entries only: table[a, b, m] meets gram[m, c] and table[a, c, m] meets
+    gram[b, m], summed per triple (`lie.worst_key_sum`); no n^3 array is
+    made.  A non-finite entry in either gives NaN."""
+    if not (np.isfinite(table).all() and np.isfinite(gram).all()):
+        return float("nan")
+    n = table.shape[0]
+    flat = np.flatnonzero(table)
+    vals = table.ravel()[flat]
+    ab, m = np.divmod(flat, n)
+    a, c = np.divmod(ab, n)
+
+    def meet(entries):      # each nonzero table[., ., m] with every nonzero entries[m, x]
+        at = np.flatnonzero(entries)
+        row, x = np.divmod(at, n)
+        first, second = meet_runs(np.arange(len(flat)), m, np.searchsorted(row, np.arange(n + 1)))
+        return first, x[second], vals[first] * entries.ravel()[at[second]]
+
+    first, c1, prod1 = meet(gram)        # <[a,b],c>: table[a, b, m] gram[m, c]
+    second, b2, prod2 = meet(gram.T)     # <b,[a,c]>: table[a, c, m] gram[b, m]
+    keys = np.concatenate([ab[first] * n + c1, (a[second] * n + b2) * n + c[second]])
+    found = worst_key_sum(keys, np.concatenate([prod1, prod2]), 1)
+    return 0.0 if found is None else found[0]
 
 
 def gstar_k0_abelian_residual(entry) -> float:

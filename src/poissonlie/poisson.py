@@ -28,7 +28,7 @@ def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     point; only its b0 x b0 block is nonzero."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
-    k_mat = g.a.coad_b0                 # first, so Ad_a comes from the same pass
+    k_mat = g.a.coad_b0
     u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
     val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
     coeffs = np.zeros(lead + (k + m, k + m))

@@ -11,6 +11,9 @@
   pushed to e(2)+ (criterion 04).
 - The unit and the commutator of the crossed algebra.
 - The twist check with both of its cobrackets on gstar built here.
+- The invariance of the form on g_C as a dense contraction of the table, and
+  the family-1 dual brackets on e(2)* at any value of their parameter.
+- The r-matrix display row of the conventions report, one y_i at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from poissonlie.config import FD_STEP
 from poissonlie.group import EElement, GroupElement, basis_curves, draw_words, e_mul
-from poissonlie.linalg import Bivector, finite_diff, worst
+from poissonlie.linalg import Bivector, antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, twist_check
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
 
@@ -261,3 +264,48 @@ def twist_check_of(entry, **kw) -> dict:
     here, as the twist check builds them."""
     return twist_check(entry, cobracket_on_gstar(entry, list(entry.g.realization)),
                        cobracket_on_gstar(entry, entry.gprime_half), **kw)
+
+
+# -- Manin triples and the planar dual brackets --------------------------------------
+
+
+def form_invariance_dense(table: np.ndarray, gram: np.ndarray) -> float:
+    """max |<[a,b],c> + <b,[a,c]>| over basis triples as two matmuls of the
+    flattened table, every entry included (`manin.form_invariance` reads
+    only the nonzero ones)."""
+    n = table.shape[0]
+    flat = table.reshape(n * n, n)
+    inv = (flat @ gram).reshape(n, n, n)
+    inv += (flat @ gram.T).reshape(n, n, n).swapaxes(1, 2)
+    return float(np.max(np.abs(inv)))
+
+
+def e2_family1(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The family-1 dual bracket on e(2)* at its parameter s, basis order
+    (J*, P1*, P2*), and the intertwiner rho to family 3: rho(J*) = -s P1*,
+    rho(P1*) = J*, rho(P2*) = P2*, one column each."""
+    bracket1 = antisymmetric_table((3, 3, 3), {(1, 0): [0, s, 0], (2, 0): [0, 0, s]})
+    rho = np.array([[0.0, 1.0, 0.0], [-s, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return bracket1, rho
+
+
+def r_display_residual_loop(entry) -> float:
+    """`checks._r_display_matrices` one y_i at a time: the displayed Cartan
+    projections of the solvable basis against P^C_k y_i."""
+    p, mp = entry.p, entry.mp
+    n = p + 1
+
+    def unit(i, j):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    displayed = {1: 1j * unit(p - 1, p - 1) - 1j * unit(n - 1, n - 1)}
+    for kk in range(p - 1):
+        displayed[2 + 2 * kk] = unit(p - 1, kk) - unit(kk, p - 1)
+        displayed[3 + 2 * kk] = 1j * unit(kk, p - 1) + 1j * unit(p - 1, kk)
+    out = 0.0
+    for i in range(mp.dim_c):
+        proj = entry.g.matrix_of(entry.cartan.project("k", mp.y_basis[i]))
+        out = worst(out, np.max(np.abs(proj - displayed.get(i, np.zeros((n, n))))))
+    return out

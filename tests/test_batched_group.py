@@ -273,14 +273,14 @@ def test_each_sampled_matrix_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(group, "_require", counting)
     run_check("invariance", mp, samples, Rng(42), DEFAULT_TOL)
-    # |det| of each a, b, ab and a^{-1}; Ad of a (with a^{-1}), of b and of ab
-    assert counts == {"|det|": 4 * samples, "residual": 3 * samples, "leak": 3 * samples}
+    # |det| of each a, b, ab and a^{-1}; Ad of a, a^{-1}, b and ab, one pass each
+    assert counts == {"|det|": 4 * samples, "residual": 4 * samples, "leak": 4 * samples}
     counts.clear()
     run_check("cocycle", mp, samples, Rng(42), DEFAULT_TOL)
     # |det| of each g, h, gh and of their inverses, v of each g, h and gh, Ad
-    # of g, h and gh (each with its inverse), and the witness pair once
+    # of g, h, gh and of their inverses, and the witness pair once
     assert counts == {"|det|": 6 * samples + 2, "max |v|": 3 * samples + 2,
-                      "residual": 3 * samples, "leak": 3 * samples}
+                      "residual": 6 * samples, "leak": 6 * samples}
 
 
 #: tracemalloc peaks in bytes of the sampled checks on su41 at 1000 samples,
@@ -382,7 +382,7 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
     mats[3] = bad
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         GroupElement(mp, mats).ad
-    # Ad(a) and Ad(a^{-1}) from one pass over the doubled stack: still index 3 of a
+    # Ad(a^{-1}) from a pass over the inverse stack: still index 3 of a
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         GroupElement(mp, mats).coad_b0
 
@@ -411,14 +411,33 @@ def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11
 
 
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
-def test_one_pass_fills_ad_of_a_and_of_its_inverse(mp):
+def test_reading_coad_fills_only_the_ad_of_the_inverse(mp, monkeypatch):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
     coad = a.coad
-    assert a._ad is not None and a.inverse()._ad is not None
-    assert np.max(np.abs(a.ad @ a.inverse().ad - np.eye(mp.g.dim))) <= 1e-12
+    assert a._ad is None and a.inverse()._ad is not None
+    # Ad(a) then conjugates by the inverse already made
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", None)
+        assert np.max(np.abs(a.ad @ a.inverse().ad - np.eye(mp.g.dim))) <= 1e-12
     assert np.max(np.abs(a.ad - GroupElement(mp, a.matrix).ad)) <= 1e-13
     ad_inv = GroupElement(mp, a.inverse().matrix).ad
     assert np.max(np.abs(coad - np.swapaxes(ad_inv, 1, 2))) <= 1e-13
+
+
+def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
+    from poissonlie.checks import _ADSTAR_U_SAMPLES, _adstar_u_residual
+
+    passes = []
+    real = group._adjoint
+
+    def counting(mp, mats, invs, **kw):
+        passes.append(mats.shape[:-2])
+        return real(mp, mats, invs, **kw)
+
+    monkeypatch.setattr(group, "_adjoint", counting)
+    assert _adstar_u_residual(get_entry("su31"), Rng(42)) <= 1e-9
+    # Ad(a^{-1}) of the 25 elements only, not Ad(a) as well
+    assert _ADSTAR_U_SAMPLES == 25 and passes == [(25,)]
 
 
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
@@ -480,10 +499,10 @@ def chunked(request):
     return mp, _ad_chunk(d, mp.g.dim)
 
 
-def one_chunk_pass(mp, mats, invs, monkeypatch, pairs=False):
+def one_chunk_pass(mp, mats, invs, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(group, "_AD_CHUNK_BYTES", 1 << 40)
-        return _adjoint(mp, mats, invs, pairs=pairs)
+        return _adjoint(mp, mats, invs)
 
 
 def test_chunked_ad_pass_equals_one_chunk_bit_for_bit(chunked, monkeypatch):
@@ -493,9 +512,6 @@ def test_chunked_ad_pass_equals_one_chunk_bit_for_bit(chunked, monkeypatch):
         invs = np.linalg.inv(mats)
         assert np.array_equal(_adjoint(mp, mats, invs),
                               one_chunk_pass(mp, mats, invs, monkeypatch))
-        both = np.stack([mats, invs]), np.stack([invs, mats])
-        assert np.array_equal(_adjoint(mp, *both, pairs=True),
-                              one_chunk_pass(mp, *both, monkeypatch, pairs=True))
     # one element without the stack axis
     mat = sample_group_matrices(mp, Rng(1), 1)[0]
     assert np.array_equal(_adjoint(mp, mat, np.linalg.inv(mat)),
@@ -515,6 +531,6 @@ def test_offender_in_the_last_chunk_is_named_by_its_stack_index(chunked):
             invs = np.linalg.inv(mats)
             with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
                 _adjoint(mp, mats, invs)
-            # pairs: the inverse of a's last element is the last matrix of the pass
+            # Ad*'s pass over the inverses: a^{-1} of the last element is the last matrix
             with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
-                _adjoint(mp, np.stack([mats, invs]), np.stack([invs, mats]), pairs=True)
+                _adjoint(mp, invs, mats)

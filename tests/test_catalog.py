@@ -9,7 +9,7 @@ from poissonlie.group import e_mul
 from poissonlie.lie import jacobi_worst_at, structure_in_basis
 from poissonlie.linalg import Rng, worst
 from poissonlie.manin import build_gc_algebra, gprime_algebra
-from references import coad_matrix_coords, sample_e_element
+from references import coad_matrix_coords, e2_family1, sample_e_element
 
 
 def projector_residual(d) -> float:
@@ -212,14 +212,23 @@ def test_adstar_u_det_u_action():
 
 
 def test_dual_families_tables():
-    bracket1, bracket3, rho = e2_dual_bracket_tables(s=1.0)
+    bracket1, bracket3, rho = e2_dual_bracket_tables()
     assert jacobi_worst_at(bracket1)[0] <= 1e-12
     assert jacobi_worst_at(bracket3)[0] <= 1e-12
     # [P1*, P2*]_1 = 0
     assert np.max(np.abs(bracket1[1, 2])) == 0.0
-    assert rho_intertwiner_residual(s=1.0) <= 1e-12
-    assert rho_intertwiner_residual(s=2.5) <= 1e-12
-    assert rho_intertwiner_residual(s=1.0, rho_sign=-1.0) > 1e-3
+    # the package's family 1 is the reference's at s = 1
+    ref_bracket1, ref_rho = e2_family1(1.0)
+    assert np.array_equal(bracket1, ref_bracket1) and np.array_equal(rho, ref_rho)
+    assert rho_intertwiner_residual() <= 1e-12
+    # rho([x, y]_1) = [rho(x), rho(y)]_3 over basis pairs holds at every s
+    for s in (1.0, 2.5):
+        b1, r = e2_family1(s)
+        assert jacobi_worst_at(b1)[0] <= 1e-12
+        lhs = np.einsum("kl,ijl->ijk", r, b1)
+        rhs = np.einsum("ai,bj,abk->ijk", r, r, bracket3)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    assert rho_intertwiner_residual(rho_sign=-1.0) > 1e-3
 
 
 def test_entry_validation_catches_bad_duals():

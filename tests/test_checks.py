@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import get_entry, supq1
-from poissonlie.checks import CIRCLE, REGISTRY, applicable_checks, run_check
+from poissonlie.checks import CIRCLE, REGISTRY, _r_display_matrices, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
+from references import r_display_residual_loop
 
 
 def test_registry_scopes():
@@ -184,6 +185,22 @@ def _assert_knob_trips_its_criterion(name, entry):
         assert before is True and after is False
     else:
         assert before <= clean["tolerance"] < after, (criterion, before, after)
+
+
+@pytest.mark.parametrize("pair", ("su11",) + CONTROL_PAIRS)
+def test_r_display_row_equals_the_per_vector_loop(control_entries, pair):
+    entry = get_entry(pair) if pair == "su11" else control_entries[pair]
+    assert _r_display_matrices(entry) == r_display_residual_loop(entry) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", CONTROL_PAIRS)
+def test_gstar_knob_fails_manin_with_the_form_invariance_at_zero(control_entries, pair):
+    # the sparse form invariance reads the same g_C under the knob, which
+    # enlarges g* only; the knob fails manin at its own sub-criterion
+    rep = run_check("manin", control_entries[pair], 20, Rng(1), DEFAULT_TOL,
+                    corrupt="gstar_complex_diagonal")
+    assert rep["pass"] is False and rep["details"]["form_invariance"] == 0.0
+    assert rep["details"][KNOB_CRITERIA["manin"]] > rep["tolerance"]
 
 
 @pytest.mark.parametrize("pair", CONTROL_PAIRS)

@@ -6,11 +6,11 @@ import pytest
 
 from poissonlie import manin
 from poissonlie.bialgebra import co_jacobi_worst_at
-from poissonlie.catalog import su11, supq1
+from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.lie import (MatrixBasisSolver, SubspaceDecomposition, commutators,
-                            from_realization)
+from poissonlie.lie import (IM_TRACE, MatrixBasisSolver, SubspaceDecomposition, commutators,
+                            from_realization, trace_gram)
 from poissonlie.linalg import Rng, best_sign, worst
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               cprime_residual, deform_bracket,
@@ -19,7 +19,7 @@ from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               gstar_algebra, gstar_k0_abelian_residual,
                               killing_eigenvalues, phi_identification, sigma_conj,
                               twist_element)
-from references import coad_matrix_coords, gstar_to_b0, twist_check_of
+from references import coad_matrix_coords, form_invariance_dense, gstar_to_b0, twist_check_of
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,34 @@ def test_manin_negative_control(entries):
                       {"g": entry.g})
     assert rep["residuals"]["isotropy_gstar"] > 1e-3
     assert rep["conditions"] == {"complementary_g": False}
+
+
+@pytest.fixture(scope="module", params=["su11", "su21", "su31", "su41", "supq1(5)"])
+def gc_table_and_form(request):
+    """The table of g_C and the Gram matrix of its form."""
+    name = request.param
+    gc = (supq1(5) if name == "supq1(5)" else get_entry(name)).gc_algebra
+    assert gc.pairing == IM_TRACE
+    return gc.structure, trace_gram(gc.realization, gc.realization, gc.pairing)
+
+
+def test_sparse_form_invariance_equals_the_dense_contraction(gc_table_and_form):
+    table, gram = gc_table_and_form
+    assert manin.form_invariance(table, gram) == form_invariance_dense(table, gram) == 0.0
+    # one bracket perturbed, antisymmetrically: the same nonzero value
+    bad = table.copy()
+    bad[0, 1, :] += 1e-3
+    bad[1, 0, :] -= 1e-3
+    found = manin.form_invariance(bad, gram)
+    assert found > 1e-4 and found == form_invariance_dense(bad, gram)
+    # a NaN in the table or in the form gives NaN
+    nan_table = table.copy()
+    nan_table[2, 0, 1] = np.nan
+    nan_gram = gram.copy()
+    nan_gram[-1, 0] = np.nan
+    for t, g in ((nan_table, gram), (table, nan_gram)):
+        assert np.isnan(manin.form_invariance(t, g))
+        assert np.isnan(form_invariance_dense(t, g))
 
 
 def test_sigma_is_conjugate_linear_involution(entries):
