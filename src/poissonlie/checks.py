@@ -119,8 +119,8 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     def check_block(start, a, b):
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
-            # P_c Ad(a^{-1}) on c, with Ad(a^{-1}) = Ad*(a)^T read before coad_b0 releases it
-            flipped = mp._Psi.T @ np.swapaxes(a.coad, 1, 2) @ mp._Y
+            # P_c Ad(a^{-1}) on c, from the columns Ad(a^{-1}) y_i that coad_b0 reads
+            flipped = mp._Psi.T @ a.ad_inverse_y
             prod = a.coad_b0 @ np.swapaxes(flipped, 1, 2)
             inv = np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2))
         else:

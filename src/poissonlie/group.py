@@ -9,10 +9,11 @@ point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
 Sampling is stacked.  `draw_words` draws the random numbers of a whole stack
-of elements in three generator calls: all v, then all word lengths, then all
-factors.  Its `Words` exponentiate any block of the stack.  The sampled checks
-take their pairs of elements from `sample_pairs`, which draws once and
-exponentiates block by block, one block alive at a time;
+of elements in the order of three generator calls: all v, then all word
+lengths, then all factors.  Its `Words` exponentiate the stack block by
+block, in order, and draw each block's factors when the block is made.  The
+sampled checks take their pairs of elements from `sample_pairs`, which draws
+once and exponentiates block by block, one block alive at a time;
 `sample_group_matrices` makes a whole stack at once.  `exp_b` takes a whole
 array of parameters.  Every exponential is one call of `linalg.expm`
 (Pade-13 scaling and squaring, vectorized over the stack).  The inverse of E
@@ -20,15 +21,17 @@ and the finite-difference oracle for its adjoint are test references
 (`tests/references.py`).
 
 A `GroupElement` owns its per-element tables, each built for the whole stack on
-first use and read-only: `ad`, Ad(a) on g-coordinates; `coad`, Ad*(a); and
-`coad_b0` and `action_on_c`, its blocks on b0 and on c, which eta, adE, e_mul
-and the invariance residual read.  Ad of a stack is one row-major pass
-(`_adjoint`) over chunks of the stack, with the same bits as one chunk.  There
-is no paired pass: each table read is one pass, Ad*(a) over the inverse stack
-and Ad(a) over a, validated once, when it is computed.  An element of which
-only Ad*(a) is read (the Ad*_U row of the conventions report) is validated
-through its inverse: a is in B exactly when a^{-1} is, and |det| is checked
-on a.  `coad_b0` releases Ad(a^{-1}) once read.
+first use and read-only: `ad`, Ad(a) on g-coordinates; `ad_inverse_y`, the
+columns Ad(a^{-1}) y_i; and `coad_b0` and `action_on_c`, the blocks of Ad*(a)
+on b0 and of Ad(a) on c, which eta, adE, e_mul and the invariance residual
+read.  Ad of a stack is one row-major pass (`_adjoint`) over chunks of the
+stack, with the same bits as one chunk.  Each element has one validated
+pass, Ad(a) over all n basis matrices, with its residual and b-leak.
+Ad*(a) = Ad(a^{-1})^T restricted to b0 reads only the k columns of
+Ad(a^{-1}) along the y_i, so `ad_inverse_y` is a second pass over a^{-1}
+that conjugates the k realized y_i alone and validates nothing: it reads
+`ad` first, and a^{-1} is in B exactly when a is.  The element inverts its
+matrix once, for both passes.
 """
 
 from __future__ import annotations
@@ -46,18 +49,20 @@ from .matched import MatchedPair
 #: 2-vCPU x86-64 VM (median of three runs), blocks of 32, 64, 96 and 128 took
 #: 0.57, 0.50, 0.47 and 0.48 s a pass, 0.28, 0.26, 0.24 and 0.26 s for the
 #: slowest call (su41), and 65.9, 67.4, 68.6 and 69.9 MB peak RSS.  At 64,
-#: su41's cocycle and invariance checks at 1000 samples peak at 3.0 and 1.7 MB
-#: of traced allocations (numpy 2.4.6); at 96, at 4.2 and 2.1 MB.
+#: su41's cocycle and invariance checks at 1000 samples peak at 2.7 and 1.3 MB
+#: of traced allocations (numpy 2.4.6); at 96, at 3.9 and 1.8 MB.
 SAMPLE_BLOCK = 64
 
 #: Longest word of exponentials of b in a sampled element.
 MAX_WORD = 3
 
-#: Bytes of real rows in one chunk of the Ad pass.  Every temporary of a
+#: Bytes of real rows in one chunk of an Ad pass.  Every temporary of a
 #: chunk (the products, the conjugated matrices, the rows, the solver's
 #: coordinates and residuals) is at most about this size, so the allocator
 #: hands the same memory back from chunk to chunk instead of paging in the
-#: 0.6-1.2 MB arrays of a whole 64-sample stack on every call.
+#: 0.6-1.2 MB arrays of a whole 64-sample stack on every call.  The chunk
+#: length follows the basis conjugated: n matrices in the validated pass,
+#: the k y_i in the column pass (`_ad_chunk`).
 _AD_CHUNK_BYTES = 96 * 1024
 
 #: Largest re-expansion residual and b-leak of Ad(a) for a in B.
@@ -71,8 +76,8 @@ _SINGULAR_DET = 1e-12
 @dataclass(eq=False)
 class GroupElement:
     """An element a of B as a (d, d) matrix, or a stack of elements as a
-    (count, d, d) array.  Products, inverses and the tables act elementwise on
-    a stack; each table is built for the whole stack on first use, read-only."""
+    (count, d, d) array.  Products and the tables act elementwise on a stack;
+    each table is built for the whole stack on first use, read-only."""
 
     pair: MatchedPair
     matrix: np.ndarray
@@ -94,41 +99,34 @@ class GroupElement:
         arrays alive as long as the slice."""
         return GroupElement(self.pair, self.matrix[idx])
 
-    def inverse(self) -> "GroupElement":
-        # no link back from the inverse: that reference cycle would keep each
-        # sampled stack's arrays alive until the cyclic garbage collector runs
+    def _inverse(self) -> np.ndarray:
+        """The matrix a^{-1}, or the stack of inverses, inverted once and kept."""
         if self._inv is None:
-            self._inv = GroupElement(self.pair, np.linalg.inv(self.matrix))
+            self._inv = np.linalg.inv(self.matrix)
         return self._inv
 
     @property
     def ad(self) -> np.ndarray:
         """Ad(a) on g-coordinates, (n, n) or (count, n, n), validated by
-        `_adjoint`; an inverse already made is reused."""
+        `_adjoint`."""
         if self._ad is None:
-            inv = np.linalg.inv(self.matrix) if self._inv is None else self._inv.matrix
-            self._ad = _adjoint(self.pair, self.matrix, inv)
+            self._ad = _adjoint(self.pair, self.matrix, self._inverse())
         return self._ad
 
-    @property
-    def coad(self) -> np.ndarray:
-        """Ad*(a) = Ad(a^{-1})^T on dual coordinates, a left action, from a
-        pass over the inverse stack (`inverse()`) alone, which validates a
-        through a^{-1}; Ad(a) is left to its own pass."""
-        a_inv = self.inverse()
-        if a_inv._ad is None:
-            a_inv._ad = _adjoint(self.pair, a_inv.matrix, self.matrix)
-        return np.swapaxes(a_inv._ad, -1, -2)
+    @cached_property
+    def ad_inverse_y(self) -> np.ndarray:
+        """Ad(a^{-1}) Y: the columns Ad(a^{-1}) y_i in g-coordinates, (n, k)
+        or (count, n, k), from a pass over the k realized y_i alone, which
+        validates nothing.  It reads `ad` first, which validates a; a^{-1}
+        is in B exactly when a is."""
+        self.ad
+        return _adjoint(self.pair, self._inverse(), self.matrix, columns=self.pair.y_matrices)
 
     @cached_property
     def coad_b0(self) -> np.ndarray:
-        """Ad*_a restricted to b0, in the psi-basis, validated through a^{-1}
-        (`coad`).  Ad(a^{-1}) is released: no sampled check reads it again,
-        and `coad` would remake it."""
-        mp = self.pair
-        table = _read_only(mp._Y.T @ self.coad @ mp._Psi)
-        self._inv._ad = None
-        return table
+        """Ad*_a = Ad(a^{-1})^T restricted to b0, in the psi-basis:
+        (Ad(a^{-1}) Y)^T Psi, from `ad_inverse_y`."""
+        return _read_only(np.swapaxes(self.ad_inverse_y, -1, -2) @ self.pair._Psi)
 
     @cached_property
     def action_on_c(self) -> np.ndarray:
@@ -167,7 +165,8 @@ def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> Non
         raise ValueError(f"{where} {problem} ({what} {np.atleast_1d(values)[i]:.3e})")
 
 
-def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray) -> np.ndarray:
+def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
+             columns: np.ndarray | None = None) -> np.ndarray:
     """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
     (count, d, d) stack, as a read-only (n, n) or (count, n, n) array, given
     the inverses `invs`.
@@ -177,51 +176,64 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray) -> np.ndarray:
     test.  The pass runs over chunks of `_ad_chunk` matrices, and each
     chunk's conjugated matrices are re-expanded by one least-squares solve;
     the whole stack is validated after the last chunk, so an offender is
-    named by its index in the stack.  One pass makes and validates one
-    table; Ad(a) and Ad(a^{-1}) are two passes."""
+    named by its index in the stack.
+
+    With `columns`, a (k, d, d) stack of realized elements X_i of g, the
+    pass conjugates those alone and gives Ad(a) X, (n, k) or (count, n, k),
+    and validates nothing: it forms no residual and no leak, for elements
+    whose Ad is validated by a pass of its own."""
     g = mp.g
-    d, n = mats.shape[-1], g.dim
+    validate = columns is None
+    basis = g._solver.stack if validate else columns
+    d, n, cols = mats.shape[-1], g.dim, len(basis)
     lead = mats.shape[:-2]
     count = int(np.prod(lead, dtype=int))
     flat, flat_invs = mats.reshape(-1, d, d), invs.reshape(-1, d, d)
     resid, leak = np.empty(count), np.empty(count)
-    wide = g._solver.stack.transpose(1, 0, 2).reshape(d, n * d)
-    step = _ad_chunk(d, n)
+    wide = basis.transpose(1, 0, 2).reshape(d, cols * d)
+    step = _ad_chunk(d, cols)
     # Ad is kept C-ordered: eta0's vector-matrix products take the BLAS path
     # of their operand's layout, and another layout would move the last bits
     # of the sampled residuals
-    ad = np.empty(lead + (n, n))
-    flat_ad = ad.reshape(count, n, n)
+    table = np.empty(lead + (n, cols))
+    flat_table = table.reshape(count, n, cols)
     for start in range(0, count, step):
         part = slice(start, min(start + step, count))
         size = part.stop - start
-        # a R_j a^{-1} for every j as one matmul of the chunk, rows (e, i)
-        # of a [R_0 .. R_n-1], then one per element by a^{-1}
-        conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * n, d)
+        # a X_j a^{-1} for every j as one matmul of the chunk, rows (e, i)
+        # of a [X_0 .. X_cols-1], then one per element by a^{-1}
+        conjugated = ((flat[part].reshape(size * d, d) @ wide).reshape(size, d * cols, d)
                       @ flat_invs[part])
-        # the solver's real row of each a R_j a^{-1}, in (element, j) order,
+        # the solver's real row of each a X_j a^{-1}, in (element, j) order,
         # copied from the products, freed before the solve
-        rows = np.ascontiguousarray(conjugated.view(float).reshape(size, d, n, d, 2)
-                                    .transpose(0, 2, 4, 1, 3))
+        rows = np.ascontiguousarray(conjugated.view(float).reshape(size, d, cols, d, 2)
+                                    .transpose(0, 2, 4, 1, 3)).reshape(size * cols, 2 * d * d)
         del conjugated
-        coords, resids = g._solver.solve_each(rows.reshape(size * n, 2 * d * d))
-        resid[part] = resids.reshape(size, n).max(axis=1)
-        # row (element, j) of the coordinates is column j of Ad(a)
-        flat_ad[part] = np.moveaxis(coords.T.reshape(n, size, n), 0, 1)
-        # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
-        leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_ad[part] @ mp._B).max(axis=(1, 2))
+        if validate:
+            coords, resids = g._solver.solve_each(rows)
+            resid[part] = resids.reshape(size, n).max(axis=1)
+        else:
+            coords = g._solver.coords(rows)
+        # row (element, j) of the coordinates is column j of the table
+        flat_table[part] = np.moveaxis(coords.T.reshape(n, size, cols), 0, 1)
+        if validate:
+            # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
+            leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_table[part] @ mp._B).max(axis=(1, 2))
 
-    resid, leak = resid.reshape(lead), leak.reshape(lead)
-    _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
-             "residual")
-    _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B", "leak")
-    return _read_only(ad)
+    if validate:
+        resid, leak = resid.reshape(lead), leak.reshape(lead)
+        _require(resid <= _MEMBERSHIP_TOL, resid, "leaves the algebra under conjugation",
+                 "residual")
+        _require(leak <= _MEMBERSHIP_TOL, leak, "does not normalize b, so it is not in B",
+                 "leak")
+    return _read_only(table)
 
 
-def _ad_chunk(d: int, n: int) -> int:
-    """Matrices per chunk of the Ad pass: as many as keep the chunk's real
-    rows, n * 2 d^2 doubles a matrix, within `_AD_CHUNK_BYTES`; at least one."""
-    return max(1, _AD_CHUNK_BYTES // (n * 2 * d * d * 8))
+def _ad_chunk(d: int, cols: int) -> int:
+    """Matrices per chunk of an Ad pass over `cols` basis elements: as many
+    as keep the chunk's real rows, cols * 2 d^2 doubles a matrix, within
+    `_AD_CHUNK_BYTES`; at least one."""
+    return max(1, _AD_CHUNK_BYTES // (cols * 2 * d * d * 8))
 
 
 @dataclass(eq=False)
@@ -289,28 +301,39 @@ def adE(g: EElement) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Words:
     """The random numbers of a stack of sampled elements: v (count, k) or
-    None, the word lengths (count,) and the factors, one row of b-coordinates
-    each, word after word.  `matrices` makes one block of the stack, so a
-    check exponentiates block by block and never holds a check-sized stack of
-    matrices."""
+    None, the word lengths (count,), and the generator their factors come
+    from.  `matrices` makes one block of the stack and draws its factors
+    then, so a check exponentiates block by block and holds neither a
+    check-sized stack of matrices nor all of its factors."""
 
     pair: MatchedPair
     v: np.ndarray | None
     lengths: np.ndarray
-    factors: np.ndarray
+    rng: Rng
+    drawn: int = 0      # elements whose factors are drawn
+
+    def factors(self, start: int, stop: int | None = None) -> np.ndarray:
+        """The factors of the words of elements start..stop-1, one row of
+        b-coordinates each, word after word, uniform in [-1, 1], in one
+        generator call.  Blocks are drawn in order, each from where the last
+        one stopped, so they are the rows one call for all words would draw."""
+        if start != self.drawn:
+            raise ValueError(f"words are drawn in order: next is {self.drawn}, not {start}")
+        lengths = self.lengths[start:stop]
+        self.drawn = start + len(lengths)
+        return self.rng.uniform(-1.0, 1.0, (int(lengths.sum()), self.pair.dim_b))
 
     def matrices(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The words of elements start..stop-1 as a (count, d, d) stack.  All
         their factors are exponentiated by one stacked `expm`; words shorter
         than `MAX_WORD` are padded with the identity."""
         mp = self.pair
+        factors = self.factors(start, stop)
         lengths = self.lengths[start:stop]
         count = len(lengths)
-        first = int(self.lengths[:start].sum())
-        factors = self.factors[first:first + int(lengths.sum())]
         # slot of each factor: its element's MAX_WORD slots, then its place in the word
         ends = np.cumsum(lengths)
         slots = (np.repeat(np.arange(count) * MAX_WORD - (ends - lengths), lengths)
@@ -326,14 +349,15 @@ class Words:
 
 
 def draw_words(mp: MatchedPair, rng: Rng, count: int, radius: float | None = None) -> Words:
-    """The random numbers of `count` elements in three generator calls: all v,
-    uniform in [-radius, radius] (only when `radius` is given), then all word
-    lengths, uniform in 1..MAX_WORD, then all factors, with b-coordinates
-    uniform in [-1, 1]."""
+    """The random numbers of `count` elements, in the order of three
+    generator calls: all v, uniform in [-radius, radius] (only when `radius`
+    is given), then all word lengths, uniform in 1..MAX_WORD, then all
+    factors, with b-coordinates uniform in [-1, 1].  The factors are drawn
+    block by block as the words are made (`Words.factors`); nothing else may
+    draw from `rng` until the last block is."""
     v = None if radius is None else rng.uniform(-radius, radius, (count, mp.dim_c))
     lengths = rng.integers(1, MAX_WORD + 1, count)
-    factors = rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
-    return Words(mp, v, lengths, factors)
+    return Words(mp, v, lengths, rng)
 
 
 def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:

@@ -88,15 +88,19 @@ class MatrixBasisSolver:
         coords, resids = self.solve_each(self.rows_of(mats))
         return coords, float(np.max(resids, initial=0.0))
 
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        """Re-expansion of matrices given as real rows (`rows_of`), with no
+        residual: coordinates come out as rows too, of the Fortran-ordered
+        (count, n) transpose of the product."""
+        return (self._pinv @ rows.T).T
+
     def solve_each(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re-expansion of matrices given as real rows (`rows_of`), with the
-        residual of each: coordinates come out as rows too, of the
-        Fortran-ordered (count, n) transpose of the product.  The residual
-        max |B coords - row| is formed in place, one column per matrix."""
-        product = self._pinv @ rows.T
-        resid = self._basis @ product
+        """`coords` with the residual of each matrix, max |B coords - row|,
+        formed in place, one column per matrix."""
+        coords = self.coords(rows)
+        resid = self._basis @ coords.T
         resid -= rows.T
-        return product.T, np.abs(resid, out=resid).max(axis=0)
+        return coords, np.abs(resid, out=resid).max(axis=0)
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
         """sum_i coords[..., i] * mats[i]; a stack of coordinate rows gives a stack."""

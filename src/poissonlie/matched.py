@@ -5,9 +5,10 @@ their Ad tables (`group.GroupElement`); this module reads them.
 The pair owns its tables, each built once on first use and read-only: the
 structure constants of g in the adapted basis (x_1..x_m, y_1..y_k) of b then c
 (`adapted`), and blocks of it: the brackets of c (`c_brackets`), the algebra
-e = b0 x| b (`e_algebra`) and its cobracket (`delta`).  The change of basis
-and its inverse are the decomposition's; the dual basis psi is a row block of
-the inverse."""
+e = b0 x| b (`e_algebra`) and its cobracket (`delta`); and the realized y_i
+(`y_matrices`), which the group elements conjugate for Ad*.  The change of
+basis and its inverse are the decomposition's; the dual basis psi is a row
+block of the inverse."""
 
 from __future__ import annotations
 
@@ -119,6 +120,13 @@ class MatchedPair:
         m = self.dim_b
         out = self.adapted[m:, m:] @ self._T.T
         out = 0.5 * (out - out.swapaxes(0, 1))   # exactly antisymmetric, zero diagonal
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def y_matrices(self) -> np.ndarray:
+        """The realized y_i, shape (k, d, d), read-only."""
+        out = self.g.matrix_of(self.y_basis)
         out.setflags(write=False)
         return out
 

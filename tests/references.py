@@ -1,8 +1,9 @@
 """Independent references of the test suite: oracles and evaluators that no
 `poissonlie verify` path runs.  The tests compare the package against them.
 
-- The identity and the inverse of E, sampled points of E, and the
-  finite-difference conjugation oracle for the adjoint of E (criterion 03).
+- The identity and the inverse of E, the inverse of an element of B and
+  its full Ad*, sampled points of E, and the finite-difference conjugation
+  oracle for the adjoint of E (criterion 03).
 - The expansion of eta0 without group translation of the wedge frame
   (criterion 02), with the coadjoint matrix and the pairing of a dual vector
   against the y-basis it reads.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from poissonlie.config import FD_STEP
-from poissonlie.group import EElement, GroupElement, basis_curves, draw_words, e_mul
+from poissonlie.group import EElement, GroupElement, _adjoint, basis_curves, draw_words, e_mul
 from poissonlie.linalg import Bivector, antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, twist_check
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
@@ -40,9 +41,25 @@ def e_identity(mp) -> EElement:
     return EElement(mp, np.zeros(mp.dim_c), identity_element(mp))
 
 
+def inverse_element(a: GroupElement) -> GroupElement:
+    """a^{-1} as an element of its own; a stack inverts elementwise."""
+    return GroupElement(a.pair, np.linalg.inv(a.matrix))
+
+
+def ad_of_inverse(a: GroupElement) -> np.ndarray:
+    """The full Ad(a^{-1}), all n columns, from a validated pass over a^{-1}
+    that conjugates back by a itself, as the column pass behind `coad_b0` does."""
+    return _adjoint(a.pair, np.linalg.inv(a.matrix), a.matrix)
+
+
+def coad(a: GroupElement) -> np.ndarray:
+    """Ad*(a) = Ad(a^{-1})^T on dual coordinates (`ad_of_inverse`)."""
+    return np.swapaxes(ad_of_inverse(a), -1, -2)
+
+
 def e_inv(g: EElement) -> EElement:
     """(v, a)^{-1} = (-Ad*_{a^{-1}} v, a^{-1}); a stack inverts elementwise."""
-    a_inv = g.a.inverse()
+    a_inv = inverse_element(g.a)
     return EElement(g.pair, -(a_inv.coad_b0 @ g.v[..., None])[..., 0], a_inv)
 
 

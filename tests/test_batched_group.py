@@ -22,8 +22,9 @@ from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _
 from poissonlie.linalg import Bivector, Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
-from references import (coad_matrix_coords, e_inv, gstar_to_b0, identity_element,
-                        sample_e_element, sample_e_elements, words_e_elements)
+from references import (ad_of_inverse, coad, coad_matrix_coords, e_inv, gstar_to_b0,
+                        identity_element, inverse_element, sample_e_element,
+                        sample_e_elements, words_e_elements)
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:
@@ -151,6 +152,21 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
     assert len(nxt) == 1
 
 
+def test_block_wise_factors_equal_the_one_call_draw(mp):
+    words = draw_words(mp, Rng(12), 200)
+    blocks = [words.factors(start, start + SAMPLE_BLOCK) for start in range(0, 200, SAMPLE_BLOCK)]
+    gen = np.random.Generator(np.random.PCG64(12))
+    lengths = gen.integers(1, 4, size=200)
+    factors = gen.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
+    assert np.array_equal(words.lengths, lengths)
+    assert np.array_equal(np.concatenate(blocks), factors)
+    # the generator is left where the one call leaves it
+    assert words.rng.uniform(0, 1) == gen.uniform(0, 1)
+    # a block out of order is refused
+    with pytest.raises(ValueError, match="drawn in order"):
+        words.factors(0, SAMPLE_BLOCK)
+
+
 # -- stacked Ad, eta and adE ----------------------------------------------------
 
 
@@ -200,13 +216,13 @@ def test_stacked_product_matches_e_mul(mp):
     g, h = gh[0::2], gh[1::2]
     prod, inv = e_mul(g, h), e_inv(g)
     assert prod.v.shape == (5, mp.dim_c) and prod.a.matrix.ndim == 3
-    coad = g.a.coad
+    coads = coad(g.a)
     for i in range(5):
         one = e_mul(g[i], h[i])
         assert np.max(np.abs(prod.v[i] - one.v)) <= 1e-13
         assert np.max(np.abs(prod.a.matrix[i] - one.a.matrix)) <= 1e-13
         assert np.max(np.abs(inv.v[i] - e_inv(g[i]).v)) <= 1e-13
-        assert np.max(np.abs(coad[i] - g.a[i].coad)) <= 1e-13
+        assert np.max(np.abs(coads[i] - coad(g.a[i]))) <= 1e-13
 
 
 def test_single_element_is_a_stack_without_its_axis(mp):
@@ -273,14 +289,14 @@ def test_each_sampled_matrix_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(group, "_require", counting)
     run_check("invariance", mp, samples, Rng(42), DEFAULT_TOL)
-    # |det| of each a, b, ab and a^{-1}; Ad of a, a^{-1}, b and ab, one pass each
-    assert counts == {"|det|": 4 * samples, "residual": 4 * samples, "leak": 4 * samples}
+    # |det| and Ad of each a, b and ab, one validated pass each; the column
+    # pass over a^{-1} behind Ad*_a validates nothing
+    assert counts == {"|det|": 3 * samples, "residual": 3 * samples, "leak": 3 * samples}
     counts.clear()
     run_check("cocycle", mp, samples, Rng(42), DEFAULT_TOL)
-    # |det| of each g, h, gh and of their inverses, v of each g, h and gh, Ad
-    # of g, h, gh and of their inverses, and the witness pair once
-    assert counts == {"|det|": 6 * samples + 2, "max |v|": 3 * samples + 2,
-                      "residual": 6 * samples, "leak": 6 * samples}
+    # |det|, v and Ad of each g, h and gh, and |det| and v of the witness pair once
+    assert counts == {"|det|": 3 * samples + 2, "max |v|": 3 * samples + 2,
+                      "residual": 3 * samples, "leak": 3 * samples}
 
 
 #: tracemalloc peaks in bytes of the sampled checks on su41 at 1000 samples,
@@ -361,7 +377,7 @@ def test_invariance_witness_names_sample_and_part(mp):
     resids = []
     for i in range(40):
         a = GroupElement(mp, mats[2 * i])
-        prod = a.coad_b0 @ a.inverse().action_on_c.T
+        prod = a.coad_b0 @ inverse_element(a).action_on_c.T
         resids.append(np.max(np.abs(prod - np.eye(mp.dim_c))))
     assert details["worst_sample"] == int(np.argmax(resids))
 
@@ -382,7 +398,7 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
     mats[3] = bad
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         GroupElement(mp, mats).ad
-    # Ad(a^{-1}) from a pass over the inverse stack: still index 3 of a
+    # Ad*_a reads the validated Ad(a) before its column pass over a^{-1}
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         GroupElement(mp, mats).coad_b0
 
@@ -411,17 +427,19 @@ def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11
 
 
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
-def test_reading_coad_fills_only_the_ad_of_the_inverse(mp, monkeypatch):
+def test_reading_coad_b0_fills_ad_and_the_column_table(mp, monkeypatch):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
-    coad = a.coad
-    assert a._ad is None and a.inverse()._ad is not None
-    # Ad(a) then conjugates by the inverse already made
+    inverted = []
+    real = np.linalg.inv
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "inv", None)
-        assert np.max(np.abs(a.ad @ a.inverse().ad - np.eye(mp.g.dim))) <= 1e-12
-    assert np.max(np.abs(a.ad - GroupElement(mp, a.matrix).ad)) <= 1e-13
-    ad_inv = GroupElement(mp, a.inverse().matrix).ad
-    assert np.max(np.abs(coad - np.swapaxes(ad_inv, 1, 2))) <= 1e-13
+        patch.setattr(np.linalg, "inv", lambda m: inverted.append(m.shape) or real(m))
+        a.coad_b0
+        # Ad(a) and the column pass over a^{-1} share one inverse
+        assert a._ad is not None and "ad_inverse_y" in vars(a)
+        assert inverted == [a.matrix.shape]
+    assert np.array_equal(a.ad, GroupElement(mp, a.matrix).ad)
+    assert np.array_equal(a.ad_inverse_y, ad_of_inverse(a) @ mp._Y)
+    assert np.max(np.abs(a.ad @ ad_of_inverse(a) - np.eye(mp.g.dim))) <= 1e-12
 
 
 def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
@@ -431,26 +449,26 @@ def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
     real = group._adjoint
 
     def counting(mp, mats, invs, **kw):
-        passes.append(mats.shape[:-2])
+        passes.append((mats.shape[:-2], "columns" in kw))
         return real(mp, mats, invs, **kw)
 
     monkeypatch.setattr(group, "_adjoint", counting)
     assert _adstar_u_residual(get_entry("su31"), Rng(42)) <= 1e-9
-    # Ad(a^{-1}) of the 25 elements only, not Ad(a) as well
-    assert _ADSTAR_U_SAMPLES == 25 and passes == [(25,)]
+    # the validated Ad(a) of the 25 elements, then the column pass over their
+    # inverses, not a validated pass over them as well
+    assert _ADSTAR_U_SAMPLES == 25 and passes == [((25,), False), ((25,), True)]
 
 
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(10), 8))
     k_mat = a.coad_b0
-    # Y^T Ad(a^{-1})^T Psi from a fresh element, and from a separate pass over a^{-1}
-    fresh = mp._Y.T @ GroupElement(mp, a.matrix).coad @ mp._Psi
-    assert np.array_equal(k_mat, fresh)
+    # Y^T Ad(a^{-1})^T Psi from the full Ad(a^{-1}), and from a separate element a^{-1}
+    assert np.array_equal(k_mat, mp._Y.T @ coad(a) @ mp._Psi)
     ad_inv = GroupElement(mp, np.linalg.inv(a.matrix)).ad
     assert np.max(np.abs(k_mat - mp._Y.T @ np.swapaxes(ad_inv, 1, 2) @ mp._Psi)) <= 1e-13
     assert a.coad_b0 is k_mat
     # every table of the element is read-only
-    for table in (k_mat, a.ad, a.coad, a.action_on_c, a.inverse().ad):
+    for table in (k_mat, a.ad, a.ad_inverse_y, a.action_on_c):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 1.0
     assert a.action_on_c is a.action_on_c
@@ -531,6 +549,53 @@ def test_offender_in_the_last_chunk_is_named_by_its_stack_index(chunked):
             invs = np.linalg.inv(mats)
             with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
                 _adjoint(mp, mats, invs)
-            # Ad*'s pass over the inverses: a^{-1} of the last element is the last matrix
+            # a validated pass over the inverses: a^{-1} of the last element is the last matrix
             with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
                 _adjoint(mp, invs, mats)
+
+
+# -- the column pass behind Ad*_a ---------------------------------------------------
+
+
+def same_bits(x, y) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", ("su11",) + CHUNK_PAIRS)
+def test_column_pass_equals_the_columns_of_the_full_pass_bit_for_bit(name):
+    mp = (supq1(5) if name == "supq1(5)" else get_entry(name)).mp
+    n, k = mp.g.dim, mp.dim_c
+    # the catalog's y_i are basis vectors of g
+    cols = np.argmax(mp._Y, axis=0)
+    assert np.array_equal(mp._Y, np.eye(n)[:, cols])
+    d = mp.g.realization[0].shape[0]
+    chunk = _ad_chunk(d, k)
+    for size in (1, chunk - 1, chunk, chunk + 1):
+        a = GroupElement(mp, sample_group_matrices(mp, Rng(size), max(size, 1)))
+        full = ad_of_inverse(a)
+        assert same_bits(a.ad_inverse_y, full[..., cols])
+        assert same_bits(a.coad_b0, mp._Y.T @ np.swapaxes(full, -1, -2) @ mp._Psi)
+    one = GroupElement(mp, sample_group_matrices(mp, Rng(1), 1)[0])
+    assert same_bits(one.ad_inverse_y, ad_of_inverse(one)[:, cols])
+
+
+def mixed_pair(name: str):
+    """The catalog pair with its c rows replaced by a fixed invertible mix of
+    them: the same c, with y_i that are not basis vectors of g."""
+    doc = get_entry(name).mp.to_json_dict()
+    c = np.asarray(doc["c"])
+    doc["c"] = ((np.eye(len(c)) + 0.5 * np.tri(len(c), k=-1)) @ c).tolist()
+    return MatchedPair.from_json_dict(doc)
+
+
+def test_column_pass_on_a_pair_whose_y_basis_is_no_selection():
+    mp = mixed_pair("su31")
+    assert np.count_nonzero(mp._Y) > mp.dim_c
+    a = GroupElement(mp, sample_group_matrices(mp, Rng(3), 40))
+    full = ad_of_inverse(a)
+    assert np.max(np.abs(a.ad_inverse_y - full @ mp._Y)) <= 1e-13
+    assert np.max(np.abs(a.coad_b0 - mp._Y.T @ np.swapaxes(full, 1, 2) @ mp._Psi)) <= 1e-13
+    # the sampled checks pass on it, and fail under their knobs
+    for check, knob in SAMPLED_RUNS:
+        rep = run_check(check, mp, 40, Rng(42), DEFAULT_TOL, corrupt=knob)
+        assert rep["pass"] is (knob is None), (check, knob)
