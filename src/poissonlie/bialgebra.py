@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
-from .lie import LieAlgebra, generated_dim, jacobi_worst_at, meet_runs, worst_key_sum
+from .lie import (LieAlgebra, generated_dim, jacobi_worst_at, meet_runs, nonzero_runs,
+                  takes_sparse_path, worst_key_sum)
 from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst, worst_at
 from .matched import MatchedPair
 from .poisson import eta
@@ -99,39 +100,12 @@ def cocycle_1_worst_at(mp: MatchedPair, delta: np.ndarray) -> tuple[float, tuple
     else the first largest, in the order of the dense loop (`_cocycle_dense`);
     (0, 1) when the residual is 0.
 
-    Finite tables the sparse contraction is estimated to be cheaper on
-    (`sparse_cocycle_pays`) are contracted over their nonzero entries
+    Tables that take the sparse path (`lie.takes_sparse_path`: finite, and
+    at most n^3 nonzero products) are contracted over their nonzero entries
     (`_cocycle_sparse`), any other densely."""
     c = mp.e_algebra.structure
-    if sparse_cocycle_pays(c, delta):
-        return _cocycle_sparse(c, delta)
-    return _cocycle_dense(c, delta)
-
-
-#: Costs of the two cocycle contractions, in multiply-adds of the dense
-#: loop (about 0.14 ns each): each of its n - 1 slices costs about 34 us of
-#: calls on top, and the sparse contraction about 90 us, plus 105 ns per
-#: nonzero product.  Fitted on su11 to su(6,1) with b, c, both or neither in
-#: a random basis (n = 3 to 48, up to 2.3M products on the sparse side) and
-#: on supq1(7), supq1(8), one BLAS thread, x86-64.
-COCYCLE_SLICE_COST = 250_000
-COCYCLE_SPARSE_COST = 650_000
-COCYCLE_PRODUCT_COST = 750
-
-
-def sparse_cocycle_pays(c: np.ndarray, delta: np.ndarray) -> bool:
-    """Whether `cocycle_1_worst_at` contracts sparsely: both tables are finite
-    and the sparse contraction (`_cocycle_sparse`), for the count of nonzero
-    products it forms, is estimated to cost less than the dense loop."""
-    n = len(c)
-    if not (np.isfinite(c).all() and np.isfinite(delta).all()):
-        return False
-    nzc, nzd = c != 0, delta != 0
-    iu, ju = np.triu_indices(n, 1)
-    products = int(nzc[iu, ju].sum(axis=0) @ nzd[:, iu, ju].sum(axis=1)
-                   + nzc.reshape(n, n * n).sum(axis=1) @ nzd.sum(axis=(0, 2)))
-    dense = n ** 5 + COCYCLE_SLICE_COST * (n - 1)
-    return COCYCLE_SPARSE_COST + products * COCYCLE_PRODUCT_COST < dense
+    found = _cocycle_sparse(c, delta, rule=True)
+    return _cocycle_dense(c, delta) if found is None else found
 
 
 def _cocycle_dense(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -150,8 +124,10 @@ def _cocycle_dense(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, 
     return resid, (int(iu[at]), int(ju[at]))
 
 
-def _cocycle_sparse(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """`cocycle_1_worst_at` of finite tables over their nonzero entries.
+def _cocycle_sparse(c: np.ndarray, delta: np.ndarray,
+                    rule: bool = False) -> tuple[float, tuple[int, int]] | None:
+    """`cocycle_1_worst_at` of finite tables over their nonzero entries; with
+    `rule`, None where `lie.takes_sparse_path` sends them to the dense loop.
 
     With X.C = A_X C + C A_X^T, (A_i)[p, r] = c[i, r, p], and delta
     antisymmetric in its last two indices, the (p, q) entry of the residual
@@ -169,29 +145,19 @@ def _cocycle_sparse(c: np.ndarray, delta: np.ndarray) -> tuple[float, tuple[int,
     pairs come in the dense loop's order, so the first largest is the same
     pair."""
     n = len(c)
-
-    def entries(table):
-        """The nonzero entries of a table, grouped by their first index: the
-        values and the three indices."""
-        flat = np.flatnonzero(table)
-        head, rest = np.divmod(flat, n * n)
-        return (table.ravel()[flat], head, *np.divmod(rest, n))
-
-    def runs(head):
-        return np.searchsorted(head, np.arange(n + 1))
-
-    vals, r, i, p = entries(c)                          # c[r, i, p]
-    # sum_l c[i,j,l] delta[l,p,q]: c[r, i, p] with r < i meets delta[p, ., .]
-    d_vals, d_l, d_p, d_q = entries(delta)
-    pq = d_p < d_q
-    d_vals, d_l, d_p, d_q = d_vals[pq], d_l[pq], d_p[pq], d_q[pq]
+    vals, (r, i, p), _ = nonzero_runs(c)                # c[r, i, p]
+    # sum_l c[i,j,l] delta[l,p,q]: c[r, i, p] with r < i meets delta[p, ., .], p < q
+    above = np.triu(np.ones((n, n), bool), 1)
+    d_vals, (_, d_p, d_q), d_starts = nonzero_runs(np.where(above, delta, 0.0))
     upper = np.flatnonzero(r < i)
-    first, second = meet_runs(upper, p[upper], runs(d_l))
+    # -G(i,j) + G(j,i): c[i,r,p] delta[j,r,q] = -c[r,i,p] delta^T[r,j,q]
+    t_vals, (_, t_j, t_q), t_starts = nonzero_runs(delta.transpose(1, 0, 2))
+    if rule and not takes_sparse_path((c, delta), (p[upper], d_starts), (r, t_starts)):
+        return None
+    first, second = meet_runs(upper, p[upper], d_starts)
     keys = [((r[first] * n + i[first]) * n + d_p[second]) * n + d_q[second]]
     prods = [vals[first] * d_vals[second]]
-    # -G(i,j) + G(j,i): c[i,r,p] delta[j,r,q] = -c[r,i,p] delta^T[r,j,q]
-    t_vals, t_r, t_j, t_q = entries(np.ascontiguousarray(delta.transpose(1, 0, 2)))
-    first, second = meet_runs(np.arange(len(r)), r, runs(t_r))
+    first, second = meet_runs(np.arange(len(r)), r, t_starts)
     a, b, s, t = i[first], t_j[second], p[first], t_q[second]
     keep = (a != b) & (s != t)
     first, second, a, b, s, t = first[keep], second[keep], a[keep], b[keep], s[keep], t[keep]

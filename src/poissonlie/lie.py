@@ -128,40 +128,19 @@ def snap_dyadic(table: np.ndarray) -> tuple[np.ndarray, float]:
     return exact, distance
 
 
-#: The sparse Jacobiator costs about as much per nonzero product as the dense
-#: loop does per this many of its n^5 multiply-adds (measured at about 180 ns
-#: against 0.1 ns on the su(p,1) tables, one BLAS thread, x86-64); a table
-#: takes the sparse path when its product count times this is below n^5.
-SPARSE_PRODUCT_COST = 1000
-
-
 def jacobi_worst_at(structure: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """The largest Jacobi residual max_m |([[i,j],k] + [[j,k],i] + [[k,i],j])_m| over
     basis triples, with the triple (i, j, k) it is attained at: the first NaN,
     else the first largest, in the order of the dense loop (`_jacobi_dense`);
     (0, 1, 1) when the residual is 0.
 
-    A finite table with few enough nonzero products (`sparse_jacobi_pays`)
-    is contracted over its nonzero entries (`_jacobi_sparse`), any other
-    densely."""
+    A table that takes the sparse path (`takes_sparse_path`: finite, and at
+    most n^3 nonzero products) is contracted over its nonzero entries
+    (`_jacobi_sparse`), any other densely."""
     if structure.shape[0] < 2:
         return 0.0, (0, 0, 0)
-    if sparse_jacobi_pays(structure):
-        return _jacobi_sparse(structure)
-    return _jacobi_dense(structure)
-
-
-def sparse_jacobi_pays(c: np.ndarray) -> bool:
-    """Whether `jacobi_worst_at` contracts the table sparsely: it is finite
-    and pairs few entries.  Each nonzero c[a, b, l] with a < b meets every
-    nonzero c[l, d, m]; their count, against n^5, decides."""
-    n = c.shape[0]
-    if not np.isfinite(c).all():
-        return False
-    nz = c != 0
-    iu, ju = np.triu_indices(n, 1)
-    products = int(nz[iu, ju].sum(axis=0) @ nz.reshape(n, n * n).sum(axis=1))
-    return products * SPARSE_PRODUCT_COST < n ** 5
+    found = _jacobi_sparse(structure, rule=True)
+    return _jacobi_dense(structure) if found is None else found
 
 
 def _jacobi_dense(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
@@ -185,8 +164,9 @@ def _jacobi_dense(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return resid, (i, i + 1 + j, i + 1 + k)
 
 
-def _jacobi_sparse(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """`jacobi_worst_at` of a finite table over its nonzero entries.
+def _jacobi_sparse(c: np.ndarray, rule: bool = False) -> tuple[float, tuple[int, int, int]] | None:
+    """`jacobi_worst_at` of a finite table over its nonzero entries; with
+    `rule`, None where `takes_sparse_path` sends the table to the dense loop.
 
     Every nonzero c[a, b, l], a < b, is paired with every nonzero c[l, d, m]
     with d outside {a, b}: the product is the m-part of [[a, b], d], one of
@@ -196,13 +176,12 @@ def _jacobi_sparse(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     come in the dense loop's order, and the other orders of a triple follow
     its sorted one there, so the first largest is the same triple."""
     n = c.shape[0]
-    flat = np.flatnonzero(c)                # lexicographic: grouped by a
-    vals = c.ravel()[flat]
-    a, bl = np.divmod(flat, n * n)
-    b, l = np.divmod(bl, n)
+    vals, (a, b, l), starts = nonzero_runs(c)
     upper = np.flatnonzero(a < b)
     # each c[a, b, l] meets the run of entries c[l, ., .]
-    first, second = meet_runs(upper, l[upper], np.searchsorted(a, np.arange(n + 1)))
+    if rule and not takes_sparse_path((c,), (l[upper], starts)):
+        return None
+    first, second = meet_runs(upper, l[upper], starts)
     i, j, d = a[first], b[first], b[second]
     keep = (d != i) & (d != j)
     first, second, i, j, d = first[keep], second[keep], i[keep], j[keep], d[keep]
@@ -214,6 +193,30 @@ def _jacobi_sparse(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
         return 0.0, (0, 1, 1)
     resid, t = found
     return resid, (t // (n * n), t // n % n, t % n)
+
+
+def nonzero_runs(table: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The nonzero entries of a table in index order, so grouped by their
+    first index: their values, their indices (one array per axis), and the
+    starts of the runs, the entries with first index h lying at
+    starts[h]:starts[h + 1]."""
+    flat = table.ravel()
+    at = np.flatnonzero(flat)
+    index = np.unravel_index(at, table.shape)
+    return flat[at], index, np.searchsorted(index[0], np.arange(len(table) + 1))
+
+
+def takes_sparse_path(tables: Sequence[np.ndarray],
+                      *joins: tuple[np.ndarray, np.ndarray]) -> bool:
+    """The choice between a sparse contraction and its dense loop, read off
+    the tables alone: sparse when every table is finite and the joins
+    (`meet_runs`, each given by its keys and the run starts they index) form
+    at most n^3 products together, no more than the dense n x n x n table has
+    entries.  The count is the sum of the run lengths, so nothing is formed
+    for a table that goes dense."""
+    n = len(tables[0])
+    products = sum(int(np.sum(starts[keys + 1] - starts[keys])) for keys, starts in joins)
+    return products <= n ** 3 and all(np.isfinite(t).all() for t in tables)
 
 
 def meet_runs(left: np.ndarray, keys: np.ndarray,

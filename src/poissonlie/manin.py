@@ -23,7 +23,7 @@ import numpy as np
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
 from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, meet_runs,
-                  pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
+                  nonzero_runs, pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
 from .linalg import BasedSpace, Bivector
 
 
@@ -117,20 +117,17 @@ def form_invariance(table: np.ndarray, gram: np.ndarray) -> float:
     if not (np.isfinite(table).all() and np.isfinite(gram).all()):
         return float("nan")
     n = table.shape[0]
-    flat = np.flatnonzero(table)
-    vals = table.ravel()[flat]
-    ab, m = np.divmod(flat, n)
-    a, c = np.divmod(ab, n)
+    vals, (a, b, m), _ = nonzero_runs(table)
 
     def meet(entries):      # each nonzero table[., ., m] with every nonzero entries[m, x]
-        at = np.flatnonzero(entries)
-        row, x = np.divmod(at, n)
-        first, second = meet_runs(np.arange(len(flat)), m, np.searchsorted(row, np.arange(n + 1)))
-        return first, x[second], vals[first] * entries.ravel()[at[second]]
+        e_vals, (_, x), starts = nonzero_runs(entries)
+        first, second = meet_runs(np.arange(len(vals)), m, starts)
+        return first, x[second], vals[first] * e_vals[second]
 
     first, c1, prod1 = meet(gram)        # <[a,b],c>: table[a, b, m] gram[m, c]
     second, b2, prod2 = meet(gram.T)     # <b,[a,c]>: table[a, c, m] gram[b, m]
-    keys = np.concatenate([ab[first] * n + c1, (a[second] * n + b2) * n + c[second]])
+    keys = np.concatenate([(a[first] * n + b[first]) * n + c1,
+                           (a[second] * n + b2) * n + b[second]])
     found = worst_key_sum(keys, np.concatenate([prod1, prod2]), 1)
     return 0.0 if found is None else found[0]
 
@@ -174,8 +171,9 @@ def deform_bracket(table: np.ndarray, k: int, sign: float) -> LieAlgebra:
     on [u, u], M[x, u, u] on [x, u] and M[x, x, x] on [x, x].  The model needs
     [p, p] in k, so the u-part of [u, u], M[u, u, u], is left out.  A table
     snapped to its grid (`lie.snap_dyadic`; phi has entries +-1/2, so on the
-    catalog M holds quarter-integers) gives exact deformations, which take
-    the sparse Jacobi contraction."""
+    catalog M holds quarter-integers) gives exact deformations.  On the
+    catalog their Jacobi contraction forms at most n^3 products, so it runs
+    over their nonzero entries (`lie.takes_sparse_path`)."""
     m = table.shape[0] - k
     c = np.zeros_like(table)
     c[:k, :k, k:] = sign * table[:k, :k, k:]

@@ -5,17 +5,21 @@ On the catalog data several of these tensors vanish ([s, s] and d s for the
 twist element), so the comparisons run on dense random inputs, where every
 index contributes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, _components,
                                   check_r_uniqueness, co_jacobi_worst_at, cocycle_1_worst_at,
-                                  restricted_singular_values, sparse_cocycle_pays, torus_element,
-                                  torus_kernel, uniqueness_generators)
+                                  restricted_singular_values, torus_element, torus_kernel,
+                                  uniqueness_generators)
+from poissonlie import bialgebra, lie
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, _jacobi_dense,
                             _jacobi_sparse, commutators, from_realization, jacobi_worst_at,
-                            snap_dyadic, sparse_jacobi_pays, trace_gram)
+                            meet_runs, snap_dyadic, structure_in_basis, takes_sparse_path,
+                            trace_gram)
 from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
 from poissonlie.linalg import Bivector
@@ -670,6 +674,17 @@ def _random_integer_lie_table(seed: int) -> np.ndarray:
     return np.einsum("i,j,l,ijl->ijl", sign, sign, sign, c[np.ix_(perm, perm, perm)])
 
 
+def _sparse_jacobi(c: np.ndarray) -> bool:
+    """Whether `jacobi_worst_at` contracts c over its nonzero entries: the
+    sparse contraction, under the path rule, gives the answer."""
+    return _jacobi_sparse(c, rule=True) is not None
+
+
+def _sparse_cocycle(c: np.ndarray, delta: np.ndarray) -> bool:
+    """Whether `cocycle_1_worst_at` contracts e's table c and delta sparsely."""
+    return _cocycle_sparse(c, delta, rule=True) is not None
+
+
 def _assert_paths_agree(c: np.ndarray, loop: bool = True):
     """The sparse and dense paths, and the index loop, give the residual to
     a relative 1e-13 and the same witness."""
@@ -686,7 +701,7 @@ def _assert_paths_agree(c: np.ndarray, loop: bool = True):
 def test_sparse_jacobi_on_random_integer_tables(seed):
     c = _random_integer_lie_table(seed)
     n = len(c)
-    assert sparse_jacobi_pays(c)
+    assert _sparse_jacobi(c)
     assert jacobi_worst_at(c) == (0.0, (0, 1, 1)) == _jacobi_dense(c)
     assert jacobi_loop(c)[0] == 0.0
     rng = np.random.default_rng(100 + seed)
@@ -694,7 +709,7 @@ def test_sparse_jacobi_on_random_integer_tables(seed):
     bad = c.copy()
     bad[a, b, rng.integers(n)] += 0.37
     bad[b, a] = -bad[a, b]
-    assert sparse_jacobi_pays(bad)
+    assert _sparse_jacobi(bad)
     assert jacobi_worst_at(bad)[0] > 0.1
     _assert_paths_agree(bad)
     _assert_paths_agree(_perturbed(c, a, b))
@@ -710,7 +725,7 @@ def test_sparse_jacobi_on_the_perturb_knob(name):
 def test_sparse_jacobi_on_the_perturbed_complexification():
     # the 96-dimensional g_C of supq1(6): too large for the index loop
     c = build_gc_algebra(supq1(6)).structure
-    assert sparse_jacobi_pays(c) and jacobi_worst_at(c) == (0.0, (0, 1, 1))
+    assert _sparse_jacobi(c) and jacobi_worst_at(c) == (0.0, (0, 1, 1))
     _assert_paths_agree(_perturbed(c), loop=False)
 
 
@@ -718,7 +733,7 @@ def test_sparse_jacobi_on_the_perturbed_complexification():
 def test_sparse_co_jacobi(name):
     mp = get_entry(name).mp
     dual = np.moveaxis(mp.delta, 0, 2)
-    assert name != "su41" or sparse_jacobi_pays(dual)
+    assert _sparse_jacobi(dual)
     assert co_jacobi_worst_at(mp.delta) == (0.0, (0, 1, 1))
     assert _jacobi_dense(dual)[0] == 0.0 == co_jacobi_loop(mp.delta)
     # the dual bracket [e^0, e^1] moved off the cobracket of e
@@ -732,23 +747,150 @@ def test_sparse_co_jacobi(name):
 def test_dusty_and_nan_tables_take_the_dense_path():
     entry = get_entry("su41")
     c = entry.g.structure
-    assert sparse_jacobi_pays(c)
+    assert _sparse_jacobi(c)
     # a least-squares table: su(2,1) in a random real basis
     g = get_entry("su21").g
     mix = np.random.default_rng(7).standard_normal((g.dim, g.dim))
     mats = list(np.tensordot(mix, np.array(g.realization), axes=1))
     dusty = from_realization([f"e{i}" for i in range(g.dim)], mats).structure
     assert not np.array_equal(dusty, np.rint(dusty))
-    assert not sparse_jacobi_pays(dusty)
+    assert not _sparse_jacobi(dusty)
     # a table of exact integers but for a dust of rounding on every entry
-    assert not sparse_jacobi_pays(c + 1e-17 * np.sign(np.swapaxes(c, 0, 1) + 0.5))
+    assert not _sparse_jacobi(c + 1e-17 * np.sign(np.swapaxes(c, 0, 1) + 0.5))
     bad = c.copy()
     bad[-1, -2, 0], bad[-2, -1, 0] = np.inf, -np.inf
-    assert not sparse_jacobi_pays(bad)
+    assert not _sparse_jacobi(bad)
     bad[-1, -2, 0], bad[-2, -1, 0] = np.nan, np.nan
-    assert not sparse_jacobi_pays(bad)
+    assert not _sparse_jacobi(bad)
     resid, triple = jacobi_worst_at(bad)
     assert np.isnan(resid) and triple == _jacobi_dense(bad)[1]
+
+
+def _unimodular(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An integer matrix of determinant 1 with every entry nonzero, the ones
+    on and below the diagonal times their transpose, and its inverse, which
+    is integer (tridiagonal) too."""
+    t = np.tri(n) @ np.tri(n).T
+    inv = np.rint(np.linalg.inv(t))
+    assert np.array_equal(t @ inv, np.eye(n))
+    return t, inv
+
+
+def _in_integer_basis(c: np.ndarray) -> np.ndarray:
+    """A table on the quarter grid in the `_unimodular` basis of its algebra,
+    computed exactly: every product and partial sum is a whole number of
+    quarters far below 2^53, so the new table is on the grid too."""
+    t, inv = _unimodular(len(c))
+    out = np.einsum("ai,bj,abr,sr->ijs", t, t, 4.0 * c, inv, optimize=True) / 4.0
+    assert np.array_equal(out, -out.swapaxes(0, 1)) and np.array_equal(4 * out, np.rint(4 * out))
+    return out
+
+
+def _peak_bytes(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_a_dense_table_on_the_integer_grid_takes_the_dense_loop():
+    # the path follows density, not exactness: su(4,1) in an integer basis is
+    # exact and 94% nonzero, and its sparse contraction would form about
+    # 3.5M products against n^3 = 13,824
+    c = _in_integer_basis(get_entry("su41").g.structure)
+    assert np.count_nonzero(c) > 0.9 * c.size
+    assert not _sparse_jacobi(c)
+    got, peak = _peak_bytes(jacobi_worst_at, c)
+    assert got == (0.0, (0, 1, 1)) == _jacobi_dense(c)
+    assert peak < 2e6
+    # the two paths agree on a dense integer table small enough to join
+    small = _in_integer_basis(get_entry("su21").g.structure)
+    assert not _sparse_jacobi(small) and not _sparse_jacobi(_perturbed(small))
+    _assert_paths_agree(_perturbed(small), loop=False)
+
+
+def test_a_dense_integer_basis_pair_takes_the_dense_cocycle_loop():
+    # b and c each mixed by a unimodular block: e and delta go dense (40% and
+    # 29% nonzero), and the sparse contraction would form about 73 n^3 products
+    mp = _mixed_pair(get_entry("su41").mp, lambda k: _unimodular(k)[0])
+    c = mp.e_algebra.structure
+    assert not _sparse_cocycle(c, mp.delta)
+    (resid, pair), peak = _peak_bytes(cocycle_1_worst_at, mp, mp.delta)
+    assert (resid, pair) == _cocycle_dense(c, mp.delta) and resid <= 1e-9
+    assert peak < 2e6
+    small = _mixed_pair(get_entry("su21").mp, lambda k: _unimodular(k)[0])
+    bad = _flip_first_nonzero(small.delta)
+    c = small.e_algebra.structure
+    assert not _sparse_cocycle(c, bad)
+    sparse, dense = _cocycle_sparse(c, bad), cocycle_1_worst_at(small, bad)
+    assert sparse[0] == pytest.approx(dense[0], rel=1e-12) and sparse[1] == dense[1]
+
+
+def test_the_path_rule_takes_at_most_n_cubed_products_of_finite_tables():
+    # n = 2: each key meets a run of 4 entries, and n^3 = 8
+    table, starts = np.ones((2, 2, 2)), np.array([0, 4, 8])
+    assert takes_sparse_path((table,), (np.array([0, 1]), starts))
+    assert not takes_sparse_path((table,), (np.array([0]), starts), (np.array([1, 1]), starts))
+    assert not takes_sparse_path((table, np.full((2, 2, 2), np.nan)), (np.array([0]), starts))
+
+
+def test_the_path_rule_counts_every_join_the_sparse_path_forms(monkeypatch):
+    mp = get_entry("su21").mp
+    mp.e_algebra        # built, and its table contracted, before the spies go in
+    seen, met = [], []
+
+    def rule(tables, *joins):
+        seen.extend(joins)
+        return True
+
+    def meet(left, keys, starts):
+        met.append((keys, starts))
+        return meet_runs(left, keys, starts)
+
+    for module in (lie, bialgebra):
+        monkeypatch.setattr(module, "takes_sparse_path", rule)
+        monkeypatch.setattr(module, "meet_runs", meet)
+    jacobi_worst_at(mp.g.structure)
+    cocycle_1_worst_at(mp, mp.delta)
+    assert len(seen) == len(met) == 3
+    for (keys, starts), (met_keys, met_starts) in zip(seen, met):
+        assert np.array_equal(keys, met_keys) and np.array_equal(starts, met_starts)
+
+
+def _contracted_tables(entry) -> dict[str, np.ndarray]:
+    """The tables of an entry whose Jacobi identity a verify contracts through
+    `jacobi_worst_at`; `test_model_table_and_twist_cobrackets_are_exact`
+    covers the others, the deformations and the cobrackets on g*."""
+    mp = entry.mp
+    return {"g": entry.g.structure, "gstar": entry.gstar.structure,
+            "gC": entry.gc_algebra.structure, "gprime": entry.gprime_algebra.structure,
+            "e": mp.e_algebra.structure, "delta dual": np.moveaxis(mp.delta, 0, 2)}
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_every_catalog_table_is_sparse_and_dense_in_a_mixed_basis(p):
+    entry = supq1(p)
+    rng = np.random.default_rng(p)
+    # each table is sparse, and dense in a random and in the integer basis,
+    # but for the solvable 3-dimensional g* and dual of delta of su(1,1): in
+    # the integer basis they form 0.9 n^3 products and stay sparse
+    integer_sparse = {"gstar", "delta dual"} if p == 1 else set()
+    for name, c in _contracted_tables(entry).items():
+        assert _sparse_jacobi(c), name
+        mixed = structure_in_basis(c, rng.standard_normal((len(c), len(c))))
+        assert not _sparse_jacobi(mixed), name
+        assert _sparse_jacobi(_in_integer_basis(c)) == (name in integer_sparse), name
+    # the cocycle of su(1,1) mixes a line b and a plane c within themselves,
+    # which leaves 0.89 n^3 products: it stays sparse
+    mp = entry.mp
+    assert _sparse_cocycle(mp.e_algebra.structure, mp.delta)
+    for mix in (lambda k: rng.standard_normal((k, k)), lambda k: _unimodular(k)[0]):
+        mixed = _mixed_pair(mp, mix)
+        assert _sparse_cocycle(mixed.e_algebra.structure, mixed.delta) == (p == 1)
 
 
 # -- the trace pairing as one GEMM -----------------------------------------------
@@ -827,8 +969,7 @@ def _on_grid(table: np.ndarray, grid: int) -> bool:
 def test_model_table_and_twist_cobrackets_are_exact(p):
     # the deformations are cut from the model table snapped to the quarter
     # grid, the co-Jacobi runs on the cobrackets snapped to the integers; the
-    # sparse contraction takes them where it takes g's own table (p >= 4:
-    # below that n^5 is too small for any table to pay)
+    # sparse contraction takes every one of them
     entry = supq1(p)
     k = entry.mp.dim_c
     model = g_structure_in_model_basis(entry)
@@ -840,13 +981,13 @@ def test_model_table_and_twist_cobrackets_are_exact(p):
         alg = deform_bracket(exact, k, sign)
         assert _on_grid(alg.structure, 4)
         assert alg.jacobi == (0.0, (0, 1, 1))
-        assert sparse_jacobi_pays(alg.structure) or p < 4
+        assert _sparse_jacobi(alg.structure)
     for half in (list(entry.g.realization), gprime_half(entry), gc_compact_half(entry)):
         raw = cobracket_on_gstar(entry, half)
         cob, dist = snap_dyadic(raw)
         assert cob is not raw and dist <= 1e-14 and _on_grid(cob, 1)
         assert co_jacobi_worst_at(cob) == (0.0, (0, 1, 1))
-        assert sparse_jacobi_pays(np.moveaxis(cob, 0, 2)) or p < 4
+        assert _sparse_jacobi(np.moveaxis(cob, 0, 2))
 
 
 # -- the cocycle residual over nonzero products -----------------------------------
@@ -882,7 +1023,7 @@ def _flip_first_nonzero(delta: np.ndarray) -> np.ndarray:
 def test_sparse_cocycle_matches_the_dense_loop_on_the_catalog(name):
     mp = get_entry(name).mp
     c = mp.e_algebra.structure
-    assert sparse_cocycle_pays(c, mp.delta) == (name != "su11")
+    assert _sparse_cocycle(c, mp.delta)
     for delta, want in ((mp.delta, 0.0), (_flip_first_nonzero(mp.delta), 8.0)):
         sparse, dense = _cocycle_sparse(c, delta), _cocycle_dense(c, delta)
         assert sparse == dense == cocycle_1_worst_at(mp, delta)
@@ -891,20 +1032,23 @@ def test_sparse_cocycle_matches_the_dense_loop_on_the_catalog(name):
             assert sparse == cocycle_loop(c, delta)
 
 
+def _mixed_pair(mp: MatchedPair, mix) -> MatchedPair:
+    """The pair with the rows of b and of c each mixed by mix(dim)."""
+    parts = {part: mix(len(rows)) @ rows for part, rows in mp.decomp.parts.items()}
+    return MatchedPair(f"{mp.name}-mixed", mp.g, SubspaceDecomposition(mp.g, parts))
+
+
 def _random_basis_pair(name: str, seed: int) -> MatchedPair:
-    """The catalog pair with b and c each in a random basis: e and delta dense."""
-    mp = get_entry(name).mp
+    """The catalog pair with b and c each in a random basis."""
     rng = np.random.default_rng(seed)
-    parts = {part: rng.standard_normal((len(rows), len(rows))) @ rows
-             for part, rows in mp.decomp.parts.items()}
-    return MatchedPair(f"{name}-mixed", mp.g, SubspaceDecomposition(mp.g, parts))
+    return _mixed_pair(get_entry(name).mp, lambda k: rng.standard_normal((k, k)))
 
 
 @pytest.mark.parametrize("name", ["su21", "su31"])
 def test_sparse_cocycle_matches_the_dense_loop_on_a_random_basis(name):
     mp = _random_basis_pair(name, 11)
     c = mp.e_algebra.structure
-    assert not sparse_cocycle_pays(c, mp.delta)
+    assert not _sparse_cocycle(c, mp.delta)
     assert cocycle_1_worst_at(mp, mp.delta)[0] <= 1e-9
     bad = _flip_first_nonzero(mp.delta)
     dense = cocycle_1_worst_at(mp, bad)
@@ -920,6 +1064,6 @@ def test_cocycle_of_a_nan_delta_is_nan_on_both_paths():
     c = mp.e_algebra.structure
     bad = mp.delta.copy()
     bad[-1, 0, 1], bad[-1, 1, 0] = np.nan, np.nan
-    assert not sparse_cocycle_pays(c, bad)
+    assert not _sparse_cocycle(c, bad)
     assert np.isnan(cocycle_1_worst_at(mp, bad)[0])
     assert np.isnan(_cocycle_dense(c, bad)[0]) and np.isnan(_cocycle_sparse(c, bad)[0])
