@@ -20,7 +20,7 @@ from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
 from .lie import (LieAlgebra, generated_dim, jacobi_worst_at, meet_runs, nonzero_runs,
                   takes_sparse_path, worst_key_sum)
-from .linalg import BasedSpace, Bivector, best_sign, finite_diff, worst, worst_at
+from .linalg import BasedSpace, best_sign, finite_diff, worst, worst_at
 from .matched import MatchedPair
 from .poisson import eta
 
@@ -65,7 +65,7 @@ def delta_from_eta(mp: MatchedPair, step: float = FD_STEP) -> np.ndarray:
     """Linearization of the group cocycle at the identity, laid out as
     `delta_direct`: one finite difference of eta along the stacked
     `group.basis_curves` (t psi_i, 1), then (0, exp(t x_j))."""
-    return finite_diff(lambda t: eta(mp, basis_curves(mp, t)).coeffs, 0.0, step)
+    return finite_diff(lambda t: eta(mp, basis_curves(mp, t)), 0.0, step)
 
 
 def delta_consistency_worst_at(mp: MatchedPair, delta: np.ndarray,
@@ -175,39 +175,39 @@ def _cocycle_sparse(c: np.ndarray, delta: np.ndarray,
 
 
 def r_matrix(entry) -> dict:
-    """Route A: r = z.delta(z), with the entry's normalized central z.
-    Route B: r = sum_i P^C_k y_i ^ psi^i."""
+    """Route A: r = z.delta(z), with the entry's normalized central z, made
+    exactly antisymmetric.  Route B: r = sum_i P^C_k y_i ^ psi^i, built so.
+    Both are coefficient matrices over the e-basis."""
     mp = entry.mp
     k, m = mp.dim_c, mp.dim_b
     z_e = np.concatenate([np.zeros(k), mp.b_coords(entry.z)])
 
     delta_z = np.einsum("a,apq->pq", z_e, mp.delta)
     ad_z = mp.e_algebra.ad_matrix_coords(z_e)
-    route_a = Bivector(mp.e_space, ad_z @ delta_z + delta_z @ ad_z.T)
+    route_a = ad_z @ delta_z + delta_z @ ad_z.T
+    route_a = 0.5 * (route_a - route_a.T)
 
-    coeffs = np.zeros((k + m, k + m))
+    route_b = np.zeros((k + m, k + m))
     for i in range(k):
         xk = mp.b_coords(entry.cartan.project("k", mp.y_basis[i]))
-        coeffs[k:, i] += xk
-        coeffs[i, k:] -= xk
-    route_b = Bivector(mp.e_space, coeffs)
+        route_b[k:, i] += xk
+        route_b[i, k:] -= xk
 
-    block_resid = worst(np.max(np.abs(route_b.coeffs[:k, :k])),
-                        np.max(np.abs(route_b.coeffs[k:, k:])))
+    block_resid = worst(np.max(np.abs(route_b[:k, :k])), np.max(np.abs(route_b[k:, k:])))
     return {
         "route_a": route_a,
         "route_b": route_b,
-        "difference": (route_a - route_b).max_norm(),
-        "relative_sign": best_sign(route_a.coeffs, route_b.coeffs)[0],
+        "difference": float(np.max(np.abs(route_a - route_b))),
+        "relative_sign": best_sign(route_a, route_b)[0],
         "k_wedge_k0_block_residual": block_resid,
     }
 
 
-def coboundary_worst_at(mp: MatchedPair, r: Bivector, scale: float = 1.0) -> tuple[float, int]:
+def coboundary_worst_at(mp: MatchedPair, r: np.ndarray) -> tuple[float, int]:
     """Residual of delta(X) = [r, Delta X] = -X.r on every basis vector at
     once, X.r = ad(X) r + r ad(X)^T with ad(e_x) = structure[x]^T, with the
-    e-basis vector x it is attained at (`worst_at`)."""
-    r = scale * r.coeffs
+    e-basis vector x it is attained at (`worst_at`); r is the coefficient
+    matrix over the e-basis."""
     c = mp.e_algebra.structure
     act = np.swapaxes(c, 1, 2) @ r + r @ c
     act = 0.5 * (act - np.swapaxes(act, 1, 2))

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bialgebra as bi
+from . import manin as mn
 from .config import ALGEBRAIC_TOL, P_CAP
 from .lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, snap_dyadic,
                   trace_gram)
@@ -63,16 +65,12 @@ class CatalogEntry:
     def r_matrix(self) -> dict:
         """The r-matrix by both routes with their comparison
         (`bialgebra.r_matrix`)."""
-        from .bialgebra import r_matrix
-
-        return _read_only(r_matrix(self))
+        return _read_only(bi.r_matrix(self))
 
     @cached_property
     def gprime_half(self) -> np.ndarray:
         """The matrices of g' = sigma(k0) (+) k (`manin.gprime_half`) as one stack."""
-        from .manin import gprime_half
-
-        return _read_only(np.array(gprime_half(self)))
+        return _read_only(np.array(mn.gprime_half(self)))
 
     @cached_property
     def gstar_g_pairing(self) -> np.ndarray:
@@ -82,35 +80,27 @@ class CatalogEntry:
     @cached_property
     def gc_algebra(self) -> LieAlgebra:
         """sl(p+1, C) as a real algebra (`manin.build_gc_algebra`)."""
-        from .manin import build_gc_algebra
-
-        return _read_only(build_gc_algebra(self))
+        return _read_only(mn.build_gc_algebra(self))
 
     @cached_property
     def gprime_algebra(self) -> LieAlgebra:
         """g' as a realized algebra (`manin.gprime_algebra`)."""
-        from .manin import gprime_algebra
-
-        return _read_only(gprime_algebra(self))
+        return _read_only(mn.gprime_algebra(self))
 
     @cached_property
     def model_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The structure constants of g in the model basis as computed
         (`manin.g_structure_in_model_basis`), and that table snapped to its
         grid (`lie.snap_dyadic`)."""
-        from .manin import g_structure_in_model_basis
-
-        table = g_structure_in_model_basis(self)
+        table = mn.g_structure_in_model_basis(self)
         return _read_only((table, snap_dyadic(table)[0]))
 
     @cached_property
     def gstar_cobrackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cobrackets on gstar (`manin.cobracket_on_gstar`) of g, of g' and
         of the compact form (`manin.gc_compact_half`), in that order."""
-        from .manin import cobracket_on_gstar, gc_compact_half
-
-        halves = (list(self.g.realization), self.gprime_half, gc_compact_half(self))
-        return _read_only(tuple(cobracket_on_gstar(self, half) for half in halves))
+        halves = (list(self.g.realization), self.gprime_half, mn.gc_compact_half(self))
+        return _read_only(tuple(mn.cobracket_on_gstar(self, half) for half in halves))
 
 
 def _read_only(obj):

@@ -22,7 +22,7 @@ from . import poisson as po
 from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
-from .lie import jacobi_worst_at, snap_dyadic
+from .lie import from_realization, jacobi_worst_at, snap_dyadic
 from .linalg import Rng, antisymmetric_table, best_sign, worst, worst_at
 from .matched import MatchedPair
 from .group import GroupElement, exp_b, sample_group_matrices, sample_pairs
@@ -176,7 +176,8 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
 @_register("coboundary", "r_scale_2", ENTRY)
 def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     rm = entry.r_matrix
-    resid, x = bi.coboundary_worst_at(entry.mp, rm["route_b"], scale=2.0 if corrupted else 1.0)
+    r = 2.0 * rm["route_b"] if corrupted else rm["route_b"]
+    resid, x = bi.coboundary_worst_at(entry.mp, r)
     return {"residuals": {"coboundary": resid, "route_difference": rm["difference"],
                           "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]},
             "details": {"route_sign": rm["relative_sign"], "coboundary_worst_basis": x,
@@ -193,8 +194,16 @@ def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 @_register("manin", "gstar_complex_diagonal", ENTRY)
 def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     gprime = entry.gprime_algebra
-    out = mn.check_manin(entry.gc_algebra, mn.gstar_algebra(entry, complex_diagonal=corrupted),
-                         {"g": entry.g, "gprime": gprime})
+    gstar = entry.gstar
+    if corrupted:   # gstar plus the imaginary traceless diagonal
+        mats, labels = list(gstar.realization), list(gstar.space.labels)
+        for j in range(entry.p):
+            d = np.zeros((entry.p + 1,) * 2, dtype=complex)
+            d[j, j], d[j + 1, j + 1] = 1j, -1j
+            mats.append(d)
+            labels.append(f"iD_{j + 1}")
+        gstar = from_realization(labels, mats)
+    out = mn.check_manin(entry.gc_algebra, gstar, {"g": entry.g, "gprime": gprime})
     # gprime's table in the (sigma psi, x) basis against +/- that of e
     sign, transport = best_sign(gprime.structure, entry.mp.e_algebra.structure)
     out["residuals"].update({"k0_abelian": mn.gstar_k0_abelian_residual(entry),
@@ -226,8 +235,8 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     dg, dgp, dgc = entry.gstar_cobrackets
-    rep = mn.twist_check(entry, scale=tol.twist_inner_scale,
-                         s_scale=2.0 if corrupted else 1.0, delta_g=dg, delta_gp=dgp)
+    s, asym = mn.twist_element(entry, scale=tol.twist_inner_scale)
+    rep = mn.twist_check(entry, 2.0 * s if corrupted else s, dg, dgp)
     cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
     cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
     # one residual, the co-Jacobi identity over all three cobrackets, each
@@ -235,7 +244,7 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
     # folded in; the residuals above are measured against them as computed
     co_j = worst(*(worst(bi.co_jacobi_worst_at(exact)[0], snap)
                    for exact, snap in map(snap_dyadic, (dg, dgp, dgc))))
-    return {"residuals": {**rep, "cprime_g_minus_gprime": cprime_g,
+    return {"residuals": {"antisymmetry": asym, **rep, "cprime_g_minus_gprime": cprime_g,
                           "cprime_gc_minus_gprime": cprime_gc, "co_jacobi_all_three": co_j},
             "details": {"inner_scale": tol.twist_inner_scale}}
 
@@ -287,16 +296,17 @@ def _su_p1_displayed_bracket_table(entry) -> np.ndarray:
     return antisymmetric_table((k, k, k), table)
 
 
-def _displayed_delta_table(entry, corrected: bool) -> list[np.ndarray]:
-    """Published delta table on k0 as bivector matrices over the psi basis.
+def _displayed_delta_table(entry) -> list[np.ndarray]:
+    """Published delta table on k0 as bivector matrices over the psi basis,
+    corrected.
 
     The display's psi_a ^ psi_2 coefficient in delta(y2*) is 1; the defining
     pairing <delta(psi), y (x) y'> = <psi, [y, y']> forces 2 (both computation
-    routes in this package agree).  `corrected` selects which to compare with;
-    the discrepancy is recorded as an erratum in the conventions report."""
+    routes in this package agree), and this table holds 2.  The discrepancy is
+    recorded as an erratum in the conventions report."""
     k = entry.mp.dim_c
     out = [np.zeros((k, k)) for _ in range(k)]
-    delta_y2 = {(0, 1): 2.0 if corrected else 1.0}
+    delta_y2 = {(0, 1): 2.0}
     for kk in range(entry.p - 1):
         r_idx, i_idx = 2 + 2 * kk, 3 + 2 * kk
         out[r_idx] = antisymmetric_table((k, k), {(0, r_idx): 1.0})
@@ -356,7 +366,7 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
 
     k = mp.dim_c
     computed_delta = mp.delta[:k, :k, :k]
-    disp = _displayed_delta_table(entry, corrected=True)
+    disp = _displayed_delta_table(entry)
     sign_d, resid_d = best_sign(computed_delta, np.array(disp))
     out.append({
         "table": "cobracket table on the annihilator block", "sign": sign_d,

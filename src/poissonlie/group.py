@@ -93,12 +93,6 @@ class GroupElement:
         self._ad = None
         self._inv = None
 
-    def __getitem__(self, idx) -> "GroupElement":
-        """The element or sub-stack of a stack at `idx`.  Its tables and inverse
-        are not carried over: as views they would keep the whole stack's
-        arrays alive as long as the slice."""
-        return GroupElement(self.pair, self.matrix[idx])
-
     def _inverse(self) -> np.ndarray:
         """The matrix a^{-1}, or the stack of inverses, inverted once and kept."""
         if self._inv is None:
@@ -252,10 +246,6 @@ class EElement:
         size = np.max(np.abs(v), axis=-1, initial=0.0)
         _require(np.isfinite(size), size, "has a non-finite v coordinate", "max |v|")
         object.__setattr__(self, "v", v)
-
-    def __getitem__(self, idx) -> "EElement":
-        """The point or sub-stack of a stack at `idx`."""
-        return EElement(self.pair, self.v[idx], self.a[idx])
 
 
 def e_element_to_json_dict(g: EElement) -> dict:

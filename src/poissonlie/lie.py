@@ -41,13 +41,6 @@ def trace_gram(xs, ys, spec: str) -> np.ndarray:
     return _trace_part(t, spec)
 
 
-def commutators(xs, ys) -> np.ndarray:
-    """Table of all commutators: out[a, b] = xs[a] ys[b] - ys[b] xs[a]."""
-    xs = np.asarray(xs, dtype=complex)[:, None]
-    ys = np.asarray(ys, dtype=complex)[None, :]
-    return xs @ ys - ys @ xs
-
-
 def pair_commutators(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays (i, j) over all pairs i < j and the commutators [mats[i], mats[j]]."""
     m = np.asarray(mats, dtype=complex)

@@ -1,13 +1,15 @@
-"""Based vector spaces, exterior-square values, NaN-safe residuals, the global
-sign matcher, a seeded generator and finite differences.
+"""Based vector spaces, hand-entered antisymmetric tables, NaN-safe
+residuals, the global sign matcher, a seeded generator and finite differences.
 
 Everything downstream works over small labelled real coordinate spaces; this
 module fixes the wedge/pairing conventions once:
 
     <x ^ y, phi (x) psi> = phi(x) psi(y) - psi(x) phi(y)
 
-so a wedge is stored as the antisymmetric matrix x (x) y - y (x) x and pairing
-with a 2-tensor is full coefficient contraction.
+so a wedge is the antisymmetric matrix x (x) y - y (x) x and pairing with a
+2-tensor is full coefficient contraction.  Every element of an exterior
+square (a bivector, a cobracket value, a cocycle) is a plain float array whose
+last two axes are antisymmetric; its builder makes it so exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
-
-
-class SpaceMismatchError(ValueError):
-    """Operands live over different based spaces."""
 
 
 @dataclass(frozen=True)
@@ -40,54 +38,6 @@ class BasedSpace:
     @staticmethod
     def make(labels: Sequence[str]) -> "BasedSpace":
         return BasedSpace(len(labels), tuple(labels))
-
-
-def _check_same_space(a, b):
-    if a.space != b.space:
-        raise SpaceMismatchError(f"space mismatch: {a.space.labels} vs {b.space.labels}")
-
-
-@dataclass(frozen=True, eq=False)
-class Bivector:
-    """Element of the exterior square, stored as an antisymmetric coefficient
-    matrix; a (count, n, n) stack of coefficient matrices holds one per point
-    of a stack of group elements, and the arithmetic acts elementwise."""
-
-    space: BasedSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        n = self.space.dim
-        if c.ndim not in (2, 3) or c.shape[-2:] != (n, n):
-            raise ValueError(f"coeffs shape {c.shape} does not match ({n}, {n})")
-        # antisymmetrize at construction so the invariant holds exactly
-        c = 0.5 * (c - np.swapaxes(c, -1, -2))
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def of_antisymmetric(cls, space: BasedSpace, coeffs: np.ndarray) -> "Bivector":
-        """The bivector of coefficients built exactly antisymmetric already,
-        such as block by block, taken as they are: antisymmetrizing them
-        again would copy them and change no bit."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
-
-    def __add__(self, other: "Bivector") -> "Bivector":
-        _check_same_space(self, other)
-        return Bivector(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        _check_same_space(self, other)
-        return Bivector(self.space, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: float) -> "Bivector":
-        return Bivector(self.space, float(scalar) * self.coeffs)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
 
 def antisymmetric_table(shape: tuple[int, ...], entries: dict) -> np.ndarray:

@@ -7,7 +7,9 @@ once: the re-expansion of its commutators gives its table and its closure,
 and `check_manin` makes one pass per half.  The deformations are slices of
 one table: the structure constants of g in the model basis
 (phi(psi^1)..phi(psi^k), x_1..x_m) of p then k, built once per catalog
-entry (`CatalogEntry.model_table`).
+entry (`CatalogEntry.model_table`).  The twist element and the cobrackets
+on gstar are plain arrays: s its antisymmetric coefficient matrix over the
+gstar basis, a cobracket laid out like `bialgebra.delta_direct`.
 
 The Cartan involution is extended to the complexification CONJUGATE-linearly
 as sigma(x) = -x*, the conjugation with respect to the compact form.  This is
@@ -22,9 +24,9 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, commutators, from_realization, meet_runs,
-                  nonzero_runs, pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
-from .linalg import BasedSpace, Bivector
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, meet_runs, nonzero_runs,
+                  pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
+from .linalg import BasedSpace
 
 
 def sigma_conj(m: np.ndarray) -> np.ndarray:
@@ -41,22 +43,6 @@ def build_gc_algebra(entry) -> LieAlgebra:
     mats = list(entry.g.realization) + [1j * m for m in entry.g.realization]
     labels = list(entry.g.space.labels) + [f"i*{l}" for l in entry.g.space.labels]
     return from_realization(labels, mats, pairing=IM_TRACE)
-
-
-def gstar_algebra(entry, complex_diagonal: bool = False) -> LieAlgebra:
-    """The dual half: the catalog's gstar, or with `complex_diagonal` (the
-    negative control) gstar plus the imaginary traceless diagonal."""
-    if not complex_diagonal:
-        return entry.gstar
-    n = entry.p + 1
-    extra = []
-    for j in range(entry.p):
-        d = np.zeros((n, n), dtype=complex)
-        d[j, j] = 1j
-        d[j + 1, j + 1] = -1j
-        extra.append(d)
-    labels = list(entry.gstar.space.labels) + [f"iD_{j + 1}" for j in range(entry.p)]
-    return from_realization(labels, list(entry.gstar.realization) + extra)
 
 
 def gprime_half(entry) -> list[np.ndarray]:
@@ -135,7 +121,7 @@ def form_invariance(table: np.ndarray, gram: np.ndarray) -> float:
 def gstar_k0_abelian_residual(entry) -> float:
     """Pairwise brackets of the last-column block of gstar: exactly zero."""
     mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]
-    return float(np.max(np.abs(commutators(mats, mats))))
+    return float(np.max(np.abs(pair_commutators(mats)[2]), initial=0.0))
 
 
 def gprime_block_residual(gprime: LieAlgebra, k: int) -> float:
@@ -238,14 +224,14 @@ def cprime_residual(entry, delta_g: np.ndarray, delta_other: np.ndarray,
     return float(np.max(np.abs(lhs - expected_sign * rhs)))
 
 
-def schouten_square(alg: LieAlgebra, s: Bivector) -> np.ndarray:
-    """[s, s] as a Lambda^3 coefficient tensor.
+def schouten_square(alg: LieAlgebra, s: np.ndarray) -> np.ndarray:
+    """[s, s] as a Lambda^3 coefficient tensor, for the antisymmetric
+    coefficient matrix s of a bivector on `alg`.
 
     The decomposable rule [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c
     summed over the antisymmetric coefficients of s collapses to the
     antisymmetrization of s^{ap} s^{bq} [e_a, e_b]^r."""
-    sm = s.coeffs
-    return _alt3(np.einsum("ap,bq,abr->rpq", sm, sm, alg.structure, optimize=True))
+    return _alt3(np.einsum("ap,bq,abr->rpq", s, s, alg.structure, optimize=True))
 
 
 def _cyclic(t: np.ndarray) -> np.ndarray:
@@ -253,19 +239,19 @@ def _cyclic(t: np.ndarray) -> np.ndarray:
     return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))
 
 
-def gerstenhaber_d(delta: np.ndarray, s: Bivector) -> np.ndarray:
-    """d s for d extending delta as a degree-1 derivation: d(a^b) = delta(a)^b - a^delta(b)."""
-    sm = s.coeffs
+def gerstenhaber_d(delta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d s for d extending delta as a degree-1 derivation: d(a^b) = delta(a)^b - a^delta(b),
+    s an antisymmetric coefficient matrix."""
     # a ^ delta(b) = delta(b) ^ a for a 1-form against a 2-form, so
     # d(a^b) = delta(a)^b - delta(b)^a, each wedge a cyclic sum of C_pq w_r
-    return 0.5 * (_cyclic(np.einsum("ab,apq->pqb", sm, delta))
-                  - _cyclic(np.einsum("ab,bpq->pqa", sm, delta)))
+    return 0.5 * (_cyclic(np.einsum("ab,apq->pqb", s, delta))
+                  - _cyclic(np.einsum("ab,bpq->pqa", s, delta)))
 
 
-def twist_element(entry, scale: float = TWIST_INNER_SCALE) -> tuple[Bivector, float]:
+def twist_element(entry, scale: float = TWIST_INNER_SCALE) -> tuple[np.ndarray, float]:
     """s = sum_j (J y_j) (x) y_j in Lambda^2 gstar via the inner-product flat map,
-    and the antisymmetry residual max |s + s^T| of that sum before it is
-    stored as a bivector.
+    as the antisymmetric part (s - s^T) / 2 of that sum, and the antisymmetry
+    residual max |s + s^T| of the sum itself.
 
     (y_j) is an orthonormal basis of p for inner(u, v) = scale * Re tr(uv),
     the Cholesky one of the Cartan decomposition's p rows; s does not depend
@@ -287,27 +273,23 @@ def twist_element(entry, scale: float = TWIST_INNER_SCALE) -> tuple[Bivector, fl
 
     # s = sum_j flat(ad_z y_j) (x) flat(y_j)
     s_mat = flat(onb @ ad_z.T) @ flat(onb).T
-    return Bivector(entry.gstar.space, s_mat), float(np.max(np.abs(s_mat + s_mat.T)))
+    return 0.5 * (s_mat - s_mat.T), float(np.max(np.abs(s_mat + s_mat.T)))
 
 
-def twist_check(entry, delta_g: np.ndarray, delta_gp: np.ndarray,
-                scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0) -> dict:
-    """(i) antisymmetry of s, (ii) (1/2)[s, s] + d s = 0 with d from delta_gprime,
-    (iii) delta_g = delta_gprime + xi.s, given the two cobrackets on gstar
-    (`cobracket_on_gstar` of the realization of g and of `gprime_half`)."""
+def twist_check(entry, s: np.ndarray, delta_g: np.ndarray, delta_gp: np.ndarray) -> dict:
+    """For the twist element s (`twist_element`, which also gives (i), the
+    antisymmetry residual): (ii) (1/2)[s, s] + d s = 0 with d from
+    delta_gprime, (iii) delta_g = delta_gprime + xi.s, given the two
+    cobrackets on gstar (`cobracket_on_gstar` of the realization of g and of
+    `gprime_half`)."""
     gs = entry.gstar
-    s, asym = twist_element(entry, scale=scale)
-    if s_scale != 1.0:
-        s = s_scale * s
-
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))
 
     # the action of each basis vector: ad matrices a_idx = structure[idx]^T
     ad = np.transpose(gs.structure, (0, 2, 1))
-    twisted = delta_gp + ad @ s.coeffs + s.coeffs @ gs.structure
+    twisted = delta_gp + ad @ s + s @ gs.structure
     return {
-        "antisymmetry": asym,
         "maurer_cartan": mc_residual,
         "twist_relation": float(np.max(np.abs(delta_g - twisted))),
     }

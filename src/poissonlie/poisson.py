@@ -2,7 +2,8 @@
 the anchor of the circle pair as a trig polynomial.
 
 The right-trivialized bivector is stored as a map g -> Lambda^2 e with
-e = b0 (+) b; the translation factors are never materialized.  The expansion
+e = b0 (+) b, its value at a point the antisymmetric coefficient matrix over
+the e-basis; the translation factors are never materialized.  The expansion
 of eta0 without group translation and the Poisson-bracket evaluator on
 fiberwise-linear and base functions are test references
 (`tests/references.py`)."""
@@ -13,7 +14,7 @@ import numpy as np
 
 from .group import (EElement, GroupElement, adE, e_element_to_json_dict, e_mul, exp_b,
                     sample_pairs)
-from .linalg import Bivector, Rng, worst_at
+from .linalg import Rng, worst_at
 from .matched import MatchedPair
 from .trig import CIRCLE_MAX_MODE, circle_angles, fit_trig
 
@@ -21,11 +22,12 @@ from .trig import CIRCLE_MAX_MODE, circle_angles, fit_trig
 V_RADIUS = 1.0
 
 
-def eta0(mp: MatchedPair, g: EElement) -> Bivector:
-    """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j.
+def eta0(mp: MatchedPair, g: EElement) -> np.ndarray:
+    """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j, as its
+    coefficient matrix over the e-basis, exactly antisymmetric.
 
-    For a stack of points `g` the Bivector holds one coefficient matrix per
-    point; only its b0 x b0 block is nonzero."""
+    For a stack of points `g`, a stack of one matrix per point; only the
+    b0 x b0 block is nonzero."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
     k_mat = g.a.coad_b0
@@ -34,10 +36,10 @@ def eta0(mp: MatchedPair, g: EElement) -> Bivector:
     coeffs = np.zeros(lead + (k + m, k + m))
     block = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
     coeffs[..., :k, :k] = 0.5 * (block - np.swapaxes(block, -1, -2))
-    return Bivector.of_antisymmetric(mp.e_space, coeffs)
+    return coeffs
 
 
-def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
+def eta_b(mp: MatchedPair, g: EElement) -> np.ndarray:
     """sum_i Ad*_a psi^i ^ P_b Ad_a y_i; one per point of a stack, as `eta0`;
     only its b0 x b and b x b0 blocks are nonzero."""
     k, m = mp.dim_c, mp.dim_b
@@ -48,17 +50,17 @@ def eta_b(mp: MatchedPair, g: EElement) -> Bivector:
     coeffs = np.zeros(g.v.shape[:-1] + (k + m, k + m))
     coeffs[..., :k, k:] = 0.5 * (upper - np.swapaxes(lower, -1, -2))
     coeffs[..., k:, :k] = 0.5 * (lower - np.swapaxes(upper, -1, -2))
-    return Bivector.of_antisymmetric(mp.e_space, coeffs)
+    return coeffs
 
 
-def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> Bivector:
+def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> np.ndarray:
     """eta0 + eta_b_sign * eta_b; one per point of a stack, as `eta0`.  The
     parts fill disjoint blocks, so eta_b's go into eta0's array."""
     k = mp.dim_c
     out = eta0(mp, g)
-    mixed = eta_b(mp, g).coeffs
-    out.coeffs[..., :k, k:] = eta_b_sign * mixed[..., :k, k:]
-    out.coeffs[..., k:, :k] = eta_b_sign * mixed[..., k:, :k]
+    mixed = eta_b(mp, g)
+    out[..., :k, k:] = eta_b_sign * mixed[..., :k, k:]
+    out[..., k:, :k] = eta_b_sign * mixed[..., k:, :k]
     return out
 
 
@@ -72,9 +74,9 @@ def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, eta_b_sign: float = 
     labels = mp.e_space.labels
 
     def check_block(start, g, h):
-        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign).coeffs
-        pushed = _congruence(adE(g), eta(mp, h, eta_b_sign=eta_b_sign).coeffs)
-        base = eta(mp, g, eta_b_sign=eta_b_sign).coeffs
+        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign)
+        pushed = _congruence(adE(g), eta(mp, h, eta_b_sign=eta_b_sign))
+        base = eta(mp, g, eta_b_sign=eta_b_sign)
         diff = np.abs(lhs - base - pushed).reshape(len(lhs), -1)
         scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
         resid, i = worst_at(diff.max(axis=1) / scale)

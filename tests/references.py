@@ -2,8 +2,9 @@
 `poissonlie verify` path runs.  The tests compare the package against them.
 
 - The identity and the inverse of E, the inverse of an element of B and
-  its full Ad*, sampled points of E, and the finite-difference conjugation
-  oracle for the adjoint of E (criterion 03).
+  its full Ad*, sampled points of E, the element or sub-stack of a stack,
+  and the finite-difference conjugation oracle for the adjoint of E
+  (criterion 03).
 - The expansion of eta0 without group translation of the wedge frame
   (criterion 02), with the coadjoint matrix and the pairing of a dual vector
   against the y-basis it reads.
@@ -11,9 +12,11 @@
   fiberwise-linear and base functions of the circle pair, with the brackets
   pushed to e(2)+ (criterion 04).
 - The unit and the commutator of the crossed algebra.
-- The twist check with both of its cobrackets on gstar built here.
-- The invariance of the form on g_C as a dense contraction of the table, and
-  the family-1 dual brackets on e(2)* at any value of their parameter.
+- The twist check's residuals with the twist element and both of its
+  cobrackets on gstar built here.
+- The table of all commutators of two lists of matrices, the invariance of
+  the form on g_C as a dense contraction of the table, and the family-1
+  dual brackets on e(2)* at any value of their parameter.
 - The r-matrix display row of the conventions report, one y_i at a time.
 """
 
@@ -23,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from poissonlie.config import FD_STEP
+from poissonlie.config import FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import EElement, GroupElement, _adjoint, basis_curves, draw_words, e_mul
-from poissonlie.linalg import Bivector, antisymmetric_table, finite_diff, worst
-from poissonlie.manin import cobracket_on_gstar, twist_check
+from poissonlie.linalg import antisymmetric_table, finite_diff, worst
+from poissonlie.manin import cobracket_on_gstar, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
 
 # -- the group E --------------------------------------------------------------
@@ -57,6 +60,15 @@ def coad(a: GroupElement) -> np.ndarray:
     return np.swapaxes(ad_of_inverse(a), -1, -2)
 
 
+def take(x, idx):
+    """The element or sub-stack at `idx` of a stack of elements of B or of
+    points of E, built anew from its arrays, so that none of the stack's
+    tables is carried over."""
+    if isinstance(x, EElement):
+        return EElement(x.pair, x.v[idx], take(x.a, idx))
+    return GroupElement(x.pair, x.matrix[idx])
+
+
 def e_inv(g: EElement) -> EElement:
     """(v, a)^{-1} = (-Ad*_{a^{-1}} v, a^{-1}); a stack inverts elementwise."""
     a_inv = inverse_element(g.a)
@@ -76,7 +88,7 @@ def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:
 
 def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:
     """One random point of E, drawn as the first of a stack of one."""
-    return sample_e_elements(mp, rng, 1, radius)[0]
+    return take(sample_e_elements(mp, rng, 1, radius), 0)
 
 
 def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:
@@ -121,7 +133,7 @@ def c_coords(mp, x: np.ndarray) -> np.ndarray:
     return (mp._T_inv @ np.asarray(x, dtype=float))[mp.dim_b:]
 
 
-def eta_alternative(mp, g: EElement) -> Bivector:
+def eta_alternative(mp, g: EElement) -> np.ndarray:
     """Expansion of eta0 without group translation of the wedge frame:
     (1/2) <v, [y_i, y_j]> psi^i ^ psi^j  -  Ad*_a psi^i ^ ad*(P_b Ad_a y_i)(v)."""
     table = mp.c_brackets
@@ -137,7 +149,7 @@ def eta_alternative(mp, g: EElement) -> Bivector:
         t_i = gstar_to_b0(mp, coad_matrix_coords(mp.g, x_b) @ w)
         u_i = k_mat[:, i]
         coeffs[:k, :k] -= np.outer(u_i, t_i) - np.outer(t_i, u_i)
-    return Bivector(mp.e_space, coeffs)
+    return 0.5 * (coeffs - coeffs.T)
 
 
 # -- trig polynomials and the Poisson bracket on the circle pair --------------------
@@ -276,14 +288,24 @@ def commutator(x, y):
 # -- the twist ----------------------------------------------------------------------
 
 
-def twist_check_of(entry, **kw) -> dict:
-    """`manin.twist_check` with the cobrackets of g and of g' on gstar built
-    here, as the twist check builds them."""
-    return twist_check(entry, cobracket_on_gstar(entry, list(entry.g.realization)),
-                       cobracket_on_gstar(entry, entry.gprime_half), **kw)
+def twist_check_of(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0) -> dict:
+    """The twist check's residuals, antisymmetry first, as the check assembles
+    them: the twist element at the inner-product `scale`, times `s_scale`, and
+    `manin.twist_check` with the cobrackets of g and of g' on gstar built here."""
+    s, asym = twist_element(entry, scale=scale)
+    return {"antisymmetry": asym,
+            **twist_check(entry, s_scale * s, cobracket_on_gstar(entry, list(entry.g.realization)),
+                          cobracket_on_gstar(entry, entry.gprime_half))}
 
 
 # -- Manin triples and the planar dual brackets --------------------------------------
+
+
+def commutators(xs, ys) -> np.ndarray:
+    """Table of all commutators: out[a, b] = xs[a] ys[b] - ys[b] xs[a]."""
+    xs = np.asarray(xs, dtype=complex)[:, None]
+    ys = np.asarray(ys, dtype=complex)[None, :]
+    return xs @ ys - ys @ xs
 
 
 def form_invariance_dense(table: np.ndarray, gram: np.ndarray) -> float:

@@ -19,12 +19,12 @@ from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
                               draw_words, e_mul, exp_b, sample_group_matrices)
-from poissonlie.linalg import Bivector, Rng, expm
+from poissonlie.linalg import Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
 from references import (ad_of_inverse, coad, coad_matrix_coords, e_inv, gstar_to_b0,
                         identity_element, inverse_element, sample_e_element,
-                        sample_e_elements, words_e_elements)
+                        sample_e_elements, take, words_e_elements)
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:
@@ -100,10 +100,10 @@ def ref_cocycle(mp, samples, seed, sign=1.0):
     for i in range(samples):
         g = EElement(mp, v[2 * i], GroupElement(mp, mats[2 * i]))
         h = EElement(mp, v[2 * i + 1], GroupElement(mp, mats[2 * i + 1]))
-        lhs = eta(mp, e_mul(g, h), eta_b_sign=sign).coeffs
+        lhs = eta(mp, e_mul(g, h), eta_b_sign=sign)
         a = adE(g)
-        pushed = a @ eta(mp, h, eta_b_sign=sign).coeffs @ a.T
-        base = eta(mp, g, eta_b_sign=sign).coeffs
+        pushed = a @ eta(mp, h, eta_b_sign=sign) @ a.T
+        base = eta(mp, g, eta_b_sign=sign)
         scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(base)), np.max(np.abs(pushed)))
         out.append(np.max(np.abs(lhs - base - pushed)) / scale)
     return np.array(out)
@@ -197,32 +197,39 @@ def test_exp_b_of_a_parameter_array_is_the_stack_of_single_calls(mp):
 def test_stacked_eta_and_adE_match_per_element(mp):
     stack = sample_e_elements(mp, Rng(8), 23)
     k = mp.dim_c
-    eta_s, eta0_s, eta_b_s = (eta(mp, stack).coeffs, eta0(mp, stack).coeffs,
-                              eta_b(mp, stack).coeffs)
+    eta_s, eta0_s, eta_b_s = eta(mp, stack), eta0(mp, stack), eta_b(mp, stack)
     adE_s = adE(stack)
     for i in range(len(stack.v)):
-        g = stack[i]
-        assert isinstance(eta(mp, g), Bivector)
-        assert np.max(np.abs(eta_s[i] - eta(mp, g).coeffs)) <= 1e-13
-        assert np.max(np.abs(eta0_s[i] - eta0(mp, g).coeffs)) <= 1e-13
-        assert np.max(np.abs(eta_b_s[i] - eta_b(mp, g).coeffs)) <= 1e-13
+        g = take(stack, i)
+        assert np.max(np.abs(eta_s[i] - eta(mp, g))) <= 1e-13
+        assert np.max(np.abs(eta0_s[i] - eta0(mp, g))) <= 1e-13
+        assert np.max(np.abs(eta_b_s[i] - eta_b(mp, g))) <= 1e-13
         assert np.max(np.abs(eta_b_s[i] - ref_eta_b(mp, g))) <= 1e-13
         assert np.max(np.abs(adE_s[i] - adE(g))) <= 1e-13
         assert np.max(np.abs(adE_s[i][:k, k:] - ref_adE_mixed(mp, g))) <= 1e-13
 
 
+def test_eta_and_its_parts_are_exactly_antisymmetric(mp):
+    stack = sample_e_elements(mp, Rng(8), 23)
+    for points in (stack, take(stack, 0)):
+        for part in (eta, eta0, eta_b):
+            x = part(mp, points)
+            assert x.shape == points.v.shape[:-1] + (mp.e_space.dim,) * 2
+            assert np.array_equal(x, -np.swapaxes(x, -1, -2)), part.__name__
+
+
 def test_stacked_product_matches_e_mul(mp):
     gh = sample_e_elements(mp, Rng(9), 10)
-    g, h = gh[0::2], gh[1::2]
+    g, h = take(gh, slice(0, None, 2)), take(gh, slice(1, None, 2))
     prod, inv = e_mul(g, h), e_inv(g)
     assert prod.v.shape == (5, mp.dim_c) and prod.a.matrix.ndim == 3
     coads = coad(g.a)
     for i in range(5):
-        one = e_mul(g[i], h[i])
+        one = e_mul(take(g, i), take(h, i))
         assert np.max(np.abs(prod.v[i] - one.v)) <= 1e-13
         assert np.max(np.abs(prod.a.matrix[i] - one.a.matrix)) <= 1e-13
-        assert np.max(np.abs(inv.v[i] - e_inv(g[i]).v)) <= 1e-13
-        assert np.max(np.abs(coads[i] - coad(g.a[i]))) <= 1e-13
+        assert np.max(np.abs(inv.v[i] - e_inv(take(g, i)).v)) <= 1e-13
+        assert np.max(np.abs(coads[i] - coad(take(g.a, i)))) <= 1e-13
 
 
 def test_single_element_is_a_stack_without_its_axis(mp):
@@ -232,7 +239,7 @@ def test_single_element_is_a_stack_without_its_axis(mp):
     assert isinstance(mp.invariance_residual(g.a), float)
     one = sample_e_elements(mp, Rng(10), 1)
     assert np.array_equal(adE(one)[0], adE(g))
-    assert np.array_equal(eta(mp, one).coeffs[0], eta(mp, g).coeffs)
+    assert np.array_equal(eta(mp, one)[0], eta(mp, g))
 
 
 # -- the sampled checks against per-sample loops ------------------------------------
@@ -362,9 +369,9 @@ def test_cocycle_witness_reproduces_the_residual(mp):
     assert details["worst_sample"] == int(np.argmax(ref))
     g = e_element_from_json_dict(mp, details["g"])
     h = e_element_from_json_dict(mp, details["h"])
-    lhs = eta(mp, e_mul(g, h), eta_b_sign=-1.0).coeffs
-    pushed = adE(g) @ eta(mp, h, eta_b_sign=-1.0).coeffs @ adE(g).T
-    diff = np.abs(lhs - eta(mp, g, eta_b_sign=-1.0).coeffs - pushed)
+    lhs = eta(mp, e_mul(g, h), eta_b_sign=-1.0)
+    pushed = adE(g) @ eta(mp, h, eta_b_sign=-1.0) @ adE(g).T
+    diff = np.abs(lhs - eta(mp, g, eta_b_sign=-1.0) - pushed)
     assert details["worst_part"] == "^".join(
         mp.e_space.labels[i] for i in np.unravel_index(np.argmax(diff), diff.shape))
 
@@ -472,9 +479,8 @@ def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 1.0
     assert a.action_on_c is a.action_on_c
-    # a slice starts without it, and computes its own
-    part = a[2:5]
-    assert "coad_b0" not in vars(part) and part._ad is None
+    # a sub-stack made from the matrices computes its own, bit for bit
+    part = GroupElement(mp, a.matrix[2:5])
     assert np.array_equal(part.coad_b0, k_mat[2:5])
 
 

@@ -187,21 +187,23 @@ def test_r_matrix_routes(e11, e21):
         assert rm["difference"] <= 1e-9
         assert rm["relative_sign"] == 1.0
         assert rm["k_wedge_k0_block_residual"] <= 1e-12
+        for route in (rm["route_a"], rm["route_b"]):
+            assert np.array_equal(route, -np.swapaxes(route, -1, -2))
 
 
 def test_r_matrix_planar_is_j_wedge_p2(e11):
     rm = r_matrix(e11)
     expect = np.zeros((3, 3))
     expect[2, 1], expect[1, 2] = 1.0, -1.0   # J ^ psi_2 exactly
-    assert np.max(np.abs(rm["route_b"].coeffs - expect)) <= 1e-12
-    assert np.max(np.abs(rm["route_a"].coeffs - expect)) <= 1e-12
+    assert np.max(np.abs(rm["route_b"] - expect)) <= 1e-12
+    assert np.max(np.abs(rm["route_a"] - expect)) <= 1e-12
 
 
 def test_coboundary(e11, e21):
     for entry in (e11, e21):
         rm = r_matrix(entry)
         assert coboundary_worst_at(entry.mp, rm["route_b"])[0] <= 1e-9
-        assert coboundary_worst_at(entry.mp, rm["route_b"], scale=2.0)[0] > 1e-3
+        assert coboundary_worst_at(entry.mp, 2.0 * rm["route_b"])[0] > 1e-3
 
 
 def test_uniqueness_kernel_zero(e11, e21):
@@ -317,7 +319,7 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
 
     built = {name: getattr(e21, name) for name in ENTRY_TABLES}
     rm, gc, gp = built["r_matrix"], built["gc_algebra"], built["gprime_algebra"]
-    tables = (rm["route_a"].coeffs, rm["route_b"].coeffs, built["gprime_half"],
+    tables = (rm["route_a"], rm["route_b"], built["gprime_half"],
               built["gstar_g_pairing"], gc.structure, *gc.realization, gp.structure,
               *gp.realization, *built["model_table"], *built["gstar_cobrackets"])
     before = [t.copy() for t in tables]
@@ -332,7 +334,7 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     for table, copy in zip(tables, before):
         assert np.array_equal(table, copy)
     fresh = r_matrix(e21)
-    assert np.array_equal(rm["route_b"].coeffs, fresh["route_b"].coeffs)
+    assert np.array_equal(rm["route_b"], fresh["route_b"])
     assert rm["difference"] == fresh["difference"]
     assert np.array_equal(built["gprime_half"], np.array(gprime_half(e21)))
     assert np.array_equal(gc.structure, build_gc_algebra(e21).structure)

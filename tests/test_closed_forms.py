@@ -17,16 +17,16 @@ from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, _compo
 from poissonlie import bialgebra, lie
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, _jacobi_dense,
-                            _jacobi_sparse, commutators, from_realization, jacobi_worst_at,
+                            _jacobi_sparse, from_realization, jacobi_worst_at,
                             meet_runs, snap_dyadic, structure_in_basis, takes_sparse_path,
                             trace_gram)
 from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
-from poissonlie.linalg import Bivector
 from poissonlie.manin import (cobracket_on_gstar, cprime_residual, deform_bracket,
                               g_structure_in_model_basis, gc_compact_half, gerstenhaber_d,
                               gprime_half, schouten_square)
 from poissonlie.matched import MatchedPair
+from references import commutators
 
 PAIRS = ["su21", "su31"]
 
@@ -40,9 +40,10 @@ def _rng(entry):
     return np.random.default_rng(entry.g.dim)
 
 
-def _dense_bivector(entry) -> Bivector:
+def _dense_bivector(entry) -> np.ndarray:
     n = entry.gstar.dim
-    return Bivector(entry.gstar.space, _rng(entry).standard_normal((n, n)))
+    s = _rng(entry).standard_normal((n, n))
+    return 0.5 * (s - s.T)
 
 
 def _dense_cobracket(entry, seed: int) -> np.ndarray:
@@ -60,18 +61,17 @@ def _close(got, want):
 # -- index-loop references -------------------------------------------------------
 
 
-def schouten_square_loop(alg, s: Bivector) -> np.ndarray:
+def schouten_square_loop(alg, s: np.ndarray) -> np.ndarray:
     """[s, s] term by term, s = sum_{a<b} s_ab a^b, from the decomposable rule
     [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  The
     antisymmetrization is linear, so it is applied once at the end."""
     n = alg.dim
     c = alg.structure
-    sm = s.coeffs
     t = np.zeros((n, n, n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     for a, b in pairs:
         for cc, d in pairs:
-            coef = sm[a, b] * sm[cc, d]
+            coef = s[a, b] * s[cc, d]
             t[:, b, d] += coef * c[a, cc]
             t[:, b, cc] -= coef * c[a, d]
             t[:, a, d] -= coef * c[b, cc]
@@ -79,7 +79,7 @@ def schouten_square_loop(alg, s: Bivector) -> np.ndarray:
     return _alt3(t)
 
 
-def gerstenhaber_d_loop(n: int, delta: np.ndarray, s: Bivector) -> np.ndarray:
+def gerstenhaber_d_loop(n: int, delta: np.ndarray, s: np.ndarray) -> np.ndarray:
     """d s = sum_ab (1/2) s_ab (delta(a)^b - delta(b)^a), one basis pair at a time."""
     def wedge2_1(c, w):
         t = np.einsum("pq,r->pqr", c, w)
@@ -89,8 +89,7 @@ def gerstenhaber_d_loop(n: int, delta: np.ndarray, s: Bivector) -> np.ndarray:
     out = np.zeros((n, n, n))
     for a in range(n):
         for b in range(n):
-            out += 0.5 * s.coeffs[a, b] * (wedge2_1(delta[a], eye[b])
-                                           - wedge2_1(delta[b], eye[a]))
+            out += 0.5 * s[a, b] * (wedge2_1(delta[a], eye[b]) - wedge2_1(delta[b], eye[a]))
     return out
 
 
