@@ -317,8 +317,9 @@ def restricted_singular_values(mp: MatchedPair, basis: np.ndarray,
     commutes with the action, so the candidates (t + t^T)/sqrt 2 have the
     symmetric images (X + X^T)/sqrt 2 and (t - t^T)/sqrt 2 the antisymmetric
     ones.  Each block is read in the coordinates (S_ii, sqrt 2 S_ij for
-    i < j) of its images, which keep the Frobenius norm; it keeps its nonzero
-    rows and takes one SVD, and a block with none gives no values."""
+    i < j) of its images, which keep the Frobenius norm, and takes one SVD per
+    component of the candidates linked by a shared equation (`_components`),
+    plus the zeros that one SVD of the whole block would list."""
     e = mp.e_algebra
     k, n = mp.dim_c, e.dim
 
@@ -327,22 +328,23 @@ def restricted_singular_values(mp: MatchedPair, basis: np.ndarray,
         i, j = np.triu_indices(x.shape[-1])
         return (x[:, i, j] + sign * x[:, j, i]) * np.where(i == j, np.sqrt(0.5), 1.0)
 
-    blocks = ([], [])
+    blocks = ([], [])     # each block's equations, in parts, over the candidates
     for x in uniqueness_generators(n):
         ad = e.ad_matrix_coords(x)
         if drop_b0_rows:
             ad[:k, :] = 0.0
             ad[:, :k] = 0.0
         x00 = basis @ ad[:k, k:].T
-        x01 = (ad[:k, :k] @ basis + basis @ ad[k:, k:].T).reshape(len(basis), -1)
+        x01 = (ad[:k, :k] @ basis + basis @ ad[k:, k:].T).reshape(len(basis), -1).T
         for block, sign in zip(blocks, (1.0, -1.0)):
-            rows = np.hstack([upper(x00, sign), x01]).T
-            block.append(rows[(rows != 0).any(axis=1)])
-    svals = [np.zeros(0)]
+            block += [upper(x00, sign).T, x01]
+    svals = []
     for block in blocks:
-        rows = np.vstack(block)
-        if len(rows):
-            svals.append(np.linalg.svd(rows, compute_uv=False))
+        nz = [(rows != 0).astype(np.float32) for rows in block]
+        pieces = [np.vstack([rows[z[:, cols].any(1)][:, cols] for rows, z in zip(block, nz)])
+                  for comps in _components(sum(z.T @ z for z in nz)).values() for cols in comps]
+        found = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in pieces]))[::-1]
+        svals += [found, np.zeros(min(sum(map(len, pieces)), len(basis)) - len(found))]
     return np.concatenate(svals)
 
 

@@ -21,13 +21,13 @@ stacks are rebuilt.  The product of two monomials is a block shifted by the
 left t_a power and the right mode; `mono_pairs` reads it for the one product
 of elements and tensors, and the semiclassical sweep reads both orders of
 every monomial pair from the same stacks.  The sweep takes one step per
-unordered pair of (t_a, t_2)-power classes: it slices the class pair's two
-stacks to its modes and forms AB - BA for every mode pair as their outer
-difference, as dense arrays with NaN-propagating maxima.  A step holds at
-most (2 maxmode + 1)^2 (maxdeg + 1)^2 (2 w maxdeg + 1) complex numbers, w the
-anchor's mode reach: 1.15 MB on the (4, 6) grid of the circle pair (w = 2),
-next to 1.0 MB of block stacks and 0.23 MB of push stacks; the whole (4, 6)
-sweep peaks at 4.1 MB under tracemalloc.
+unordered pair of (t_a, t_2)-power classes over all its mode pairs, as dense
+arrays with NaN-propagating maxima: AB - BA on the two cells of degree
+d_A + d_B - 1, and on the O(h) tail only where both degrees are at most 1.  A
+step's arrays hold at most 3 (2 maxmode + 1)^2 (2 w maxdeg + 1) complex
+numbers, w the anchor's mode reach: 92 KB on the (4, 6) grid of the circle
+pair (w = 2), where a step peaks at 0.29 MB next to 1.0 MB of block stacks and
+0.23 MB of push stacks, and the sweep at 3.6 MB (2.3 MB on built stacks).
 
 Conventions recorded in the report: the self-adjointness factor i of the
 unbounded-multiplier picture is dropped, so [t_y, f] = X'_y(f) matches the
@@ -241,59 +241,52 @@ class CrossedAlgebra:
 
 def _class_pair_residuals(alg: CrossedAlgebra, xprime: np.ndarray, left: tuple[int, int],
                           right: tuple[int, int], na: np.ndarray,
-                          nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading-order residual and sub-leading mass of the pairs
-    A = t_a^ma t_2^ka e^{i n_A phi}, B = t_a^mb t_2^kb e^{i n_B phi} with
-    n_A = na[i] - maxmode and n_B = nb[i] - maxmode, for every i.
-
-    Each order of product is a slice of one block stack over the modes of its
-    left factor, AB from core(ka, n_A, mb, kb) and BA from core(kb, n_B, ma, ka),
-    and [A, B] = AB - BA is their difference at each given (n_A, n_B).  The
-    frame's cell (u, v) is the monomial t_a^{min m + u} t_2^{min k + v}
-    e^{i(n_A + n_B + r) phi}; {A, B} is subtracted in its top degree
-    ma + ka + mb + kb - 1, and the rest is the O(h) tail."""
+                          nb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Leading-order residual of the pairs A = t_a^ma t_2^ka e^{i n_A phi},
+    B = t_a^mb t_2^kb e^{i n_B phi} for n_A = na[i] - maxmode, n_B = nb[i] -
+    maxmode, and their sub-leading mass if both degrees are at most 1 (else
+    None).  AB is read from the stack core(ka, n_A, mb, kb) and BA from
+    core(kb, n_B, ma, ka) at the cells (P, Q), the monomials t_a^P t_2^Q
+    e^{i(n_A + n_B + r) phi}; {A, B} is subtracted on the top-degree cells
+    (ma + mb - 1, ka + kb) and (ma + mb, ka + kb - 1)."""
     (ma, ka), (mb, kb) = left, right
-    modes, width = xprime.shape[1:]
-    span, w = width // 2, alg._w
-    m_lo, k_lo, m_hi, k_hi = min(ma, mb), min(ka, kb), max(ma, mb), max(ka, kb)
-    maxmode = modes // 2
-
-    def products(m: int, k: int, m2: int, k2: int) -> np.ndarray:
-        """t_a^m t_2^k e^{iq phi} times t_a^{m2} t_2^{k2}, for every mode q."""
-        out = np.zeros((modes, m_hi + 1, k_hi + 1, width), dtype=complex)
+    modes, w = xprime.shape[2], alg._w
+    # no product or X' reaches further than `span` modes from n_A + n_B
+    span = w * max(ma + ka, mb + kb)
+    # with both degrees at most 1 the O(h) tail is the leading cell alone
+    exact = ma + ka <= 1 and mb + kb <= 1
+    cells = [(ma + mb - 1, ka + kb), (ma + mb, ka + kb - 1)] + [(ma + mb, ka + kb)] * exact
+    # AB then BA over (cell, mode - n_A - n_B, left factor's mode); a cell
+    # outside a product receives zeros
+    sides = np.zeros((2, len(cells), 2 * span + 1, modes), dtype=complex)
+    for side, (m, k, m2, k2) in enumerate(((ma, ka, mb, kb), (mb, kb, ma, ka))):
+        stack = alg._block_stack(k, m2, k2, modes // 2)
         pad = span - w * (m2 + k2)
-        out[:, m - m_lo:m - m_lo + m2 + 1, k - k_lo:k - k_lo + k2 + 1, pad:width - pad] = \
-            alg._block_stack(k, m2, k2, maxmode)
-        return out
-
-    comm = products(ma, ka, mb, kb)[na] - products(mb, kb, ma, ka)[nb]
+        for at, (cm, ck) in enumerate(cells):
+            if 0 <= cm - m <= m2 and 0 <= ck - k <= k2:
+                sides[side, at, pad:2 * span + 1 - pad] = stack[:, cm - m, ck - k].T
+    comm = sides[0][..., na] - sides[1][..., nb]
     # {y_a, y_2} = lam y_2, then {y, f} = X'_y f of B's mode, then of A's, the
-    # order in which the bracket's biderivation adds them; over (n_A, n_B)
-    bracket = np.zeros(width, dtype=complex)
-    bracket[span] = alg.lam * (ma * kb - ka * mb)
-    want_a = (bracket + ma * xprime[0])[None, :] - (mb * xprime[0])[:, None]
-    want_2 = (ka * xprime[1])[None, :] - (kb * xprime[1])[:, None]
-    for want in (want_a, want_2):
-        want[np.abs(want) <= _EPS] = 0.0
-    # a clipped cell receives zeros: with no t_a (t_2) there is no y_a (y_2) term
-    comm[:, max(m_hi - 1, 0), k_hi] -= want_a[na, nb]
-    comm[:, m_hi, max(k_hi - 1, 0)] -= want_2[na, nb]
-    mag = np.abs(comm).max(axis=3)
-    top = np.add.outer(np.arange(m_hi + 1), np.arange(k_hi + 1)) == m_hi + k_hi - 1
-    return np.where(top, mag, 0.0).max(axis=(1, 2)), np.where(top, 0.0, mag).max(axis=(1, 2))
+    # order in which the bracket's biderivation adds them; within w modes
+    scaled = np.array([[ma, ka], [mb, kb]])[:, :, None, None] * xprime
+    scaled[0, 0, w] += alg.lam * (ma * kb - ka * mb)
+    want = scaled[0][..., nb] - scaled[1][..., na]
+    want[np.abs(want) <= _EPS] = 0.0
+    comm[:2, span - w:span + w + 1] -= want
+    return np.abs(comm[:2]).max(axis=(0, 1)), np.abs(comm[2]).max(axis=0) if exact else None
 
 
 def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every monomial pair (A, B) up to the degree and mode bounds, with its
-    (leading-order residual, sub-leading mass): arrays a_keys, b_keys, lead, tail
-    in sweep order.
+    """Every monomial pair (A, B) up to the degree and mode bounds with its
+    leading-order residual, arrays a_keys, b_keys and lead in sweep order, and
+    tail, the sub-leading mass of the pairs of degrees at most 1 in order.
 
     The commutator of the plain quantizations, regraded in quantization units,
     must reproduce the Poisson bracket in its top degree; everything below is
-    the O(h) tail (h^{d_top - d} per monomial of degree d).  [B, A] = -[A, B],
-    so unordered pairs suffice.  The sweep takes one step per unordered pair
-    of (t_a, t_2)-power classes, over all their mode pairs at once
+    the O(h) tail (h^{d_top - d} per monomial of degree d), formed only where
+    a verdict reads it.  [B, A] = -[A, B], so unordered pairs suffice.  The
+    sweep takes one step per unordered pair of (t_a, t_2)-power classes
     (`_class_pair_residuals`), so its memory is bounded by the grid's degree
     and mode range, not by its number of pairs."""
     if maxdeg < 1 or maxmode < 0:
@@ -304,24 +297,27 @@ def semiclassical_residuals(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> t
     degree = monos[:, 0] + monos[:, 1]
     ia, ib = np.triu_indices(len(monos))
     keep = degree[ia] + degree[ib] >= 1
-    # X'_y(e^{iq phi}) for y = a, 2 on the sweep's mode window
-    span = alg._w * maxdeg
-    xprime = np.zeros((2, modes, 2 * span + 1), dtype=complex)
+    # X'_y(e^{iq phi}) for y = a, 2 over (y, mode - q, q + maxmode)
+    w = alg._w
+    xprime = np.zeros((2, 2 * w + 1, modes), dtype=complex)
     for gen in range(2):
         for q in range(-maxmode, maxmode + 1):
             for mode, c in alg.xprime_mode(gen, q).items():
-                xprime[gen, q + maxmode, mode - q + span] = c
-    # lead and tail of monomial pair (i, j), i <= j, at [i, j]
-    lead, tail = np.zeros((2,) + (len(monos),) * 2)
+                xprime[gen, mode - q + w, q + maxmode] = c
+    # lead and tail of monomial pair (i, j), i <= j, at [i, j]; NaN marks a
+    # tail not formed
+    lead, tail = np.zeros((len(monos),) * 2), np.full((len(monos),) * 2, np.nan)
     all_pairs = np.indices((modes, modes)).reshape(2, -1)
     for ca, cb in zip(*np.triu_indices(len(classes))):
         if sum(classes[ca]) + sum(classes[cb]) == 0:
             continue
         na, nb = np.triu_indices(modes) if ca == cb else all_pairs
         at = (ca * modes + na, cb * modes + nb)
-        lead[at], tail[at] = _class_pair_residuals(alg, xprime, classes[ca], classes[cb],
-                                                   na, nb)
-    return monos[ia[keep]], monos[ib[keep]], lead[ia[keep], ib[keep]], tail[ia[keep], ib[keep]]
+        lead[at], pair_tail = _class_pair_residuals(alg, xprime, classes[ca], classes[cb], na, nb)
+        if pair_tail is not None:
+            tail[at] = pair_tail
+    exact = keep & (degree[ia] <= 1) & (degree[ib] <= 1)
+    return monos[ia[keep]], monos[ib[keep]], lead[ia[keep], ib[keep]], tail[ia[exact], ib[exact]]
 
 
 def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> dict:
@@ -329,8 +325,9 @@ def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> dict
 
     Reports the leading-order (h^0 in quantization units) coefficient of
     [Q_h A, Q_h B]/h - Q_h({A, B}) over every pair, which must vanish, with
-    the pair where it is largest, and all orders for the linear x linear and
-    linear x function pairs, which must vanish exactly."""
+    the first pair where it is largest, and all orders for the linear x
+    linear and linear x function pairs, which must vanish exactly: the only
+    pairs whose O(h) tail the sweep forms."""
     a, b, lead, tail = semiclassical_residuals(alg, maxdeg, maxmode)
     worst_lead, at = worst_at(lead)
     exact = (a[:, 0] + a[:, 1] <= 1) & (b[:, 0] + b[:, 1] <= 1)
@@ -339,7 +336,7 @@ def verify_semiclassical(alg: CrossedAlgebra, maxdeg: int, maxmode: int) -> dict
         "modes": maxmode,
         "pairs": len(a),
         "max_h0_residual": worst_lead,
-        "max_exact_case_residual": float(np.max(np.concatenate((lead[exact], tail[exact])),
+        "max_exact_case_residual": float(np.max(np.concatenate((lead[exact], tail)),
                                                 initial=0.0)),
         "worst_pair": [a[at].tolist(), b[at].tolist()],
     }

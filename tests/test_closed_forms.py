@@ -564,6 +564,18 @@ def test_the_certificate_allocates_no_dense_equations(drop_b0_rows):
     assert peak < (0.3 if drop_b0_rows else 0.02) * n * n * 2 * half * 8
 
 
+def test_the_knob_takes_one_svd_per_component():
+    # under the knob, candidates of different b0 rows share no equation: at
+    # p = 8 the check with one SVD of each block's 128 candidates peaked at
+    # 9.76 MB (numpy 2.4.6), with one SVD per component at 6.7 MB
+    entry = supq1(8)
+    mp = entry.mp
+    mp.e_algebra                        # built before the trace
+    rep, peak = _peak_bytes(lambda: check_r_uniqueness(mp, entry.torus, drop_b0_rows=True))
+    assert rep["kernel_dim"] == 32 and rep["torus_kernel_dim"] == 256
+    assert peak < 8.0e6
+
+
 def test_components_group_by_size():
     # a 2-cycle, a path of three read through a[j, i] only, and an isolated index
     a = np.zeros((6, 6))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass, field
 from math import comb
 
@@ -309,6 +310,8 @@ def test_semiclassical_quadratic_has_tail(alg):
 
 @pytest.mark.parametrize("correction, maxdeg, maxmode", [(1.0, 4, 6), (0.0, 2, 2)])
 def test_sweep_matches_per_pair_reference(correction, maxdeg, maxmode):
+    # lead on every pair; the tail, formed on the exact cases (both degrees at
+    # most 1) only, on each of them, one entry per exact pair in sweep order
     alg_ = CrossedAlgebra(su11().mp, reorder_correction=correction)
     a, b, lead, tail = semiclassical_residuals(alg_, maxdeg, maxmode)
     keys = [(m, k, n) for m in range(maxdeg + 1) for k in range(maxdeg + 1 - m)
@@ -316,10 +319,13 @@ def test_sweep_matches_per_pair_reference(correction, maxdeg, maxmode):
     pairs = [(ka, kb) for i, ka in enumerate(keys) for kb in keys[i:]
              if ka[0] + ka[1] + kb[0] + kb[1] >= 1]
     assert [(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())] == pairs
+    exact = [(ka, kb) for ka, kb in pairs if ka[0] + ka[1] <= 1 and kb[0] + kb[1] <= 1]
+    assert len(tail) == len(exact) == (2 * maxmode + 1) * (8 * maxmode + 5)
     for i, (ka, kb) in enumerate(pairs):
-        ref_lead, ref_tail = reference_pair_residuals(alg_, ka, kb)
-        assert lead[i] == ref_lead, (ka, kb)
-        assert abs(tail[i] - ref_tail) <= 1e-13 * max(ref_tail, 1.0), (ka, kb)
+        assert lead[i] == reference_pair_residuals(alg_, ka, kb)[0], (ka, kb)
+    for got, (ka, kb) in zip(tail, exact):
+        ref_tail = reference_pair_residuals(alg_, ka, kb)[1]
+        assert abs(got - ref_tail) <= 1e-13 * max(ref_tail, 1.0), (ka, kb)
 
 
 @pytest.mark.parametrize("correction", [1.0, 0.0])
@@ -335,12 +341,15 @@ def test_class_pair_residuals_do_not_depend_on_the_pairs_asked(monkeypatch, corr
 
     def compared(alg_, xprime, left, right, na, nb):
         lead, tail = real(alg_, xprime, left, right, na, nb)
-        modes = xprime.shape[1]
+        modes = xprime.shape[2]
         full_a, full_b = np.indices((modes, modes)).reshape(2, -1)
         full_lead, full_tail = real(alg_, xprime, left, right, full_a, full_b)
         at = na * modes + nb
         assert full_lead[at].tobytes() == lead.tobytes(), (left, right)
-        assert full_tail[at].tobytes() == tail.tobytes(), (left, right)
+        # a tail is formed exactly when both degrees are at most 1
+        assert (tail is None) == (full_tail is None) == (sum(left) > 1 or sum(right) > 1)
+        if tail is not None:
+            assert full_tail[at].tobytes() == tail.tobytes(), (left, right)
         if left == right:
             diagonal.append(len(na) == modes * (modes + 1) // 2)
         return lead, tail
@@ -349,6 +358,93 @@ def test_class_pair_residuals_do_not_depend_on_the_pairs_asked(monkeypatch, corr
     semiclassical_residuals(CrossedAlgebra(su11().mp, reorder_correction=correction),
                             maxdeg, maxmode)
     assert len(diagonal) == (maxdeg + 1) * (maxdeg + 2) // 2 - 1 and all(diagonal)
+
+
+def _swept_with(monkeypatch, stack, entry, maxdeg=2, maxmode=2, delta=0.5):
+    """The sweep and its report on su11's (maxdeg, maxmode) grid, with `delta`
+    added to one entry (row q + maxmode, t_a index, t_2 index, relative mode)
+    of the block stack core(k1, q, m2, k2), stack = (k1, m2, k2)."""
+    real = CrossedAlgebra._block_stack
+
+    def perturbed(self, k1, m2, k2, window):
+        out = real(self, k1, m2, k2, window)
+        if (k1, m2, k2) == stack:
+            out = out.copy()
+            out[entry] += delta
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CrossedAlgebra, "_block_stack", perturbed)
+        swept = semiclassical_residuals(CrossedAlgebra(su11().mp), maxdeg, maxmode)
+        rep = verify_semiclassical(CrossedAlgebra(su11().mp), maxdeg, maxmode)
+    return swept, rep
+
+
+def _keys_in(keys, cls, mode=None):
+    """Which rows of a key array are of the (t_a, t_2)-power class, and at the
+    mode if one is given."""
+    at = (keys[:, :2] == cls).all(axis=1)
+    return at if mode is None else at & (keys[:, 2] == mode)
+
+
+def test_a_top_degree_entry_moves_the_lead_of_its_class_pair_only(monkeypatch):
+    # on the (2, 2) grid the stack core(2, q, 1, 1), t_2^2 e^{iq phi} t_a t_2,
+    # is read by the class pair (t_2^2, t_a t_2) of degree 4 alone; its cells
+    # (0, 1) and (1, 0) are of the top degree 3, and row q is read by the
+    # mode pairs with n_A = q
+    a, b, lead, tail = semiclassical_residuals(CrossedAlgebra(su11().mp), 2, 2)
+    for cell in ((0, 1), (1, 0)):
+        for row in range(5):
+            for r in (0, 4, 8):
+                (_, _, got, got_tail), _ = _swept_with(monkeypatch, (2, 1, 1), (row, *cell, r))
+                want = _keys_in(a, (0, 2), row - 2) & _keys_in(b, (1, 1))
+                assert np.array_equal(got != lead, want), (cell, row, r)
+                assert np.all(got[want] == 0.5) and got_tail.tobytes() == tail.tobytes()
+
+
+def test_an_entry_below_the_top_degree_leaves_every_lead_alone(monkeypatch):
+    # the same stack's cell (0, 0) is of degree 2, below the top degree 3 of
+    # its only class pair, which is not an exact case; (1, 1) is its leading
+    # term, of degree 4: the sweep reads neither
+    swept = semiclassical_residuals(CrossedAlgebra(su11().mp), 2, 2)
+    for cell in ((0, 0), (1, 1)):
+        for row in range(5):
+            got, _ = _swept_with(monkeypatch, (2, 1, 1), (row, *cell, 4))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, swept)), (cell, row)
+
+
+def test_an_exact_case_entry_off_the_top_degree_moves_its_tail(monkeypatch):
+    # the stack core(1, q, 1, 0), t_2 e^{iq phi} t_a, is read by the exact
+    # case (t_2, t_a) and by (t_a, t_a t_2); its cell (1, 0), the leading term
+    # t_a t_2, is of top degree for neither: it moves the exact case's tail
+    # and exact_cases, and no lead
+    a, b, lead, tail = semiclassical_residuals(CrossedAlgebra(su11().mp), 2, 2)
+    exact = (a[:, 0] + a[:, 1] <= 1) & (b[:, 0] + b[:, 1] <= 1)
+    for row in range(5):
+        (_, _, got, got_tail), rep = _swept_with(monkeypatch, (1, 1, 0), (row, 1, 0, 2))
+        assert got.tobytes() == lead.tobytes(), row
+        want = _keys_in(a, (0, 1), row - 2) & _keys_in(b, (1, 0))
+        assert np.array_equal(got_tail != tail, want[exact]), row
+        assert np.all(got_tail[want[exact]] == 0.5)
+        assert rep["max_exact_case_residual"] == 0.5 and rep["max_h0_residual"] <= 1e-12
+
+
+#: bound in bytes on the tracemalloc peak of the (4, 6) sweep on a fresh
+#: circle algebra (numpy 2.4.6): a sweep that forms every cell of each class
+#: pair's frame peaked at 4.61 MB, one that forms only the cells it reads at
+#: 3.61 MB
+FULL_FRAME_PEAK = 4.41e6
+
+
+def test_the_sweep_forms_only_the_cells_it_reads():
+    alg_ = CrossedAlgebra(su11().mp)    # its stacks are built inside the trace
+    tracemalloc.start()
+    try:
+        semiclassical_residuals(alg_, 4, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FULL_FRAME_PEAK
 
 
 def test_verify_semiclassical_small(alg):
