@@ -119,8 +119,8 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
 def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
     def check_block(start, a, b):
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
-            # P_c Ad(a^{-1}) on c, from the columns Ad(a^{-1}) y_i that coad_b0 reads
-            flipped = mp._Psi.T @ a.ad_inverse_y
+            # P_c Ad(a^{-1}) on c: the c-rows of the columns Ad(a^{-1}) y_i that coad_b0 reads
+            flipped = np.ascontiguousarray(a.ad_inverse_y[:, mp.dim_b:])
             prod = a.coad_b0 @ np.swapaxes(flipped, 1, 2)
             inv = np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2))
         else:
@@ -168,7 +168,11 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
         delta[np.argmax(np.abs(delta).max(axis=(1, 2)) > tol.algebraic)] *= -1.0
     co_jacobi, triple = bi.co_jacobi_worst_at(delta)
     cocycle, pair = bi.cocycle_1_worst_at(mp, delta)
-    return {"residuals": {"co_jacobi_residual": co_jacobi, "cocycle_residual": cocycle},
+    # e and delta are blocks of the adapted table snapped to its grid, so
+    # both residuals carry the snap distance
+    snap = mp.adapted_snap
+    return {"residuals": {"co_jacobi_residual": worst(co_jacobi, snap),
+                          "cocycle_residual": worst(cocycle, snap)},
             "details": {"co_jacobi_worst_triple": list(triple),
                         "cocycle_worst_pair": list(pair)}}
 
@@ -421,15 +425,12 @@ def conventions_report(entry: CatalogEntry, rng: Rng) -> list[dict]:
 
 def _xtilde_table_residual(entry) -> float:
     """Check ytilde(v, a) = <v, Ad_{a^{-1}} y> reproduces the displayed planar table."""
-    mp = entry.mp
     out = 0.0
     phis = np.array([0.3, 1.1, 2.5])
-    for phi, ad in zip(phis, exp_b(mp, np.array([1.0]), -phis).ad):
-        vals = {}
-        for (vi, name_v) in ((0, "P1"), (1, "P2")):
-            w = mp.b0_to_gstar(np.eye(2)[vi])
-            vals[("a", name_v)] = float(w @ (ad @ mp.y_basis[0]))
-            vals[("2", name_v)] = float(w @ (ad @ mp.y_basis[1]))
+    for phi, c_mat in zip(phis, exp_b(entry.mp, np.array([1.0]), -phis).action_on_c):
+        # <psi^v, Ad_{a^{-1}} y_i> is entry (v, i) of the action on c
+        vals = {(y, name_v): float(c_mat[vi, i])
+                for vi, name_v in ((0, "P1"), (1, "P2")) for i, y in ((0, "a"), (1, "2"))}
         expect = {("a", "P1"): np.cos(2 * phi), ("a", "P2"): np.sin(2 * phi),
                   ("2", "P1"): -np.sin(2 * phi), ("2", "P2"): np.cos(2 * phi)}
         out = worst(out, *(abs(vals[k] - expect[k]) for k in expect))

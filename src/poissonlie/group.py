@@ -21,13 +21,17 @@ and the finite-difference oracle for its adjoint are test references
 (`tests/references.py`).
 
 A `GroupElement` owns its per-element tables, each built for the whole stack on
-first use and read-only: `ad`, Ad(a) on g-coordinates; `ad_inverse_y`, the
-columns Ad(a^{-1}) y_i; and `coad_b0` and `action_on_c`, the blocks of Ad*(a)
-on b0 and of Ad(a) on c, which eta, adE, e_mul and the invariance residual
-read.  Ad of a stack is one row-major pass (`_adjoint`) over chunks of the
-stack, with the same bits as one chunk.  Each element has one validated
-pass, Ad(a) over all n basis matrices, with its residual and b-leak.
-Ad*(a) = Ad(a^{-1})^T restricted to b0 reads only the k columns of
+first use and read-only: `ad`, Ad(a) in the pair's adapted basis (x_1..x_m,
+y_1..y_k); `ad_inverse_y`, the columns Ad(a^{-1}) y_i in that basis; and
+`coad_b0` and `action_on_c`, the blocks of Ad*(a) on b0 and of Ad(a) on c,
+which eta, adE, e_mul and the invariance residual read.  In the adapted basis
+every table the checks read is a block: the b-leak is ad[m:, :m], the action
+on c ad[m:, m:], the anchor ad[:m, m:], and Ad*(a) = Ad(a^{-1})^T on b0 the
+transpose of ad_inverse_y[m:].  Ad of a stack is one row-major pass
+(`_adjoint`) over chunks of the stack against the pair's re-expansion in the
+adapted basis (`MatchedPair.adapted_solver`), with the same bits as one chunk.
+Each element has one validated pass, Ad(a) over all n basis matrices, with
+its residual and b-leak.  Ad*(a) on b0 reads only the k columns of
 Ad(a^{-1}) along the y_i, so `ad_inverse_y` is a second pass over a^{-1}
 that conjugates the k realized y_i alone and validates nothing: it reads
 `ad` first, and a^{-1} is in B exactly when a is.  The element inverts its
@@ -101,7 +105,7 @@ class GroupElement:
 
     @property
     def ad(self) -> np.ndarray:
-        """Ad(a) on g-coordinates, (n, n) or (count, n, n), validated by
+        """Ad(a) in the adapted basis, (n, n) or (count, n, n), validated by
         `_adjoint`."""
         if self._ad is None:
             self._ad = _adjoint(self.pair, self.matrix, self._inverse())
@@ -109,24 +113,27 @@ class GroupElement:
 
     @cached_property
     def ad_inverse_y(self) -> np.ndarray:
-        """Ad(a^{-1}) Y: the columns Ad(a^{-1}) y_i in g-coordinates, (n, k)
-        or (count, n, k), from a pass over the k realized y_i alone, which
+        """The columns Ad(a^{-1}) y_i in the adapted basis, (n, k) or
+        (count, n, k), from a pass over the k realized y_i alone, which
         validates nothing.  It reads `ad` first, which validates a; a^{-1}
         is in B exactly when a is."""
         self.ad
-        return _adjoint(self.pair, self._inverse(), self.matrix, columns=self.pair.y_matrices)
+        mp = self.pair
+        return _adjoint(mp, self._inverse(), self.matrix,
+                        columns=mp.adapted_solver.stack[mp.dim_b:])
 
     @cached_property
     def coad_b0(self) -> np.ndarray:
-        """Ad*_a = Ad(a^{-1})^T restricted to b0, in the psi-basis:
-        (Ad(a^{-1}) Y)^T Psi, from `ad_inverse_y`."""
-        return _read_only(np.swapaxes(self.ad_inverse_y, -1, -2) @ self.pair._Psi)
+        """Ad*_a = Ad(a^{-1})^T restricted to b0, in the psi-basis: the
+        transpose of the c-rows of `ad_inverse_y`."""
+        m = self.pair.dim_b
+        return _read_only(np.ascontiguousarray(np.swapaxes(self.ad_inverse_y[..., m:, :], -1, -2)))
 
     @cached_property
     def action_on_c(self) -> np.ndarray:
-        """P_c Ad_a restricted to c, in the y-basis."""
-        mp = self.pair
-        return _read_only(mp._Psi.T @ self.ad @ mp._Y)
+        """P_c Ad_a restricted to c, in the y-basis: the c-block of `ad`."""
+        m = self.pair.dim_b
+        return _read_only(np.ascontiguousarray(self.ad[..., m:, m:]))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.pair, self.matrix @ other.matrix)
@@ -161,25 +168,26 @@ def _require(ok: np.ndarray, values: np.ndarray, problem: str, what: str) -> Non
 
 def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
              columns: np.ndarray | None = None) -> np.ndarray:
-    """Ad(a) on g-coordinates of a (d, d) matrix a, or of each matrix of a
-    (count, d, d) stack, as a read-only (n, n) or (count, n, n) array, given
-    the inverses `invs`.
+    """Ad(a) in the pair's adapted basis of a (d, d) matrix a, or of each
+    matrix of a (count, d, d) stack, as a read-only (n, n) or (count, n, n)
+    array, given the inverses `invs`.
 
-    Every element is validated: its conjugation of the realization must stay
-    in the algebra and Ad(a) must preserve b; a NaN matrix fails the first
-    test.  The pass runs over chunks of `_ad_chunk` matrices, and each
-    chunk's conjugated matrices are re-expanded by one least-squares solve;
-    the whole stack is validated after the last chunk, so an offender is
-    named by its index in the stack.
+    Every element is validated: its conjugation of the realized adapted basis
+    must stay in the algebra and Ad(a) must preserve b, that is, its block
+    from b to c must vanish; a NaN matrix fails the first test.  The pass
+    runs over chunks of `_ad_chunk` matrices, and each chunk's conjugated
+    matrices are re-expanded by one least-squares solve
+    (`MatchedPair.adapted_solver`); the whole stack is validated after the
+    last chunk, so an offender is named by its index in the stack.
 
     With `columns`, a (k, d, d) stack of realized elements X_i of g, the
     pass conjugates those alone and gives Ad(a) X, (n, k) or (count, n, k),
     and validates nothing: it forms no residual and no leak, for elements
     whose Ad is validated by a pass of its own."""
-    g = mp.g
+    solver = mp.adapted_solver
     validate = columns is None
-    basis = g._solver.stack if validate else columns
-    d, n, cols = mats.shape[-1], g.dim, len(basis)
+    basis = solver.stack if validate else columns
+    d, n, m, cols = mats.shape[-1], mp.g.dim, mp.dim_b, len(basis)
     lead = mats.shape[:-2]
     count = int(np.prod(lead, dtype=int))
     flat, flat_invs = mats.reshape(-1, d, d), invs.reshape(-1, d, d)
@@ -204,15 +212,14 @@ def _adjoint(mp: MatchedPair, mats: np.ndarray, invs: np.ndarray,
                                     .transpose(0, 2, 4, 1, 3)).reshape(size * cols, 2 * d * d)
         del conjugated
         if validate:
-            coords, resids = g._solver.solve_each(rows)
+            coords, resids = solver.solve_each(rows)
             resid[part] = resids.reshape(size, n).max(axis=1)
         else:
-            coords = g._solver.coords(rows)
+            coords = solver.coords(rows)
         # row (element, j) of the coordinates is column j of the table
         flat_table[part] = np.moveaxis(coords.T.reshape(n, size, cols), 0, 1)
         if validate:
-            # Ad(a) preserves b when the c-rows of T^-1 Ad(a) B vanish
-            leak[part] = np.abs(mp._T_inv[mp.dim_b:] @ flat_table[part] @ mp._B).max(axis=(1, 2))
+            leak[part] = np.abs(flat_table[part, m:, :m]).max(axis=(1, 2))
 
     if validate:
         resid, leak = resid.reshape(lead), leak.reshape(lead)
@@ -274,20 +281,20 @@ def adE(g: EElement) -> np.ndarray:
 
     Block form [[Ad*_a|b0, x -> -ad*(Ad_a x)(v)], [0, Ad_a|b]]; the mixed block
     realizes the conjugated-curve parametrization and is pinned by
-    the finite-difference conjugation oracle.
+    the finite-difference conjugation oracle.  Everything is read in the
+    adapted basis, where v is the covector (0, v).
     """
     mp = g.pair
     k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
     lead = g.v.shape[:-1]
-    k_mat = g.a.coad_b0
-    z = g.a.ad @ mp._B                        # columns Ad_a x_j for the b-basis x_j
-    w = g.v @ mp._Psi.T                       # v in dual coordinates on g
-    # <ad*(z)(w), y> = w([y, z]) = y^T cw z with cw[i, j] = w([e_i, e_j])
-    cw = (w @ mp.g.structure.reshape(n * n, n).T).reshape(lead + (n, n))
+    z = np.ascontiguousarray(g.a.ad[..., :m])     # columns Ad_a x_j
+    w = np.concatenate([np.zeros(lead + (m,)), g.v], axis=-1)
+    # <ad*(z)(w), y_i> = w([y_i, z]) = (cw z)_i with cw[i, q] = w([y_i, e_q])
+    cw = (w @ mp.adapted[m:].reshape(k * n, n).T).reshape(lead + (k, n))
     out = np.zeros(lead + (k + m, k + m))
-    out[..., :k, :k] = k_mat
-    out[..., :k, k:] = -(mp._Y.T @ cw @ z)
-    out[..., k:, k:] = (mp._T_inv @ z)[..., :m, :]
+    out[..., :k, :k] = g.a.coad_b0
+    out[..., :k, k:] = -(cw @ z)
+    out[..., k:, k:] = z[..., :m, :]
     return out
 
 

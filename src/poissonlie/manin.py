@@ -174,7 +174,8 @@ def g_structure_in_model_basis(entry) -> np.ndarray:
     """Structure constants of g in the model basis (phi(psi), b)."""
     phi = phi_identification(entry)
     u_rows = (entry.cartan.parts["p"].T @ phi).T
-    return structure_in_basis(entry.g.structure, np.column_stack([u_rows.T, entry.mp._B]))
+    b_rows = entry.mp.decomp.parts["b"]
+    return structure_in_basis(entry.g.structure, np.column_stack([u_rows.T, b_rows.T]))
 
 
 def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:

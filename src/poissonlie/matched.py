@@ -2,13 +2,15 @@
 trivialized anchor map and the invariance residual.  The group elements own
 their Ad tables (`group.GroupElement`); this module reads them.
 
-The pair owns its tables, each built once on first use and read-only: the
-structure constants of g in the adapted basis (x_1..x_m, y_1..y_k) of b then c
-(`adapted`), and blocks of it: the brackets of c (`c_brackets`), the algebra
-e = b0 x| b (`e_algebra`) and its cobracket (`delta`); and the realized y_i
-(`y_matrices`), which the group elements conjugate for Ad*.  The change of
-basis and its inverse are the decomposition's; the dual basis psi is a row
-block of the inverse."""
+The pair owns the one change of basis, to the adapted basis (x_1..x_m,
+y_1..y_k) of b then c, and everything built on it once and read-only: the
+structure constants of g in that basis (`adapted`), snapped to its grid as
+`lie.from_realization` snaps g's; the algebra e = b0 x| b (`e_algebra`) and
+its cobracket (`delta`), both blocks of it; and, for a realized g, the
+re-expansion in that basis (`adapted_solver`), which the group elements
+conjugate and solve against, so that Ad(a) comes out in the adapted basis and
+every table the checks read is a block of it.  The dual basis psi is a row
+block of the inverse change of basis."""
 
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .lie import LieAlgebra, SubspaceDecomposition, structure_in_basis
+from .lie import (LieAlgebra, MatrixBasisSolver, SubspaceDecomposition, snap_dyadic,
+                  structure_in_basis)
 from .linalg import BasedSpace, finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,6 +38,10 @@ class MatchedPair:
     y_basis: np.ndarray = field(init=False)    # rows: basis of c in g-coordinates
     psi_basis: np.ndarray = field(init=False)  # rows: dual basis in b0 (dual coords)
     adapted: np.ndarray = field(init=False)    # structure constants of g in (x, y), read-only
+    #: distance of the snap that made `adapted` exact (`lie.snap_dyadic`)
+    adapted_snap: float = field(init=False)
+    #: re-expansion of matrices in the realized adapted basis; None without a realization
+    adapted_solver: Optional[MatrixBasisSolver] = field(init=False, repr=False)
     b0_space: BasedSpace = field(init=False)
     e_space: BasedSpace = field(init=False)
 
@@ -48,19 +55,18 @@ class MatchedPair:
             raise ValueError(f"singular pairing matrix (condition number {cond:.3e})")
         self.y_basis = self.decomp.parts["c"]
         m = self.dim_b
-        # cached conversion matrices
-        self._T, self._T_inv = self.decomp.t, self.decomp.t_inv
-        self.psi_basis = self._T_inv[m:]
-        self._Psi = self.psi_basis.T                  # n x k, columns psi^i (dual coords)
-        self._Y = self.y_basis.T                      # n x k, columns y_i
-        self._B = self.decomp.parts["b"].T            # n x m
-        self.adapted = structure_in_basis(self.g.structure, self._T)
+        self.psi_basis = self.decomp.t_inv[m:]
+        self.adapted, self.adapted_snap = snap_dyadic(
+            structure_in_basis(self.g.structure, self.decomp.t))
         self.adapted.setflags(write=False)
         # b and c are subalgebras: [b, b] has no c-part, [c, c] no b-part
         for part, block in (("b", self.adapted[:m, :m, m:]), ("c", self.adapted[m:, m:, :m])):
             res = float(np.max(np.abs(block), initial=0.0))
             if not res <= ALGEBRAIC_TOL:
                 raise ValueError(f"part {part!r} is not a subalgebra (residual {res:.3e})")
+        self.adapted_solver = None
+        if self.g.realization is not None:
+            self.adapted_solver = MatrixBasisSolver(self.g.matrix_of(self.decomp.t.T))
         labels = [f"psi_{i}" for i in range(self.dim_c)]
         # keep catalog-style labels when the y-basis rows are unit vectors
         y_lbl = self._y_labels()
@@ -100,35 +106,15 @@ class MatchedPair:
 
     # -- coordinate conversions ----------------------------------------------
 
-    def b0_to_gstar(self, v: np.ndarray) -> np.ndarray:
-        """b0-coordinates (psi basis) -> dual coordinates on all of g."""
-        return self._Psi @ np.asarray(v, dtype=float)
-
     def b_coords(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of the b-part of x in the b-basis."""
-        return (self._T_inv @ np.asarray(x, dtype=float))[: self.dim_b]
+        return (self.decomp.t_inv @ np.asarray(x, dtype=float))[: self.dim_b]
 
     def b_matrix_of(self, xb: np.ndarray) -> np.ndarray:
         """Realization matrix of a b-part coordinate vector; rows of a stack give a stack."""
-        return self.g.matrix_of(np.asarray(xb, dtype=float) @ self._B.T)
+        return self.g.matrix_of(np.asarray(xb, dtype=float) @ self.decomp.parts["b"])
 
     # -- operations -----------------------------------------------------------
-
-    @cached_property
-    def c_brackets(self) -> np.ndarray:
-        """Brackets [y_i, y_j] in g-coordinates, shape (k, k, n)."""
-        m = self.dim_b
-        out = self.adapted[m:, m:] @ self._T.T
-        out = 0.5 * (out - out.swapaxes(0, 1))   # exactly antisymmetric, zero diagonal
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def y_matrices(self) -> np.ndarray:
-        """The realized y_i, shape (k, d, d), read-only."""
-        out = self.g.matrix_of(self.y_basis)
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def e_algebra(self) -> LieAlgebra:
@@ -156,14 +142,13 @@ class MatchedPair:
         return self.adapted[m:, m:, m:]
 
     def anchor(self, y: np.ndarray, a: "GroupElement") -> np.ndarray:
-        """Right-trivialized anchor value P_b Ad_a y, in b-basis coordinates;
+        """Right-trivialized anchor value P_b Ad_a y for y given by y-basis
+        coordinates, in b-basis coordinates: the block of Ad(a) from c to b;
         one row per element of a stack."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.g.dim,):
-            raise ValueError("y must be given in g-coordinates")
-        if not np.max(np.abs(self.decomp.project("c", y) - y)) <= ALGEBRAIC_TOL:
-            raise ValueError("y is not in the c-part")
-        return (self._T_inv @ (a.ad @ y)[..., None])[..., :self.dim_b, 0]
+        if y.shape != (self.dim_c,):
+            raise ValueError("y must be given in y-basis coordinates")
+        return a.ad[..., :self.dim_b, self.dim_b:] @ y
 
     def invariance_residual(self, a: "GroupElement") -> "float | np.ndarray":
         """Residual of sum_i Ad*_a psi^i (x) P_c Ad_a y_i = sum_i psi^i (x) y_i;

@@ -24,15 +24,18 @@ V_RADIUS = 1.0
 
 def eta0(mp: MatchedPair, g: EElement) -> np.ndarray:
     """(1/2) sum_ij <v, Ad_a [y_i, y_j]> Ad*_a psi^i ^ Ad*_a psi^j, as its
-    coefficient matrix over the e-basis, exactly antisymmetric.
+    coefficient matrix over the e-basis, exactly antisymmetric.  In the
+    adapted basis v is the covector (0, v) and [y_i, y_j] a block of
+    `MatchedPair.adapted`.
 
     For a stack of points `g`, a stack of one matrix per point; only the
     b0 x b0 block is nonzero."""
     k, m = mp.dim_c, mp.dim_b
     lead = g.v.shape[:-1]
     k_mat = g.a.coad_b0
-    u = (g.v @ mp._Psi.T)[..., None, :] @ g.a.ad     # <v, Ad_a e_q> per point
-    val = (u @ mp.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
+    w = np.concatenate([np.zeros(lead + (m,)), g.v], axis=-1)
+    u = w[..., None, :] @ g.a.ad                      # <v, Ad_a e_q> per point
+    val = (u @ mp.adapted[m:, m:].reshape(k * k, -1).T).reshape(lead + (k, k))
     coeffs = np.zeros(lead + (k + m, k + m))
     block = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
     coeffs[..., :k, :k] = 0.5 * (block - np.swapaxes(block, -1, -2))
@@ -44,7 +47,7 @@ def eta_b(mp: MatchedPair, g: EElement) -> np.ndarray:
     only its b0 x b and b x b0 blocks are nonzero."""
     k, m = mp.dim_c, mp.dim_b
     k_mat = g.a.coad_b0
-    z = (mp._T_inv @ g.a.ad @ mp._Y)[..., :m, :]      # columns: b-coordinates of Ad_a y_i
+    z = np.ascontiguousarray(g.a.ad[..., :m, m:])     # columns: b-coordinates of Ad_a y_i
     upper = k_mat @ np.swapaxes(z, -1, -2)
     lower = -(z @ np.swapaxes(k_mat, -1, -2))
     coeffs = np.zeros(g.v.shape[:-1] + (k + m, k + m))
@@ -122,6 +125,5 @@ def anchor_trig(mp: MatchedPair, y_coords_in_y_basis) -> dict[int, complex]:
     """Anchor coefficient alpha with a(X^L_y)(e^{i phi}) = alpha(phi) * J, as
     the {mode: coefficient} map of `trig.fit_trig`."""
     circle_parameter_checks(mp)
-    y = mp._Y @ np.asarray(y_coords_in_y_basis, dtype=float)
-    return fit_trig(mp.anchor(y, exp_b(mp, np.array([1.0]), circle_angles()))[:, 0],
-                    CIRCLE_MAX_MODE)
+    a = exp_b(mp, np.array([1.0]), circle_angles())
+    return fit_trig(mp.anchor(y_coords_in_y_basis, a)[:, 0], CIRCLE_MAX_MODE)

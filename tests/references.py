@@ -1,6 +1,12 @@
 """Independent references of the test suite: oracles and evaluators that no
 `poissonlie verify` path runs.  The tests compare the package against them.
 
+- The pair's change of basis to its adapted basis (x_1..x_m, y_1..y_k),
+  derived from the decomposition and g alone; Ad on g-coordinates by a
+  conjugation and a solve per element; and the g-coordinate products that
+  built Ad*_a on b0, the action on c, eta, adE and the anchor before Ad
+  lived in the adapted basis.  The package reads all of them as blocks of
+  Ad in the adapted basis.
 - The identity and the inverse of E, the inverse of an element of B and
   its full Ad*, sampled points of E, the element or sub-stack of a stack,
   and the finite-difference conjugation oracle for the adjoint of E
@@ -32,6 +38,86 @@ from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
 
+# -- the change of basis ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChangeOfBasis:
+    """A pair's change of basis from g-coordinates to its adapted basis:
+    T, whose columns are the x_j then the y_i, and its inverse; the column
+    blocks B (the x_j) and Y (the y_i) of T; Psi, whose columns psi^i are the
+    c-rows of T^-1 in dual coordinates; and the brackets [y_i, y_j] in
+    g-coordinates, shape (k, k, n), exactly antisymmetric."""
+
+    t: np.ndarray
+    t_inv: np.ndarray
+    b: np.ndarray
+    y: np.ndarray
+    psi: np.ndarray
+    c_brackets: np.ndarray
+
+
+def change_of_basis(mp) -> ChangeOfBasis:
+    """The change of basis of `mp`, from its decomposition and g's table alone."""
+    t, t_inv = mp.decomp.t, mp.decomp.t_inv
+    y = mp.decomp.parts["c"].T
+    brackets = np.einsum("ai,bj,abr->ijr", y, y, mp.g.structure)
+    return ChangeOfBasis(t, t_inv, mp.decomp.parts["b"].T, y, t_inv[mp.dim_b:].T,
+                         0.5 * (brackets - brackets.swapaxes(0, 1)))
+
+
+def ref_adjoint(mp, mat) -> np.ndarray:
+    """Ad(a) on g-coordinates of one matrix a: the realization conjugated by a
+    and re-expanded by g's own solver, independent of the package's Ad pass."""
+    inv = np.linalg.inv(mat)
+    conjugated = np.einsum("ij,njk,kl->nil", mat, np.array(mp.g.realization), inv)
+    coords, resid = mp.g._solver.solve_many(conjugated)
+    assert resid <= 1e-7
+    return coords.T
+
+
+def g_coordinate_tables(mp, v, ad, ad_inverse_y) -> dict:
+    """The tables of a point (v, a) of E, or of a stack of points, from Ad(a)
+    on g-coordinates and the columns Ad(a^{-1}) y_i on g-coordinates, by the
+    products through T^-1, Y, Psi, B and the brackets of c that built them
+    before Ad lived in the adapted basis, in their order of operations:
+    `coad_b0`, `action_on_c`, `eta0`, `eta_b`, `eta` (sign 1), `adE`, and
+    `anchor`, whose column i is P_b Ad_a y_i in b-coordinates.
+
+    On a pair whose T is the identity, Ad in the adapted basis is Ad on
+    g-coordinates, and these are bit for bit the package's tables."""
+    cb = change_of_basis(mp)
+    k, m, n = mp.dim_c, mp.dim_b, mp.g.dim
+    lead = v.shape[:-1]
+    k_mat = np.swapaxes(ad_inverse_y, -1, -2) @ cb.psi
+    # eta0
+    u = (v @ cb.psi.T)[..., None, :] @ ad
+    val = (u @ cb.c_brackets.reshape(k * k, -1).T).reshape(lead + (k, k))
+    eta0 = np.zeros(lead + (k + m, k + m))
+    block = k_mat @ val @ np.swapaxes(k_mat, -1, -2)
+    eta0[..., :k, :k] = 0.5 * (block - np.swapaxes(block, -1, -2))
+    # eta_b
+    z = (cb.t_inv @ ad @ cb.y)[..., :m, :]
+    upper = k_mat @ np.swapaxes(z, -1, -2)
+    lower = -(z @ np.swapaxes(k_mat, -1, -2))
+    eta_b = np.zeros(lead + (k + m, k + m))
+    eta_b[..., :k, k:] = 0.5 * (upper - np.swapaxes(lower, -1, -2))
+    eta_b[..., k:, :k] = 0.5 * (lower - np.swapaxes(upper, -1, -2))
+    eta = eta0.copy()
+    eta[..., :k, k:] = eta_b[..., :k, k:]
+    eta[..., k:, :k] = eta_b[..., k:, :k]
+    # adE
+    zb = ad @ cb.b
+    w = v @ cb.psi.T
+    cw = (w @ mp.g.structure.reshape(n * n, n).T).reshape(lead + (n, n))
+    ade = np.zeros(lead + (k + m, k + m))
+    ade[..., :k, :k] = k_mat
+    ade[..., :k, k:] = -(cb.y.T @ cw @ zb)
+    ade[..., k:, k:] = (cb.t_inv @ zb)[..., :m, :]
+    return {"coad_b0": k_mat, "action_on_c": cb.psi.T @ ad @ cb.y, "eta0": eta0,
+            "eta_b": eta_b, "eta": eta, "adE": ade, "anchor": z}
+
+
 # -- the group E --------------------------------------------------------------
 
 
@@ -50,13 +136,15 @@ def inverse_element(a: GroupElement) -> GroupElement:
 
 
 def ad_of_inverse(a: GroupElement) -> np.ndarray:
-    """The full Ad(a^{-1}), all n columns, from a validated pass over a^{-1}
-    that conjugates back by a itself, as the column pass behind `coad_b0` does."""
+    """The full Ad(a^{-1}) in the adapted basis, all n columns, from a
+    validated pass over a^{-1} that conjugates back by a itself, as the
+    column pass behind `coad_b0` does."""
     return _adjoint(a.pair, np.linalg.inv(a.matrix), a.matrix)
 
 
 def coad(a: GroupElement) -> np.ndarray:
-    """Ad*(a) = Ad(a^{-1})^T on dual coordinates (`ad_of_inverse`)."""
+    """Ad*(a) = Ad(a^{-1})^T on the dual coordinates of the adapted basis
+    (`ad_of_inverse`)."""
     return np.swapaxes(ad_of_inverse(a), -1, -2)
 
 
@@ -111,7 +199,7 @@ def adE_fd(g: EElement, step: float = FD_STEP) -> np.ndarray:
     coords, resid = mp.g._solver.solve_many(flat[k:, k:].reshape(m, d, d))
     if not resid <= 1e-4:
         raise ValueError(f"tangent is not in the realization span (residual {resid:.3e})")
-    out[k:, k:] = (coords @ mp._T_inv.T)[:, :m].T
+    out[k:, k:] = (coords @ change_of_basis(mp).t_inv.T)[:, :m].T
     return out
 
 
@@ -125,25 +213,25 @@ def coad_matrix_coords(alg, x: np.ndarray) -> np.ndarray:
 
 def gstar_to_b0(mp, w: np.ndarray) -> np.ndarray:
     """Pair a dual vector against the y-basis: components <w, y_j>."""
-    return mp._Y.T @ np.asarray(w, dtype=float)
+    return change_of_basis(mp).y.T @ np.asarray(w, dtype=float)
 
 
 def c_coords(mp, x: np.ndarray) -> np.ndarray:
     """Coefficients of the c-part of x in the y-basis."""
-    return (mp._T_inv @ np.asarray(x, dtype=float))[mp.dim_b:]
+    return (change_of_basis(mp).t_inv @ np.asarray(x, dtype=float))[mp.dim_b:]
 
 
 def eta_alternative(mp, g: EElement) -> np.ndarray:
     """Expansion of eta0 without group translation of the wedge frame:
     (1/2) <v, [y_i, y_j]> psi^i ^ psi^j  -  Ad*_a psi^i ^ ad*(P_b Ad_a y_i)(v)."""
-    table = mp.c_brackets
+    cb = change_of_basis(mp)
     k, m = mp.dim_c, mp.dim_b
-    w = mp.b0_to_gstar(g.v)
-    val = np.einsum("p,ijp->ij", w, table)
+    w = cb.psi @ g.v
+    val = np.einsum("p,ijp->ij", w, cb.c_brackets)
     coeffs = np.zeros((k + m, k + m))
     coeffs[:k, :k] = val
     k_mat = g.a.coad_b0
-    ad = g.a.ad
+    ad = ref_adjoint(mp, g.a.matrix)
     for i in range(k):
         x_b = mp.decomp.project("b", ad @ mp.y_basis[i])
         t_i = gstar_to_b0(mp, coad_matrix_coords(mp.g, x_b) @ w)
@@ -239,7 +327,8 @@ def vector_field_on_base(mp, y_coords, f: TrigPoly) -> TrigPoly:
 def poisson_bracket(mp, f1, f2):
     """Bracket rules: {y1~, y2~} = [y1, y2]~, {y~, f} = anchor-derivative, {f, f} = 0."""
     if isinstance(f1, LinearFn) and isinstance(f2, LinearFn):
-        br = mp.g.bracket_coords(mp._Y @ np.array(f1.y), mp._Y @ np.array(f2.y))
+        y = change_of_basis(mp).y
+        br = mp.g.bracket_coords(y @ np.array(f1.y), y @ np.array(f2.y))
         return LinearFn.make(c_coords(mp, br))
     if isinstance(f1, LinearFn) and isinstance(f2, BaseFn):
         return BaseFn(vector_field_on_base(mp, np.array(f1.y), f2.f))

@@ -22,9 +22,10 @@ from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _
 from poissonlie.linalg import Rng, expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
-from references import (ad_of_inverse, coad, coad_matrix_coords, e_inv, gstar_to_b0,
-                        identity_element, inverse_element, sample_e_element,
-                        sample_e_elements, take, words_e_elements)
+from references import (ad_of_inverse, change_of_basis, coad, coad_matrix_coords, e_inv,
+                        g_coordinate_tables, gstar_to_b0, identity_element, inverse_element,
+                        ref_adjoint, sample_e_element, sample_e_elements, take,
+                        words_e_elements)
 
 
 def e_element_from_json_dict(mp, doc) -> EElement:
@@ -64,18 +65,11 @@ def ref_draw(mp, seed, count, radius=None, max_word=3):
     return v, np.array(mats), gen
 
 
-def ref_adjoint(mp, mat):
-    inv = np.linalg.inv(mat)
-    conjugated = np.einsum("ij,njk,kl->nil", mat, np.array(mp.g.realization), inv)
-    coords, resid = mp.g._solver.solve_many(conjugated)
-    assert resid <= 1e-7
-    return coords.T
-
-
 def ref_eta_b(mp, g):
     k, m = mp.dim_c, mp.dim_b
+    cb = change_of_basis(mp)
     ad = ref_adjoint(mp, g.a.matrix)
-    k_mat = mp._Y.T @ ref_adjoint(mp, np.linalg.inv(g.a.matrix)).T @ mp._Psi
+    k_mat = cb.y.T @ ref_adjoint(mp, np.linalg.inv(g.a.matrix)).T @ cb.psi
     z = np.column_stack([mp.b_coords(ad @ mp.y_basis[i]) for i in range(k)])
     coeffs = np.zeros((k + m, k + m))
     coeffs[:k, k:] = k_mat @ z.T
@@ -85,11 +79,12 @@ def ref_eta_b(mp, g):
 
 def ref_adE_mixed(mp, g):
     k, m = mp.dim_c, mp.dim_b
+    cb = change_of_basis(mp)
     ad = ref_adjoint(mp, g.a.matrix)
-    w = mp.b0_to_gstar(g.v)
+    w = cb.psi @ g.v
     mix = np.empty((k, m))
     for j in range(m):
-        z = ad @ mp._B[:, j]
+        z = ad @ cb.b[:, j]
         mix[:, j] = -gstar_to_b0(mp, coad_matrix_coords(mp.g, z) @ w)
     return mix
 
@@ -174,9 +169,11 @@ def test_block_wise_factors_equal_the_one_call_draw(mp):
 def test_adjoint_matrices_match_per_element(mp):
     mats = sample_group_matrices(mp, Rng(7), 37)
     ads = GroupElement(mp, mats).ad
+    cb = change_of_basis(mp)
     for mat, ad in zip(mats, ads):
         assert np.max(np.abs(ad - GroupElement(mp, mat).ad)) <= 1e-13
-        assert np.max(np.abs(ad - ref_adjoint(mp, mat))) <= 1e-13
+        # Ad in the adapted basis is T^-1 Ad_g T
+        assert np.max(np.abs(ad - cb.t_inv @ ref_adjoint(mp, mat) @ cb.t)) <= 1e-13
 
 
 @pytest.mark.parametrize("mp", ("su11",) + PAIRS, indirect=True)
@@ -184,7 +181,7 @@ def test_exp_b_of_a_parameter_array_is_the_stack_of_single_calls(mp):
     x = Rng(11).uniform(-1.0, 1.0, mp.dim_b)
     ts = np.linspace(-3.0, 3.0, 7)
     stack = exp_b(mp, x, ts)
-    y = mp.y_basis[-1]
+    y = np.eye(mp.dim_c)[-1]
     anchors = mp.anchor(y, stack)
     assert anchors.shape == (len(ts), mp.dim_b)
     for i, t in enumerate(ts):
@@ -445,7 +442,7 @@ def test_reading_coad_b0_fills_ad_and_the_column_table(mp, monkeypatch):
         assert a._ad is not None and "ad_inverse_y" in vars(a)
         assert inverted == [a.matrix.shape]
     assert np.array_equal(a.ad, GroupElement(mp, a.matrix).ad)
-    assert np.array_equal(a.ad_inverse_y, ad_of_inverse(a) @ mp._Y)
+    assert np.array_equal(a.ad_inverse_y, ad_of_inverse(a)[..., mp.dim_b:])
     assert np.max(np.abs(a.ad @ ad_of_inverse(a) - np.eye(mp.g.dim))) <= 1e-12
 
 
@@ -469,10 +466,11 @@ def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
     a = GroupElement(mp, sample_group_matrices(mp, Rng(10), 8))
     k_mat = a.coad_b0
-    # Y^T Ad(a^{-1})^T Psi from the full Ad(a^{-1}), and from a separate element a^{-1}
-    assert np.array_equal(k_mat, mp._Y.T @ coad(a) @ mp._Psi)
+    # the b0-block of Ad(a^{-1})^T from the full Ad(a^{-1}), and from a separate element a^{-1}
+    m = mp.dim_b
+    assert np.array_equal(k_mat, coad(a)[:, m:, m:])
     ad_inv = GroupElement(mp, np.linalg.inv(a.matrix)).ad
-    assert np.max(np.abs(k_mat - mp._Y.T @ np.swapaxes(ad_inv, 1, 2) @ mp._Psi)) <= 1e-13
+    assert np.max(np.abs(k_mat - np.swapaxes(ad_inv, 1, 2)[:, m:, m:])) <= 1e-13
     assert a.coad_b0 is k_mat
     # every table of the element is read-only
     for table in (k_mat, a.ad, a.ad_inverse_y, a.action_on_c):
@@ -570,38 +568,80 @@ def same_bits(x, y) -> bool:
 @pytest.mark.parametrize("name", ("su11",) + CHUNK_PAIRS)
 def test_column_pass_equals_the_columns_of_the_full_pass_bit_for_bit(name):
     mp = (supq1(5) if name == "supq1(5)" else get_entry(name)).mp
-    n, k = mp.g.dim, mp.dim_c
-    # the catalog's y_i are basis vectors of g
-    cols = np.argmax(mp._Y, axis=0)
-    assert np.array_equal(mp._Y, np.eye(n)[:, cols])
+    m, k = mp.dim_b, mp.dim_c
     d = mp.g.realization[0].shape[0]
     chunk = _ad_chunk(d, k)
+    # the y_i are the last k vectors of the adapted basis
     for size in (1, chunk - 1, chunk, chunk + 1):
         a = GroupElement(mp, sample_group_matrices(mp, Rng(size), max(size, 1)))
         full = ad_of_inverse(a)
-        assert same_bits(a.ad_inverse_y, full[..., cols])
-        assert same_bits(a.coad_b0, mp._Y.T @ np.swapaxes(full, -1, -2) @ mp._Psi)
+        assert same_bits(a.ad_inverse_y, full[..., m:])
+        assert same_bits(a.coad_b0, np.swapaxes(full, -1, -2)[..., m:, m:])
     one = GroupElement(mp, sample_group_matrices(mp, Rng(1), 1)[0])
-    assert same_bits(one.ad_inverse_y, ad_of_inverse(one)[:, cols])
+    assert same_bits(one.ad_inverse_y, ad_of_inverse(one)[:, m:])
 
 
-def mixed_pair(name: str):
-    """The catalog pair with its c rows replaced by a fixed invertible mix of
-    them: the same c, with y_i that are not basis vectors of g."""
+def mixed_pair(name: str, parts=("c",)):
+    """The catalog pair with the rows of each of `parts` replaced by a fixed
+    invertible mix of them: the same b and c, with x_j or y_i that are not
+    basis vectors of g."""
     doc = get_entry(name).mp.to_json_dict()
-    c = np.asarray(doc["c"])
-    doc["c"] = ((np.eye(len(c)) + 0.5 * np.tri(len(c), k=-1)) @ c).tolist()
+    for part in parts:
+        rows = np.asarray(doc[part])
+        doc[part] = ((np.eye(len(rows)) + 0.5 * np.tri(len(rows), k=-1)) @ rows).tolist()
     return MatchedPair.from_json_dict(doc)
 
 
 def test_column_pass_on_a_pair_whose_y_basis_is_no_selection():
     mp = mixed_pair("su31")
-    assert np.count_nonzero(mp._Y) > mp.dim_c
+    m = mp.dim_b
+    assert np.count_nonzero(mp.y_basis) > mp.dim_c
     a = GroupElement(mp, sample_group_matrices(mp, Rng(3), 40))
     full = ad_of_inverse(a)
-    assert np.max(np.abs(a.ad_inverse_y - full @ mp._Y)) <= 1e-13
-    assert np.max(np.abs(a.coad_b0 - mp._Y.T @ np.swapaxes(full, 1, 2) @ mp._Psi)) <= 1e-13
+    assert np.max(np.abs(a.ad_inverse_y - full[..., m:])) <= 1e-13
+    assert np.max(np.abs(a.coad_b0 - np.swapaxes(full, 1, 2)[:, m:, m:])) <= 1e-13
     # the sampled checks pass on it, and fail under their knobs
     for check, knob in SAMPLED_RUNS:
         rep = run_check(check, mp, 40, Rng(42), DEFAULT_TOL, corrupt=knob)
         assert rep["pass"] is (knob is None), (check, knob)
+
+
+def package_tables(mp, g: EElement) -> dict:
+    """The package's tables of a point of E or a stack, named as in
+    `g_coordinate_tables`."""
+    anchor = np.stack([mp.anchor(y, g.a) for y in np.eye(mp.dim_c)], axis=-1)
+    return {"coad_b0": g.a.coad_b0, "action_on_c": g.a.action_on_c, "eta0": eta0(mp, g),
+            "eta_b": eta_b(mp, g), "eta": eta(mp, g), "adE": adE(g), "anchor": anchor}
+
+
+def test_blocks_of_ad_equal_the_g_coordinate_references_on_a_pair_with_b_and_c_mixed():
+    # on the catalog T = I, where a block read from the wrong rows or columns
+    # of Ad can still agree with its g-coordinate formula; here the x_j and
+    # the y_i are both mixed, so it cannot
+    mp = mixed_pair("su31", ("b", "c"))
+    cb = change_of_basis(mp)
+    assert np.count_nonzero(cb.b) > mp.dim_b and np.count_nonzero(cb.y) > mp.dim_c
+    g = sample_e_elements(mp, Rng(4), 40)
+    mats = g.a.matrix
+    ad = np.array([ref_adjoint(mp, mat) for mat in mats])
+    ad_inverse_y = np.array([ref_adjoint(mp, inv) for inv in np.linalg.inv(mats)]) @ cb.y
+    assert np.max(np.abs(g.a.ad - cb.t_inv @ ad @ cb.t)) <= 1e-12
+    ours = package_tables(mp, g)
+    for name, ref in g_coordinate_tables(mp, g.v, ad, ad_inverse_y).items():
+        assert ours[name].shape == ref.shape, name
+        assert np.max(np.abs(ours[name] - ref)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("mp", ("su11",) + AD_PAIRS, indirect=True)
+def test_tables_are_c_ordered_and_equal_the_g_coordinate_products_bit_for_bit(mp):
+    # report bits follow the layout of these tables, not only their values;
+    # on the catalog T = I, so the g-coordinate products read the same Ad
+    assert np.array_equal(mp.decomp.t, np.eye(mp.g.dim))
+    stack = sample_e_elements(mp, Rng(13), 70)
+    for g in (stack, take(stack, 0)):
+        for table in (g.a.ad, g.a.ad_inverse_y, g.a.coad_b0, g.a.action_on_c):
+            assert table.flags.c_contiguous
+        ours = package_tables(mp, g)
+        ref = g_coordinate_tables(mp, g.v, g.a.ad, g.a.ad_inverse_y)
+        for name in ("coad_b0", "action_on_c", "eta", "adE"):
+            assert same_bits(ours[name], ref[name]), name

@@ -9,7 +9,7 @@ from poissonlie.group import e_mul
 from poissonlie.lie import jacobi_worst_at, structure_in_basis
 from poissonlie.linalg import Rng, worst
 from poissonlie.manin import build_gc_algebra, gprime_algebra
-from references import coad_matrix_coords, e2_family1, sample_e_element
+from references import change_of_basis, coad_matrix_coords, e2_family1, sample_e_element
 
 
 def projector_residual(d) -> float:
@@ -116,7 +116,8 @@ def test_supq1_z_normalization_on_annihilator():
         entry = supq1(p)
         mp = entry.mp
         coad = coad_matrix_coords(entry.g, entry.z)
-        k_action = mp._Y.T @ coad @ mp._Psi
+        cb = change_of_basis(mp)
+        k_action = cb.y.T @ coad @ cb.psi
         assert np.max(np.abs(k_action @ k_action + np.eye(2 * p))) <= 1e-9
 
 

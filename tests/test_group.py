@@ -8,7 +8,8 @@ from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.group import (EElement, GroupElement, _adjoint, adE, e_mul, exp_b,
                               sample_group_matrices)
 from poissonlie.linalg import Rng, expm
-from references import adE_fd, coad, e_identity, e_inv, identity_element, sample_e_element
+from references import (adE_fd, change_of_basis, e_identity, e_inv, identity_element, ref_adjoint,
+                        sample_e_element)
 
 
 def sample_group_element(mp, rng) -> GroupElement:
@@ -128,7 +129,8 @@ def test_coad_preserves_annihilator(e11):
     rng = Rng(12)
     for _ in range(50):
         a = sample_group_element(mp, rng)
-        psi_img = coad(a) @ mp._Psi           # columns: Ad*_a psi^i in dual coords
+        coad = ref_adjoint(mp, np.linalg.inv(a.matrix)).T   # Ad*_a on dual g-coordinates
+        psi_img = coad @ change_of_basis(mp).psi   # columns: Ad*_a psi^i in dual coords
         leak = mp.decomp.parts["b"] @ psi_img  # pair against b-basis vectors
         assert np.max(np.abs(leak)) <= 1e-9
 

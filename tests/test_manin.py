@@ -19,8 +19,8 @@ from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               gstar_k0_abelian_residual,
                               killing_eigenvalues, phi_identification, sigma_conj,
                               twist_element)
-from references import (coad_matrix_coords, commutators, form_invariance_dense, gstar_to_b0,
-                        twist_check_of)
+from references import (change_of_basis, coad_matrix_coords, commutators, form_invariance_dense,
+                        gstar_to_b0, twist_check_of)
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +149,13 @@ def test_phi_identification_equivariance(entries):
         g = entry.g
         phi = phi_identification(entry)
         u_rows = (entry.cartan.parts["p"].T @ phi).T
+        cb = change_of_basis(mp)
         for a in range(mp.dim_b):
-            x = mp._B[:, a]
+            x = cb.b[:, a]
             coad = coad_matrix_coords(g, x)
             for i in range(mp.dim_c):
                 lhs = g.bracket_coords(x, u_rows[i])
-                psi_img = gstar_to_b0(mp, coad @ mp._Psi[:, i])
+                psi_img = gstar_to_b0(mp, coad @ cb.psi[:, i])
                 rhs = (u_rows.T @ psi_img)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-9
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from poissonlie.catalog import su11, supq1
+from poissonlie.catalog import catalog_names, get_entry, su11, supq1
 from poissonlie.group import GroupElement, exp_b, sample_group_matrices
 from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
-from references import (c_coords, coad_matrix_coords, gstar_to_b0, identity_element,
-                        inverse_element)
+from references import (c_coords, change_of_basis, coad_matrix_coords, gstar_to_b0,
+                        identity_element, inverse_element)
 
 
 def sample_group_element(mp, rng) -> GroupElement:
@@ -42,11 +42,12 @@ def test_canonical_tensor_basis_change_invariance(e11):
     # ambient frame Psi R^{-T} (R Y)^T = Psi Y^T is unchanged
     mp = e11.mp
     rng = Rng(5)
-    ambient = mp._Psi @ mp._Y.T
+    cb = change_of_basis(mp)
+    ambient = cb.psi @ cb.y.T
     b = mp.decomp.parts["b"]
     for _ in range(10):
         r = rng.uniform(-1, 1, (2, 2)) + np.eye(2) * 2.0
-        y_new = (mp._Y @ r.T).T
+        y_new = (cb.y @ r.T).T
         from poissonlie.lie import SubspaceDecomposition
 
         pair = MatchedPair("recombined", mp.g, SubspaceDecomposition(mp.g, {"b": b, "c": y_new}))
@@ -85,8 +86,7 @@ def test_duality_at_quarter_turn(e11):
 
 def test_anchor_values_planar(e11):
     mp = e11.mp
-    ya = np.eye(3)[1]
-    y2 = np.eye(3)[2]
+    ya, y2 = np.eye(2)        # y-basis coordinates
     # sin(2 phi) at phi = pi/4 -> 1
     assert np.allclose(mp.anchor(ya, exp_b(mp, np.array([np.pi / 4]), 1.0)), [1.0], atol=1e-12)
     # (1 - cos 2 phi) at phi = pi/2 -> 2
@@ -96,18 +96,19 @@ def test_anchor_values_planar(e11):
 def test_anchor_identity_and_linearity(e11):
     mp = e11.mp
     e = identity_element(mp)
-    for y in (np.eye(3)[1], np.eye(3)[2]):
+    for y in np.eye(2):
         assert np.max(np.abs(mp.anchor(y, e))) <= 1e-12
     rng = Rng(3)
     a = sample_group_element(mp, rng)
-    y1, y2 = np.eye(3)[1], np.eye(3)[2]
+    y1, y2 = np.eye(2)
     lhs = mp.anchor(2.0 * y1 - 3.0 * y2, a)
     rhs = 2.0 * mp.anchor(y1, a) - 3.0 * mp.anchor(y2, a)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_anchor_rejects_non_c_vector(e11):
-    with pytest.raises(ValueError):
+    # the anchor takes y-basis coordinates: a g-coordinate vector is refused
+    with pytest.raises(ValueError, match="y-basis coordinates"):
         e11.mp.anchor(np.eye(3)[0], identity_element(e11.mp))
 
 
@@ -145,16 +146,17 @@ def _semidirect_reference(mp) -> np.ndarray:
     """e = b0 x| b one basis pair at a time: [x_j, psi^i] = ad*(x_j) psi^i and
     [x_a, x_b] from b."""
     k, m = mp.dim_c, mp.dim_b
+    cb = change_of_basis(mp)
     c = np.zeros((k + m,) * 3)
     for j in range(m):
-        coad = coad_matrix_coords(mp.g, mp._B[:, j])
+        coad = coad_matrix_coords(mp.g, cb.b[:, j])
         for i in range(k):
-            s = gstar_to_b0(mp, coad @ mp._Psi[:, i])
+            s = gstar_to_b0(mp, coad @ cb.psi[:, i])
             c[k + j, i, :k] = s
             c[i, k + j, :k] = -s
     for a in range(m):
         for b in range(a + 1, m):
-            br = mp.b_coords(mp.g.bracket_coords(mp._B[:, a], mp._B[:, b]))
+            br = mp.b_coords(mp.g.bracket_coords(cb.b[:, a], cb.b[:, b]))
             c[k + a, k + b, k:] = br
             c[k + b, k + a, k:] = -br
     return c
@@ -164,12 +166,13 @@ def _delta_reference(mp) -> np.ndarray:
     """delta[x, p, q] one basis pair at a time: the psi^i ^ psi^j coefficient
     of delta(psi) is <psi, [y_i, y_j]>, and delta(x_j) = sum_i P_b [y_i, x_j] ^ psi^i."""
     k, m = mp.dim_c, mp.dim_b
+    b = change_of_basis(mp).b
     delta = np.zeros((k + m,) * 3)
     for i in range(k):
         for j in range(k):
             delta[:k, i, j] = c_coords(mp, mp.g.bracket_coords(mp.y_basis[i], mp.y_basis[j]))
         for j in range(m):
-            t = mp.b_coords(mp.g.bracket_coords(mp.y_basis[i], mp._B[:, j]))
+            t = mp.b_coords(mp.g.bracket_coords(mp.y_basis[i], b[:, j]))
             delta[k + j, k:, i] = t
             delta[k + j, i, k:] = -t
     return delta
@@ -221,3 +224,44 @@ def test_user_pair_sl2r_full_machinery():
     assert verify_cocycle(mp, 300, Rng(42))["max_residual"] <= 1e-9
     assert delta_consistency_worst_at(mp, mp.delta)[0] <= 1e-6
     assert worst(co_jacobi_worst_at(mp.delta)[0], cocycle_1_worst_at(mp, mp.delta)[0]) <= 1e-9
+
+
+def integer_basis_pair(name: str) -> MatchedPair:
+    """The catalog pair rewritten in the integer basis T = L L^T of g, L the
+    lower triangle of ones, with b and c each mixed within themselves by a
+    block of the same kind: every table stays exact, but the adapted table
+    comes out of the change of basis off its grid by rounding."""
+    def unimodular(n):
+        t = np.tri(n) @ np.tri(n).T
+        return t, np.rint(np.linalg.inv(t))
+
+    doc = get_entry(name).mp.to_json_dict()
+    alg = doc["algebra"]
+    t, inv = unimodular(len(alg["structure"]))
+    alg["structure"] = np.einsum("ai,bj,abr,sr->ijs", t, t, np.array(alg["structure"]),
+                                 inv).tolist()
+    mats = np.array([np.array(m["re"]) + 1j * np.array(m["im"]) for m in alg["realization"]])
+    alg["realization"] = [{"re": m.real.tolist(), "im": m.imag.tolist()}
+                          for m in np.tensordot(t.T, mats, axes=1)]
+    for part in ("b", "c"):
+        rows = np.array(doc[part]) @ inv.T
+        doc[part] = (unimodular(len(rows))[0] @ rows).tolist()
+    return MatchedPair.from_json_dict(doc)
+
+
+def test_an_adapted_table_off_its_grid_by_rounding_is_snapped():
+    from poissonlie.checks import run_check
+    from poissonlie.config import ALGEBRAIC_TOL, DEFAULT_TOL
+
+    for name in catalog_names():
+        assert get_entry(name).mp.adapted_snap == 0.0
+    mp = integer_basis_pair("su41")
+    assert 0.0 < mp.adapted_snap <= ALGEBRAIC_TOL
+    assert np.array_equal(4.0 * mp.adapted, np.rint(4.0 * mp.adapted))
+    # e, a block of the snapped table, is exact, so it passes its Jacobi test
+    assert mp.e_algebra.jacobi[0] == 0.0
+    # the residuals that read e and delta carry the snap distance
+    rep = run_check("bialgebra_axioms", mp, 0, Rng(42), DEFAULT_TOL)
+    assert rep["pass"] is True
+    assert rep["details"]["co_jacobi_residual"] == mp.adapted_snap
+    assert rep["details"]["cocycle_residual"] == mp.adapted_snap
