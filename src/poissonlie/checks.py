@@ -6,7 +6,13 @@ and a corruption knob that breaks exactly one ingredient, so the suites are
 demonstrably non-vacuous.  A check function only names its sub-criteria: each
 residual once, and each yes/no side condition once.  `run_check` alone folds
 them and decides a verdict: PASS means every condition holds and the worst
-residual is finite and within tolerance."""
+residual is finite and within tolerance.
+
+The sampled checks (`invariance`, `cocycle`) read the call's one sampled
+pass (`sampled_pass`): every block of pairs of points of E is drawn and
+exponentiated once (`group.sample_pairs`), and each selected sampled check
+reads it, so a sampled check's report does not depend on which other checks
+run, or in what order."""
 
 from __future__ import annotations
 
@@ -25,7 +31,8 @@ from .config import Tolerances
 from .lie import from_realization, jacobi_worst_at, snap_dyadic
 from .linalg import Rng, antisymmetric_table, best_sign, worst, worst_at
 from .matched import MatchedPair
-from .group import GroupElement, exp_b, sample_group_matrices, sample_pairs
+from .group import (EElement, GroupElement, e_element_to_json_dict, exp_b, matrix_to_json_dict,
+                    sample_group_matrices, sample_pairs)
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -36,13 +43,19 @@ PAIR, REALIZATION, ENTRY, CIRCLE = "pair", "realization", "entry", "circle"
 @dataclass(frozen=True)
 class Check:
     """A named identity: the function computing its residual, the knob that
-    corrupts it, its scope and the tolerance its residual is held to."""
+    corrupts it, its scope and the tolerance its residual is held to.
+
+    A check's function takes the target, the tolerances and whether its knob
+    is set.  A sampled check's function takes the pair and whether its knob
+    is set, and returns the reader of its blocks for `group.sample_pairs` and
+    the function that makes its report from them (`sampled_pass`)."""
 
     name: str
     knob: str
     scope: str
     tolerance: Callable[[Tolerances], float]
-    fn: Callable[..., dict]
+    fn: Callable
+    sampled: bool = False
 
     def applies(self, target) -> bool:
         if isinstance(target, CatalogEntry):
@@ -56,10 +69,11 @@ REGISTRY: dict[str, Check] = {}
 
 
 def _register(name: str, knob: str, scope: str,
-              tolerance: Callable[[Tolerances], float] = lambda tol: tol.algebraic):
+              tolerance: Callable[[Tolerances], float] = lambda tol: tol.algebraic,
+              sampled: bool = False):
     """Register the decorated function as check `name`, corrupted by `knob`."""
     def register(fn):
-        REGISTRY[name] = Check(name, knob, scope, tolerance, fn)
+        REGISTRY[name] = Check(name, knob, scope, tolerance, fn, sampled)
         return fn
     return register
 
@@ -68,9 +82,50 @@ def applicable_checks(target) -> list[str]:
     return [c.name for c in REGISTRY.values() if c.applies(target)]
 
 
-def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
-              corrupt: str | None = None) -> dict:
+def sampled_pass(target, names, samples: int, seed: int,
+                 corrupt: str | None = None) -> dict[str, dict]:
+    """The unfolded reports of the sampled checks among `names`, each of which
+    must apply to `target`, from one pass over the call's `samples` pairs of
+    points drawn at `seed` (`group.sample_pairs`).  Every check reads the
+    same elements, so its report is the one a pass of its own would give."""
+    chosen = [REGISTRY[name] for name in names if REGISTRY[name].sampled]
+    if not chosen:
+        return {}
+    mp = target.mp if isinstance(target, CatalogEntry) else target
+    folds = [check.fn(mp, corrupt == check.knob) for check in chosen]
+    blocks = sample_pairs(mp, seed, samples, [read for read, _ in folds])
+    return {check.name: report(samples, seed, *_worst_of(results, samples))
+            for check, (_, report), results in zip(chosen, folds, blocks)}
+
+
+def _at_worst(start: int, parts: list, g: EElement, h: EElement, extra=None) -> tuple:
+    """A block's per-sample residuals `parts`, and what a report keeps of the
+    block's first worst sample over them, in order: its index in the pass,
+    copies of v and the matrix of g and h there (views would keep the block's
+    stacks alive), and its entry of `extra`."""
+    i = worst_at(np.hstack(parts))[1] % len(g.v)
+    kept = [(x.v[i].copy(), x.a.matrix[i].copy()) for x in (g, h)]
+    return parts, start + i, kept, None if extra is None else extra[i]
+
+
+def _worst_of(blocks: list, samples: int) -> tuple:
+    """Each part's residuals over the pass, the first worst sample over all
+    parts in order, and what its block kept of it (`_at_worst`).  That sample
+    is its block's first worst, so the block kept it."""
+    parts, starts, kept, extra = zip(*blocks)
+    parts = [np.hstack(part) for part in zip(*parts)]
+    at = worst_at(np.hstack(parts))[1] % samples
+    j = starts.index(at)
+    return parts, at, kept[j], extra[j]
+
+
+def run_check(name: str, target, samples: int, seed: int, tol: Tolerances,
+              corrupt: str | None = None, sampled: dict | None = None) -> dict:
     """Run one check on a matched pair or catalog entry and decide its verdict.
+
+    A sampled check reads its report from `sampled`, the call's sampled pass
+    (`sampled_pass`); without it, the check makes that pass alone, from
+    `samples` pairs drawn at `seed`, with the same report.
 
     A check function returns a dict with `residuals` (name -> residual, one
     entry per sub-criterion), optionally `conditions` (name -> bool) and
@@ -89,7 +144,11 @@ def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
     if check.scope in (PAIR, REALIZATION) and isinstance(target, CatalogEntry):
         target = target.mp
     corrupted = corrupt == check.knob
-    out = check.fn(target, samples, rng, tol, corrupted)
+    if check.sampled:
+        out = dict((sampled_pass(target, [name], samples, seed, corrupt)
+                    if sampled is None else sampled)[name])
+    else:
+        out = check.fn(target, tol, corrupted)
     residuals = out.pop("residuals")
     conditions = out.pop("conditions", {})
     residual, at = worst_at(list(residuals.values()))
@@ -104,7 +163,7 @@ def run_check(name: str, target, samples: int, rng: Rng, tol: Tolerances,
 
 
 @_register("jacobi", "jacobi_perturb_constant", PAIR)
-def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+def _check_jacobi(mp: MatchedPair, tol, corrupted) -> dict:
     resid, triple = mp.g.jacobi     # contracted once, when g was built
     if corrupted:
         structure = mp.g.structure.copy()
@@ -115,9 +174,10 @@ def _check_jacobi(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
             "details": {"dim": mp.g.dim, "worst_triple": list(triple)}}
 
 
-@_register("invariance", "invariance_flip_action", REALIZATION)
-def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
-    def check_block(start, a, b):
+@_register("invariance", "invariance_flip_action", REALIZATION, sampled=True)
+def _check_invariance(mp: MatchedPair, corrupted):
+    def read(start, g, h, gh):
+        a = g.a
         if corrupted:   # the knob pairs Ad*_a with the action of a^{-1} instead of a
             # P_c Ad(a^{-1}) on c: the c-rows of the columns Ad(a^{-1}) y_i that coad_b0 reads
             flipped = np.ascontiguousarray(a.ad_inverse_y[:, mp.dim_b:])
@@ -125,30 +185,49 @@ def _check_invariance(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
             inv = np.abs(prod - np.eye(mp.dim_c)).max(axis=(1, 2))
         else:
             inv = mp.invariance_residual(a)
-        hom = np.abs((a @ b).action_on_c - a.action_on_c @ b.action_on_c).max(axis=(1, 2))
-        return inv, hom
+        hom = np.abs(gh.a.action_on_c - a.action_on_c @ h.a.action_on_c).max(axis=(1, 2))
+        return _at_worst(start, [inv, hom], g, h)
 
-    inv, hom = map(np.hstack, zip(*sample_pairs(mp, rng, samples, check_block)))
-    # the witness: the sample of the first worst entry over both parts, the
-    # invariance part first, so it lies in the part `worst_criterion` names
-    _, at = worst_at(np.concatenate([inv, hom]))
-    return {"residuals": {"invariance": worst_at(inv)[0], "action_homomorphism": worst_at(hom)[0]},
-            "samples": samples, "details": {"worst_sample": at % samples}}
+    def report(samples, seed, parts, at, kept, _):
+        # the witness: the sample of the first worst entry over both parts, the
+        # invariance part first, so it lies in the part `worst_criterion` names;
+        # a and b are the elements of B of its pair
+        (_, a), (_, b) = kept
+        inv, hom = parts
+        return {"residuals": {"invariance": worst_at(inv)[0],
+                              "action_homomorphism": worst_at(hom)[0]},
+                "samples": samples,
+                "details": {"worst_sample": at, "a": matrix_to_json_dict(a),
+                            "b": matrix_to_json_dict(b)}}
+
+    return read, report
 
 
-@_register("cocycle", "eta_b_sign", REALIZATION)
-def _check_cocycle(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+@_register("cocycle", "eta_b_sign", REALIZATION, sampled=True)
+def _check_cocycle(mp: MatchedPair, corrupted):
     sign = -1.0 if corrupted else 1.0
-    rep = po.verify_cocycle(mp, samples, rng, eta_b_sign=sign)
-    # the pair name, seed and witness elements make the run reproducible from the report
-    return {"residuals": {"cocycle": rep["max_residual"]}, "samples": samples,
-            "pair": rep["pair"], "seed": rep["seed"],
-            "details": {"eta_b_sign": sign, **rep["witness"]}}
+    labels = mp.e_space.labels
+
+    def read(start, g, h, gh):
+        resid, entry = po.cocycle_residuals(mp, g, h, gh, eta_b_sign=sign)
+        return _at_worst(start, [resid], g, h, entry)
+
+    def report(samples, seed, parts, at, kept, entry):
+        row, col = divmod(int(entry), len(labels))
+        g, h = (EElement(mp, v, GroupElement(mp, mat)) for v, mat in kept)
+        # the pair name, seed and witness elements make the run reproducible from the report
+        return {"residuals": {"cocycle": worst_at(parts[0])[0]}, "samples": samples,
+                "pair": mp.name, "seed": seed,
+                "details": {"eta_b_sign": sign, "worst_sample": at,
+                            "worst_part": f"{labels[row]}^{labels[col]}",
+                            "g": e_element_to_json_dict(g), "h": e_element_to_json_dict(h)}}
+
+    return read, report
 
 
 @_register("delta_consistency", "delta_b0_sign", REALIZATION,
            tolerance=lambda tol: tol.fd)
-def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+def _check_delta_consistency(mp: MatchedPair, tol, corrupted) -> dict:
     delta = mp.delta
     if corrupted:   # the b0 block with the opposite sign
         k = mp.dim_c
@@ -161,7 +240,7 @@ def _check_delta_consistency(mp: MatchedPair, samples, rng, tol, corrupted) -> d
 
 
 @_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
-def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> dict:
+def _check_bialgebra_axioms(mp: MatchedPair, tol, corrupted) -> dict:
     delta = mp.delta
     if corrupted:   # the first basis vector with a nonzero cobracket
         delta = delta.copy()
@@ -178,7 +257,7 @@ def _check_bialgebra_axioms(mp: MatchedPair, samples, rng, tol, corrupted) -> di
 
 
 @_register("coboundary", "r_scale_2", ENTRY)
-def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_coboundary(entry: CatalogEntry, tol, corrupted) -> dict:
     rm = entry.r_matrix
     r = 2.0 * rm["route_b"] if corrupted else rm["route_b"]
     resid, x = bi.coboundary_worst_at(entry.mp, r)
@@ -189,14 +268,14 @@ def _check_coboundary(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict
 
 
 @_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
-def _check_uniqueness(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_uniqueness(entry: CatalogEntry, tol, corrupted) -> dict:
     rep = bi.check_r_uniqueness(entry.mp, entry.torus, svd_tol=tol.svd, drop_b0_rows=corrupted)
     return {"residuals": {key: rep.pop(key) for key in ("kernel_dim", "generation_deficit")},
             "details": rep}
 
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
-def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_manin(entry: CatalogEntry, tol, corrupted) -> dict:
     gprime = entry.gprime_algebra
     gstar = entry.gstar
     if corrupted:   # gstar plus the imaginary traceless diagonal
@@ -218,7 +297,7 @@ def _check_manin(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
-def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_deform(entry: CatalogEntry, tol, corrupted) -> dict:
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
     # the algebras are cut from the table snapped to its grid, the residuals
     # read the table as computed, so they carry the snap distance
@@ -237,7 +316,7 @@ def _check_deform(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 
 @_register("twist", "twist_scale_2", ENTRY)
-def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_twist(entry: CatalogEntry, tol, corrupted) -> dict:
     dg, dgp, dgc = entry.gstar_cobrackets
     s, asym = mn.twist_element(entry, scale=tol.twist_inner_scale)
     rep = mn.twist_check(entry, 2.0 * s if corrupted else s, dg, dgp)
@@ -254,7 +333,7 @@ def _check_twist(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
 
 
 @_register("semiclassical", "drop_reorder_correction", CIRCLE)
-def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_semiclassical(entry: CatalogEntry, tol, corrupted) -> dict:
     alg = qu.CrossedAlgebra(entry.mp,
                             reorder_correction=0.0 if corrupted else 1.0)
     maxdeg, maxmode = (2, 2) if corrupted else (4, 6)
@@ -271,7 +350,7 @@ def _check_semiclassical(entry: CatalogEntry, samples, rng, tol, corrupted) -> d
 
 
 @_register("dual_families", "rho_sign", CIRCLE)
-def _check_dual_families(entry: CatalogEntry, samples, rng, tol, corrupted) -> dict:
+def _check_dual_families(entry: CatalogEntry, tol, corrupted) -> dict:
     resid_rho = rho_intertwiner_residual(rho_sign=-1.0 if corrupted else 1.0)
     dual = np.moveaxis(entry.mp.delta, 0, 2)    # [e*_p, e*_q] = delta[x, p, q] e*_x
     # e-basis is (psi_a = P1, psi_2 = P2, J); reorder duals to (J*, P1*, P2*)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .catalog import CatalogEntry, catalog_names, get_entry, supq1
-from .checks import REGISTRY, applicable_checks, conventions_report, run_check
+from .checks import REGISTRY, applicable_checks, conventions_report, run_check, sampled_pass
 from .config import DEFAULT_TOL, EXP_METHOD, P_CAP, PRNG_NAME, Tolerances
 from .linalg import Rng
 from .matched import MatchedPair
@@ -138,9 +138,10 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
                 f"corruption knob {config.corrupt!r} targets check {aim!r}, "
                 f"which this run does not include")
 
-    rng = Rng(config.seed)
-    results = [run_check(name, target, config.samples, rng, config.tol,
-                         corrupt=config.corrupt) for name in checks]
+    # one sampled pass for every selected sampled check, then each check's fold
+    sampled = sampled_pass(target, checks, config.samples, config.seed, config.corrupt)
+    results = [run_check(name, target, config.samples, config.seed, config.tol,
+                         corrupt=config.corrupt, sampled=sampled) for name in checks]
     conventions = (conventions_report(target, Rng(config.seed ^ 0x5EED))
                    if isinstance(target, CatalogEntry) else [])
 

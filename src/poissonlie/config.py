@@ -25,9 +25,10 @@ P_CAP = 8
 #: equation of the twist; see the conventions report.
 TWIST_INNER_SCALE = 0.5
 
-#: The generator and how a seed selects elements: each sampled check draws
-#: all its v, then all its word lengths, then all its factors.
-PRNG_NAME = "numpy PCG64; per check: all v, all word lengths, all factors"
+#: The generator and how a seed selects elements: a call draws all v, then
+#: all word lengths, then all factors of its sampled pairs once, and every
+#: sampled check it runs reads those same elements.
+PRNG_NAME = "numpy PCG64; per call: all v, all word lengths, all factors"
 EXP_METHOD = "poissonlie.linalg.expm (stacked Pade-13 scaling-and-squaring)"
 
 

@@ -8,13 +8,17 @@ A `GroupElement` holds one matrix or a stack of them, and an `EElement` one
 point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
-Sampling is stacked.  `draw_words` draws the random numbers of a whole stack
-of elements in the order of three generator calls: all v, then all word
+Sampling is stacked, and this module alone decides how a seed selects
+elements.  `draw_words` draws the random numbers of a whole stack of
+elements in the order of three generator calls: all v, then all word
 lengths, then all factors.  Its `Words` exponentiate the stack block by
-block, in order, and draw each block's factors when the block is made.  The
-sampled checks take their pairs of elements from `sample_pairs`, which draws
-once and exponentiates block by block, one block alive at a time;
-`sample_group_matrices` makes a whole stack at once.  `exp_b` takes a whole
+block, in order, and draw each block's v and factors when the block is made.
+A verify call draws its sampled pairs once (`sample_pairs`): 2N points of E
+from a generator of its own at the call's seed, whichever sampled checks it
+runs; every sampled check reads each block of them, with their product made
+once, so each word is exponentiated once and each element's tables built
+once per call, one block alive at a time.  `sample_group_matrices` makes a
+whole stack at once.  `exp_b` takes a whole
 array of parameters.  Every exponential is one call of `linalg.expm`
 (Pade-13 scaling and squaring, vectorized over the stack).  The inverse of E
 and the finite-difference oracle for its adjoint are test references
@@ -48,17 +52,21 @@ import numpy as np
 from .linalg import Rng, expm
 from .matched import MatchedPair
 
-#: Samples per stacked block in the sampled checks; reports do not depend on
+#: Pairs per stacked block of a call's sampled pass; reports do not depend on
 #: it.  With `benchmarks/run.py --workload sampled --seconds 8` at seed 42 on a
 #: 2-vCPU x86-64 VM (median of three runs), blocks of 32, 64, 96 and 128 took
-#: 0.57, 0.50, 0.47 and 0.48 s a pass, 0.28, 0.26, 0.24 and 0.26 s for the
-#: slowest call (su41), and 65.9, 67.4, 68.6 and 69.9 MB peak RSS.  At 64,
-#: su41's cocycle and invariance checks at 1000 samples peak at 2.7 and 1.3 MB
-#: of traced allocations (numpy 2.4.6); at 96, at 3.9 and 1.8 MB.
+#: 0.29, 0.23, 0.24 and 0.24 s a pass, 0.14, 0.11, 0.12 and 0.12 s for the
+#: slowest call (su41), and 65.9, 67.7, 69.2 and 70.8 MB peak RSS.  At 64, a
+#: pass over su41's cocycle check, its invariance check and both at 1000
+#: samples peaks at 3.1, 1.7 and 3.2 MB of traced allocations (numpy 2.4.6);
+#: at 96, at 4.5, 2.3 and 4.7 MB.
 SAMPLE_BLOCK = 64
 
 #: Longest word of exponentials of b in a sampled element.
 MAX_WORD = 3
+
+#: v of each sampled point of E is uniform in [-V_RADIUS, V_RADIUS].
+V_RADIUS = 1.0
 
 #: Bytes of real rows in one chunk of an Ad pass.  Every temporary of a
 #: chunk (the products, the conjugated matrices, the rows, the solver's
@@ -255,12 +263,14 @@ class EElement:
         object.__setattr__(self, "v", v)
 
 
+def matrix_to_json_dict(mat: np.ndarray) -> dict:
+    """Serialization for report reproduction: the re/im parts of a matrix."""
+    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+
 def e_element_to_json_dict(g: EElement) -> dict:
     """Serialization for report reproduction: v coordinates plus re/im matrix parts."""
-    return {
-        "v": g.v.tolist(),
-        "a": {"re": g.a.matrix.real.tolist(), "im": g.a.matrix.imag.tolist()},
-    }
+    return {"v": g.v.tolist(), "a": matrix_to_json_dict(g.a.matrix)}
 
 
 def _act(k_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -300,17 +310,29 @@ def adE(g: EElement) -> np.ndarray:
 
 @dataclass(eq=False)
 class Words:
-    """The random numbers of a stack of sampled elements: v (count, k) or
-    None, the word lengths (count,), and the generator their factors come
-    from.  `matrices` makes one block of the stack and draws its factors
-    then, so a check exponentiates block by block and holds neither a
-    check-sized stack of matrices nor all of its factors."""
+    """The random numbers of a stack of sampled elements: the word lengths
+    (count,), the generator their factors come from, and the one their v
+    come from, uniform in [-radius, radius] (None without v).  `v` and
+    `matrices` make one block of the stack and draw its numbers then, so a
+    pass exponentiates block by block and holds neither a pass-sized stack
+    of matrices nor all of its v and factors."""
 
     pair: MatchedPair
-    v: np.ndarray | None
     lengths: np.ndarray
     rng: Rng
+    v_rng: Rng | None = None
+    radius: float | None = None
     drawn: int = 0      # elements whose factors are drawn
+    v_drawn: int = 0    # elements whose v is drawn
+
+    def v(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The v of elements start..stop-1, (count, k), in one call of the v
+        generator; in order, as `factors`."""
+        if start != self.v_drawn:
+            raise ValueError(f"v are drawn in order: next is {self.v_drawn}, not {start}")
+        count = len(self.lengths[start:stop])
+        self.v_drawn = start + count
+        return self.v_rng.uniform(-self.radius, self.radius, (count, self.pair.dim_c))
 
     def factors(self, start: int, stop: int | None = None) -> np.ndarray:
         """The factors of the words of elements start..stop-1, one row of
@@ -349,12 +371,13 @@ def draw_words(mp: MatchedPair, rng: Rng, count: int, radius: float | None = Non
     """The random numbers of `count` elements, in the order of three
     generator calls: all v, uniform in [-radius, radius] (only when `radius`
     is given), then all word lengths, uniform in 1..MAX_WORD, then all
-    factors, with b-coordinates uniform in [-1, 1].  The factors are drawn
-    block by block as the words are made (`Words.factors`); nothing else may
-    draw from `rng` until the last block is."""
-    v = None if radius is None else rng.uniform(-radius, radius, (count, mp.dim_c))
+    factors, with b-coordinates uniform in [-1, 1].  The v and the factors
+    are drawn block by block as the words are made (`Words.v`,
+    `Words.factors`): the v from a copy of `rng` that `rng` skips past
+    (`Rng.skip`).  Nothing else may draw from `rng` until the last block is."""
+    v_rng = None if radius is None else rng.skip(count * mp.dim_c)
     lengths = rng.integers(1, MAX_WORD + 1, count)
-    return Words(mp, v, lengths, rng)
+    return Words(mp, lengths, rng, v_rng, radius)
 
 
 def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:
@@ -363,27 +386,31 @@ def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:
     return draw_words(mp, rng, count).matrices()
 
 
-def sample_pairs(mp: MatchedPair, rng: Rng, samples: int, check_block,
-                 radius: float | None = None) -> list:
-    """check_block(start, first, second) of each block of SAMPLE_BLOCK pairs
-    of random elements, in order: 2 * samples words drawn at once
-    (`draw_words`) as first, second, first, second, ...; `start` is the index
-    of the block's first pair, `first` and `second` the stacks of its first
-    and second elements, points of E, v uniform in [-radius, radius], when
-    `radius` is given, else elements of B.  Each matrix is validated once, and
-    only check_block's result outlives its block."""
+def sample_pairs(mp: MatchedPair, seed: int, samples: int, readers) -> list[tuple]:
+    """The sampled elements of one call, read by every reader: for each block
+    of SAMPLE_BLOCK pairs, in order, read(start, g, h, gh) of each reader on
+    the same points of E; returns each reader's results, one per block.
+
+    The call draws 2 * samples words at once (`draw_words`) from a generator
+    of its own at `seed`, v uniform in [-V_RADIUS, V_RADIUS], as g, h, g, h,
+    ..., whichever readers it has, so a reader's results do not depend on
+    the others.  `start` is the index of the block's first pair, `g` and `h`
+    the stacks of its first and second points and `gh` = g h, made once for
+    all readers.  Each word is
+    exponentiated once and each element's tables are built once, for every
+    reader; only the readers' results outlive their block."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    words = draw_words(mp, rng, 2 * samples, radius)
+    words = draw_words(mp, Rng(seed), 2 * samples, V_RADIUS)
 
-    def halves(start: int, stop: int):
-        mats = words.matrices(2 * start, 2 * stop)
-        return [GroupElement(mp, mats[j::2]) if radius is None else
-                EElement(mp, words.v[2 * start + j:2 * stop:2], GroupElement(mp, mats[j::2]))
-                for j in (0, 1)]
+    def block(start: int) -> list:
+        stop = min(start + SAMPLE_BLOCK, samples)
+        v, mats = words.v(2 * start, 2 * stop), words.matrices(2 * start, 2 * stop)
+        g, h = (EElement(mp, v[j::2], GroupElement(mp, mats[j::2])) for j in (0, 1))
+        gh = e_mul(g, h)
+        return [read(start, g, h, gh) for read in readers]
 
-    return [check_block(start, *halves(start, min(start + SAMPLE_BLOCK, samples)))
-            for start in range(0, samples, SAMPLE_BLOCK)]
+    return list(zip(*(block(start) for start in range(0, samples, SAMPLE_BLOCK))))
 
 
 def basis_curves(mp: MatchedPair, t: float) -> EElement:

@@ -174,6 +174,20 @@ class Rng:
     def uniform(self, low: float, high: float, size=None):
         return self._gen.uniform(low, high, size)
 
+    def skip(self, draws: int) -> "Rng":
+        """A copy of this generator, which this one then leaves as if it had
+        drawn `draws` floats by `uniform`: the copy draws them later, in
+        order.  A float takes one 64-bit output of PCG64, and the advance
+        keeps the half-used output that `integers` may have buffered."""
+        state = self._gen.bit_generator.state
+        fork = Rng(self.seed)
+        fork._gen.bit_generator.state = state
+        self._gen.bit_generator.advance(draws)
+        after = self._gen.bit_generator.state
+        after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+        self._gen.bit_generator.state = after
+        return fork
+
     def integers(self, low: int, high: int, size=None):
         """An int, or an int64 array when `size` is given."""
         out = self._gen.integers(low, high, size)

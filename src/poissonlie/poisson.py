@@ -1,5 +1,5 @@
-"""The multiplicative-cocycle candidate on E, its sampled cocycle check, and
-the anchor of the circle pair as a trig polynomial.
+"""The multiplicative-cocycle candidate on E, its residual on sampled pairs
+of points, and the anchor of the circle pair as a trig polynomial.
 
 The right-trivialized bivector is stored as a map g -> Lambda^2 e with
 e = b0 (+) b, its value at a point the antisymmetric coefficient matrix over
@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import (EElement, GroupElement, adE, e_element_to_json_dict, e_mul, exp_b,
-                    sample_pairs)
-from .linalg import Rng, worst_at
+from .group import EElement, adE, exp_b
 from .matched import MatchedPair
 from .trig import CIRCLE_MAX_MODE, circle_angles, fit_trig
-
-#: v of each sampled point of E is uniform in [-V_RADIUS, V_RADIUS].
-V_RADIUS = 1.0
 
 
 def eta0(mp: MatchedPair, g: EElement) -> np.ndarray:
@@ -67,40 +62,18 @@ def eta(mp: MatchedPair, g: EElement, *, eta_b_sign: float = 1.0) -> np.ndarray:
     return out
 
 
-def verify_cocycle(mp: MatchedPair, samples: int, rng: Rng, eta_b_sign: float = 1.0) -> dict:
-    """Max scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h).
-
-    Samples run in stacks of (g, h) pairs (`group.sample_pairs`).  The
-    record's witness names the sample with the worst residual (the first NaN,
-    if any): its index, the e-basis wedge of its largest entry, g and h, made
-    once from the v and matrices each block keeps of its worst sample."""
-    labels = mp.e_space.labels
-
-    def check_block(start, g, h):
-        lhs = eta(mp, e_mul(g, h), eta_b_sign=eta_b_sign)
-        pushed = _congruence(adE(g), eta(mp, h, eta_b_sign=eta_b_sign))
-        base = eta(mp, g, eta_b_sign=eta_b_sign)
-        diff = np.abs(lhs - base - pushed).reshape(len(lhs), -1)
-        scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
-        resid, i = worst_at(diff.max(axis=1) / scale)
-        row, col = divmod(int(np.argmax(diff[i])), len(labels))
-        # copies: views would keep the block's stacks alive
-        return (resid, start + i, f"{labels[row]}^{labels[col]}",
-                [(x.v[i].copy(), x.a.matrix[i].copy()) for x in (g, h)])
-
-    resids, worst_samples, parts, witnesses = zip(*sample_pairs(mp, rng, samples, check_block,
-                                                                V_RADIUS))
-    # the first block holding the first worst sample holds the witness
-    out, at = worst_at(resids)
-    g_worst, h_worst = (EElement(mp, v, GroupElement(mp, mat)) for v, mat in witnesses[at])
-    return {
-        "pair": mp.name,
-        "seed": rng.seed,
-        "max_residual": out,
-        "witness": {"worst_sample": worst_samples[at], "worst_part": parts[at],
-                    "g": e_element_to_json_dict(g_worst),
-                    "h": e_element_to_json_dict(h_worst)},
-    }
+def cocycle_residuals(mp: MatchedPair, g: EElement, h: EElement, gh: EElement,
+                      eta_b_sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled residual of eta(gh) = eta(g) + (AdE_g (x) AdE_g) eta(h) for each
+    pair of two stacks of points, gh their product (`group.e_mul`), and the
+    flat e-basis index (row * dim e + column) of each pair's largest entry
+    (the first NaN, if any)."""
+    lhs = eta(mp, gh, eta_b_sign=eta_b_sign)
+    pushed = _congruence(adE(g), eta(mp, h, eta_b_sign=eta_b_sign))
+    base = eta(mp, g, eta_b_sign=eta_b_sign)
+    diff = np.abs(lhs - base - pushed).reshape(len(lhs), -1)
+    scale = 1.0 + np.maximum(np.maximum(_abs_max(lhs), _abs_max(base)), _abs_max(pushed))
+    return diff.max(axis=1) / scale, diff.argmax(axis=1)
 
 
 def _congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:

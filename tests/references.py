@@ -166,7 +166,7 @@ def e_inv(g: EElement) -> EElement:
 def words_e_elements(words, start: int, stop: int) -> EElement:
     """The points of E of sampled words start..stop-1, as a stack."""
     mp = words.pair
-    return EElement(mp, words.v[start:stop], GroupElement(mp, words.matrices(start, stop)))
+    return EElement(mp, words.v(start, stop), GroupElement(mp, words.matrices(start, stop)))
 
 
 def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:

@@ -20,7 +20,7 @@ from poissonlie.linalg import Rng, worst as linalg_worst
 from poissonlie.manin import (build_gc_algebra, check_manin, deform_bracket,
                               g_structure_in_model_basis, gprime_algebra,
                               gstar_k0_abelian_residual, killing_eigenvalues)
-from poissonlie.poisson import eta0, verify_cocycle
+from poissonlie.poisson import eta0
 from poissonlie.quantize import Coproduct, CrossedAlgebra, verify_semiclassical
 from references import (BaseFn, LinearFn, TrigPoly, adE_fd, e2_plus_brackets, eta_alternative,
                         poisson_bracket, sample_e_element, twist_check_of)
@@ -39,7 +39,7 @@ def test_criterion_01_cocycle_multiplicativity():
     t0 = time.perf_counter()
     worst = 0.0
     for name in MAIN_PAIRS:
-        rep = verify_cocycle(get_entry(name).mp, 1000, Rng(42))
+        rep = run_check("cocycle", get_entry(name).mp, 1000, 42, DEFAULT_TOL)
         worst = linalg_worst(worst, rep["max_residual"])
         assert rep["max_residual"] <= 1e-9, name
     elapsed = time.perf_counter() - t0
@@ -243,7 +243,7 @@ def test_criterion_11_negative_controls():
     failures = {}
     for check in REGISTRY.values():
         assert check.name in applicable_checks(entry)
-        rep = run_check(check.name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=check.knob)
+        rep = run_check(check.name, entry, 20, 1, DEFAULT_TOL, corrupt=check.knob)
         failures[check.knob] = (not rep["pass"]) and rep["max_residual"] > 1e-3
     report(11, all(failures.values()),
            "every suite fails (residual > 1e-3) under its documented corruption "
@@ -277,7 +277,7 @@ def test_reports_embed_required_metadata(tmp_path):
     assert out.returncode == 0
     doc = json.loads(path.read_text())
     assert doc["meta"]["version"]
-    assert doc["meta"]["prng"] == "numpy PCG64; per check: all v, all word lengths, all factors"
+    assert doc["meta"]["prng"] == "numpy PCG64; per call: all v, all word lengths, all factors"
     assert "Pade" in doc["meta"]["exp_method"]
     assert set(doc["meta"]["tolerances"]) == {"algebraic", "fd", "fd_step", "svd",
                                               "twist_inner_scale"}

@@ -15,7 +15,7 @@ import pytest
 
 from poissonlie import group
 from poissonlie.catalog import get_entry, su11, supq1
-from poissonlie.checks import run_check
+from poissonlie.checks import run_check, sampled_pass
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
                               draw_words, e_mul, exp_b, sample_group_matrices)
@@ -28,10 +28,15 @@ from references import (ad_of_inverse, change_of_basis, coad, coad_matrix_coords
                         words_e_elements)
 
 
+def matrix_from_json_dict(doc) -> np.ndarray:
+    """The matrix serialized in a report witness."""
+    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+
+
 def e_element_from_json_dict(mp, doc) -> EElement:
     """The point of E serialized in a report witness."""
-    mat = np.asarray(doc["a"]["re"], dtype=float) + 1j * np.asarray(doc["a"]["im"], dtype=float)
-    return EElement(mp, np.asarray(doc["v"], dtype=float), GroupElement(mp, mat))
+    return EElement(mp, np.asarray(doc["v"], dtype=float),
+                    GroupElement(mp, matrix_from_json_dict(doc["a"])))
 
 
 PAIRS = ("su21", "su31")
@@ -105,7 +110,8 @@ def ref_cocycle(mp, samples, seed, sign=1.0):
 
 
 def ref_invariance(mp, samples, seed):
-    _, mats, _ = ref_draw(mp, seed, 2 * samples)
+    # the call's draw: the v are drawn, and invariance reads only the matrices
+    _, mats, _ = ref_draw(mp, seed, 2 * samples, radius=1.0)
     inv, hom = [], []
     for i in range(samples):
         a = GroupElement(mp, mats[2 * i])
@@ -145,6 +151,25 @@ def test_stacked_e_draws_equal_sequential_draws(mp):
     assert np.max(np.abs(stack.a.matrix - ref_mats)) <= 1e-15
     nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_gen.uniform(0, 1)}
     assert len(nxt) == 1
+
+
+@pytest.mark.parametrize("before", [0, 1, 3])
+def test_block_wise_v_equal_the_one_call_draw(mp, before):
+    # an odd number of earlier small integers leaves half of a 64-bit output
+    # buffered; skipping past the v keeps it for the word lengths
+    rng, gen = Rng(14), np.random.Generator(np.random.PCG64(14))
+    rng.integers(1, 4, before)
+    gen.integers(1, 4, size=before)
+    words = draw_words(mp, rng, 100, radius=0.5)
+    blocks = [words.v(start, start + 30) for start in range(0, 100, 30)]
+    v = gen.uniform(-0.5, 0.5, (100, mp.dim_c))
+    lengths = gen.integers(1, 4, size=100)
+    assert np.array_equal(np.concatenate(blocks), v)
+    assert np.array_equal(words.lengths, lengths)
+    assert np.array_equal(words.factors(0), gen.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b)))
+    assert rng.integers(1, 4, 5).tolist() == gen.integers(1, 4, size=5).tolist()
+    with pytest.raises(ValueError, match="drawn in order"):
+        words.v(0, 30)
 
 
 def test_block_wise_factors_equal_the_one_call_draw(mp):
@@ -246,7 +271,7 @@ def test_cocycle_matches_per_sample_loop(mp):
     samples = 200    # not a multiple of the block size
     assert samples % SAMPLE_BLOCK
     ref = ref_cocycle(mp, samples, 42)
-    rep = run_check("cocycle", mp, samples, Rng(42), DEFAULT_TOL)
+    rep = run_check("cocycle", mp, samples, 42, DEFAULT_TOL)
     assert abs(rep["max_residual"] - ref.max()) <= 1e-13
     assert rep["pass"]
 
@@ -254,7 +279,7 @@ def test_cocycle_matches_per_sample_loop(mp):
 def test_invariance_matches_per_sample_loop(mp):
     samples = 200
     inv, hom = ref_invariance(mp, samples, 42)
-    rep = run_check("invariance", mp, samples, Rng(42), DEFAULT_TOL)
+    rep = run_check("invariance", mp, samples, 42, DEFAULT_TOL)
     assert abs(rep["details"]["invariance"] - inv) <= 1e-13
     assert abs(rep["details"]["action_homomorphism"] - hom) <= 1e-13
     assert rep["pass"]
@@ -272,13 +297,13 @@ def test_reports_do_not_depend_on_the_block_size(name, block, monkeypatch):
     # at the default block; SAMPLE_BLOCK + 1 samples leave a last block of one
     runs = [(check, samples, knob) for samples in (100, SAMPLE_BLOCK + 1)
             for check, knob in SAMPLED_RUNS]
-    default = [run_check(check, entry, samples, Rng(42), DEFAULT_TOL, corrupt=knob)
+    default = [run_check(check, entry, samples, 42, DEFAULT_TOL, corrupt=knob)
                for check, samples, knob in runs]
     # `group.sample_pairs` is the one reader of the block size
     monkeypatch.setattr(group, "SAMPLE_BLOCK", block)
     for (check, samples, knob), rep in zip(runs, default):
         # residuals and witnesses: worst_sample, worst_part, g and h
-        assert run_check(check, entry, samples, Rng(42), DEFAULT_TOL, corrupt=knob) == rep
+        assert run_check(check, entry, samples, 42, DEFAULT_TOL, corrupt=knob) == rep
 
 
 def test_each_sampled_matrix_is_validated_once(monkeypatch):
@@ -292,15 +317,19 @@ def test_each_sampled_matrix_is_validated_once(monkeypatch):
         real(ok, values, problem, what)
 
     monkeypatch.setattr(group, "_require", counting)
-    run_check("invariance", mp, samples, Rng(42), DEFAULT_TOL)
-    # |det| and Ad of each a, b and ab, one validated pass each; the column
-    # pass over a^{-1} behind Ad*_a validates nothing
-    assert counts == {"|det|": 3 * samples, "residual": 3 * samples, "leak": 3 * samples}
-    counts.clear()
-    run_check("cocycle", mp, samples, Rng(42), DEFAULT_TOL)
-    # |det|, v and Ad of each g, h and gh, and |det| and v of the witness pair once
-    assert counts == {"|det|": 3 * samples + 2, "max |v|": 3 * samples + 2,
+    run_check("invariance", mp, samples, 42, DEFAULT_TOL)
+    # |det|, v and Ad of each point g, h and gh of the call's pass, one
+    # validated pass each; invariance reads their elements a, b and ab of B,
+    # and the column pass over a^{-1} behind Ad*_a validates nothing
+    assert counts == {"|det|": 3 * samples, "max |v|": 3 * samples,
                       "residual": 3 * samples, "leak": 3 * samples}
+    # the same, and |det| and v of the cocycle's witness pair once, whether
+    # invariance reads the same pass or not
+    for names in (["cocycle"], ["invariance", "cocycle"], ["cocycle", "invariance"]):
+        counts.clear()
+        sampled_pass(mp, names, samples, 42)
+        assert counts == {"|det|": 3 * samples + 2, "max |v|": 3 * samples + 2,
+                          "residual": 3 * samples, "leak": 3 * samples}, names
 
 
 #: tracemalloc peaks in bytes of the sampled checks on su41 at 1000 samples,
@@ -312,20 +341,33 @@ TWO_BLOCK_PEAKS = {"cocycle": 3.64e6, "invariance": 1.78e6}
 @pytest.mark.parametrize("check", ["cocycle", "invariance"])
 def test_sampled_checks_hold_one_block_at_a_time(check):
     entry = get_entry("su41")
-    run_check(check, entry, 1000, Rng(42), DEFAULT_TOL)    # the pair's own tables
+    run_check(check, entry, 1000, 42, DEFAULT_TOL)    # the pair's own tables
     tracemalloc.start()
     try:
-        run_check(check, entry, 1000, Rng(42), DEFAULT_TOL)
+        run_check(check, entry, 1000, 42, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= TWO_BLOCK_PEAKS[check]
 
 
+def test_a_two_check_pass_holds_one_block_at_a_time():
+    # g, h and gh keep the tables both checks read until their block ends
+    entry = get_entry("su41")
+    sampled_pass(entry, ["invariance", "cocycle"], 1000, 42)
+    tracemalloc.start()
+    try:
+        sampled_pass(entry, ["invariance", "cocycle"], 1000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TWO_BLOCK_PEAKS["cocycle"]
+
+
 def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):
     monkeypatch.setattr(MatchedPair, "invariance_residual",
                         lambda self, a: np.zeros(a.matrix.shape[:-2]))
-    rep = run_check("invariance", mp, 40, Rng(42), DEFAULT_TOL)
+    rep = run_check("invariance", mp, 40, 42, DEFAULT_TOL)
     details = rep["details"]
     assert details["invariance"] == 0.0
     assert rep["worst_criterion"] == "action_homomorphism"
@@ -335,17 +377,17 @@ def test_invariance_residual_includes_the_homomorphism_part(mp, monkeypatch):
 @pytest.mark.parametrize("check", ["invariance", "cocycle"])
 def test_sampled_checks_refuse_zero_samples(check):
     with pytest.raises(ValueError, match="at least one sample"):
-        run_check(check, get_entry("su21"), 0, Rng(42), DEFAULT_TOL)
+        run_check(check, get_entry("su21"), 0, 42, DEFAULT_TOL)
 
 
 #: residuals of the corruption knobs at seed 42, 200 samples, in the draw
-#: order of one check's three generator calls, as the per-sample loops over
-#: `ref_draw` give them
+#: order of the call's three generator calls (v included, whichever check
+#: reads them), as the per-sample loops over `ref_draw` give them
 KNOB_RESIDUALS = {
     ("su21", "cocycle"): 2.0284789493899513,
-    ("su21", "invariance"): 1.9944210939860325,
+    ("su21", "invariance"): 1.9668467787797945,
     ("su31", "cocycle"): 1.9786322362481006,
-    ("su31", "invariance"): 1.928507530085616,
+    ("su31", "invariance"): 1.9818106141910397,
 }
 
 
@@ -353,14 +395,14 @@ KNOB_RESIDUALS = {
 @pytest.mark.parametrize("check,knob", [("cocycle", "eta_b_sign"),
                                         ("invariance", "invariance_flip_action")])
 def test_knobs_fail_with_the_unstacked_residual(name, check, knob):
-    rep = run_check(check, get_entry(name), 200, Rng(42), DEFAULT_TOL, corrupt=knob)
+    rep = run_check(check, get_entry(name), 200, 42, DEFAULT_TOL, corrupt=knob)
     assert not rep["pass"]
     assert abs(rep["max_residual"] - KNOB_RESIDUALS[(name, check)]) <= 1e-12
 
 
 def test_cocycle_witness_reproduces_the_residual(mp):
     samples = 40
-    rep = run_check("cocycle", mp, samples, Rng(3), DEFAULT_TOL, corrupt="eta_b_sign")
+    rep = run_check("cocycle", mp, samples, 3, DEFAULT_TOL, corrupt="eta_b_sign")
     details = rep["details"]
     ref = ref_cocycle(mp, samples, 3, sign=-1.0)
     assert details["worst_sample"] == int(np.argmax(ref))
@@ -374,16 +416,65 @@ def test_cocycle_witness_reproduces_the_residual(mp):
 
 
 def test_invariance_witness_names_sample_and_part(mp):
-    rep = run_check("invariance", mp, 40, Rng(4), DEFAULT_TOL, corrupt="invariance_flip_action")
+    rep = run_check("invariance", mp, 40, 4, DEFAULT_TOL, corrupt="invariance_flip_action")
     details = rep["details"]
     assert rep["worst_criterion"] == "invariance"
-    _, mats, _ = ref_draw(mp, 4, 80)
+    _, mats, _ = ref_draw(mp, 4, 80, radius=1.0)
     resids = []
     for i in range(40):
         a = GroupElement(mp, mats[2 * i])
         prod = a.coad_b0 @ inverse_element(a).action_on_c.T
         resids.append(np.max(np.abs(prod - np.eye(mp.dim_c))))
-    assert details["worst_sample"] == int(np.argmax(resids))
+    at = details["worst_sample"]
+    assert at == int(np.argmax(resids))
+    # the witness elements a and b are the call's sampled matrices there,
+    # and a gives the residual back
+    words = draw_words(mp, Rng(4), 80, group.V_RADIUS)
+    words.v()
+    mats = words.matrices()
+    a, b = (matrix_from_json_dict(details[x]) for x in ("a", "b"))
+    assert np.array_equal(a, mats[2 * at]) and np.array_equal(b, mats[2 * at + 1])
+    a = GroupElement(mp, a)
+    prod = a.coad_b0 @ inverse_element(a).action_on_c.T
+    assert abs(np.max(np.abs(prod - np.eye(mp.dim_c))) - rep["max_residual"]) <= 1e-12
+
+
+def test_a_two_check_call_exponentiates_and_conjugates_as_one_check_does(monkeypatch):
+    mp = get_entry("su31").mp
+    samples = 200
+    real_expm, real_adjoint = group.expm, group._adjoint
+    counts = Counter()
+
+    def expm(a):
+        counts["expm rows"] += len(a)
+        return real_expm(a)
+
+    def adjoint(mp, mats, invs, columns=None):
+        kind = "validated" if columns is None else "narrow"
+        counts[f"{kind} passes"] += 1
+        counts[f"{kind} elements"] += len(mats)
+        return real_adjoint(mp, mats, invs, columns)
+
+    monkeypatch.setattr(group, "expm", expm)
+    monkeypatch.setattr(group, "_adjoint", adjoint)
+    seen = {}
+    for names in (("cocycle",), ("invariance",), ("invariance", "cocycle"),
+                  ("cocycle", "invariance")):
+        counts.clear()
+        sampled_pass(mp, names, samples, 42)
+        seen[names] = dict(counts)
+    # every factor of the call's 2 * samples words is exponentiated once
+    gen = np.random.Generator(np.random.PCG64(42))
+    gen.uniform(-1.0, 1.0, (2 * samples, mp.dim_c))
+    factors = int(gen.integers(1, 4, size=2 * samples).sum())
+    blocks = -(-samples // SAMPLE_BLOCK)
+    # one validated pass over g, h and gh each; invariance reads Ad*_a of g alone
+    alone = {"expm rows": factors, "validated passes": 3 * blocks,
+             "validated elements": 3 * samples}
+    assert seen[("invariance",)] == alone | {"narrow passes": blocks, "narrow elements": samples}
+    both = alone | {"narrow passes": 3 * blocks, "narrow elements": 3 * samples}
+    for names in (("cocycle",), ("invariance", "cocycle"), ("cocycle", "invariance")):
+        assert seen[names] == both, names
 
 
 # -- validation of every element ----------------------------------------------------
@@ -602,7 +693,7 @@ def test_column_pass_on_a_pair_whose_y_basis_is_no_selection():
     assert np.max(np.abs(a.coad_b0 - np.swapaxes(full, 1, 2)[:, m:, m:])) <= 1e-13
     # the sampled checks pass on it, and fail under their knobs
     for check, knob in SAMPLED_RUNS:
-        rep = run_check(check, mp, 40, Rng(42), DEFAULT_TOL, corrupt=knob)
+        rep = run_check(check, mp, 40, 42, DEFAULT_TOL, corrupt=knob)
         assert rep["pass"] is (knob is None), (check, knob)
 
 

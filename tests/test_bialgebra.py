@@ -13,7 +13,7 @@ from poissonlie.catalog import normalize_z, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL, FD_TOL, SVD_TOL
 from poissonlie.lie import LieAlgebra, generated_dim
-from poissonlie.linalg import Rng, worst
+from poissonlie.linalg import worst
 from references import c_coords, identity_element
 
 
@@ -55,7 +55,7 @@ def test_build_e_once_per_pair(e21):
     before_e, before_delta = e.structure.copy(), delta.copy()
     for check in REGISTRY.values():
         if check.applies(e21):
-            run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
+            run_check(check.name, e21, 4, 0, DEFAULT_TOL, corrupt=check.knob)
     assert mp.e_algebra is e and mp.delta is delta
     assert np.array_equal(e.structure, before_e)
     assert np.array_equal(before_e, semidirect_algebra(mp).structure)
@@ -245,7 +245,7 @@ def test_uniqueness_fails_on_a_non_generating_pair(e21, monkeypatch):
 
     n = e21.mp.e_algebra.dim
     monkeypatch.setattr(bi, "uniqueness_generators", lambda dim: np.eye(dim)[:2])
-    rep = run_check("uniqueness", e21, 0, Rng(42), DEFAULT_TOL)
+    rep = run_check("uniqueness", e21, 0, 42, DEFAULT_TOL)
     assert not rep["pass"]
     assert rep["details"]["generation_deficit"] == n - 2
     assert rep["max_residual"] == max(rep["details"]["kernel_dim"], n - 2)
@@ -328,7 +328,7 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
             table[(0,) * table.ndim] = 1.0
     for check in REGISTRY.values():
         if check.applies(e21):
-            run_check(check.name, e21, 4, Rng(0), DEFAULT_TOL, corrupt=check.knob)
+            run_check(check.name, e21, 4, 0, DEFAULT_TOL, corrupt=check.knob)
     for name, table in built.items():
         assert getattr(e21, name) is table
     for table, copy in zip(tables, before):

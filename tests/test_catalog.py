@@ -63,7 +63,7 @@ def test_cached_entries_hold_no_writable_array(name):
     for check in REGISTRY.values():
         if check.applies(entry):
             for knob in (None, check.knob):
-                run_check(check.name, entry, 4, Rng(0), DEFAULT_TOL, corrupt=knob)
+                run_check(check.name, entry, 4, 0, DEFAULT_TOL, corrupt=knob)
     assert get_entry(name) is entry
     assert writable_arrays(entry) == []
     with pytest.raises(ValueError, match="read-only"):

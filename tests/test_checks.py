@@ -7,7 +7,6 @@ import pytest
 from poissonlie.catalog import get_entry, supq1
 from poissonlie.checks import CIRCLE, REGISTRY, _r_display_matrices, applicable_checks, run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
 from references import r_display_residual_loop
 
@@ -28,23 +27,23 @@ def test_run_check_refuses_inapplicable_target():
     del doc["algebra"]["realization"]
     bare = MatchedPair.from_json_dict(doc)
     with pytest.raises(ValueError, match="does not apply"):
-        run_check("cocycle", bare, 1, Rng(0), DEFAULT_TOL)
+        run_check("cocycle", bare, 1, 0, DEFAULT_TOL)
     with pytest.raises(ValueError, match="does not apply"):
-        run_check("coboundary", get_entry("su11").mp, 1, Rng(0), DEFAULT_TOL)
+        run_check("coboundary", get_entry("su11").mp, 1, 0, DEFAULT_TOL)
 
 
 def test_nan_sample_residual_fails_the_check(monkeypatch):
     # max(0.0, nan) is 0.0: a plain max accumulator would report a pass
     monkeypatch.setattr(MatchedPair, "invariance_residual", lambda self, a: float("nan"))
-    rep = run_check("invariance", get_entry("su21"), 3, Rng(0), DEFAULT_TOL)
+    rep = run_check("invariance", get_entry("su21"), 3, 0, DEFAULT_TOL)
     assert math.isnan(rep["max_residual"])
     assert rep["pass"] is False
 
 
 def test_fd_step_reaches_delta_consistency():
     entry = get_entry("su11")
-    base = run_check("delta_consistency", entry, 1, Rng(0), DEFAULT_TOL)
-    coarse = run_check("delta_consistency", entry, 1, Rng(0),
+    base = run_check("delta_consistency", entry, 1, 0, DEFAULT_TOL)
+    coarse = run_check("delta_consistency", entry, 1, 0,
                        DEFAULT_TOL.override(fd_step=1e-2))
     assert base["pass"]
     assert coarse["max_residual"] != base["max_residual"]
@@ -54,7 +53,7 @@ def test_bialgebra_axioms_report_names_its_worst_co_jacobi_triple():
     from poissonlie.bialgebra import co_jacobi_worst_at, delta_direct
 
     entry = get_entry("su21")
-    details = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL)["details"]
+    details = run_check("bialgebra_axioms", entry, 0, 0, DEFAULT_TOL)["details"]
     resid, triple = co_jacobi_worst_at(delta_direct(entry.mp))
     assert details["co_jacobi_residual"] == resid
     assert details["co_jacobi_worst_triple"] == list(triple)
@@ -63,9 +62,9 @@ def test_bialgebra_axioms_report_names_its_worst_co_jacobi_triple():
 @pytest.mark.parametrize("name", ["su21", "su41"])
 def test_bialgebra_axioms_report_names_its_worst_cocycle_pair(name):
     entry = get_entry(name)
-    clean = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL)["details"]
+    clean = run_check("bialgebra_axioms", entry, 0, 0, DEFAULT_TOL)["details"]
     assert clean["cocycle_residual"] == 0.0 and clean["cocycle_worst_pair"] == [0, 1]
-    rep = run_check("bialgebra_axioms", entry, 0, Rng(0), DEFAULT_TOL,
+    rep = run_check("bialgebra_axioms", entry, 0, 0, DEFAULT_TOL,
                     corrupt="delta_sign_one_basis")
     i, j = rep["details"]["cocycle_worst_pair"]
     assert i < j
@@ -127,7 +126,7 @@ def test_a_snapped_deviation_shows_under_a_tight_tolerance(monkeypatch, tmp_path
 
 def test_jacobi_report_names_its_worst_triple():
     entry = get_entry("su21")
-    rep = run_check("jacobi", entry, 1, Rng(0), DEFAULT_TOL, corrupt="jacobi_perturb_constant")
+    rep = run_check("jacobi", entry, 1, 0, DEFAULT_TOL, corrupt="jacobi_perturb_constant")
     assert rep["pass"] is False
     i, j, k = rep["details"]["worst_triple"]
     c = entry.g.structure.copy()
@@ -141,7 +140,7 @@ def test_jacobi_report_names_its_worst_triple():
 def test_delta_sign_knob_trips_bialgebra_axioms(name):
     # the knob flips a basis vector whose cobracket is nonzero; on su31 and
     # su41 the cobracket of the first b-basis vector vanishes
-    rep = run_check("bialgebra_axioms", get_entry(name), 0, Rng(0), DEFAULT_TOL,
+    rep = run_check("bialgebra_axioms", get_entry(name), 0, 0, DEFAULT_TOL,
                     corrupt="delta_sign_one_basis")
     assert rep["pass"] is False
     assert rep["details"]["cocycle_residual"] > 1.0
@@ -177,8 +176,8 @@ KNOB_CRITERIA = {
 
 def _assert_knob_trips_its_criterion(name, entry):
     criterion = KNOB_CRITERIA[name]
-    clean = run_check(name, entry, 20, Rng(1), DEFAULT_TOL)
-    rep = run_check(name, entry, 20, Rng(1), DEFAULT_TOL, corrupt=REGISTRY[name].knob)
+    clean = run_check(name, entry, 20, 1, DEFAULT_TOL)
+    rep = run_check(name, entry, 20, 1, DEFAULT_TOL, corrupt=REGISTRY[name].knob)
     assert clean["pass"] is True and rep["pass"] is False
     before, after = clean["details"][criterion], rep["details"][criterion]
     if isinstance(before, bool):
@@ -197,7 +196,7 @@ def test_r_display_row_equals_the_per_vector_loop(control_entries, pair):
 def test_gstar_knob_fails_manin_with_the_form_invariance_at_zero(control_entries, pair):
     # the sparse form invariance reads the same g_C under the knob, which
     # enlarges g* only; the knob fails manin at its own sub-criterion
-    rep = run_check("manin", control_entries[pair], 20, Rng(1), DEFAULT_TOL,
+    rep = run_check("manin", control_entries[pair], 20, 1, DEFAULT_TOL,
                     corrupt="gstar_complex_diagonal")
     assert rep["pass"] is False and rep["details"]["form_invariance"] == 0.0
     assert rep["details"][KNOB_CRITERIA["manin"]] > rep["tolerance"]
@@ -230,7 +229,7 @@ def test_witnesses_name_the_worst_basis_vector_under_the_knobs(control_entries, 
     for check, knob, want, value in (
             ("coboundary", "r_scale_2", int(np.argmax(per_basis)), per_basis.max()),
             ("delta_consistency", "delta_b0_sign", int(np.argmax(b0_block)), 2 * b0_block.max())):
-        rep = run_check(check, entry, 0, Rng(1), DEFAULT_TOL, corrupt=knob)
+        rep = run_check(check, entry, 0, 1, DEFAULT_TOL, corrupt=knob)
         details = rep["details"]
         assert details[f"{check}_worst_basis"] == want
         assert details[f"{check}_worst_label"] == mp.e_space.labels[want]
@@ -252,7 +251,7 @@ def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch, fresh_c
         return out
 
     monkeypatch.setattr(bialgebra, "r_matrix", doubled)
-    rep = run_check("coboundary", get_entry("su21"), 0, Rng(0), DEFAULT_TOL)
+    rep = run_check("coboundary", get_entry("su21"), 0, 0, DEFAULT_TOL)
     assert rep["pass"] is False
     assert rep["details"]["route_difference"] == pytest.approx(1.0)
     assert rep["max_residual"] == rep["details"]["route_difference"]
@@ -268,7 +267,7 @@ def test_deform_negative_definiteness_holds_at_any_tolerance(monkeypatch, algebr
 
     real = manin.killing_eigenvalues
     monkeypatch.setattr(manin, "killing_eigenvalues", lambda alg: -real(alg))
-    rep = run_check("deform", get_entry("su21"), 0, Rng(0),
+    rep = run_check("deform", get_entry("su21"), 0, 0,
                     DEFAULT_TOL.override(algebraic=algebraic))
     assert rep["pass"] is False
     assert rep["details"]["minus_negative_definite"] is False
@@ -280,7 +279,7 @@ def test_deform_negative_definiteness_holds_at_any_tolerance(monkeypatch, algebr
 def test_manin_complementarity_holds_at_any_tolerance(algebraic):
     # the knob's extra diagonal leaves no complement; above the isotropy
     # residual's 2.0 that condition alone fails the check
-    rep = run_check("manin", get_entry("su21"), 0, Rng(0),
+    rep = run_check("manin", get_entry("su21"), 0, 0,
                     DEFAULT_TOL.override(algebraic=algebraic),
                     corrupt="gstar_complex_diagonal")
     assert rep["details"]["complementary_g"] is False
@@ -293,7 +292,7 @@ def test_nan_residual_is_named_before_a_failing_condition(monkeypatch):
     from poissonlie import manin
 
     monkeypatch.setattr(manin, "gstar_k0_abelian_residual", lambda entry: float("nan"))
-    rep = run_check("manin", get_entry("su21"), 0, Rng(0), DEFAULT_TOL,
+    rep = run_check("manin", get_entry("su21"), 0, 0, DEFAULT_TOL,
                     corrupt="gstar_complex_diagonal")
     assert math.isnan(rep["max_residual"])
     assert rep["worst_criterion"] == "k0_abelian"
@@ -311,8 +310,8 @@ def test_jacobi_check_reads_the_stored_contraction(monkeypatch):
         raise AssertionError("contracted again")
 
     monkeypatch.setattr(checks, "jacobi_worst_at", refuse)
-    rep = run_check("jacobi", entry, 0, Rng(0), DEFAULT_TOL)
+    rep = run_check("jacobi", entry, 0, 0, DEFAULT_TOL)
     assert rep["pass"] and rep["max_residual"] == entry.g.jacobi[0] == 0.0
     assert rep["details"]["worst_triple"] == list(entry.g.jacobi[1])
     with pytest.raises(AssertionError, match="contracted again"):
-        run_check("jacobi", entry, 0, Rng(0), DEFAULT_TOL, corrupt="jacobi_perturb_constant")
+        run_check("jacobi", entry, 0, 0, DEFAULT_TOL, corrupt="jacobi_perturb_constant")

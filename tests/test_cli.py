@@ -37,7 +37,7 @@ def test_verify_pass_exit_zero(tmp_path):
     assert all(r["pass"] for r in doc["results"])
     assert {r["check"] for r in doc["results"]} == {"cocycle", "jacobi"}
     meta = doc["meta"]
-    assert meta["prng"] == "numpy PCG64; per check: all v, all word lengths, all factors"
+    assert meta["prng"] == "numpy PCG64; per call: all v, all word lengths, all factors"
     assert "expm" in meta["exp_method"]
     assert meta["seed"] == 42
     assert meta["tolerances"]["algebraic"] == 1e-9
@@ -479,3 +479,45 @@ def test_fuzzed_import_exits_2_or_64(data):
         code = cli.main(["verify", str(path), "--checks", "jacobi",
                          "--out", str(Path(tmp) / "r.json")])
     assert code in (2, 64)
+
+
+# -- one sampled pass per call --------------------------------------------------
+
+
+def _sampled_rows(pair, checks=None, seed=42, corrupt=None):
+    """The `invariance` and `cocycle` rows of an in-process verify."""
+    config = cli.RunConfig(pair=pair, checks=checks, samples=40, seed=seed, corrupt=corrupt)
+    _, report, _ = cli.run(config)
+    return {r["check"]: r for r in report["results"] if r["check"] in ("invariance", "cocycle")}
+
+
+@pytest.fixture(scope="module")
+def imported_su31(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pairs") / "su31.json"
+    assert cli.main(["catalog", "export", "su31", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [42, 7919])
+@pytest.mark.parametrize("pair", ["su21", "imported su31"])
+def test_sampled_rows_do_not_depend_on_the_checks_run(pair, seed, imported_su31):
+    # every sampled check reads the call's one draw, so a row from a full
+    # verify replays with that check alone, and the order does not matter
+    target = imported_su31 if pair == "imported su31" else pair
+    full = _sampled_rows(target, seed=seed)
+    assert set(full) == {"invariance", "cocycle"}
+    for checks in (["cocycle"], ["invariance"], ["cocycle", "invariance"]):
+        rows = _sampled_rows(target, checks, seed)
+        assert set(rows) == set(checks)
+        for name, row in rows.items():
+            assert row == full[name], (checks, name)
+
+
+@pytest.mark.parametrize("knob,other", [("eta_b_sign", "invariance"),
+                                        ("invariance_flip_action", "cocycle")])
+def test_a_knob_stays_in_its_check_inside_a_shared_block(knob, other):
+    clean = _sampled_rows("su21", ["invariance", "cocycle"])
+    corrupted = _sampled_rows("su21", ["invariance", "cocycle"], corrupt=knob)
+    aim = checks.REGISTRY["invariance" if other == "cocycle" else "cocycle"]
+    assert aim.knob == knob and corrupted[aim.name]["pass"] is False
+    assert corrupted[other] == clean[other]

@@ -11,7 +11,7 @@ from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.lie import (IM_TRACE, MatrixBasisSolver, SubspaceDecomposition,
                             from_realization, trace_gram)
-from poissonlie.linalg import Rng, best_sign, worst
+from poissonlie.linalg import best_sign, worst
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               cprime_residual, deform_bracket,
                               g_structure_in_model_basis, gc_compact_half,
@@ -60,7 +60,7 @@ def test_manin_triples_pass(entries):
 
 def test_manin_negative_control(entries):
     # the knob adds the imaginary traceless diagonal to gstar
-    rep = run_check("manin", entries[1], 0, Rng(0), DEFAULT_TOL, corrupt="gstar_complex_diagonal")
+    rep = run_check("manin", entries[1], 0, 0, DEFAULT_TOL, corrupt="gstar_complex_diagonal")
     details = rep["details"]
     assert details["isotropy_gstar"] > 1e-3
     assert details["complementary_g"] is False and details["complementary_gprime"] is False
@@ -195,7 +195,7 @@ def test_deform_nan_p_part_fails_the_check(monkeypatch):
 
     monkeypatch.setattr(manin, "g_structure_in_model_basis", poisoned)
     assert not np.isnan(deform_bracket(poisoned(entry), entry.mp.dim_c, +1.0).structure).any()
-    rep = run_check("deform", entry, 0, Rng(0), DEFAULT_TOL)
+    rep = run_check("deform", entry, 0, 0, DEFAULT_TOL)
     assert np.isnan(rep["details"]["pp_in_k"]) and np.isnan(rep["max_residual"])
     assert rep["worst_criterion"] == "pp_in_k"
     assert rep["pass"] is False

@@ -197,10 +197,10 @@ def test_mixed_adapted_basis_su21():
     assert names == ["jacobi", "invariance", "cocycle", "delta_consistency",
                      "bialgebra_axioms"]
     for name in names:
-        assert run_check(name, mixed, 200, Rng(42), DEFAULT_TOL)["pass"] is True, name
+        assert run_check(name, mixed, 200, 42, DEFAULT_TOL)["pass"] is True, name
     for knob, name in (("delta_b0_sign", "delta_consistency"),
                        ("delta_sign_one_basis", "bialgebra_axioms")):
-        assert run_check(name, mixed, 0, Rng(42), DEFAULT_TOL, corrupt=knob)["pass"] is False
+        assert run_check(name, mixed, 0, 42, DEFAULT_TOL, corrupt=knob)["pass"] is False
 
     assert np.max(np.abs(mixed.e_algebra.structure - _semidirect_reference(mixed))) <= 1e-13
     assert np.max(np.abs(mixed.delta - _delta_reference(mixed))) <= 1e-13
@@ -213,7 +213,8 @@ def test_user_pair_sl2r_full_machinery():
                                       delta_consistency_worst_at)
     from poissonlie.linalg import worst
     from poissonlie.lie import from_realization
-    from poissonlie.poisson import verify_cocycle
+    from poissonlie.checks import run_check
+    from poissonlie.config import DEFAULT_TOL
 
     j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -221,7 +222,7 @@ def test_user_pair_sl2r_full_machinery():
     g = from_realization(["J", "H", "N"], [j, h, n])
     doc = {"name": "sl2r", "algebra": g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp = MatchedPair.from_json_dict(doc)
-    assert verify_cocycle(mp, 300, Rng(42))["max_residual"] <= 1e-9
+    assert run_check("cocycle", mp, 300, 42, DEFAULT_TOL)["max_residual"] <= 1e-9
     assert delta_consistency_worst_at(mp, mp.delta)[0] <= 1e-6
     assert worst(co_jacobi_worst_at(mp.delta)[0], cocycle_1_worst_at(mp, mp.delta)[0]) <= 1e-9
 
@@ -261,7 +262,7 @@ def test_an_adapted_table_off_its_grid_by_rounding_is_snapped():
     # e, a block of the snapped table, is exact, so it passes its Jacobi test
     assert mp.e_algebra.jacobi[0] == 0.0
     # the residuals that read e and delta carry the snap distance
-    rep = run_check("bialgebra_axioms", mp, 0, Rng(42), DEFAULT_TOL)
+    rep = run_check("bialgebra_axioms", mp, 0, 42, DEFAULT_TOL)
     assert rep["pass"] is True
     assert rep["details"]["co_jacobi_residual"] == mp.adapted_snap
     assert rep["details"]["cocycle_residual"] == mp.adapted_snap

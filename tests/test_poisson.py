@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
+from poissonlie.checks import run_check
+from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import EElement, exp_b
 from poissonlie.linalg import Rng
-from poissonlie.poisson import anchor_trig, eta, eta0, eta_b, verify_cocycle
+from poissonlie.poisson import anchor_trig, eta, eta0, eta_b
 from references import (BaseFn, LinearFn, TrigPoly, e2_plus_brackets, e_identity,
                         eta_alternative, identity_element, poisson_bracket, sample_e_element)
 
@@ -78,25 +80,27 @@ def test_cocycle_identity_at_group_identity(e11):
 
 
 def test_verify_cocycle_passes(e11):
-    rep = verify_cocycle(e11.mp, 1000, Rng(42))
+    rep = run_check("cocycle", e11.mp, 1000, 42, DEFAULT_TOL)
     assert rep["max_residual"] <= 1e-9
 
 
 def test_verify_cocycle_negative_control(e11):
-    rep = verify_cocycle(e11.mp, 20, Rng(42), eta_b_sign=-1.0)
+    rep = run_check("cocycle", e11.mp, 20, 42, DEFAULT_TOL, corrupt="eta_b_sign")
+    assert rep["details"]["eta_b_sign"] == -1.0
     assert rep["max_residual"] > 1e-3
 
 
 def test_verify_cocycle_rejects_zero_samples(e11):
     with pytest.raises(ValueError):
-        verify_cocycle(e11.mp, 0, Rng(1))
+        run_check("cocycle", e11.mp, 0, 1, DEFAULT_TOL)
 
 
 def test_verify_cocycle_record_schema(e11):
-    rep = verify_cocycle(e11.mp, 5, Rng(6))
+    rep = run_check("cocycle", e11.mp, 5, 6, DEFAULT_TOL)
     assert rep["pair"] == "su11"
     assert rep["seed"] == 6
-    assert set(rep) == {"pair", "seed", "max_residual", "witness"}
+    assert set(rep["details"]) == {"cocycle", "eta_b_sign", "worst_sample", "worst_part",
+                                   "g", "h"}
 
 
 def test_anchor_trig_values(e11):
@@ -183,5 +187,5 @@ def test_chain_rule_consistency(e11):
 def test_cocycle_su21_su31():
     for p in (2, 3):
         entry = supq1(p)
-        rep = verify_cocycle(entry.mp, 200, Rng(42))
+        rep = run_check("cocycle", entry.mp, 200, 42, DEFAULT_TOL)
         assert rep["max_residual"] <= 1e-9, rep
