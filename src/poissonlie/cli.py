@@ -21,13 +21,12 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .catalog import CatalogEntry, catalog_names, get_entry, supq1
 from .checks import REGISTRY, applicable_checks, conventions_report, run_check, sampled_pass
 from .config import DEFAULT_TOL, EXP_METHOD, P_CAP, PRNG_NAME, Tolerances
-from .linalg import Rng
 from .matched import MatchedPair
 
 EXIT_OK = 0
@@ -142,7 +141,7 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
     sampled = sampled_pass(target, checks, config.samples, config.seed, config.corrupt)
     results = [run_check(name, target, config.samples, config.seed, config.tol,
                          corrupt=config.corrupt, sampled=sampled) for name in checks]
-    conventions = (conventions_report(target, Rng(config.seed ^ 0x5EED))
+    conventions = (conventions_report(target, config.seed)
                    if isinstance(target, CatalogEntry) else [])
 
     report = {
@@ -304,9 +303,9 @@ def main(argv=None) -> int:
 
     tol = DEFAULT_TOL
     if args.tol_algebraic is not None:
-        tol = tol.override(algebraic=args.tol_algebraic)
+        tol = replace(tol, algebraic=args.tol_algebraic)
     if args.tol_fd is not None:
-        tol = tol.override(fd=args.tol_fd)
+        tol = replace(tol, fd=args.tol_fd)
     config = RunConfig(
         pair=args.pair,
         checks=None if args.checks is None else

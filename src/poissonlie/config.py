@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Residual tolerance for identities built from exact arithmetic on catalog data.
 ALGEBRAIC_TOL = 1e-9
@@ -39,9 +39,6 @@ class Tolerances:
     fd_step: float = FD_STEP
     svd: float = SVD_TOL
     twist_inner_scale: float = TWIST_INNER_SCALE
-
-    def override(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT_TOL = Tolerances()

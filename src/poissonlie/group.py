@@ -9,16 +9,15 @@ point or a stack of points.  Every operation acts elementwise on a stack; a
 single element runs the same code without the leading stack axis.
 
 Sampling is stacked, and this module alone decides how a seed selects
-elements.  `draw_words` draws the random numbers of a whole stack of
-elements in the order of three generator calls: all v, then all word
-lengths, then all factors.  Its `Words` exponentiate the stack block by
-block, in order, and draw each block's v and factors when the block is made.
-A verify call draws its sampled pairs once (`sample_pairs`): 2N points of E
-from a generator of its own at the call's seed, whichever sampled checks it
-runs; every sampled check reads each block of them, with their product made
-once, so each word is exponentiated once and each element's tables built
-once per call, one block alive at a time.  `sample_group_matrices` makes a
-whole stack at once.  `exp_b` takes a whole
+elements: in the order of numpy's PCG64 stream at the seed, all v, then all
+word lengths, then all factors.  A verify call draws its sampled pairs once
+(`sample_pairs`): 2N points of E at the call's seed, whichever sampled checks
+it runs.  It draws the lengths at once and the v and factors block by block,
+the v from a second generator at the seed while the first starts past them,
+so every sampled check reads each block of them, with their product made
+once; each word is exponentiated once (`word_matrices`) and each element's
+tables built once per call, one block alive at a time.
+`sample_group_matrices` draws a whole stack at once.  `exp_b` takes a whole
 array of parameters.  Every exponential is one call of `linalg.expm`
 (Pade-13 scaling and squaring, vectorized over the stack).  The inverse of E
 and the finite-difference oracle for its adjoint are test references
@@ -49,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Rng, expm
+from .linalg import expm
 from .matched import MatchedPair
 
 #: Pairs per stacked block of a call's sampled pass; reports do not depend on
@@ -263,16 +262,6 @@ class EElement:
         object.__setattr__(self, "v", v)
 
 
-def matrix_to_json_dict(mat: np.ndarray) -> dict:
-    """Serialization for report reproduction: the re/im parts of a matrix."""
-    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
-
-
-def e_element_to_json_dict(g: EElement) -> dict:
-    """Serialization for report reproduction: v coordinates plus re/im matrix parts."""
-    return {"v": g.v.tolist(), "a": matrix_to_json_dict(g.a.matrix)}
-
-
 def _act(k_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """k_mat @ v for one matrix and vector, or elementwise for stacks."""
     return (k_mat @ v[..., None])[..., 0]
@@ -308,82 +297,33 @@ def adE(g: EElement) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class Words:
-    """The random numbers of a stack of sampled elements: the word lengths
-    (count,), the generator their factors come from, and the one their v
-    come from, uniform in [-radius, radius] (None without v).  `v` and
-    `matrices` make one block of the stack and draw its numbers then, so a
-    pass exponentiates block by block and holds neither a pass-sized stack
-    of matrices nor all of its v and factors."""
-
-    pair: MatchedPair
-    lengths: np.ndarray
-    rng: Rng
-    v_rng: Rng | None = None
-    radius: float | None = None
-    drawn: int = 0      # elements whose factors are drawn
-    v_drawn: int = 0    # elements whose v is drawn
-
-    def v(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The v of elements start..stop-1, (count, k), in one call of the v
-        generator; in order, as `factors`."""
-        if start != self.v_drawn:
-            raise ValueError(f"v are drawn in order: next is {self.v_drawn}, not {start}")
-        count = len(self.lengths[start:stop])
-        self.v_drawn = start + count
-        return self.v_rng.uniform(-self.radius, self.radius, (count, self.pair.dim_c))
-
-    def factors(self, start: int, stop: int | None = None) -> np.ndarray:
-        """The factors of the words of elements start..stop-1, one row of
-        b-coordinates each, word after word, uniform in [-1, 1], in one
-        generator call.  Blocks are drawn in order, each from where the last
-        one stopped, so they are the rows one call for all words would draw."""
-        if start != self.drawn:
-            raise ValueError(f"words are drawn in order: next is {self.drawn}, not {start}")
-        lengths = self.lengths[start:stop]
-        self.drawn = start + len(lengths)
-        return self.rng.uniform(-1.0, 1.0, (int(lengths.sum()), self.pair.dim_b))
-
-    def matrices(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The words of elements start..stop-1 as a (count, d, d) stack.  All
-        their factors are exponentiated by one stacked `expm`; words shorter
-        than `MAX_WORD` are padded with the identity."""
-        mp = self.pair
-        factors = self.factors(start, stop)
-        lengths = self.lengths[start:stop]
-        count = len(lengths)
-        # slot of each factor: its element's MAX_WORD slots, then its place in the word
-        ends = np.cumsum(lengths)
-        slots = (np.repeat(np.arange(count) * MAX_WORD - (ends - lengths), lengths)
-                 + np.arange(len(factors)))
-        d = mp.g.realization[0].shape[0]
-        words = np.tile(np.eye(d, dtype=complex), (count * MAX_WORD, 1, 1))
-        words[slots] = expm(mp.b_matrix_of(factors))
-        words = words.reshape(count, MAX_WORD, d, d)
-        mats = words[:, 0]
-        for j in range(1, MAX_WORD):
-            mats = mats @ words[:, j]
-        return mats
+def word_matrices(mp: MatchedPair, lengths: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The words of exponentials of b of the given lengths, with one row of
+    b-coordinates of `factors` per factor, word after word, as a (count, d, d)
+    stack.  All factors are exponentiated by one stacked `expm`; words shorter
+    than `MAX_WORD` are padded with the identity."""
+    count = len(lengths)
+    # slot of each factor: its element's MAX_WORD slots, then its place in the word
+    ends = np.cumsum(lengths)
+    slots = (np.repeat(np.arange(count) * MAX_WORD - (ends - lengths), lengths)
+             + np.arange(len(factors)))
+    d = mp.g.realization[0].shape[0]
+    words = np.tile(np.eye(d, dtype=complex), (count * MAX_WORD, 1, 1))
+    words[slots] = expm(mp.b_matrix_of(factors))
+    words = words.reshape(count, MAX_WORD, d, d)
+    mats = words[:, 0]
+    for j in range(1, MAX_WORD):
+        mats = mats @ words[:, j]
+    return mats
 
 
-def draw_words(mp: MatchedPair, rng: Rng, count: int, radius: float | None = None) -> Words:
-    """The random numbers of `count` elements, in the order of three
-    generator calls: all v, uniform in [-radius, radius] (only when `radius`
-    is given), then all word lengths, uniform in 1..MAX_WORD, then all
-    factors, with b-coordinates uniform in [-1, 1].  The v and the factors
-    are drawn block by block as the words are made (`Words.v`,
-    `Words.factors`): the v from a copy of `rng` that `rng` skips past
-    (`Rng.skip`).  Nothing else may draw from `rng` until the last block is."""
-    v_rng = None if radius is None else rng.skip(count * mp.dim_c)
+def sample_group_matrices(mp: MatchedPair, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random words of exponentials of b, as a (count, d, d) stack, in
+    two calls of `rng`: all word lengths, uniform in 1..MAX_WORD, then all
+    factors, with b-coordinates uniform in [-1, 1].  Validated wherever their
+    Ad is computed."""
     lengths = rng.integers(1, MAX_WORD + 1, count)
-    return Words(mp, lengths, rng, v_rng, radius)
-
-
-def sample_group_matrices(mp: MatchedPair, rng: Rng, count: int) -> np.ndarray:
-    """`count` random words of exponentials of b with coefficients in [-1, 1],
-    as a (count, d, d) stack; validated wherever their Ad is computed."""
-    return draw_words(mp, rng, count).matrices()
+    return word_matrices(mp, lengths, rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b)))
 
 
 def sample_pairs(mp: MatchedPair, seed: int, samples: int, readers) -> list[tuple]:
@@ -391,21 +331,28 @@ def sample_pairs(mp: MatchedPair, seed: int, samples: int, readers) -> list[tupl
     of SAMPLE_BLOCK pairs, in order, read(start, g, h, gh) of each reader on
     the same points of E; returns each reader's results, one per block.
 
-    The call draws 2 * samples words at once (`draw_words`) from a generator
-    of its own at `seed`, v uniform in [-V_RADIUS, V_RADIUS], as g, h, g, h,
-    ..., whichever readers it has, so a reader's results do not depend on
-    the others.  `start` is the index of the block's first pair, `g` and `h`
-    the stacks of its first and second points and `gh` = g h, made once for
-    all readers.  Each word is
-    exponentiated once and each element's tables are built once, for every
-    reader; only the readers' results outlive their block."""
+    The call draws 2 * samples points at `seed`, as g, h, g, h, ..., whichever
+    readers it has, so a reader's results do not depend on the others: in the
+    order of the stream, all v, uniform in [-V_RADIUS, V_RADIUS], then all
+    word lengths and all factors, as `sample_group_matrices` draws them.  The
+    v and factors are drawn block by block, the v from a second generator at
+    `seed`.  `start` is the index of the block's first pair, `g` and `h` the
+    stacks of its first and second points and `gh` = g h, made once for all
+    readers.  Each word is exponentiated once and each element's tables are
+    built once, for every reader; only the readers' results outlive their
+    block."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    words = draw_words(mp, Rng(seed), 2 * samples, V_RADIUS)
+    rng, v_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # a uniform double takes one 64-bit output, so rng starts past the v
+    rng.bit_generator.advance(2 * samples * mp.dim_c)
+    lengths = rng.integers(1, MAX_WORD + 1, 2 * samples)
 
     def block(start: int) -> list:
         stop = min(start + SAMPLE_BLOCK, samples)
-        v, mats = words.v(2 * start, 2 * stop), words.matrices(2 * start, 2 * stop)
+        part = lengths[2 * start:2 * stop]
+        v = v_rng.uniform(-V_RADIUS, V_RADIUS, (len(part), mp.dim_c))
+        mats = word_matrices(mp, part, rng.uniform(-1.0, 1.0, (int(part.sum()), mp.dim_b)))
         g, h = (EElement(mp, v[j::2], GroupElement(mp, mats[j::2])) for j in (0, 1))
         gh = e_mul(g, h)
         return [read(start, g, h, gh) for read in readers]

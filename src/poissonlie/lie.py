@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .linalg import BasedSpace, finite_array, worst, worst_at
+from .linalg import BasedSpace, finite_array, matrix_to_json_dict, worst, worst_at
 
 IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
@@ -355,9 +355,7 @@ class LieAlgebra:
             "pairing": self.pairing,
         }
         if self.realization is not None:
-            doc["realization"] = [
-                {"re": m.real.tolist(), "im": m.imag.tolist()} for m in self.realization
-            ]
+            doc["realization"] = [matrix_to_json_dict(m) for m in self.realization]
         return doc
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Based vector spaces, hand-entered antisymmetric tables, NaN-safe
-residuals, the global sign matcher, a seeded generator and finite differences.
+residuals, the global sign matcher, matrix serialization and finite
+differences.
 
 Everything downstream works over small labelled real coordinate spaces; this
 module fixes the wedge/pairing conventions once:
@@ -15,7 +16,7 @@ last two axes are antisymmetric; its builder makes it so exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -102,6 +103,11 @@ def finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def matrix_to_json_dict(mat: np.ndarray) -> dict:
+    """A complex matrix as JSON: its real and imaginary parts."""
+    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+
 #: Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp,
 #: divided by b_0 so that exp(0) comes out as the exact identity.
 _PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -159,37 +165,3 @@ def finite_diff(curve: Callable[[float], np.ndarray], t0: float, h: float) -> np
     d_h = central(h)
     d_h2 = central(h / 2.0)
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-@dataclass
-class Rng:
-    """Deterministic 64-bit generator (numpy PCG64) with a recorded seed."""
-
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def skip(self, draws: int) -> "Rng":
-        """A copy of this generator, which this one then leaves as if it had
-        drawn `draws` floats by `uniform`: the copy draws them later, in
-        order.  A float takes one 64-bit output of PCG64, and the advance
-        keeps the half-used output that `integers` may have buffered."""
-        state = self._gen.bit_generator.state
-        fork = Rng(self.seed)
-        fork._gen.bit_generator.state = state
-        self._gen.bit_generator.advance(draws)
-        after = self._gen.bit_generator.state
-        after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
-        self._gen.bit_generator.state = after
-        return fork
-
-    def integers(self, low: int, high: int, size=None):
-        """An int, or an int64 array when `size` is given."""
-        out = self._gen.integers(low, high, size)
-        return int(out) if size is None else out
-

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from poissonlie.config import FD_STEP, TWIST_INNER_SCALE
-from poissonlie.group import EElement, GroupElement, _adjoint, basis_curves, draw_words, e_mul
+from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
+                              word_matrices)
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
@@ -163,15 +164,13 @@ def e_inv(g: EElement) -> EElement:
     return EElement(g.pair, -(a_inv.coad_b0 @ g.v[..., None])[..., 0], a_inv)
 
 
-def words_e_elements(words, start: int, stop: int) -> EElement:
-    """The points of E of sampled words start..stop-1, as a stack."""
-    mp = words.pair
-    return EElement(mp, words.v(start, stop), GroupElement(mp, words.matrices(start, stop)))
-
-
 def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:
-    """A stack of `count` random points of E, v uniform in [-radius, radius]."""
-    return words_e_elements(draw_words(mp, rng, count, radius), 0, count)
+    """A stack of `count` random points of E in the call's draw order: all v,
+    uniform in [-radius, radius], then all word lengths, then all factors."""
+    v = rng.uniform(-radius, radius, (count, mp.dim_c))
+    lengths = rng.integers(1, MAX_WORD + 1, count)
+    factors = rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
+    return EElement(mp, v, GroupElement(mp, word_matrices(mp, lengths, factors)))
 
 
 def sample_e_element(mp, rng, radius: float = 1.0) -> EElement:

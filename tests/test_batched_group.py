@@ -18,14 +18,13 @@ from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check, sampled_pass
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
-                              draw_words, e_mul, exp_b, sample_group_matrices)
-from poissonlie.linalg import Rng, expm
+                              e_mul, exp_b, sample_group_matrices, sample_pairs)
+from poissonlie.linalg import expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
 from references import (ad_of_inverse, change_of_basis, coad, coad_matrix_coords, e_inv,
                         g_coordinate_tables, gstar_to_b0, identity_element, inverse_element,
-                        ref_adjoint, sample_e_element, sample_e_elements, take,
-                        words_e_elements)
+                        ref_adjoint, sample_e_element, sample_e_elements, take)
 
 
 def matrix_from_json_dict(doc) -> np.ndarray:
@@ -125,66 +124,31 @@ def ref_invariance(mp, samples, seed):
 # -- draw order ---------------------------------------------------------------
 
 
-def test_stacked_group_draws_equal_sequential_draws(mp):
-    stacked_rng, seq_rng = Rng(5), Rng(5)
-    mats = sample_group_matrices(mp, stacked_rng, 40)
-    # the same numbers exponentiated block by block, as the sampled checks do
-    words = draw_words(mp, seq_rng, 40)
-    seq = np.concatenate([words.matrices(start, start + 7) for start in range(0, 40, 7)])
-    _, ref, ref_gen = ref_draw(mp, 5, 40)
-    assert np.max(np.abs(mats - seq)) <= 1e-15
-    assert np.max(np.abs(mats - ref)) <= 1e-15
-    # all three generators consumed the same numbers
-    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_gen.uniform(0, 1)}
-    assert len(nxt) == 1
+def drawn_pairs(mp, seed, samples):
+    """The v and matrices that `sample_pairs` hands its readers, in draw
+    order g, h, g, h, ..., and the index of each block's first pair."""
+    def read(start, g, h, gh):
+        return start, np.stack([g.v, h.v], 1), np.stack([g.a.matrix, h.a.matrix], 1)
+
+    starts, v, mats = zip(*sample_pairs(mp, seed, samples, [read])[0])
+    return (list(starts), np.concatenate(v).reshape(2 * samples, -1),
+            np.concatenate(mats).reshape((2 * samples,) + mats[0].shape[2:]))
 
 
-def test_stacked_e_draws_equal_sequential_draws(mp):
-    stacked_rng, seq_rng = Rng(6), Rng(6)
-    stack = sample_e_elements(mp, stacked_rng, 40, radius=0.5)
-    words = draw_words(mp, seq_rng, 40, radius=0.5)
-    seq = [words_e_elements(words, start, start + 7) for start in range(0, 40, 7)]
-    ref_v, ref_mats, ref_gen = ref_draw(mp, 6, 40, radius=0.5)
-    assert np.array_equal(stack.v, np.concatenate([g.v for g in seq]))
-    assert np.array_equal(stack.v, ref_v)
-    assert np.max(np.abs(stack.a.matrix - np.concatenate([g.a.matrix for g in seq]))) <= 1e-15
-    assert np.max(np.abs(stack.a.matrix - ref_mats)) <= 1e-15
-    nxt = {stacked_rng.uniform(0, 1), seq_rng.uniform(0, 1), ref_gen.uniform(0, 1)}
-    assert len(nxt) == 1
-
-
-@pytest.mark.parametrize("before", [0, 1, 3])
-def test_block_wise_v_equal_the_one_call_draw(mp, before):
-    # an odd number of earlier small integers leaves half of a 64-bit output
-    # buffered; skipping past the v keeps it for the word lengths
-    rng, gen = Rng(14), np.random.Generator(np.random.PCG64(14))
-    rng.integers(1, 4, before)
-    gen.integers(1, 4, size=before)
-    words = draw_words(mp, rng, 100, radius=0.5)
-    blocks = [words.v(start, start + 30) for start in range(0, 100, 30)]
-    v = gen.uniform(-0.5, 0.5, (100, mp.dim_c))
-    lengths = gen.integers(1, 4, size=100)
-    assert np.array_equal(np.concatenate(blocks), v)
-    assert np.array_equal(words.lengths, lengths)
-    assert np.array_equal(words.factors(0), gen.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b)))
-    assert rng.integers(1, 4, 5).tolist() == gen.integers(1, 4, size=5).tolist()
-    with pytest.raises(ValueError, match="drawn in order"):
-        words.v(0, 30)
-
-
-def test_block_wise_factors_equal_the_one_call_draw(mp):
-    words = draw_words(mp, Rng(12), 200)
-    blocks = [words.factors(start, start + SAMPLE_BLOCK) for start in range(0, 200, SAMPLE_BLOCK)]
-    gen = np.random.Generator(np.random.PCG64(12))
-    lengths = gen.integers(1, 4, size=200)
-    factors = gen.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b))
-    assert np.array_equal(words.lengths, lengths)
-    assert np.array_equal(np.concatenate(blocks), factors)
-    # the generator is left where the one call leaves it
-    assert words.rng.uniform(0, 1) == gen.uniform(0, 1)
-    # a block out of order is refused
-    with pytest.raises(ValueError, match="drawn in order"):
-        words.factors(0, SAMPLE_BLOCK)
+@pytest.mark.parametrize("seed", [42, 7919])
+def test_sampled_draws_follow_the_stated_order(mp, seed):
+    # three blocks, the last of one pair
+    samples = 2 * SAMPLE_BLOCK + 1
+    starts, v, mats = drawn_pairs(mp, seed, samples)
+    assert starts == [0, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK]
+    ref_v, ref_mats, _ = ref_draw(mp, seed, 2 * samples, radius=group.V_RADIUS)
+    assert np.array_equal(v, ref_v)
+    assert np.max(np.abs(mats - ref_mats)) <= 1e-15
+    # a stack of B alone: the lengths, then the factors, and nothing more
+    gen = np.random.default_rng(seed)
+    _, ref_mats, ref_gen = ref_draw(mp, seed, 40)
+    assert np.max(np.abs(sample_group_matrices(mp, gen, 40) - ref_mats)) <= 1e-15
+    assert gen.uniform(0, 1) == ref_gen.uniform(0, 1)
 
 
 # -- stacked Ad, eta and adE ----------------------------------------------------
@@ -192,7 +156,7 @@ def test_block_wise_factors_equal_the_one_call_draw(mp):
 
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_adjoint_matrices_match_per_element(mp):
-    mats = sample_group_matrices(mp, Rng(7), 37)
+    mats = sample_group_matrices(mp, np.random.default_rng(7), 37)
     ads = GroupElement(mp, mats).ad
     cb = change_of_basis(mp)
     for mat, ad in zip(mats, ads):
@@ -203,7 +167,7 @@ def test_adjoint_matrices_match_per_element(mp):
 
 @pytest.mark.parametrize("mp", ("su11",) + PAIRS, indirect=True)
 def test_exp_b_of_a_parameter_array_is_the_stack_of_single_calls(mp):
-    x = Rng(11).uniform(-1.0, 1.0, mp.dim_b)
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, mp.dim_b)
     ts = np.linspace(-3.0, 3.0, 7)
     stack = exp_b(mp, x, ts)
     y = np.eye(mp.dim_c)[-1]
@@ -217,7 +181,7 @@ def test_exp_b_of_a_parameter_array_is_the_stack_of_single_calls(mp):
 
 
 def test_stacked_eta_and_adE_match_per_element(mp):
-    stack = sample_e_elements(mp, Rng(8), 23)
+    stack = sample_e_elements(mp, np.random.default_rng(8), 23)
     k = mp.dim_c
     eta_s, eta0_s, eta_b_s = eta(mp, stack), eta0(mp, stack), eta_b(mp, stack)
     adE_s = adE(stack)
@@ -232,7 +196,7 @@ def test_stacked_eta_and_adE_match_per_element(mp):
 
 
 def test_eta_and_its_parts_are_exactly_antisymmetric(mp):
-    stack = sample_e_elements(mp, Rng(8), 23)
+    stack = sample_e_elements(mp, np.random.default_rng(8), 23)
     for points in (stack, take(stack, 0)):
         for part in (eta, eta0, eta_b):
             x = part(mp, points)
@@ -241,7 +205,7 @@ def test_eta_and_its_parts_are_exactly_antisymmetric(mp):
 
 
 def test_stacked_product_matches_e_mul(mp):
-    gh = sample_e_elements(mp, Rng(9), 10)
+    gh = sample_e_elements(mp, np.random.default_rng(9), 10)
     g, h = take(gh, slice(0, None, 2)), take(gh, slice(1, None, 2))
     prod, inv = e_mul(g, h), e_inv(g)
     assert prod.v.shape == (5, mp.dim_c) and prod.a.matrix.ndim == 3
@@ -255,11 +219,11 @@ def test_stacked_product_matches_e_mul(mp):
 
 
 def test_single_element_is_a_stack_without_its_axis(mp):
-    g = sample_e_element(mp, Rng(10))
+    g = sample_e_element(mp, np.random.default_rng(10))
     assert g.v.shape == (mp.dim_c,) and g.a.matrix.ndim == 2
     assert g.a.ad.shape == (mp.g.dim, mp.g.dim)
     assert isinstance(mp.invariance_residual(g.a), float)
-    one = sample_e_elements(mp, Rng(10), 1)
+    one = sample_e_elements(mp, np.random.default_rng(10), 1)
     assert np.array_equal(adE(one)[0], adE(g))
     assert np.array_equal(eta(mp, one)[0], eta(mp, g))
 
@@ -323,12 +287,12 @@ def test_each_sampled_matrix_is_validated_once(monkeypatch):
     # and the column pass over a^{-1} behind Ad*_a validates nothing
     assert counts == {"|det|": 3 * samples, "max |v|": 3 * samples,
                       "residual": 3 * samples, "leak": 3 * samples}
-    # the same, and |det| and v of the cocycle's witness pair once, whether
-    # invariance reads the same pass or not
+    # the same whether invariance reads the same pass or not: the cocycle's
+    # witness pair is serialized from its kept copies, not made anew
     for names in (["cocycle"], ["invariance", "cocycle"], ["cocycle", "invariance"]):
         counts.clear()
         sampled_pass(mp, names, samples, 42)
-        assert counts == {"|det|": 3 * samples + 2, "max |v|": 3 * samples + 2,
+        assert counts == {"|det|": 3 * samples, "max |v|": 3 * samples,
                           "residual": 3 * samples, "leak": 3 * samples}, names
 
 
@@ -429,9 +393,7 @@ def test_invariance_witness_names_sample_and_part(mp):
     assert at == int(np.argmax(resids))
     # the witness elements a and b are the call's sampled matrices there,
     # and a gives the residual back
-    words = draw_words(mp, Rng(4), 80, group.V_RADIUS)
-    words.v()
-    mats = words.matrices()
+    _, _, mats = drawn_pairs(mp, 4, 40)
     a, b = (matrix_from_json_dict(details[x]) for x in ("a", "b"))
     assert np.array_equal(a, mats[2 * at]) and np.array_equal(b, mats[2 * at + 1])
     a = GroupElement(mp, a)
@@ -489,7 +451,7 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
     mp = e11.mp
     bad = np.array([[np.cosh(0.5), np.sinh(0.5)],
                     [np.sinh(0.5), np.cosh(0.5)]])
-    mats = sample_group_matrices(mp, Rng(1), 6)
+    mats = sample_group_matrices(mp, np.random.default_rng(1), 6)
     mats[3] = bad
     with pytest.raises(ValueError, match=r"element 3 of the stack .*not in B \(leak"):
         GroupElement(mp, mats).ad
@@ -500,7 +462,7 @@ def test_stack_with_one_element_outside_b_names_its_index(e11):
 
 def test_stack_with_a_nan_matrix_raises(e11):
     mp = e11.mp
-    mats = sample_group_matrices(mp, Rng(2), 5)
+    mats = sample_group_matrices(mp, np.random.default_rng(2), 5)
     mats[2, 0, 1] = np.nan
     # the Ad pass rejects it on its own, behind the determinant check of the element
     with pytest.raises(ValueError, match=r"element 2 of the stack .*\(residual nan\)"):
@@ -513,7 +475,7 @@ def test_stack_with_a_nan_matrix_raises(e11):
 
 def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11):
     mp = e11.mp
-    mats = sample_group_matrices(mp, Rng(2), 5)
+    mats = sample_group_matrices(mp, np.random.default_rng(2), 5)
     mats[4] = np.diag([2.0, 0.5])    # its conjugation leaves su(1,1)
     with pytest.raises(ValueError, match=r"element 4 of the stack leaves the algebra"):
         GroupElement(mp, mats).coad_b0
@@ -523,7 +485,7 @@ def test_stack_with_an_element_outside_the_group_names_its_index_in_one_pass(e11
 
 @pytest.mark.parametrize("mp", AD_PAIRS, indirect=True)
 def test_reading_coad_b0_fills_ad_and_the_column_table(mp, monkeypatch):
-    a = GroupElement(mp, sample_group_matrices(mp, Rng(9), 32))
+    a = GroupElement(mp, sample_group_matrices(mp, np.random.default_rng(9), 32))
     inverted = []
     real = np.linalg.inv
     with monkeypatch.context() as patch:
@@ -548,14 +510,14 @@ def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
         return real(mp, mats, invs, **kw)
 
     monkeypatch.setattr(group, "_adjoint", counting)
-    assert _adstar_u_residual(get_entry("su31"), Rng(42)) <= 1e-9
+    assert _adstar_u_residual(get_entry("su31"), np.random.default_rng(42)) <= 1e-9
     # the validated Ad(a) of the 25 elements, then the column pass over their
     # inverses, not a validated pass over them as well
     assert _ADSTAR_U_SAMPLES == 25 and passes == [((25,), False), ((25,), True)]
 
 
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
-    a = GroupElement(mp, sample_group_matrices(mp, Rng(10), 8))
+    a = GroupElement(mp, sample_group_matrices(mp, np.random.default_rng(10), 8))
     k_mat = a.coad_b0
     # the b0-block of Ad(a^{-1})^T from the full Ad(a^{-1}), and from a separate element a^{-1}
     m = mp.dim_b
@@ -574,14 +536,14 @@ def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):
 
 
 def test_stack_with_a_near_singular_matrix_names_its_index(e11):
-    mats = sample_group_matrices(e11.mp, Rng(2), 5)
+    mats = sample_group_matrices(e11.mp, np.random.default_rng(2), 5)
     mats[4] = np.diag([1e-7, 1e-7])
     with pytest.raises(ValueError, match=r"element 4 of the stack is singular"):
         GroupElement(e11.mp, mats)
 
 
 def test_stack_with_a_non_finite_v_raises(e11):
-    stack = sample_e_elements(e11.mp, Rng(3), 4)
+    stack = sample_e_elements(e11.mp, np.random.default_rng(3), 4)
     v = stack.v.copy()
     v[1, 0] = np.inf
     with pytest.raises(ValueError, match="element 1 of the stack has a non-finite v"):
@@ -621,12 +583,12 @@ def one_chunk_pass(mp, mats, invs, monkeypatch):
 def test_chunked_ad_pass_equals_one_chunk_bit_for_bit(chunked, monkeypatch):
     mp, chunk = chunked
     for size in (1, chunk - 1, chunk, chunk + 1):
-        mats = sample_group_matrices(mp, Rng(size), size)
+        mats = sample_group_matrices(mp, np.random.default_rng(size), size)
         invs = np.linalg.inv(mats)
         assert np.array_equal(_adjoint(mp, mats, invs),
                               one_chunk_pass(mp, mats, invs, monkeypatch))
     # one element without the stack axis
-    mat = sample_group_matrices(mp, Rng(1), 1)[0]
+    mat = sample_group_matrices(mp, np.random.default_rng(1), 1)[0]
     assert np.array_equal(_adjoint(mp, mat, np.linalg.inv(mat)),
                           one_chunk_pass(mp, mat, np.linalg.inv(mat), monkeypatch))
 
@@ -639,7 +601,7 @@ def test_offender_in_the_last_chunk_is_named_by_its_stack_index(chunked):
         last = size - 1
         for bad, problem in ((np.full_like(moves_b, np.nan), r"leaves the algebra"),
                              (moves_b, r"does not normalize b")):
-            mats = sample_group_matrices(mp, Rng(size), size)
+            mats = sample_group_matrices(mp, np.random.default_rng(size), size)
             mats[last] = bad
             invs = np.linalg.inv(mats)
             with pytest.raises(ValueError, match=rf"^element {last} of the stack {problem}"):
@@ -664,11 +626,11 @@ def test_column_pass_equals_the_columns_of_the_full_pass_bit_for_bit(name):
     chunk = _ad_chunk(d, k)
     # the y_i are the last k vectors of the adapted basis
     for size in (1, chunk - 1, chunk, chunk + 1):
-        a = GroupElement(mp, sample_group_matrices(mp, Rng(size), max(size, 1)))
+        a = GroupElement(mp, sample_group_matrices(mp, np.random.default_rng(size), max(size, 1)))
         full = ad_of_inverse(a)
         assert same_bits(a.ad_inverse_y, full[..., m:])
         assert same_bits(a.coad_b0, np.swapaxes(full, -1, -2)[..., m:, m:])
-    one = GroupElement(mp, sample_group_matrices(mp, Rng(1), 1)[0])
+    one = GroupElement(mp, sample_group_matrices(mp, np.random.default_rng(1), 1)[0])
     assert same_bits(one.ad_inverse_y, ad_of_inverse(one)[:, m:])
 
 
@@ -687,7 +649,7 @@ def test_column_pass_on_a_pair_whose_y_basis_is_no_selection():
     mp = mixed_pair("su31")
     m = mp.dim_b
     assert np.count_nonzero(mp.y_basis) > mp.dim_c
-    a = GroupElement(mp, sample_group_matrices(mp, Rng(3), 40))
+    a = GroupElement(mp, sample_group_matrices(mp, np.random.default_rng(3), 40))
     full = ad_of_inverse(a)
     assert np.max(np.abs(a.ad_inverse_y - full[..., m:])) <= 1e-13
     assert np.max(np.abs(a.coad_b0 - np.swapaxes(full, 1, 2)[:, m:, m:])) <= 1e-13
@@ -712,7 +674,7 @@ def test_blocks_of_ad_equal_the_g_coordinate_references_on_a_pair_with_b_and_c_m
     mp = mixed_pair("su31", ("b", "c"))
     cb = change_of_basis(mp)
     assert np.count_nonzero(cb.b) > mp.dim_b and np.count_nonzero(cb.y) > mp.dim_c
-    g = sample_e_elements(mp, Rng(4), 40)
+    g = sample_e_elements(mp, np.random.default_rng(4), 40)
     mats = g.a.matrix
     ad = np.array([ref_adjoint(mp, mat) for mat in mats])
     ad_inverse_y = np.array([ref_adjoint(mp, inv) for inv in np.linalg.inv(mats)]) @ cb.y
@@ -728,7 +690,7 @@ def test_tables_are_c_ordered_and_equal_the_g_coordinate_products_bit_for_bit(mp
     # report bits follow the layout of these tables, not only their values;
     # on the catalog T = I, so the g-coordinate products read the same Ad
     assert np.array_equal(mp.decomp.t, np.eye(mp.g.dim))
-    stack = sample_e_elements(mp, Rng(13), 70)
+    stack = sample_e_elements(mp, np.random.default_rng(13), 70)
     for g in (stack, take(stack, 0)):
         for table in (g.a.ad, g.a.ad_inverse_y, g.a.coad_b0, g.a.action_on_c):
             assert table.flags.c_contiguous

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_fd_step_reaches_delta_consistency():
     entry = get_entry("su11")
     base = run_check("delta_consistency", entry, 1, 0, DEFAULT_TOL)
     coarse = run_check("delta_consistency", entry, 1, 0,
-                       DEFAULT_TOL.override(fd_step=1e-2))
+                       replace(DEFAULT_TOL, fd_step=1e-2))
     assert base["pass"]
     assert coarse["max_residual"] != base["max_residual"]
 
@@ -268,7 +269,7 @@ def test_deform_negative_definiteness_holds_at_any_tolerance(monkeypatch, algebr
     real = manin.killing_eigenvalues
     monkeypatch.setattr(manin, "killing_eigenvalues", lambda alg: -real(alg))
     rep = run_check("deform", get_entry("su21"), 0, 0,
-                    DEFAULT_TOL.override(algebraic=algebraic))
+                    replace(DEFAULT_TOL, algebraic=algebraic))
     assert rep["pass"] is False
     assert rep["details"]["minus_negative_definite"] is False
     assert rep["max_residual"] <= rep["tolerance"]
@@ -280,7 +281,7 @@ def test_manin_complementarity_holds_at_any_tolerance(algebraic):
     # the knob's extra diagonal leaves no complement; above the isotropy
     # residual's 2.0 that condition alone fails the check
     rep = run_check("manin", get_entry("su21"), 0, 0,
-                    DEFAULT_TOL.override(algebraic=algebraic),
+                    replace(DEFAULT_TOL, algebraic=algebraic),
                     corrupt="gstar_complex_diagonal")
     assert rep["details"]["complementary_g"] is False
     assert rep["details"]["complementary_gprime"] is False

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from poissonlie.catalog import get_entry, su11, supq1
+from poissonlie.checks import run_check
+from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (EElement, GroupElement, _adjoint, adE, e_mul, exp_b,
                               sample_group_matrices)
-from poissonlie.linalg import Rng, expm
+from poissonlie.linalg import expm
 from references import (adE_fd, change_of_basis, e_identity, e_inv, identity_element, ref_adjoint,
-                        sample_e_element)
+                        sample_e_element, sample_e_elements)
 
 
 def sample_group_element(mp, rng) -> GroupElement:
@@ -43,7 +45,7 @@ def test_one_parameter_property(e11):
 def test_ad_identity_and_functoriality(e11):
     mp = e11.mp
     assert np.allclose(identity_element(mp).ad, np.eye(3), atol=1e-12)
-    rng = Rng(21)
+    rng = np.random.default_rng(21)
     for _ in range(50):
         a = sample_group_element(mp, rng)
         b = sample_group_element(mp, rng)
@@ -83,7 +85,7 @@ def test_e_mul_planar_example(e11):
 
 
 def test_two_sided_inverse(e11):
-    rng = Rng(8)
+    rng = np.random.default_rng(8)
     for _ in range(25):
         g = sample_e_element(e11.mp, rng)
         for prod in (e_mul(g, e_inv(g)), e_mul(e_inv(g), g)):
@@ -92,7 +94,7 @@ def test_two_sided_inverse(e11):
 
 
 def test_associativity_sampled(e11):
-    rng = Rng(9)
+    rng = np.random.default_rng(9)
     for _ in range(100):
         g, h, k = (sample_e_element(e11.mp, rng) for _ in range(3))
         p1 = e_mul(e_mul(g, h), k)
@@ -106,7 +108,7 @@ def test_adE_identity(e11):
 
 
 def test_adE_functoriality(e11):
-    rng = Rng(10)
+    rng = np.random.default_rng(10)
     for _ in range(50):
         g = sample_e_element(e11.mp, rng)
         h = sample_e_element(e11.mp, rng)
@@ -117,7 +119,7 @@ def test_adE_functoriality(e11):
 @pytest.mark.parametrize("name,samples", [("su11", 30), ("su21", 15)])
 def test_adE_matches_finite_difference(name, samples):
     entry = su11() if name == "su11" else supq1(2)
-    rng = Rng(11)
+    rng = np.random.default_rng(11)
     for _ in range(samples):
         g = sample_e_element(entry.mp, rng)
         assert np.max(np.abs(adE(g) - adE_fd(g))) <= 1e-6
@@ -126,7 +128,7 @@ def test_adE_matches_finite_difference(name, samples):
 def test_coad_preserves_annihilator(e11):
     # the forbidden block of Ad* (annihilator -> b-part) vanishes
     mp = e11.mp
-    rng = Rng(12)
+    rng = np.random.default_rng(12)
     for _ in range(50):
         a = sample_group_element(mp, rng)
         coad = ref_adjoint(mp, np.linalg.inv(a.matrix)).T   # Ad*_a on dual g-coordinates
@@ -143,14 +145,17 @@ def test_e_element_validates(e11):
 
 
 def test_e_element_json_round_trip(e11):
-    from poissonlie.group import e_element_to_json_dict
-
-    g = sample_e_element(e11.mp, Rng(77))
-    doc = e_element_to_json_dict(g)
-    mat = np.asarray(doc["a"]["re"], dtype=float) + 1j * np.asarray(doc["a"]["im"], dtype=float)
-    back = EElement(e11.mp, np.asarray(doc["v"], dtype=float), GroupElement(e11.mp, mat))
-    assert np.array_equal(back.v, g.v)
-    assert np.array_equal(back.a.matrix, g.a.matrix)
+    # the cocycle's witness pair is the call's drawn points at its worst sample
+    samples = 20
+    details = run_check("cocycle", e11, samples, 77, DEFAULT_TOL)["details"]
+    drawn = sample_e_elements(e11.mp, np.random.default_rng(77), 2 * samples)
+    for j, name in enumerate("gh"):
+        doc = details[name]
+        mat = np.asarray(doc["a"]["re"], dtype=float) + 1j * np.asarray(doc["a"]["im"], dtype=float)
+        back = EElement(e11.mp, np.asarray(doc["v"], dtype=float), GroupElement(e11.mp, mat))
+        i = 2 * details["worst_sample"] + j
+        assert np.array_equal(back.v, drawn.v[i])
+        assert np.array_equal(back.a.matrix, drawn.a.matrix[i])
 
 
 # -- the stacked expm, with scipy's expm as the oracle --------------------------

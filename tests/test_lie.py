@@ -6,7 +6,7 @@ import pytest
 from poissonlie.catalog import su11, supq1
 from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, pair_commutators,
                             from_realization, jacobi_worst_at, structure_in_basis)
-from poissonlie.linalg import BasedSpace, Rng, worst
+from poissonlie.linalg import BasedSpace, worst
 from poissonlie.matched import MatchedPair
 from references import coad_matrix_coords
 
@@ -61,7 +61,7 @@ def test_su21_rij_bracket():
 def test_ad_matrix_zero_and_duality(e11):
     g = e11.g
     assert np.array_equal(g.ad_matrix_coords(np.zeros(3)), np.zeros((3, 3)))
-    rng = Rng(3)
+    rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(-1, 1, 3)
         phi = rng.uniform(-1, 1, 3)
@@ -179,7 +179,7 @@ def test_invariance_of_trace_form_sl():
     from poissonlie.manin import build_gc_algebra
 
     gc = build_gc_algebra(su11())
-    rng = Rng(11)
+    rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(-1, 1, gc.dim)
         y = rng.uniform(-1, 1, gc.dim)
@@ -204,7 +204,7 @@ def test_subspace_decomposition_projectors(e11):
 
 def test_structure_in_basis_expands_brackets_of_the_columns():
     g = supq1(2).g
-    t = Rng(8).uniform(-1, 1, (g.dim, g.dim)) + 3.0 * np.eye(g.dim)
+    t = np.random.default_rng(8).uniform(-1, 1, (g.dim, g.dim)) + 3.0 * np.eye(g.dim)
     a = structure_in_basis(g.structure, t)
     assert np.array_equal(a, -a.swapaxes(0, 1))
     for i, j in ((0, 1), (2, 5), (7, 3)):

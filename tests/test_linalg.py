@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonlie.linalg import BasedSpace, Rng, best_sign, finite_diff, worst
+from poissonlie.linalg import BasedSpace, best_sign, finite_diff, worst
 
 
 def wedge(x, y):
@@ -71,14 +71,8 @@ def test_finite_diff_matrix_exponential_oracle():
     assert np.max(np.abs(d - expect)) < 1e-10
 
 
-def test_rng_determinism():
-    a = Rng(1234).uniform(-1.0, 1.0, 3)
-    b = Rng(1234).uniform(-1.0, 1.0, 3)
-    assert np.array_equal(a, b)
-
-
 def test_rng_streams_bit_identical():
-    r1, r2 = Rng(99), Rng(99)
+    r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
     s1 = [r1.uniform(-1, 1) for _ in range(100)]
     s2 = [r2.uniform(-1, 1) for _ in range(100)]
     assert s1 == s2

@@ -5,7 +5,6 @@ import pytest
 
 from poissonlie.catalog import catalog_names, get_entry, su11, supq1
 from poissonlie.group import GroupElement, exp_b, sample_group_matrices
-from poissonlie.linalg import Rng
 from poissonlie.matched import MatchedPair
 from references import (c_coords, change_of_basis, coad_matrix_coords, gstar_to_b0,
                         identity_element, inverse_element)
@@ -22,7 +21,7 @@ def e11():
 
 
 def test_invariance_under_sampled_group_elements(e11):
-    rng = Rng(42)
+    rng = np.random.default_rng(42)
     worst = max(e11.mp.invariance_residual(sample_group_element(e11.mp, rng))
                 for _ in range(100))
     assert worst <= 1e-9
@@ -31,7 +30,7 @@ def test_invariance_under_sampled_group_elements(e11):
 @pytest.mark.parametrize("p", [2, 3])
 def test_invariance_su_p1(p):
     entry = supq1(p)
-    rng = Rng(43)
+    rng = np.random.default_rng(43)
     worst = max(entry.mp.invariance_residual(sample_group_element(entry.mp, rng))
                 for _ in range(100))
     assert worst <= 1e-9
@@ -41,7 +40,7 @@ def test_canonical_tensor_basis_change_invariance(e11):
     # replace (y_i) by an invertible recombination; the tensor in a fixed
     # ambient frame Psi R^{-T} (R Y)^T = Psi Y^T is unchanged
     mp = e11.mp
-    rng = Rng(5)
+    rng = np.random.default_rng(5)
     cb = change_of_basis(mp)
     ambient = cb.psi @ cb.y.T
     b = mp.decomp.parts["b"]
@@ -64,7 +63,7 @@ def test_action_on_c_identity(e11):
 
 
 def test_action_on_c_homomorphism(e11):
-    rng = Rng(17)
+    rng = np.random.default_rng(17)
     mp = e11.mp
     worst = 0.0
     for _ in range(100):
@@ -98,7 +97,7 @@ def test_anchor_identity_and_linearity(e11):
     e = identity_element(mp)
     for y in np.eye(2):
         assert np.max(np.abs(mp.anchor(y, e))) <= 1e-12
-    rng = Rng(3)
+    rng = np.random.default_rng(3)
     a = sample_group_element(mp, rng)
     y1, y2 = np.eye(2)
     lhs = mp.anchor(2.0 * y1 - 3.0 * y2, a)
@@ -130,7 +129,7 @@ def test_json_import_round_trip(e11):
     mp2 = MatchedPair.from_json(json.dumps(doc))
     assert np.array_equal(mp2.y_basis, e11.mp.y_basis)
     assert np.allclose(mp2.psi_basis, e11.mp.psi_basis, atol=1e-12)
-    rng = Rng(4)
+    rng = np.random.default_rng(4)
     worst = max(mp2.invariance_residual(sample_group_element(mp2, rng))
                 for _ in range(20))
     assert worst <= 1e-9
@@ -185,7 +184,7 @@ def test_mixed_adapted_basis_su21():
     from poissonlie.config import DEFAULT_TOL
 
     mp = supq1(2).mp
-    rng = Rng(21)
+    rng = np.random.default_rng(21)
     doc = mp.to_json_dict()
     for part, dim in (("b", mp.dim_b), ("c", mp.dim_c)):
         mix = rng.uniform(-1, 1, (dim, dim)) + 2.0 * np.eye(dim)
