@@ -4,7 +4,9 @@ the catalog.
 
 Catalog matrices are entered exactly as rational/complex-unit expressions; the
 only implicit normalization (the scaling of the central element z) is computed
-and verified once, when the entry is built (`normalize_z`).
+and verified once, when the entry is built (`normalize_z`).  An entry keeps
+the tables the checks and the conventions report read, each built once from
+the realized algebras it holds (g, gstar, g', the compact form and g_C).
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ class CatalogEntry:
         return _read_only(bi.r_matrix(self))
 
     @cached_property
-    def gprime_half(self) -> np.ndarray:
-        """The matrices of g' = sigma(k0) (+) k (`manin.gprime_half`) as one stack."""
-        return _read_only(np.array(mn.gprime_half(self)))
-
-    @cached_property
     def gstar_g_pairing(self) -> np.ndarray:
         """Im-trace pairing of the gstar basis (rows) with the g basis (columns)."""
         return _read_only(trace_gram(self.gstar.realization, self.g.realization, IM_TRACE))
@@ -98,9 +95,10 @@ class CatalogEntry:
     @cached_property
     def gstar_cobrackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cobrackets on gstar (`manin.cobracket_on_gstar`) of g, of g' and
-        of the compact form (`manin.gc_compact_half`), in that order."""
-        halves = (list(self.g.realization), self.gprime_half, mn.gc_compact_half(self))
-        return _read_only(tuple(mn.cobracket_on_gstar(self, half) for half in halves))
+        of the compact form (`manin.compact_algebra`), in that order, each
+        read off that algebra's table."""
+        halves = (self.g, self.gprime_algebra, mn.compact_algebra(self))
+        return _read_only(tuple(mn.cobracket_on_gstar(self.gstar, half) for half in halves))
 
 
 def _read_only(obj):
@@ -253,16 +251,11 @@ def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray) -> 
             raise ValueError("z is not central in k")
     ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
     p_rows = cartan.parts["p"]
-    lams = []
-    for row in p_rows:
-        w = ad2 @ row
-        lam = -float(np.dot(w, row) / np.dot(row, row))
-        lams.append(lam)
-        if not np.max(np.abs(w + lam * row)) <= 1e-6:
-            raise ValueError("ad(z)^2 does not act as a scalar on the symmetric part")
-    lam = float(np.mean(lams))
-    if not (lam > 0 and np.max(np.abs(np.array(lams) - lam)) <= 1e-6):
-        raise ValueError("ad(z)^2 eigenvalue on p is not a negative constant")
+    # the mean Rayleigh quotient of -ad(z)^2 over the p rows; that it is one
+    # scalar on all of p is the final check, made after the rescaling
+    lam = float(np.mean([-float(np.dot(ad2 @ row, row) / np.dot(row, row)) for row in p_rows]))
+    if not lam > 0:
+        raise ValueError("ad(z)^2 is not negative on the symmetric part")
     z = z / np.sqrt(lam)
     ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
     resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
@@ -356,10 +349,6 @@ def rho_intertwiner_residual(rho_sign: float = 1.0) -> float:
     """Max residual of rho([x, y]_1) = [rho(x), rho(y)]_3 over basis pairs."""
     bracket1, bracket3, rho = e2_dual_bracket_tables()
     rho = rho_sign * rho
-    out = 0.0
-    for i in range(3):
-        for j in range(3):
-            lhs = rho @ bracket1[i, j]
-            rhs = np.einsum("i,j,ijk->k", rho[:, i], rho[:, j], bracket3)
-            out = worst(out, np.max(np.abs(lhs - rhs)))
-    return out
+    lhs = bracket1 @ rho.T                                          # rho([x_i, x_j]_1)
+    rhs = np.einsum("ai,bj,abk->ijk", rho, rho, bracket3)          # [rho(x_i), rho(x_j)]_3
+    return float(np.max(np.abs(lhs - rhs)))

@@ -141,7 +141,7 @@ def run(config: RunConfig) -> tuple[int, dict, str]:
     sampled = sampled_pass(target, checks, config.samples, config.seed, config.corrupt)
     results = [run_check(name, target, config.samples, config.seed, config.tol,
                          corrupt=config.corrupt, sampled=sampled) for name in checks]
-    conventions = (conventions_report(target, config.seed)
+    conventions = (conventions_report(target)
                    if isinstance(target, CatalogEntry) else [])
 
     report = {

@@ -14,11 +14,13 @@ FD_STEP = 1e-4
 SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
-#: by the mathematics: a full `verify supq1 --p 8` passes every check in
-#: 2.2-2.3 s with 212 MB peak RSS (in process, one BLAS thread, a 2-vCPU
-#: x86-64 machine), of which `cocycle` takes 0.5-0.6 s, `manin` 0.32-0.35 s
-#: (0.04 s warm), `delta_consistency` 0.2-0.3 s, `twist` 0.2 s and
-#: `uniqueness` 0.01 s.  The peak is `manin`'s build of the table of g_C.
+#: by the mathematics: a full `verify supq1 --p 8` from the command line
+#: passes every check in 1.0-1.1 s with a 211 MB peak RSS (one BLAS thread,
+#: a 2-vCPU x86-64 machine).  Run in process on a fresh entry, the build
+#: takes 0.14-0.17 s, `manin` 0.23-0.30 s, `cocycle` 0.19-0.23 s,
+#: `invariance` 0.13-0.19 s, `twist` 0.12-0.14 s, `delta_consistency`
+#: 0.10-0.12 s and `uniqueness` 0.01 s.  The peak is `manin`'s build of the
+#: table of g_C.
 P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan

@@ -16,8 +16,8 @@ it runs.  It draws the lengths at once and the v and factors block by block,
 the v from a second generator at the seed while the first starts past them,
 so every sampled check reads each block of them, with their product made
 once; each word is exponentiated once (`word_matrices`) and each element's
-tables built once per call, one block alive at a time.
-`sample_group_matrices` draws a whole stack at once.  `exp_b` takes a whole
+tables built once per call, one block alive at a time.  `sample_pairs` is
+the only code of the package that makes a generator.  `exp_b` takes a whole
 array of parameters.  Every exponential is one call of `linalg.expm`
 (Pade-13 scaling and squaring, vectorized over the stack).  The inverse of E
 and the finite-difference oracle for its adjoint are test references
@@ -317,15 +317,6 @@ def word_matrices(mp: MatchedPair, lengths: np.ndarray, factors: np.ndarray) -> 
     return mats
 
 
-def sample_group_matrices(mp: MatchedPair, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` random words of exponentials of b, as a (count, d, d) stack, in
-    two calls of `rng`: all word lengths, uniform in 1..MAX_WORD, then all
-    factors, with b-coordinates uniform in [-1, 1].  Validated wherever their
-    Ad is computed."""
-    lengths = rng.integers(1, MAX_WORD + 1, count)
-    return word_matrices(mp, lengths, rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b)))
-
-
 def sample_pairs(mp: MatchedPair, seed: int, samples: int, readers) -> list[tuple]:
     """The sampled elements of one call, read by every reader: for each block
     of SAMPLE_BLOCK pairs, in order, read(start, g, h, gh) of each reader on
@@ -334,13 +325,13 @@ def sample_pairs(mp: MatchedPair, seed: int, samples: int, readers) -> list[tupl
     The call draws 2 * samples points at `seed`, as g, h, g, h, ..., whichever
     readers it has, so a reader's results do not depend on the others: in the
     order of the stream, all v, uniform in [-V_RADIUS, V_RADIUS], then all
-    word lengths and all factors, as `sample_group_matrices` draws them.  The
-    v and factors are drawn block by block, the v from a second generator at
-    `seed`.  `start` is the index of the block's first pair, `g` and `h` the
-    stacks of its first and second points and `gh` = g h, made once for all
-    readers.  Each word is exponentiated once and each element's tables are
-    built once, for every reader; only the readers' results outlive their
-    block."""
+    word lengths, uniform in 1..MAX_WORD, and all factors, with b-coordinates
+    uniform in [-1, 1].  The v and factors are drawn block by block, the v
+    from a second generator at `seed`.  `start` is the index of the block's
+    first pair, `g` and `h` the stacks of its first and second points and
+    `gh` = g h, made once for all readers.  Each word is exponentiated once
+    and each element's tables are built once, for every reader; only the
+    readers' results outlive their block."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng, v_rng = np.random.default_rng(seed), np.random.default_rng(seed)

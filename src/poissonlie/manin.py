@@ -2,13 +2,16 @@
 triangular matrices, the lower-corner model of e, the Cartan-cocycle
 deformations relating e, g and the compact form, and the twist element.
 
-Each half of a Manin triple (g, gprime, gstar) is a realized algebra, built
-once: the re-expansion of its commutators gives its table and its closure,
-and `check_manin` makes one pass per half.  The deformations are slices of
-one table: the structure constants of g in the model basis
-(phi(psi^1)..phi(psi^k), x_1..x_m) of p then k, built once per catalog
-entry (`CatalogEntry.model_table`).  The twist element and the cobrackets
-on gstar are plain arrays: s its antisymmetric coefficient matrix over the
+Each half of a Manin triple (g, gprime, gstar), and the compact form, is a
+realized algebra, built once: the re-expansion of its commutators gives its
+table and its closure, and nothing forms those commutators again.
+`check_manin` makes one pass per half, the k0 residual reads gstar's table,
+and each cobracket on gstar reads its half's table through one Gram matrix
+(`cobracket_on_gstar`).  The deformations are slices of one table: the
+structure constants of g in the model basis (phi(psi^1)..phi(psi^k),
+x_1..x_m) of p then k, built once per catalog entry
+(`CatalogEntry.model_table`).  The twist element and the cobrackets on
+gstar are plain arrays: s its antisymmetric coefficient matrix over the
 gstar basis, a cobracket laid out like `bialgebra.delta_direct`.
 
 The Cartan involution is extended to the complexification CONJUGATE-linearly
@@ -25,7 +28,7 @@ import numpy as np
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
 from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, meet_runs, nonzero_runs,
-                  pair_commutators, structure_in_basis, trace_gram, worst_key_sum)
+                  structure_in_basis, trace_gram, worst_key_sum)
 from .linalg import BasedSpace
 
 
@@ -55,15 +58,17 @@ def gprime_half(entry) -> list[np.ndarray]:
 def gprime_algebra(entry) -> LieAlgebra:
     """gprime as a realized algebra: the re-expansion that checks its closure
     is its table in the (sigma psi, x) basis."""
-    half = entry.gprime_half
+    half = gprime_half(entry)
     return from_realization([f"s{i}" for i in range(len(half))], half)
 
 
-def gc_compact_half(entry) -> list[np.ndarray]:
-    """The compact form k (+) i p inside sl(p+1, C)."""
-    k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
-    p_mats = [entry.g.matrix_of(row) for row in entry.cartan.parts["p"]]
-    return k_mats + [1j * m for m in p_mats]
+def compact_algebra(entry) -> LieAlgebra:
+    """The compact form k (+) i p inside sl(p+1, C) as a realized algebra, in
+    the basis of k, then i times the Cartan decomposition's p rows."""
+    m = entry.mp.dim_b
+    p_mats = entry.g.matrix_of(entry.cartan.parts["p"])
+    labels = list(entry.g.space.labels[:m]) + [f"ip_{i}" for i in range(len(p_mats))]
+    return from_realization(labels, list(entry.g.realization[:m]) + [1j * x for x in p_mats])
 
 
 def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra]) -> dict:
@@ -119,9 +124,10 @@ def form_invariance(table: np.ndarray, gram: np.ndarray) -> float:
 
 
 def gstar_k0_abelian_residual(entry) -> float:
-    """Pairwise brackets of the last-column block of gstar: exactly zero."""
-    mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]
-    return float(np.max(np.abs(pair_commutators(mats)[2]), initial=0.0))
+    """Pairwise brackets of the last-column block of gstar, read off its
+    table: exactly zero."""
+    k0 = entry.gstar_k0_indices
+    return float(np.max(np.abs(entry.gstar.structure[np.ix_(k0, k0)]), initial=0.0))
 
 
 def gprime_block_residual(gprime: LieAlgebra, k: int) -> float:
@@ -190,24 +196,19 @@ def killing_eigenvalues(alg: LieAlgebra) -> np.ndarray:
 # -- cobrackets on gstar and the twist --------------------------------------------
 
 
-def _form_dual_in_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
-    """Columns: gstar-coordinates of the form-dual basis of `half`."""
-    gs = entry.gstar
-    pair = trace_gram(gs.realization, half, IM_TRACE)
-    return np.linalg.solve(pair.T, np.eye(gs.dim))
-
-
-def cobracket_on_gstar(entry, half: list[np.ndarray]) -> np.ndarray:
+def cobracket_on_gstar(gstar: LieAlgebra, half: LieAlgebra) -> np.ndarray:
     """delta_half on gstar: <delta(xi), X ^ Y> = <xi, [X, Y]_half> via Im trace,
-    as one array delta[x, p, q] laid out like `bialgebra.delta_direct`."""
-    n = entry.gstar.dim
-    w = _form_dual_in_gstar(entry, half)
-    # only the commutators with i < j: [X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0
-    i, j, brackets = pair_commutators(half)
-    pairs = trace_gram(entry.gstar.realization, brackets, IM_TRACE)
-    h = np.zeros((n, n, n))
-    h[:, i, j] = pairs
-    h[:, j, i] = -pairs
+    as one array delta[x, p, q] laid out like `bialgebra.delta_direct`.
+
+    Both are realized algebras, and the brackets are read off the half's
+    table: with the Gram matrix G[x, r] = <xi_x, X_r>,
+    <xi_x, [X_i, X_j]> = sum_r c[i, j, r] G[x, r], carried to gstar by the
+    form-dual basis of the half, the columns of G^-T."""
+    n = half.dim
+    pair = trace_gram(gstar.realization, half.realization, IM_TRACE)
+    w = np.linalg.solve(pair.T, np.eye(gstar.dim))
+    # h[x, i, j] = <xi_x, [X_i, X_j]>: one GEMM of the flattened table
+    h = (half.structure.reshape(n * n, n) @ pair.T).T.reshape(gstar.dim, n, n)
     delta = w @ h @ w.T
     return 0.5 * (delta - np.swapaxes(delta, 1, 2))
 
@@ -281,8 +282,7 @@ def twist_check(entry, s: np.ndarray, delta_g: np.ndarray, delta_gp: np.ndarray)
     """For the twist element s (`twist_element`, which also gives (i), the
     antisymmetry residual): (ii) (1/2)[s, s] + d s = 0 with d from
     delta_gprime, (iii) delta_g = delta_gprime + xi.s, given the two
-    cobrackets on gstar (`cobracket_on_gstar` of the realization of g and of
-    `gprime_half`)."""
+    cobrackets on gstar (`cobracket_on_gstar` of g and of gprime)."""
     gs = entry.gstar
     mc = 0.5 * schouten_square(gs, s) + gerstenhaber_d(delta_gp, s)
     mc_residual = float(np.max(np.abs(mc)))

@@ -8,7 +8,8 @@
   lived in the adapted basis.  The package reads all of them as blocks of
   Ad in the adapted basis.
 - The identity and the inverse of E, the inverse of an element of B and
-  its full Ad*, sampled points of E, the element or sub-stack of a stack,
+  its full Ad*, sampled elements of B and points of E, the element or
+  sub-stack of a stack,
   and the finite-difference conjugation oracle for the adjoint of E
   (criterion 03).
 - The expansion of eta0 without group translation of the wedge frame
@@ -23,7 +24,8 @@
 - The table of all commutators of two lists of matrices, the invariance of
   the form on g_C as a dense contraction of the table, and the family-1
   dual brackets on e(2)* at any value of their parameter.
-- The r-matrix display row of the conventions report, one y_i at a time.
+- The r-matrix display row of the conventions report, one y_i at a time,
+  and its coadjoint row at sampled elements of B: Ad*_U = det(U) U.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from poissonlie.checks import complex_coordinates
 from poissonlie.config import FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
                               word_matrices)
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
-from poissonlie.manin import cobracket_on_gstar, twist_check, twist_element
+from poissonlie.manin import cobracket_on_gstar, gprime_algebra, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
 
 # -- the change of basis ----------------------------------------------------------
@@ -162,6 +165,15 @@ def e_inv(g: EElement) -> EElement:
     """(v, a)^{-1} = (-Ad*_{a^{-1}} v, a^{-1}); a stack inverts elementwise."""
     a_inv = inverse_element(g.a)
     return EElement(g.pair, -(a_inv.coad_b0 @ g.v[..., None])[..., 0], a_inv)
+
+
+def sample_group_matrices(mp, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random words of exponentials of b, as a (count, d, d) stack, in
+    two calls of `rng`: all word lengths, uniform in 1..MAX_WORD, then all
+    factors, with b-coordinates uniform in [-1, 1].  Validated wherever their
+    Ad is computed."""
+    lengths = rng.integers(1, MAX_WORD + 1, count)
+    return word_matrices(mp, lengths, rng.uniform(-1.0, 1.0, (int(lengths.sum()), mp.dim_b)))
 
 
 def sample_e_elements(mp, rng, count: int, radius: float = 1.0) -> EElement:
@@ -382,8 +394,8 @@ def twist_check_of(entry, scale: float = TWIST_INNER_SCALE, s_scale: float = 1.0
     `manin.twist_check` with the cobrackets of g and of g' on gstar built here."""
     s, asym = twist_element(entry, scale=scale)
     return {"antisymmetry": asym,
-            **twist_check(entry, s_scale * s, cobracket_on_gstar(entry, list(entry.g.realization)),
-                          cobracket_on_gstar(entry, entry.gprime_half))}
+            **twist_check(entry, s_scale * s, cobracket_on_gstar(entry.gstar, entry.g),
+                          cobracket_on_gstar(entry.gstar, gprime_algebra(entry)))}
 
 
 # -- Manin triples and the planar dual brackets --------------------------------------
@@ -436,3 +448,19 @@ def r_display_residual_loop(entry) -> float:
         proj = entry.g.matrix_of(entry.cartan.project("k", mp.y_basis[i]))
         out = worst(out, np.max(np.abs(proj - displayed.get(i, np.zeros((n, n))))))
     return out
+
+
+#: Sampled elements of B in `adstar_u_sampled_residual`.
+ADSTAR_U_SAMPLES = 25
+
+
+def adstar_u_sampled_residual(entry, rng: np.random.Generator) -> float:
+    """The conventions report's coadjoint row at `ADSTAR_U_SAMPLES` sampled
+    elements U of B: Ad*_U on k0 ~ C^p against det(U) U on complex
+    coordinates (the report reads it at the Lie algebra)."""
+    mp, p = entry.mp, entry.p
+    to_complex = complex_coordinates(p)
+    a = GroupElement(mp, sample_group_matrices(mp, rng, ADSTAR_U_SAMPLES))
+    u = a.matrix[:, :p, :p]
+    expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
+    return float(np.max(np.abs(to_complex @ a.coad_b0 - expect)))

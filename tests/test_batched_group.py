@@ -18,13 +18,14 @@ from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check, sampled_pass
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.group import (SAMPLE_BLOCK, EElement, GroupElement, _ad_chunk, _adjoint, adE,
-                              e_mul, exp_b, sample_group_matrices, sample_pairs)
+                              e_mul, exp_b, sample_pairs)
 from poissonlie.linalg import expm
 from poissonlie.matched import MatchedPair
 from poissonlie.poisson import eta, eta0, eta_b
 from references import (ad_of_inverse, change_of_basis, coad, coad_matrix_coords, e_inv,
                         g_coordinate_tables, gstar_to_b0, identity_element, inverse_element,
-                        ref_adjoint, sample_e_element, sample_e_elements, take)
+                        ref_adjoint, sample_e_element, sample_e_elements, sample_group_matrices,
+                        take)
 
 
 def matrix_from_json_dict(doc) -> np.ndarray:
@@ -500,7 +501,7 @@ def test_reading_coad_b0_fills_ad_and_the_column_table(mp, monkeypatch):
 
 
 def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
-    from poissonlie.checks import _ADSTAR_U_SAMPLES, _adstar_u_residual
+    from references import ADSTAR_U_SAMPLES, adstar_u_sampled_residual
 
     passes = []
     real = group._adjoint
@@ -510,10 +511,10 @@ def test_adstar_u_row_runs_one_ad_pass_over_its_elements(monkeypatch):
         return real(mp, mats, invs, **kw)
 
     monkeypatch.setattr(group, "_adjoint", counting)
-    assert _adstar_u_residual(get_entry("su31"), np.random.default_rng(42)) <= 1e-9
+    assert adstar_u_sampled_residual(get_entry("su31"), np.random.default_rng(42)) <= 1e-9
     # the validated Ad(a) of the 25 elements, then the column pass over their
     # inverses, not a validated pass over them as well
-    assert _ADSTAR_U_SAMPLES == 25 and passes == [((25,), False), ((25,), True)]
+    assert ADSTAR_U_SAMPLES == 25 and passes == [((25,), False), ((25,), True)]
 
 
 def test_coadjoint_on_b0_is_cached_read_only_on_its_own_pair(mp):

@@ -1,3 +1,4 @@
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -181,6 +182,15 @@ def test_normalize_z_rejects_noncentral(e21):
         normalize_z(e21.g, e21.cartan, e21.mp.y_basis[0])   # y_a is not central in k
 
 
+def test_normalize_z_rejects_zero(e21):
+    # 0 is central, but ad(0)^2 vanishes on p: the sign test rejects it
+    # before the rescaling divides by anything
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not negative"):
+            normalize_z(e21.g, e21.cartan, np.zeros(e21.g.dim))
+
+
 def test_r_matrix_routes(e11, e21):
     for entry in (e11, e21):
         rm = r_matrix(entry)
@@ -285,15 +295,16 @@ def test_one_verify_builds_delta_once_and_normalizes_z_once(monkeypatch, tmp_pat
 
 
 #: the tables a catalog entry builds on first use and keeps
-ENTRY_TABLES = ("r_matrix", "gprime_half", "gstar_g_pairing", "gc_algebra", "gprime_algebra",
+ENTRY_TABLES = ("r_matrix", "gstar_g_pairing", "gc_algebra", "gprime_algebra",
                 "model_table", "gstar_cobrackets")
 
 
 def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path, fresh_catalog):
-    # the r-matrix (coboundary and the conventions report), g' (manin and
-    # twist), the gstar-g pairing (the twist element and both c' residuals),
-    # gC and g' as algebras (manin), the model table (deform) and the three
-    # cobrackets on gstar (twist); a second verify builds none of them again
+    # the r-matrix (coboundary and the conventions report), the gstar-g
+    # pairing (the twist element and both c' residuals), gC and g' as
+    # algebras (manin, and g' for twist), the model table (deform) and the
+    # three cobrackets on gstar (twist); a second verify builds none of them
+    # again
     import poissonlie.catalog as cat
     from poissonlie import cli
 
@@ -314,13 +325,13 @@ def test_one_verify_builds_each_entry_table_once(monkeypatch, tmp_path, fresh_ca
 
 def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     from poissonlie.checks import REGISTRY
-    from poissonlie.manin import (build_gc_algebra, cobracket_on_gstar, gc_compact_half,
-                                  g_structure_in_model_basis, gprime_algebra, gprime_half)
+    from poissonlie.manin import (build_gc_algebra, cobracket_on_gstar, compact_algebra,
+                                  g_structure_in_model_basis, gprime_algebra)
 
     built = {name: getattr(e21, name) for name in ENTRY_TABLES}
     rm, gc, gp = built["r_matrix"], built["gc_algebra"], built["gprime_algebra"]
-    tables = (rm["route_a"], rm["route_b"], built["gprime_half"],
-              built["gstar_g_pairing"], gc.structure, *gc.realization, gp.structure,
+    tables = (rm["route_a"], rm["route_b"], built["gstar_g_pairing"], gc.structure,
+              *gc.realization, gp.structure,
               *gp.realization, *built["model_table"], *built["gstar_cobrackets"])
     before = [t.copy() for t in tables]
     for table in tables:
@@ -336,11 +347,10 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     fresh = r_matrix(e21)
     assert np.array_equal(rm["route_b"], fresh["route_b"])
     assert rm["difference"] == fresh["difference"]
-    assert np.array_equal(built["gprime_half"], np.array(gprime_half(e21)))
     assert np.array_equal(gc.structure, build_gc_algebra(e21).structure)
     assert np.array_equal(gp.structure, gprime_algebra(e21).structure)
     model = g_structure_in_model_basis(e21)
     assert np.array_equal(built["model_table"][0], model)
-    halves = (list(e21.g.realization), built["gprime_half"], gc_compact_half(e21))
+    halves = (e21.g, gprime_algebra(e21), compact_algebra(e21))
     for table, half in zip(built["gstar_cobrackets"], halves):
-        assert np.array_equal(table, cobracket_on_gstar(e21, half))
+        assert np.array_equal(table, cobracket_on_gstar(e21.gstar, half))

@@ -7,12 +7,14 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlie import checks, cli
 from poissonlie.catalog import get_entry
+from poissonlie.config import DEFAULT_TOL
 
 RUN = [sys.executable, "-m", "poissonlie.cli"]
 
@@ -521,3 +523,61 @@ def test_a_knob_stays_in_its_check_inside_a_shared_block(knob, other):
     aim = checks.REGISTRY["invariance" if other == "cocycle" else "cocycle"]
     assert aim.knob == knob and corrupted[aim.name]["pass"] is False
     assert corrupted[other] == clean[other]
+
+
+# -- the conventions report -----------------------------------------------------
+
+
+#: table -> the global sign the README documents for it (None: recorded, no sign)
+DOCUMENTED_SIGNS = {
+    "solvable bracket table": 1.0,
+    "cobracket table on the annihilator block": 1.0,
+    "r-matrix": 1.0,
+    "r-matrix display (matrix units)": 1.0,
+    "coadjoint action on the annihilator": 1.0,
+    "planar bracket table [J,P1],[J,P2]": -1.0,
+    "planar linear coordinate functions": None,
+    "dual bracket vs family-3 table": 1.0,
+    "quantization conventions": None,
+    "involution extension": None,
+}
+
+#: the planar rows, reported for the circle pair (p = 1) only
+PLANAR_TABLES = {"planar bracket table [J,P1],[J,P2]", "planar linear coordinate functions",
+                 "dual bracket vs family-3 table"}
+
+
+def _conventions(argv, tmp_path) -> list[dict]:
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", *argv, "--samples", "16", "--out", str(path)]) == 0
+    return json.loads(path.read_text())["conventions"]
+
+
+@pytest.mark.parametrize("argv", [["su11"], ["su21"], ["su31"], ["su41"],
+                                  ["supq1", "--p", "5"]], ids=lambda argv: "".join(argv))
+def test_conventions_rows_hold_under_their_documented_signs(argv, tmp_path, capsys):
+    rows = _conventions([*argv, "--checks", "jacobi"], tmp_path)
+    planar = argv == ["su11"]
+    assert [row["table"] for row in rows] == [
+        table for table in DOCUMENTED_SIGNS if planar or table not in PLANAR_TABLES]
+    for row in rows:
+        assert row["sign"] == DOCUMENTED_SIGNS[row["table"]], row
+        assert row["residual"] <= DEFAULT_TOL.algebraic, row
+    # read from the entry's tables alone: neither the seed nor the checks run
+    # change a row
+    assert _conventions([*argv, "--checks", "jacobi", "--seed", "7919"], tmp_path) == rows
+    assert _conventions([*argv, "--seed", "7919"], tmp_path) == rows
+
+
+@pytest.mark.parametrize("argv", [["su11"], ["su41"], ["supq1", "--p", "5"]],
+                         ids=lambda argv: "".join(argv))
+def test_a_verify_without_sampled_checks_makes_no_generator(argv, tmp_path, monkeypatch, capsys):
+    # the conventions report draws nothing; only a sampled pass makes a generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert cli.main(["verify", *argv, "--checks", "jacobi",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert cli.main(["verify", *argv, "--checks", "cocycle",
+                     "--out", str(tmp_path / "r.json")]) == 70

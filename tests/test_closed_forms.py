@@ -22,9 +22,9 @@ from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecompositio
                             trace_gram)
 from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
-from poissonlie.manin import (cobracket_on_gstar, cprime_residual, deform_bracket,
-                              g_structure_in_model_basis, gc_compact_half, gerstenhaber_d,
-                              gprime_half, schouten_square)
+from poissonlie.manin import (cobracket_on_gstar, compact_algebra, cprime_residual,
+                              deform_bracket, g_structure_in_model_basis, gerstenhaber_d,
+                              gprime_algebra, gprime_half, schouten_square)
 from poissonlie.matched import MatchedPair
 from references import commutators
 
@@ -307,14 +307,15 @@ def test_cobracket_on_gstar_matches_loop(entry):
     # a dense random basis of g as the half, so every pairing entry is nonzero
     coeffs = _rng(entry).standard_normal((entry.g.dim, entry.g.dim))
     half = list(entry.g.matrix_of(coeffs))
-    _close(cobracket_on_gstar(entry, half), np.array(cobracket_on_gstar_loop(entry, half)))
+    alg = from_realization([f"h{i}" for i in range(len(half))], half)
+    _close(cobracket_on_gstar(entry.gstar, alg), np.array(cobracket_on_gstar_loop(entry, half)))
 
 
 def test_cprime_residual_matches_loop(entry):
     # the catalog cobrackets plus a dense perturbation: both sides of the
     # relation are of the same size, so the sign of either one shows
-    dg = cobracket_on_gstar(entry, list(entry.g.realization))
-    do = cobracket_on_gstar(entry, gprime_half(entry)) + 0.1 * _dense_cobracket(entry, 12)
+    dg = cobracket_on_gstar(entry.gstar, entry.g)
+    do = cobracket_on_gstar(entry.gstar, gprime_algebra(entry)) + 0.1 * _dense_cobracket(entry, 12)
     for sign in (+1.0, -1.0):
         want = cprime_residual_loop(entry, dg, do, sign)
         assert cprime_residual(entry, dg, do, sign) == pytest.approx(want, rel=1e-13)
@@ -598,7 +599,7 @@ def _corrupted_delta(mp) -> np.ndarray:
 def test_co_jacobi_matches_loop(entry, which):
     delta = {"e": lambda: entry.mp.delta,
              "corrupted": lambda: _corrupted_delta(entry.mp),
-             "gstar": lambda: cobracket_on_gstar(entry, list(entry.g.realization)),
+             "gstar": lambda: cobracket_on_gstar(entry.gstar, entry.g),
              "random": lambda: _dense_cobracket(entry, 3)}[which]()
     want = co_jacobi_loop(delta)
     got, (i, j, k) = co_jacobi_worst_at(delta)
@@ -935,7 +936,7 @@ def _catalog_pairings(entry):
     out = [(gs.realization, g.realization, IM_TRACE), (entry.psi_mats, g.realization, IM_TRACE),
            (g.matrix_of(entry.cartan.parts["p"]), g.matrix_of(entry.mp.y_basis), RE_TRACE)]
     out += [(alg.realization, alg.realization, IM_TRACE) for alg in (g, gs, gc)]
-    for half in (list(g.realization), gprime_half(entry), gc_compact_half(entry)):
+    for half in (list(g.realization), gprime_half(entry), compact_algebra(entry).realization):
         out.append((gs.realization, half, IM_TRACE))
         out.append((gs.realization, commutators(half, half).reshape(-1, *half[0].shape), IM_TRACE))
     return out
@@ -993,8 +994,8 @@ def test_model_table_and_twist_cobrackets_are_exact(p):
         assert _on_grid(alg.structure, 4)
         assert alg.jacobi == (0.0, (0, 1, 1))
         assert _sparse_jacobi(alg.structure)
-    for half in (list(entry.g.realization), gprime_half(entry), gc_compact_half(entry)):
-        raw = cobracket_on_gstar(entry, half)
+    for half in (entry.g, gprime_algebra(entry), compact_algebra(entry)):
+        raw = cobracket_on_gstar(entry.gstar, half)
         cob, dist = snap_dyadic(raw)
         assert cob is not raw and dist <= 1e-14 and _on_grid(cob, 1)
         assert co_jacobi_worst_at(cob) == (0.0, (0, 1, 1))

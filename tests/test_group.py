@@ -7,11 +7,10 @@ import scipy.linalg
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.group import (EElement, GroupElement, _adjoint, adE, e_mul, exp_b,
-                              sample_group_matrices)
+from poissonlie.group import EElement, GroupElement, _adjoint, adE, e_mul, exp_b
 from poissonlie.linalg import expm
 from references import (adE_fd, change_of_basis, e_identity, e_inv, identity_element, ref_adjoint,
-                        sample_e_element, sample_e_elements)
+                        sample_e_element, sample_e_elements, sample_group_matrices)
 
 
 def sample_group_element(mp, rng) -> GroupElement:

@@ -71,13 +71,6 @@ def test_finite_diff_matrix_exponential_oracle():
     assert np.max(np.abs(d - expect)) < 1e-10
 
 
-def test_rng_streams_bit_identical():
-    r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
-    s1 = [r1.uniform(-1, 1) for _ in range(100)]
-    s2 = [r2.uniform(-1, 1) for _ in range(100)]
-    assert s1 == s2
-
-
 def test_worst_propagates_nan():
     assert worst() == 0.0
     assert worst(1e-3, 2, np.float64(0.5)) == 2.0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import catalog_names, get_entry, su11, supq1
-from poissonlie.group import GroupElement, exp_b, sample_group_matrices
+from poissonlie.group import GroupElement, exp_b
 from poissonlie.matched import MatchedPair
 from references import (c_coords, change_of_basis, coad_matrix_coords, gstar_to_b0,
-                        identity_element, inverse_element)
+                        identity_element, inverse_element, sample_group_matrices)
 
 
 def sample_group_element(mp, rng) -> GroupElement:
