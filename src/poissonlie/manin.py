@@ -48,17 +48,11 @@ def build_gc_algebra(entry) -> LieAlgebra:
     return from_realization(labels, mats, pairing=IM_TRACE)
 
 
-def gprime_half(entry) -> list[np.ndarray]:
-    """sigma(k0) (+) k: the lower-corner block together with the compact part."""
-    lower = [sigma_conj(m) for m in entry.psi_mats]
-    k_mats = [entry.g.realization[i] for i in range(entry.mp.dim_b)]
-    return lower + k_mats
-
-
 def gprime_algebra(entry) -> LieAlgebra:
-    """gprime as a realized algebra: the re-expansion that checks its closure
-    is its table in the (sigma psi, x) basis."""
-    half = gprime_half(entry)
+    """gprime = sigma(k0) (+) k, the lower-corner block together with the
+    compact part, as a realized algebra: the re-expansion that checks its
+    closure is its table in the (sigma psi, x) basis."""
+    half = [sigma_conj(m) for m in entry.psi_mats] + list(entry.g.realization[:entry.mp.dim_b])
     return from_realization([f"s{i}" for i in range(len(half))], half)
 
 

@@ -24,7 +24,7 @@ from poissonlie.manin import build_gc_algebra
 from poissonlie.linalg import BasedSpace
 from poissonlie.manin import (cobracket_on_gstar, compact_algebra, cprime_residual,
                               deform_bracket, g_structure_in_model_basis, gerstenhaber_d,
-                              gprime_algebra, gprime_half, schouten_square)
+                              gprime_algebra, schouten_square)
 from poissonlie.matched import MatchedPair
 from references import commutators
 
@@ -936,7 +936,8 @@ def _catalog_pairings(entry):
     out = [(gs.realization, g.realization, IM_TRACE), (entry.psi_mats, g.realization, IM_TRACE),
            (g.matrix_of(entry.cartan.parts["p"]), g.matrix_of(entry.mp.y_basis), RE_TRACE)]
     out += [(alg.realization, alg.realization, IM_TRACE) for alg in (g, gs, gc)]
-    for half in (list(g.realization), gprime_half(entry), compact_algebra(entry).realization):
+    for half in (list(g.realization), gprime_algebra(entry).realization,
+                 compact_algebra(entry).realization):
         out.append((gs.realization, half, IM_TRACE))
         out.append((gs.realization, commutators(half, half).reshape(-1, *half[0].shape), IM_TRACE))
     return out
