@@ -5,8 +5,9 @@ the catalog.
 Catalog matrices are entered exactly as rational/complex-unit expressions; the
 only implicit normalization (the scaling of the central element z) is computed
 and verified once, when the entry is built (`normalize_z`).  An entry keeps
-the tables the checks and the conventions report read, each built once from
-the realized algebras it holds (g, gstar, g', the compact form and g_C).
+the tables the checks and the conventions report read, each built on first
+use, once, from the realized algebras it holds (g, gstar, g', the compact form
+and g_C); only g is realized when the entry is built.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from . import bialgebra as bi
-from . import manin as mn
 from .config import ALGEBRAIC_TOL, P_CAP
 from .lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, snap_dyadic,
                   trace_gram)
-from .linalg import antisymmetric_table, worst
+from .linalg import antisymmetric_table
 from .matched import MatchedPair
 
 
@@ -42,13 +42,24 @@ def _unit(n: int, i: int, j: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class CatalogEntry:
+    """A catalog pair with its decorations: the Iwasawa and Cartan
+    decompositions, the normalized central element, the dual basis, a
+    maximal torus and the restricted root spaces, all validated when the
+    entry is built (`_validate_entry`).
+
+    The dual algebra gstar keeps its labels, matrices and k0 block from the
+    build, but is realized (`from_realization`) on first use, like every
+    table below: a call that runs neither `manin` nor `twist` never builds
+    it."""
+
     name: str
     p: int
     mp: MatchedPair
     iwasawa: SubspaceDecomposition            # parts k, a, n
     cartan: SubspaceDecomposition             # parts k, p
     z: np.ndarray                             # g-coordinates of the normalized central element
-    gstar: LieAlgebra                         # upper-triangular dual algebra
+    gstar_labels: list[str]                   # the upper-triangular dual algebra's basis:
+    gstar_mats: list[np.ndarray]              # labels and matrices (`gstar` realizes them)
     psi_mats: list[np.ndarray]                # matrix representatives of the dual basis
     gstar_k0_indices: list[int]               # gstar basis indices spanning the k0 block
     torus: np.ndarray                         # rows (g-coordinates) spanning a maximal torus of k
@@ -59,9 +70,18 @@ class CatalogEntry:
     def g(self) -> LieAlgebra:
         return self.mp.g
 
-    # tables read by a check, each built once and read-only: an entry from
-    # `get_entry` serves every call of the process.  A knob that corrupts one
-    # (`r_scale_2`, `deform_cocycle_scale_2`) corrupts a copy or builds its own
+    # tables read by a check, each built on first use, once, and read-only:
+    # an entry from `get_entry` serves every call of the process.  A knob
+    # that corrupts one (`r_scale_2`, `deform_cocycle_scale_2`) corrupts a
+    # copy or builds its own.  `manin` is imported by the tables that call
+    # it, so a call that reads none of them does not load it
+
+    @cached_property
+    def gstar(self) -> LieAlgebra:
+        """The upper-triangular dual algebra, realized from `gstar_mats`; only
+        the `manin` and `twist` checks read it."""
+        return _read_only(from_realization(self.gstar_labels, self.gstar_mats,
+                                           pairing=IM_TRACE))
 
     @cached_property
     def r_matrix(self) -> dict:
@@ -77,11 +97,13 @@ class CatalogEntry:
     @cached_property
     def gc_algebra(self) -> LieAlgebra:
         """sl(p+1, C) as a real algebra (`manin.build_gc_algebra`)."""
+        from . import manin as mn
         return _read_only(mn.build_gc_algebra(self))
 
     @cached_property
     def gprime_algebra(self) -> LieAlgebra:
         """g' as a realized algebra (`manin.gprime_algebra`)."""
+        from . import manin as mn
         return _read_only(mn.gprime_algebra(self))
 
     @cached_property
@@ -89,6 +111,7 @@ class CatalogEntry:
         """The structure constants of g in the model basis as computed
         (`manin.g_structure_in_model_basis`), and that table snapped to its
         grid (`lie.snap_dyadic`)."""
+        from . import manin as mn
         table = mn.g_structure_in_model_basis(self)
         return _read_only((table, snap_dyadic(table)[0]))
 
@@ -97,6 +120,7 @@ class CatalogEntry:
         """The cobrackets on gstar (`manin.cobracket_on_gstar`) of g, of g' and
         of the compact form (`manin.compact_algebra`), in that order, each
         read off that algebra's table."""
+        from . import manin as mn
         halves = (self.g, self.gprime_algebra, mn.compact_algebra(self))
         return _read_only(tuple(mn.cobracket_on_gstar(self.gstar, half) for half in halves))
 
@@ -218,14 +242,13 @@ def supq1(p: int) -> CatalogEntry:
     z = normalize_z(g, cartan, g.coords_of(z_mat))
 
     gs_mats, gs_labels, k0_idx = _gstar_matrices(p)
-    gstar = from_realization(gs_labels, gs_mats, pairing=IM_TRACE)
 
     # restricted root spaces: the pairs span the simple space, y2 the double
     f1_rows = eye[dim_k + 2:]
     f2_rows = eye[dim_k + 1: dim_k + 2]
     entry = CatalogEntry(
         name=f"su{p}1", p=p, mp=mp, iwasawa=iwasawa, cartan=cartan, z=z,
-        gstar=gstar, psi_mats=_psi_matrices(p), gstar_k0_indices=k0_idx,
+        gstar_labels=gs_labels, gstar_mats=gs_mats, psi_mats=_psi_matrices(p), gstar_k0_indices=k0_idx,
         torus=eye[dim_k - p: dim_k],          # kD_1..kD_p, the diagonal of u(p)
         eta=np.diag([1.0] * p + [-1.0]).astype(complex),
         root_spaces={"f1": f1_rows, "2f1": f2_rows},
@@ -244,52 +267,60 @@ def su11() -> CatalogEntry:
 
 def normalize_z(g: LieAlgebra, cartan: SubspaceDecomposition, z: np.ndarray) -> np.ndarray:
     """Rescale a central candidate so ad(z)^2 = -1 on the symmetric part, and
-    verify the result."""
+    verify the result.  One ad(z) serves every check: its action on the rows
+    of k and of p is a product each."""
     z = np.asarray(z, dtype=float)
-    for row in cartan.parts["k"]:
-        if not np.max(np.abs(g.bracket_coords(z, row))) <= ALGEBRAIC_TOL:
-            raise ValueError("z is not central in k")
-    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
+    ad_z = g.ad_matrix_coords(z)
+    if not np.max(np.abs(cartan.parts["k"] @ ad_z.T)) <= ALGEBRAIC_TOL:
+        raise ValueError("z is not central in k")
+    ad2 = ad_z @ ad_z
     p_rows = cartan.parts["p"]
     # the mean Rayleigh quotient of -ad(z)^2 over the p rows; that it is one
     # scalar on all of p is the final check, made after the rescaling
-    lam = float(np.mean([-float(np.dot(ad2 @ row, row) / np.dot(row, row)) for row in p_rows]))
+    lam = float(np.mean(-np.sum((p_rows @ ad2.T) * p_rows, axis=1)
+                        / np.sum(p_rows * p_rows, axis=1)))
     if not lam > 0:
         raise ValueError("ad(z)^2 is not negative on the symmetric part")
     z = z / np.sqrt(lam)
-    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
-    resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
+    resid = np.max(np.abs(p_rows @ ad2.T / lam + p_rows))
     if not resid <= ALGEBRAIC_TOL:
         raise ValueError(f"z normalization residual {resid:.3e}")
     return z
 
 
+def _first_over(resid: np.ndarray) -> int | None:
+    """The index of the first residual not within ALGEBRAIC_TOL (a NaN
+    included), or None."""
+    bad = np.flatnonzero(~(resid <= ALGEBRAIC_TOL))
+    return int(bad[0]) if bad.size else None
+
+
 def _validate_entry(entry: CatalogEntry):
     mp, g = entry.mp, entry.g
     # the realization satisfies the defining relation x* eta + eta x = 0
-    for m in g.realization:
-        resid = np.max(np.abs(np.conj(m.T) @ entry.eta + entry.eta @ m))
-        if not resid <= ALGEBRAIC_TOL:
-            raise ValueError(f"realization matrix violates the signature relation ({resid:.3e})")
+    mats = np.asarray(g.realization)
+    resid = np.abs(np.conj(np.swapaxes(mats, 1, 2)) @ entry.eta
+                   + entry.eta @ mats).max(axis=(1, 2))
+    if (i := _first_over(resid)) is not None:
+        raise ValueError(f"realization matrix violates the signature relation ({resid[i]:.3e})")
     # dual basis against the displayed matrix representatives
     coords = trace_gram(entry.psi_mats, g.realization, IM_TRACE)
-    for i in range(len(entry.psi_mats)):
-        if not np.max(np.abs(coords[i] - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
-            raise ValueError(f"dual basis {i} disagrees with its matrix representative")
-    # the torus lies in k, and its rows commute exactly
+    if (i := _first_over(np.abs(coords - mp.psi_basis).max(axis=1))) is not None:
+        raise ValueError(f"dual basis {i} disagrees with its matrix representative")
+    # the torus lies in k, and its rows commute exactly: [t_a, t_b] is row b
+    # of the torus times the contraction of t_a with the table
     torus = entry.torus
     if not np.max(np.abs(entry.cartan.project("k", torus.T).T - torus), initial=0.0) <= ALGEBRAIC_TOL:
         raise ValueError("a torus row does not lie in k")
-    if np.any(np.einsum("ai,bj,ijk->abk", torus, torus, g.structure)):
+    if np.any(torus @ np.tensordot(torus, g.structure, axes=1)):
         raise ValueError("the torus rows do not commute")
     # restricted root grading: ad(y_a) acts with eigenvalue 1 on the simple
     # root space and 2 on the double one
     a_row = entry.iwasawa.parts["a"][0]
     for weight, rows in ((1.0, entry.root_spaces["f1"]), (2.0, entry.root_spaces["2f1"])):
-        for row in rows:
-            resid = np.max(np.abs(g.bracket_coords(a_row, row) - weight * row))
-            if not resid <= ALGEBRAIC_TOL:
-                raise ValueError(f"root-space grading failed (residual {resid:.3e})")
+        resid = np.abs(g.bracket_coords(a_row, rows) - weight * rows).max(axis=1)
+        if (i := _first_over(resid)) is not None:
+            raise ValueError(f"root-space grading failed (residual {resid[i]:.3e})")
 
 
 #: Largest p with a catalog name; larger p up to P_CAP only through supq1(p).

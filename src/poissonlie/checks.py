@@ -12,7 +12,11 @@ The sampled checks (`invariance`, `cocycle`) read the call's one sampled
 pass (`sampled_pass`): every block of pairs of points of E is drawn and
 exponentiated once (`group.sample_pairs`), and each selected sampled check
 reads it, so a sampled check's report does not depend on which other checks
-run, or in what order."""
+run, or in what order.
+
+`manin` and `quantize` are imported by the checks that call them (`manin`,
+`deform`, `twist`, `semiclassical`), so a call that runs none of them, such
+as any call on an imported pair, does not load or compile them."""
 
 from __future__ import annotations
 
@@ -23,9 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import bialgebra as bi
-from . import manin as mn
 from . import poisson as po
-from . import quantize as qu
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
 from .lie import from_realization, jacobi_worst_at, snap_dyadic
@@ -275,6 +277,7 @@ def _check_uniqueness(entry: CatalogEntry, tol, corrupted) -> dict:
 
 @_register("manin", "gstar_complex_diagonal", ENTRY)
 def _check_manin(entry: CatalogEntry, tol, corrupted) -> dict:
+    from . import manin as mn
     gprime = entry.gprime_algebra
     gstar = entry.gstar
     if corrupted:   # gstar plus the imaginary traceless diagonal
@@ -297,6 +300,7 @@ def _check_manin(entry: CatalogEntry, tol, corrupted) -> dict:
 
 @_register("deform", "deform_cocycle_scale_2", ENTRY)
 def _check_deform(entry: CatalogEntry, tol, corrupted) -> dict:
+    from . import manin as mn
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
     # the algebras are cut from the table snapped to its grid, the residuals
     # read the table as computed, so they carry the snap distance
@@ -316,6 +320,7 @@ def _check_deform(entry: CatalogEntry, tol, corrupted) -> dict:
 
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, tol, corrupted) -> dict:
+    from . import manin as mn
     dg, dgp, dgc = entry.gstar_cobrackets
     s, asym = mn.twist_element(entry, scale=tol.twist_inner_scale)
     rep = mn.twist_check(entry, 2.0 * s if corrupted else s, dg, dgp)
@@ -333,6 +338,7 @@ def _check_twist(entry: CatalogEntry, tol, corrupted) -> dict:
 
 @_register("semiclassical", "drop_reorder_correction", CIRCLE)
 def _check_semiclassical(entry: CatalogEntry, tol, corrupted) -> dict:
+    from . import quantize as qu
     alg = qu.CrossedAlgebra(entry.mp,
                             reorder_correction=0.0 if corrupted else 1.0)
     maxdeg, maxmode = (2, 2) if corrupted else (4, 6)

@@ -290,8 +290,9 @@ def main(argv=None) -> int:
                 print(name)
             return EXIT_OK
         try:
-            payload = json.dumps(get_entry(args.name).mp.to_json_dict(),
-                                 sort_keys=True, indent=2) + "\n"
+            # one line, through json's C encoder: the parsed document is the
+            # same as an indented one's, at a tenth of the time on su41
+            payload = json.dumps(get_entry(args.name).mp.to_json_dict(), sort_keys=True) + "\n"
             if args.out == "-":
                 sys.stdout.write(payload)
             else:

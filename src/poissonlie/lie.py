@@ -316,7 +316,9 @@ class LieAlgebra:
         return self.space.dim
 
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        """Coordinates of [x, y]; a stack of rows y gives one row each, from
+        one contraction of x with the table."""
+        return np.asarray(y) @ np.tensordot(x, self.structure, axes=1)
 
     def ad_matrix_coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> [x, y]."""

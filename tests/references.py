@@ -26,6 +26,8 @@
   dual brackets on e(2)* at any value of their parameter.
 - The r-matrix display row of the conventions report, one y_i at a time,
   and its coadjoint row at sampled elements of B: Ad*_U = det(U) U.
+- The normalization of the central element and the validation of a catalog
+  entry, one basis row at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from poissonlie.checks import complex_coordinates
-from poissonlie.config import FD_STEP, TWIST_INNER_SCALE
+from poissonlie.config import ALGEBRAIC_TOL, FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
                               word_matrices)
+from poissonlie.lie import IM_TRACE, trace_gram
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, gprime_algebra, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
@@ -464,3 +467,51 @@ def adstar_u_sampled_residual(entry, rng: np.random.Generator) -> float:
     u = a.matrix[:, :p, :p]
     expect = np.linalg.det(u)[:, None, None] * (u @ to_complex)
     return float(np.max(np.abs(to_complex @ a.coad_b0 - expect)))
+
+
+# -- the catalog entry's own checks, one row at a time ----------------------------
+
+
+def normalize_z_loop(g, cartan, z: np.ndarray) -> np.ndarray:
+    """`catalog.normalize_z` with one bracket per row of k and one Rayleigh
+    quotient per row of p."""
+    z = np.asarray(z, dtype=float)
+    for row in cartan.parts["k"]:
+        if not np.max(np.abs(g.bracket_coords(z, row))) <= ALGEBRAIC_TOL:
+            raise ValueError("z is not central in k")
+    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
+    p_rows = cartan.parts["p"]
+    lam = float(np.mean([-float(np.dot(ad2 @ row, row) / np.dot(row, row)) for row in p_rows]))
+    if not lam > 0:
+        raise ValueError("ad(z)^2 is not negative on the symmetric part")
+    z = z / np.sqrt(lam)
+    ad2 = g.ad_matrix_coords(z) @ g.ad_matrix_coords(z)
+    resid = worst(*(np.max(np.abs(ad2 @ row + row)) for row in p_rows))
+    if not resid <= ALGEBRAIC_TOL:
+        raise ValueError(f"z normalization residual {resid:.3e}")
+    return z
+
+
+def validate_entry_loop(entry):
+    """`catalog._validate_entry` with one matrix, dual vector, torus pair and
+    root vector at a time."""
+    mp, g = entry.mp, entry.g
+    for m in g.realization:
+        resid = np.max(np.abs(np.conj(m.T) @ entry.eta + entry.eta @ m))
+        if not resid <= ALGEBRAIC_TOL:
+            raise ValueError(f"realization matrix violates the signature relation ({resid:.3e})")
+    coords = trace_gram(entry.psi_mats, g.realization, IM_TRACE)
+    for i in range(len(entry.psi_mats)):
+        if not np.max(np.abs(coords[i] - mp.psi_basis[i])) <= ALGEBRAIC_TOL:
+            raise ValueError(f"dual basis {i} disagrees with its matrix representative")
+    torus = entry.torus
+    if not np.max(np.abs(entry.cartan.project("k", torus.T).T - torus), initial=0.0) <= ALGEBRAIC_TOL:
+        raise ValueError("a torus row does not lie in k")
+    if np.any(np.einsum("ai,bj,ijk->abk", torus, torus, g.structure)):
+        raise ValueError("the torus rows do not commute")
+    a_row = entry.iwasawa.parts["a"][0]
+    for weight, rows in ((1.0, entry.root_spaces["f1"]), (2.0, entry.root_spaces["2f1"])):
+        for row in rows:
+            resid = np.max(np.abs(g.bracket_coords(a_row, row) - weight * row))
+            if not resid <= ALGEBRAIC_TOL:
+                raise ValueError(f"root-space grading failed (residual {resid:.3e})")

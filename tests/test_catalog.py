@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from poissonlie.bialgebra import co_jacobi_worst_at
-from poissonlie.catalog import (catalog_names, e2_dual_bracket_tables, get_entry,
-                                rho_intertwiner_residual, su11, supq1)
+from poissonlie.catalog import (_validate_entry, catalog_names, e2_dual_bracket_tables,
+                                get_entry, normalize_z, rho_intertwiner_residual, su11, supq1)
 from poissonlie.config import P_CAP
 from poissonlie.group import e_mul
-from poissonlie.lie import jacobi_worst_at, structure_in_basis
+from poissonlie.lie import SubspaceDecomposition, jacobi_worst_at, structure_in_basis
 from poissonlie.linalg import worst
 from poissonlie.manin import build_gc_algebra, gprime_algebra
-from references import change_of_basis, coad_matrix_coords, e2_family1, sample_e_element
+from references import (change_of_basis, coad_matrix_coords, e2_family1, normalize_z_loop,
+                        sample_e_element, validate_entry_loop)
 
 
 def projector_residual(d) -> float:
@@ -260,6 +263,60 @@ def test_entry_validation_catches_a_bad_torus():
         entry.torus = np.array(rows)
         with pytest.raises(ValueError, match="torus"):
             _validate_entry(entry)
+
+
+@pytest.mark.parametrize("p", range(1, P_CAP + 1))
+def test_normalize_z_matches_its_loop_reference(p):
+    # one ad(z) for all rows gives the bits of a bracket and a Rayleigh
+    # quotient per row, and the entry passes the loop validation too
+    entry = supq1(p)
+    raw = entry.g.coords_of(np.diag([1j] * p + [-1j * p]) / (p + 1))
+    z = normalize_z(entry.g, entry.cartan, raw)
+    assert np.array_equal(z, normalize_z_loop(entry.g, entry.cartan, raw))
+    assert np.array_equal(z, entry.z)
+    validate_entry_loop(entry)
+
+
+def raises_alike(fn, reference, *args) -> str:
+    """The message of the ValueError that `fn` raises on `args`, which must be
+    the one its loop reference raises."""
+    with pytest.raises(ValueError) as got:
+        fn(*args)
+    with pytest.raises(ValueError) as want:
+        reference(*args)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_normalize_z_raises_as_its_loop_reference():
+    entry = supq1(2)
+    g, cartan = entry.g, entry.cartan
+    k_row = np.eye(g.dim)[g.space.labels.index("kR_12")]
+    # p rows with a k row mixed in: ad(z)^2 is no scalar on their span
+    bent = SubspaceDecomposition(g, {"k": cartan.parts["k"],
+                                     "p": cartan.parts["p"] + 0.5 * k_row})
+    for decomp, z, message in ((cartan, entry.z + k_row, "z is not central in k"),
+                               (cartan, 0.0 * entry.z, "ad(z)^2 is not negative"),
+                               (bent, entry.z, "z normalization residual")):
+        assert raises_alike(normalize_z, normalize_z_loop, g, decomp, z).startswith(message)
+
+
+def test_entry_validation_raises_as_its_loop_reference():
+    entry = supq1(2)
+    labels, eye = entry.g.space.labels, np.eye(entry.g.dim)
+    psi = list(entry.psi_mats)
+    psi[1] = 2.0 * psi[1]
+    f1, f2 = entry.root_spaces["f1"], entry.root_spaces["2f1"]
+    for change, message in (
+            ({"eta": np.eye(3, dtype=complex)}, "realization matrix violates the signature"),
+            ({"psi_mats": psi}, "dual basis 1 disagrees"),
+            ({"torus": eye[[labels.index("ya")]]}, "a torus row does not lie in k"),
+            ({"torus": eye[[labels.index("kR_12"), labels.index("kD_1")]]},
+             "the torus rows do not commute"),
+            ({"root_spaces": {"f1": f2, "2f1": f1}}, "root-space grading failed"),
+            ({"root_spaces": {"f1": f1, "2f1": f1}}, "root-space grading failed")):
+        assert raises_alike(_validate_entry, validate_entry_loop,
+                            replace(entry, **change)).startswith(message)
 
 
 def test_gstar_k0_indices():

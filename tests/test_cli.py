@@ -294,6 +294,38 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_the_checks_that_call_them_load_manin_and_quantize(tmp_path):
+    """A fresh interpreter that verifies an exported pair, or runs only the
+    sampled checks on a catalog pair, loads neither `manin` nor `quantize`;
+    `manin` and `semiclassical` load the one each calls and pass."""
+    exported = tmp_path / "su21.json"
+    assert cli.main(["catalog", "export", "su21", "--out", str(exported)]) == 0
+    probe = ("import sys; from poissonlie import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m in ('poissonlie.manin', 'poissonlie.quantize')))")
+    for argv, loaded in (([str(exported)], []),
+                         (["su21", "--checks", "invariance,cocycle,delta_consistency"], []),
+                         (["su21", "--checks", "manin"], ["poissonlie.manin"]),
+                         (["su11", "--checks", "semiclassical"], ["poissonlie.quantize"])):
+        out = subprocess.run([sys.executable, "-c", probe, "verify", *argv,
+                              "--out", str(tmp_path / "r.json")], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 {loaded}", (argv, out.stdout)
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
+def test_export_is_one_line_of_the_pair_document(name, tmp_path, fresh_catalog):
+    """The export is one line of JSON whose document is the pair's own, and
+    exporting realizes no dual algebra."""
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["catalog", "export", name, "--out", str(path)]) == 0
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    entry = get_entry(name)
+    assert json.loads(text) == json.loads(json.dumps(entry.mp.to_json_dict()))
+    assert "gstar" not in vars(entry)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "su11", "--tol-algebraic", "-inf"],   # argparse takes -inf for a flag
     ["verify"],                                      # missing pair
