@@ -235,7 +235,9 @@ def supq1(p: int) -> CatalogEntry:
     for k in range(p):
         p_mats.append(_unit(n, k, n - 1) + _unit(n, n - 1, k))
         p_mats.append(1j * (_unit(n, k, n - 1) - _unit(n, n - 1, k)))
-    p_rows = g.coords_of(p_mats)
+    # the rows are integers up to the rounding of the solve; snapped, the
+    # compact form and the twist built from them are exact
+    p_rows = snap_dyadic(g.coords_of(p_mats))[0]
     cartan = SubspaceDecomposition(g, {"k": b_rows, "p": p_rows})
 
     z_mat = np.diag([1j] * p + [-1j * p]).astype(complex) / (p + 1)

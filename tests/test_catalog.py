@@ -8,7 +8,7 @@ from poissonlie.catalog import (_validate_entry, catalog_names, e2_dual_bracket_
                                 get_entry, normalize_z, rho_intertwiner_residual, su11, supq1)
 from poissonlie.config import P_CAP
 from poissonlie.group import e_mul
-from poissonlie.lie import SubspaceDecomposition, jacobi_worst_at, structure_in_basis
+from poissonlie.lie import SubspaceDecomposition, jacobi_worst_at, snap_dyadic, structure_in_basis
 from poissonlie.linalg import worst
 from poissonlie.manin import build_gc_algebra, gprime_algebra
 from references import (change_of_basis, coad_matrix_coords, e2_family1, normalize_z_loop,
@@ -317,6 +317,24 @@ def test_entry_validation_raises_as_its_loop_reference():
             ({"root_spaces": {"f1": f1, "2f1": f1}}, "root-space grading failed")):
         assert raises_alike(_validate_entry, validate_entry_loop,
                             replace(entry, **change)).startswith(message)
+
+
+@pytest.mark.parametrize("p", range(1, P_CAP + 1))
+def test_cartan_p_rows_are_integers(p):
+    # snapped off the rounding of their solve, so the compact form built
+    # from them is exact
+    rows = supq1(p).cartan.parts["p"]
+    assert np.array_equal(rows, np.rint(rows))
+
+
+def test_su11_compact_cobracket_is_exact():
+    from poissonlie.checks import run_check
+    from poissonlie.config import DEFAULT_TOL
+
+    entry = su11()
+    assert snap_dyadic(entry.gstar_cobrackets[2])[1] == 0.0
+    details = run_check("twist", entry, 0, 0, DEFAULT_TOL)["details"]
+    assert details["cprime_gc_minus_gprime"] == details["co_jacobi_all_three"] == 0.0
 
 
 def test_gstar_k0_indices():
