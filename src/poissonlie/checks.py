@@ -33,7 +33,7 @@ from .config import Tolerances
 from .lie import from_realization, jacobi_worst_at, snap_dyadic
 from .linalg import antisymmetric_table, best_sign, matrix_to_json_dict, worst, worst_at
 from .matched import MatchedPair
-from .group import EElement, exp_b, sample_pairs
+from .group import EElement, sample_pairs
 
 #: Check scopes.  PAIR: any matched pair.  REALIZATION: a pair with a matrix
 #: realization (the check exponentiates).  ENTRY: a catalog pair with its
@@ -516,14 +516,15 @@ def conventions_report(entry: CatalogEntry) -> list[dict]:
 
 
 def _xtilde_table_residual(entry) -> float:
-    """Check ytilde(v, a) = <v, Ad_{a^{-1}} y> reproduces the displayed planar table."""
-    out = 0.0
-    phis = np.array([0.3, 1.1, 2.5])
-    for phi, c_mat in zip(phis, exp_b(entry.mp, np.array([1.0]), -phis).action_on_c):
-        # <psi^v, Ad_{a^{-1}} y_i> is entry (v, i) of the action on c
-        vals = {(y, name_v): float(c_mat[vi, i])
-                for vi, name_v in ((0, "P1"), (1, "P2")) for i, y in ((0, "a"), (1, "2"))}
-        expect = {("a", "P1"): np.cos(2 * phi), ("a", "P2"): np.sin(2 * phi),
-                  ("2", "P1"): -np.sin(2 * phi), ("2", "P2"): np.cos(2 * phi)}
-        out = worst(out, *(abs(vals[k] - expect[k]) for k in expect))
-    return out
+    """ytilde(v, a) = <v, Ad_{a^{-1}} y> reproduces the displayed planar
+    table, read at the Lie algebra.  At a = exp(phi x), x the generator of
+    b, the display gives the values at (P1, P2) of (y_a, y_2) as the
+    rotation by 2 phi, and <psi^v, Ad_{a^{-1}} y_i> is entry (v, i) of
+    exp(-phi A), A the c-block of ad(x): Ad preserves b, so the c-block of
+    Ad(exp(-phi x)) is the exponential of -phi A.  Both sides are
+    one-parameter groups of U(1); they agree at every phi exactly when their
+    generators do, -A = d/dphi R(2 phi) at 0 = [[0, -2], [2, 0]]."""
+    m = entry.mp.dim_b
+    # A[v, i] = <psi^v, [x, y_i]>, entry (x, y_i, y_v) of the adapted table
+    generator = -entry.mp.adapted[0, m:, m:].T
+    return worst_at(np.abs(generator - np.array([[0.0, -2.0], [2.0, 0.0]])))[0]

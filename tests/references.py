@@ -28,6 +28,8 @@
   and its coadjoint row at sampled elements of B: Ad*_U = det(U) U.
 - The normalization of the central element and the validation of a catalog
   entry, one basis row at a time.
+- The planar linear coordinate row of the conventions report at three
+  angles of the group (the report reads it at the Lie algebra).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from poissonlie.checks import complex_coordinates
 from poissonlie.config import ALGEBRAIC_TOL, FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
-                              word_matrices)
+                              exp_b, word_matrices)
 from poissonlie.lie import IM_TRACE, trace_gram
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, gprime_algebra, twist_check, twist_element
@@ -515,3 +517,16 @@ def validate_entry_loop(entry):
             resid = np.max(np.abs(g.bracket_coords(a_row, row) - weight * row))
             if not resid <= ALGEBRAIC_TOL:
                 raise ValueError(f"root-space grading failed (residual {resid:.3e})")
+
+
+def xtilde_table_residual_at_angles(entry) -> float:
+    """The planar linear coordinate row at phi = 0.3, 1.1 and 2.5:
+    <psi^v, Ad_{a^{-1}} y_i> at a = exp(phi x), entry (v, i) of the action
+    on c of a^{-1}, against the displayed rotation by 2 phi."""
+    out = 0.0
+    phis = np.array([0.3, 1.1, 2.5])
+    for phi, c_mat in zip(phis, exp_b(entry.mp, np.array([1.0]), -phis).action_on_c):
+        rotation = np.array([[np.cos(2 * phi), -np.sin(2 * phi)],
+                             [np.sin(2 * phi), np.cos(2 * phi)]])
+        out = worst(out, float(np.max(np.abs(c_mat - rotation))))
+    return out

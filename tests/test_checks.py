@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from poissonlie.catalog import get_entry, supq1
-from poissonlie.checks import CIRCLE, REGISTRY, _r_display_matrices, applicable_checks, run_check
+from poissonlie.catalog import get_entry, su11, supq1
+from poissonlie.checks import (CIRCLE, REGISTRY, _r_display_matrices, _xtilde_table_residual,
+                               applicable_checks, run_check)
 from poissonlie.config import DEFAULT_TOL
 from poissonlie.matched import MatchedPair
-from references import r_display_residual_loop
+from references import r_display_residual_loop, xtilde_table_residual_at_angles
 
 
 def test_registry_scopes():
@@ -192,6 +196,34 @@ def _assert_knob_trips_its_criterion(name, entry):
 def test_r_display_row_equals_the_per_vector_loop(control_entries, pair):
     entry = get_entry(pair) if pair == "su11" else control_entries[pair]
     assert _r_display_matrices(entry) == r_display_residual_loop(entry) <= 1e-12
+
+
+def test_planar_coordinate_row_is_read_at_the_lie_algebra():
+    # exact at the Lie algebra; the group at three angles agrees to rounding
+    entry = su11()
+    assert _xtilde_table_residual(entry) == 0.0
+    assert xtilde_table_residual_at_angles(entry) <= 1e-15
+    # the generator with the wrong sign, or its c-block transposed, reads 4
+    mp, m = entry.mp, entry.mp.dim_b
+    table = mp.adapted
+    for block in (-table[0, m:, m:], table[0, m:, m:].T):
+        mp.adapted = table.copy()
+        mp.adapted[0, m:, m:] = block
+        assert _xtilde_table_residual(entry) == 4.0
+
+
+def test_conventions_report_exponentiates_nothing(monkeypatch, tmp_path):
+    from poissonlie import cli
+
+    def refuse(*args):
+        raise AssertionError("exp_b called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("poissonlie") and hasattr(module, "exp_b"):
+            monkeypatch.setattr(module, "exp_b", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "su11", "--checks", "jacobi", "--out", str(tmp_path / "r.json")])
+    assert code == 0
 
 
 @pytest.mark.parametrize("pair", CONTROL_PAIRS)
