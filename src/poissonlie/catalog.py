@@ -250,7 +250,8 @@ def supq1(p: int) -> CatalogEntry:
     f2_rows = eye[dim_k + 1: dim_k + 2]
     entry = CatalogEntry(
         name=f"su{p}1", p=p, mp=mp, iwasawa=iwasawa, cartan=cartan, z=z,
-        gstar_labels=gs_labels, gstar_mats=gs_mats, psi_mats=_psi_matrices(p), gstar_k0_indices=k0_idx,
+        gstar_labels=gs_labels, gstar_mats=gs_mats, psi_mats=_psi_matrices(p),
+        gstar_k0_indices=k0_idx,
         torus=eye[dim_k - p: dim_k],          # kD_1..kD_p, the diagonal of u(p)
         eta=np.diag([1.0] * p + [-1.0]).astype(complex),
         root_spaces={"f1": f1_rows, "2f1": f2_rows},
