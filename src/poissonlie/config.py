@@ -15,9 +15,9 @@ SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
 #: by the mathematics: a full `verify supq1 --p 8` from the command line
-#: passes every check in 0.9-1.0 s with a 211 MB peak RSS (one BLAS thread,
-#: a 2-vCPU x86-64 machine, five runs).  Run in process on a fresh entry,
-#: the build takes 0.03-0.06 s, `manin` 0.22-0.25 s (g* is realized there),
+#: passes every check in 0.9-1.3 s with a 209-211 MB peak RSS (one BLAS
+#: thread, a shared 2-vCPU x86-64 machine, ten runs).  Run in process on a
+#: fresh entry, the build takes 0.03-0.06 s, `manin` 0.22-0.25 s (g* is realized there),
 #: `cocycle` 0.17-0.20 s, `invariance` 0.12-0.14 s, `twist` 0.13 s,
 #: `delta_consistency` 0.08-0.10 s, `deform` 0.03-0.04 s and `uniqueness`
 #: 0.01 s.  The peak is `manin`'s build of the table of g_C.
