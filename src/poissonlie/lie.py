@@ -266,6 +266,26 @@ def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (out - out.swapaxes(0, 1))
 
 
+def realization_mismatch(solver: MatrixBasisSolver,
+                         table: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The residual of a table against the matrices of `solver`, with the
+    first basis pair (a, b) it is attained at (the first NaN, if any): each
+    commutator [M_a, M_b] is re-expanded in the basis, and its residual is
+    the larger of its span residual and max |coords - table[a, b]|.
+
+    The commutators of one basis matrix with all n are formed and re-expanded
+    at a time, so n of them are held, not n^2, and each row is compared with
+    the row table[a] at once."""
+    mats = solver.stack
+    n = len(mats)
+    resids = np.empty((n, n))
+    for a, m in enumerate(mats):
+        coords, span = solver.solve_each(solver.rows_of(m @ mats - mats @ m))
+        np.maximum(span, np.abs(coords - table[a]).max(axis=1), out=resids[a])
+    resid, at = worst_at(resids)
+    return resid, divmod(at, n)
+
+
 @dataclass(eq=False)
 class LieAlgebra:
     space: BasedSpace
@@ -274,9 +294,12 @@ class LieAlgebra:
     pairing: Optional[str] = None
     # `from_realization` hands over the solver and the span residual of the
     # one re-expansion that built the table; a table given with a realization
-    # is compared with a re-expansion of its own
+    # is compared with a re-expansion of its own (`realization_mismatch`)
     _solver: Optional[MatrixBasisSolver] = field(default=None, repr=False)
     _residual: Optional[float] = field(default=None, repr=False)
+    # `manin.build_gc_algebra` hands over g's Jacobi result: each Jacobiator
+    # entry of g_C's table is +- one of g's
+    _jacobi: Optional[tuple[float, tuple[int, int, int]]] = field(default=None, repr=False)
     #: (residual, triple) of `jacobi_worst_at` on the table, computed once;
     #: the table is read-only, so it cannot go stale
     jacobi: tuple[float, tuple[int, int, int]] = field(init=False, repr=False)
@@ -292,7 +315,7 @@ class LieAlgebra:
             c = c.copy()
             c.setflags(write=False)
         self.structure = c
-        self.jacobi = res, (i, j, k) = jacobi_worst_at(c)
+        self.jacobi = res, (i, j, k) = jacobi_worst_at(c) if self._jacobi is None else self._jacobi
         if not res <= ALGEBRAIC_TOL:
             raise ValueError(f"Jacobi identity violated: residual {res:.3e} at basis triple "
                              f"({i}, {j}, {k})")
@@ -300,13 +323,13 @@ class LieAlgebra:
             self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
             if len(self.realization) != n:
                 raise ValueError("realization must provide one matrix per basis element")
+            where = ""
             if self._solver is None:
                 self._solver = MatrixBasisSolver(self.realization)
-                i, j, comms = pair_commutators(self.realization)
-                coords, resid = self._solver.solve_many(comms)
-                self._residual = worst(resid, np.max(np.abs(coords - c[i, j]), initial=0.0))
+                self._residual, (a, b) = realization_mismatch(self._solver, c)
+                where = f" at commutator [{self.space.labels[a]}, {self.space.labels[b]}]"
             if not self._residual <= ALGEBRAIC_TOL:
-                raise ValueError(f"realization inconsistent with structure constants: "
+                raise ValueError(f"realization inconsistent with structure constants{where}: "
                                  f"{self._residual:.3e}")
 
     # -- basic operations -------------------------------------------------

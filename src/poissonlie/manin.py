@@ -42,10 +42,28 @@ def sigma_conj(m: np.ndarray) -> np.ndarray:
 
 
 def build_gc_algebra(entry) -> LieAlgebra:
-    """sl(p+1, C) as a real Lie algebra of twice the dimension."""
-    mats = list(entry.g.realization) + [1j * m for m in entry.g.realization]
-    labels = list(entry.g.space.labels) + [f"i*{l}" for l in entry.g.space.labels]
-    return from_realization(labels, mats, pairing=IM_TRACE)
+    """sl(p+1, C) as a real Lie algebra of twice the dimension, the
+    realification of g (x) C in the basis (X_1..X_n, iX_1..iX_n) of g's
+    matrices and i times them.
+
+    The table is g's exact table c in four slices: [X_a, X_b] = c,
+    [X_a, iX_b] = [iX_a, X_b] = i c and [iX_a, iX_b] = -c.  So each Jacobiator
+    entry is +- one of g's, and the algebra keeps g's Jacobi result.  The
+    table is still held to the matrices: `LieAlgebra` re-expands the
+    commutators of one basis matrix at a time (`lie.realization_mismatch`)
+    and names the first commutator that misses."""
+    g = entry.g
+    n, c = g.dim, g.structure
+    table = np.zeros((2 * n,) * 3)
+    table[:n, :n, :n] = c
+    table[:n, n:, n:] = c
+    table[n:, :n, n:] = c
+    table[n:, n:, :n] = 0.0 - c      # no negative zeros in an exact table
+    table.setflags(write=False)
+    mats = list(g.realization) + [1j * m for m in g.realization]
+    labels = list(g.space.labels) + [f"i*{l}" for l in g.space.labels]
+    return LieAlgebra(BasedSpace.make(labels), table, realization=mats, pairing=IM_TRACE,
+                      _jacobi=g.jacobi)
 
 
 def gprime_algebra(entry) -> LieAlgebra:

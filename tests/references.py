@@ -21,7 +21,8 @@
 - The unit and the commutator of the crossed algebra.
 - The twist check's residuals with the twist element and both of its
   cobrackets on gstar built here.
-- The table of all commutators of two lists of matrices, the invariance of
+- The table of all commutators of two lists of matrices, g_C re-expanded
+  from its matrices (the package reads its table off g's), the invariance of
   the form on g_C as a dense contraction of the table, and the family-1
   dual brackets on e(2)* at any value of their parameter.
 - The r-matrix display row of the conventions report, one y_i at a time,
@@ -42,7 +43,7 @@ from poissonlie.checks import complex_coordinates
 from poissonlie.config import ALGEBRAIC_TOL, FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
                               exp_b, word_matrices)
-from poissonlie.lie import IM_TRACE, trace_gram
+from poissonlie.lie import IM_TRACE, LieAlgebra, from_realization, trace_gram
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, gprime_algebra, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
@@ -411,6 +412,16 @@ def commutators(xs, ys) -> np.ndarray:
     xs = np.asarray(xs, dtype=complex)[:, None]
     ys = np.asarray(ys, dtype=complex)[None, :]
     return xs @ ys - ys @ xs
+
+
+def gc_from_realization(entry) -> LieAlgebra:
+    """g_C from its 2n matrices, g's and i times them, by re-expanding all
+    their commutators at once and snapping the coordinates
+    (`lie.from_realization`); `manin.build_gc_algebra` reads the same table
+    off g's in closed form."""
+    mats = list(entry.g.realization) + [1j * m for m in entry.g.realization]
+    labels = list(entry.g.space.labels) + [f"i*{label}" for label in entry.g.space.labels]
+    return from_realization(labels, mats, pairing=IM_TRACE)
 
 
 def form_invariance_dense(table: np.ndarray, gram: np.ndarray) -> float:

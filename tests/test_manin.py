@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from poissonlie.bialgebra import co_jacobi_worst_at
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL
-from poissonlie.lie import IM_TRACE, MatrixBasisSolver, SubspaceDecomposition, trace_gram
+from poissonlie.lie import (IM_TRACE, MatrixBasisSolver, SubspaceDecomposition, jacobi_worst_at,
+                            trace_gram)
 from poissonlie.linalg import best_sign, worst
 from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               compact_algebra, cprime_residual, deform_bracket,
@@ -19,7 +22,7 @@ from poissonlie.manin import (build_gc_algebra, check_manin, cobracket_on_gstar,
                               killing_eigenvalues, phi_identification, sigma_conj,
                               twist_element)
 from references import (change_of_basis, coad_matrix_coords, commutators, form_invariance_dense,
-                        gstar_to_b0, twist_check_of)
+                        gc_from_realization, gstar_to_b0, twist_check_of)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +214,37 @@ def test_deform_corrupted_cocycle_mismatch(entries):
 def test_gc_algebra_dimension(entries):
     gc = build_gc_algebra(entries[2])
     assert gc.dim == 2 * entries[2].g.dim
+
+
+@pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41", "supq1(5)", "supq1(6)"])
+def test_gc_table_is_the_re_expansion_of_its_matrices(name):
+    # the closed form from g's table against the re-expansion of all 2n(2n-1)/2
+    # commutators, bit for bit, zeros' signs included
+    entry = supq1(int(name[6])) if name.startswith("supq1") else get_entry(name)
+    gc, ref = build_gc_algebra(entry), gc_from_realization(entry)
+    assert np.array_equal(gc.structure, ref.structure)
+    assert np.array_equal(np.signbit(gc.structure), np.signbit(ref.structure))
+    assert gc.space == ref.space and gc.pairing == ref.pairing == IM_TRACE
+    assert all(np.array_equal(m, r) for m, r in zip(gc.realization, ref.realization, strict=True))
+    assert gc.realization_residual() <= 1e-9
+    # the Jacobi result handed over from g is the table's own
+    assert jacobi_worst_at(gc.structure) == gc.jacobi == entry.g.jacobi
+
+
+def test_gc_build_raises_on_a_g_table_off_its_matrices():
+    # a stand-in entry whose g table has one sign flipped, in both of its
+    # antisymmetric places: g_C's table no longer matches its matrices
+    g = get_entry("su21").g
+    a, b, m = next(tuple(map(int, at)) for at in np.argwhere(g.structure) if at[0] < at[1])
+    table = g.structure.copy()
+    table[a, b, m], table[b, a, m] = -table[a, b, m], -table[b, a, m]
+    stand_in = SimpleNamespace(g=SimpleNamespace(dim=g.dim, structure=table, jacobi=g.jacobi,
+                                                 realization=g.realization, space=g.space))
+    # the flip reaches [X_a, X_b] and [X_a, iX_b] first, in row a; rounding
+    # of the re-expansion decides which of the two is named
+    label_a, label_b = (re.escape(label) for label in (g.space.labels[a], g.space.labels[b]))
+    with pytest.raises(ValueError, match=rf"commutator \[{label_a}, (i\*)?{label_b}\]"):
+        build_gc_algebra(stand_in)
 
 
 def test_gstar_exportable_as_json(entries):
