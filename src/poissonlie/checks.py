@@ -321,16 +321,17 @@ def _check_deform(entry: CatalogEntry, tol, corrupted) -> dict:
 @_register("twist", "twist_scale_2", ENTRY)
 def _check_twist(entry: CatalogEntry, tol, corrupted) -> dict:
     from . import manin as mn
-    dg, dgp, dgc = entry.gstar_cobrackets
+    # the three cobrackets snapped to their grid (integers on the catalog):
+    # each residual folds in the snap distance of every cobracket it reads
+    (dg, snap_g), (dgp, snap_gp), (dgc, snap_gc) = map(snap_dyadic, entry.gstar_cobrackets)
     s, asym = mn.twist_element(entry, scale=tol.twist_inner_scale)
     rep = mn.twist_check(entry, 2.0 * s if corrupted else s, dg, dgp)
-    cprime_g = mn.cprime_residual(entry, dg, dgp, +1.0)
-    cprime_gc = mn.cprime_residual(entry, dgc, dgp, -1.0)
-    # one residual, the co-Jacobi identity over all three cobrackets, each
-    # snapped to its grid (integers on the catalog) with the snap distance
-    # folded in; the residuals above are measured against them as computed
-    co_j = worst(*(worst(bi.co_jacobi_worst_at(exact)[0], snap)
-                   for exact, snap in map(snap_dyadic, (dg, dgp, dgc))))
+    rep["maurer_cartan"] = worst(rep["maurer_cartan"], snap_gp)
+    rep["twist_relation"] = worst(rep["twist_relation"], snap_g, snap_gp)
+    cprime_g = worst(mn.cprime_residual(entry, dg, dgp, +1.0), snap_g, snap_gp)
+    cprime_gc = worst(mn.cprime_residual(entry, dgc, dgp, -1.0), snap_gc, snap_gp)
+    # one residual, the co-Jacobi identity over all three cobrackets
+    co_j = worst(*(bi.co_jacobi_worst_at(d)[0] for d in (dg, dgp, dgc)), snap_g, snap_gp, snap_gc)
     return {"residuals": {"antisymmetry": asym, **rep, "cprime_g_minus_gprime": cprime_g,
                           "cprime_gc_minus_gprime": cprime_gc, "co_jacobi_all_three": co_j},
             "details": {"inner_scale": tol.twist_inner_scale}}

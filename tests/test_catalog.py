@@ -337,6 +337,25 @@ def test_su11_compact_cobracket_is_exact():
     assert details["cprime_gc_minus_gprime"] == details["co_jacobi_all_three"] == 0.0
 
 
+@pytest.mark.parametrize("p", [2, 4, 5])
+def test_twist_folds_the_snap_distance_of_each_cobracket_it_reads(p):
+    # at these p the solve against the Gram matrix leaves the cobrackets on
+    # gstar off the integers; the check reads them snapped, with the distance
+    from poissonlie.checks import run_check
+    from poissonlie.config import DEFAULT_TOL
+
+    entry = supq1(p)
+    g, gp, gc = (snap_dyadic(raw)[1] for raw in entry.gstar_cobrackets)
+    assert max(g, gp, gc) > 0.0
+    details = run_check("twist", entry, 0, 0, DEFAULT_TOL)["details"]
+    # on the exact cobrackets the c' relations and co-Jacobi hold exactly,
+    # so each reads the snap distances it folds in
+    assert details["cprime_g_minus_gprime"] == max(g, gp)
+    assert details["cprime_gc_minus_gprime"] == max(gc, gp)
+    assert details["co_jacobi_all_three"] == max(g, gp, gc)
+    assert details["twist_relation"] >= max(g, gp) and details["maurer_cartan"] >= gp
+
+
 def test_gstar_k0_indices():
     entry = supq1(2)
     mats = [entry.gstar.realization[i] for i in entry.gstar_k0_indices]
