@@ -268,20 +268,24 @@ def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def realization_mismatch(solver: MatrixBasisSolver,
                          table: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """The residual of a table against the matrices of `solver`, with the
-    first basis pair (a, b) it is attained at (the first NaN, if any): each
-    commutator [M_a, M_b] is re-expanded in the basis, and its residual is
-    the larger of its span residual and max |coords - table[a, b]|.
+    """The residual of an exactly antisymmetric table against the matrices
+    of `solver`, with the first basis pair (a, b), a < b, it is attained at
+    (the first NaN, if any): each commutator [M_a, M_b] is re-expanded in
+    the basis, and its residual is the larger of its span residual and
+    max |coords - table[a, b]|.
 
-    The commutators of one basis matrix with all n are formed and re-expanded
-    at a time, so n of them are held, not n^2, and each row is compared with
-    the row table[a] at once."""
+    The commutators of one basis matrix with every later one are formed and
+    re-expanded at a time, so fewer than n of them are held, not n^2, and
+    compared with that part of the row table[a] at once.  [M_b, M_a] is
+    -[M_a, M_b] bit for bit, as table[b, a] is -table[a, b], so the pairs
+    b <= a would give the same residuals again."""
     mats = solver.stack
     n = len(mats)
-    resids = np.empty((n, n))
-    for a, m in enumerate(mats):
-        coords, span = solver.solve_each(solver.rows_of(m @ mats - mats @ m))
-        np.maximum(span, np.abs(coords - table[a]).max(axis=1), out=resids[a])
+    resids = np.zeros((n, n))
+    for a in range(n - 1):
+        m, later = mats[a], mats[a + 1:]
+        coords, span = solver.solve_each(solver.rows_of(m @ later - later @ m))
+        np.maximum(span, np.abs(coords - table[a, a + 1:]).max(axis=1), out=resids[a, a + 1:])
     resid, at = worst_at(resids)
     return resid, divmod(at, n)
 
@@ -366,9 +370,10 @@ class LieAlgebra:
 
     def realization_residual(self) -> float:
         """Max mismatch between the matrix commutators and the structure
-        constants, from the one re-expansion made at construction; for a table
+        constants, from the one re-expansion made at construction: for a table
         built by `from_realization`, the span residual of the commutators, or
-        the distance of the snap (`snap_dyadic`) if that is larger."""
+        the distance of the snap (`snap_dyadic`) if that is larger; for a table
+        given with a realization, `realization_mismatch`."""
         return self._residual
 
     # -- serialization ------------------------------------------------------

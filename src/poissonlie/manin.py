@@ -4,7 +4,10 @@ deformations relating e, g and the compact form, and the twist element.
 
 Each half of a Manin triple (g, gprime, gstar), and the compact form, is a
 realized algebra, built once: the re-expansion of its commutators gives its
-table and its closure, and nothing forms those commutators again.
+table and its closure, and nothing forms those commutators again.  The
+complexification g_C's table is g's, laid into four slices
+(`build_gc_algebra`), and its matrices are checked against it one row of
+commutators at a time.
 `check_manin` makes one pass per half, the k0 residual reads gstar's table,
 and each cobracket on gstar reads its half's table through one Gram matrix
 (`cobracket_on_gstar`).  The deformations are slices of one table: the
@@ -50,8 +53,8 @@ def build_gc_algebra(entry) -> LieAlgebra:
     [X_a, iX_b] = [iX_a, X_b] = i c and [iX_a, iX_b] = -c.  So each Jacobiator
     entry is +- one of g's, and the algebra keeps g's Jacobi result.  The
     table is still held to the matrices: `LieAlgebra` re-expands the
-    commutators of one basis matrix at a time (`lie.realization_mismatch`)
-    and names the first commutator that misses."""
+    commutators of one basis matrix with every later one at a time
+    (`lie.realization_mismatch`) and names the first commutator that misses."""
     g = entry.g
     n, c = g.dim, g.structure
     table = np.zeros((2 * n,) * 3)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
-from poissonlie.lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, pair_commutators,
-                            from_realization, jacobi_worst_at, structure_in_basis)
+from poissonlie.lie import (IM_TRACE, LieAlgebra, MatrixBasisSolver, SubspaceDecomposition,
+                            from_realization, jacobi_worst_at, pair_commutators,
+                            realization_mismatch, structure_in_basis)
 from poissonlie.linalg import BasedSpace, worst
 from poissonlie.matched import MatchedPair
-from references import coad_matrix_coords
+from references import coad_matrix_coords, commutators
 
 
 def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
@@ -227,6 +228,25 @@ def test_json_round_trip(e11):
     assert g2.pairing == IM_TRACE
     for m1, m2 in zip(g.realization, g2.realization):
         assert np.array_equal(m1, m2)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_realization_mismatch_is_that_of_every_commutator(p):
+    # g in a random real basis: a least-squares table, so every commutator
+    # reads a residual of its own; only the pairs a < b are re-expanded, and
+    # the worst over all n^2 commutators, and its first pair, are the same
+    g = supq1(p).g
+    n = g.dim
+    mats = np.tensordot(np.random.default_rng(p).standard_normal((n, n)),
+                        np.array(g.realization), axes=1)
+    table = from_realization([f"e{i}" for i in range(n)], mats).structure
+    solver = MatrixBasisSolver(mats)
+    got, (a, b) = realization_mismatch(solver, table)
+    comms = commutators(mats, mats).reshape(n * n, *mats[0].shape)
+    coords, span = solver.solve_each(solver.rows_of(comms))
+    every = np.maximum(span, np.abs(coords - table.reshape(n * n, n)).max(axis=1)).reshape(n, n)
+    first = np.unravel_index(np.argmax(every), every.shape)
+    assert 0.0 < got == every.max() <= 1e-9 and (a, b) == first and a < b
 
 
 def test_from_realization_rejects_non_closed():
