@@ -266,6 +266,11 @@ def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (out - out.swapaxes(0, 1))
 
 
+#: commutators re-expanded at a time by `realization_mismatch`: all of su41's
+#: 276 in one pass, g_C's at p = 8 in 25 of about 3 MB each
+COMMUTATOR_CHUNK = 512
+
+
 def realization_mismatch(solver: MatrixBasisSolver,
                          table: np.ndarray) -> tuple[float, tuple[int, int]]:
     """The residual of an exactly antisymmetric table against the matrices
@@ -274,20 +279,22 @@ def realization_mismatch(solver: MatrixBasisSolver,
     the basis, and its residual is the larger of its span residual and
     max |coords - table[a, b]|.
 
-    The commutators of one basis matrix with every later one are formed and
-    re-expanded at a time, so fewer than n of them are held, not n^2, and
-    compared with that part of the row table[a] at once.  [M_b, M_a] is
+    The pairs a < b are taken in row order, COMMUTATOR_CHUNK commutators at
+    a time, so memory stays bounded whatever n is.  [M_b, M_a] is
     -[M_a, M_b] bit for bit, as table[b, a] is -table[a, b], so the pairs
     b <= a would give the same residuals again."""
     mats = solver.stack
-    n = len(mats)
-    resids = np.zeros((n, n))
-    for a in range(n - 1):
-        m, later = mats[a], mats[a + 1:]
-        coords, span = solver.solve_each(solver.rows_of(m @ later - later @ m))
-        np.maximum(span, np.abs(coords - table[a, a + 1:]).max(axis=1), out=resids[a, a + 1:])
+    i, j = np.triu_indices(len(mats), 1)
+    resids = np.empty(len(i))
+    for lo in range(0, len(i), COMMUTATOR_CHUNK):
+        a, b = i[lo:lo + COMMUTATOR_CHUNK], j[lo:lo + COMMUTATOR_CHUNK]
+        coords, span = solver.solve_each(solver.rows_of(mats[a] @ mats[b] - mats[b] @ mats[a]))
+        np.maximum(span, np.abs(coords - table[a, b]).max(axis=1),
+                   out=resids[lo:lo + COMMUTATOR_CHUNK])
+    if not len(resids):
+        return 0.0, (0, 0)
     resid, at = worst_at(resids)
-    return resid, divmod(at, n)
+    return resid, (int(i[at]), int(j[at]))
 
 
 @dataclass(eq=False)

@@ -6,8 +6,8 @@ Each half of a Manin triple (g, gprime, gstar), and the compact form, is a
 realized algebra, built once: the re-expansion of its commutators gives its
 table and its closure, and nothing forms those commutators again.  The
 complexification g_C's table is g's, laid into four slices
-(`build_gc_algebra`), and its matrices are checked against it one row of
-commutators at a time.
+(`build_gc_algebra`), and its matrices are checked against it a bounded
+number of commutators at a time.
 `check_manin` makes one pass per half, the k0 residual reads gstar's table,
 and each cobracket on gstar reads its half's table through one Gram matrix
 (`cobracket_on_gstar`).  The deformations are slices of one table: the
@@ -52,9 +52,9 @@ def build_gc_algebra(entry) -> LieAlgebra:
     The table is g's exact table c in four slices: [X_a, X_b] = c,
     [X_a, iX_b] = [iX_a, X_b] = i c and [iX_a, iX_b] = -c.  So each Jacobiator
     entry is +- one of g's, and the algebra keeps g's Jacobi result.  The
-    table is still held to the matrices: `LieAlgebra` re-expands the
-    commutators of one basis matrix with every later one at a time
-    (`lie.realization_mismatch`) and names the first commutator that misses."""
+    table is still held to the matrices: `LieAlgebra` re-expands their
+    commutators a bounded number at a time (`lie.realization_mismatch`) and
+    names the first commutator that misses."""
     g = entry.g
     n, c = g.dim, g.structure
     table = np.zeros((2 * n,) * 3)

@@ -230,11 +230,12 @@ def test_json_round_trip(e11):
         assert np.array_equal(m1, m2)
 
 
-@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("p", [2, 4, 6])
 def test_realization_mismatch_is_that_of_every_commutator(p):
     # g in a random real basis: a least-squares table, so every commutator
-    # reads a residual of its own; only the pairs a < b are re-expanded, and
-    # the worst over all n^2 commutators, and its first pair, are the same
+    # reads a residual of its own; only the pairs a < b are re-expanded, in
+    # one chunk (p = 2, 4) or three (p = 6: 1128 pairs), and the worst over
+    # all n^2 commutators, and its first pair, are the same
     g = supq1(p).g
     n = g.dim
     mats = np.tensordot(np.random.default_rng(p).standard_normal((n, n)),
