@@ -116,13 +116,16 @@ class CatalogEntry:
         return _read_only((table, snap_dyadic(table)[0]))
 
     @cached_property
-    def gstar_cobrackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gstar_cobrackets(self) -> tuple[tuple[np.ndarray, float], ...]:
         """The cobrackets on gstar (`manin.cobracket_on_gstar`) of g, of g' and
         of the compact form (`manin.compact_algebra`), in that order, each
-        read off that algebra's table."""
+        read off that algebra's table and snapped to its grid
+        (`lie.snap_dyadic`, integers on the catalog), with its snap distance:
+        the solve against the Gram matrix leaves rounding on them."""
         from . import manin as mn
         halves = (self.g, self.gprime_algebra, mn.compact_algebra(self))
-        return _read_only(tuple(mn.cobracket_on_gstar(self.gstar, half) for half in halves))
+        return _read_only(tuple(snap_dyadic(mn.cobracket_on_gstar(self.gstar, half))
+                                for half in halves))
 
 
 def _read_only(obj):

@@ -30,7 +30,7 @@ from . import bialgebra as bi
 from . import poisson as po
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
-from .lie import from_realization, jacobi_worst_at, snap_dyadic
+from .lie import from_realization, jacobi_worst_at
 from .linalg import antisymmetric_table, best_sign, matrix_to_json_dict, worst, worst_at
 from .matched import MatchedPair
 from .group import EElement, sample_pairs
@@ -323,7 +323,7 @@ def _check_twist(entry: CatalogEntry, tol, corrupted) -> dict:
     from . import manin as mn
     # the three cobrackets snapped to their grid (integers on the catalog):
     # each residual folds in the snap distance of every cobracket it reads
-    (dg, snap_g), (dgp, snap_gp), (dgc, snap_gc) = map(snap_dyadic, entry.gstar_cobrackets)
+    (dg, snap_g), (dgp, snap_gp), (dgc, snap_gc) = entry.gstar_cobrackets
     s, asym = mn.twist_element(entry, scale=tol.twist_inner_scale)
     rep = mn.twist_check(entry, 2.0 * s if corrupted else s, dg, dgp)
     rep["maurer_cartan"] = worst(rep["maurer_cartan"], snap_gp)

@@ -13,7 +13,7 @@ from poissonlie.bialgebra import (check_r_uniqueness, coboundary_worst_at,
 from poissonlie.catalog import normalize_z, su11, supq1
 from poissonlie.checks import run_check
 from poissonlie.config import DEFAULT_TOL, FD_TOL, SVD_TOL
-from poissonlie.lie import LieAlgebra, generated_dim
+from poissonlie.lie import LieAlgebra, generated_dim, snap_dyadic
 from poissonlie.linalg import worst
 from references import c_coords, identity_element
 
@@ -332,7 +332,8 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     rm, gc, gp = built["r_matrix"], built["gc_algebra"], built["gprime_algebra"]
     tables = (rm["route_a"], rm["route_b"], built["gstar_g_pairing"], gc.structure,
               *gc.realization, gp.structure,
-              *gp.realization, *built["model_table"], *built["gstar_cobrackets"])
+              *gp.realization, *built["model_table"],
+              *(table for table, _ in built["gstar_cobrackets"]))
     before = [t.copy() for t in tables]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
@@ -352,5 +353,6 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     model = g_structure_in_model_basis(e21)
     assert np.array_equal(built["model_table"][0], model)
     halves = (e21.g, gprime_algebra(e21), compact_algebra(e21))
-    for table, half in zip(built["gstar_cobrackets"], halves):
-        assert np.array_equal(table, cobracket_on_gstar(e21.gstar, half))
+    for (table, dist), half in zip(built["gstar_cobrackets"], halves, strict=True):
+        exact, snap = snap_dyadic(cobracket_on_gstar(e21.gstar, half))
+        assert np.array_equal(table, exact) and dist == snap

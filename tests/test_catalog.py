@@ -10,7 +10,7 @@ from poissonlie.config import P_CAP
 from poissonlie.group import e_mul
 from poissonlie.lie import SubspaceDecomposition, jacobi_worst_at, snap_dyadic, structure_in_basis
 from poissonlie.linalg import worst
-from poissonlie.manin import build_gc_algebra, gprime_algebra
+from poissonlie.manin import build_gc_algebra, cobracket_on_gstar, compact_algebra, gprime_algebra
 from references import (change_of_basis, coad_matrix_coords, e2_family1, normalize_z_loop,
                         sample_e_element, validate_entry_loop)
 
@@ -332,7 +332,8 @@ def test_su11_compact_cobracket_is_exact():
     from poissonlie.config import DEFAULT_TOL
 
     entry = su11()
-    assert snap_dyadic(entry.gstar_cobrackets[2])[1] == 0.0
+    assert snap_dyadic(cobracket_on_gstar(entry.gstar, compact_algebra(entry)))[1] == 0.0
+    assert entry.gstar_cobrackets[2][1] == 0.0
     details = run_check("twist", entry, 0, 0, DEFAULT_TOL)["details"]
     assert details["cprime_gc_minus_gprime"] == details["co_jacobi_all_three"] == 0.0
 
@@ -340,12 +341,17 @@ def test_su11_compact_cobracket_is_exact():
 @pytest.mark.parametrize("p", [2, 4, 5])
 def test_twist_folds_the_snap_distance_of_each_cobracket_it_reads(p):
     # at these p the solve against the Gram matrix leaves the cobrackets on
-    # gstar off the integers; the check reads them snapped, with the distance
+    # gstar off the integers; the entry keeps them snapped, with the distance
     from poissonlie.checks import run_check
     from poissonlie.config import DEFAULT_TOL
 
     entry = supq1(p)
-    g, gp, gc = (snap_dyadic(raw)[1] for raw in entry.gstar_cobrackets)
+    halves = (entry.g, gprime_algebra(entry), compact_algebra(entry))
+    for (table, dist), half in zip(entry.gstar_cobrackets, halves, strict=True):
+        raw = cobracket_on_gstar(entry.gstar, half)
+        assert np.array_equal(table, np.rint(raw)) and dist == np.max(np.abs(raw - table))
+        assert not np.any(np.signbit(table) & (table == 0.0))
+    (_, g), (_, gp), (_, gc) = entry.gstar_cobrackets
     assert max(g, gp, gc) > 0.0
     details = run_check("twist", entry, 0, 0, DEFAULT_TOL)["details"]
     # on the exact cobrackets the c' relations and co-Jacobi hold exactly,
