@@ -20,7 +20,7 @@ from .config import FD_STEP, SVD_TOL
 from .group import basis_curves
 from .lie import (LieAlgebra, generated_dim, jacobi_worst_at, meet_runs, nonzero_runs,
                   takes_sparse_path, worst_key_sum)
-from .linalg import BasedSpace, best_sign, finite_diff, worst, worst_at
+from .linalg import best_sign, finite_diff, worst, worst_at
 from .matched import MatchedPair
 from .poisson import eta
 
@@ -36,7 +36,7 @@ def semidirect_algebra(mp: MatchedPair) -> LieAlgebra:
     c[k:, :k, :k] = mixed
     c[:k, k:, :k] = -mixed.swapaxes(0, 1)
     c[k:, k:, k:] = a[:m, :m, :m]
-    return LieAlgebra(BasedSpace(mp.e_space.dim, mp.e_space.labels), c)
+    return LieAlgebra(mp.e_labels, c)
 
 
 # -- cobracket ---------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import bialgebra as bi
 from .config import ALGEBRAIC_TOL, P_CAP
-from .lie import (IM_TRACE, LieAlgebra, SubspaceDecomposition, from_realization, snap_dyadic,
-                  trace_gram)
+from .lie import IM_TRACE, LieAlgebra, SubspaceDecomposition, snap_dyadic, trace_gram
 from .linalg import antisymmetric_table
 from .matched import MatchedPair
 
@@ -48,7 +47,7 @@ class CatalogEntry:
     entry is built (`_validate_entry`).
 
     The dual algebra gstar keeps its labels, matrices and k0 block from the
-    build, but is realized (`from_realization`) on first use, like every
+    build, but its table is filled from its matrices on first use, like every
     table below: a call that runs neither `manin` nor `twist` never builds
     it."""
 
@@ -80,8 +79,8 @@ class CatalogEntry:
     def gstar(self) -> LieAlgebra:
         """The upper-triangular dual algebra, realized from `gstar_mats`; only
         the `manin` and `twist` checks read it."""
-        return _read_only(from_realization(self.gstar_labels, self.gstar_mats,
-                                           pairing=IM_TRACE))
+        return _read_only(LieAlgebra(self.gstar_labels, realization=self.gstar_mats,
+                                     pairing=IM_TRACE))
 
     @cached_property
     def r_matrix(self) -> dict:
@@ -107,13 +106,12 @@ class CatalogEntry:
         return _read_only(mn.gprime_algebra(self))
 
     @cached_property
-    def model_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The structure constants of g in the model basis as computed
-        (`manin.g_structure_in_model_basis`), and that table snapped to its
-        grid (`lie.snap_dyadic`)."""
+    def model_table(self) -> tuple[np.ndarray, float]:
+        """The structure constants of g in the model basis
+        (`manin.g_structure_in_model_basis`) snapped to their grid, with the
+        snap distance (`lie.snap_dyadic`; quarter-integers on the catalog)."""
         from . import manin as mn
-        table = mn.g_structure_in_model_basis(self)
-        return _read_only((table, snap_dyadic(table)[0]))
+        return _read_only(snap_dyadic(mn.g_structure_in_model_basis(self)))
 
     @cached_property
     def gstar_cobrackets(self) -> tuple[tuple[np.ndarray, float], ...]:
@@ -221,7 +219,7 @@ def supq1(p: int) -> CatalogEntry:
         raise ValueError(f"p must be between 1 and {P_CAP}")
     n = p + 1
     mats, labels, dim_k = _su_p1_matrices(p)
-    g = from_realization(labels, mats, pairing=IM_TRACE)
+    g = LieAlgebra(labels, realization=mats, pairing=IM_TRACE)
     dim = g.dim
 
     eye = np.eye(dim)

@@ -30,7 +30,7 @@ from . import bialgebra as bi
 from . import poisson as po
 from .catalog import CatalogEntry, e2_dual_bracket_tables, rho_intertwiner_residual
 from .config import Tolerances
-from .lie import from_realization, jacobi_worst_at
+from .lie import LieAlgebra, jacobi_worst_at
 from .linalg import antisymmetric_table, best_sign, matrix_to_json_dict, worst, worst_at
 from .matched import MatchedPair
 from .group import EElement, sample_pairs
@@ -207,7 +207,7 @@ def _check_invariance(mp: MatchedPair, corrupted):
 @_register("cocycle", "eta_b_sign", REALIZATION, sampled=True)
 def _check_cocycle(mp: MatchedPair, corrupted):
     sign = -1.0 if corrupted else 1.0
-    labels = mp.e_space.labels
+    labels = mp.e_labels
 
     def read(start, g, h, gh):
         resid, entry = po.cocycle_residuals(mp, g, h, gh, eta_b_sign=sign)
@@ -237,7 +237,7 @@ def _check_delta_consistency(mp: MatchedPair, tol, corrupted) -> dict:
     resid, x = bi.delta_consistency_worst_at(mp, delta, step=tol.fd_step)
     return {"residuals": {"delta_consistency": resid},
             "details": {"basis_vectors": mp.e_algebra.dim, "delta_consistency_worst_basis": x,
-                        "delta_consistency_worst_label": mp.e_space.labels[x]}}
+                        "delta_consistency_worst_label": mp.e_labels[x]}}
 
 
 @_register("bialgebra_axioms", "delta_sign_one_basis", PAIR)
@@ -265,7 +265,7 @@ def _check_coboundary(entry: CatalogEntry, tol, corrupted) -> dict:
     return {"residuals": {"coboundary": resid, "route_difference": rm["difference"],
                           "k_wedge_k0_block_residual": rm["k_wedge_k0_block_residual"]},
             "details": {"route_sign": rm["relative_sign"], "coboundary_worst_basis": x,
-                        "coboundary_worst_label": entry.mp.e_space.labels[x]}}
+                        "coboundary_worst_label": entry.mp.e_labels[x]}}
 
 
 @_register("uniqueness", "uniqueness_drop_b0_rows", ENTRY, tolerance=lambda tol: 0.0)
@@ -281,13 +281,13 @@ def _check_manin(entry: CatalogEntry, tol, corrupted) -> dict:
     gprime = entry.gprime_algebra
     gstar = entry.gstar
     if corrupted:   # gstar plus the imaginary traceless diagonal
-        mats, labels = list(gstar.realization), list(gstar.space.labels)
+        mats, labels = list(gstar.realization), list(gstar.labels)
         for j in range(entry.p):
             d = np.zeros((entry.p + 1,) * 2, dtype=complex)
             d[j, j], d[j + 1, j + 1] = 1j, -1j
             mats.append(d)
             labels.append(f"iD_{j + 1}")
-        gstar = from_realization(labels, mats)
+        gstar = LieAlgebra(labels, realization=mats)
     out = mn.check_manin(entry.gc_algebra, gstar, {"g": entry.g, "gprime": gprime})
     # gprime's table in the (sigma psi, x) basis against +/- that of e
     sign, transport = best_sign(gprime.structure, entry.mp.e_algebra.structure)
@@ -302,13 +302,13 @@ def _check_manin(entry: CatalogEntry, tol, corrupted) -> dict:
 def _check_deform(entry: CatalogEntry, tol, corrupted) -> dict:
     from . import manin as mn
     sign = 2.0 if corrupted else 1.0    # the knob doubles the cocycle of both signs
-    # the algebras are cut from the table snapped to its grid, the residuals
-    # read the table as computed, so they carry the snap distance
-    g_model, exact = entry.model_table
+    # the algebras are cut from the table snapped to its grid, and the
+    # residuals that read that table carry the snap distance
+    exact, snap = entry.model_table
     k = entry.mp.dim_c
-    pp_in_k = float(np.max(np.abs(g_model[:k, :k, :k]), initial=0.0))
+    pp_in_k = worst(np.max(np.abs(exact[:k, :k, :k]), initial=0.0), snap)
     plus = mn.deform_bracket(exact, k, +sign)
-    resid_plus = float(np.max(np.abs(plus.structure - g_model)))
+    resid_plus = worst(np.max(np.abs(plus.structure - exact)), snap)
     eigs = mn.killing_eigenvalues(mn.deform_bracket(exact, k, -sign))
     zero = mn.deform_bracket(exact, k, 0.0)
     resid_zero = float(np.max(np.abs(zero.structure - entry.mp.e_algebra.structure)))

@@ -15,16 +15,15 @@ SVD_TOL = 1e-8
 #: Largest p for which the su(p,1) family is constructed (`supq1(p)`, or
 #: `verify supq1 --p N`; the named catalog stops at su41).  Set by cost, not
 #: by the mathematics: a full `verify supq1 --p 8` passes every check in
-#: 0.82-0.93 s run in one process, import included, with a 166 MB peak RSS,
-#: and peaks at 170 MB from the command line (one BLAS thread, a shared
-#: 2-vCPU x86-64 machine whose speed swings by 2x; six runs in a fast phase).
-#: The peak is `manin`'s build of g_C (`--checks manin` alone: 158 MB): its
-#: dense 160^3 table and the two temporaries of `LieAlgebra`'s antisymmetry
-#: check, 33 MB each.  In a phase twice as slow, on a fresh entry in process,
-#: the build took 0.07-0.15 s, `manin` 0.21-0.38 s (g_C and g* are built
-#: there), `cocycle` 0.29-0.48 s, `twist` 0.26-0.32 s, `invariance`
-#: 0.17-0.32 s, `delta_consistency` 0.17-0.23 s, `deform` 0.06-0.09 s and
-#: `uniqueness` 0.01-0.02 s.
+#: 0.91-0.94 s run in one process, import included, and in 0.91-0.97 s from
+#: the command line, with a 135 MB peak RSS both ways (one BLAS thread, a
+#: shared 2-vCPU x86-64 machine whose speed swings by 2x; three runs each).
+#: The peak is `manin`'s build of g_C (`--checks manin` alone:
+#: 124 MB): its dense 160^3 table and the one temporary of `LieAlgebra`'s
+#: antisymmetry check, 33 MB each.  On a fresh entry in process the build
+#: took 0.06 s, `manin` 0.17 s (g_C and g* are built there), `cocycle`
+#: 0.35 s, `invariance` 0.23 s, `delta_consistency` 0.17 s, `twist` 0.15 s,
+#: `deform` 0.04 s and `uniqueness` 0.01 s.
 P_CAP = 8
 #: Scale of the inner product on the symmetric part used by the twist element:
 #: inner(u, v) = TWIST_INNER_SCALE * Re tr(uv).  Pinned by the Maurer-Cartan

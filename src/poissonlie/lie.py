@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ALGEBRAIC_TOL
-from .linalg import BasedSpace, finite_array, matrix_to_json_dict, worst, worst_at
+from .linalg import finite_array, matrix_to_json_dict, worst, worst_at
 
 IM_TRACE = "IM_TRACE"
 RE_TRACE = "RE_TRACE"
@@ -39,13 +39,6 @@ def trace_gram(xs, ys, spec: str) -> np.ndarray:
     xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
     t = xs.reshape(len(xs), -1) @ ys.transpose(0, 2, 1).reshape(len(ys), -1).T
     return _trace_part(t, spec)
-
-
-def pair_commutators(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (i, j) over all pairs i < j and the commutators [mats[i], mats[j]]."""
-    m = np.asarray(mats, dtype=complex)
-    i, j = np.triu_indices(len(m), 1)
-    return i, j, m[i] @ m[j] - m[j] @ m[i]
 
 
 class MatrixBasisSolver:
@@ -266,62 +259,88 @@ def structure_in_basis(structure: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (out - out.swapaxes(0, 1))
 
 
-#: commutators re-expanded at a time by `realization_mismatch`: all of su41's
-#: 276 in one pass, g_C's at p = 8 in 25 of about 3 MB each
+#: commutators re-expanded at a time by `commutator_pass`: all of su41's
+#: 276 in one chunk, g_C's at p = 8 in 25 of about 3 MB each
 COMMUTATOR_CHUNK = 512
 
 
-def realization_mismatch(solver: MatrixBasisSolver,
-                         table: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """The residual of an exactly antisymmetric table against the matrices
-    of `solver`, with the first basis pair (a, b), a < b, it is attained at
-    (the first NaN, if any): each commutator [M_a, M_b] is re-expanded in
-    the basis, and its residual is the larger of its span residual and
-    max |coords - table[a, b]|.
+def commutator_pass(solver: MatrixBasisSolver, table: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """The one re-expansion of the commutators [M_a, M_b], a < b, of the
+    matrices of `solver`, in row order and COMMUTATOR_CHUNK at a time, so
+    memory stays bounded whatever n is.  Returns the table, its residual and
+    the first pair (a, b) whose residual is the worst (the first NaN, if any).
 
-    The pairs a < b are taken in row order, COMMUTATOR_CHUNK commutators at
-    a time, so memory stays bounded whatever n is.  [M_b, M_a] is
-    -[M_a, M_b] bit for bit, as table[b, a] is -table[a, b], so the pairs
-    b <= a would give the same residuals again."""
+    Without a table, the pass fills one, snapped (`snap_dyadic`: on the
+    catalog's bases the coordinates are integers up to rounding, so the
+    table is exact and sparse; any other table is kept as solved); each
+    commutator's residual is its span residual, and the snap distance joins
+    the worst.  With an exactly antisymmetric table, the pass checks it: the
+    residual is the larger of the span residual and max |coords - table[a, b]|.
+    [M_b, M_a] is -[M_a, M_b] bit for bit, as table[b, a] is -table[a, b],
+    so the pairs b <= a would repeat the same residuals."""
     mats = solver.stack
-    i, j = np.triu_indices(len(mats), 1)
+    n = len(mats)
+    i, j = np.triu_indices(n, 1)
     resids = np.empty(len(i))
+    filled = np.empty((len(i), n)) if table is None else None
     for lo in range(0, len(i), COMMUTATOR_CHUNK):
-        a, b = i[lo:lo + COMMUTATOR_CHUNK], j[lo:lo + COMMUTATOR_CHUNK]
+        at = slice(lo, lo + COMMUTATOR_CHUNK)
+        a, b = i[at], j[at]
         coords, span = solver.solve_each(solver.rows_of(mats[a] @ mats[b] - mats[b] @ mats[a]))
-        np.maximum(span, np.abs(coords - table[a, b]).max(axis=1),
-                   out=resids[lo:lo + COMMUTATOR_CHUNK])
-    if not len(resids):
-        return 0.0, (0, 0)
-    resid, at = worst_at(resids)
-    return resid, (int(i[at]), int(j[at]))
+        if table is None:
+            filled[at], resids[at] = coords, span
+        else:
+            np.maximum(span, np.abs(coords - table[a, b]).max(axis=1), out=resids[at])
+    resid, at = worst_at(resids) if len(resids) else (0.0, 0)
+    pair = (int(i[at]), int(j[at])) if len(resids) else (0, 0)
+    if table is None:
+        filled, snap = snap_dyadic(filled)
+        table = np.zeros((n, n, n))
+        table[i, j] = filled
+        table[j, i] = 0.0 - filled       # no negative zeros in an exact table
+        table.setflags(write=False)
+        resid = worst(resid, snap)
+    return table, resid, pair
 
 
 @dataclass(eq=False)
 class LieAlgebra:
-    space: BasedSpace
-    structure: np.ndarray
+    """A real Lie algebra on the basis `labels`, given by its table, by a
+    matrix realization whose one `commutator_pass` fills the table, or by
+    both, the pass then checking the table."""
+
+    labels: tuple[str, ...]
+    structure: Optional[np.ndarray] = None
     realization: Optional[list[np.ndarray]] = None
     pairing: Optional[str] = None
-    # `from_realization` hands over the solver and the span residual of the
-    # one re-expansion that built the table; a table given with a realization
-    # is compared with a re-expansion of its own (`realization_mismatch`)
-    _solver: Optional[MatrixBasisSolver] = field(default=None, repr=False)
-    _residual: Optional[float] = field(default=None, repr=False)
     # `manin.build_gc_algebra` hands over g's Jacobi result: each Jacobiator
     # entry of g_C's table is +- one of g's
     _jacobi: Optional[tuple[float, tuple[int, int, int]]] = field(default=None, repr=False)
     #: (residual, triple) of `jacobi_worst_at` on the table, computed once;
     #: the table is read-only, so it cannot go stale
     jacobi: tuple[float, tuple[int, int, int]] = field(init=False, repr=False)
+    #: the residual of the `commutator_pass` that filled or checked the
+    #: table; None without a realization
+    realization_residual: Optional[float] = field(default=None, init=False, repr=False)
+    _solver: Optional[MatrixBasisSolver] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        n = self.space.dim
+        self.labels = tuple(self.labels)
+        n = len(self.labels)
+        if n <= 0:
+            raise ValueError("dim must be positive")
+        if len(set(self.labels)) != n:
+            raise ValueError("labels must be unique")
+        if self.structure is None:
+            self.structure = self._realize(None)
         c = np.asarray(self.structure, dtype=float)
         if c.shape != (n, n, n):
             raise ValueError(f"structure shape {c.shape} != ({n},{n},{n})")
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) != 0.0:
+        sym = c + c.swapaxes(0, 1)      # one temporary: |.| is taken in place
+        if np.max(np.abs(sym, out=sym)) != 0.0:
             raise ValueError("structure constants are not exactly antisymmetric")
+        del sym
         if c.flags.writeable:    # the caller's array stays the caller's
             c = c.copy()
             c.setflags(write=False)
@@ -330,24 +349,31 @@ class LieAlgebra:
         if not res <= ALGEBRAIC_TOL:
             raise ValueError(f"Jacobi identity violated: residual {res:.3e} at basis triple "
                              f"({i}, {j}, {k})")
-        if self.realization is not None:
-            self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
-            if len(self.realization) != n:
-                raise ValueError("realization must provide one matrix per basis element")
-            where = ""
-            if self._solver is None:
-                self._solver = MatrixBasisSolver(self.realization)
-                self._residual, (a, b) = realization_mismatch(self._solver, c)
-                where = f" at commutator [{self.space.labels[a]}, {self.space.labels[b]}]"
-            if not self._residual <= ALGEBRAIC_TOL:
-                raise ValueError(f"realization inconsistent with structure constants{where}: "
-                                 f"{self._residual:.3e}")
+        if self.realization is not None and self._solver is None:
+            self._realize(c)
+
+    def _realize(self, table: Optional[np.ndarray]) -> np.ndarray:
+        """`commutator_pass` over the realization, filling the table if it is
+        None and checking it otherwise; raises naming the worst commutator."""
+        self.realization = [np.asarray(m, dtype=complex) for m in self.realization]
+        if len(self.realization) != len(self.labels):
+            raise ValueError("realization must provide one matrix per basis element")
+        self._solver = MatrixBasisSolver(self.realization)
+        out, resid, (a, b) = commutator_pass(self._solver, table)
+        where = f"commutator [{self.labels[a]}, {self.labels[b]}]"
+        if not resid <= ALGEBRAIC_TOL:
+            if table is None:
+                raise ValueError(f"{where} leaves the span (residual {resid:.3e})")
+            raise ValueError(f"realization inconsistent with structure constants at {where}: "
+                             f"{resid:.3e}")
+        self.realization_residual = resid
+        return out
 
     # -- basic operations -------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.labels)
 
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates of [x, y]; a stack of rows y gives one row each, from
@@ -375,19 +401,11 @@ class LieAlgebra:
             raise ValueError(f"matrix is not in the realization span (residual {resid:.3e})")
         return coords.reshape(mat.shape[:-2] + (self.dim,))
 
-    def realization_residual(self) -> float:
-        """Max mismatch between the matrix commutators and the structure
-        constants, from the one re-expansion made at construction: for a table
-        built by `from_realization`, the span residual of the commutators, or
-        the distance of the snap (`snap_dyadic`) if that is larger; for a table
-        given with a realization, `realization_mismatch`."""
-        return self._residual
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         doc = {
-            "labels": list(self.space.labels),
+            "labels": list(self.labels),
             "structure": self.structure.tolist(),
             "pairing": self.pairing,
         }
@@ -412,35 +430,7 @@ class LieAlgebra:
         if pairing not in (None, IM_TRACE, RE_TRACE):
             raise ValueError(f"unknown pairing {pairing!r}: expected null, "
                              f"{IM_TRACE} or {RE_TRACE}")
-        return LieAlgebra(BasedSpace.make(labels), structure,
-                          realization=realization, pairing=pairing)
-
-
-def from_realization(labels: Sequence[str], mats: Sequence[np.ndarray],
-                     pairing: Optional[str] = None) -> LieAlgebra:
-    """Build a LieAlgebra by re-expanding matrix commutators in the given basis.
-    That one re-expansion both fills the table and checks that the basis spans
-    its commutators; the algebra keeps its solver.
-
-    The coordinates go through `snap_dyadic`: on the catalog's bases they are
-    integers up to rounding, so the table is exact and sparse, and the snap
-    distance joins the span residual.  Any other table is kept as solved."""
-    solver = MatrixBasisSolver(mats)
-    n = len(mats)
-    i, j, comms = pair_commutators(mats)
-    coords, resids = solver.solve_each(solver.rows_of(comms))
-    span = float(np.max(resids, initial=0.0))
-    if not span <= ALGEBRAIC_TOL:
-        bad = int(np.argmax(resids))   # the first NaN, if any
-        raise ValueError(f"commutator [{labels[i[bad]]}, {labels[j[bad]]}] leaves the span "
-                         f"(residual {resids[bad]:.3e})")
-    coords, snap = snap_dyadic(coords)
-    structure = np.zeros((n, n, n))
-    structure[i, j] = coords
-    structure[j, i] = 0.0 - coords       # no negative zeros in an exact table
-    structure.setflags(write=False)
-    return LieAlgebra(BasedSpace.make(labels), structure, realization=list(mats),
-                      pairing=pairing, _solver=solver, _residual=worst(span, snap))
+        return LieAlgebra(labels, structure, realization=realization, pairing=pairing)
 
 
 @dataclass(eq=False)

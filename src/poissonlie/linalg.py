@@ -1,6 +1,5 @@
-"""Based vector spaces, hand-entered antisymmetric tables, NaN-safe
-residuals, the global sign matcher, matrix serialization and finite
-differences.
+"""Hand-entered antisymmetric tables, NaN-safe residuals, the global sign
+matcher, matrix serialization and finite differences.
 
 Everything downstream works over small labelled real coordinate spaces; this
 module fixes the wedge/pairing conventions once:
@@ -16,29 +15,10 @@ last two axes are antisymmetric; its builder makes it so exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BasedSpace:
-    dim: int
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if len(self.labels) != self.dim:
-            raise ValueError("labels length must equal dim")
-        if len(set(self.labels)) != self.dim:
-            raise ValueError("labels must be unique")
-
-    @staticmethod
-    def make(labels: Sequence[str]) -> "BasedSpace":
-        return BasedSpace(len(labels), tuple(labels))
 
 
 def antisymmetric_table(shape: tuple[int, ...], entries: dict) -> np.ndarray:

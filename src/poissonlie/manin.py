@@ -30,9 +30,8 @@ import numpy as np
 
 from .bialgebra import _alt3
 from .config import TWIST_INNER_SCALE
-from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, from_realization, meet_runs, nonzero_runs,
-                  structure_in_basis, trace_gram, worst_key_sum)
-from .linalg import BasedSpace
+from .lie import (IM_TRACE, RE_TRACE, LieAlgebra, meet_runs, nonzero_runs, structure_in_basis,
+                  trace_gram, worst_key_sum)
 
 
 def sigma_conj(m: np.ndarray) -> np.ndarray:
@@ -52,9 +51,9 @@ def build_gc_algebra(entry) -> LieAlgebra:
     The table is g's exact table c in four slices: [X_a, X_b] = c,
     [X_a, iX_b] = [iX_a, X_b] = i c and [iX_a, iX_b] = -c.  So each Jacobiator
     entry is +- one of g's, and the algebra keeps g's Jacobi result.  The
-    table is still held to the matrices: `LieAlgebra` re-expands their
-    commutators a bounded number at a time (`lie.realization_mismatch`) and
-    names the first commutator that misses."""
+    table is still held to the matrices: `LieAlgebra` checks it in its one
+    pass over their commutators (`lie.commutator_pass`), a bounded number at
+    a time, and names the first commutator that misses."""
     g = entry.g
     n, c = g.dim, g.structure
     table = np.zeros((2 * n,) * 3)
@@ -64,9 +63,8 @@ def build_gc_algebra(entry) -> LieAlgebra:
     table[n:, n:, :n] = 0.0 - c      # no negative zeros in an exact table
     table.setflags(write=False)
     mats = list(g.realization) + [1j * m for m in g.realization]
-    labels = list(g.space.labels) + [f"i*{l}" for l in g.space.labels]
-    return LieAlgebra(BasedSpace.make(labels), table, realization=mats, pairing=IM_TRACE,
-                      _jacobi=g.jacobi)
+    labels = list(g.labels) + [f"i*{l}" for l in g.labels]
+    return LieAlgebra(labels, table, realization=mats, pairing=IM_TRACE, _jacobi=g.jacobi)
 
 
 def gprime_algebra(entry) -> LieAlgebra:
@@ -74,7 +72,7 @@ def gprime_algebra(entry) -> LieAlgebra:
     compact part, as a realized algebra: the re-expansion that checks its
     closure is its table in the (sigma psi, x) basis."""
     half = [sigma_conj(m) for m in entry.psi_mats] + list(entry.g.realization[:entry.mp.dim_b])
-    return from_realization([f"s{i}" for i in range(len(half))], half)
+    return LieAlgebra([f"s{i}" for i in range(len(half))], realization=half)
 
 
 def compact_algebra(entry) -> LieAlgebra:
@@ -82,8 +80,8 @@ def compact_algebra(entry) -> LieAlgebra:
     the basis of k, then i times the Cartan decomposition's p rows."""
     m = entry.mp.dim_b
     p_mats = entry.g.matrix_of(entry.cartan.parts["p"])
-    labels = list(entry.g.space.labels[:m]) + [f"ip_{i}" for i in range(len(p_mats))]
-    return from_realization(labels, list(entry.g.realization[:m]) + [1j * x for x in p_mats])
+    labels = list(entry.g.labels[:m]) + [f"ip_{i}" for i in range(len(p_mats))]
+    return LieAlgebra(labels, realization=[*entry.g.realization[:m], *(1j * p_mats)])
 
 
 def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra]) -> dict:
@@ -101,7 +99,7 @@ def check_manin(big: LieAlgebra, gstar: LieAlgebra, halves: dict[str, LieAlgebra
     for name, alg in (halves | {"gstar": gstar}).items():
         gram = trace_gram(alg.realization, alg.realization, form)
         residuals[f"isotropy_{name}"] = float(np.max(np.abs(gram)))
-        residuals[f"closure_{name}"] = alg.realization_residual()
+        residuals[f"closure_{name}"] = alg.realization_residual
     residuals["form_invariance"] = form_invariance(
         big.structure, trace_gram(big.realization, big.realization, form))
     for name, half in halves.items():
@@ -188,7 +186,7 @@ def deform_bracket(table: np.ndarray, k: int, sign: float) -> LieAlgebra:
     c[:k, k:, :k] = table[:k, k:, :k]
     c[k:, k:, k:] = table[k:, k:, k:]
     labels = [f"u_{i}" for i in range(k)] + [f"x_{a}" for a in range(m)]
-    return LieAlgebra(BasedSpace.make(labels), c)
+    return LieAlgebra(labels, c)
 
 
 def g_structure_in_model_basis(entry) -> np.ndarray:

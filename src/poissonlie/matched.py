@@ -5,7 +5,7 @@ their Ad tables (`group.GroupElement`); this module reads them.
 The pair owns the one change of basis, to the adapted basis (x_1..x_m,
 y_1..y_k) of b then c, and everything built on it once and read-only: the
 structure constants of g in that basis (`adapted`), snapped to its grid as
-`lie.from_realization` snaps g's; the algebra e = b0 x| b (`e_algebra`) and
+`lie.commutator_pass` snaps g's; the algebra e = b0 x| b (`e_algebra`) and
 its cobracket (`delta`), both blocks of it; and, for a realized g, the
 re-expansion in that basis (`adapted_solver`), which the group elements
 conjugate and solve against, so that Ad(a) comes out in the adapted basis and
@@ -24,7 +24,7 @@ import numpy as np
 from .config import ALGEBRAIC_TOL
 from .lie import (LieAlgebra, MatrixBasisSolver, SubspaceDecomposition, snap_dyadic,
                   structure_in_basis)
-from .linalg import BasedSpace, finite_array
+from .linalg import finite_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import GroupElement
@@ -42,8 +42,7 @@ class MatchedPair:
     adapted_snap: float = field(init=False)
     #: re-expansion of matrices in the realized adapted basis; None without a realization
     adapted_solver: Optional[MatrixBasisSolver] = field(init=False, repr=False)
-    b0_space: BasedSpace = field(init=False)
-    e_space: BasedSpace = field(init=False)
+    e_labels: tuple[str, ...] = field(init=False)  # the basis of e: psi^1..psi^k, then b
 
     def __post_init__(self):
         if list(self.decomp.parts) != ["b", "c"]:
@@ -72,8 +71,9 @@ class MatchedPair:
         y_lbl = self._y_labels()
         if y_lbl is not None:
             labels = [f"psi[{l}]" for l in y_lbl]
-        self.b0_space = BasedSpace.make(labels)
-        self.e_space = BasedSpace.make(list(self.b0_space.labels) + list(self.b_labels()))
+        self.e_labels = tuple(labels + self.b_labels())
+        if len(set(self.e_labels)) != len(self.e_labels):
+            raise ValueError("labels must be unique")
 
     def _y_labels(self) -> Optional[list[str]]:
         lbl = []
@@ -81,7 +81,7 @@ class MatchedPair:
             nz = np.nonzero(row)[0]
             if len(nz) != 1 or row[nz[0]] != 1.0:
                 return None
-            lbl.append(self.g.space.labels[nz[0]])
+            lbl.append(self.g.labels[nz[0]])
         return lbl
 
     def b_labels(self) -> list[str]:
@@ -89,7 +89,7 @@ class MatchedPair:
         for row in self.decomp.parts["b"]:
             nz = np.nonzero(row)[0]
             if len(nz) == 1 and row[nz[0]] == 1.0:
-                lbl.append(self.g.space.labels[nz[0]])
+                lbl.append(self.g.labels[nz[0]])
             else:
                 lbl.append(f"b_{len(lbl)}")
         return lbl

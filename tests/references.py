@@ -21,8 +21,10 @@
 - The unit and the commutator of the crossed algebra.
 - The twist check's residuals with the twist element and both of its
   cobrackets on gstar built here.
-- The table of all commutators of two lists of matrices, g_C re-expanded
-  from its matrices (the package reads its table off g's), the invariance of
+- The table of all commutators of two lists of matrices, the table of a
+  realization from one re-expansion of all its commutators at once (the
+  package takes them a chunk at a time), g_C re-expanded from its matrices
+  that way (the package reads its table off g's), the invariance of
   the form on g_C as a dense contraction of the table, and the family-1
   dual brackets on e(2)* at any value of their parameter.
 - The r-matrix display row of the conventions report, one y_i at a time,
@@ -43,7 +45,7 @@ from poissonlie.checks import complex_coordinates
 from poissonlie.config import ALGEBRAIC_TOL, FD_STEP, TWIST_INNER_SCALE
 from poissonlie.group import (MAX_WORD, EElement, GroupElement, _adjoint, basis_curves, e_mul,
                               exp_b, word_matrices)
-from poissonlie.lie import IM_TRACE, LieAlgebra, from_realization, trace_gram
+from poissonlie.lie import IM_TRACE, MatrixBasisSolver, snap_dyadic, trace_gram
 from poissonlie.linalg import antisymmetric_table, finite_diff, worst
 from poissonlie.manin import cobracket_on_gstar, gprime_algebra, twist_check, twist_element
 from poissonlie.poisson import anchor_trig, circle_parameter_checks
@@ -414,14 +416,31 @@ def commutators(xs, ys) -> np.ndarray:
     return xs @ ys - ys @ xs
 
 
-def gc_from_realization(entry) -> LieAlgebra:
-    """g_C from its 2n matrices, g's and i times them, by re-expanding all
-    their commutators at once and snapping the coordinates
-    (`lie.from_realization`); `manin.build_gc_algebra` reads the same table
-    off g's in closed form."""
+def realize_at_once(mats) -> tuple[np.ndarray, float]:
+    """The table of a realization from one re-expansion of all commutators
+    [M_a, M_b], a < b, at once: one `solve_each`, one `snap_dyadic` of every
+    coordinate, no negative zeros; with the residual, the worst span residual
+    or the snap distance if that is larger.  `lie.commutator_pass` fills the
+    same table COMMUTATOR_CHUNK commutators at a time."""
+    m = np.asarray(mats, dtype=complex)
+    solver = MatrixBasisSolver(m)
+    n = len(m)
+    i, j = np.triu_indices(n, 1)
+    coords, resids = solver.solve_each(solver.rows_of(m[i] @ m[j] - m[j] @ m[i]))
+    coords, snap = snap_dyadic(coords)
+    table = np.zeros((n, n, n))
+    table[i, j] = coords
+    table[j, i] = 0.0 - coords
+    return table, worst(float(np.max(resids, initial=0.0)), snap)
+
+
+def gc_from_realization(entry) -> tuple[list[str], list[np.ndarray], np.ndarray]:
+    """g_C's labels, its 2n matrices (g's and i times them), and the table of
+    their commutators re-expanded at once (`realize_at_once`);
+    `manin.build_gc_algebra` reads the same table off g's in closed form."""
     mats = list(entry.g.realization) + [1j * m for m in entry.g.realization]
-    labels = list(entry.g.space.labels) + [f"i*{label}" for label in entry.g.space.labels]
-    return from_realization(labels, mats, pairing=IM_TRACE)
+    labels = list(entry.g.labels) + [f"i*{label}" for label in entry.g.labels]
+    return labels, mats, realize_at_once(mats)[0]
 
 
 def form_invariance_dense(table: np.ndarray, gram: np.ndarray) -> float:

@@ -201,7 +201,7 @@ def test_eta_and_its_parts_are_exactly_antisymmetric(mp):
     for points in (stack, take(stack, 0)):
         for part in (eta, eta0, eta_b):
             x = part(mp, points)
-            assert x.shape == points.v.shape[:-1] + (mp.e_space.dim,) * 2
+            assert x.shape == points.v.shape[:-1] + (len(mp.e_labels),) * 2
             assert np.array_equal(x, -np.swapaxes(x, -1, -2)), part.__name__
 
 
@@ -377,7 +377,7 @@ def test_cocycle_witness_reproduces_the_residual(mp):
     pushed = adE(g) @ eta(mp, h, eta_b_sign=-1.0) @ adE(g).T
     diff = np.abs(lhs - eta(mp, g, eta_b_sign=-1.0) - pushed)
     assert details["worst_part"] == "^".join(
-        mp.e_space.labels[i] for i in np.unravel_index(np.argmax(diff), diff.shape))
+        mp.e_labels[i] for i in np.unravel_index(np.argmax(diff), diff.shape))
 
 
 def test_invariance_witness_names_sample_and_part(mp):

@@ -72,7 +72,7 @@ def test_build_e_jacobi_failure_signals(e11):
     c[0, 1, 0] += 0.1
     c[1, 0, 0] -= 0.1
     with pytest.raises(ValueError, match="Jacobi identity violated"):
-        LieAlgebra(e.space, c)
+        LieAlgebra(e.labels, c)
 
 
 def test_build_e_ad_consistency_with_adE(e11):
@@ -332,7 +332,7 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     rm, gc, gp = built["r_matrix"], built["gc_algebra"], built["gprime_algebra"]
     tables = (rm["route_a"], rm["route_b"], built["gstar_g_pairing"], gc.structure,
               *gc.realization, gp.structure,
-              *gp.realization, *built["model_table"],
+              *gp.realization, built["model_table"][0],
               *(table for table, _ in built["gstar_cobrackets"]))
     before = [t.copy() for t in tables]
     for table in tables:
@@ -350,8 +350,8 @@ def test_entry_tables_read_only_and_untouched_by_knobs(e21):
     assert rm["difference"] == fresh["difference"]
     assert np.array_equal(gc.structure, build_gc_algebra(e21).structure)
     assert np.array_equal(gp.structure, gprime_algebra(e21).structure)
-    model = g_structure_in_model_basis(e21)
-    assert np.array_equal(built["model_table"][0], model)
+    exact, snap = snap_dyadic(g_structure_in_model_basis(e21))
+    assert np.array_equal(built["model_table"][0], exact) and built["model_table"][1] == snap
     halves = (e21.g, gprime_algebra(e21), compact_algebra(e21))
     for (table, dist), half in zip(built["gstar_cobrackets"], halves, strict=True):
         exact, snap = snap_dyadic(cobracket_on_gstar(e21.gstar, half))

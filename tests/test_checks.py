@@ -100,8 +100,9 @@ def _off_grid(fn, at: tuple[int, int, int], only=None):
 
 
 @pytest.mark.parametrize("check, patched, at, g_only, reading", [
-    ("deform", "g_structure_in_model_basis", (-2, -1, -1), False, ("plus_reproduces_g",)),
-    ("deform", "g_structure_in_model_basis", (0, 1, 0), False, ("pp_in_k",)),
+    ("deform", "g_structure_in_model_basis", (-2, -1, -1), False,
+     ("pp_in_k", "plus_reproduces_g")),
+    ("deform", "g_structure_in_model_basis", (0, 1, 0), False, ("pp_in_k", "plus_reproduces_g")),
     ("twist", "cobracket_on_gstar", (0, 0, 1), True,
      ("twist_relation", "cprime_g_minus_gprime", "co_jacobi_all_three")),
     ("twist", "cobracket_on_gstar", (0, 0, 1), False,
@@ -114,9 +115,9 @@ def test_a_snapped_deviation_shows_under_a_tight_tolerance(monkeypatch, tmp_path
     # model leaves out, or the twist cobrackets on g* (delta_g alone, or all
     # three), 1e-12 off their grid: the algebras are built from the model
     # table snapped and the twist reads the cobrackets snapped, but every
-    # residual is measured against the table as computed, or carries the snap
-    # distance of each table it reads (those in `reading`), so the check
-    # passes at the default tolerance and fails under --tol-algebraic 1e-13
+    # residual carries the snap distance of each table it reads (those in
+    # `reading`), so the check passes at the default tolerance and fails
+    # under --tol-algebraic 1e-13
     from poissonlie import cli, manin
 
     only = get_entry("su41").g if g_only else None
@@ -267,9 +268,9 @@ def test_witnesses_name_the_worst_basis_vector_under_the_knobs(control_entries, 
         rep = run_check(check, entry, 0, 1, DEFAULT_TOL, corrupt=knob)
         details = rep["details"]
         assert details[f"{check}_worst_basis"] == want
-        assert details[f"{check}_worst_label"] == mp.e_space.labels[want]
+        assert details[f"{check}_worst_label"] == mp.e_labels[want]
         assert details[check] == pytest.approx(value, rel=1e-6)
-    assert mp.e_space.labels[int(np.argmax(b0_block))] == "psi[y2]"
+    assert mp.e_labels[int(np.argmax(b0_block))] == "psi[y2]"
 
 
 def test_coboundary_fails_when_the_r_matrix_routes_disagree(monkeypatch, fresh_catalog):

@@ -398,14 +398,16 @@ def _numbers_as_strings(node):
     # JSON types that numpy would cast: strings, booleans, a string of labels
     ({}, {"labels": "abc"}),
     ({}, {"labels": [1, 2, 3]}),
+    ({}, {"labels": ["a", "a", "b"]}),  # labels that are not distinct, or none at all
+    ({}, {"labels": []}),
     ({"b": ["0"]}, {}),
     ({"b": [[True, False, False]]}, {}),
     ({"c": [[0, 1, False], [0, 0, 1]]}, {}),  # a boolean among numbers
     ({}, {"structure": _numbers_as_strings}),
     ({}, {"realization": _numbers_as_strings}),
 ], ids=["fractional-b", "fractional-c", "negative-b", "empty-b", "unknown-pairing",
-        "string-labels", "number-labels", "string-index", "boolean-row",
-        "boolean-among-numbers", "string-structure", "string-realization"])
+        "string-labels", "number-labels", "duplicate-labels", "empty-labels", "string-index",
+        "boolean-row", "boolean-among-numbers", "string-structure", "string-realization"])
 def test_bad_import_index_or_pairing_exit_2(parts, algebra, tmp_path, capsys):
     doc = copy.deepcopy(_su11_doc())
     doc.update({"b": [0], "c": [1, 2]}, **parts)

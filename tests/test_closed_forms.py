@@ -17,11 +17,9 @@ from poissonlie.bialgebra import (_alt3, _cocycle_dense, _cocycle_sparse, _compo
 from poissonlie import bialgebra, lie
 from poissonlie.catalog import get_entry, su11, supq1
 from poissonlie.lie import (IM_TRACE, RE_TRACE, LieAlgebra, SubspaceDecomposition, _jacobi_dense,
-                            _jacobi_sparse, from_realization, jacobi_worst_at,
-                            meet_runs, snap_dyadic, structure_in_basis, takes_sparse_path,
-                            trace_gram)
+                            _jacobi_sparse, jacobi_worst_at, meet_runs, snap_dyadic,
+                            structure_in_basis, takes_sparse_path, trace_gram)
 from poissonlie.manin import build_gc_algebra
-from poissonlie.linalg import BasedSpace
 from poissonlie.manin import (cobracket_on_gstar, compact_algebra, cprime_residual,
                               deform_bracket, g_structure_in_model_basis, gerstenhaber_d,
                               gprime_algebra, schouten_square)
@@ -307,7 +305,7 @@ def test_cobracket_on_gstar_matches_loop(entry):
     # a dense random basis of g as the half, so every pairing entry is nonzero
     coeffs = _rng(entry).standard_normal((entry.g.dim, entry.g.dim))
     half = list(entry.g.matrix_of(coeffs))
-    alg = from_realization([f"h{i}" for i in range(len(half))], half)
+    alg = LieAlgebra([f"h{i}" for i in range(len(half))], realization=half)
     _close(cobracket_on_gstar(entry.gstar, alg), np.array(cobracket_on_gstar_loop(entry, half)))
 
 
@@ -635,7 +633,7 @@ def test_jacobi_witness_names_the_perturbed_triple():
     c[2, 3, 4], c[3, 2, 4] = 0.25, -0.25
     assert jacobi_worst_at(c) == (0.25, (0, 1, 3)) == jacobi_loop(c)
     with pytest.raises(ValueError, match=r"residual 2\.500e-01 at basis triple \(0, 1, 3\)"):
-        LieAlgebra(BasedSpace.make([f"e{i}" for i in range(6)]), c)
+        LieAlgebra([f"e{i}" for i in range(6)], c)
     # a NaN reaches every triple whose bracket reads it; the first with i < j is named
     c[2, 3, 5] = np.nan
     resid, triple = jacobi_worst_at(c)
@@ -650,7 +648,7 @@ def test_from_realization_names_the_bad_commutator():
 
     # [E11, E12] and [E11, E21] stay in the span, [E12, E21] = E11 - E22 leaves it
     with pytest.raises(ValueError, match=r"commutator \[e12, e21\] leaves the span"):
-        from_realization(["e11", "e12", "e21"], [unit(0, 0), unit(0, 1), unit(1, 0)])
+        LieAlgebra(["e11", "e12", "e21"], realization=[unit(0, 0), unit(0, 1), unit(1, 0)])
 
 
 # -- the sparse Jacobiator ---------------------------------------------------------
@@ -764,7 +762,7 @@ def test_dusty_and_nan_tables_take_the_dense_path():
     g = get_entry("su21").g
     mix = np.random.default_rng(7).standard_normal((g.dim, g.dim))
     mats = list(np.tensordot(mix, np.array(g.realization), axes=1))
-    dusty = from_realization([f"e{i}" for i in range(g.dim)], mats).structure
+    dusty = LieAlgebra([f"e{i}" for i in range(g.dim)], realization=mats).structure
     assert not np.array_equal(dusty, np.rint(dusty))
     assert not _sparse_jacobi(dusty)
     # a table of exact integers but for a dust of rounding on every entry

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from poissonlie.catalog import su11, supq1
-from poissonlie.lie import (IM_TRACE, LieAlgebra, MatrixBasisSolver, SubspaceDecomposition,
-                            from_realization, jacobi_worst_at, pair_commutators,
-                            realization_mismatch, structure_in_basis)
-from poissonlie.linalg import BasedSpace, worst
+from poissonlie.lie import (COMMUTATOR_CHUNK, IM_TRACE, LieAlgebra, MatrixBasisSolver,
+                            SubspaceDecomposition, commutator_pass, jacobi_worst_at,
+                            structure_in_basis)
+from poissonlie.linalg import worst
+from poissonlie.manin import compact_algebra
 from poissonlie.matched import MatchedPair
-from references import coad_matrix_coords, commutators
+from references import coad_matrix_coords, commutators, realize_at_once
 
 
 def trace_pairing(x: np.ndarray, y: np.ndarray, spec: str) -> float:
@@ -50,7 +51,7 @@ def test_bracket_of_vector_with_itself(e11):
 
 def test_su21_rij_bracket():
     g = supq1(2).g
-    labels = g.space.labels
+    labels = g.labels
     i_r = labels.index("yR_1")
     i_i = labels.index("yI_1")
     i_2 = labels.index("y2")
@@ -92,7 +93,7 @@ def test_ad_ih_on_ya_derived_expansion(e11):
 
 def test_check_jacobi_catalog_and_abelian(e11):
     assert jacobi_worst_at(e11.g.structure)[0] <= 1e-9
-    abelian = LieAlgebra(BasedSpace.make(["a", "b"]), np.zeros((2, 2, 2)))
+    abelian = LieAlgebra(["a", "b"], np.zeros((2, 2, 2)))
     assert jacobi_worst_at(abelian.structure)[0] == 0.0
 
 
@@ -107,7 +108,7 @@ def test_constructor_rejects_non_antisymmetric():
     c = np.zeros((2, 2, 2))
     c[0, 1, 0] = 1.0  # partner entry missing
     with pytest.raises(ValueError):
-        LieAlgebra(BasedSpace.make(["a", "b"]), c)
+        LieAlgebra(["a", "b"], c)
 
 
 def test_constructor_rejects_jacobi_violation():
@@ -116,18 +117,18 @@ def test_constructor_rejects_jacobi_violation():
     c[0, 1, 0], c[1, 0, 0] = 1, -1
     c[0, 2, 1], c[2, 0, 1] = 1, -1
     with pytest.raises(ValueError):
-        LieAlgebra(BasedSpace.make(["a", "b", "c"]), c)
+        LieAlgebra(["a", "b", "c"], c)
 
 
 def test_realization_consistency_validated(e11):
-    assert e11.g.realization_residual() <= 1e-9
+    assert e11.g.realization_residual <= 1e-9
 
 
 def test_realization_mismatch_rejected(e11):
     mats = list(e11.g.realization)
     mats[2] = 2.0 * mats[2]
     with pytest.raises(ValueError):
-        LieAlgebra(e11.g.space, e11.g.structure, realization=mats)
+        LieAlgebra(e11.g.labels, e11.g.structure, realization=mats)
 
 
 def test_dual_basis_su11(e11):
@@ -223,7 +224,7 @@ def test_json_round_trip(e11):
     g = e11.g
     doc = json.loads(json.dumps(g.to_json_dict()))
     g2 = LieAlgebra.from_json_dict(doc)
-    assert g2.space == g.space
+    assert g2.labels == g.labels
     assert np.array_equal(g2.structure, g.structure)
     assert g2.pairing == IM_TRACE
     for m1, m2 in zip(g.realization, g2.realization):
@@ -240,9 +241,10 @@ def test_realization_mismatch_is_that_of_every_commutator(p):
     n = g.dim
     mats = np.tensordot(np.random.default_rng(p).standard_normal((n, n)),
                         np.array(g.realization), axes=1)
-    table = from_realization([f"e{i}" for i in range(n)], mats).structure
+    table = LieAlgebra([f"e{i}" for i in range(n)], realization=mats).structure
     solver = MatrixBasisSolver(mats)
-    got, (a, b) = realization_mismatch(solver, table)
+    checked, got, (a, b) = commutator_pass(solver, table)
+    assert checked is table
     comms = commutators(mats, mats).reshape(n * n, *mats[0].shape)
     coords, span = solver.solve_each(solver.rows_of(comms))
     every = np.maximum(span, np.abs(coords - table.reshape(n * n, n)).max(axis=1)).reshape(n, n)
@@ -250,10 +252,23 @@ def test_realization_mismatch_is_that_of_every_commutator(p):
     assert 0.0 < got == every.max() <= 1e-9 and (a, b) == first and a < b
 
 
+def test_fill_pass_is_the_re_expansion_of_every_commutator_at_once():
+    # p = 6: each algebra's 1,128 commutators take three chunks; the table
+    # they fill is that of one re-expansion of them all, bit for bit and
+    # zero signs included, with the same residual
+    entry = supq1(6)
+    for alg in (entry.g, entry.gstar, entry.gprime_algebra, compact_algebra(entry)):
+        assert alg.dim * (alg.dim - 1) // 2 > 2 * COMMUTATOR_CHUNK
+        table, resid = realize_at_once(alg.realization)
+        assert np.array_equal(alg.structure, table)
+        assert np.array_equal(np.signbit(alg.structure), np.signbit(table))
+        assert alg.realization_residual == resid
+
+
 def test_from_realization_rejects_non_closed():
     mats = [np.array([[0, 1.0], [0, 0]]), np.array([[0, 0], [1.0, 0]])]
     with pytest.raises(ValueError):
-        from_realization(["e", "f"], mats)
+        LieAlgebra(["e", "f"], realization=mats)
 
 
 @pytest.mark.parametrize("name", ["su11", "su21", "su31", "su41"])
@@ -276,7 +291,7 @@ def test_solver_operator_is_the_triangular_solve(name):
 def test_table_is_read_only_and_keeps_its_jacobi():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
-    alg = LieAlgebra(BasedSpace.make(["a", "b", "c"]), c)
+    alg = LieAlgebra(["a", "b", "c"], c)
     assert alg.jacobi == jacobi_worst_at(alg.structure) == (0.0, (0, 1, 1))
     with pytest.raises(ValueError, match="read-only"):
         alg.structure[0, 1, 2] = 5.0
@@ -290,17 +305,18 @@ def test_integer_realization_is_snapped_and_others_are_kept():
     assert np.array_equal(g.structure, np.rint(g.structure))
     assert np.all(g.structure[np.signbit(g.structure)] < 0)     # no negative zeros
     # the unsnapped re-expansion differs from the snapped table by rounding only
-    i, j, comms = pair_commutators(g.realization)
-    coords, span = g._solver.solve_many(comms)
-    assert 0.0 < np.max(np.abs(coords - g.structure[i, j])) <= g.realization_residual() <= 1e-9
+    m = np.array(g.realization)
+    i, j = np.triu_indices(g.dim, 1)
+    coords, span = g._solver.solve_many(m[i] @ m[j] - m[j] @ m[i])
+    assert 0.0 < np.max(np.abs(coords - g.structure[i, j])) <= g.realization_residual <= 1e-9
     # halving the basis halves the constants: they are snapped to the half grid
-    half = from_realization(list(g.space.labels), [0.5 * m for m in g.realization])
+    half = LieAlgebra(g.labels, realization=0.5 * m)
     assert np.array_equal(half.structure, 0.5 * g.structure)
     assert np.all(half.structure[np.signbit(half.structure)] < 0)
-    assert 0.0 < half.realization_residual() <= 1e-9
+    assert 0.0 < half.realization_residual <= 1e-9
     # a basis with constants off the quarter grid keeps its least-squares table, bit for bit
-    mats = [m / 3.0 for m in g.realization]
-    third = from_realization(list(g.space.labels), mats)
-    coords, _ = third._solver.solve_each(third._solver.rows_of(pair_commutators(mats)[2]))
+    m = m / 3.0
+    third = LieAlgebra(g.labels, realization=m)
+    coords, _ = third._solver.solve_each(third._solver.rows_of(m[i] @ m[j] - m[j] @ m[i]))
     assert np.array_equal(third.structure[i, j], coords)
     assert not np.array_equal(third.structure, np.rint(4.0 * third.structure) / 4.0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonlie.linalg import BasedSpace, best_sign, finite_diff, worst
+from poissonlie.lie import LieAlgebra
+from poissonlie.linalg import best_sign, finite_diff, worst
 
 
 def wedge(x, y):
@@ -14,12 +15,13 @@ def wedge(x, y):
 
 
 def test_based_space_validates():
-    with pytest.raises(ValueError):
-        BasedSpace(2, ("a",))
-    with pytest.raises(ValueError):
-        BasedSpace(2, ("a", "a"))
-    with pytest.raises(ValueError):
-        BasedSpace(0, ())
+    # an algebra's labels name its basis: one per dimension, distinct, at least one
+    with pytest.raises(ValueError, match="shape"):
+        LieAlgebra(("a",), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="labels must be unique"):
+        LieAlgebra(("a", "a"), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="dim must be positive"):
+        LieAlgebra((), np.zeros((0, 0, 0)))
 
 
 def test_wedge_self_is_zero():

@@ -46,7 +46,7 @@ def test_gstar_k0_block_abelian(entries):
 def test_gstar_closure(entries):
     # closure is enforced by construction; re-check the residual explicitly
     for entry in entries.values():
-        assert entry.gstar.realization_residual() <= 1e-9
+        assert entry.gstar.realization_residual <= 1e-9
 
 
 def test_manin_triples_pass(entries):
@@ -221,12 +221,12 @@ def test_gc_table_is_the_re_expansion_of_its_matrices(name):
     # the closed form from g's table against the re-expansion of all 2n(2n-1)/2
     # commutators, bit for bit, zeros' signs included
     entry = supq1(int(name[6])) if name.startswith("supq1") else get_entry(name)
-    gc, ref = build_gc_algebra(entry), gc_from_realization(entry)
-    assert np.array_equal(gc.structure, ref.structure)
-    assert np.array_equal(np.signbit(gc.structure), np.signbit(ref.structure))
-    assert gc.space == ref.space and gc.pairing == ref.pairing == IM_TRACE
-    assert all(np.array_equal(m, r) for m, r in zip(gc.realization, ref.realization, strict=True))
-    assert gc.realization_residual() <= 1e-9
+    gc, (labels, mats, ref) = build_gc_algebra(entry), gc_from_realization(entry)
+    assert np.array_equal(gc.structure, ref)
+    assert np.array_equal(np.signbit(gc.structure), np.signbit(ref))
+    assert gc.labels == tuple(labels) and gc.pairing == IM_TRACE
+    assert all(np.array_equal(m, r) for m, r in zip(gc.realization, mats, strict=True))
+    assert gc.realization_residual <= 1e-9
     # the Jacobi result handed over from g is the table's own
     assert jacobi_worst_at(gc.structure) == gc.jacobi == entry.g.jacobi
 
@@ -239,10 +239,10 @@ def test_gc_build_raises_on_a_g_table_off_its_matrices():
     table = g.structure.copy()
     table[a, b, m], table[b, a, m] = -table[a, b, m], -table[b, a, m]
     stand_in = SimpleNamespace(g=SimpleNamespace(dim=g.dim, structure=table, jacobi=g.jacobi,
-                                                 realization=g.realization, space=g.space))
+                                                 realization=g.realization, labels=g.labels))
     # the flip reaches [X_a, X_b] and [X_a, iX_b] first, in row a; rounding
     # of the re-expansion decides which of the two is named
-    label_a, label_b = (re.escape(label) for label in (g.space.labels[a], g.space.labels[b]))
+    label_a, label_b = (re.escape(label) for label in (g.labels[a], g.labels[b]))
     with pytest.raises(ValueError, match=rf"commutator \[{label_a}, (i\*)?{label_b}\]"):
         build_gc_algebra(stand_in)
 

@@ -190,7 +190,7 @@ def test_mixed_adapted_basis_su21():
         mix = rng.uniform(-1, 1, (dim, dim)) + 2.0 * np.eye(dim)
         doc[part] = (mix @ np.array(doc[part])).tolist()
     mixed = MatchedPair.from_json(json.dumps(doc))
-    assert mixed.b0_space.labels[0] == "psi_0"       # rows are not unit vectors
+    assert mixed.e_labels[0] == "psi_0"       # rows are not unit vectors
 
     names = applicable_checks(mixed)
     assert names == ["jacobi", "invariance", "cocycle", "delta_consistency",
@@ -211,14 +211,14 @@ def test_user_pair_sl2r_full_machinery():
     from poissonlie.bialgebra import (co_jacobi_worst_at, cocycle_1_worst_at,
                                       delta_consistency_worst_at)
     from poissonlie.linalg import worst
-    from poissonlie.lie import from_realization
+    from poissonlie.lie import LieAlgebra
     from poissonlie.checks import run_check
     from poissonlie.config import DEFAULT_TOL
 
     j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    g = from_realization(["J", "H", "N"], [j, h, n])
+    g = LieAlgebra(["J", "H", "N"], realization=[j, h, n])
     doc = {"name": "sl2r", "algebra": g.to_json_dict(), "b": [0], "c": [1, 2]}
     mp = MatchedPair.from_json_dict(doc)
     assert run_check("cocycle", mp, 300, 42, DEFAULT_TOL)["max_residual"] <= 1e-9
